@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-obs ci accept test race bench bench-core bench-serve smoke-serve smoke-router smoke-resume loadtest chaos chaos-router fuzz table1 figures ablate clean
+.PHONY: all build vet lint lint-self lint-obs ci accept test race e2e-test bench bench-core bench-serve smoke-serve smoke-router smoke-resume loadtest chaos chaos-router fuzz table1 figures ablate clean
 
 all: build vet lint test
 
@@ -38,10 +38,10 @@ lint-obs:
 # end-to-end smoke, the router-tier smoke, the loadgen SLO gate, the
 # router chaos gate (kill a replica mid-load, tier must re-converge),
 # the kill-and-resume checkpoint smoke, the analytic-engine acceptance
-# gate, and the allocation budget of the dictionary build loop
-# (steady-state allocs must be independent of the Monte-Carlo sample
-# count).
-ci: build lint lint-self lint-obs smoke-serve smoke-router loadtest chaos-router smoke-resume accept
+# gate, the end-to-end benchmark harness's own tests, and the
+# allocation budget of the dictionary build loop (steady-state allocs
+# must be independent of the Monte-Carlo sample count).
+ci: build lint lint-self lint-obs smoke-serve smoke-router loadtest chaos-router smoke-resume accept e2e-test
 	$(GO) test -race ./...
 	$(GO) test ./internal/core -run '^TestBuildDictionaryAllocBudget$$' -count=1
 
@@ -106,6 +106,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# e2e-test runs the tests of the end-to-end benchmark harness
+# (cmd/ddd-e2e, a module of its own, so `go test ./...` at the root
+# skips it) at toy scale, in a few seconds.
+e2e-test:
+	cd cmd/ddd-e2e && $(GO) test ./...
+
 # Scaled-down Table I + figure + ablation benches (see bench_test.go);
 # full-fidelity Table I is `make table1`.
 bench:
@@ -120,7 +126,8 @@ bench:
 # drops below 10x over the MC build, or the word-parallel diagnosis
 # kernels (behavior-sim prescreen, tiered suspect pruning) fall below
 # 4x over their committed scalar baselines (the baseline lines carry
-# the scalar-path numbers — see the comment in core_baseline.txt).
+# the scalar-path numbers — see the comment in core_baseline.txt), or
+# event-driven PODEM falls below 3x over the full-resimulation ATPG.
 # Expect ~1 h wall clock: the dictionary benchmark alone is
 # ~9 s/op x 3 runs, and the baseline was captured with the identical
 # flags.
@@ -134,7 +141,8 @@ bench-core:
 		-check BenchmarkCoreBuildDictionary:1.5 \
 		-check BenchmarkCoreBuildDictionaryAnalytic:10 \
 		-check BenchmarkCoreBehaviorSim:4 \
-		-check BenchmarkCoreSuspects:4
+		-check BenchmarkCoreSuspects:4 \
+		-check BenchmarkCoreDiagnosticPatterns:3
 
 # bench-serve measures the service's cache-hit diagnosis path — both
 # the single-node handler stack and the routed path through the
@@ -157,6 +165,7 @@ fuzz:
 	$(GO) test ./internal/core -fuzz=FuzzSuspectWords -fuzztime 30s
 	$(GO) test ./internal/eval -fuzz=FuzzCheckpointJournal -fuzztime 30s
 	$(GO) test ./internal/timing -fuzz=FuzzBlockedSTA -fuzztime 30s
+	$(GO) test ./internal/atpg -fuzz=FuzzImplication -fuzztime 30s
 
 table1:
 	$(GO) run ./cmd/ddd-table1 -n 20

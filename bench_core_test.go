@@ -15,8 +15,10 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/atpg"
 	"repro/internal/core"
 	"repro/internal/defect"
+	"repro/internal/eval"
 	"repro/internal/logicsim"
 	"repro/internal/path"
 	"repro/internal/rng"
@@ -222,6 +224,36 @@ func BenchmarkCoreBehaviorSim(b *testing.B) {
 	}
 	sims := float64(len(pats) * len(sites))
 	b.ReportMetric(sims*float64(b.N)/b.Elapsed().Seconds(), "patterns/s")
+}
+
+// BenchmarkCoreDiagnosticPatterns tracks path-delay ATPG, the largest
+// stage of an analytic-engine Table I case: DiagnosticPatterns (12
+// patterns) through the fault sites of s1238 Table I cases 1-4, each
+// site and ATPG stream derived as eval's per-case pipeline derives them
+// (Table I defaults, Seed = case number).
+func BenchmarkCoreDiagnosticPatterns(b *testing.B) {
+	cfg := eval.DefaultConfig("s1238")
+	c, err := synth.GenerateNamed(cfg.Circuit, cfg.CircuitSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := timing.NewModel(c, cfg.Timing)
+	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
+	var sites []ArcID
+	var seeds []uint64
+	for j := uint64(1); j <= 4; j++ {
+		caseSeed := rng.DeriveN(j, 0xca5e, 0)
+		sites = append(sites, inj.Sample(rng.New(caseSeed)).Arc)
+		seeds = append(seeds, rng.Derive(caseSeed, 1))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, site := range sites {
+			atpg.DiagnosticPatterns(c, m.Nominal, site, cfg.MaxPatterns, rng.New(seeds[k]))
+		}
+	}
+	b.ReportMetric(float64(len(sites))*float64(b.N)/b.Elapsed().Seconds(), "sites/s")
 }
 
 // BenchmarkCoreSuspects tracks tiered suspect pruning of the failing

@@ -19,9 +19,11 @@
 package atpg
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/logicsim"
@@ -51,19 +53,17 @@ func b2t(b bool) byte {
 	return f0
 }
 
-// evalT computes the 3-valued output of a cell.
-func evalT(t circuit.CellType, in []byte) byte {
+// evalT computes the 3-valued output of a cell of type t whose input
+// pins are driven by gates fanin, reading their values from vals.
+func evalT(t circuit.CellType, fanin []circuit.GateID, vals []byte) byte {
 	ctrl, hasCtrl := t.Controlling()
 	if hasCtrl {
 		cv := b2t(ctrl)
 		anyX := false
-		for _, v := range in {
+		for _, fi := range fanin {
+			v := vals[fi]
 			if v == cv {
-				out := ctrl
-				if t.Inverting() {
-					out = !out
-				}
-				return b2t(out)
+				return b2t(ctrl != t.Inverting())
 			}
 			if v == fX {
 				anyX = true
@@ -72,23 +72,20 @@ func evalT(t circuit.CellType, in []byte) byte {
 		if anyX {
 			return fX
 		}
-		out := !ctrl
-		if t.Inverting() {
-			out = !out
-		}
-		return b2t(out)
+		return b2t(ctrl == t.Inverting())
 	}
 	switch t {
 	case circuit.Buf, circuit.Output, circuit.DFF:
-		return in[0]
+		return vals[fanin[0]]
 	case circuit.Not:
-		if in[0] == fX {
-			return fX
+		if v := vals[fanin[0]]; v != fX {
+			return v ^ 1
 		}
-		return in[0] ^ 1
+		return fX
 	case circuit.Xor, circuit.Xnor:
 		out := byte(0)
-		for _, v := range in {
+		for _, fi := range fanin {
+			v := vals[fi]
 			if v == fX {
 				return fX
 			}
@@ -131,20 +128,54 @@ type Generator struct {
 	// the needed value instead of the first X fanin.
 	Scoap *circuit.Scoap
 
-	vals    [2][]byte // 3-valued gate values per frame
-	inAssn  [2][]byte // input assignments (by input index)
-	scratch []byte
+	// vals holds the 3-valued gate values per frame. Outside setInput
+	// it always equals what simulate would compute from inAssn
+	// (DESIGN.md §18).
+	vals       [2][]byte
+	inAssn     [2][]byte // input assignments (by input index)
+	unassigned []byte    // gate values with every input at X
+	inputIdx   []int32   // input index by GateID, -1 for non-inputs
+	// Event-driven implication scratch: gates awaiting re-evaluation,
+	// bucketed by circuit level, and their membership flags.
+	pending [][]circuit.GateID
+	queued  []bool
 	choice  *rand.Rand // nil = deterministic first-X-fanin backtrace
 }
 
 // NewGenerator returns a Generator for c.
 func NewGenerator(c *circuit.Circuit) *Generator {
-	g := &Generator{c: c, BacktrackLimit: 2000, Restarts: 3}
+	g := &Generator{
+		c:              c,
+		BacktrackLimit: 2000,
+		Restarts:       3,
+		inputIdx:       make([]int32, len(c.Gates)),
+		pending:        make([][]circuit.GateID, c.Depth()+1),
+		queued:         make([]bool, len(c.Gates)),
+	}
+	for i := range c.Gates {
+		g.inputIdx[i] = -1
+	}
+	for i, in := range c.Inputs {
+		g.inputIdx[in] = int32(i)
+	}
 	for f := 0; f < 2; f++ {
 		g.vals[f] = make([]byte, len(c.Gates))
-		g.inAssn[f] = make([]byte, len(c.Inputs))
+		g.inAssn[f] = bytes.Repeat([]byte{fX}, len(c.Inputs))
 	}
+	g.simulate()
+	g.unassigned = slices.Clone(g.vals[0])
 	return g
+}
+
+// clear unassigns every input of both frames. Copying the all-X gate
+// values restores vals == simulate(inAssn) without a simulation pass.
+func (g *Generator) clear() {
+	for f := 0; f < 2; f++ {
+		for i := range g.inAssn[f] {
+			g.inAssn[f][i] = fX
+		}
+		copy(g.vals[f], g.unassigned)
+	}
 }
 
 // simulate refreshes both frames' 3-valued gate values from the
@@ -161,12 +192,51 @@ func (g *Generator) simulate() {
 			if gate.Type == circuit.Input {
 				continue
 			}
-			g.scratch = g.scratch[:0]
-			for _, fi := range gate.Fanin {
-				g.scratch = append(g.scratch, vals[fi])
-			}
-			vals[gid] = evalT(gate.Type, g.scratch)
+			vals[gid] = evalT(gate.Type, gate.Fanin, vals)
 		}
+	}
+}
+
+// setInput assigns v (f0, f1 or fX) to input idx in frame and implies
+// the change forward: only the input's fan-out cone in that frame is
+// re-evaluated, level by level, and propagation stops at every gate
+// whose 3-valued output does not change. Given vals == simulate(inAssn)
+// on entry, the same holds on return, so assigning fX undoes a
+// decision exactly.
+func (g *Generator) setInput(frame, idx int, v byte) {
+	c := g.c
+	vals := g.vals[frame]
+	g.inAssn[frame][idx] = v
+	in := c.Inputs[idx]
+	if vals[in] == v {
+		return
+	}
+	vals[in] = v
+	lo, hi := len(g.pending), -1
+	schedule := func(gid circuit.GateID) {
+		for _, fo := range c.Gates[gid].Fanout {
+			if g.queued[fo] {
+				continue
+			}
+			g.queued[fo] = true
+			l := c.Levels[fo]
+			g.pending[l] = append(g.pending[l], fo)
+			lo, hi = min(lo, l), max(hi, l)
+		}
+	}
+	schedule(in)
+	// A gate's fan-out sits at strictly higher levels, so sweeping the
+	// levels upward evaluates every gate after all of its changed
+	// fanins.
+	for l := lo; l <= hi; l++ {
+		for _, gid := range g.pending[l] {
+			g.queued[gid] = false
+			if nv := evalT(c.Gates[gid].Type, c.Gates[gid].Fanin, vals); nv != vals[gid] {
+				vals[gid] = nv
+				schedule(gid)
+			}
+		}
+		g.pending[l] = g.pending[l][:0]
 	}
 }
 
@@ -242,24 +312,16 @@ func (g *Generator) PathTest(p path.Path, rising, robust bool, r *rand.Rand) (lo
 	if err != nil {
 		return logicsim.PatternPair{}, err
 	}
-	for f := 0; f < 2; f++ {
-		for i := range g.inAssn[f] {
-			g.inAssn[f][i] = fX
-		}
-	}
+	g.clear()
 	// Launch objectives are direct input assignments.
-	inputIdx := make(map[circuit.GateID]int, len(g.c.Inputs))
-	for i, in := range g.c.Inputs {
-		inputIdx[in] = i
-	}
 	var rest []objective
 	for _, o := range objs {
-		if idx, ok := inputIdx[o.g]; ok {
+		if idx := g.inputIdx[o.g]; idx >= 0 {
 			prev := g.inAssn[o.frame][idx]
 			if prev != fX && prev != o.val {
 				return logicsim.PatternPair{}, ErrUntestable
 			}
-			g.inAssn[o.frame][idx] = o.val
+			g.setInput(o.frame, int(idx), o.val)
 			continue
 		}
 		rest = append(rest, o)
@@ -267,7 +329,9 @@ func (g *Generator) PathTest(p path.Path, rising, robust bool, r *rand.Rand) (lo
 
 	// Attempt 0 uses the deterministic backtrace; further attempts
 	// randomize the X-fanin choice (drawn from r, so the overall
-	// generation stays reproducible per seed).
+	// generation stays reproducible per seed). A failed search undoes
+	// every decision it made, so each attempt starts from the direct
+	// input constraints alone.
 	solved := false
 	budgetHit := false
 	for attempt := 0; attempt <= g.Restarts && !solved; attempt++ {
@@ -277,24 +341,12 @@ func (g *Generator) PathTest(p path.Path, rising, robust bool, r *rand.Rand) (lo
 			g.choice = r
 		}
 		backtracks := 0
-		if g.search(rest, inputIdx, &backtracks) {
+		if g.search(rest, &backtracks) {
 			solved = true
 			break
 		}
 		if backtracks >= g.BacktrackLimit {
 			budgetHit = true
-		}
-		// Clear any partial assignments from the failed attempt,
-		// keeping the direct launch/side input constraints.
-		for f := 0; f < 2; f++ {
-			for i := range g.inAssn[f] {
-				g.inAssn[f][i] = fX
-			}
-		}
-		for _, o := range objs {
-			if idx, ok := inputIdx[o.g]; ok {
-				g.inAssn[o.frame][idx] = o.val
-			}
 		}
 	}
 	g.choice = nil
@@ -312,10 +364,11 @@ func (g *Generator) PathTest(p path.Path, rising, robust bool, r *rand.Rand) (lo
 	return pair, nil
 }
 
-// search is the PODEM loop: simulate, check objectives, pick an X
-// objective, backtrace to an input, branch.
-func (g *Generator) search(objs []objective, inputIdx map[circuit.GateID]int, backtracks *int) bool {
-	g.simulate()
+// search is the PODEM loop: check objectives, pick an X objective,
+// backtrace to an input, branch. Each decision is implied with
+// setInput and, when its subtree fails, undone by setting the input
+// back to X, so a false return leaves inAssn and vals as they were.
+func (g *Generator) search(objs []objective, backtracks *int) bool {
 	var open *objective
 	for i := range objs {
 		o := &objs[i]
@@ -337,23 +390,22 @@ func (g *Generator) search(objs []objective, inputIdx map[circuit.GateID]int, ba
 	if !ok {
 		return false // objective unreachable: no X input controls it
 	}
-	idx := inputIdx[in]
+	idx := int(g.inputIdx[in])
 	for attempt := 0; attempt < 2; attempt++ {
 		v := target
 		if attempt == 1 {
 			v = target ^ 1
 		}
-		g.inAssn[open.frame][idx] = v
-		if g.search(objs, inputIdx, backtracks) {
+		g.setInput(open.frame, idx, v)
+		if g.search(objs, backtracks) {
 			return true
 		}
-		g.inAssn[open.frame][idx] = fX
+		g.setInput(open.frame, idx, fX)
 		*backtracks++
 		if *backtracks >= g.BacktrackLimit {
 			return false
 		}
 	}
-	g.simulate() // restore consistent state for the caller's frame
 	return false
 }
 

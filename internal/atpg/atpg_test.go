@@ -43,7 +43,12 @@ func TestEvalT(t *testing.T) {
 		{circuit.Buf, []byte{f1}, f1},
 	}
 	for _, c := range cases {
-		if got := evalT(c.typ, c.in); got != c.want {
+		// Pin k reads vals[k]: the fanin list is the identity.
+		fanin := make([]circuit.GateID, len(c.in))
+		for k := range fanin {
+			fanin[k] = circuit.GateID(k)
+		}
+		if got := evalT(c.typ, fanin, c.in); got != c.want {
 			t.Errorf("evalT(%v, %v) = %v, want %v", c.typ, c.in, got, c.want)
 		}
 	}

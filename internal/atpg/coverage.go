@@ -54,8 +54,8 @@ func (r *CoverageResult) Fraction() float64 {
 // evaluated with the allocation-free EvalWordsInto kernel, and
 // sensitization masks are accumulated per arc with
 // SensitizedArcsWordsInto — one simulation sweep covers 64 patterns.
-// The scalar walk survives as arcCoverageScalar, the bit-exact oracle
-// the equivalence tests pin this kernel against.
+// The scalar walk survives in the tests as arcCoverageScalar, the
+// bit-exact oracle the equivalence tests pin this kernel against.
 func ArcCoverage(c *circuit.Circuit, pats []logicsim.PatternPair) *CoverageResult {
 	res := newCoverageResult(c)
 	nGates := len(c.Gates)
@@ -111,39 +111,6 @@ func newCoverageResult(c *circuit.Circuit) *CoverageResult {
 		if c.Gates[c.Arcs[i].To].Type != circuit.Output {
 			res.TotalArcs++
 		}
-	}
-	return res
-}
-
-// arcCoverageScalar is the one-pattern-at-a-time reference
-// implementation: the oracle the word-parallel ArcCoverage is tested
-// against, kept verbatim from the pre-kernel code.
-func arcCoverageScalar(c *circuit.Circuit, pats []logicsim.PatternPair) *CoverageResult {
-	res := newCoverageResult(c)
-	perPattern := c.NewArcSet()
-	for _, p := range pats {
-		tr := logicsim.SimulatePair(c, p)
-		for i := range perPattern {
-			perPattern[i] = false
-		}
-		for oi := range c.Outputs {
-			for _, aid := range logicsim.SensitizedArcs(c, tr, oi).IDs() {
-				if c.Gates[c.Arcs[aid].To].Type == circuit.Output {
-					continue
-				}
-				perPattern[aid] = true
-				if !res.CoveredSet[aid] {
-					res.CoveredSet[aid] = true
-					res.Covered++
-				}
-			}
-		}
-		for aid, hit := range perPattern {
-			if hit {
-				res.Detects[aid]++
-			}
-		}
-		res.PerPattern = append(res.PerPattern, res.Covered)
 	}
 	return res
 }

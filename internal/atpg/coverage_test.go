@@ -4,10 +4,44 @@ import (
 	"testing"
 
 	"repro/internal/benchfmt"
+	"repro/internal/circuit"
 	"repro/internal/logicsim"
 	"repro/internal/rng"
 	"repro/internal/synth"
 )
+
+// arcCoverageScalar is the one-pattern-at-a-time reference
+// implementation: the oracle the word-parallel ArcCoverage is tested
+// against, kept verbatim from the pre-kernel code.
+func arcCoverageScalar(c *circuit.Circuit, pats []logicsim.PatternPair) *CoverageResult {
+	res := newCoverageResult(c)
+	perPattern := c.NewArcSet()
+	for _, p := range pats {
+		tr := logicsim.SimulatePair(c, p)
+		for i := range perPattern {
+			perPattern[i] = false
+		}
+		for oi := range c.Outputs {
+			for _, aid := range logicsim.SensitizedArcs(c, tr, oi).IDs() {
+				if c.Gates[c.Arcs[aid].To].Type == circuit.Output {
+					continue
+				}
+				perPattern[aid] = true
+				if !res.CoveredSet[aid] {
+					res.CoveredSet[aid] = true
+					res.Covered++
+				}
+			}
+		}
+		for aid, hit := range perPattern {
+			if hit {
+				res.Detects[aid]++
+			}
+		}
+		res.PerPattern = append(res.PerPattern, res.Covered)
+	}
+	return res
+}
 
 func TestArcCoverageSimple(t *testing.T) {
 	c, err := benchfmt.ParseString("INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = AND(a, b)\n", "and2", false)

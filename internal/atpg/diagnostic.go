@@ -34,13 +34,19 @@ func SensitizedPathsThrough(c *circuit.Circuit, site circuit.ArcID, want, tries 
 	for i, g := range c.Inputs {
 		inCone[i] = launchCone.Has(g)
 	}
+	// Only outputs in the site's fan-out cone can have it on a
+	// sensitized path, and only transitioning ones have any.
+	observing := c.OutputsReachedFrom(a.To)
 	for trial := 0; trial < tries && len(out) < want; trial++ {
 		pair := biasedPair(c, inCone, r)
 		tr := logicsim.SimulatePair(c, pair)
 		if tr.Init[a.From] == tr.Final[a.From] {
 			continue // site driver does not even transition
 		}
-		for oi := range c.Outputs {
+		for _, oi := range observing {
+			if o := c.Outputs[oi]; tr.Init[o] == tr.Final[o] {
+				continue
+			}
 			arcs := logicsim.SensitizedArcs(c, tr, oi)
 			if !arcs.Has(site) {
 				continue

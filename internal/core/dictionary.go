@@ -333,8 +333,8 @@ func concatCols(a, b *Matrix) *Matrix {
 // The word-parallel cone prescreen (behavior_screen.go) first proves,
 // 64 patterns at a time, which columns of B are necessarily all-zero;
 // only the remaining patterns pay for an event-driven tsim run. The
-// un-screened loop survives as simulateBehaviorScalar, the bit-exact
-// oracle the differential tests pin this path against.
+// un-screened loop survives in the tests as simulateBehaviorScalar, the
+// bit-exact oracle the differential tests pin this path against.
 func SimulateBehavior(c *circuit.Circuit, delays []float64, patterns []logicsim.PatternPair, defectArc circuit.ArcID, defectSize, clk float64) *Behavior {
 	var defects []screenDefect
 	if defectArc >= 0 && int(defectArc) < len(c.Arcs) {
@@ -348,24 +348,6 @@ func SimulateBehavior(c *circuit.Circuit, delays []float64, patterns []logicsim.
 		if skip[j>>6]>>(uint(j)&63)&1 != 0 {
 			continue // capture provably equals the settled values
 		}
-		opts := tsim.AtClock(clk)
-		opts.DefectArc = defectArc
-		opts.DefectExtra = defectSize
-		res := eng.Run(delays, pat, opts)
-		for i, o := range c.Outputs {
-			b.Set(i, j, res.Capture[i] != res.Final[o])
-		}
-	}
-	return b
-}
-
-// simulateBehaviorScalar is SimulateBehavior without the prescreen:
-// every pattern runs through tsim. Kept verbatim from the pre-screen
-// code as the oracle for the screened path.
-func simulateBehaviorScalar(c *circuit.Circuit, delays []float64, patterns []logicsim.PatternPair, defectArc circuit.ArcID, defectSize, clk float64) *Behavior {
-	b := NewBehavior(len(c.Outputs), len(patterns))
-	eng := tsim.NewEngine(c)
-	for j, pat := range patterns {
 		opts := tsim.AtClock(clk)
 		opts.DefectArc = defectArc
 		opts.DefectExtra = defectSize

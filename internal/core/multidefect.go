@@ -19,8 +19,8 @@ import (
 // SimulateBehaviorMulti is SimulateBehavior under a multi-defect: all
 // extra delays are applied at once. It shares SimulateBehavior's
 // word-parallel prescreen — the defect-activity mask becomes the OR
-// over all defect drivers — and simulateBehaviorMultiScalar is the
-// retained un-screened oracle.
+// over all defect drivers — and simulateBehaviorMultiScalar, in the
+// tests, is the un-screened oracle.
 func SimulateBehaviorMulti(c *circuit.Circuit, delays []float64, patterns []logicsim.PatternPair, md defect.MultiDefect, clk float64) *Behavior {
 	defects := make([]screenDefect, 0, len(md))
 	for _, df := range md {
@@ -37,21 +37,6 @@ func SimulateBehaviorMulti(c *circuit.Circuit, delays []float64, patterns []logi
 		if skip[j>>6]>>(uint(j)&63)&1 != 0 {
 			continue // capture provably equals the settled values
 		}
-		res := eng.Run(withDefects, pat, tsim.AtClock(clk))
-		for i, o := range c.Outputs {
-			b.Set(i, j, res.Capture[i] != res.Final[o])
-		}
-	}
-	return b
-}
-
-// simulateBehaviorMultiScalar is SimulateBehaviorMulti without the
-// prescreen, kept verbatim as the oracle for the screened path.
-func simulateBehaviorMultiScalar(c *circuit.Circuit, delays []float64, patterns []logicsim.PatternPair, md defect.MultiDefect, clk float64) *Behavior {
-	withDefects := md.ApplyTo(delays)
-	b := NewBehavior(len(c.Outputs), len(patterns))
-	eng := tsim.NewEngine(c)
-	for j, pat := range patterns {
 		res := eng.Run(withDefects, pat, tsim.AtClock(clk))
 		for i, o := range c.Outputs {
 			b.Set(i, j, res.Capture[i] != res.Final[o])

@@ -44,8 +44,8 @@ func SuspectArcs(c *circuit.Circuit, patterns []logicsim.PatternPair, b *Behavio
 // failing output row covers a whole block, where the scalar path paid
 // one SimulatePair plus one trace per failing (output, pattern) cell.
 // Blocks and rows with no failing bit are skipped outright. The scalar
-// walk survives as suspectArcsTieredScalar, the bit-exact oracle the
-// differential tests pin this kernel against.
+// walk survives in the tests as suspectArcsTieredScalar, the bit-exact
+// oracle the differential tests pin this kernel against.
 //
 //ddd:hot
 func SuspectArcsTiered(c *circuit.Circuit, patterns []logicsim.PatternPair, b *Behavior) (strict, relaxed []circuit.ArcID) {
@@ -106,34 +106,6 @@ func SuspectArcsTiered(c *circuit.Circuit, patterns []logicsim.PatternPair, b *B
 		}
 	}
 	suspectWords.Add(float64(wordSweeps))
-	return extractTiers(c, sensMarked, coneMarked)
-}
-
-// suspectArcsTieredScalar is the one-pattern-at-a-time reference
-// implementation: the oracle the word-parallel SuspectArcsTiered is
-// tested against, kept verbatim from the pre-kernel code.
-func suspectArcsTieredScalar(c *circuit.Circuit, patterns []logicsim.PatternPair, b *Behavior) (strict, relaxed []circuit.ArcID) {
-	sensMarked := c.NewArcSet()
-	coneMarked := c.NewArcSet()
-	for j, pat := range patterns {
-		var tr logicsim.Transition
-		simulated := false
-		for i := 0; i < b.Rows; i++ {
-			if !b.At(i, j) {
-				continue
-			}
-			if !simulated {
-				tr = logicsim.SimulatePair(c, pat)
-				simulated = true
-			}
-			for _, aid := range logicsim.SensitizedArcs(c, tr, i).IDs() {
-				sensMarked.Add(aid)
-			}
-			for _, aid := range logicsim.TransitionConeArcs(c, tr, i).IDs() {
-				coneMarked.Add(aid)
-			}
-		}
-	}
 	return extractTiers(c, sensMarked, coneMarked)
 }
 

@@ -691,13 +691,12 @@ func TestRebalanceJournalResume(t *testing.T) {
 		}
 		return true
 	})
-	data, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bytes.Count(data, []byte(`"status":"done"`)); got < len(owned) {
-		t.Fatalf("journal has %d done records, want >= %d", got, len(owned))
-	}
+	// A transfer's done record is journaled after the replica installs
+	// the file, so the last records may trail the files by a moment.
+	waitUntil(t, 10*time.Second, fmt.Sprintf("%d journaled done records", len(owned)), func() bool {
+		data, err := os.ReadFile(jpath)
+		return err == nil && bytes.Count(data, []byte(`"status":"done"`)) >= len(owned)
+	})
 }
 
 // --- metrics surface --------------------------------------------------
