@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-obs ci accept test race e2e-test bench bench-core bench-serve smoke-serve smoke-router smoke-resume loadtest chaos chaos-router fuzz table1 figures ablate clean
+.PHONY: all build vet lint lint-self lint-obs ci accept test race e2e-test examples bench bench-core bench-serve smoke-serve smoke-router smoke-resume loadtest chaos chaos-router fuzz table1 figures ablate clean
 
 all: build vet lint test
 
@@ -38,10 +38,10 @@ lint-obs:
 # end-to-end smoke, the router-tier smoke, the loadgen SLO gate, the
 # router chaos gate (kill a replica mid-load, tier must re-converge),
 # the kill-and-resume checkpoint smoke, the analytic-engine acceptance
-# gate, the end-to-end benchmark harness's own tests, and the
-# allocation budget of the dictionary build loop (steady-state allocs
+# gate, the end-to-end benchmark harness's own tests, every example
+# run to completion, and the allocation budget of the dictionary build loop (steady-state allocs
 # must be independent of the Monte-Carlo sample count).
-ci: build lint lint-self lint-obs smoke-serve smoke-router loadtest chaos-router smoke-resume accept e2e-test
+ci: build lint lint-self lint-obs smoke-serve smoke-router loadtest chaos-router smoke-resume accept e2e-test examples
 	$(GO) test -race ./...
 	$(GO) test ./internal/core -run '^TestBuildDictionaryAllocBudget$$' -count=1
 
@@ -111,6 +111,12 @@ race:
 # skips it) at toy scale, in a few seconds.
 e2e-test:
 	cd cmd/ddd-e2e && $(GO) test ./...
+
+# examples runs every program under examples/ and fails on the first
+# non-zero exit: `go build` only proves they compile, while an example
+# whose seeded case escapes exits through log.Fatal.
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d > /dev/null; done
 
 # Scaled-down Table I + figure + ablation benches (see bench_test.go);
 # full-fidelity Table I is `make table1`.

@@ -108,12 +108,11 @@ func benchDictSetup(b *testing.B) (*timing.Model, []logicsim.PatternPair, []ArcI
 	}
 	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
 	cfg := core.DictConfig{
-		Clk:         m.SuggestClock(0.95, 200, 7),
-		Samples:     1000,
-		Seed:        17,
-		Workers:     1,
-		Incremental: true,
-		SizeDist:    inj.AssumedSizeDist(),
+		Clk:      m.SuggestClock(0.95, 200, 7),
+		Samples:  1000,
+		Seed:     17,
+		Workers:  1,
+		SizeDist: inj.AssumedSizeDist(),
 	}
 	return m, pats, suspects, cfg
 }
@@ -154,12 +153,12 @@ func BenchmarkCoreAnalyticSTA(b *testing.B) {
 
 // BenchmarkCoreBuildDictionaryAnalytic tracks dictionary construction
 // under the analytic engine — identical circuit, patterns, suspects
-// and clk as BenchmarkCoreBuildDictionary, Engine: "analytic". Its
+// and clk as BenchmarkCoreBuildDictionary, under engine.Analytic. Its
 // committed baseline is the MC build's time, and `make bench-core`
 // gates on a 10x analytic-over-MC speedup.
 func BenchmarkCoreBuildDictionaryAnalytic(b *testing.B) {
 	m, pats, suspects, cfg := benchDictSetup(b)
-	cfg.Engine = "analytic"
+	cfg.Engine = engine.NewAnalytic(m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -151,7 +151,7 @@ func BenchmarkAblationSamples(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dict, err := core.BuildDictionary(m, pats, suspects, core.DictConfig{
 					Clk: clk, Samples: samples, Seed: 17,
-					Incremental: true, SizeDist: sizeDist,
+					SizeDist: sizeDist,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -176,7 +176,7 @@ func BenchmarkAblationIncremental(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := core.BuildDictionary(m, pats, suspects, core.DictConfig{
 					Clk: clk, Samples: 32, Seed: 17,
-					Incremental: mode.inc, SizeDist: sizeDist,
+					FullResim: !mode.inc, SizeDist: sizeDist,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -350,7 +350,7 @@ func BenchmarkCriticality(b *testing.B) {
 func BenchmarkCompressAndPersist(b *testing.B) {
 	m, pats, suspects, _, clk, _, sizeDist := setupCase(b)
 	dict, err := core.BuildDictionary(m, pats, suspects, core.DictConfig{
-		Clk: clk, Samples: 48, Seed: 17, Incremental: true, SizeDist: sizeDist,
+		Clk: clk, Samples: 48, Seed: 17, SizeDist: sizeDist,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -375,7 +375,7 @@ func BenchmarkCompressAndPersist(b *testing.B) {
 func BenchmarkDiagnoseOnly(b *testing.B) {
 	m, pats, suspects, bh, clk, _, sizeDist := setupCase(b)
 	dict, err := core.BuildDictionary(m, pats, suspects, core.DictConfig{
-		Clk: clk, Samples: 48, Seed: 17, Incremental: true, SizeDist: sizeDist,
+		Clk: clk, Samples: 48, Seed: 17, SizeDist: sizeDist,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -28,15 +28,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"repro"
 	"repro/internal/atpg"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/defect"
 	"repro/internal/eval"
 	"repro/internal/logicsim"
 	"repro/internal/rng"
@@ -98,7 +99,7 @@ func main() {
 	run("multi", func() error { return multiExp(*circuitName, *n) })
 	run("autok", func() error { return autokExp(*circuitName, *n) })
 	run("size", func() error { return sizeExp(*circuitName, *n) })
-	run("compress", func() error { return compressExp(*circuitName) })
+	run("compress", func() error { return compressExp(*circuitName, *n) })
 	run("errfuncs", func() error { return errfuncsExp(*circuitName, *n) })
 }
 
@@ -252,48 +253,36 @@ func sizeExp(circuitName string, n int) error {
 	return nil
 }
 
-func compressExp(circuitName string) error {
-	c, err := synth.GenerateNamed(circuitName, 2003)
+func compressExp(circuitName string, n int) error {
+	cfg := baseConfig(circuitName, n)
+	cfg.DictSamples = 96
+	c, err := synth.GenerateNamed(circuitName, cfg.CircuitSeed)
 	if err != nil {
 		return err
 	}
-	tp := timing.DefaultParams()
-	tp.SigmaGlobal, tp.SigmaLocal = 0.02, 0.08
-	m := timing.NewModel(c, tp)
-	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
-	truth := inj.Sample(rng.New(2))
-	tests := atpg.DiagnosticPatterns(c, m.Nominal, truth.Arc, 8, rng.New(11))
-	if len(tests) == 0 {
-		return fmt.Errorf("no patterns")
+	p, err := repro.NewPipeline(c, cfg)
+	if err != nil {
+		return err
 	}
-	pats := make([]logicsim.PatternPair, len(tests))
-	clk := 0.0
-	for i, tc := range tests {
-		pats[i] = tc.Pair
-		if tl := m.TimingLength(tc.Path.Arcs, 200, 13).Quantile(0.9); tl > clk {
-			clk = tl
+	// The first experiment case that reaches the dictionary.
+	var cs *repro.Case
+	for i := 0; i < n && (cs == nil || cs.Dict == nil); i++ {
+		cs = p.NewCase(i)
+		if err := p.Run(context.Background(), cs); err != nil {
+			return err
 		}
 	}
-	inst := m.SampleInstanceSeeded(2, 0)
-	b := core.SimulateBehavior(c, inst.Delays, pats, truth.Arc, truth.Size, clk)
-	if !b.AnyFailure() {
-		return fmt.Errorf("case escaped")
+	if cs == nil || cs.Dict == nil {
+		return fmt.Errorf("no diagnosable case among the first %d", n)
 	}
-	suspects := core.SuspectArcs(c, pats, b)
-	dict, err := core.BuildDictionary(m, pats, suspects, core.DictConfig{
-		Clk: clk, Samples: 96, Seed: 17, Incremental: true, SizeDist: inj.AssumedSizeDist(),
-	})
-	if err != nil {
-		return err
-	}
-	cd := core.Compress(dict)
-	fmt.Printf("suspects %d, patterns %d, outputs %d\n", len(suspects), len(pats), len(c.Outputs))
+	cd := core.Compress(cs.Dict)
+	fmt.Printf("case %d: suspects %d, patterns %d, outputs %d\n", cs.Index, len(cs.Suspects), len(cs.Pats), len(c.Outputs))
 	fmt.Printf("dense signatures:      %d bytes\n", cd.DenseBytes())
 	fmt.Printf("compressed signatures: %d bytes (%.1fx smaller)\n", cd.Bytes(),
 		float64(cd.DenseBytes())/float64(cd.Bytes()+1))
 	agree := 0
 	for _, method := range core.Methods {
-		if dict.Diagnose(b, method)[0].Arc == cd.Diagnose(b, method)[0].Arc {
+		if cs.Ranked[method][0].Arc == cd.Diagnose(cs.B, method)[0].Arc {
 			agree++
 		}
 	}

@@ -9,13 +9,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro"
-	"repro/internal/core"
-	"repro/internal/dist"
-	"repro/internal/rng"
 )
 
 func main() {
@@ -23,58 +21,42 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The calibrated experiment regime: local-dominated variation.
-	tp := repro.DefaultTimingParams()
-	tp.SigmaGlobal = 0.02
-	tp.SigmaLocal = 0.08
-	model := repro.NewTimingModel(c, tp)
-	injector := repro.NewInjector(c, model)
-	cell := model.MeanCellDelay()
+	// The calibrated experiment regime (local-dominated variation),
+	// with a lighter dictionary.
+	cfg := repro.DefaultExperimentConfig("small")
+	cfg.DictSamples = 64
+	p, err := repro.NewPipeline(c, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cell := p.Inj.CellDelay
 	fmt.Printf("circuit %s, mean cell delay %.3f\n\n", c.Name, cell)
 
-	// One fixed fault site with good patterns, shared by every sweep
-	// point so only the defect size varies.
-	truth := injector.Sample(repro.NewRand(2))
-	tests := repro.DiagnosticPatterns(model, truth.Arc, 8, 11)
-	if len(tests) == 0 {
-		log.Fatal("no diagnostic patterns; change the seed")
-	}
-	pats := make([]repro.PatternPair, len(tests))
-	clk := 0.0
-	for i, tc := range tests {
-		pats[i] = tc.Pair
-		if tl := model.TimingLength(tc.Path.Arcs, 300, 13).Quantile(0.9); tl > clk {
-			clk = tl
-		}
-	}
-	fmt.Printf("site arc %d, %d patterns, clk %.3f\n\n", truth.Arc, len(pats), clk)
+	// One fixed fault site, shared by every die and sweep point; die d
+	// is experiment case d with its defect moved onto the site, so its
+	// patterns and clk stay put and only the defect size varies.
+	site := p.NewCase(4).Truth[0].Arc
+	fmt.Printf("site arc %d\n\n", site)
 
 	fmt.Printf("%-12s %10s %10s %12s\n", "size/cell", "detected", "suspects", "rank(AlgRev)")
 	const dies = 6
 	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0, 1.5, 2.5} {
-		size := frac * cell
+		// A custom size assumption for the dictionary: the user
+		// believes defects are uniform within ±25 % of this size.
+		p.Cfg.AssumedSizeFactor = [2]float64{0.75 * frac, 1.25 * frac}
 		detected, rankSum, ranked, suspSum := 0, 0, 0, 0
 		for die := 0; die < dies; die++ {
-			inst := model.SampleInstanceSeeded(100, uint64(die))
-			d := repro.Defect{Arc: truth.Arc, Size: size}
-			b := repro.SimulateBehavior(c, inst, pats, d, clk)
-			if !b.AnyFailure() {
+			cs := p.NewCase(die)
+			cs.Truth = repro.MultiDefect{{Arc: site, Size: frac * cell}}
+			if err := p.Run(context.Background(), cs); err != nil {
+				log.Fatal(err)
+			}
+			if cs.Escaped {
 				continue
 			}
 			detected++
-			suspects := repro.SuspectArcs(c, pats, b)
-			suspSum += len(suspects)
-			// A custom size assumption for the dictionary: the user
-			// believes defects are uniform within ±25 % of this size.
-			sizeDist := dist.Uniform{Lo: 0.75 * size, Hi: 1.25 * size}
-			dict, err := repro.BuildDictionary(model, pats, suspects, repro.DictConfig{
-				Clk: clk, Samples: 64, Seed: rng.Derive(31, uint64(die)),
-				Incremental: true, SizeDist: sizeDist,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if r := rankOf(dict.Diagnose(b, repro.AlgRev), truth.Arc); r > 0 {
+			suspSum += len(cs.Suspects)
+			if r := cs.Position(repro.AlgRev, site); r > 0 {
 				rankSum += r
 				ranked++
 			}
@@ -90,13 +72,4 @@ func main() {
 	}
 	fmt.Println("\nsmaller defects sink in the ranking — the resolution limit")
 	fmt.Println("that the paper's statistical framework quantifies.")
-}
-
-func rankOf(ranked []core.Ranked, truth repro.ArcID) int {
-	for i, rk := range ranked {
-		if rk.Arc == truth {
-			return i + 1
-		}
-	}
-	return 0
 }

@@ -9,21 +9,20 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/eval"
 )
 
 func main() {
-	cfg := eval.DefaultConfig("small")
+	cfg := repro.DefaultExperimentConfig("small")
 	cfg.N = 12
-	cfg.DictSamples = 96
 	cfg.MaxPatterns = 8
-	res, err := eval.RunCircuit(cfg)
+	res, err := repro.RunExperiment(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,64 +48,37 @@ func main() {
 	// conclusion — "search for a good error function first" — invites
 	// exactly this kind of experiment.
 	fmt.Println("\ncustom error function (L1 distance Σ|1-φ|) on one case:")
-	demoCustom()
+	demoCustom(cfg)
 }
 
-// demoCustom reruns one case by hand and ranks it with both Alg_rev
-// and the custom L1 error function.
-func demoCustom() {
-	c, err := repro.GenerateCircuit("small", 2003)
+// demoCustom reruns case 1 of the experiment through the pipeline and
+// ranks it with both Alg_rev and the custom L1 error function.
+func demoCustom(cfg repro.ExperimentConfig) {
+	c, err := repro.GenerateCircuit(cfg.Circuit, cfg.CircuitSeed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	model := repro.NewTimingModel(c, repro.DefaultTimingParams())
-	injector := repro.NewInjector(c, model)
-	truth := injector.Sample(repro.NewRand(2))
-	die := model.SampleInstanceSeeded(2, 0)
-
-	tests := repro.DiagnosticPatterns(model, truth.Arc, 8, 11)
-	if len(tests) == 0 {
-		log.Fatal("no patterns")
-	}
-	pats := make([]repro.PatternPair, len(tests))
-	clk := 0.0
-	for i, tc := range tests {
-		pats[i] = tc.Pair
-		if tl := model.TimingLength(tc.Path.Arcs, 200, 13).Quantile(0.9); tl > clk {
-			clk = tl
-		}
-	}
-	b := repro.SimulateBehavior(c, die, pats, truth, clk)
-	if !b.AnyFailure() {
-		log.Fatal("escaped")
-	}
-	suspects := repro.SuspectArcs(c, pats, b)
-	dict, err := repro.BuildDictionary(model, pats, suspects, repro.DictConfig{
-		Clk: clk, Samples: 96, Seed: 17, Incremental: true,
-		SizeDist: repro.AssumedSizeDist(injector),
-	})
+	p, err := repro.NewPipeline(c, cfg)
 	if err != nil {
 		log.Fatal(err)
+	}
+	cs := p.NewCase(1)
+	if err := p.Run(context.Background(), cs); err != nil {
+		log.Fatal(err)
+	}
+	if cs.Ranked == nil {
+		log.Fatal("escaped or pruned; pick another case")
 	}
 
 	l1 := func(phi []float64) float64 {
 		sum := 0.0
-		for _, p := range phi {
-			sum += math.Abs(1 - p)
+		for _, v := range phi {
+			sum += math.Abs(1 - v)
 		}
 		return sum
 	}
-	rev := dict.Diagnose(b, repro.AlgRev)
-	custom := dict.DiagnoseErrorFunc(b, l1)
+	truth := cs.Truth[0].Arc
+	custom := cs.Dict.DiagnoseErrorFunc(cs.B, l1)
 	fmt.Printf("  injected arc %d: Alg_rev rank %d, L1 rank %d (of %d suspects)\n",
-		truth.Arc, rankOf(rev, truth.Arc), rankOf(custom, truth.Arc), len(suspects))
-}
-
-func rankOf(ranked []core.Ranked, truth repro.ArcID) int {
-	for i, rk := range ranked {
-		if rk.Arc == truth {
-			return i + 1
-		}
-	}
-	return 0
+		truth, cs.Position(repro.AlgRev, truth), core.Position(custom, truth), len(cs.Suspects))
 }

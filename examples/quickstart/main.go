@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,56 +16,42 @@ import (
 )
 
 func main() {
-	// A small benchmark circuit and its statistical timing model.
+	// A small benchmark circuit and the diagnosis pipeline over it,
+	// with the Table I experiment parameters.
 	c, err := repro.GenerateCircuit("small", 2003)
 	if err != nil {
 		log.Fatal(err)
 	}
-	model := repro.NewTimingModel(c, repro.DefaultTimingParams())
-	fmt.Printf("circuit %s: %s\n", c.Name, c.Stats())
-
-	// One manufactured die, with one random delay defect on it.
-	injector := repro.NewInjector(c, model)
-	truth := injector.Sample(repro.NewRand(2))
-	die := model.SampleInstanceSeeded(2, 0)
-	fmt.Printf("injected (hidden from the diagnosis): %v\n", truth)
-
-	// Diagnostic patterns through the fault site, and a cut-off period
-	// at the 90th percentile of the longest targeted path.
-	tests := repro.DiagnosticPatterns(model, truth.Arc, 8, 11)
-	if len(tests) == 0 {
-		log.Fatal("no diagnostic patterns for this site; try another seed")
-	}
-	pats := make([]repro.PatternPair, len(tests))
-	clk := 0.0
-	for i, tc := range tests {
-		pats[i] = tc.Pair
-		if tl := model.TimingLength(tc.Path.Arcs, 200, 13).Quantile(0.9); tl > clk {
-			clk = tl
-		}
-	}
-	fmt.Printf("%d diagnostic patterns, clk = %.3f\n", len(pats), clk)
-
-	// The failing behavior a tester would observe.
-	behavior := repro.SimulateBehavior(c, die, pats, truth, clk)
-	fmt.Printf("behavior matrix: %d failing entries\n", behavior.FailCount())
-	if !behavior.AnyFailure() {
-		log.Fatal("the defect escaped at this clock; try another seed")
-	}
-
-	// Prune suspects, build the probabilistic fault dictionary, rank.
-	suspects := repro.SuspectArcs(c, pats, behavior)
-	dict, err := repro.BuildDictionary(model, pats, suspects, repro.DictConfig{
-		Clk:         clk,
-		Samples:     96,
-		Seed:        17,
-		Incremental: true,
-		SizeDist:    repro.AssumedSizeDist(injector),
-	})
+	p, err := repro.NewPipeline(c, repro.DefaultExperimentConfig("small"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	ranked := dict.Diagnose(behavior, repro.AlgRev)
+	fmt.Printf("circuit %s: %s\n", c.Name, c.Stats())
+
+	// One manufactured die with one random delay defect on it: case 4
+	// of `ddd-table1 -circuits small`.
+	cs := p.NewCase(4)
+	truth := cs.Truth[0]
+	fmt.Printf("injected (hidden from the diagnosis): %v\n", truth)
+
+	// Diagnostic patterns through the fault site, a cut-off period at
+	// the 90th percentile of the longest targeted path, the failing
+	// behavior a tester would observe, suspect pruning, the
+	// probabilistic fault dictionary and the ranking.
+	if err := p.Run(context.Background(), cs); err != nil {
+		log.Fatal(err)
+	}
+	if cs.Escaped {
+		log.Fatal("the defect escaped at this clock; try another case")
+	}
+	fmt.Printf("%d diagnostic patterns, clk = %.3f\n", len(cs.Pats), cs.Clk)
+	fmt.Printf("behavior matrix: %d failing entries\n", cs.B.FailCount())
+	if cs.Ranked == nil {
+		fmt.Println("\nthe injected defect was pruned from the suspect set")
+		return
+	}
+
+	ranked := cs.Ranked[repro.AlgRev]
 	fmt.Printf("\nAlg_rev ranking over %d suspects (top 5):\n", len(ranked))
 	for i, rk := range ranked[:min(5, len(ranked))] {
 		mark := ""
@@ -75,18 +62,5 @@ func main() {
 		fmt.Printf("  %d. arc %-4d %s -> %s  err=%.4f%s\n",
 			i+1, rk.Arc, c.Gates[a.From].Name, c.Gates[a.To].Name, rk.Score, mark)
 	}
-	for i, rk := range ranked {
-		if rk.Arc == truth.Arc {
-			fmt.Printf("\nthe injected defect is ranked %d of %d\n", i+1, len(ranked))
-			return
-		}
-	}
-	fmt.Println("\nthe injected defect was pruned from the suspect set")
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	fmt.Printf("\nthe injected defect is ranked %d of %d\n", cs.Position(repro.AlgRev, truth.Arc), len(ranked))
 }

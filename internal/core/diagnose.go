@@ -48,6 +48,17 @@ type Ranked struct {
 	Score float64
 }
 
+// Position returns the 1-based position of arc in a ranking, 0 when
+// the ranking does not contain it.
+func Position(ranked []Ranked, arc circuit.ArcID) int {
+	for i, rk := range ranked {
+		if rk.Arc == arc {
+			return i + 1
+		}
+	}
+	return 0
+}
+
 // PatternConsistency computes the per-pattern match probabilities
 // φ_j = Π_i p_ij for suspect index si against behavior B, where
 // p_ij = b_ij·s_ij + (1−b_ij)(1−s_ij) (Algorithm E.1 steps 5–6): the

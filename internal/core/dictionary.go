@@ -6,11 +6,13 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/defect"
 	"repro/internal/dist"
 	"repro/internal/logicsim"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/timing"
+	"repro/internal/timing/engine"
 	"repro/internal/tsim"
 )
 
@@ -23,11 +25,11 @@ type DictConfig struct {
 	// Clk is the cut-off period against which critical probabilities
 	// are defined (Definition D.6).
 	Clk float64
-	// Engine selects the timing backend: "" or "mc" for the
-	// Monte-Carlo build (bit-identical to every dictionary built
-	// before the field existed), "analytic" for the closed-form SSTA
-	// build (see engine.Analytic.Signatures for its approximations).
-	Engine string
+	// Engine is the resolved timing backend (engine.New owns the
+	// names): an *engine.Analytic selects the closed-form SSTA build
+	// (see engine.Analytic.Signatures for its approximations); nil or
+	// any other engine selects the Monte-Carlo build.
+	Engine timing.Engine
 	// Samples is the number of Monte-Carlo circuit instances; the
 	// analytic engine ignores it.
 	Samples int
@@ -35,10 +37,10 @@ type DictConfig struct {
 	Seed uint64
 	// Workers bounds the parallelism (0 = NumCPU).
 	Workers int
-	// Incremental selects cone-limited defect re-simulation (the
-	// default); turning it off forces full re-simulation per candidate
-	// and exists for validation and for the ablation bench.
-	Incremental bool
+	// FullResim forces full re-simulation per candidate instead of
+	// cone-limited incremental defect re-simulation; it exists as the
+	// tests' validation oracle and for the ablation bench.
+	FullResim bool
 	// SizeDist is the assumed candidate-defect size distribution δ.
 	SizeDist dist.Dist
 }
@@ -98,13 +100,8 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 			return nil, err
 		}
 	}
-	switch cfg.Engine {
-	case "", "mc":
-		// Monte-Carlo build below.
-	case "analytic":
-		return buildDictionaryAnalytic(ctx, m, patterns, suspects, cfg)
-	default:
-		return nil, fmt.Errorf("core: unknown engine %q", cfg.Engine)
+	if an, ok := cfg.Engine.(*engine.Analytic); ok {
+		return buildDictionaryAnalytic(ctx, an, m, patterns, suspects, cfg)
 	}
 	if cfg.Samples < 1 {
 		return nil, fmt.Errorf("core: Samples = %d", cfg.Samples)
@@ -209,13 +206,13 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 					continue
 				}
 				var res *tsim.Result
-				if cfg.Incremental {
-					res = wk.engInc.RunIncrementalCone(wk.delays, base, cones[i], arc, wk.sizes[i], cfg.Clk)
-				} else {
+				if cfg.FullResim {
 					o2 := tsim.AtClock(cfg.Clk)
 					o2.DefectArc = arc
 					o2.DefectExtra = wk.sizes[i]
 					res = wk.engInc.RunPrepared(wk.delays, pat, o2, patPrep[j], patFinal[j])
+				} else {
+					res = wk.engInc.RunIncrementalCone(wk.delays, base, cones[i], arc, wk.sizes[i], cfg.Clk)
 				}
 				for oi, o := range c.Outputs {
 					if res.Capture[oi] != base.Final[o] {
@@ -328,7 +325,10 @@ func concatCols(a, b *Matrix) *Matrix {
 
 // SimulateBehavior produces the behavior matrix B of one failing die:
 // the instance's delays plus the injected defect, captured at clk for
-// every pattern (Section H-3's defect injection and simulation).
+// every pattern (Section H-3's defect injection and simulation). It is
+// SimulateBehaviorMulti over a one-element defect set — bit-identical,
+// since both add the defect size to the arc delay before simulating —
+// and an arc outside the circuit injects nothing.
 //
 // The word-parallel cone prescreen (behavior_screen.go) first proves,
 // 64 patterns at a time, which columns of B are necessarily all-zero;
@@ -336,25 +336,9 @@ func concatCols(a, b *Matrix) *Matrix {
 // un-screened loop survives in the tests as simulateBehaviorScalar, the
 // bit-exact oracle the differential tests pin this path against.
 func SimulateBehavior(c *circuit.Circuit, delays []float64, patterns []logicsim.PatternPair, defectArc circuit.ArcID, defectSize, clk float64) *Behavior {
-	var defects []screenDefect
+	var md defect.MultiDefect
 	if defectArc >= 0 && int(defectArc) < len(c.Arcs) {
-		defects = []screenDefect{{arc: defectArc, extra: defectSize}}
+		md = defect.MultiDefect{{Arc: defectArc, Size: defectSize}}
 	}
-	skip, skipped := screenBehavior(c, delays, patterns, defects, clk)
-	behaviorSimSkipped.Add(float64(skipped))
-	b := NewBehavior(len(c.Outputs), len(patterns))
-	eng := tsim.NewEngine(c)
-	for j, pat := range patterns {
-		if skip[j>>6]>>(uint(j)&63)&1 != 0 {
-			continue // capture provably equals the settled values
-		}
-		opts := tsim.AtClock(clk)
-		opts.DefectArc = defectArc
-		opts.DefectExtra = defectSize
-		res := eng.Run(delays, pat, opts)
-		for i, o := range c.Outputs {
-			b.Set(i, j, res.Capture[i] != res.Final[o])
-		}
-	}
-	return b
+	return SimulateBehaviorMulti(c, delays, patterns, md, clk)
 }

@@ -10,21 +10,21 @@ import (
 	"repro/internal/timing/engine"
 )
 
-// buildDictionaryAnalytic is the Engine = "analytic" arm of
+// buildDictionaryAnalytic is the analytic-engine arm of
 // BuildDictionaryCtx: M and every E come from closed-form SSTA
 // signatures (engine.Analytic.Signatures) instead of Monte-Carlo
 // sampled captures — one nominal timed simulation per pattern plus
 // cone-limited canonical-normal propagation per suspect, with no
 // sample axis at all. Entries are exact probabilities under the
 // analytic model, so cfg.Samples and cfg.Seed are ignored and
-// cfg.Incremental has no analog (the cone restriction is always on).
+// cfg.FullResim has no analog (the cone restriction is always on).
 //
 // Signature entries S = E − M are clamped at zero: the Monte-Carlo
 // build's common random numbers make S nonnegative by construction,
 // and downstream match scores assume that; the analytic E and M are
 // computed independently per entry, so rounding can land a defect that
 // cannot reach an output a hair below its baseline.
-func buildDictionaryAnalytic(ctx context.Context, m *timing.Model, patterns []logicsim.PatternPair, suspects []circuit.ArcID, cfg DictConfig) (*Dictionary, error) {
+func buildDictionaryAnalytic(ctx context.Context, eng *engine.Analytic, m *timing.Model, patterns []logicsim.PatternPair, suspects []circuit.ArcID, cfg DictConfig) (*Dictionary, error) {
 	start := time.Now()
 	defer func() {
 		dictBuildSecondsAnalytic.Add(time.Since(start).Seconds())
@@ -34,7 +34,6 @@ func buildDictionaryAnalytic(ctx context.Context, m *timing.Model, patterns []lo
 	}
 	dictBuildsAnalytic.Inc()
 
-	eng := engine.NewAnalytic(m)
 	sp, err := eng.Signatures(ctx, patterns, suspects, cfg.Clk, cfg.SizeDist, cfg.Workers)
 	if err != nil {
 		return nil, err

@@ -58,11 +58,10 @@ func newBench(t *testing.T, circuitName string, seed uint64) *testBench {
 
 func (tb *testBench) dictConfig(samples int) DictConfig {
 	return DictConfig{
-		Clk:         tb.clk,
-		Samples:     samples,
-		Seed:        99,
-		Incremental: true,
-		SizeDist:    tb.inj.AssumedSizeDist(),
+		Clk:      tb.clk,
+		Samples:  samples,
+		Seed:     99,
+		SizeDist: tb.inj.AssumedSizeDist(),
 	}
 }
 
@@ -129,7 +128,7 @@ func TestBuildDictionaryIncrementalMatchesFull(t *testing.T) {
 	suspects := tb.inj.CandidateArcs()[:16]
 	cfgInc := tb.dictConfig(40)
 	cfgFull := cfgInc
-	cfgFull.Incremental = false
+	cfgFull.FullResim = true
 	a, err := BuildDictionary(tb.m, tb.pats, suspects, cfgInc)
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func goldenDictSetup(t *testing.T) (*timing.Model, []logicsim.PatternPair, []cir
 	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
 	cfg := DictConfig{
 		Clk: m.SuggestClock(0.95, 200, 7), Samples: 64, Seed: 17,
-		Workers: 3, Incremental: true, SizeDist: inj.AssumedSizeDist(),
+		Workers: 3, SizeDist: inj.AssumedSizeDist(),
 	}
 	return m, pats, suspects, cfg
 }
@@ -101,7 +101,7 @@ func TestDictionaryGoldenInvariances(t *testing.T) {
 	}{
 		{"workers=1", func(c *DictConfig) { c.Workers = 1 }},
 		{"workers=7", func(c *DictConfig) { c.Workers = 7 }},
-		{"full-resim", func(c *DictConfig) { c.Incremental = false }},
+		{"full-resim", func(c *DictConfig) { c.FullResim = true }},
 	} {
 		t.Run(mod.name, func(t *testing.T) {
 			c := cfg

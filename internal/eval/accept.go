@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/defect"
 	"repro/internal/rng"
+	"repro/internal/timing"
 	"repro/internal/timing/engine"
 )
 
@@ -166,15 +166,15 @@ func (ec *EngineComparison) Check() error {
 func CompareEngines(ctx context.Context, cfg Config, maxSuspects int) (*EngineComparison, error) {
 	mcCfg := cfg
 	mcCfg.Engine = "mc"
-	p, err := prepareStatic(mcCfg, maxSuspects)
+	p, sc, err := prepareStatic(mcCfg, maxSuspects)
 	if err != nil {
 		return nil, err
 	}
 	ec := &EngineComparison{
 		Circuit:  cfg.Circuit,
-		Patterns: len(p.Pats),
-		Suspects: len(p.Suspects),
-		Clk:      p.Clk,
+		Patterns: len(sc.Pats),
+		Suspects: len(sc.Suspects),
+		Clk:      sc.Clk,
 	}
 
 	// STA moments at matched effort: the MC run uses the dictionary
@@ -183,9 +183,8 @@ func CompareEngines(ctx context.Context, cfg Config, maxSuspects int) (*EngineCo
 	if staSamples < cfg.ClkSamples {
 		staSamples = cfg.ClkSamples
 	}
-	mcEng := engine.NewMC(p.Model)
 	anEng := engine.NewAnalytic(p.Model)
-	staMC, err := mcEng.STA(ctx, staSamples, rng.Derive(cfg.Seed, 0xacce), cfg.Workers)
+	staMC, err := p.Engine.STA(ctx, staSamples, rng.Derive(cfg.Seed, 0xacce), cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -198,24 +197,18 @@ func CompareEngines(ctx context.Context, cfg Config, maxSuspects int) (*EngineCo
 	ec.DelaySigmaMC = staMC.CircuitDelay.Std()
 	ec.DelaySigmaAnalytic = staAN.CircuitDelay.Std()
 
-	build := func(engineName string) (*core.Dictionary, float64, error) {
+	build := func(eng timing.Engine) (*core.Dictionary, float64, error) {
+		q, d := *p, *sc
+		q.Engine = eng
 		start := time.Now()
-		d, err := core.BuildDictionaryCtx(ctx, p.Model, p.Pats, p.Suspects, core.DictConfig{
-			Clk:         p.Clk,
-			Engine:      engineName,
-			Samples:     cfg.DictSamples,
-			Seed:        rng.Derive(cfg.Seed, 0x57a9),
-			Workers:     cfg.Workers,
-			Incremental: true,
-			SizeDist:    p.SizeDist,
-		})
-		return d, time.Since(start).Seconds(), err
+		err := q.Dictionary(ctx, &d, rng.Derive(cfg.Seed, 0x57a9))
+		return d.Dict, time.Since(start).Seconds(), err
 	}
-	dictMC, tMC, err := build("mc")
+	dictMC, tMC, err := build(p.Engine)
 	if err != nil {
 		return nil, err
 	}
-	dictAN, tAN, err := build("analytic")
+	dictAN, tAN, err := build(anEng)
 	if err != nil {
 		return nil, err
 	}
@@ -238,18 +231,13 @@ func CompareEngines(ctx context.Context, cfg Config, maxSuspects int) (*EngineCo
 	ec.SigMax = sigMax
 
 	// End-to-end: diagnose the same injected-defect dies against both
-	// dictionaries (the RunPrecomputed streams, so results line up
-	// with that experiment) and compare the Alg_rev top pick.
-	inj := defect.NewInjector(p.C, p.Model.MeanCellDelay(), defect.DefaultParams())
+	// dictionaries (the RunPrecomputed dies, so results line up with
+	// that experiment) and compare the Alg_rev top pick.
 	for i := 0; i < cfg.N; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		caseSeed := rng.DeriveN(cfg.Seed, 0x57ca, uint64(i))
-		r := rng.New(caseSeed)
-		inst := p.Model.SampleInstanceSeeded(cfg.Seed, uint64(3_000_000+i))
-		df := inj.Sample(r)
-		b := core.SimulateBehavior(p.C, inst.Delays, p.Pats, df.Arc, df.Size, p.Clk)
+		b := staticCase(p, sc, i).B
 		if !b.AnyFailure() {
 			continue
 		}

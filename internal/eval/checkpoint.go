@@ -7,7 +7,7 @@ package eval
 // directory, fsyncs, and renames it into place, so a SIGKILL at any
 // instant leaves either the previous journal or the new one — never a
 // torn file. Resume is bit-exact because every per-case random stream
-// derives from (cfg.Seed, case index) alone (see runCase): replaying
+// derives from (cfg.Seed, case index) alone (see Pipeline.NewCase): replaying
 // case i fresh or loading it from the journal yields the same
 // CaseResult, so a killed-and-resumed run produces a byte-identical
 // final table.
@@ -128,21 +128,20 @@ func methodByName(name string) (core.Method, bool) {
 // result inputs.
 func checkpointFingerprint(cfg Config) string {
 	key := struct {
-		Circuit           string        `json:"circuit"`
-		CircuitSeed       uint64        `json:"circuit_seed"`
-		Seed              uint64        `json:"seed"`
-		N                 int           `json:"n"`
-		MaxPatterns       int           `json:"max_patterns"`
-		DictSamples       int           `json:"dict_samples"`
-		ClkSamples        int           `json:"clk_samples"`
-		ClkQuantile       float64       `json:"clk_quantile"`
-		MaxSuspects       int           `json:"max_suspects"`
+		Circuit     string  `json:"circuit"`
+		CircuitSeed uint64  `json:"circuit_seed"`
+		Seed        uint64  `json:"seed"`
+		N           int     `json:"n"`
+		MaxPatterns int     `json:"max_patterns"`
+		DictSamples int     `json:"dict_samples"`
+		ClkSamples  int     `json:"clk_samples"`
+		ClkQuantile float64 `json:"clk_quantile"`
+		MaxSuspects int     `json:"max_suspects"`
 		// Engine changes every clk and dictionary entry; omitempty
 		// keeps journals written before the field existed loadable
 		// under the default (Monte-Carlo) engine.
 		Engine            string        `json:"engine,omitempty"`
 		Timing            timing.Params `json:"timing"`
-		AssumedSize       string        `json:"assumed_size,omitempty"`
 		AssumedSizeFactor [2]float64    `json:"assumed_size_factor"`
 	}{
 		Circuit:           cfg.Circuit,
@@ -157,9 +156,6 @@ func checkpointFingerprint(cfg Config) string {
 		Engine:            cfg.Engine,
 		Timing:            cfg.Timing,
 		AssumedSizeFactor: cfg.AssumedSizeFactor,
-	}
-	if cfg.AssumedSize != nil {
-		key.AssumedSize = fmt.Sprintf("%#v", cfg.AssumedSize)
 	}
 	data, err := json.Marshal(key)
 	if err != nil {

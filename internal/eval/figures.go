@@ -1,17 +1,15 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"repro/internal/atpg"
 	"repro/internal/benchfmt"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/defect"
 	"repro/internal/logicsim"
 	"repro/internal/rng"
-	"repro/internal/synth"
 	"repro/internal/timing"
 	"repro/internal/tsim"
 )
@@ -249,61 +247,38 @@ type Figure3Result struct {
 // probability that at least one output mismatches, and the Euclidean
 // distance to the ideal all-zero vector (equation 5).
 func Figure3(seed uint64) (*Figure3Result, error) {
-	c, err := synth.GenerateNamed("mini", 9)
+	cfg := DefaultConfig("mini")
+	cfg.CircuitSeed = 9
+	cfg.Seed = seed
+	cfg.Timing = timing.DefaultParams()
+	cfg.MaxPatterns = 8
+	cfg.DictSamples = 128
+	cfg.ClkQuantile = 0.95
+	p, err := newNamedPipeline(cfg)
 	if err != nil {
 		return nil, err
 	}
-	m := timing.NewModel(c, timing.DefaultParams())
-	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
-
-	// Draw cases until one produces observable failures with the truth
+	// Run cases until one produces observable failures with the truth
 	// among the suspects, so the figure has content.
-	for attempt := 0; attempt < 50; attempt++ {
-		caseSeed := rng.DeriveN(seed, 0xf13, uint64(attempt))
-		r := rng.New(caseSeed)
-		df := inj.Sample(r)
-		df.Size *= 3 // a clearly visible defect makes a better illustration
-		found := atpg.DiagnosticPatterns(c, m.Nominal, df.Arc, 8, rng.New(rng.Derive(caseSeed, 1)))
-		if len(found) == 0 {
-			continue
-		}
-		tests := make([]logicsim.PatternPair, len(found))
-		for k, tc := range found {
-			tests[k] = tc.Pair
-		}
-		clk := PatternResponseQuantile(m, tests, 0.95, 200, rng.Derive(caseSeed, 2), 0)
-		inst := m.SampleInstanceSeeded(seed, uint64(500+attempt))
-		b := core.SimulateBehavior(c, inst.Delays, tests, df.Arc, df.Size, clk)
-		if !b.AnyFailure() {
-			continue
-		}
-		suspects := core.SuspectArcs(c, tests, b)
-		hasTruth := false
-		for _, a := range suspects {
-			if a == df.Arc {
-				hasTruth = true
-			}
-		}
-		if !hasTruth {
-			continue
-		}
-		dict, err := core.BuildDictionary(m, tests, suspects, core.DictConfig{
-			Clk: clk, Samples: 128, Seed: rng.Derive(caseSeed, 4),
-			Incremental: true, SizeDist: inj.AssumedSizeDist(),
-		})
-		if err != nil {
+	for i := 0; i < 50; i++ {
+		cs := p.NewCase(i)
+		cs.Truth[0].Size *= 3 // a clearly visible defect makes a better illustration
+		if err := p.Run(context.Background(), cs); err != nil {
 			return nil, err
 		}
-		res := &Figure3Result{Clk: clk, Truth: df.Arc}
-		for _, rk := range dict.Diagnose(b, core.AlgRev) {
-			si := suspectIndex(dict, rk.Arc)
-			phi := dict.PatternConsistency(si, b)
+		if cs.Dict == nil {
+			continue
+		}
+		truth := cs.Truth[0].Arc
+		res := &Figure3Result{Clk: cs.Clk, Truth: truth}
+		for _, rk := range cs.Ranked[core.AlgRev] {
+			phi := cs.Dict.PatternConsistency(suspectIndex(cs.Dict, rk.Arc), cs.B)
 			mis := make([]float64, len(phi))
-			for j, p := range phi {
-				mis[j] = 1 - p
+			for j, v := range phi {
+				mis[j] = 1 - v
 			}
 			res.Candidates = append(res.Candidates, Figure3Candidate{
-				Arc: rk.Arc, Mismatches: mis, Err: rk.Score, IsTruth: rk.Arc == df.Arc,
+				Arc: rk.Arc, Mismatches: mis, Err: rk.Score, IsTruth: rk.Arc == truth,
 			})
 		}
 		return res, nil

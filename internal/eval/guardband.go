@@ -1,17 +1,10 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
-
-	"repro/internal/atpg"
-	"repro/internal/core"
-	"repro/internal/defect"
-	"repro/internal/logicsim"
-	"repro/internal/rng"
-	"repro/internal/synth"
-	"repro/internal/timing"
 )
 
 // The guardband curve quantifies the cut-off-period dial discussed in
@@ -33,51 +26,21 @@ type GuardbandPoint struct {
 	FalseAlarm float64 // P(some failure | defect free)
 }
 
-// GuardbandCurve sweeps the clk quantile over nCases defect sites.
+// GuardbandCurve sweeps the clk quantile over the first cfg.N
+// harness cases that have diagnostic patterns: patterns are generated
+// once per case, then every quantile re-picks clk and observes the die
+// with its defect and without it.
 func GuardbandCurve(cfg Config, quantiles []float64) ([]GuardbandPoint, error) {
-	c, err := synth.GenerateNamed(cfg.Circuit, cfg.CircuitSeed)
+	p, err := newNamedPipeline(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Timing == (timing.Params{}) {
-		cfg.Timing = timing.DefaultParams()
-	}
-	m := timing.NewModel(c, cfg.Timing)
-	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
-
-	// Prepare the cases once; only clk varies across the sweep.
-	type gbCase struct {
-		inst *timing.Instance
-		df   defect.Defect
-		pats []logicsim.PatternPair
-		tls  []float64 // per-case: sorted per-quantile lookup base (samples of the longest path)
-	}
-	var cases []gbCase
+	var cases []*Case
 	for i := 0; i < cfg.N; i++ {
-		caseSeed := rng.DeriveN(cfg.Seed, 0x6b, uint64(i))
-		r := rng.New(caseSeed)
-		df := inj.Sample(r)
-		tests := atpg.DiagnosticPatterns(c, m.Nominal, df.Arc, cfg.MaxPatterns, rng.New(rng.Derive(caseSeed, 1)))
-		if len(tests) == 0 {
-			continue
+		cs := p.NewCase(i)
+		if p.Patterns(cs); len(cs.Pats) > 0 {
+			cases = append(cases, cs)
 		}
-		pats := make([]logicsim.PatternPair, len(tests))
-		var longest []float64
-		best := -1.0
-		for k, tc := range tests {
-			pats[k] = tc.Pair
-			if tc.Path.Nominal > best {
-				best = tc.Path.Nominal
-				tl := m.TimingLength(tc.Path.Arcs, cfg.ClkSamples, rng.Derive(caseSeed, 2))
-				longest = tl.Samples()
-			}
-		}
-		cases = append(cases, gbCase{
-			inst: m.SampleInstanceSeeded(cfg.Seed, uint64(4_000_000+i)),
-			df:   df,
-			pats: pats,
-			tls:  longest,
-		})
 	}
 	if len(cases) == 0 {
 		return nil, fmt.Errorf("eval: no diagnosable sites for the guardband sweep")
@@ -87,13 +50,15 @@ func GuardbandCurve(cfg Config, quantiles []float64) ([]GuardbandPoint, error) {
 	for _, q := range quantiles {
 		pt := GuardbandPoint{Quantile: q}
 		for _, cs := range cases {
-			clk := quantileOf(cs.tls, q)
-			bad := core.SimulateBehavior(c, cs.inst.Delays, cs.pats, cs.df.Arc, cs.df.Size, clk)
-			if !bad.AnyFailure() {
+			if err := p.Clock(context.Background(), cs, q); err != nil {
+				return nil, err
+			}
+			if p.Observe(cs); !cs.B.AnyFailure() {
 				pt.Escape++
 			}
-			good := core.SimulateBehavior(c, cs.inst.Delays, cs.pats, cs.df.Arc, 0, clk)
-			if good.AnyFailure() {
+			good := *cs
+			good.Truth = nil
+			if p.Observe(&good); good.B.AnyFailure() {
 				pt.FalseAlarm++
 			}
 		}
@@ -102,23 +67,6 @@ func GuardbandCurve(cfg Config, quantiles []float64) ([]GuardbandPoint, error) {
 		out = append(out, pt)
 	}
 	return out, nil
-}
-
-// quantileOf returns the q-quantile of an (unsorted is fine —
-// dist.Empirical sorts) sample slice without re-simulating.
-func quantileOf(samples []float64, q float64) float64 {
-	// samples from dist.Empirical.Samples() are already sorted.
-	if len(samples) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(samples)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(samples) {
-		idx = len(samples) - 1
-	}
-	return samples[idx]
 }
 
 // WriteGuardbandCSV emits the sweep as CSV.

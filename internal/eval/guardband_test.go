@@ -45,13 +45,3 @@ func TestGuardbandCurve(t *testing.T) {
 		t.Errorf("CSV header missing")
 	}
 }
-
-func TestQuantileOf(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if quantileOf(xs, 0) != 1 || quantileOf(xs, 1) != 5 || quantileOf(xs, 0.5) != 3 {
-		t.Errorf("quantileOf wrong")
-	}
-	if quantileOf(nil, 0.5) != 0 {
-		t.Errorf("empty quantile should be 0")
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/atpg"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/defect"
@@ -20,10 +19,8 @@ import (
 	"repro/internal/logicsim"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/rng"
 	"repro/internal/synth"
 	"repro/internal/timing"
-	tengine "repro/internal/timing/engine"
 	"repro/internal/tsim"
 )
 
@@ -36,29 +33,24 @@ type Config struct {
 	MaxPatterns int     // diagnostic patterns per case (paper: < 20)
 	DictSamples int     // Monte-Carlo samples for the fault dictionary
 	ClkSamples  int     // Monte-Carlo samples for cut-off selection
-	ClkQuantile float64 // quantile of the fault-free pattern response (e.g. 0.95)
+	ClkQuantile float64 // quantile of the longest targeted path's timing length (e.g. 0.90)
 	Workers     int     // dictionary parallelism (0 = NumCPU)
 	MaxSuspects int     // cap on the suspect set (0 = unlimited)
-	// Engine selects the statistical timing backend for cut-off
-	// selection and dictionary construction: "" or "mc" runs the
-	// Monte-Carlo pipeline (bit-identical to every result before the
-	// field existed), "analytic" the closed-form SSTA engine. Defect
-	// injection and behavior simulation always use timed simulation —
-	// the ground truth is a die, not a model.
+	// Engine names the statistical timing backend for cut-off
+	// selection and dictionary construction ("" or "mc" for
+	// Monte-Carlo, "analytic" for closed-form SSTA); NewPipeline
+	// resolves it once through the engine registry. Defect injection
+	// and behavior simulation always use timed simulation — the ground
+	// truth is a die, not a model.
 	Engine string
 	// Timing overrides the statistical cell library (zero value =
 	// timing.DefaultParams()).
 	Timing timing.Params
-	// AssumedSize overrides the defect-size distribution the
-	// dictionary assumes for candidates (nil = the injector's
-	// AssumedSizeDist, mean 0.75 cell delay with 3σ = 50 % of mean).
-	// The sensitivity of diagnosis accuracy to this assumption is one
-	// of the repo's extension experiments.
-	AssumedSize dist.Dist
-	// AssumedSizeFactor, when non-zero, sets AssumedSize to a uniform
-	// distribution over [lo, hi] mean-cell-delays — a convenient knob
-	// for the size-assumption sensitivity experiment when the cell
-	// delay is not known up front.
+	// AssumedSizeFactor, when non-zero, makes the dictionary assume a
+	// uniform defect size over [lo, hi] mean cell delays instead of the
+	// injector's AssumedSizeDist (mean 0.75 cell delay, 3σ = 50 % of
+	// the mean) — the knob of the size-assumption sensitivity
+	// experiment.
 	AssumedSizeFactor [2]float64
 
 	// CheckpointPath, when set, journals every completed case to this
@@ -126,16 +118,10 @@ type CaseResult struct {
 // within the automatically chosen K under AlgRev — the evaluation of
 // the paper's "select K automatically" future-work item.
 func (r *CircuitResult) AutoKSuccessRate() float64 {
-	if len(r.Cases) == 0 {
-		return math.NaN()
-	}
-	hits := 0
-	for _, cs := range r.Cases {
-		if pos := cs.Rank[core.AlgRev]; pos >= 1 && pos <= cs.AutoK {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(r.Cases))
+	return fraction(len(r.Cases), func(i int) bool {
+		cs := r.Cases[i]
+		return within(cs.Rank[core.AlgRev], cs.AutoK)
+	})
 }
 
 // MeanAutoK returns the average automatically chosen K over diagnosed
@@ -173,32 +159,32 @@ type CircuitResult struct {
 // ranked within the first k candidates by method m. Escaped and pruned
 // cases count as misses, matching the paper's accuracy measurement.
 func (r *CircuitResult) SuccessRate(m core.Method, k int) float64 {
-	if len(r.Cases) == 0 {
-		return math.NaN()
-	}
-	hits := 0
-	for _, cs := range r.Cases {
-		if pos := cs.Rank[m]; pos >= 1 && pos <= k {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(r.Cases))
+	return fraction(len(r.Cases), func(i int) bool { return within(r.Cases[i].Rank[m], k) })
 }
 
 // EscapeRate returns the fraction of cases whose defect produced no
 // failing output at the cut-off period.
 func (r *CircuitResult) EscapeRate() float64 {
-	if len(r.Cases) == 0 {
+	return fraction(len(r.Cases), func(i int) bool { return r.Cases[i].Escaped })
+}
+
+// fraction returns the share of n cases for which hit holds, NaN when
+// there are none: "no data" never renders as a plausible-looking 0.
+func fraction(n int, hit func(i int) bool) float64 {
+	if n == 0 {
 		return math.NaN()
 	}
-	n := 0
-	for _, cs := range r.Cases {
-		if cs.Escaped {
-			n++
+	hits := 0
+	for i := 0; i < n; i++ {
+		if hit(i) {
+			hits++
 		}
 	}
-	return float64(n) / float64(len(r.Cases))
+	return float64(hits) / float64(n)
 }
+
+// within reports whether a 1-based rank (0 = not ranked) is at most k.
+func within(pos, k int) bool { return pos >= 1 && pos <= k }
 
 // RankCDF returns the success rate at every K from 1 to maxK — the
 // full diagnostic-resolution curve of which Table I reports three
@@ -260,24 +246,18 @@ func RunOnCircuitCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Circ
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("eval: N = %d", cfg.N)
 	}
-	if cfg.Timing == (timing.Params{}) {
-		cfg.Timing = timing.DefaultParams()
+	p, err := NewPipeline(c, cfg)
+	if err != nil {
+		return nil, err
 	}
 	var ck *Checkpoint
 	if cfg.CheckpointPath != "" {
-		var err error
-		ck, err = LoadCheckpoint(cfg.CheckpointPath, cfg, cfg.Resume)
+		ck, err = LoadCheckpoint(cfg.CheckpointPath, p.Cfg, cfg.Resume)
 		if err != nil {
 			return nil, err
 		}
 	}
-	m := timing.NewModel(c, cfg.Timing)
-	eng, err := tengine.New(cfg.Engine, m)
-	if err != nil {
-		return nil, fmt.Errorf("eval: %w", err)
-	}
-	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
-	res := &CircuitResult{Config: cfg, Stats: c.Stats(), Timings: obs.NewStages()}
+	res := &CircuitResult{Config: p.Cfg, Stats: c.Stats(), Timings: p.Stages}
 
 	for i := 0; i < cfg.N; i++ {
 		if err := ctx.Err(); err != nil {
@@ -293,7 +273,7 @@ func RunOnCircuitCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Circ
 		if cfg.CaseTimeout > 0 {
 			caseCtx, cancel = context.WithTimeout(ctx, cfg.CaseTimeout)
 		}
-		cs, err := runCase(caseCtx, c, m, eng, inj, cfg, i, res.Timings)
+		cs, err := runCase(caseCtx, p, i)
 		cancel()
 		if err != nil {
 			return nil, fmt.Errorf("eval: case %d: %w", i, err)
@@ -308,117 +288,27 @@ func RunOnCircuitCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Circ
 	return res, nil
 }
 
-func runCase(ctx context.Context, c *circuit.Circuit, m *timing.Model, eng timing.Engine, inj *defect.Injector, cfg Config, i int, st *obs.Stages) (CaseResult, error) {
-	if err := ctx.Err(); err != nil {
+// runCase runs harness case i through the pipeline and keeps its
+// outcome.
+func runCase(ctx context.Context, p *Pipeline, i int) (CaseResult, error) {
+	cs := p.NewCase(i)
+	if err := p.Run(ctx, cs); err != nil {
 		return CaseResult{}, err
 	}
-	evalCases.Inc()
-	caseSeed := rng.DeriveN(cfg.Seed, 0xca5e, uint64(i))
-	r := rng.New(caseSeed)
-	inst := m.SampleInstanceSeeded(cfg.Seed, uint64(1_000_000+i))
-	df := inj.Sample(r)
-	cs := CaseResult{Instance: i, Defect: df, Rank: make(map[core.Method]int)}
-
-	// Pattern generation through the fault site (paper Section H-4).
-	stop := st.Start("atpg")
-	tests := atpg.DiagnosticPatterns(c, m.Nominal, df.Arc, cfg.MaxPatterns, rng.New(rng.Derive(caseSeed, 1)))
-	stop(int64(len(tests)))
-	if len(tests) == 0 {
-		// Site unexercisable by any found pattern: the defect escapes.
-		cs.Escaped = true
-		evalEscapes.Inc()
-		return cs, nil
+	out := CaseResult{
+		Instance:        i,
+		Defect:          cs.Truth[0],
+		Clk:             cs.Clk,
+		Patterns:        len(cs.Pats),
+		Escaped:         cs.Escaped,
+		Suspects:        len(cs.Suspects),
+		TruthInSuspects: cs.TruthInSuspects() > 0,
+		Rank:            cs.ranks(),
 	}
-	pats := make([]logicsim.PatternPair, len(tests))
-	for k, tc := range tests {
-		pats[k] = tc.Pair
+	if cs.Ranked != nil {
+		out.AutoK, out.AutoKGap = core.AutoK(cs.Ranked[core.AlgRev], core.AlgRev, 16)
 	}
-	cs.Patterns = len(pats)
-
-	// Cut-off period: the q-quantile of the statistical timing length
-	// of the longest tested path through the site. This mirrors how a
-	// failing die is characterized in practice — the tester shmoos the
-	// clock down to the frequency where the targeted paths are
-	// marginal — and puts clk where a 0.5–1 cell-delay defect on the
-	// site moves the pass/fail outcome. Critical probabilities of
-	// everything else at this clk are captured by M_crt.
-	stop = st.Start("clk_select")
-	clk := 0.0
-	for _, tc := range tests {
-		tl, err := eng.TimingLength(ctx, tc.Path.Arcs, cfg.ClkSamples, rng.Derive(caseSeed, 2), 0)
-		if err != nil {
-			return cs, err
-		}
-		if q := tl.Quantile(cfg.ClkQuantile); q > clk {
-			clk = q
-		}
-	}
-	cs.Clk = clk
-	stop(int64(len(tests)))
-
-	stop = st.Start("behavior_sim")
-	b := core.SimulateBehavior(c, inst.Delays, pats, df.Arc, df.Size, clk)
-	stop(int64(len(pats)))
-	if !b.AnyFailure() {
-		cs.Escaped = true
-		evalEscapes.Inc()
-		return cs, nil
-	}
-
-	stop = st.Start("suspects")
-	strict, relaxed := core.SuspectArcsTiered(c, pats, b)
-	suspects := append(append([]circuit.ArcID(nil), strict...), relaxed...)
-	if cfg.MaxSuspects > 0 && len(suspects) > cfg.MaxSuspects {
-		suspects = capSuspects(strict, relaxed, cfg.MaxSuspects, rng.New(rng.Derive(caseSeed, 3)))
-	}
-	stop(int64(len(suspects)))
-	cs.Suspects = len(suspects)
-	for _, a := range suspects {
-		if a == df.Arc {
-			cs.TruthInSuspects = true
-		}
-	}
-	if !cs.TruthInSuspects || len(suspects) == 0 {
-		return cs, nil // diagnosis cannot succeed; ranks stay 0
-	}
-
-	sizeDist := cfg.AssumedSize
-	if sizeDist == nil {
-		if f := cfg.AssumedSizeFactor; f != ([2]float64{}) {
-			sizeDist = dist.Uniform{Lo: f[0] * inj.CellDelay, Hi: f[1] * inj.CellDelay}
-		} else {
-			sizeDist = inj.AssumedSizeDist()
-		}
-	}
-	stop = st.Start("dict_build")
-	dict, err := core.BuildDictionaryCtx(ctx, m, pats, suspects, core.DictConfig{
-		Clk:         clk,
-		Engine:      cfg.Engine,
-		Samples:     cfg.DictSamples,
-		Seed:        rng.Derive(caseSeed, 4),
-		Workers:     cfg.Workers,
-		Incremental: true,
-		SizeDist:    sizeDist,
-	})
-	stop(int64(cfg.DictSamples))
-	if err != nil {
-		return cs, err
-	}
-	stop = st.Start("diagnose")
-	for _, method := range core.Methods {
-		ranked := dict.Diagnose(b, method)
-		for pos, rk := range ranked {
-			if rk.Arc == df.Arc {
-				cs.Rank[method] = pos + 1
-				break
-			}
-		}
-		if method == core.AlgRev {
-			cs.AutoK, cs.AutoKGap = core.AutoK(ranked, method, 16)
-		}
-	}
-	stop(int64(len(core.Methods)))
-	return cs, nil
+	return out, nil
 }
 
 // capSuspects bounds the suspect set for tractability: the strict

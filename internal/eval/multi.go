@@ -1,17 +1,12 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/atpg"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/defect"
-	"repro/internal/dist"
-	"repro/internal/logicsim"
 	"repro/internal/rng"
-	"repro/internal/synth"
-	"repro/internal/timing"
 )
 
 // MultiCaseResult records one multi-defect diagnosis case (the paper's
@@ -67,111 +62,50 @@ func (r *MultiResult) recall(hits func(MultiCaseResult) int) float64 {
 // every injected site (the diagnosis still must not know which sites
 // those are — the dictionary ranks all suspects), a single-defect
 // dictionary, and two answers per case: the single-shot top-K and the
-// iterative peeling loop.
+// iterative peeling loop. Case i is harness case i with its defect
+// replaced by nDefects drawn from the same stream.
 func RunMultiDefect(cfg Config, nDefects int) (*MultiResult, error) {
 	if nDefects < 1 {
 		return nil, fmt.Errorf("eval: nDefects = %d", nDefects)
 	}
-	c, err := synth.GenerateNamed(cfg.Circuit, cfg.CircuitSeed)
+	p, err := newNamedPipeline(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Timing == (timing.Params{}) {
-		cfg.Timing = timing.DefaultParams()
-	}
-	m := timing.NewModel(c, cfg.Timing)
-	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
-	res := &MultiResult{Config: cfg, NDefects: nDefects}
-
+	res := &MultiResult{Config: p.Cfg, NDefects: nDefects}
 	for i := 0; i < cfg.N; i++ {
-		cs, err := runMultiCase(c, m, inj, cfg, nDefects, i)
-		if err != nil {
+		cs := p.NewCase(i)
+		cs.Truth = p.Inj.SampleMulti(nDefects, rng.New(cs.Seed))
+		if err := p.Run(context.Background(), cs); err != nil {
 			return nil, fmt.Errorf("eval: multi case %d: %w", i, err)
 		}
-		res.Cases = append(res.Cases, cs)
+		res.Cases = append(res.Cases, multiResult(cs))
 	}
 	return res, nil
 }
 
-func runMultiCase(c *circuit.Circuit, m *timing.Model, inj *defect.Injector, cfg Config, nDefects, i int) (MultiCaseResult, error) {
-	caseSeed := rng.DeriveN(cfg.Seed, 0x3117, uint64(i))
-	r := rng.New(caseSeed)
-	inst := m.SampleInstanceSeeded(cfg.Seed, uint64(2_000_000+i))
-	truth := inj.SampleMulti(nDefects, r)
-	cs := MultiCaseResult{Instance: i, Truth: truth}
-
-	var pats []logicsim.PatternPair
-	seen := make(map[string]bool)
-	clk := 0.0
-	perSite := cfg.MaxPatterns / nDefects
-	if perSite < 2 {
-		perSite = 2
+// multiResult scores a finished multi-defect case: the truths in the
+// single-shot Alg_rev top 3·n and those the iterative loop names.
+func multiResult(cs *Case) MultiCaseResult {
+	out := MultiCaseResult{
+		Instance:         cs.Index,
+		Truth:            cs.Truth,
+		Escaped:          cs.Escaped,
+		Suspects:         len(cs.Suspects),
+		TruthsInSuspects: cs.TruthInSuspects(),
 	}
-	for di, d := range truth {
-		tests := atpg.DiagnosticPatterns(c, m.Nominal, d.Arc, perSite, rng.New(rng.DeriveN(caseSeed, 1, uint64(di))))
-		for _, tc := range tests {
-			if k := tc.Pair.String(); !seen[k] {
-				seen[k] = true
-				pats = append(pats, tc.Pair)
-			}
-			if tl := m.TimingLength(tc.Path.Arcs, cfg.ClkSamples, rng.Derive(caseSeed, 2)).Quantile(cfg.ClkQuantile); tl > clk {
-				clk = tl
-			}
+	if cs.Dict == nil {
+		return out
+	}
+	n := len(cs.Truth)
+	ranked := cs.Ranked[core.AlgRev]
+	for _, rk := range ranked[:min(3*n, len(ranked))] {
+		if cs.Truth.Contains(rk.Arc) {
+			out.SingleTopKHits++
 		}
 	}
-	if len(pats) == 0 {
-		cs.Escaped = true
-		return cs, nil
-	}
-
-	b := core.SimulateBehaviorMulti(c, inst.Delays, pats, truth, clk)
-	if !b.AnyFailure() {
-		cs.Escaped = true
-		return cs, nil
-	}
-	strict, relaxed := core.SuspectArcsTiered(c, pats, b)
-	suspects := append(append([]circuit.ArcID(nil), strict...), relaxed...)
-	if cfg.MaxSuspects > 0 && len(suspects) > cfg.MaxSuspects {
-		suspects = capSuspects(strict, relaxed, cfg.MaxSuspects, rng.New(rng.Derive(caseSeed, 3)))
-	}
-	cs.Suspects = len(suspects)
-	for _, a := range suspects {
-		if truth.Contains(a) {
-			cs.TruthsInSuspects++
-		}
-	}
-	if cs.TruthsInSuspects == 0 {
-		return cs, nil
-	}
-
-	var sizeDist dist.Dist = inj.AssumedSizeDist()
-	if cfg.AssumedSize != nil {
-		sizeDist = cfg.AssumedSize
-	}
-	dict, err := core.BuildDictionary(m, pats, suspects, core.DictConfig{
-		Clk:         clk,
-		Samples:     cfg.DictSamples,
-		Seed:        rng.Derive(caseSeed, 4),
-		Workers:     cfg.Workers,
-		Incremental: true,
-		SizeDist:    sizeDist,
-	})
-	if err != nil {
-		return cs, err
-	}
-
-	k := 3 * nDefects
-	ranked := dict.Diagnose(b, core.AlgRev)
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	for _, rk := range ranked[:k] {
-		if truth.Contains(rk.Arc) {
-			cs.SingleTopKHits++
-		}
-	}
-	rounds := dict.DiagnoseIterative(b, core.AlgRev, nDefects+1, 0.25)
-	cs.Rounds = len(rounds)
-	cs.IterativeHits = core.MultiHits(rounds, truth)
-	return cs, nil
+	rounds := cs.Dict.DiagnoseIterative(cs.B, core.AlgRev, n+1, 0.25)
+	out.Rounds = len(rounds)
+	out.IterativeHits = core.MultiHits(rounds, cs.Truth)
+	return out
 }

@@ -9,13 +9,10 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/defect"
-	"repro/internal/dist"
 	"repro/internal/logicsim"
 	"repro/internal/path"
 	"repro/internal/rng"
-	"repro/internal/synth"
 	"repro/internal/timing"
-	tengine "repro/internal/timing/engine"
 )
 
 // The precomputed-dictionary workflow: the paper's effect-cause
@@ -77,47 +74,29 @@ func GlobalPatternSet(c *circuit.Circuit, m *timing.Model, maxPatterns int, seed
 	return tests
 }
 
-// staticPrep is the engine-independent part of a precomputed
-// dictionary: the circuit, model, global pattern set, cut-off period,
-// suspect universe and assumed size distribution. The acceptance
-// harness (CompareEngines) reuses one prep to build dictionaries under
-// several engines over identical stimuli.
-type staticPrep struct {
-	C        *circuit.Circuit
-	Model    *timing.Model
-	Pats     []logicsim.PatternPair
-	Clk      float64
-	Suspects []circuit.ArcID
-	SizeDist dist.Dist
-}
-
 // prepareStatic runs everything of BuildStatic up to (but excluding)
 // the dictionary build, selecting clk with the engine named by
-// cfg.Engine.
-func prepareStatic(cfg Config, maxSuspects int) (*staticPrep, error) {
-	c, err := synth.GenerateNamed(cfg.Circuit, cfg.CircuitSeed)
+// cfg.Engine. The returned case carries the global pattern set, the
+// cut-off period and the suspect universe; the acceptance harness
+// (CompareEngines) builds dictionaries from it under several engines
+// over identical stimuli.
+func prepareStatic(cfg Config, maxSuspects int) (*Pipeline, *Case, error) {
+	p, err := newNamedPipeline(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if cfg.Timing == (timing.Params{}) {
-		cfg.Timing = timing.DefaultParams()
-	}
-	m := timing.NewModel(c, cfg.Timing)
-	eng, err := tengine.New(cfg.Engine, m)
-	if err != nil {
-		return nil, fmt.Errorf("eval: %w", err)
-	}
-	tests := GlobalPatternSet(c, m, cfg.MaxPatterns, rng.Derive(cfg.Seed, 0x57a7))
+	c := p.C
+	tests := GlobalPatternSet(c, p.Model, cfg.MaxPatterns, rng.Derive(cfg.Seed, 0x57a7))
 	if len(tests) == 0 {
-		return nil, fmt.Errorf("eval: no global patterns for %s", cfg.Circuit)
+		return nil, nil, fmt.Errorf("eval: no global patterns for %s", cfg.Circuit)
 	}
 	pats := make([]logicsim.PatternPair, len(tests))
 	tls := make([]float64, len(tests))
 	for i, tc := range tests {
 		pats[i] = tc.Pair
-		tl, err := eng.TimingLength(context.Background(), tc.Path.Arcs, cfg.ClkSamples, rng.Derive(cfg.Seed, 0x57a8), 0)
+		tl, err := p.Engine.TimingLength(context.Background(), tc.Path.Arcs, cfg.ClkSamples, rng.Derive(cfg.Seed, 0x57a8), 0)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		tls[i] = tl.Quantile(cfg.ClkQuantile)
 	}
@@ -133,8 +112,8 @@ func prepareStatic(cfg Config, maxSuspects int) (*staticPrep, error) {
 	// Fault universe: arcs sensitized by the pattern set, weighted by
 	// how many patterns sensitize them.
 	count := make(map[circuit.ArcID]int)
-	for _, p := range pats {
-		tr := logicsim.SimulatePair(c, p)
+	for _, pat := range pats {
+		tr := logicsim.SimulatePair(c, pat)
 		for oi := range c.Outputs {
 			for _, aid := range logicsim.SensitizedArcs(c, tr, oi).IDs() {
 				if c.Gates[c.Arcs[aid].To].Type != circuit.Output {
@@ -144,7 +123,7 @@ func prepareStatic(cfg Config, maxSuspects int) (*staticPrep, error) {
 		}
 	}
 	if len(count) == 0 {
-		return nil, fmt.Errorf("eval: pattern set sensitizes nothing")
+		return nil, nil, fmt.Errorf("eval: pattern set sensitizes nothing")
 	}
 	suspects := make([]circuit.ArcID, 0, len(count))
 	for a := range count {
@@ -157,12 +136,19 @@ func prepareStatic(cfg Config, maxSuspects int) (*staticPrep, error) {
 		suspects = suspects[:maxSuspects]
 	}
 	sortArcs(suspects)
+	return p, &Case{Pats: pats, Clk: clk, Suspects: suspects}, nil
+}
 
-	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
-	return &staticPrep{
-		C: c, Model: m, Pats: pats, Clk: clk,
-		Suspects: suspects, SizeDist: inj.AssumedSizeDist(),
-	}, nil
+// buildStatic is prepareStatic plus the dictionary build.
+func buildStatic(cfg Config, maxSuspects int) (*Pipeline, *Case, error) {
+	p, sc, err := prepareStatic(cfg, maxSuspects)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := p.Dictionary(context.Background(), sc, rng.Derive(cfg.Seed, 0x57a9)); err != nil {
+		return nil, nil, err
+	}
+	return p, sc, nil
 }
 
 // BuildStatic precomputes the dictionary for a global pattern set: the
@@ -172,23 +158,11 @@ func prepareStatic(cfg Config, maxSuspects int) (*staticPrep, error) {
 // cut-off period and the dictionary both come from the engine named by
 // cfg.Engine.
 func BuildStatic(cfg Config, maxSuspects int) (*StaticDictionary, error) {
-	p, err := prepareStatic(cfg, maxSuspects)
+	p, sc, err := buildStatic(cfg, maxSuspects)
 	if err != nil {
 		return nil, err
 	}
-	dict, err := core.BuildDictionary(p.Model, p.Pats, p.Suspects, core.DictConfig{
-		Clk:         p.Clk,
-		Engine:      cfg.Engine,
-		Samples:     cfg.DictSamples,
-		Seed:        rng.Derive(cfg.Seed, 0x57a9),
-		Workers:     cfg.Workers,
-		Incremental: true,
-		SizeDist:    p.SizeDist,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &StaticDictionary{C: p.C, Model: p.Model, Patterns: p.Pats, Clk: p.Clk, Dict: dict}, nil
+	return &StaticDictionary{C: p.C, Model: p.Model, Patterns: sc.Pats, Clk: sc.Clk, Dict: sc.Dict}, nil
 }
 
 func sortByCount(arcs []circuit.ArcID, count map[circuit.ArcID]int) {
@@ -221,57 +195,48 @@ type StaticResult struct {
 	Cases    []StaticCaseResult
 }
 
-// SuccessRate is the fraction of cases whose true arc ranks within k.
+// SuccessRate is the fraction of cases whose true arc ranks within k,
+// NaN when there are no cases.
 func (r *StaticResult) SuccessRate(m core.Method, k int) float64 {
-	if len(r.Cases) == 0 {
-		return 0
-	}
-	hits := 0
-	for _, cs := range r.Cases {
-		if pos := cs.Rank[m]; pos >= 1 && pos <= k {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(r.Cases))
+	return fraction(len(r.Cases), func(i int) bool { return within(r.Cases[i].Rank[m], k) })
 }
 
 // RunPrecomputed diagnoses cfg.N random-defect dies against one
 // precomputed dictionary (built once, reused for every die — the
 // classic effect-cause flow).
 func RunPrecomputed(cfg Config, maxSuspects int) (*StaticResult, error) {
-	sd, err := BuildStatic(cfg, maxSuspects)
+	p, sc, err := buildStatic(cfg, maxSuspects)
 	if err != nil {
 		return nil, err
 	}
-	inj := defect.NewInjector(sd.C, sd.Model.MeanCellDelay(), defect.DefaultParams())
-	res := &StaticResult{Universe: len(sd.Dict.Suspects), Patterns: len(sd.Patterns)}
+	res := &StaticResult{Universe: len(sc.Suspects), Patterns: len(sc.Pats)}
 	for i := 0; i < cfg.N; i++ {
-		caseSeed := rng.DeriveN(cfg.Seed, 0x57ca, uint64(i))
-		r := rng.New(caseSeed)
-		inst := sd.Model.SampleInstanceSeeded(cfg.Seed, uint64(3_000_000+i))
-		df := inj.Sample(r)
-		cs := StaticCaseResult{Instance: i, Defect: df, Rank: make(map[core.Method]int)}
-		for _, a := range sd.Dict.Suspects {
-			if a == df.Arc {
-				cs.TruthInUniverse = true
-			}
+		cs := staticCase(p, sc, i)
+		out := StaticCaseResult{
+			Instance:        i,
+			Defect:          cs.Truth[0],
+			Escaped:         !cs.B.AnyFailure(),
+			TruthInUniverse: cs.TruthInSuspects() > 0,
 		}
-		b := core.SimulateBehavior(sd.C, inst.Delays, sd.Patterns, df.Arc, df.Size, sd.Clk)
-		if !b.AnyFailure() {
-			cs.Escaped = true
-			res.Cases = append(res.Cases, cs)
-			continue
+		if !out.Escaped {
+			p.Rank(cs)
 		}
-		for _, m := range core.Methods {
-			ranked := sd.Dict.Diagnose(b, m)
-			for pos, rk := range ranked {
-				if rk.Arc == df.Arc {
-					cs.Rank[m] = pos + 1
-					break
-				}
-			}
-		}
-		res.Cases = append(res.Cases, cs)
+		out.Rank = cs.ranks()
+		res.Cases = append(res.Cases, out)
 	}
 	return res, nil
+}
+
+// staticCase is die i of the precomputed-dictionary experiment — its
+// own derivation, shared by RunPrecomputed and CompareEngines so their
+// dies line up — observed under the patterns and clk of sc, whose
+// suspects and dictionary it shares.
+func staticCase(p *Pipeline, sc *Case, i int) *Case {
+	seed := rng.DeriveN(p.Cfg.Seed, 0x57ca, uint64(i))
+	cs := *sc
+	cs.Index, cs.Seed = i, seed
+	cs.Inst = p.Model.SampleInstanceSeeded(p.Cfg.Seed, uint64(3_000_000+i))
+	cs.Truth = defect.MultiDefect{p.Inj.Sample(rng.New(seed))}
+	p.Observe(&cs)
+	return &cs
 }

@@ -25,14 +25,12 @@ package repro
 
 import (
 	"io"
-	"math/rand/v2"
 
 	"repro/internal/atpg"
 	"repro/internal/benchfmt"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/defect"
-	"repro/internal/dist"
 	"repro/internal/eval"
 	"repro/internal/logicsim"
 	"repro/internal/path"
@@ -120,6 +118,12 @@ type (
 	ExperimentResult = eval.CircuitResult
 	// Table1Row is one (circuit, K) row of Table I.
 	Table1Row = eval.Table1Row
+	// Pipeline runs the per-case diagnosis chain — patterns, clk,
+	// behavior, suspects, dictionary, ranking — over one circuit.
+	Pipeline = eval.Pipeline
+	// Case is one injected-defect diagnosis case and what each
+	// pipeline stage produced for it.
+	Case = eval.Case
 )
 
 // Extensions beyond the paper's core algorithms.
@@ -177,9 +181,6 @@ func DefaultTimingParams() TimingParams { return timing.DefaultParams() }
 // NewTimingModel characterizes every arc of c under p.
 func NewTimingModel(c *Circuit, p TimingParams) *TimingModel { return timing.NewModel(c, p) }
 
-// NewRand returns a deterministic random stream for the given seed.
-func NewRand(seed uint64) *rand.Rand { return rng.New(seed) }
-
 // NewInjector returns a defect injector using the paper's size model.
 func NewInjector(c *Circuit, m *TimingModel) *Injector {
 	return defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
@@ -207,22 +208,18 @@ func SimulateBehavior(c *Circuit, inst *Instance, pats []PatternPair, d Defect, 
 	return core.SimulateBehavior(c, inst.Delays, pats, d.Arc, d.Size, clk)
 }
 
-// SuspectArcs prunes defect candidates by cause-effect sensitization
-// analysis of the failing behavior.
-func SuspectArcs(c *Circuit, pats []PatternPair, b *Behavior) []ArcID {
-	return core.SuspectArcs(c, pats, b)
-}
-
-// BuildDictionary estimates the probabilistic fault dictionary for the
-// given suspects by Monte-Carlo statistical dynamic timing simulation.
-func BuildDictionary(m *TimingModel, pats []PatternPair, suspects []ArcID, cfg DictConfig) (*Dictionary, error) {
-	return core.BuildDictionary(m, pats, suspects, cfg)
-}
-
 // DefaultExperimentConfig returns the Table-I experiment parameters
 // for the named circuit profile.
 func DefaultExperimentConfig(circuitName string) ExperimentConfig {
 	return eval.DefaultConfig(circuitName)
+}
+
+// NewPipeline returns the per-case diagnosis pipeline over c with the
+// experiment parameters of cfg: Pipeline.NewCase(i) draws case i's die
+// and defect exactly as RunExperiment does, and Pipeline.Run takes it
+// through every stage.
+func NewPipeline(c *Circuit, cfg ExperimentConfig) (*Pipeline, error) {
+	return eval.NewPipeline(c, cfg)
 }
 
 // RunExperiment executes the paper's Section-I evaluation for one
@@ -232,11 +229,6 @@ func DefaultExperimentConfig(circuitName string) ExperimentConfig {
 func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	return eval.RunCircuit(cfg)
 }
-
-// AssumedSizeDist returns the defect-size distribution the diagnosis
-// assumes when building dictionaries (mean 75 % of a cell delay,
-// 3σ = 50 % of the mean).
-func AssumedSizeDist(in *Injector) dist.Dist { return in.AssumedSizeDist() }
 
 // SimulateAtClock runs one timed simulation of a pattern on an
 // instance, capturing outputs at clk, and returns the failing output

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -44,52 +45,29 @@ func TestFacadeFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := repro.NewTimingModel(c, repro.DefaultTimingParams())
-	injector := repro.NewInjector(c, model)
-	truth := injector.Sample(repro.NewRand(2))
-	die := model.SampleInstanceSeeded(2, 0)
-
-	tests := repro.DiagnosticPatterns(model, truth.Arc, 8, 11)
-	if len(tests) == 0 {
-		t.Fatal("no diagnostic patterns")
-	}
-	pats := make([]repro.PatternPair, len(tests))
-	clk := 0.0
-	for i, tc := range tests {
-		pats[i] = tc.Pair
-		if tl := model.TimingLength(tc.Path.Arcs, 200, 13).Quantile(0.9); tl > clk {
-			clk = tl
-		}
-	}
-	behavior := repro.SimulateBehavior(c, die, pats, truth, clk)
-	if !behavior.AnyFailure() {
-		t.Fatal("defect escaped (seed regression)")
-	}
-	suspects := repro.SuspectArcs(c, pats, behavior)
-	dict, err := repro.BuildDictionary(model, pats, suspects, repro.DictConfig{
-		Clk: clk, Samples: 64, Seed: 17, Incremental: true,
-		SizeDist: repro.AssumedSizeDist(injector),
-	})
+	p, err := repro.NewPipeline(c, repro.DefaultExperimentConfig("small"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cs := p.NewCase(4)
+	if err := p.Run(context.Background(), cs); err != nil {
+		t.Fatal(err)
+	}
+	if cs.Escaped {
+		t.Fatal("defect escaped (seed regression)")
+	}
+	if cs.Ranked == nil {
+		t.Fatal("truth pruned from the suspects (seed regression)")
+	}
 	for _, m := range repro.Methods {
-		ranked := dict.Diagnose(behavior, m)
-		if len(ranked) != len(suspects) {
+		if len(cs.Ranked[m]) != len(cs.Suspects) {
 			t.Fatalf("%v: ranking size mismatch", m)
 		}
 	}
 	// The quickstart case is known to rank the truth near the top
 	// under AlgRev; allow slack but catch regressions.
-	rank := 0
-	for i, rk := range dict.Diagnose(behavior, repro.AlgRev) {
-		if rk.Arc == truth.Arc {
-			rank = i + 1
-			break
-		}
-	}
-	if rank == 0 || rank > len(suspects)/4 {
-		t.Errorf("AlgRev ranked the truth at %d of %d", rank, len(suspects))
+	if rank := cs.Position(repro.AlgRev, cs.Truth[0].Arc); rank == 0 || rank > len(cs.Suspects)/4 {
+		t.Errorf("AlgRev ranked the truth at %d of %d", rank, len(cs.Suspects))
 	}
 }
 
