@@ -163,8 +163,9 @@ func BenchmarkAblationSamples(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIncremental: incremental cone re-simulation vs full
-// re-simulation per candidate (identical results, very different cost).
+// BenchmarkAblationIncremental: difference-propagation defect
+// re-simulation (tsim.RunDefectDiff) vs a full event-driven run per
+// candidate (identical results, very different cost).
 func BenchmarkAblationIncremental(b *testing.B) {
 	m, pats, suspects, _, clk, _, sizeDist := setupCase(b)
 	for _, mode := range []struct {

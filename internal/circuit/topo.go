@@ -93,7 +93,7 @@ func (c *Circuit) FanoutCone(roots ...GateID) GateSet {
 
 // ArcFanoutGates returns the gates whose arrival times can change when
 // the delay of arc a changes: gate a.To and its transitive fan-out.
-// This is the incremental re-simulation region for a defect on a.
+// Only these gates' waveforms can differ under a defect on a.
 func (c *Circuit) ArcFanoutGates(a ArcID) GateSet {
 	return c.FanoutCone(c.Arcs[a].To)
 }

@@ -37,9 +37,10 @@ type DictConfig struct {
 	Seed uint64
 	// Workers bounds the parallelism (0 = NumCPU).
 	Workers int
-	// FullResim forces full re-simulation per candidate instead of
-	// cone-limited incremental defect re-simulation; it exists as the
-	// tests' validation oracle and for the ablation bench.
+	// FullResim forces a full event-driven run per candidate instead
+	// of the difference-propagation kernel (tsim.RunDefectDiff); it
+	// exists as the tests' validation oracle and for the ablation
+	// bench.
 	FullResim bool
 	// SizeDist is the assumed candidate-defect size distribution δ.
 	SizeDist dist.Dist
@@ -69,9 +70,11 @@ type Dictionary struct {
 // defective hypothesis (common random numbers), so the signature
 // S_crt = E_crt − M_crt is nonnegative and has low variance. Per
 // sample and suspect a defect size is drawn from cfg.SizeDist; the
-// defect is re-simulated incrementally over its fan-out cone, and
-// skipped entirely when the suspect arc's driver never transitions
-// under a pattern (the defect cannot change that pattern's response).
+// defect is re-simulated against the sample's baseline run by
+// re-evaluating only the gates whose waveform it changes
+// (tsim.RunDefectDiff), and skipped entirely when the suspect arc's
+// driver never transitions under a pattern (the defect cannot change
+// that pattern's response).
 func BuildDictionary(m *timing.Model, patterns []logicsim.PatternPair, suspects []circuit.ArcID, cfg DictConfig) (*Dictionary, error) {
 	return BuildDictionaryCtx(context.Background(), m, patterns, suspects, cfg)
 }
@@ -119,15 +122,6 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 
 	nOut, nPat, nSus := len(c.Outputs), len(patterns), len(suspects)
 
-	// Per-suspect fan-out cones with precomputed boundary pin lists,
-	// shared read-only across workers: every (sample, pattern) re-uses
-	// the same cone, so the boundary scan is hoisted out of the
-	// simulation loop entirely.
-	cones := make([]*tsim.Cone, nSus)
-	for i, a := range suspects {
-		cones[i] = tsim.PrepareCone(c, c.ArcFanoutGates(a))
-	}
-
 	// Settled gate states depend only on the pattern, never on the
 	// sampled delays — evaluate each pattern's pair once up front
 	// instead of twice per (sample, pattern) inside the workers, and
@@ -143,22 +137,25 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 		m []int32 // nOut*nPat
 		e []int32 // nSus*nOut*nPat
 	}
-	// dictWorker is one worker's reusable scratch: simulation engines,
-	// the instance delay buffer, defect sizes, and reseedable RNG
-	// streams — allocated once per worker, so the per-sample loop is
-	// allocation-free in steady state.
+	// dictWorker is one worker's reusable scratch: the simulation
+	// engine (plus a second one for FullResim, whose runs would
+	// overwrite the baseline), the instance delay buffer, defect
+	// sizes, reseedable RNG streams and the stage ledger — allocated
+	// once per worker, so the per-sample loop is allocation-free in
+	// steady state.
 	type dictWorker struct {
 		acc      accum
 		eng      *tsim.Engine
-		engInc   *tsim.Engine
+		full     *tsim.Engine
 		baseFail []bool
 		delays   []float64
 		sizes    []float64
 		stream   *rng.Stream
+		st       dictStages
 	}
 	ws := make([]*dictWorker, workers)
 
-	if _, err := par.ForWorkerCtx(ctx, cfg.Samples, cfg.Workers, func(w, s int) {
+	_, err := par.ForWorkerCtx(ctx, cfg.Samples, cfg.Workers, func(w, s int) {
 		wk := ws[w]
 		if wk == nil {
 			wk = &dictWorker{
@@ -167,15 +164,18 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 					e: make([]int32, nSus*nOut*nPat),
 				},
 				eng:      tsim.NewEngine(c),
-				engInc:   tsim.NewEngine(c),
 				baseFail: make([]bool, nOut),
 				delays:   make([]float64, len(c.Arcs)),
 				sizes:    make([]float64, nSus),
 				stream:   rng.NewStream(),
 			}
+			if cfg.FullResim {
+				wk.full = tsim.NewEngine(c)
+			}
 			ws[w] = wk
 		}
 		acc := &wk.acc
+		t0 := time.Now()
 		m.SampleDelaysInto(wk.delays, wk.stream.ResetDerived(cfg.Seed, uint64(s)))
 		// One defect size per (sample, suspect): a die has a single
 		// defect of one size.
@@ -183,6 +183,8 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 		for i := range wk.sizes {
 			wk.sizes[i] = cfg.SizeDist.Sample(szRng)
 		}
+		t1 := time.Now()
+		wk.st.sample += t1.Sub(t0)
 		for j, pat := range patterns {
 			opts := tsim.AtClock(cfg.Clk)
 			opts.RecordWaveforms = true
@@ -193,6 +195,8 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 					acc.m[oi*nPat+j]++
 				}
 			}
+			t2 := time.Now()
+			wk.st.baseline += t2.Sub(t1)
 			for i, arc := range suspects {
 				row := (i*nOut)*nPat + j
 				if !base.Transitioned[c.Arcs[arc].From] {
@@ -203,27 +207,38 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 							acc.e[row+oi*nPat]++
 						}
 					}
+					wk.st.skipped++
 					continue
 				}
-				var res *tsim.Result
+				var capture []bool
 				if cfg.FullResim {
 					o2 := tsim.AtClock(cfg.Clk)
 					o2.DefectArc = arc
 					o2.DefectExtra = wk.sizes[i]
-					res = wk.engInc.RunPrepared(wk.delays, pat, o2, patPrep[j], patFinal[j])
+					capture = wk.full.RunPrepared(wk.delays, pat, o2, patPrep[j], patFinal[j]).Capture
 				} else {
-					res = wk.engInc.RunIncrementalCone(wk.delays, base, cones[i], arc, wk.sizes[i], cfg.Clk)
+					capture = wk.eng.RunDefectDiff(wk.delays, base, arc, wk.sizes[i], cfg.Clk)
 				}
+				wk.st.simulated++
 				for oi, o := range c.Outputs {
-					if res.Capture[oi] != base.Final[o] {
+					if capture[oi] != base.Final[o] {
 						acc.e[row+oi*nPat]++
 					}
 				}
 			}
+			t1 = time.Now()
+			wk.st.defect += t1.Sub(t2)
 		}
-	}); err != nil {
+	})
+	for _, wk := range ws {
+		if wk != nil {
+			wk.st.record()
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
+	tAcc := time.Now()
 
 	d := &Dictionary{
 		C:        c,
@@ -259,6 +274,7 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 		d.E[i] = e
 		d.S[i] = e.Sub(d.M)
 	}
+	dictStageAccumulate.Add(time.Since(tAcc).Seconds())
 	return d, nil
 }
 

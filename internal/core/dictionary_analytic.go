@@ -16,8 +16,10 @@ import (
 // sampled captures — one nominal timed simulation per pattern plus
 // cone-limited canonical-normal propagation per suspect, with no
 // sample axis at all. Entries are exact probabilities under the
-// analytic model, so cfg.Samples and cfg.Seed are ignored and
-// cfg.FullResim has no analog (the cone restriction is always on).
+// analytic model, so cfg.Samples and cfg.Seed are ignored.
+// cfg.FullResim has no analog: every defective signature already
+// comes from a full timed run (the canonical-normal propagation, not
+// the simulation, is cone-limited).
 //
 // Signature entries S = E − M are clamped at zero: the Monte-Carlo
 // build's common random numbers make S nonnegative by construction,

@@ -8,6 +8,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/defect"
 	"repro/internal/logicsim"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/synth"
 	"repro/internal/timing"
@@ -140,6 +141,40 @@ func TestBuildDictionaryIncrementalMatchesFull(t *testing.T) {
 	for si := range suspects {
 		if d := a.E[si].MaxAbsDiff(b.E[si]); d != 0 {
 			t.Errorf("suspect %d: incremental vs full differ by %v", si, d)
+		}
+	}
+}
+
+// TestBuildDictionaryStageLedger checks the MC build's sub-stage
+// counters: every (sample, pattern, suspect) triple is either
+// simulated or skipped, skips happen exactly where the suspect's
+// driver is quiet, and every stage records time.
+func TestBuildDictionaryStageLedger(t *testing.T) {
+	tb := newBench(t, "mini", 5)
+	suspects := tb.inj.CandidateArcs()[:16]
+	for _, full := range []bool{false, true} {
+		cfg := tb.dictConfig(24)
+		cfg.FullResim = full
+		stages := []*obs.Counter{dictStageSample, dictStageBaseline, dictStageDefect, dictStageAccumulate}
+		before := make([]float64, len(stages))
+		for i, c := range stages {
+			before[i] = c.Value()
+		}
+		sim0, skip0 := dictDefectSimulated.Value(), dictDefectSkipped.Value()
+		if _, err := BuildDictionary(tb.m, tb.pats, suspects, cfg); err != nil {
+			t.Fatal(err)
+		}
+		sim, skip := dictDefectSimulated.Value()-sim0, dictDefectSkipped.Value()-skip0
+		if want := float64(cfg.Samples * len(tb.pats) * len(suspects)); sim+skip != want {
+			t.Errorf("full=%v: simulated %v + skipped %v, want %v triples", full, sim, skip, want)
+		}
+		if sim == 0 || skip == 0 {
+			t.Errorf("full=%v: simulated %v, skipped %v; fixture should exercise both", full, sim, skip)
+		}
+		for i, c := range stages {
+			if c.Value() <= before[i] {
+				t.Errorf("full=%v: stage %d recorded no time", full, i)
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/obs"
 )
 
@@ -38,3 +40,47 @@ var (
 	behaviorSimSkipped = obs.Default().Counter("ddd_behavior_sim_skipped_total",
 		"behavior-simulation tsim runs skipped by the word-parallel prescreen", nil)
 )
+
+// The Monte-Carlo build's sub-stage ledger: wall time per inner stage
+// and the count of defect re-simulations run or skipped (the suspect
+// arc's driver never transitions under the pattern). Stage times are
+// summed over workers, so with several workers they add up to more
+// than the build's wall time. Each worker keeps its own dictStages,
+// added once when the build's sampling ends, like the counters above.
+var (
+	dictStageSample     = dictStageCounter("sample")
+	dictStageBaseline   = dictStageCounter("baseline")
+	dictStageDefect     = dictStageCounter("defect")
+	dictStageAccumulate = dictStageCounter("accumulate")
+	dictDefectSimulated = obs.Default().Counter("ddd_core_dict_defect_sims_total",
+		"per-(sample, pattern, suspect) defect re-simulations in Monte-Carlo dictionary builds",
+		obs.Labels{"outcome": "simulated"})
+	dictDefectSkipped = obs.Default().Counter("ddd_core_dict_defect_sims_total",
+		"per-(sample, pattern, suspect) defect re-simulations in Monte-Carlo dictionary builds",
+		obs.Labels{"outcome": "skipped_no_transition"})
+)
+
+func dictStageCounter(stage string) *obs.Counter {
+	return obs.Default().Counter("ddd_core_dict_build_stage_seconds_total",
+		"Monte-Carlo dictionary build time per inner stage, summed over workers",
+		obs.Labels{"stage": stage})
+}
+
+// dictStages is one worker's share of the ledger: sample is delay and
+// defect-size sampling, baseline the defect-free run per pattern, and
+// defect the per-suspect re-simulations together with their
+// failing-output counts. The build times the accumulate stage, the
+// fold of the workers' counts into M, E and S, itself.
+type dictStages struct {
+	sample, baseline, defect time.Duration
+	simulated, skipped       int64
+}
+
+// record bulk-adds one worker's ledger to the process-wide counters.
+func (s *dictStages) record() {
+	dictStageSample.Add(s.sample.Seconds())
+	dictStageBaseline.Add(s.baseline.Seconds())
+	dictStageDefect.Add(s.defect.Seconds())
+	dictDefectSimulated.Add(float64(s.simulated))
+	dictDefectSkipped.Add(float64(s.skipped))
+}

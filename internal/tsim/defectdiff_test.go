@@ -1,0 +1,358 @@
+package tsim
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"testing"
+
+	"repro/internal/circuit"
+	"repro/internal/logicsim"
+	"repro/internal/rng"
+	"repro/internal/synth"
+	"repro/internal/timing"
+)
+
+// randPair draws a uniformly random two-vector pattern.
+func randPair(r *rand.Rand, c *circuit.Circuit) logicsim.PatternPair {
+	v1 := make(logicsim.Vector, len(c.Inputs))
+	v2 := make(logicsim.Vector, len(c.Inputs))
+	for i := range v1 {
+		v1[i] = r.IntN(2) == 1
+		v2[i] = r.IntN(2) == 1
+	}
+	return logicsim.PatternPair{V1: v1, V2: v2}
+}
+
+// snapDelays rounds every delay to a positive multiple of grid, so
+// distinct paths reach a gate at the same instant and the event engine
+// records same-instant (zero-width) toggles. grid <= 0 keeps the
+// delays as sampled.
+func snapDelays(delays []float64, grid float64) []float64 {
+	out := make([]float64, len(delays))
+	for i, d := range delays {
+		if grid <= 0 {
+			out[i] = d
+			continue
+		}
+		out[i] = math.Max(grid, math.Round(d/grid)*grid)
+	}
+	return out
+}
+
+// zeroWidthSteps counts the recorded steps that share their instant
+// with the step before them.
+func zeroWidthSteps(res *Result) int {
+	n := 0
+	for _, w := range res.Waveforms {
+		for i := 1; i < len(w); i++ {
+			if w[i].T == w[i-1].T {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// rightContinuous collapses a recorded waveform to one step per
+// instant (the instant's last value), dropping steps that leave the
+// value unchanged.
+func rightContinuous(raw []Step, init bool) []Step {
+	var out []Step
+	prev := init
+	for j := 0; j < len(raw); j++ {
+		if j+1 < len(raw) && raw[j+1].T == raw[j].T {
+			continue
+		}
+		if raw[j].V != prev {
+			out = append(out, raw[j])
+			prev = raw[j].V
+		}
+	}
+	return out
+}
+
+// checkDefectDiff runs the kernel on kern against a baseline kern
+// itself recorded, and compares its captures with a full Run under the
+// defect overlay and, with oracle set, with the pointwise refValue.
+// It also checks every gate's waveform as the kernel left it (rebuilt
+// or baseline) against the full run's, step times compared exactly.
+// It reports whether the defect changed any capture.
+func checkDefectDiff(t testing.TB, c *circuit.Circuit, kern, full *Engine, delays []float64, pair logicsim.PatternPair, arc circuit.ArcID, extra, clk float64, oracle bool) bool {
+	t.Helper()
+	baseOpts := AtClock(clk)
+	baseOpts.RecordWaveforms = true
+	base := kern.Run(delays, pair, baseOpts)
+	baseCapture := append([]bool(nil), base.Capture...)
+	got := kern.RunDefectDiff(delays, base, arc, extra, clk)
+
+	opts := AtClock(clk)
+	opts.DefectArc = arc
+	opts.DefectExtra = extra
+	opts.RecordWaveforms = true
+	want := full.Run(delays, pair, opts)
+	d := kern.diff
+	for g := range c.Gates {
+		kw := base.Waveforms[g]
+		if d.changed[g] == d.gen {
+			kw = d.steps[d.off[g]:d.end[g]]
+		}
+		got, ref := rightContinuous(kw, base.Init[g]), rightContinuous(want.Waveforms[g], base.Init[g])
+		if len(got) != len(ref) {
+			t.Fatalf("arc %d extra %v clk %v: gate %d waveform %v, full run %v", arc, extra, clk, g, got, ref)
+		}
+		for k := range got {
+			if got[k] != ref[k] {
+				t.Fatalf("arc %d extra %v clk %v: gate %d waveform %v, full run %v", arc, extra, clk, g, got, ref)
+			}
+		}
+	}
+	changed := false
+	for i, o := range c.Outputs {
+		if got[i] != want.Capture[i] {
+			t.Fatalf("arc %d extra %v clk %v: output %d kernel %v, full run %v",
+				arc, extra, clk, i, got[i], want.Capture[i])
+		}
+		if oracle {
+			if ref := refValue(c, delays, &opts, pair, o, clk); got[i] != ref {
+				t.Fatalf("arc %d extra %v clk %v: output %d kernel %v, oracle %v",
+					arc, extra, clk, i, got[i], ref)
+			}
+		}
+		changed = changed || got[i] != baseCapture[i]
+	}
+	return changed
+}
+
+func TestIncrementalMatchesFull(t *testing.T) {
+	c, err := synth.GenerateNamed("small", 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := timing.NewModel(c, timing.DefaultParams())
+	clk := m.SuggestClock(0.9, 400, 1)
+	kern, full := NewEngine(c), NewEngine(c)
+	r := rng.New(77)
+	for trial := 0; trial < 30; trial++ {
+		inst := m.SampleInstance(r)
+		pair := randPair(r, c)
+		arc := circuit.ArcID(r.IntN(len(c.Arcs)))
+		extra := 0.3 + 2*r.Float64()
+		checkDefectDiff(t, c, kern, full, inst.Delays, pair, arc, extra, clk, false)
+	}
+}
+
+// TestDefectDiffMatchesFullOnGrid pins the kernel to the event engine
+// on instances whose delays sit on a coarse grid: dyadic grids make
+// the float sums exact, so reconvergent paths tie and zero-width
+// toggles occur; 0.1 makes equal real sums round apart. The test also
+// asserts that zero-width toggles and capture-changing defects
+// occurred, so the coverage is real.
+func TestDefectDiffMatchesFullOnGrid(t *testing.T) {
+	c, err := synth.GenerateNamed("small", 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := timing.NewModel(c, timing.DefaultParams())
+	cell := m.MeanCellDelay()
+	kern, full := NewEngine(c), NewEngine(c)
+	r := rng.New(5)
+	for _, grid := range []float64{0.5, 0.25, 0.1} {
+		zeroWidth, changed := 0, 0
+		for trial := 0; trial < 120; trial++ {
+			delays := snapDelays(m.SampleInstance(r).Delays, grid)
+			pair := randPair(r, c)
+			clk := (0.4 + 0.8*r.Float64()) * float64(c.Depth()) * cell
+			if trial%2 == 0 { // on the grid: arrivals land exactly at clk
+				clk = math.Round(clk/grid) * grid
+			}
+			opts := AtClock(clk)
+			opts.RecordWaveforms = true
+			zeroWidth += zeroWidthSteps(full.Run(delays, pair, opts))
+			for k := 0; k < 8; k++ {
+				arc := circuit.ArcID(r.IntN(len(c.Arcs)))
+				extra := math.Max(grid, math.Round(3*cell*r.Float64()/grid)*grid)
+				if checkDefectDiff(t, c, kern, full, delays, pair, arc, extra, clk, false) {
+					changed++
+				}
+			}
+		}
+		if zeroWidth == 0 || changed == 0 {
+			t.Errorf("grid %v: %d zero-width steps, %d defects that changed a capture; want both > 0",
+				grid, zeroWidth, changed)
+		}
+	}
+}
+
+// TestDefectDiffMatchesPointwiseOracle checks the kernel against the
+// queue-free refValue on sampled and grid-snapped instances. The grids
+// are dyadic: refValue walks back from clk by subtraction while the
+// engines add forward, and only exact sums make the two agree when an
+// arrival lands exactly on clk.
+func TestDefectDiffMatchesPointwiseOracle(t *testing.T) {
+	c, err := synth.GenerateNamed("mini", 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := timing.NewModel(c, timing.DefaultParams())
+	cell := m.MeanCellDelay()
+	kern, full := NewEngine(c), NewEngine(c)
+	r := rng.New(19)
+	for trial := 0; trial < 60; trial++ {
+		grid := []float64{0, 0.5, 0.25}[trial%3]
+		delays := snapDelays(m.SampleInstance(r).Delays, grid)
+		pair := randPair(r, c)
+		clk := (0.3 + r.Float64()) * float64(c.Depth()) * cell
+		arc := circuit.ArcID(r.IntN(len(c.Arcs)))
+		extra := 3 * cell * r.Float64()
+		if grid > 0 {
+			extra = math.Round(extra/grid) * grid
+			clk = math.Round(clk/grid) * grid
+		}
+		checkDefectDiff(t, c, kern, full, delays, pair, arc, extra, clk, true)
+	}
+}
+
+// TestIncrementalEngineReuseUndoPath runs the kernel for many arcs
+// against one baseline on one engine, the engine that recorded the
+// baseline, as the dictionary build does. Each answer must match a
+// fresh engine's full run, so no scratch state may leak between arcs.
+func TestIncrementalEngineReuseUndoPath(t *testing.T) {
+	c, err := synth.GenerateNamed("small", 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := timing.NewModel(c, timing.DefaultParams())
+	clk := m.SuggestClock(0.85, 400, 2)
+	r := rng.New(123)
+	inst := m.SampleInstance(r)
+	pair := randPair(r, c)
+	for i := range pair.V2 {
+		pair.V2[i] = !pair.V1[i] || pair.V2[i]
+	}
+	eng := NewEngine(c)
+	baseOpts := AtClock(clk)
+	baseOpts.RecordWaveforms = true
+	base := eng.Run(inst.Delays, pair, baseOpts)
+	for trial := 0; trial < 60; trial++ {
+		arc := circuit.ArcID(r.IntN(len(c.Arcs)))
+		extra := 0.2 + 3*r.Float64()
+		got := eng.RunDefectDiff(inst.Delays, base, arc, extra, clk)
+		opts := AtClock(clk)
+		opts.DefectArc = arc
+		opts.DefectExtra = extra
+		want := NewEngine(c).Run(inst.Delays, pair, opts)
+		for i := range want.Capture {
+			if got[i] != want.Capture[i] {
+				t.Fatalf("trial %d arc %d: output %d kernel %v, full run %v",
+					trial, arc, i, got[i], want.Capture[i])
+			}
+		}
+	}
+}
+
+// TestIncrementalAfterRunInvalidatesBaseline interleaves full runs
+// with kernel calls on one engine. A full run of another pattern
+// between two kernel calls against a baseline recorded elsewhere must
+// not change the second answer, and baselines of different patterns,
+// instances and horizons recorded one after another on the engine must
+// each be answered against their own waveforms.
+func TestIncrementalAfterRunInvalidatesBaseline(t *testing.T) {
+	c, err := synth.GenerateNamed("mini", 47)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := timing.NewModel(c, timing.DefaultParams())
+	clk := m.SuggestClock(0.9, 300, 3)
+	r := rng.New(9)
+	eng := NewEngine(c)
+	check := func(what string, delays []float64, pair logicsim.PatternPair, got []bool, arc circuit.ArcID, extra, horizon float64) {
+		t.Helper()
+		opts := AtClock(horizon)
+		opts.DefectArc = arc
+		opts.DefectExtra = extra
+		want := NewEngine(c).Run(delays, pair, opts)
+		for i := range want.Capture {
+			if got[i] != want.Capture[i] {
+				t.Fatalf("%s arc %d: output %d kernel %v, full run %v",
+					what, arc, i, got[i], want.Capture[i])
+			}
+		}
+	}
+
+	inst := m.SampleInstance(r)
+	pair := randPair(r, c)
+	baseOpts := AtClock(clk)
+	baseOpts.RecordWaveforms = true
+	base := NewEngine(c).Run(inst.Delays, pair, baseOpts)
+	arc := circuit.ArcID(r.IntN(len(c.Arcs)))
+	_ = eng.RunDefectDiff(inst.Delays, base, arc, 1.5, clk)
+	other := logicsim.PatternPair{V1: pair.V2, V2: pair.V1}
+	_ = eng.Run(inst.Delays, other, AtClock(clk))
+	check("after interleaved Run:", inst.Delays, pair, eng.RunDefectDiff(inst.Delays, base, arc, 1.5, clk), arc, 1.5, clk)
+
+	for b := 0; b < 6; b++ {
+		delays := snapDelays(m.SampleInstance(r).Delays, []float64{0, 0.25}[b%2])
+		pair := randPair(r, c)
+		horizon := clk * (0.7 + 0.2*float64(b))
+		opts := AtClock(horizon)
+		opts.RecordWaveforms = true
+		base := eng.Run(delays, pair, opts)
+		for trial := 0; trial < 40; trial++ {
+			arc := circuit.ArcID(r.IntN(len(c.Arcs)))
+			extra := 0.2 + 3*r.Float64()
+			got := eng.RunDefectDiff(delays, base, arc, extra, horizon)
+			check(fmt.Sprintf("baseline %d trial %d", b, trial), delays, pair, got, arc, extra, horizon)
+		}
+	}
+}
+
+func TestIncrementalRequiresWaveforms(t *testing.T) {
+	c, m := chain(t)
+	in := m.NominalInstance()
+	pair := logicsim.PatternPair{V1: logicsim.Vector{false}, V2: logicsim.Vector{true}}
+	base := Simulate(c, in.Delays, pair, Quiescent()) // no waveforms
+	defer func() {
+		if recover() == nil {
+			t.Errorf("missing waveforms not detected")
+		}
+	}()
+	NewEngine(c).RunDefectDiff(in.Delays, base, 0, 1, math.Inf(1))
+}
+
+// FuzzDefectDiff fuzzes instance, grid, pattern, defect and horizon
+// (including an infinite one) against the full run and, except on the
+// non-dyadic 0.1 grid (see TestDefectDiffMatchesPointwiseOracle),
+// against the oracle.
+func FuzzDefectDiff(f *testing.F) {
+	c, err := synth.GenerateNamed("mini", 13)
+	if err != nil {
+		f.Fatal(err)
+	}
+	m := timing.NewModel(c, timing.DefaultParams())
+	cell := m.MeanCellDelay()
+	kern, full := NewEngine(c), NewEngine(c)
+	f.Add(uint64(1), uint8(0), uint16(0), uint8(40), uint8(128))
+	f.Add(uint64(2), uint8(1), uint16(17), uint8(200), uint8(90))
+	f.Add(uint64(3), uint8(2), uint16(63), uint8(7), uint8(255))
+	f.Add(uint64(4), uint8(3), uint16(5), uint8(255), uint8(30))
+	f.Fuzz(func(t *testing.T, seed uint64, gridSel uint8, arcRaw uint16, extraRaw, clkRaw uint8) {
+		r := rng.New(seed)
+		grid := []float64{0, 0.5, 0.25, 0.125, 0.1}[int(gridSel)%5]
+		delays := snapDelays(m.SampleInstance(r).Delays, grid)
+		pair := randPair(r, c)
+		arc := circuit.ArcID(int(arcRaw) % len(c.Arcs))
+		extra := 4 * cell * float64(extraRaw) / 255
+		if grid > 0 {
+			extra = math.Round(extra/grid) * grid
+		}
+		clk := math.Inf(1)
+		if clkRaw != 255 {
+			clk = 1.5 * float64(c.Depth()) * cell * float64(clkRaw) / 255
+			if grid > 0 && clkRaw%2 == 0 {
+				clk = math.Round(clk/grid) * grid
+			}
+		}
+		checkDefectDiff(t, c, kern, full, delays, pair, arc, extra, clk, grid != 0.1)
+	})
+}

@@ -2,217 +2,252 @@ package tsim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/circuit"
 	"repro/internal/logicsim"
 )
 
-// pinRef identifies one input pin for dirty-state tracking.
-type pinRef struct {
-	g   circuit.GateID
-	pin int32
+// diffState is the scratch of RunDefectDiff, allocated on an engine's
+// first defect re-simulation and reused by every later one. It is
+// disjoint from the event-run scratch, so the kernel may run on the
+// engine that produced its baseline.
+type diffState struct {
+	// gen identifies the current call: a gate is in the worklist when
+	// queued[g] == gen, and has a waveform that differs from the
+	// baseline when changed[g] == gen. Stamping replaces a per-call
+	// clear of both arrays.
+	gen     uint32
+	queued  []uint32
+	changed []uint32
+	// The rebuilt waveform of a changed gate g is steps[off[g]:end[g]].
+	off, end []int32
+	steps    []Step
+	// byLevel[l] holds the queued gates of level l (circuit.Levels).
+	byLevel [][]circuit.GateID
+	pins    []diffPin
+	capture []bool
 }
 
-// incState augments an Engine with the bookkeeping for repeated
-// incremental runs against one baseline: instead of re-initializing
-// O(|gates|) state per call, the engine records what the previous run
-// touched and undoes exactly that.
-type incState struct {
-	// baseSrc/baseGen identify the baseline run currently loaded (the
-	// engine that produced it and its run generation).
-	baseSrc *Engine
-	baseGen uint64
-	dirtyG  []circuit.GateID
-	dirtyP  []pinRef
+// diffPin is one input pin of the gate being rebuilt: its driver's
+// waveform w, the arc delay d, the cursor i into w and the pin's
+// current value v.
+type diffPin struct {
+	w []Step
+	d float64
+	i int
+	v bool
 }
 
-// boundarySeed is one cone input pin: pin (g, pin) of a cone gate whose
-// driver lies outside the cone, together with the arc connecting them.
-type boundarySeed struct {
-	driver circuit.GateID
-	g      circuit.GateID
-	pin    int32
-	arc    circuit.ArcID
-}
+// RunDefectDiff returns the outputs captured at horizon by a run of
+// base's pattern and delays with defect overlay (defectArc, extra),
+// re-evaluating only the gates whose waveform the defect changes.
+// base must come from a Run on the same delays and horizon with
+// RecordWaveforms set.
+//
+// The kernel walks gates in increasing level order from
+// defectArc.To. Each visited gate's output waveform is rebuilt from
+// its inputs: the rebuilt waveform of a changed driver, the baseline
+// waveform of every other. Its fan-out is visited only if the
+// rebuilt waveform differs from the baseline. Outputs never reached
+// keep base.Capture.
+//
+// Under the transport-delay model a gate's value just after time t
+// depends only on its drivers' values just after t − d_k. Waveforms
+// are therefore rebuilt and compared as right-continuous step
+// functions: all pin arrivals at one instant are applied before the
+// gate is evaluated. The event engine's zero-width same-instant
+// toggles are thus dropped without changing a captured value. Arrival
+// times are st.T + d, the float sum the event engine schedules with,
+// so the captures are bit-identical to a full Run with the overlay
+// (DESIGN.md §20).
+//
+// The returned slice is engine-owned and valid until the next
+// RunDefectDiff on this engine; event runs do not touch it.
+//
+//ddd:hot
+func (e *Engine) RunDefectDiff(delays []float64, base *Result, defectArc circuit.ArcID, extra, horizon float64) []bool {
+	if base.Waveforms == nil {
+		panic("tsim: RunDefectDiff requires a baseline with recorded waveforms")
+	}
+	c := e.c
+	d := e.diffScratch()
+	opts := Options{Horizon: horizon, DefectArc: defectArc, DefectExtra: extra}
+	d.steps = d.steps[:0]
 
-// Cone is a defect fan-out cone preprocessed for repeated incremental
-// runs: the member set plus the flattened list of boundary pins that
-// receive baseline waveforms. Building it costs one O(|gates|) scan;
-// dictionary construction reuses one Cone per suspect across every
-// (sample, pattern) re-simulation instead of re-scanning the gate set
-// each call. A Cone is immutable after PrepareCone and safe to share
-// across engines and goroutines.
-type Cone struct {
-	// Set holds the cone members (typically circuit.ArcFanoutGates of
-	// the defect arc).
-	Set circuit.GateSet
-
-	boundary []boundarySeed
-}
-
-// PrepareCone flattens the boundary pin list of a cone gate set, in the
-// exact (gate, pin) order the seed loop scans, so seed event seq
-// assignment — and therefore tie-break order — matches the unprepared
-// path.
-func PrepareCone(c *circuit.Circuit, set circuit.GateSet) *Cone {
-	pc := &Cone{Set: set}
-	for gi := range set {
-		if !set[gi] {
-			continue
-		}
-		g := &c.Gates[gi]
-		for k, fi := range g.Fanin {
-			if set.Has(fi) {
+	start := c.Arcs[defectArc].To
+	lo := c.Levels[start]
+	hi := lo
+	d.queued[start] = d.gen
+	d.byLevel[lo] = append(d.byLevel[lo], start)
+	for l := lo; l <= hi; l++ {
+		// Fan-out lies at strictly higher levels, so level l does not
+		// grow while it is walked.
+		for _, g := range d.byLevel[l] {
+			if !e.rebuild(d, g, delays, &opts, base) {
 				continue
 			}
-			pc.boundary = append(pc.boundary, boundarySeed{
-				driver: fi, g: circuit.GateID(gi), pin: int32(k), arc: g.InArcs[k],
-			})
-		}
-	}
-	return pc
-}
-
-// RunIncremental re-simulates only the fan-out cone of a defect arc,
-// replaying the recorded waveforms of cone-boundary drivers from a
-// baseline run. It produces the same captures as a full Run with the
-// defect overlay whenever:
-//
-//   - base was produced by Run on the same delays, pattern and horizon
-//     with RecordWaveforms set, and
-//   - cone is (a superset of) the transitive fan-out of defectArc.To
-//     (circuit.ArcFanoutGates).
-//
-// The defect can only change the response of gates in that cone — the
-// delayed arc feeds defectArc.To — so everything outside the cone
-// behaves exactly as in the baseline and is served from it.
-//
-// Repeated calls against the same base reuse engine state with an
-// undo log, so the per-call cost scales with cone activity rather than
-// circuit size. Callers that sweep many instances over the same cone
-// should PrepareCone once and use RunIncrementalCone.
-func (e *Engine) RunIncremental(delays []float64, base *Result, cone circuit.GateSet, defectArc circuit.ArcID, extra, horizon float64) *Result {
-	return e.RunIncrementalCone(delays, base, PrepareCone(e.c, cone), defectArc, extra, horizon)
-}
-
-// RunIncrementalCone is RunIncremental against a preprocessed Cone.
-//
-// Seed events — the baseline waveforms of boundary drivers shifted by
-// the (possibly defective) arc delay — are generated into a flat buffer
-// and sorted once, rather than pushed through the event heap: the heap
-// then holds only re-simulation-derived events, whose in-flight count
-// is one to two orders of magnitude smaller than the seed count, and
-// drainInc consumes the two sources by merge. The consumed (t, seq)
-// order is identical to the all-heap schedule (both pop the unique
-// strict-total-order minimum each step), so results are bit-exact.
-func (e *Engine) RunIncrementalCone(delays []float64, base *Result, cone *Cone, defectArc circuit.ArcID, extra, horizon float64) *Result {
-	if base.Waveforms == nil {
-		panic("tsim: RunIncremental requires a baseline with recorded waveforms")
-	}
-	opts := Options{Horizon: horizon, DefectArc: defectArc, DefectExtra: extra}
-	e.prepareIncremental(base)
-
-	seeds := e.seedBuf[:0]
-	for i := range cone.boundary {
-		bs := &cone.boundary[i]
-		d := arcDelay(delays, &opts, bs.arc)
-		for _, st := range base.Waveforms[bs.driver] {
-			t := st.T + d
-			if t > horizon {
-				break
-			}
-			seeds = append(seeds, event{t: t, seq: int32(len(seeds)), g: bs.g, pin: bs.pin, v: st.V})
-		}
-	}
-	e.seedBuf = seeds
-	sortEvents(seeds)
-	seq := int32(len(seeds))
-	e.drainInc(delays, &opts, &seq, cone.Set)
-	return e.buildResult(base.Init, base.Final, opts, cone.Set, base)
-}
-
-// prepareIncremental restores engine scratch to the baseline init
-// state — via the undo log when the same baseline run (identified by
-// its producing engine and generation, since baseline buffers are
-// reused across runs) is already loaded, or with a full reset on
-// first use.
-func (e *Engine) prepareIncremental(base *Result) {
-	init := base.Init
-	if e.inc.baseSrc != nil && e.inc.baseSrc == base.src && e.inc.baseGen == base.gen {
-		for _, g := range e.inc.dirtyG {
-			e.cur[g] = init[g]
-			e.last[g] = 0
-			e.trans[g] = false
-		}
-		for _, p := range e.inc.dirtyP {
-			pi := e.pinOff[p.g] + p.pin
-			v0 := init[e.c.Gates[p.g].Fanin[p.pin]]
-			// A pin can appear several times in the log (toggled
-			// repeatedly); restore — and fix the evaluator counter —
-			// only when its value actually differs from the baseline.
-			if e.pinVals[pi] != v0 {
-				e.pinVals[pi] = v0
-				if v0 == (e.gmode[p.g]&gmCV != 0) {
-					e.cnt[p.g]++
-				} else {
-					e.cnt[p.g]--
+			d.changed[g] = d.gen
+			for _, h := range c.Gates[g].Fanout {
+				if d.queued[h] == d.gen {
+					continue
+				}
+				d.queued[h] = d.gen
+				lh := c.Levels[h]
+				d.byLevel[lh] = append(d.byLevel[lh], h)
+				if lh > hi {
+					hi = lh
 				}
 			}
 		}
-		e.inc.dirtyG = e.inc.dirtyG[:0]
-		e.inc.dirtyP = e.inc.dirtyP[:0]
-		e.queue = e.queue[:0]
-		return
+		d.byLevel[l] = d.byLevel[l][:0]
 	}
-	if base.prep != nil {
-		e.resetPrepared(base.prep, false)
-	} else {
-		e.reset(init, false)
+
+	for i, o := range c.Outputs {
+		if d.changed[o] != d.gen {
+			d.capture[i] = base.Capture[i]
+			continue
+		}
+		v := base.Init[o]
+		if d.end[o] > d.off[o] {
+			v = d.steps[d.end[o]-1].V
+		}
+		d.capture[i] = v
 	}
-	e.inc.baseSrc = base.src
-	e.inc.baseGen = base.gen
-	e.inc.dirtyG = e.inc.dirtyG[:0]
-	e.inc.dirtyP = e.inc.dirtyP[:0]
+	return d.capture
 }
 
-// drainInc is drain with cone-restricted propagation and dirty-state
-// logging for the undo reset. It merges two event sources: the
-// presorted seed buffer and the heap of derived events, taking the
-// (t, seq) minimum of the two heads each step. On a tie the seed wins —
-// seed seq values precede all derived seq values by construction.
-// Seeds and derived events are both horizon-filtered at creation, so no
-// pop-time horizon check is needed.
+// diffScratch returns the engine's kernel scratch, allocating it on
+// first use, and opens a new stamp generation.
+func (e *Engine) diffScratch() *diffState {
+	d := e.diff
+	if d == nil {
+		n := len(e.c.Gates)
+		d = &diffState{
+			queued:  make([]uint32, n),
+			changed: make([]uint32, n),
+			off:     make([]int32, n),
+			end:     make([]int32, n),
+			byLevel: make([][]circuit.GateID, e.c.Depth()+1),
+			capture: make([]bool, len(e.c.Outputs)),
+		}
+		e.diff = d
+	}
+	d.gen++
+	if d.gen == 0 { // wrapped: stale stamps could alias the new generation
+		clear(d.queued)
+		clear(d.changed)
+		d.gen = 1
+	}
+	return d
+}
+
+// rebuild computes gate g's right-continuous output waveform up to
+// the horizon into d.steps and reports whether it differs from g's
+// baseline waveform. A waveform equal to the baseline is discarded.
 //
 //ddd:hot
-func (e *Engine) drainInc(delays []float64, opts *Options, seq *int32, cone circuit.GateSet) {
-	seeds := e.seedBuf
-	si := 0
-	for {
-		var ev event
-		switch {
-		case si < len(seeds) && (len(e.queue) == 0 || !lessEv(&e.queue[0], &seeds[si])):
-			ev = seeds[si]
-			si++
-		case len(e.queue) > 0:
-			ev = e.queue.pop()
-		default:
-			return
+func (e *Engine) rebuild(d *diffState, g circuit.GateID, delays []float64, opts *Options, base *Result) bool {
+	gate := &e.c.Gates[g]
+	md := e.gmode[g]
+	cv := md&gmCV != 0
+	pins := d.pins[:0]
+	var cnt int16
+	for k, fi := range gate.Fanin {
+		v := base.Init[fi]
+		if v == cv {
+			cnt++
 		}
-		pi := e.pinOff[ev.g] + ev.pin
-		if e.pinVals[pi] == ev.v {
-			continue
+		w := base.Waveforms[fi]
+		if d.changed[fi] == d.gen {
+			w = d.steps[d.off[fi]:d.end[fi]]
 		}
-		e.pinVals[pi] = ev.v
-		e.inc.dirtyP = append(e.inc.dirtyP, pinRef{g: ev.g, pin: ev.pin})
-		newOut := e.applyPin(ev.g, ev.v)
-		if newOut == e.cur[ev.g] {
-			continue
+		if len(w) > 0 {
+			pins = append(pins, diffPin{w: w, d: arcDelay(delays, opts, gate.InArcs[k]), v: v})
 		}
-		if !e.trans[ev.g] {
-			e.inc.dirtyG = append(e.inc.dirtyG, ev.g)
-		}
-		e.commit(ev.t, ev.g, newOut, delays, opts, seq, cone)
 	}
+	d.pins = pins
+
+	out := base.Init[g]
+	off := len(d.steps)
+	for {
+		// The next instant is the earliest pending arrival on any pin.
+		t := math.Inf(1)
+		live := false
+		for i := range pins {
+			p := &pins[i]
+			if p.i < len(p.w) {
+				if ta := p.w[p.i].T + p.d; ta <= opts.Horizon && ta < t {
+					t = ta
+					live = true
+				}
+			}
+		}
+		if !live {
+			break
+		}
+		// Apply every arrival at t; a pin's last one wins, as in the
+		// event engine's (t, seq) order.
+		for i := range pins {
+			p := &pins[i]
+			v := p.v
+			for p.i < len(p.w) && p.w[p.i].T+p.d == t { //lint:ignore floateq arrivals at one instant must group on the exact float time the event engine schedules them at
+				v = p.w[p.i].V
+				p.i++
+			}
+			if v != p.v {
+				p.v = v
+				if v == cv {
+					cnt++
+				} else {
+					cnt--
+				}
+			}
+		}
+		var nv bool
+		if md&gmParity != 0 {
+			nv = (cnt&1 == 1) != (md&gmInv != 0)
+		} else {
+			nv = (cnt == 0) != (md&gmInv != 0)
+		}
+		if nv != out {
+			d.steps = append(d.steps, Step{T: t, V: nv})
+			out = nv
+		}
+	}
+
+	if sameWaveform(d.steps[off:], base.Waveforms[g], base.Init[g]) {
+		d.steps = d.steps[:off]
+		return false
+	}
+	d.off[g] = int32(off)
+	d.end[g] = int32(len(d.steps))
+	return true
+}
+
+// sameWaveform reports whether the right-continuous waveform rc (one
+// step per instant, each a change) equals the recorded waveform raw
+// starting from init. Steps of raw at one instant collapse to their
+// last value, and a collapsed step that leaves the value unchanged
+// (a zero-width toggle) is dropped.
+func sameWaveform(rc, raw []Step, init bool) bool {
+	i := 0
+	prev := init
+	for j := 0; j < len(raw); {
+		t, v := raw[j].T, raw[j].V
+		for j++; j < len(raw) && raw[j].T == t; j++ { //lint:ignore floateq same-instant steps are exactly equal times by construction
+			v = raw[j].V
+		}
+		if v == prev {
+			continue
+		}
+		prev = v
+		if i == len(rc) || rc[i].T != t || rc[i].V != v { //lint:ignore floateq waveform identity is exact: both sides are the same float sums
+			return false
+		}
+		i++
+	}
+	return i == len(rc)
 }
 
 // CheckPair validates that a pattern pair matches the circuit's input

@@ -18,10 +18,11 @@
 // observes just as silicon would.
 //
 // The simulator supports defect overlays (extra delay on one arc, the
-// single-defect model D_s) without copying the instance, and an
-// incremental mode that re-simulates only the defect arc's fan-out
-// cone against recorded baseline waveforms — the optimization that
-// makes per-suspect fault dictionary construction tractable.
+// single-defect model D_s) without copying the instance, and a
+// difference-propagation kernel (RunDefectDiff) that re-evaluates,
+// against recorded baseline waveforms, only the gates whose waveform
+// the defect changes — the optimization that makes per-suspect fault
+// dictionary construction tractable.
 package tsim
 
 import (
@@ -44,7 +45,8 @@ type Options struct {
 	DefectArc   circuit.ArcID
 	DefectExtra float64
 	// RecordWaveforms retains the full transition history of every
-	// gate, enabling incremental re-simulation against this run.
+	// gate, enabling defect re-simulation against this run
+	// (RunDefectDiff).
 	RecordWaveforms bool
 }
 
@@ -56,8 +58,8 @@ type Step struct {
 
 // Result reports one timed simulation. Results are owned by the
 // Engine that produced them and alias its scratch buffers: a Result is
-// valid until the producing engine's next run (Run, RunSettled or
-// RunIncremental), after which its contents are overwritten. Callers
+// valid until the producing engine's next event run (Run, RunSettled
+// or RunPrepared), after which its contents are overwritten. Callers
 // that need to retain data across runs must copy it out.
 type Result struct {
 	// Capture[i] is the value of output i sampled at the horizon.
@@ -74,18 +76,6 @@ type Result struct {
 	// Waveforms[g] holds gate g's transitions when recording was
 	// requested (nil otherwise). The initial value is Init[g].
 	Waveforms [][]Step
-
-	// prep, when the run was started from a PreparedInit, lets
-	// incremental re-simulation against this Result reset by memmove
-	// instead of a per-gate loop.
-	prep *PreparedInit
-
-	// src and gen identify the engine run that produced this Result.
-	// RunIncremental uses them to recognize that the same baseline is
-	// still loaded and replay its undo log instead of a full reset;
-	// buffer reuse makes pointer identity of Init unusable for that.
-	src *Engine
-	gen uint64
 }
 
 // FailingOutputs returns indices of outputs whose captured value
@@ -123,12 +113,12 @@ func lessEv(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is a 4-ary min-heap ordered by (t, seq). Event-queue
-// operations dominate dictionary construction (≈60 % of build time
-// under profile), so the heap is tuned: 4 children per node halve the
-// tree depth against a binary heap (fewer cache lines touched per
-// sift), and both sifts move a hole instead of swapping (one copy per
-// level rather than three).
+// eventHeap is a 4-ary min-heap ordered by (t, seq). It is the
+// overflow queue of full runs (see drainBucketed) and the whole queue
+// under an infinite horizon, so it is tuned: 4 children per node
+// halve the tree depth against a binary heap (fewer cache lines
+// touched per sift), and both sifts move a hole instead of swapping
+// (one copy per level rather than three).
 type eventHeap []event
 
 func (h *eventHeap) push(e event) {
@@ -291,10 +281,8 @@ type Engine struct {
 	trans []bool
 	queue eventHeap
 	waves [][]Step
-	inc   incState
-	// seedBuf holds the presorted boundary seed events of the current
-	// incremental run (see RunIncrementalCone); reused across runs.
-	seedBuf []event
+	// diff is the RunDefectDiff scratch, allocated on first use.
+	diff *diffState
 
 	// Delayed pin values, flattened: gate g's pins live at
 	// pinVals[pinOff[g]:pinOff[g+1]]. gmode and cnt drive the counting
@@ -320,9 +308,6 @@ type Engine struct {
 	fanRefs []fanRef
 	fanIdx  []int32
 
-	// gen counts completed runs; together with the engine pointer it
-	// identifies the run that produced a Result (see Result ownership).
-	gen uint64
 	// res and the settled-value buffers are reused across runs, making
 	// steady-state simulation allocation-free.
 	res           Result
@@ -410,7 +395,6 @@ func (e *Engine) reset(init []bool, record bool) {
 		}
 	}
 	e.queue = e.queue[:0]
-	e.inc.baseSrc = nil // full reset invalidates any loaded baseline
 }
 
 // PreparedInit is the flattened engine reset state for one settled init
@@ -471,7 +455,6 @@ func (e *Engine) resetPrepared(p *PreparedInit, record bool) {
 		}
 	}
 	e.queue = e.queue[:0]
-	e.inc.baseSrc = nil
 }
 
 // commit records an output change of gate g at time t and fans the new
@@ -483,7 +466,7 @@ func (e *Engine) resetPrepared(p *PreparedInit, record bool) {
 // surviving events — tie-breaks, and therefore results, are unchanged.
 //
 //ddd:hot
-func (e *Engine) commit(t float64, g circuit.GateID, v bool, delays []float64, opts *Options, seq *int32, cone circuit.GateSet) {
+func (e *Engine) commit(t float64, g circuit.GateID, v bool, delays []float64, opts *Options, seq *int32) {
 	e.cur[g] = v
 	e.last[g] = t
 	e.trans[g] = true
@@ -491,9 +474,6 @@ func (e *Engine) commit(t float64, g circuit.GateID, v bool, delays []float64, o
 		e.waves[g] = append(e.waves[g], Step{T: t, V: v})
 	}
 	for _, fr := range e.fanRefs[e.fanIdx[g]:e.fanIdx[g+1]] {
-		if cone != nil && !cone.Has(fr.g) {
-			continue
-		}
 		te := t + arcDelay(delays, opts, fr.arc)
 		if te > opts.Horizon {
 			continue
@@ -538,11 +518,10 @@ func (e *Engine) applyPin(g circuit.GateID, v bool) bool {
 }
 
 // drain processes the event queue until empty (commit never schedules
-// past the horizon, so every queued event is on time). With a non-nil
-// cone, propagation is restricted to cone members (incremental mode).
+// past the horizon, so every queued event is on time).
 //
 //ddd:hot
-func (e *Engine) drain(delays []float64, opts *Options, seq *int32, cone circuit.GateSet) {
+func (e *Engine) drain(delays []float64, opts *Options, seq *int32) {
 	for len(e.queue) > 0 {
 		ev := e.queue.pop()
 		pi := e.pinOff[ev.g] + ev.pin
@@ -554,7 +533,7 @@ func (e *Engine) drain(delays []float64, opts *Options, seq *int32, cone circuit
 		if newOut == e.cur[ev.g] {
 			continue
 		}
-		e.commit(ev.t, ev.g, newOut, delays, opts, seq, cone)
+		e.commit(ev.t, ev.g, newOut, delays, opts, seq)
 	}
 }
 
@@ -575,22 +554,22 @@ func (e *Engine) Run(delays []float64, p logicsim.PatternPair, opts Options) *Re
 // path. Result ownership matches Run.
 func (e *Engine) RunSettled(delays []float64, p logicsim.PatternPair, opts Options, init, final []bool) *Result {
 	e.reset(init, opts.RecordWaveforms)
-	return e.launch(delays, p, opts, init, final, nil)
+	return e.launch(delays, p, opts, init, final)
 }
 
 // RunPrepared is RunSettled resetting from a PreparedInit of the V1
 // settled state — the fastest path for sweeping many instances over a
-// fixed pattern. Result ownership matches Run; the Result remembers the
-// PreparedInit so RunIncremental against it also resets by memmove.
+// fixed pattern. Result ownership matches Run.
 func (e *Engine) RunPrepared(delays []float64, p logicsim.PatternPair, opts Options, prep *PreparedInit, final []bool) *Result {
 	e.resetPrepared(prep, opts.RecordWaveforms)
-	return e.launch(delays, p, opts, prep.init, final, prep)
+	return e.launch(delays, p, opts, prep.init, final)
 }
 
 // nBins is the calendar-queue bucket count: enough that a bucket holds
-// a few hundred events on circuits where full runs queue thousands,
-// small enough that empty-bucket sweeps are free.
-const nBins = 64
+// a few dozen events on circuits where full runs queue thousands (the
+// per-bucket sort is the largest cost of a full run), small enough
+// that empty-bucket sweeps are free.
+const nBins = 256
 
 // launch fires the t = 0 input transitions, drains, and assembles the
 // Result — the shared tail of RunSettled and RunPrepared.
@@ -603,10 +582,18 @@ const nBins = 64
 // entry, with same-bucket arrivals merged via the overflow heap — the
 // consumed order is the same strict total order the heap would
 // produce, so results are bit-exact either way.
-func (e *Engine) launch(delays []float64, p logicsim.PatternPair, opts Options, init, final []bool, prep *PreparedInit) *Result {
+func (e *Engine) launch(delays []float64, p logicsim.PatternPair, opts Options, init, final []bool) *Result {
 	if e.useBins = opts.Horizon > 0 && !math.IsInf(opts.Horizon, 1); e.useBins {
 		if e.bins == nil {
+			// Carve every bucket's initial capacity from one array
+			// (about one arrival per fan-out pin per run, at least 16
+			// per bucket), so the buckets do not each grow from empty.
+			per := max(16, len(e.fanRefs)/nBins+1)
+			buf := make([]event, nBins*per)
 			e.bins = make([][]event, nBins)
+			for b := range e.bins {
+				e.bins[b] = buf[b*per : b*per : (b+1)*per]
+			}
 		}
 		e.invBinW = float64(nBins) / opts.Horizon
 		e.curBin = 0
@@ -615,23 +602,21 @@ func (e *Engine) launch(delays []float64, p logicsim.PatternPair, opts Options, 
 	// Launch: inputs that differ between the vectors switch at t = 0.
 	for i, g := range e.c.Inputs {
 		if p.V1[i] != p.V2[i] {
-			e.commit(0, g, p.V2[i], delays, &opts, &seq, nil)
+			e.commit(0, g, p.V2[i], delays, &opts, &seq)
 		}
 	}
 	if e.useBins {
 		e.drainBucketed(delays, &opts, &seq)
 		e.useBins = false
 	} else {
-		e.drain(delays, &opts, &seq, nil)
+		e.drain(delays, &opts, &seq)
 	}
-	res := e.buildResult(init, final, opts, nil, nil)
-	res.prep = prep
-	return res
+	return e.buildResult(init, final, opts)
 }
 
 // drainBucketed is drain over the calendar queue: buckets in time
-// order, each sorted once, merged with the overflow heap exactly like
-// drainInc merges presorted seeds.
+// order, each sorted once and merged with the overflow heap by taking
+// the (t, seq) minimum of the two heads each step.
 //
 //ddd:hot
 func (e *Engine) drainBucketed(delays []float64, opts *Options, seq *int32) {
@@ -663,17 +648,14 @@ func (e *Engine) drainBucketed(delays []float64, opts *Options, seq *int32) {
 			if newOut == e.cur[ev.g] {
 				continue
 			}
-			e.commit(ev.t, ev.g, newOut, delays, opts, seq, nil)
+			e.commit(ev.t, ev.g, newOut, delays, opts, seq)
 		}
 		e.bins[b] = bin[:0]
 	}
 }
 
-// buildResult assembles the engine-owned Result; in incremental mode
-// (cone != nil) non-cone outputs are taken from the baseline.
-func (e *Engine) buildResult(init, final []bool, opts Options, cone circuit.GateSet, base *Result) *Result {
-	c := e.c
-	e.gen++
+// buildResult assembles the engine-owned Result.
+func (e *Engine) buildResult(init, final []bool, opts Options) *Result {
 	res := &e.res
 	*res = Result{
 		Capture:      e.captureBuf,
@@ -681,17 +663,10 @@ func (e *Engine) buildResult(init, final []bool, opts Options, cone circuit.Gate
 		Transitioned: e.trans,
 		Init:         init,
 		Final:        final,
-		src:          e,
-		gen:          e.gen,
 	}
-	for i, o := range c.Outputs {
-		if cone == nil || cone.Has(o) {
-			res.Capture[i] = e.cur[o]
-			res.LastChange[i] = e.last[o]
-		} else {
-			res.Capture[i] = base.Capture[i]
-			res.LastChange[i] = base.LastChange[i]
-		}
+	for i, o := range e.c.Outputs {
+		res.Capture[i] = e.cur[o]
+		res.LastChange[i] = e.last[o]
 	}
 	if opts.RecordWaveforms {
 		res.Waveforms = e.waves

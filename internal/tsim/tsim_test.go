@@ -165,147 +165,6 @@ func TestTransitionedFlags(t *testing.T) {
 	}
 }
 
-func TestIncrementalMatchesFull(t *testing.T) {
-	c, err := synth.GenerateNamed("small", 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := timing.NewModel(c, timing.DefaultParams())
-	clk := m.SuggestClock(0.9, 400, 1)
-	eng := NewEngine(c)
-	engInc := NewEngine(c)
-	r := rng.New(77)
-
-	for trial := 0; trial < 30; trial++ {
-		inst := m.SampleInstance(r)
-		v1 := make(logicsim.Vector, len(c.Inputs))
-		v2 := make(logicsim.Vector, len(c.Inputs))
-		for i := range v1 {
-			v1[i] = r.IntN(2) == 1
-			v2[i] = r.IntN(2) == 1
-		}
-		pair := logicsim.PatternPair{V1: v1, V2: v2}
-		baseOpts := AtClock(clk)
-		baseOpts.RecordWaveforms = true
-		base := eng.Run(inst.Delays, pair, baseOpts)
-
-		arc := circuit.ArcID(r.IntN(len(c.Arcs)))
-		extra := 0.3 + 2*r.Float64()
-		cone := c.ArcFanoutGates(arc)
-
-		inc := engInc.RunIncremental(inst.Delays, base, cone, arc, extra, clk)
-
-		fullOpts := AtClock(clk)
-		fullOpts.DefectArc = arc
-		fullOpts.DefectExtra = extra
-		full := Simulate(c, inst.Delays, pair, fullOpts)
-
-		for i := range full.Capture {
-			if inc.Capture[i] != full.Capture[i] {
-				t.Fatalf("trial %d arc %d: capture mismatch at output %d", trial, arc, i)
-			}
-		}
-	}
-}
-
-func TestIncrementalEngineReuseUndoPath(t *testing.T) {
-	// Many incremental runs against ONE baseline on ONE engine must
-	// each match a fresh full simulation: exercises the dirty-undo
-	// reset rather than the full reset.
-	c, err := synth.GenerateNamed("small", 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := timing.NewModel(c, timing.DefaultParams())
-	clk := m.SuggestClock(0.85, 400, 2)
-	r := rng.New(123)
-	inst := m.SampleInstance(r)
-	v1 := make(logicsim.Vector, len(c.Inputs))
-	v2 := make(logicsim.Vector, len(c.Inputs))
-	for i := range v1 {
-		v1[i] = r.IntN(2) == 1
-		v2[i] = !v1[i] || r.IntN(2) == 1
-	}
-	pair := logicsim.PatternPair{V1: v1, V2: v2}
-
-	baseOpts := AtClock(clk)
-	baseOpts.RecordWaveforms = true
-	base := NewEngine(c).Run(inst.Delays, pair, baseOpts)
-
-	eng := NewEngine(c) // reused across all incremental runs
-	for trial := 0; trial < 60; trial++ {
-		arc := circuit.ArcID(r.IntN(len(c.Arcs)))
-		extra := 0.2 + 3*r.Float64()
-		cone := c.ArcFanoutGates(arc)
-		inc := eng.RunIncremental(inst.Delays, base, cone, arc, extra, clk)
-
-		fullOpts := AtClock(clk)
-		fullOpts.DefectArc = arc
-		fullOpts.DefectExtra = extra
-		full := Simulate(c, inst.Delays, pair, fullOpts)
-		for i := range full.Capture {
-			if inc.Capture[i] != full.Capture[i] {
-				t.Fatalf("trial %d arc %d: reused-engine capture mismatch at output %d", trial, arc, i)
-			}
-		}
-	}
-}
-
-func TestIncrementalAfterRunInvalidatesBaseline(t *testing.T) {
-	// A full Run between incremental calls must not leave the engine
-	// believing the old baseline state is still loaded.
-	c, err := synth.GenerateNamed("mini", 47)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := timing.NewModel(c, timing.DefaultParams())
-	clk := m.SuggestClock(0.9, 300, 3)
-	r := rng.New(9)
-	inst := m.SampleInstance(r)
-	v1 := make(logicsim.Vector, len(c.Inputs))
-	v2 := make(logicsim.Vector, len(c.Inputs))
-	for i := range v1 {
-		v1[i] = r.IntN(2) == 1
-		v2[i] = r.IntN(2) == 1
-	}
-	pair := logicsim.PatternPair{V1: v1, V2: v2}
-	baseOpts := AtClock(clk)
-	baseOpts.RecordWaveforms = true
-	eng := NewEngine(c)
-	base := NewEngine(c).Run(inst.Delays, pair, baseOpts)
-
-	arc := circuit.ArcID(r.IntN(len(c.Arcs)))
-	cone := c.ArcFanoutGates(arc)
-	_ = eng.RunIncremental(inst.Delays, base, cone, arc, 1.5, clk)
-	// Interleave a full Run that trashes scratch state.
-	other := logicsim.PatternPair{V1: v2, V2: v1}
-	_ = eng.Run(inst.Delays, other, AtClock(clk))
-	// The next incremental call must still be correct.
-	inc := eng.RunIncremental(inst.Delays, base, cone, arc, 1.5, clk)
-	fullOpts := AtClock(clk)
-	fullOpts.DefectArc = arc
-	fullOpts.DefectExtra = 1.5
-	full := Simulate(c, inst.Delays, pair, fullOpts)
-	for i := range full.Capture {
-		if inc.Capture[i] != full.Capture[i] {
-			t.Fatalf("capture mismatch at output %d after interleaved Run", i)
-		}
-	}
-}
-
-func TestIncrementalRequiresWaveforms(t *testing.T) {
-	c, m := chain(t)
-	in := m.NominalInstance()
-	pair := logicsim.PatternPair{V1: logicsim.Vector{false}, V2: logicsim.Vector{true}}
-	base := Simulate(c, in.Delays, pair, Quiescent()) // no waveforms
-	defer func() {
-		if recover() == nil {
-			t.Errorf("missing waveforms not detected")
-		}
-	}()
-	NewEngine(c).RunIncremental(in.Delays, base, c.ArcFanoutGates(0), 0, 1, math.Inf(1))
-}
-
 func TestEngineReuseIsClean(t *testing.T) {
 	c, m := chain(t)
 	in := m.NominalInstance()
