@@ -9,8 +9,11 @@ all: build vet lint test
 build:
 	$(GO) build ./...
 
+# vet covers the root module and the nested cmd/ddd-e2e module, which
+# has its own go.mod and so is outside the root's ./...
 vet:
 	$(GO) vet ./...
+	cd cmd/ddd-e2e && $(GO) vet ./...
 
 # ddd-lint: the repo's eight analyzers (detrand, parsafe, floateq,
 # checkerr, hotalloc, ctxflow, pairok, detorder) run alongside go vet

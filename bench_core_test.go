@@ -40,14 +40,26 @@ func benchCoreModel(b *testing.B) *timing.Model {
 	return timing.NewModel(c, timing.DefaultParams())
 }
 
+// mcClock is the Monte-Carlo engine's q-quantile clock pick.
+func mcClock(b *testing.B, m *timing.Model, q float64, nSamples int, seed uint64) float64 {
+	b.Helper()
+	clk, err := timing.NewMC(m).SuggestClock(context.Background(), q, nSamples, seed, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return clk
+}
+
 // BenchmarkCoreMonteCarloSTA tracks the statistical STA sampling loop:
 // 1000 instances of an s9234-class circuit per op.
 func BenchmarkCoreMonteCarloSTA(b *testing.B) {
-	m := benchCoreModel(b)
+	mc, ctx := timing.NewMC(benchCoreModel(b)), context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MonteCarloSTA(1000, 7, 1)
+		if _, err := mc.STA(ctx, 1000, 7, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(1000*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
@@ -55,11 +67,13 @@ func BenchmarkCoreMonteCarloSTA(b *testing.B) {
 // BenchmarkCoreMonteCarloCriticality tracks the critical-path
 // backtrace loop: 500 instances per op.
 func BenchmarkCoreMonteCarloCriticality(b *testing.B) {
-	m := benchCoreModel(b)
+	mc, ctx := timing.NewMC(benchCoreModel(b)), context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MonteCarloCriticality(500, 7, 1)
+		if _, err := mc.Criticality(ctx, 500, 7, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(500*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
@@ -75,10 +89,13 @@ func BenchmarkCoreTimingLength(b *testing.B) {
 		b.Fatal("no path through bench site")
 	}
 	arcs := paths[0].Arcs
+	mc, ctx := timing.NewMC(m), context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.TimingLength(arcs, 2000, 13)
+		if _, err := mc.TimingLength(ctx, arcs, 2000, 13, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(2000*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
@@ -108,7 +125,7 @@ func benchDictSetup(b *testing.B) (*timing.Model, []logicsim.PatternPair, []ArcI
 	}
 	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
 	cfg := core.DictConfig{
-		Clk:      m.SuggestClock(0.95, 200, 7),
+		Clk:      mcClock(b, m, 0.95, 200, 7),
 		Samples:  1000,
 		Seed:     17,
 		Workers:  1,
@@ -192,7 +209,7 @@ func benchDiagSetup(b *testing.B) (m *timing.Model, pats []logicsim.PatternPair,
 		pats[i] = logicsim.PatternPair{V1: v1, V2: v2}
 	}
 	delays = m.SampleInstance(r).Delays
-	clk = m.SuggestClock(0.95, 200, 7)
+	clk = mcClock(b, m, 0.95, 200, 7)
 	cell := m.MeanCellDelay()
 	for i := 0; i < 10; i++ {
 		sites = append(sites, ArcID((len(c.Arcs)/2+i*499)%len(c.Arcs)))

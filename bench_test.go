@@ -9,6 +9,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -23,6 +24,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/synth"
 	"repro/internal/timing"
+	"repro/internal/timing/engine"
 	"repro/internal/tsim"
 )
 
@@ -126,11 +128,14 @@ func setupCase(b *testing.B) (*timing.Model, []logicsim.PatternPair, []ArcID, *c
 	}
 	pats := make([]logicsim.PatternPair, len(tests))
 	clk := 0.0
+	mc := timing.NewMC(m)
 	for i, tc := range tests {
 		pats[i] = tc.Pair
-		if tl := m.TimingLength(tc.Path.Arcs, 200, 13).Quantile(0.9); tl > clk {
-			clk = tl
+		tl, err := mc.TimingLength(context.Background(), tc.Path.Arcs, 200, 13, 0)
+		if err != nil {
+			b.Fatal(err)
 		}
+		clk = max(clk, tl.Quantile(0.9))
 	}
 	inst := m.SampleInstanceSeeded(2, 0)
 	bh := core.SimulateBehavior(c, inst.Delays, pats, truth.Arc, truth.Size, clk)
@@ -187,30 +192,32 @@ func BenchmarkAblationIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationClarkVsMC: analytic Clark STA vs Monte-Carlo STA on
-// the same model (speed and the mean-estimate gap).
+// BenchmarkAblationClarkVsMC: the closed-form engine (Clark moment
+// matching) vs Monte-Carlo STA on the same model (speed and the
+// mean-estimate gap).
 func BenchmarkAblationClarkVsMC(b *testing.B) {
 	c, err := synth.GenerateNamed("medium", 2003)
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
-	b.Run("clark", func(b *testing.B) {
-		var mu float64
-		for i := 0; i < b.N; i++ {
-			_, d := m.ClarkSTA()
-			mu = d.Mu
-		}
-		b.ReportMetric(mu, "mean_delay")
-	})
-	b.Run("mc1000", func(b *testing.B) {
-		var mu float64
-		for i := 0; i < b.N; i++ {
-			res := m.MonteCarloSTA(1000, 7, 0)
-			mu = res.CircuitDelay.Mean()
-		}
-		b.ReportMetric(mu, "mean_delay")
-	})
+	for _, eng := range []struct {
+		name    string
+		e       timing.Engine
+		samples int
+	}{{"analytic", engine.NewAnalytic(m), 0}, {"mc1000", timing.NewMC(m), 1000}} {
+		b.Run(eng.name, func(b *testing.B) {
+			var mu float64
+			for i := 0; i < b.N; i++ {
+				res, err := eng.e.STA(context.Background(), eng.samples, 7, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mu = res.CircuitDelay.Mean()
+			}
+			b.ReportMetric(mu, "mean_delay")
+		})
+	}
 }
 
 // BenchmarkAblationRobust: pattern generation cost for robust-only vs
@@ -300,10 +307,13 @@ func BenchmarkTimedSim(b *testing.B) {
 func BenchmarkMonteCarloSTA(b *testing.B) {
 	c, _ := synth.GenerateNamed("medium", 2003)
 	m := timing.NewModel(c, timing.DefaultParams())
+	mc := timing.NewMC(m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MonteCarloSTA(100, uint64(i), 0)
+		if _, err := mc.STA(context.Background(), 100, uint64(i), 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -342,9 +352,12 @@ func BenchmarkScoap(b *testing.B) {
 func BenchmarkCriticality(b *testing.B) {
 	c, _ := synth.GenerateNamed("medium", 2003)
 	m := timing.NewModel(c, timing.DefaultParams())
+	mc := timing.NewMC(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MonteCarloCriticality(200, uint64(i), 0)
+		if _, err := mc.Criticality(context.Background(), 200, uint64(i), 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -4,7 +4,9 @@
 // critical probabilities at a given clock, and per-arc statistical
 // criticality. -engine mc (default) samples Monte-Carlo instances;
 // -engine analytic answers in closed form (Clark moment matching,
-// DESIGN.md §14) in a fraction of the time.
+// DESIGN.md §14) in a fraction of the time. Under -engine mc the
+// report also sets the analytic engine's circuit-delay moments beside
+// the sampled ones.
 //
 // Usage:
 //
@@ -16,6 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -24,54 +27,86 @@ import (
 	tengine "repro/internal/timing/engine"
 )
 
-func main() {
-	profile := flag.String("profile", "s1196", "synthetic circuit profile")
-	seed := flag.Uint64("seed", 2003, "circuit generation seed")
-	benchFile := flag.String("bench", "", ".bench netlist file (overrides -profile)")
-	samples := flag.Int("samples", 2000, "Monte-Carlo instance samples")
-	mcSeed := flag.Uint64("mc-seed", 7, "Monte-Carlo seed")
-	workers := flag.Int("workers", 0, "Monte-Carlo worker goroutines (0 = NumCPU)")
-	clk := flag.Float64("clk", 0, "cut-off period for critical probabilities (0 = 95% quantile)")
-	top := flag.Int("top", 10, "outputs to list (slowest first)")
-	engineName := flag.String("engine", "", "timing engine (mc|analytic; default mc)")
-	flag.Parse()
+// options are the command-line flags.
+type options struct {
+	profile   string
+	seed      uint64
+	benchFile string
+	samples   int
+	mcSeed    uint64
+	workers   int
+	clk       float64
+	top       int
+	engine    string
+}
 
-	c, err := loadCircuit(*benchFile, *profile, *seed)
-	if err != nil {
+// newFlags registers the flags on fs.
+func newFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.profile, "profile", "s1196", "synthetic circuit profile")
+	fs.Uint64Var(&o.seed, "seed", 2003, "circuit generation seed")
+	fs.StringVar(&o.benchFile, "bench", "", ".bench netlist file (overrides -profile)")
+	fs.IntVar(&o.samples, "samples", 2000, "Monte-Carlo instance samples")
+	fs.Uint64Var(&o.mcSeed, "mc-seed", 7, "Monte-Carlo seed")
+	fs.IntVar(&o.workers, "workers", 0, "Monte-Carlo worker goroutines (0 = NumCPU)")
+	fs.Float64Var(&o.clk, "clk", 0, "cut-off period for critical probabilities (0 = 95% quantile)")
+	fs.IntVar(&o.top, "top", 10, "outputs to list (slowest first)")
+	fs.StringVar(&o.engine, "engine", "", "timing engine (mc|analytic; default mc)")
+	return o
+}
+
+func main() {
+	o := newFlags(flag.CommandLine)
+	flag.Parse()
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "ddd-sta:", err)
 		os.Exit(1)
+	}
+}
+
+// run prints the timing report of one circuit to w.
+func run(w io.Writer, o *options) error {
+	c, err := loadCircuit(o.benchFile, o.profile, o.seed)
+	if err != nil {
+		return err
 	}
 	m := repro.NewTimingModel(c, repro.DefaultTimingParams())
-	eng, err := tengine.New(*engineName, m)
+	eng, err := tengine.New(o.engine, m)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ddd-sta:", err)
-		os.Exit(1)
+		return err
 	}
 	ctx := context.Background()
-	fmt.Printf("circuit %s: %s\n", c.Name, c.Stats())
-	fmt.Printf("engine: %s\n", eng.Name())
-	fmt.Printf("mean cell delay: %.4f\n\n", m.MeanCellDelay())
+	fmt.Fprintf(w, "circuit %s: %s\n", c.Name, c.Stats())
+	fmt.Fprintf(w, "engine: %s\n", eng.Name())
+	fmt.Fprintf(w, "mean cell delay: %.4f\n\n", m.MeanCellDelay())
 
-	res, err := eng.STA(ctx, *samples, *mcSeed, *workers)
+	res, err := eng.STA(ctx, o.samples, o.mcSeed, o.workers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ddd-sta:", err)
-		os.Exit(1)
+		return err
 	}
 	cd := res.CircuitDelay
-	fmt.Printf("circuit delay Δ(C): mean=%.3f σ=%.3f\n", cd.Mean(), cd.Std())
+	fmt.Fprintf(w, "circuit delay Δ(C): mean=%.3f σ=%.3f\n", cd.Mean(), cd.Std())
 	for _, q := range []float64{0.05, 0.25, 0.5, 0.75, 0.95, 0.99} {
-		fmt.Printf("  q%-4.2f = %.3f\n", q, cd.Quantile(q))
+		fmt.Fprintf(w, "  q%-4.2f = %.3f\n", q, cd.Quantile(q))
 	}
 
-	cutoff := *clk
+	cutoff := o.clk
 	if cutoff == 0 {
 		cutoff = cd.Quantile(0.95)
 	}
-	fmt.Printf("\ncritical probability P(Δ > %.3f) = %.4f\n", cutoff, res.CriticalProb(cutoff))
+	fmt.Fprintf(w, "\ncritical probability P(Δ > %.3f) = %.4f\n", cutoff, res.CriticalProb(cutoff))
 
-	_, clark := m.ClarkSTA()
-	fmt.Printf("Clark approximation: mean=%.3f σ=%.3f (MC mean=%.3f σ=%.3f)\n\n",
-		clark.Mu, clark.Sigma, cd.Mean(), cd.Std())
+	// Under any other engine, set the closed-form moments beside the
+	// running engine's.
+	if ref := tengine.NewAnalytic(m); eng.Name() != ref.Name() {
+		an, err := ref.STA(ctx, 0, 0, 0)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "analytic engine: mean=%.3f σ=%.3f (%s mean=%.3f σ=%.3f)\n",
+			an.CircuitDelay.Mean(), an.CircuitDelay.Std(), eng.Name(), cd.Mean(), cd.Std())
+	}
+	fmt.Fprintln(w)
 
 	type row struct {
 		name string
@@ -83,37 +118,37 @@ func main() {
 		rows[i] = row{name: c.Gates[c.Outputs[i]].Name, mean: a.Mean(), crt: a.Exceed(cutoff)}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].mean > rows[j].mean })
-	n := *top
+	n := o.top
 	if n > len(rows) {
 		n = len(rows)
 	}
-	fmt.Printf("slowest %d outputs:\n%-20s %10s %12s\n", n, "output", "mean", "P(>clk)")
+	fmt.Fprintf(w, "slowest %d outputs:\n%-20s %10s %12s\n", n, "output", "mean", "P(>clk)")
 	for _, r := range rows[:n] {
-		fmt.Printf("%-20s %10.3f %12.4f\n", r.name, r.mean, r.crt)
+		fmt.Fprintf(w, "%-20s %10.3f %12.4f\n", r.name, r.mean, r.crt)
 	}
 
 	// Statistical criticality: which arcs actually carry the critical
 	// path once variation is accounted for.
-	cr, err := eng.Criticality(ctx, *samples, *mcSeed, *workers)
+	cr, err := eng.Criticality(ctx, o.samples, o.mcSeed, o.workers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ddd-sta:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("\nmost critical arcs (P(on critical path)):\n")
-	for _, a := range cr.Top(*top) {
+	fmt.Fprintf(w, "\nmost critical arcs (P(on critical path)):\n")
+	for _, a := range cr.Top(o.top) {
 		arc := c.Arcs[a]
-		fmt.Printf("  %-5d %s -> %s (pin %d): %.3f\n",
+		fmt.Fprintf(w, "  %-5d %s -> %s (pin %d): %.3f\n",
 			a, c.Gates[arc.From].Name, c.Gates[arc.To].Name, arc.Pin, cr.Prob[a])
 	}
 
 	// Deterministic slack at the cut-off on the nominal instance.
 	slacks := m.Slacks(m.NominalInstance(), cutoff)
-	fmt.Printf("\nmin-slack arcs at clk %.3f (nominal corner):\n", cutoff)
-	for _, a := range timing.MinSlackArcs(slacks, *top) {
+	fmt.Fprintf(w, "\nmin-slack arcs at clk %.3f (nominal corner):\n", cutoff)
+	for _, a := range timing.MinSlackArcs(slacks, o.top) {
 		arc := c.Arcs[a]
-		fmt.Printf("  %-5d %s -> %s: slack %.3f\n",
+		fmt.Fprintf(w, "  %-5d %s -> %s: slack %.3f\n",
 			a, c.Gates[arc.From].Name, c.Gates[arc.To].Name, slacks[a])
 	}
+	return nil
 }
 
 func loadCircuit(benchFile, profile string, seed uint64) (*repro.Circuit, error) {

@@ -8,12 +8,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro"
 	"repro/internal/atpg"
 	"repro/internal/rng"
+	"repro/internal/timing"
 )
 
 func main() {
@@ -73,8 +75,12 @@ func main() {
 		log.Fatal("no diagnostic patterns for this site")
 	}
 	fmt.Printf("\ndiagnostic tests through the site (with TL quantiles):\n")
+	mc := timing.NewMC(model)
 	for i, tc := range tests {
-		tl := model.TimingLength(tc.Path.Arcs, 500, 23)
+		tl, err := mc.TimingLength(context.Background(), tc.Path.Arcs, 500, 23, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		crit := "non-robust"
 		if tc.Robust {
 			crit = "robust"

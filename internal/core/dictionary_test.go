@@ -34,7 +34,7 @@ func newBench(t *testing.T, circuitName string, seed uint64) *testBench {
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
 	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
-	clk := m.SuggestClock(0.9, 600, seed)
+	clk := mcClock(t, m, 0.9, 600, seed)
 	r := rng.New(rng.Derive(seed, 1))
 	// Pick a site that has diagnostic patterns.
 	var site circuit.ArcID = -1

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -23,6 +24,16 @@ import (
 // sum integer failure counts (exact in float64), so no restructuring
 // of the build loop may change a single output bit.
 const goldenDictSHA256 = "17919b5667637402588741ded0074a904dd4b008dd7cda7bf5879200591c9d59"
+
+// mcClock is the Monte-Carlo engine's q-quantile clock pick.
+func mcClock(t testing.TB, m *timing.Model, q float64, nSamples int, seed uint64) float64 {
+	t.Helper()
+	clk, err := timing.NewMC(m).SuggestClock(context.Background(), q, nSamples, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clk
+}
 
 // goldenDictSetup builds the fixed configuration behind the golden
 // hash: the "small" profile, 6 random patterns, 10 spread suspects.
@@ -52,7 +63,7 @@ func goldenDictSetup(t *testing.T) (*timing.Model, []logicsim.PatternPair, []cir
 	}
 	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
 	cfg := DictConfig{
-		Clk: m.SuggestClock(0.95, 200, 7), Samples: 64, Seed: 17,
+		Clk: mcClock(t, m, 0.95, 200, 7), Samples: 64, Seed: 17,
 		Workers: 3, SizeDist: inj.AssumedSizeDist(),
 	}
 	return m, pats, suspects, cfg

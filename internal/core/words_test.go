@@ -64,7 +64,7 @@ func TestSuspectArcsTieredMatchesScalar(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := timing.NewModel(c, timing.DefaultParams())
-			clk := m.SuggestClock(0.9, 300, 17)
+			clk := mcClock(t, m, 0.9, 300, 17)
 			r := rng.New(rng.DeriveN(29, uint64(len(profile)), uint64(nPats)))
 			pats := randomPairs(r, c, nPats)
 			inst := m.SampleInstance(r)
@@ -100,7 +100,7 @@ func TestSimulateBehaviorScreenedMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := timing.NewModel(c, timing.DefaultParams())
-		clk := m.SuggestClock(0.9, 300, 23)
+		clk := mcClock(t, m, 0.9, 300, 23)
 		cell := m.MeanCellDelay()
 		r := rng.New(41)
 		pats := randomPairs(r, c, 100)

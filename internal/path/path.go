@@ -9,7 +9,7 @@
 // monotone in its nominal length to first order, so nominal ranking
 // coincides with the statistical ranking of [17] for this delay model;
 // exact statistical timing lengths TL(p) can be attached afterwards via
-// timing.Model.TimingLength.
+// timing.Engine.TimingLength.
 package path
 
 import (

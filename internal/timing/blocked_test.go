@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/benchfmt"
 	"repro/internal/circuit"
+	"repro/internal/dist"
 	"repro/internal/synth"
 )
 
@@ -60,7 +61,7 @@ func synthModel(t testing.TB, profile string, seed uint64) *Model {
 }
 
 // scalarSTA is the pre-blocked reference implementation of
-// MonteCarloSTA, retained verbatim (single-threaded) so the blocked
+// MC.STA, retained verbatim (single-threaded) so the blocked
 // kernels have a fixed point to be compared against.
 func scalarSTA(m *Model, nSamples int, seed uint64) (perOut [][]float64, delays []float64) {
 	perOut = make([][]float64, len(m.C.Outputs))
@@ -116,6 +117,21 @@ func scalarCriticalityCounts(m *Model, nSamples int, seed uint64) []int64 {
 	return cnt
 }
 
+// pathDelay is the scalar reference for MC.TimingLength: the fixed
+// timing length of a path (a sequence of arcs) on an instance.
+func pathDelay(in *Instance, arcs []circuit.ArcID) float64 {
+	t := 0.0
+	for _, a := range arcs {
+		t += in.Delays[a]
+	}
+	return t
+}
+
+// samples returns the sorted samples behind a Monte-Carlo result.
+func samples(d dist.Distribution) []float64 {
+	return d.(*dist.Empirical).Samples()
+}
+
 // sameBits reports whether two float slices are bit-identical.
 func sameBits(a, b []float64) (int, bool) {
 	if len(a) != len(b) {
@@ -134,20 +150,20 @@ func sameBits(a, b []float64) (int, bool) {
 func checkBlockedSTA(t *testing.T, m *Model, nSamples int, seed uint64, block, workers int) {
 	t.Helper()
 	refOut, refDelays := scalarSTA(m, nSamples, seed)
-	res, err := m.monteCarloSTABlocked(context.Background(), nSamples, seed, workers, block)
+	res, err := m.staBlocked(context.Background(), nSamples, seed, workers, block)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sortedRef := make([]float64, nSamples)
 	copy(sortedRef, refDelays)
 	sortFloats(sortedRef)
-	if i, ok := sameBits(sortedRef, res.CircuitDelay.Samples()); !ok {
+	if i, ok := sameBits(sortedRef, samples(res.CircuitDelay)); !ok {
 		t.Fatalf("block=%d workers=%d: circuit delay diverges at sorted sample %d", block, workers, i)
 	}
 	for o := range refOut {
 		copy(sortedRef, refOut[o])
 		sortFloats(sortedRef)
-		if i, ok := sameBits(sortedRef, res.Arrivals[o].Samples()); !ok {
+		if i, ok := sameBits(sortedRef, samples(res.Arrivals[o])); !ok {
 			t.Fatalf("block=%d workers=%d output %d: arrival diverges at sorted sample %d", block, workers, o, i)
 		}
 	}
@@ -197,7 +213,7 @@ func TestBlockedCriticalityMatchesScalar(t *testing.T) {
 			const nSamples = 41
 			want := scalarCriticalityCounts(m, nSamples, 23)
 			for _, workers := range []int{1, 3} {
-				cr := m.MonteCarloCriticality(nSamples, 23, workers)
+				cr := mcCriticality(t, m, nSamples, 23, workers)
 				for i, w := range want {
 					got := cr.Prob[i] * float64(nSamples)
 					if math.Round(got) != float64(w) || math.Abs(got-float64(w)) > 1e-9 {
@@ -209,8 +225,8 @@ func TestBlockedCriticalityMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestTimingLengthCtxMatchesScalar pins TimingLengthCtx to the scalar
-// PathDelay reference and to the TimingLength wrapper.
+// TestTimingLengthCtxMatchesScalar pins MC.TimingLength to the scalar
+// pathDelay reference.
 func TestTimingLengthCtxMatchesScalar(t *testing.T) {
 	m := synthModel(t, "small", 4)
 	// A pseudo-path of spread arcs is enough: TimingLength sums
@@ -222,15 +238,15 @@ func TestTimingLengthCtxMatchesScalar(t *testing.T) {
 	const nSamples = 37
 	ref := make([]float64, nSamples)
 	for s := 0; s < nSamples; s++ {
-		ref[s] = PathDelay(m.SampleInstanceSeeded(19, uint64(s)), arcs)
+		ref[s] = pathDelay(m.SampleInstanceSeeded(19, uint64(s)), arcs)
 	}
 	sortFloats(ref)
 	for _, workers := range []int{1, 4} {
-		tl, err := m.TimingLengthCtx(context.Background(), arcs, nSamples, 19, workers)
+		tl, err := NewMC(m).TimingLength(context.Background(), arcs, nSamples, 19, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i, ok := sameBits(ref, tl.Samples()); !ok {
+		if i, ok := sameBits(ref, samples(tl)); !ok {
 			t.Fatalf("workers=%d: timing length diverges at sorted sample %d", workers, i)
 		}
 	}
@@ -242,13 +258,14 @@ func TestBlockedSTACancellation(t *testing.T) {
 	m := synthModel(t, "mini", 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res, err := m.MonteCarloSTACtx(ctx, 100, 7, 2); err == nil || res != nil {
+	mc := NewMC(m)
+	if res, err := mc.STA(ctx, 100, 7, 2); err == nil || res != nil {
 		t.Fatalf("STA: res=%v err=%v, want nil result and error", res, err)
 	}
-	if cr, err := m.MonteCarloCriticalityCtx(ctx, 100, 7, 2); err == nil || cr != nil {
+	if cr, err := mc.Criticality(ctx, 100, 7, 2); err == nil || cr != nil {
 		t.Fatalf("criticality: res=%v err=%v, want nil result and error", cr, err)
 	}
-	if tl, err := m.TimingLengthCtx(ctx, []circuit.ArcID{0}, 100, 7, 2); err == nil || tl != nil {
+	if tl, err := mc.TimingLength(ctx, []circuit.ArcID{0}, 100, 7, 2); err == nil || tl != nil {
 		t.Fatalf("timing length: res=%v err=%v, want nil result and error", tl, err)
 	}
 }
@@ -277,9 +294,16 @@ func FuzzBlockedSTA(f *testing.F) {
 // samples must not grow allocations beyond a small pool-miss slack.
 func TestSTAAllocBudget(t *testing.T) {
 	m := synthModel(t, "small", 4)
-	m.MonteCarloSTA(64, 7, 1) // warm the scratch pool
+	mc, ctx := NewMC(m), context.Background()
+	if _, err := mc.STA(ctx, 64, 7, 1); err != nil { // warm the scratch pool
+		t.Fatal(err)
+	}
 	alloc := func(n int) float64 {
-		return testing.AllocsPerRun(3, func() { m.MonteCarloSTA(n, 7, 1) })
+		return testing.AllocsPerRun(3, func() {
+			if _, err := mc.STA(ctx, n, 7, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 	a256, a1024 := alloc(256), alloc(1024)
 	// Budget: result assembly is O(outputs) allocations; growth with

@@ -21,30 +21,18 @@ type Criticality struct {
 	Prob []float64 // indexed by ArcID
 }
 
-// MonteCarloCriticality samples nSamples instances; on each, it
-// computes arrival times, walks the critical path backward from the
-// latest output, and counts each traversed arc. Workers bound the
-// parallelism (0 = GOMAXPROCS, see par.Workers).
+// Criticality estimates per-arc critical-path probabilities: on each
+// of nSamples sampled instances it computes arrival times, walks the
+// critical path backward from the latest output, and counts each
+// traversed arc. Per-arc counts accumulate in int64 per worker and are
+// summed exactly before the single division by nSamples, so the
+// estimate is bit-identical under any worker count or block width.
 //
 // nSamples <= 0 returns the zero-value Criticality (every probability
 // zero): no samples means no evidence, and an estimate over an empty
 // sample set is the empty estimate, never a division by zero.
-func (m *Model) MonteCarloCriticality(nSamples int, seed uint64, workers int) *Criticality {
-	cr, _ := m.MonteCarloCriticalityCtx(context.Background(), nSamples, seed, workers)
-	return cr
-}
-
-// MonteCarloCriticalityCtx is MonteCarloCriticality with cooperative
-// cancellation: workers check ctx between sample blocks and stop early
-// when it is done. A cancelled run returns (nil, ctx.Err()) — a
-// partial criticality estimate would be silently biased toward the
-// samples that happened to finish, so none is returned.
-//
-// Samples are propagated in blocks on reusable per-worker scratch
-// (see kernel.go); per-arc counts accumulate in int64 per worker and
-// are summed exactly before the single division by nSamples, so the
-// estimate is bit-identical under any worker count or block width.
-func (m *Model) MonteCarloCriticalityCtx(ctx context.Context, nSamples int, seed uint64, workers int) (*Criticality, error) {
+func (e *MC) Criticality(ctx context.Context, nSamples int, seed uint64, workers int) (*Criticality, error) {
+	m := e.m
 	if nSamples <= 0 {
 		return &Criticality{Prob: make([]float64, len(m.C.Arcs))}, ctx.Err()
 	}

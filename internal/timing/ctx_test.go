@@ -2,6 +2,7 @@ package timing
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/synth"
@@ -16,15 +17,25 @@ func ctxTestModel(t *testing.T) *Model {
 	return NewModel(c, DefaultParams())
 }
 
+// TestMonteCarloSTACtxMatchesPlain: a live cancellable context must not
+// perturb the result — STA under context.WithCancel equals STA under
+// context.Background() sample for sample.
 func TestMonteCarloSTACtxMatchesPlain(t *testing.T) {
 	m := ctxTestModel(t)
-	plain := m.MonteCarloSTA(64, 7, 2)
-	viaCtx, err := m.MonteCarloSTACtx(context.Background(), 64, 7, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	plain := mcSTA(t, m, 64, 7, 2)
+	viaCtx, err := NewMC(m).STA(ctx, 64, 7, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := viaCtx.CircuitDelay.Quantile(0.5), plain.CircuitDelay.Quantile(0.5); got != want { //lint:ignore floateq same seed and sample count must reproduce bit-identical empirical distributions
-		t.Errorf("ctx variant diverged: median %v vs %v", got, want)
+	if !reflect.DeepEqual(samples(viaCtx.CircuitDelay), samples(plain.CircuitDelay)) {
+		t.Error("live-context run diverged on the circuit delay")
+	}
+	for i := range plain.Arrivals {
+		if !reflect.DeepEqual(samples(viaCtx.Arrivals[i]), samples(plain.Arrivals[i])) {
+			t.Fatalf("live-context run diverged on output %d", i)
+		}
 	}
 }
 
@@ -32,25 +43,29 @@ func TestMonteCarloSTACtxCancelled(t *testing.T) {
 	m := ctxTestModel(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := m.MonteCarloSTACtx(ctx, 512, 7, 2)
+	res, err := NewMC(m).STA(ctx, 512, 7, 2)
 	if err == nil {
 		t.Fatal("err = nil on a dead context")
 	}
 	if res != nil {
-		t.Error("cancelled run returned a partial STAResult")
+		t.Error("cancelled run returned a partial STADist")
 	}
 }
 
+// TestMonteCarloCriticalityCtxMatchesPlain: Criticality under a live
+// context.WithCancel equals Criticality under context.Background().
 func TestMonteCarloCriticalityCtxMatchesPlain(t *testing.T) {
 	m := ctxTestModel(t)
-	plain := m.MonteCarloCriticality(64, 11, 2)
-	viaCtx, err := m.MonteCarloCriticalityCtx(context.Background(), 64, 11, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	plain := mcCriticality(t, m, 64, 11, 2)
+	viaCtx, err := NewMC(m).Criticality(ctx, 64, 11, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range plain.Prob {
 		if plain.Prob[i] != viaCtx.Prob[i] { //lint:ignore floateq same seed and sample count must reproduce bit-identical probabilities
-			t.Fatalf("ctx variant diverged at arc %d: %v vs %v", i, viaCtx.Prob[i], plain.Prob[i])
+			t.Fatalf("live-context run diverged at arc %d: %v vs %v", i, viaCtx.Prob[i], plain.Prob[i])
 		}
 	}
 }
@@ -59,7 +74,7 @@ func TestMonteCarloCriticalityCtxCancelled(t *testing.T) {
 	m := ctxTestModel(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cr, err := m.MonteCarloCriticalityCtx(ctx, 4096, 11, 2)
+	cr, err := NewMC(m).Criticality(ctx, 4096, 11, 2)
 	if err == nil {
 		t.Fatal("err = nil on a dead context")
 	}
@@ -70,7 +85,7 @@ func TestMonteCarloCriticalityCtxCancelled(t *testing.T) {
 
 func TestMonteCarloCriticalityCtxZeroSamples(t *testing.T) {
 	m := ctxTestModel(t)
-	cr, err := m.MonteCarloCriticalityCtx(context.Background(), 0, 1, 1)
+	cr, err := NewMC(m).Criticality(context.Background(), 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,10 @@ func (s *STADist) CriticalProb(clk float64) float64 {
 // moment matching) are interchangeable per call site.
 //
 // The (nSamples, seed, workers) triple parameterizes Monte-Carlo
-// effort and is part of the interface so the MC engine stays
-// bit-identical to the underlying kernels; analytic engines ignore all
-// three (their answers are deterministic closed forms) but must accept
-// them. Every method honors ctx cancellation and returns ctx.Err()
-// with a zero result when cancelled.
+// effort (MC); analytic engines ignore all three (their answers are
+// deterministic closed forms) but must accept them. Every method
+// honors ctx cancellation and returns ctx.Err() with a zero result
+// when cancelled.
 type Engine interface {
 	// Name identifies the backend ("mc", "analytic") for logs,
 	// /stats and metric labels.

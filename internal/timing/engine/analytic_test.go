@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"repro/internal/timing"
 )
 
 // Property tests for the analytic engine: on hand-built DAG shapes
@@ -68,7 +70,7 @@ func TestAnalyticSTAProperties(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mc, err := NewMC(m).STA(ctx, mcRefSamples, 99, 0)
+			mc, err := timing.NewMC(m).STA(ctx, mcRefSamples, 99, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +109,7 @@ func TestAnalyticCriticalityProperties(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mc, err := NewMC(m).Criticality(ctx, mcRefSamples, 7, 0)
+			mc, err := timing.NewMC(m).Criticality(ctx, mcRefSamples, 7, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +134,7 @@ func TestAnalyticTimingLengthExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := NewMC(m).TimingLength(ctx, arcs, mcRefSamples, 5, 0)
+	mc, err := timing.NewMC(m).TimingLength(ctx, arcs, mcRefSamples, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

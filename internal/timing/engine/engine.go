@@ -1,9 +1,8 @@
-// Package engine provides the pluggable statistical timing backends
-// behind the timing.Engine interface: "mc", a thin wrapper over the
-// blocked Monte-Carlo kernels (bit-identical to calling them
-// directly), and "analytic", a closed-form SSTA engine that grows the
-// ClarkSTA seed into full moment-matched propagation with correlation
-// tracking (DESIGN.md §14).
+// Package engine is the registry of statistical timing backends behind
+// the timing.Engine interface: "mc", the Monte-Carlo engine timing.MC,
+// and "analytic", a closed-form SSTA engine (Analytic) that propagates
+// first-order canonical forms under Clark's moment-matching max with
+// correlation tracking (DESIGN.md §14).
 //
 // Backends self-register by name at init time; call sites select one
 // with New(name, model), where the empty name means DefaultName. The
@@ -28,6 +27,10 @@ var (
 	regMu    sync.RWMutex
 	registry = map[string]func(*timing.Model) timing.Engine{}
 )
+
+func init() {
+	Register("mc", func(m *timing.Model) timing.Engine { return timing.NewMC(m) })
+}
 
 // Register installs a backend factory under name. Registering a
 // duplicate name panics: two backends answering to one name would make

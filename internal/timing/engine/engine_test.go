@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -55,67 +56,67 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestMCBitIdentity pins the MC engine to the underlying kernels: the
-// adapter must forward verbatim, so every statistic is bit-identical
-// to calling the Model methods directly.
+// TestMCBitIdentity pins the registry's "mc" entry to timing.MC: at
+// every worker count, all four methods must agree bit for bit with a
+// directly constructed engine, down to the raw samples.
 func TestMCBitIdentity(t *testing.T) {
 	m := synthModel(t, "small", 7)
-	eng := NewMC(m)
+	eng, err := New("mc", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := timing.NewMC(m)
 	ctx := context.Background()
-	const n, seed = 2000, 42
-
-	sta, err := eng.STA(ctx, n, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := m.MonteCarloSTACtx(ctx, n, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sta.CircuitDelay.Mean() != ref.CircuitDelay.Mean() || sta.CircuitDelay.Std() != ref.CircuitDelay.Std() {
-		t.Error("STA circuit delay differs from MonteCarloSTACtx")
-	}
-	for i := range sta.Arrivals {
-		if sta.Arrivals[i].Quantile(0.9) != ref.Arrivals[i].Quantile(0.9) {
-			t.Fatalf("arrival %d differs", i)
-		}
-	}
-
-	cr, err := eng.Criticality(ctx, n, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crRef, err := m.MonteCarloCriticalityCtx(ctx, n, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cr.Prob, crRef.Prob) {
-		t.Error("Criticality differs from MonteCarloCriticalityCtx")
-	}
-
 	arcs := longestStructuralPath(m)
-	tl, err := eng.TimingLength(ctx, arcs, n, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tlRef, err := m.TimingLengthCtx(ctx, arcs, n, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Quantile(0.99) != tlRef.Quantile(0.99) {
-		t.Error("TimingLength differs from TimingLengthCtx")
-	}
+	const n, seed = 2000, 42
+	for _, workers := range []int{1, 4} {
+		sta, err := eng.STA(ctx, n, seed, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staRef, err := ref.STA(ctx, n, seed, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sta, staRef) {
+			t.Errorf("workers=%d: STA differs from timing.MC", workers)
+		}
 
-	clk, err := eng.SuggestClock(ctx, 0.99, n, rng.Derive(seed, 1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clkRef, err := m.SuggestClockCtx(ctx, 0.99, n, rng.Derive(seed, 1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clk != clkRef {
-		t.Errorf("SuggestClock %v != SuggestClockCtx %v", clk, clkRef)
+		cr, err := eng.Criticality(ctx, n, seed, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crRef, err := ref.Criticality(ctx, n, seed, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cr, crRef) {
+			t.Errorf("workers=%d: Criticality differs from timing.MC", workers)
+		}
+
+		tl, err := eng.TimingLength(ctx, arcs, n, seed, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tlRef, err := ref.TimingLength(ctx, arcs, n, seed, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tl, tlRef) {
+			t.Errorf("workers=%d: TimingLength differs from timing.MC", workers)
+		}
+
+		clk, err := eng.SuggestClock(ctx, 0.99, n, rng.Derive(seed, 1), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clkRef, err := ref.SuggestClock(ctx, 0.99, n, rng.Derive(seed, 1), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(clk) != math.Float64bits(clkRef) {
+			t.Errorf("workers=%d: SuggestClock %v != timing.MC %v", workers, clk, clkRef)
+		}
 	}
 }
 

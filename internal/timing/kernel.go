@@ -90,7 +90,7 @@ func (m *Model) worstOutput(sc *Scratch, b int) int {
 
 // backtraceBlock walks the critical path of each lane backward from
 // its latest output, incrementing cnt per traversed arc — the blocked
-// form of the MonteCarloCriticality inner loop, with identical pin
+// form of the MC.Criticality inner loop, with identical pin
 // selection (strictly-greater, first pin wins ties).
 //
 //ddd:hot

@@ -1,10 +1,10 @@
 // Package timing implements the statistical timing substrate of the
 // paper: the circuit model C whose pin-to-pin arc delays are correlated
 // random variables (Definition D.1), fixed-delay circuit instances
-// sampled from it (Definition D.2), Monte-Carlo statistical static
-// timing analysis producing arrival-time and circuit-delay
-// distributions, and a Clark-approximation analytic mode used as the
-// fast path and ablation baseline.
+// sampled from it (Definition D.2), the timing.Engine interface every
+// statistical quantity is read through, and its Monte-Carlo engine MC
+// producing arrival-time and circuit-delay distributions. The
+// closed-form engine lives in package timing/engine.
 //
 // Correlation follows the classic global/local decomposition used by
 // cell-based statistical models: every arc delay is

@@ -2,7 +2,6 @@ package timing
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"repro/internal/circuit"
@@ -36,44 +35,38 @@ func (m *Model) ArrivalTimes(in *Instance) []float64 {
 	return arr
 }
 
-// STAResult holds Monte-Carlo statistical STA output: the empirical
-// arrival-time distribution Ar(o_i) per primary output and the circuit
-// delay Δ(C) = max_i Ar(o_i) (Section D-1 of the paper).
-type STAResult struct {
-	Arrivals     []*dist.Empirical // per output, indexed parallel to C.Outputs
-	CircuitDelay *dist.Empirical
+// MC is the Monte-Carlo timing engine, the bit-exact oracle every
+// result in the repo is defined against. Each method samples circuit
+// instances deterministically from seed (instance s is drawn from
+// rng.NewDerived(seed, s)), propagates them in blocks on reusable
+// per-worker scratch (see kernel.go) and fans the blocks out across
+// workers goroutines (0 = GOMAXPROCS, see par.Workers). Results are
+// bit-identical under any worker count. Every method checks ctx
+// between sample blocks; a cancelled run returns a zero result and
+// ctx.Err(), never a partial estimate biased toward whichever samples
+// completed.
+type MC struct {
+	m *Model
 }
 
-// CriticalProb returns the critical probability P(Δ(C) > clk)
-// (Definition D.6).
-func (r *STAResult) CriticalProb(clk float64) float64 {
-	return r.CircuitDelay.Exceed(clk)
+// NewMC returns the Monte-Carlo engine over m.
+func NewMC(m *Model) *MC { return &MC{m: m} }
+
+// Name returns "mc".
+func (e *MC) Name() string { return "mc" }
+
+// STA estimates the empirical arrival-time distribution Ar(o_i) of
+// every primary output and the circuit delay Δ(C) = max_i Ar(o_i)
+// (Section D-1 of the paper) from nSamples sampled instances.
+func (e *MC) STA(ctx context.Context, nSamples int, seed uint64, workers int) (*STADist, error) {
+	return e.m.staBlocked(ctx, nSamples, seed, workers, DefaultBlock)
 }
 
-// MonteCarloSTA estimates the output arrival distributions by sampling
-// nSamples circuit instances (deterministically derived from seed) and
-// running static timing on each, fanning out across workers goroutines
-// (0 = GOMAXPROCS, see par.Workers).
-func (m *Model) MonteCarloSTA(nSamples int, seed uint64, workers int) *STAResult {
-	res, _ := m.MonteCarloSTACtx(context.Background(), nSamples, seed, workers)
-	return res
-}
-
-// MonteCarloSTACtx is MonteCarloSTA with cooperative cancellation:
-// workers stop claiming sample blocks once ctx is done (the fan-out
-// checks between blocks, so a cancel lands within one block of static
-// timing per worker). A cancelled run returns (nil, ctx.Err()) — the
-// partially filled per-output arrays would bias every quantile toward
-// whichever samples completed, so no partial distribution is built.
-func (m *Model) MonteCarloSTACtx(ctx context.Context, nSamples int, seed uint64, workers int) (*STAResult, error) {
-	return m.monteCarloSTABlocked(ctx, nSamples, seed, workers, DefaultBlock)
-}
-
-// monteCarloSTABlocked is the blocked implementation behind
-// MonteCarloSTACtx, with an explicit block width so equivalence tests
-// and the fuzz target can vary it. Results are bit-identical for every
-// block >= 1 (see the kernel contract in kernel.go).
-func (m *Model) monteCarloSTABlocked(ctx context.Context, nSamples int, seed uint64, workers, block int) (*STAResult, error) {
+// staBlocked is the blocked implementation behind MC.STA, with an
+// explicit block width so equivalence tests and the fuzz target can
+// vary it. Results are bit-identical for every block >= 1 (see the
+// kernel contract in kernel.go).
+func (m *Model) staBlocked(ctx context.Context, nSamples int, seed uint64, workers, block int) (*STADist, error) {
 	start := time.Now()
 	defer func() {
 		staSeconds.Add(time.Since(start).Seconds())
@@ -128,8 +121,8 @@ func (m *Model) monteCarloSTABlocked(ctx context.Context, nSamples int, seed uin
 	}); err != nil {
 		return nil, err
 	}
-	res := &STAResult{
-		Arrivals:     make([]*dist.Empirical, nOut),
+	res := &STADist{
+		Arrivals:     make([]dist.Distribution, nOut),
 		CircuitDelay: dist.NewEmpirical(delays),
 	}
 	for i := range perOut {
@@ -138,74 +131,13 @@ func (m *Model) monteCarloSTABlocked(ctx context.Context, nSamples int, seed uin
 	return res, nil
 }
 
-// ClarkSTA propagates normal approximations through the circuit using
-// Clark's max operator, with the pairwise correlation implied by the
-// model's global/local split. It returns per-output arrival normals
-// and the circuit-delay normal. This is the fast analytic mode; the
-// ablation bench compares it against MonteCarloSTA.
-func (m *Model) ClarkSTA() (arrivals []dist.Normal, delay dist.Normal) {
-	rho := m.Correlation()
-	arr := make([]dist.Normal, len(m.C.Gates))
-	sigmaRel := sqrtSum(m.P.SigmaGlobal, m.P.SigmaLocal)
-	for _, gid := range m.C.Order {
-		g := &m.C.Gates[gid]
-		if len(g.Fanin) == 0 {
-			arr[gid] = dist.Normal{}
-			continue
-		}
-		var acc dist.Normal
-		for k, fi := range g.Fanin {
-			nom := m.Nominal[g.InArcs[k]]
-			arcN := dist.Normal{Mu: nom, Sigma: nom * sigmaRel}
-			// Arrival and arc delay share the global factor: correlate
-			// the sum with rho as a first-order approximation.
-			cand := dist.SumNormal(arr[fi], arcN, rho)
-			if k == 0 {
-				acc = cand
-			} else {
-				acc, _ = dist.MaxNormal(acc, cand, rho)
-			}
-		}
-		arr[gid] = acc
-	}
-	arrivals = make([]dist.Normal, len(m.C.Outputs))
-	for i, o := range m.C.Outputs {
-		arrivals[i] = arr[o]
-	}
-	delay = dist.MaxNormals(arrivals, rho)
-	return arrivals, delay
-}
-
-func sqrtSum(a, b float64) float64 {
-	return math.Sqrt(a*a + b*b)
-}
-
-// PathDelay returns the fixed timing length of a path (a sequence of
-// arcs) on an instance.
-func PathDelay(in *Instance, arcs []circuit.ArcID) float64 {
-	t := 0.0
-	for _, a := range arcs {
-		t += in.Delays[a]
-	}
-	return t
-}
-
 // TimingLength estimates the statistical timing length TL(p) of a path
-// by Monte Carlo over nSamples instances, using all CPUs.
-func (m *Model) TimingLength(arcs []circuit.ArcID, nSamples int, seed uint64) *dist.Empirical {
-	tl, _ := m.TimingLengthCtx(context.Background(), arcs, nSamples, seed, 0)
-	return tl
-}
-
-// TimingLengthCtx is TimingLength with cooperative cancellation and an
-// explicit worker bound (0 = GOMAXPROCS, see par.Workers). Instances
-// are sampled in blocks on reusable per-worker scratch; each sample
-// draws the full instance (the same rng.NewDerived(seed, s) stream as
-// every other Monte-Carlo entry point) and sums the path's arc delays
-// in path order, so results are bit-identical to the scalar
-// PathDelay(SampleInstanceSeeded(seed, s), arcs). A cancelled run
-// returns (nil, ctx.Err()).
-func (m *Model) TimingLengthCtx(ctx context.Context, arcs []circuit.ArcID, nSamples int, seed uint64, workers int) (*dist.Empirical, error) {
+// given as a sequence of arcs. Each sample draws the full instance
+// (the same stream as every other method) and sums the path's arc
+// delays in path order, so sample s equals the scalar sum of those
+// arcs on SampleInstanceSeeded(seed, s) bit for bit.
+func (e *MC) TimingLength(ctx context.Context, arcs []circuit.ArcID, nSamples int, seed uint64, workers int) (dist.Distribution, error) {
+	m := e.m
 	if nSamples > 0 {
 		tlSamples.Add(float64(nSamples))
 	}
@@ -253,19 +185,9 @@ const quantileSeed = 0x51a9
 // SuggestClock returns the q-quantile of the Monte-Carlo circuit-delay
 // distribution — the natural way to pick the cut-off period clk for an
 // experiment (e.g. q = 0.95 puts 5 % of defect-free dies over clk).
-func (m *Model) SuggestClock(q float64, nSamples int, seed uint64) float64 {
-	clk, _ := m.SuggestClockCtx(context.Background(), q, nSamples, seed, 0)
-	return clk
-}
-
-// SuggestClockCtx is SuggestClock with cooperative cancellation and an
-// explicit worker bound, threading ctx into the underlying Monte-Carlo
-// STA run (which checks it between sample blocks). A cancelled run
-// returns (0, ctx.Err()). The sub-stream derivation (quantileSeed) is
-// identical to SuggestClock's, so both produce bit-identical clocks
-// from the same seed.
-func (m *Model) SuggestClockCtx(ctx context.Context, q float64, nSamples int, seed uint64, workers int) (float64, error) {
-	res, err := m.MonteCarloSTACtx(ctx, nSamples, rng.Derive(seed, quantileSeed), workers)
+// The STA run samples the quantileSeed sub-stream of seed.
+func (e *MC) SuggestClock(ctx context.Context, q float64, nSamples int, seed uint64, workers int) (float64, error) {
+	res, err := e.STA(ctx, nSamples, rng.Derive(seed, quantileSeed), workers)
 	if err != nil {
 		return 0, err
 	}

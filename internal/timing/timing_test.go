@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -21,6 +22,27 @@ func chainCircuit(t *testing.T) *circuit.Circuit {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// mcSTA runs the Monte-Carlo STA under context.Background().
+func mcSTA(t testing.TB, m *Model, nSamples int, seed uint64, workers int) *STADist {
+	t.Helper()
+	res, err := NewMC(m).STA(context.Background(), nSamples, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mcCriticality runs the Monte-Carlo criticality under
+// context.Background().
+func mcCriticality(t testing.TB, m *Model, nSamples int, seed uint64, workers int) *Criticality {
+	t.Helper()
+	cr, err := NewMC(m).Criticality(context.Background(), nSamples, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cr
 }
 
 func TestNewModelNominals(t *testing.T) {
@@ -195,22 +217,23 @@ func TestArrivalTimesIsMaxOverPaths(t *testing.T) {
 func TestMonteCarloSTA(t *testing.T) {
 	c, _ := synth.GenerateNamed("mini", 4)
 	m := NewModel(c, DefaultParams())
-	res := m.MonteCarloSTA(500, 77, 0)
+	res := mcSTA(t, m, 500, 77, 0)
 	if len(res.Arrivals) != len(c.Outputs) {
 		t.Fatalf("arrival count mismatch")
 	}
 	// Circuit delay must stochastically dominate every output arrival.
+	cd := res.CircuitDelay.(*dist.Empirical)
 	for i, a := range res.Arrivals {
-		if res.CircuitDelay.Mean() < a.Mean()-1e-9 {
+		if cd.Mean() < a.Mean()-1e-9 {
 			t.Errorf("circuit delay mean below output %d mean", i)
 		}
-		if res.CircuitDelay.Max() < a.Max()-1e-9 {
+		if cd.Max() < a.(*dist.Empirical).Max()-1e-9 {
 			t.Errorf("circuit delay max below output %d max", i)
 		}
 	}
 	// Critical probability is monotone nonincreasing in clk.
 	prev := 1.0
-	for clk := res.CircuitDelay.Min(); clk <= res.CircuitDelay.Max(); clk += (res.CircuitDelay.Max() - res.CircuitDelay.Min()) / 10 {
+	for clk := cd.Min(); clk <= cd.Max(); clk += (cd.Max() - cd.Min()) / 10 {
 		p := res.CriticalProb(clk)
 		if p > prev+1e-12 {
 			t.Errorf("critical probability not monotone at clk=%v", clk)
@@ -222,25 +245,10 @@ func TestMonteCarloSTA(t *testing.T) {
 func TestMonteCarloSTADeterministicAcrossWorkers(t *testing.T) {
 	c, _ := synth.GenerateNamed("mini", 4)
 	m := NewModel(c, DefaultParams())
-	a := m.MonteCarloSTA(300, 5, 1)
-	b := m.MonteCarloSTA(300, 5, 4)
+	a := mcSTA(t, m, 300, 5, 1)
+	b := mcSTA(t, m, 300, 5, 4)
 	if a.CircuitDelay.Mean() != b.CircuitDelay.Mean() {
 		t.Errorf("MC STA depends on worker count: %v vs %v", a.CircuitDelay.Mean(), b.CircuitDelay.Mean())
-	}
-}
-
-func TestClarkSTAAgainstMC(t *testing.T) {
-	c, _ := synth.GenerateNamed("small", 6)
-	m := NewModel(c, DefaultParams())
-	_, clark := m.ClarkSTA()
-	mc := m.MonteCarloSTA(3000, 11, 0)
-	// Clark mean within a few percent of MC mean; sigma same order.
-	if rel := math.Abs(clark.Mu-mc.CircuitDelay.Mean()) / mc.CircuitDelay.Mean(); rel > 0.10 {
-		t.Errorf("Clark mean off by %.1f%% (clark %v, mc %v)", rel*100, clark.Mu, mc.CircuitDelay.Mean())
-	}
-	mcStd := mc.CircuitDelay.Std()
-	if clark.Sigma < mcStd/3 || clark.Sigma > mcStd*3 {
-		t.Errorf("Clark sigma %v vs MC %v", clark.Sigma, mcStd)
 	}
 }
 
@@ -251,26 +259,36 @@ func TestTimingLengthAndPathDelay(t *testing.T) {
 	n2, _ := c.GateByName("n2")
 	port := &c.Gates[c.Outputs[0]]
 	path := []circuit.ArcID{n1.InArcs[0], n2.InArcs[0], port.InArcs[0]}
-	tl := m.TimingLength(path, 800, 3)
+	tl, err := NewMC(m).TimingLength(context.Background(), path, 800, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantMean := m.Nominal[path[0]] + m.Nominal[path[1]] + m.Nominal[path[2]]
 	if math.Abs(tl.Mean()-wantMean)/wantMean > 0.05 {
 		t.Errorf("TL mean = %v, want ~%v", tl.Mean(), wantMean)
 	}
 	in := m.NominalInstance()
-	if got := PathDelay(in, path); math.Abs(got-wantMean) > 1e-12 {
-		t.Errorf("PathDelay = %v, want %v", got, wantMean)
+	if got := pathDelay(in, path); math.Abs(got-wantMean) > 1e-12 {
+		t.Errorf("pathDelay = %v, want %v", got, wantMean)
 	}
 }
 
 func TestSuggestClock(t *testing.T) {
 	c, _ := synth.GenerateNamed("mini", 4)
 	m := NewModel(c, DefaultParams())
-	res := m.MonteCarloSTA(2000, rng.Derive(9, 0x51a9), 0)
-	clk95 := m.SuggestClock(0.95, 2000, 9)
+	ctx := context.Background()
+	res := mcSTA(t, m, 2000, rng.Derive(9, 0x51a9), 0)
+	clk95, err := NewMC(m).SuggestClock(ctx, 0.95, 2000, 9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p := res.CircuitDelay.Exceed(clk95); math.Abs(p-0.05) > 0.02 {
 		t.Errorf("clk95 exceedance = %v, want ~0.05", p)
 	}
-	clk50 := m.SuggestClock(0.5, 2000, 9)
+	clk50, err := NewMC(m).SuggestClock(ctx, 0.5, 2000, 9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if clk50 >= clk95 {
 		t.Errorf("quantiles out of order: %v >= %v", clk50, clk95)
 	}

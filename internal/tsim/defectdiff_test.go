@@ -1,6 +1,7 @@
 package tsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -22,6 +23,16 @@ func randPair(r *rand.Rand, c *circuit.Circuit) logicsim.PatternPair {
 		v2[i] = r.IntN(2) == 1
 	}
 	return logicsim.PatternPair{V1: v1, V2: v2}
+}
+
+// mcClock is the Monte-Carlo engine's q-quantile clock pick.
+func mcClock(t testing.TB, m *timing.Model, q float64, nSamples int, seed uint64) float64 {
+	t.Helper()
+	clk, err := timing.NewMC(m).SuggestClock(context.Background(), q, nSamples, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clk
 }
 
 // snapDelays rounds every delay to a positive multiple of grid, so
@@ -130,7 +141,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
-	clk := m.SuggestClock(0.9, 400, 1)
+	clk := mcClock(t, m, 0.9, 400, 1)
 	kern, full := NewEngine(c), NewEngine(c)
 	r := rng.New(77)
 	for trial := 0; trial < 30; trial++ {
@@ -223,7 +234,7 @@ func TestIncrementalEngineReuseUndoPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
-	clk := m.SuggestClock(0.85, 400, 2)
+	clk := mcClock(t, m, 0.85, 400, 2)
 	r := rng.New(123)
 	inst := m.SampleInstance(r)
 	pair := randPair(r, c)
@@ -263,7 +274,7 @@ func TestIncrementalAfterRunInvalidatesBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
-	clk := m.SuggestClock(0.9, 300, 3)
+	clk := mcClock(t, m, 0.9, 300, 3)
 	r := rng.New(9)
 	eng := NewEngine(c)
 	check := func(what string, delays []float64, pair logicsim.PatternPair, got []bool, arc circuit.ArcID, extra, horizon float64) {

@@ -70,8 +70,6 @@ type (
 	TimingModel = timing.Model
 	// Instance is a fixed-delay circuit instance C_in.
 	Instance = timing.Instance
-	// STAResult holds Monte-Carlo statistical STA output.
-	STAResult = timing.STAResult
 )
 
 // Patterns, paths and ATPG.
@@ -288,11 +286,6 @@ func MergeDictionaries(a, b *Dictionary) (*Dictionary, error) { return core.Merg
 // ErrorFuncNames lists the registered extension error functions usable
 // with Dictionary.DiagnoseNamed (L1, chebyshev, loglik).
 func ErrorFuncNames() []string { return core.ErrorFuncNames() }
-
-// MonteCarloCriticality estimates per-arc critical-path probabilities.
-func MonteCarloCriticality(m *TimingModel, samples int, seed uint64) *Criticality {
-	return m.MonteCarloCriticality(samples, seed, 0)
-}
 
 // ScanMap relates pseudo inputs to the pseudo outputs feeding them.
 type ScanMap = logicsim.ScanMap
