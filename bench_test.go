@@ -169,7 +169,7 @@ func BenchmarkAblationSamples(b *testing.B) {
 }
 
 // BenchmarkAblationIncremental: difference-propagation defect
-// re-simulation (tsim.RunDefectDiff) vs a full event-driven run per
+// re-simulation (tsim.RunDefectDiff) vs a full run per
 // candidate (identical results, very different cost).
 func BenchmarkAblationIncremental(b *testing.B) {
 	m, pats, suspects, _, clk, _, sizeDist := setupCase(b)

@@ -176,7 +176,6 @@ func writeVCD(w io.Writer, path string, c *repro.Circuit, cs *repro.Case) error 
 	}
 	df := cs.Truth[0]
 	opts := tsim.Quiescent()
-	opts.RecordWaveforms = true
 	opts.DefectArc = df.Arc
 	opts.DefectExtra = df.Size
 	res := tsim.Simulate(c, cs.Inst.Delays, cs.Pats[j[0]], opts)

@@ -62,7 +62,6 @@ func run(profile string, circuitSeed, seed uint64, site int, size float64, out s
 	pair := tests[0].Pair
 
 	opts := tsim.Quiescent()
-	opts.RecordWaveforms = true
 	if site >= 0 {
 		opts.DefectArc = repro.ArcID(site)
 		opts.DefectExtra = size * m.MeanCellDelay()

@@ -1,7 +1,7 @@
 // Package hotalloc implements the hot-path allocation analyzer: a
 // function marked with a //ddd:hot doc comment declares itself part of
-// the Monte-Carlo inner loop (blocked timing kernels, event-driven
-// simulation drains), where steady-state work must not allocate.
+// the Monte-Carlo inner loop (blocked timing kernels, the timed
+// waveform kernel), where steady-state work must not allocate.
 // Per-iteration allocations inside such functions' loops defeat the
 // scratch-reuse architecture (DESIGN.md, "Performance architecture")
 // and show up directly as allocs/op regressions in the tracked core

@@ -245,17 +245,6 @@ func TestOutputsReachedFrom(t *testing.T) {
 	}
 }
 
-func TestArcFanoutGates(t *testing.T) {
-	c := buildC17(t)
-	n19, _ := c.GateByName("n19")
-	a := n19.InArcs[1] // i5 -> n19
-	fo := c.ArcFanoutGates(a)
-	// n19, o23, o23$out
-	if fo.Count() != 3 {
-		t.Errorf("arc fanout count = %d, want 3", fo.Count())
-	}
-}
-
 func TestConeArcsAndOrderedSubset(t *testing.T) {
 	c := buildC17(t)
 	n16, _ := c.GateByName("n16")

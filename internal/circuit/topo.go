@@ -91,13 +91,6 @@ func (c *Circuit) FanoutCone(roots ...GateID) GateSet {
 	return seen
 }
 
-// ArcFanoutGates returns the gates whose arrival times can change when
-// the delay of arc a changes: gate a.To and its transitive fan-out.
-// Only these gates' waveforms can differ under a defect on a.
-func (c *Circuit) ArcFanoutGates(a ArcID) GateSet {
-	return c.FanoutCone(c.Arcs[a].To)
-}
-
 // ConeArcs returns the arcs both of whose endpoints lie in the gate set.
 func (c *Circuit) ConeArcs(gates GateSet) ArcSet {
 	arcs := c.NewArcSet()

@@ -23,7 +23,7 @@ func countBuildAllocs(t *testing.T, samples int) float64 {
 // TestBuildDictionaryAllocBudget asserts the scratch-reuse contract of
 // the build loop: steady-state allocations are independent of the
 // Monte-Carlo sample count. Every per-sample buffer (instance delays,
-// engine event queues, waveform stores, failure accumulators) lives in
+// engine worklists, waveform arenas, failure accumulators) lives in
 // per-worker scratch allocated once up front, so quadrupling Samples
 // must not grow allocations beyond run-to-run noise. A violation here
 // is exactly the regression class the hotalloc analyzer and the
@@ -33,7 +33,7 @@ func TestBuildDictionaryAllocBudget(t *testing.T) {
 		t.Skip("multi-run allocation measurement")
 	}
 	// Start above the warm-up region: the first few dozen samples still
-	// grow the engines' event and waveform buffers toward their
+	// grow the engines' worklist and waveform buffers toward their
 	// high-water marks (amortized, O(log) growth events per call).
 	// Past that, quadrupling Samples must not move the count beyond a
 	// small absolute slack; O(samples) allocation would add hundreds of

@@ -10,7 +10,7 @@ import (
 
 // Word-parallel prescreen for behavior simulation (DESIGN.md §17).
 //
-// SimulateBehavior runs the event-driven tsim engine once per pattern.
+// SimulateBehavior runs the tsim kernel once per pattern.
 // Most patterns of a broad (production) test set neither excite the
 // defect nor launch any transition that could arrive after the capture
 // clock, so their behavior column is provably all-zero — the captured
@@ -18,8 +18,9 @@ import (
 // 64 patterns at a time, and SimulateBehavior skips the tsim run for
 // every screened lane. tsim stays the oracle for the rest.
 //
-// Soundness argument (tsim semantics: transport delays, events with
-// time > Horizon discarded, capture after all events at t <= clk):
+// Soundness argument (tsim semantics: transport delays, events — the
+// steps of a gate's waveform — with time > Horizon discarded, capture
+// after all events at t <= clk):
 //
 //  1. Every committed event at a gate sits on a causal chain of events
 //     back to a primary input that changes at t = 0; the event's time

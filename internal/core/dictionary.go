@@ -37,8 +37,9 @@ type DictConfig struct {
 	Seed uint64
 	// Workers bounds the parallelism (0 = NumCPU).
 	Workers int
-	// FullResim forces a full event-driven run per candidate instead
-	// of the difference-propagation kernel (tsim.RunDefectDiff); it
+	// FullResim forces a full run with the defect overlay per
+	// candidate instead of the difference-propagation pass
+	// (tsim.RunDefectDiff); it
 	// exists as the tests' validation oracle and for the ablation
 	// bench.
 	FullResim bool
@@ -124,12 +125,11 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 
 	// Settled gate states depend only on the pattern, never on the
 	// sampled delays — evaluate each pattern's pair once up front
-	// instead of twice per (sample, pattern) inside the workers, and
-	// prepare the flattened engine reset state alongside.
-	patPrep := make([]*tsim.PreparedInit, nPat)
+	// instead of twice per (sample, pattern) inside the workers.
+	patInit := make([][]bool, nPat)
 	patFinal := make([][]bool, nPat)
 	for j, pat := range patterns {
-		patPrep[j] = tsim.PrepareInit(c, logicsim.Eval(c, pat.V1))
+		patInit[j] = logicsim.Eval(c, pat.V1)
 		patFinal[j] = logicsim.Eval(c, pat.V2)
 	}
 
@@ -186,9 +186,7 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 		t1 := time.Now()
 		wk.st.sample += t1.Sub(t0)
 		for j, pat := range patterns {
-			opts := tsim.AtClock(cfg.Clk)
-			opts.RecordWaveforms = true
-			base := wk.eng.RunPrepared(wk.delays, pat, opts, patPrep[j], patFinal[j])
+			base := wk.eng.RunSettled(wk.delays, pat, tsim.AtClock(cfg.Clk), patInit[j], patFinal[j])
 			for oi, o := range c.Outputs {
 				wk.baseFail[oi] = base.Capture[oi] != base.Final[o]
 				if wk.baseFail[oi] {
@@ -199,7 +197,7 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 			wk.st.baseline += t2.Sub(t1)
 			for i, arc := range suspects {
 				row := (i*nOut)*nPat + j
-				if !base.Transitioned[c.Arcs[arc].From] {
+				if !base.Transitioned(c.Arcs[arc].From) {
 					// The defect arc never sees a transition:
 					// E equals the baseline for this pattern.
 					for oi := 0; oi < nOut; oi++ {
@@ -215,7 +213,7 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 					o2 := tsim.AtClock(cfg.Clk)
 					o2.DefectArc = arc
 					o2.DefectExtra = wk.sizes[i]
-					capture = wk.full.RunPrepared(wk.delays, pat, o2, patPrep[j], patFinal[j]).Capture
+					capture = wk.full.RunSettled(wk.delays, pat, o2, patInit[j], patFinal[j]).Capture
 				} else {
 					capture = wk.eng.RunDefectDiff(wk.delays, base, arc, wk.sizes[i], cfg.Clk)
 				}
@@ -348,7 +346,7 @@ func concatCols(a, b *Matrix) *Matrix {
 //
 // The word-parallel cone prescreen (behavior_screen.go) first proves,
 // 64 patterns at a time, which columns of B are necessarily all-zero;
-// only the remaining patterns pay for an event-driven tsim run. The
+// only the remaining patterns pay for a tsim run. The
 // un-screened loop survives in the tests as simulateBehaviorScalar, the
 // bit-exact oracle the differential tests pin this path against.
 func SimulateBehavior(c *circuit.Circuit, delays []float64, patterns []logicsim.PatternPair, defectArc circuit.ArcID, defectSize, clk float64) *Behavior {

@@ -28,9 +28,11 @@ type SignatureProbs struct {
 //
 // Where the MC build simulates every (sample, pattern, suspect)
 // triple, the analytic build simulates only the NOMINAL die — one
-// waveform-recording timed run per pattern, plus one per (pattern,
-// suspect) with the defect at its mean size — and turns each recorded
-// output waveform into a capture-failure probability in closed form.
+// timed run per pattern, plus per (pattern, suspect) a
+// difference-propagation re-simulation (tsim.RunDefectDiff) of the
+// defect at its mean size — and turns each output waveform into a
+// capture-failure probability in closed form. An output whose
+// waveform the defect leaves unchanged keeps its M entry exactly.
 // An output captures wrongly exactly when clk falls in a time interval
 // where its waveform still differs from the settled value; walking the
 // nominal transitions t_1 < … < t_k backward, those intervals
@@ -67,52 +69,21 @@ func (e *Analytic) Signatures(ctx context.Context, patterns []logicsim.PatternPa
 	defMu := size.Mean()
 	defVar := size.Variance()
 
-	// Per-suspect fan-out cones, shared read-only across workers: the
-	// defect on arc a can only move waveforms at a.To and downstream.
-	cones := make([]circuit.GateSet, nSus)
-	for i, a := range suspects {
-		cones[i] = c.ArcFanoutGates(a)
-	}
-
-	type sigWorker struct {
-		eng    *tsim.Engine // baseline runs (owns the base waveforms)
-		engDef *tsim.Engine // defective runs
-		// baseT[oi] indexes output oi's baseline transition times:
-		// defective-run transitions not found here were moved by the
-		// defect (event times are sums of the same delays, so unmoved
-		// transitions match bitwise).
-		baseT []map[float64]bool
-	}
-	ws := make([]*sigWorker, par.Workers(workers, nPat))
+	// One engine per worker: the baseline Result aliases its run
+	// scratch, which RunDefectDiff reads but never writes.
+	engs := make([]*tsim.Engine, par.Workers(workers, nPat))
 	if _, err := par.ForWorkerCtx(ctx, nPat, workers, func(w, j int) {
-		wk := ws[w]
-		if wk == nil {
-			wk = &sigWorker{
-				eng:    tsim.NewEngine(c),
-				engDef: tsim.NewEngine(c),
-				baseT:  make([]map[float64]bool, nOut),
-			}
-			for oi := range wk.baseT {
-				wk.baseT[oi] = make(map[float64]bool)
-			}
-			ws[w] = wk
+		eng := engs[w]
+		if eng == nil {
+			eng = tsim.NewEngine(c)
+			engs[w] = eng
 		}
-		// One waveform-recording nominal run per pattern. The Result
-		// aliases wk.eng scratch; the defective runs below use the
-		// second engine, so base stays valid through this pattern.
-		opts := tsim.Quiescent()
-		opts.RecordWaveforms = true
-		base := wk.eng.Run(e.m.Nominal, patterns[j], opts)
+		base := eng.Run(e.m.Nominal, patterns[j], tsim.Quiescent())
 		for oi, o := range c.Outputs {
-			m := wk.baseT[oi]
-			clear(m)
-			for _, st := range base.Waveforms[o] {
-				m[st.T] = true
-			}
-			sp.M[oi*nPat+j] = e.captureFailProb(base.Waveforms[o], clk, nil, 0)
+			sp.M[oi*nPat+j] = e.captureFailProb(base.Waveform(o), clk, nil, 0)
 		}
 		for i, arc := range suspects {
-			if !base.Transitioned[c.Arcs[arc].From] {
+			if !base.Transitioned(c.Arcs[arc].From) {
 				// The defect arc never sees a transition under this
 				// pattern: E equals the baseline (the MC build's skip).
 				for oi := 0; oi < nOut; oi++ {
@@ -120,15 +91,11 @@ func (e *Analytic) Signatures(ctx context.Context, patterns []logicsim.PatternPa
 				}
 				continue
 			}
-			dOpts := tsim.Quiescent()
-			dOpts.RecordWaveforms = true
-			dOpts.DefectArc = arc
-			dOpts.DefectExtra = defMu
-			res := wk.engDef.Run(e.m.Nominal, patterns[j], dOpts)
+			eng.RunDefectDiff(e.m.Nominal, base, arc, defMu, math.Inf(1))
 			for oi, o := range c.Outputs {
 				v := sp.M[oi*nPat+j]
-				if cones[i].Has(o) {
-					v = e.captureFailProb(res.Waveforms[o], clk, wk.baseT[oi], defVar)
+				if w, changed := eng.DefectWaveform(base, o); changed {
+					v = e.captureFailProb(w, clk, base.Waveform(o), defVar)
 				}
 				sp.E[(i*nOut+oi)*nPat+j] = v
 			}
@@ -146,18 +113,25 @@ func (e *Analytic) Signatures(ctx context.Context, patterns []logicsim.PatternPa
 // last transition (plus, when the settled values differ, the initial
 // segment), so under co-moving transitions the probability telescopes
 // into an alternating sum of per-transition exceedance probabilities.
-// Each transition time is dilated by dilationVar; times absent from
-// baseT (non-nil only for defective waveforms) were moved by the
-// defect and additionally carry defVar. The sum is clamped to [0, 1]:
-// transitions are dilated marginally, so near-coincident pairs can
-// otherwise overshoot by their overlap.
-func (e *Analytic) captureFailProb(steps []tsim.Step, clk float64, baseT map[float64]bool, defVar float64) float64 {
+// Each transition time is dilated by dilationVar; a time that is not
+// a step time of the baseline waveform base was moved by the defect
+// and additionally carries defVar (the defect-free M passes defVar 0).
+// The sum is clamped to [0, 1]: transitions are dilated marginally, so
+// near-coincident pairs can otherwise overshoot by their overlap.
+func (e *Analytic) captureFailProb(steps []tsim.Step, clk float64, base []tsim.Step, defVar float64) float64 {
 	p := 0.0
 	sign := 1.0
+	// Both waveforms are in increasing time order: walk base backward
+	// alongside steps, so base[k] is the last baseline step at or
+	// before t.
+	k := len(base) - 1
 	for i := len(steps) - 1; i >= 0; i-- {
 		t := steps[i].T
 		v := e.dilationVar(t)
-		if baseT != nil && !baseT[t] {
+		for k >= 0 && base[k].T > t {
+			k--
+		}
+		if k < 0 || base[k].T < t {
 			v += defVar
 		}
 		p += sign * dist.Normal{Mu: t, Sigma: math.Sqrt(v)}.Exceed(clk)

@@ -36,7 +36,7 @@ func mcClock(t testing.TB, m *timing.Model, q float64, nSamples int, seed uint64
 }
 
 // snapDelays rounds every delay to a positive multiple of grid, so
-// distinct paths reach a gate at the same instant and the event engine
+// distinct paths reach a gate at the same instant and the event oracle
 // records same-instant (zero-width) toggles. grid <= 0 keeps the
 // delays as sampled.
 func snapDelays(delays []float64, grid float64) []float64 {
@@ -51,9 +51,9 @@ func snapDelays(delays []float64, grid float64) []float64 {
 	return out
 }
 
-// zeroWidthSteps counts the recorded steps that share their instant
+// zeroWidthSteps counts the raw oracle steps that share their instant
 // with the step before them.
-func zeroWidthSteps(res *Result) int {
+func zeroWidthSteps(res *eventResult) int {
 	n := 0
 	for _, w := range res.Waveforms {
 		for i := 1; i < len(w); i++ {
@@ -65,7 +65,7 @@ func zeroWidthSteps(res *Result) int {
 	return n
 }
 
-// rightContinuous collapses a recorded waveform to one step per
+// rightContinuous collapses a raw oracle waveform to one step per
 // instant (the instant's last value), dropping steps that leave the
 // value unchanged.
 func rightContinuous(raw []Step, init bool) []Step {
@@ -83,51 +83,83 @@ func rightContinuous(raw []Step, init bool) []Step {
 	return out
 }
 
-// checkDefectDiff runs the kernel on kern against a baseline kern
-// itself recorded, and compares its captures with a full Run under the
-// defect overlay and, with oracle set, with the pointwise refValue.
-// It also checks every gate's waveform as the kernel left it (rebuilt
-// or baseline) against the full run's, step times compared exactly.
-// It reports whether the defect changed any capture.
-func checkDefectDiff(t testing.TB, c *circuit.Circuit, kern, full *Engine, delays []float64, pair logicsim.PatternPair, arc circuit.ArcID, extra, clk float64, oracle bool) bool {
+// checkWaveform fails unless got equals the right-continuous form of
+// the oracle's raw waveform, step times compared exactly.
+func checkWaveform(t testing.TB, what string, g int, got, raw []Step, init bool) {
 	t.Helper()
-	baseOpts := AtClock(clk)
-	baseOpts.RecordWaveforms = true
-	base := kern.Run(delays, pair, baseOpts)
+	ref := rightContinuous(raw, init)
+	if len(got) != len(ref) {
+		t.Fatalf("%s: gate %d waveform %v, oracle %v", what, g, got, ref)
+	}
+	for k := range got {
+		if got[k] != ref[k] {
+			t.Fatalf("%s: gate %d waveform %v, oracle %v", what, g, got, ref)
+		}
+	}
+}
+
+// checkRunMatchesEvents runs p under opts on the kernel and on the
+// event oracle and compares, exactly, every output's capture and
+// every gate's waveform, with Transitioned read as "the
+// right-continuous waveform is non-empty" and LastChange as "the time
+// of its last step". It returns the oracle's run.
+func checkRunMatchesEvents(t testing.TB, c *circuit.Circuit, kern *Engine, full *eventSim, delays []float64, p logicsim.PatternPair, opts Options) *eventResult {
+	t.Helper()
+	got := kern.Run(delays, p, opts)
+	want := full.run(delays, p, opts)
+	what := fmt.Sprintf("full run arc %d extra %v clk %v", opts.DefectArc, opts.DefectExtra, opts.Horizon)
+	for g := range c.Gates {
+		w := got.Waveform(circuit.GateID(g))
+		checkWaveform(t, what, g, w, want.Waveforms[g], want.Init[g])
+		if got.Transitioned(circuit.GateID(g)) != (len(w) > 0) {
+			t.Fatalf("%s: gate %d Transitioned %v with waveform %v", what, g, got.Transitioned(circuit.GateID(g)), w)
+		}
+	}
+	for i, o := range c.Outputs {
+		if got.Capture[i] != want.Capture[i] {
+			t.Fatalf("%s: output %d kernel %v, oracle %v", what, i, got.Capture[i], want.Capture[i])
+		}
+		last := 0.0
+		if rc := rightContinuous(want.Waveforms[o], want.Init[o]); len(rc) > 0 {
+			last = rc[len(rc)-1].T
+		}
+		if got.LastChange[i] != last {
+			t.Fatalf("%s: output %d LastChange %v, oracle's last step %v", what, i, got.LastChange[i], last)
+		}
+	}
+	return want
+}
+
+// checkDefectDiff runs the kernel on kern against a baseline kern
+// itself recorded, and compares its captures with the event oracle's
+// run under the defect overlay and, with oracle set, with the
+// pointwise refValue. It also checks every gate's waveform as the
+// kernel left it (rebuilt or baseline) against the oracle's, step
+// times compared exactly. It reports whether the defect changed any
+// capture.
+func checkDefectDiff(t testing.TB, c *circuit.Circuit, kern *Engine, full *eventSim, delays []float64, pair logicsim.PatternPair, arc circuit.ArcID, extra, clk float64, oracle bool) bool {
+	t.Helper()
+	base := kern.Run(delays, pair, AtClock(clk))
 	baseCapture := append([]bool(nil), base.Capture...)
 	got := kern.RunDefectDiff(delays, base, arc, extra, clk)
 
 	opts := AtClock(clk)
 	opts.DefectArc = arc
 	opts.DefectExtra = extra
-	opts.RecordWaveforms = true
-	want := full.Run(delays, pair, opts)
-	d := kern.diff
+	want := full.run(delays, pair, opts)
+	what := fmt.Sprintf("arc %d extra %v clk %v", arc, extra, clk)
 	for g := range c.Gates {
-		kw := base.Waveforms[g]
-		if d.changed[g] == d.gen {
-			kw = d.steps[d.off[g]:d.end[g]]
-		}
-		got, ref := rightContinuous(kw, base.Init[g]), rightContinuous(want.Waveforms[g], base.Init[g])
-		if len(got) != len(ref) {
-			t.Fatalf("arc %d extra %v clk %v: gate %d waveform %v, full run %v", arc, extra, clk, g, got, ref)
-		}
-		for k := range got {
-			if got[k] != ref[k] {
-				t.Fatalf("arc %d extra %v clk %v: gate %d waveform %v, full run %v", arc, extra, clk, g, got, ref)
-			}
-		}
+		kw, _ := kern.DefectWaveform(base, circuit.GateID(g))
+		checkWaveform(t, what, g, kw, want.Waveforms[g], base.Init[g])
 	}
 	changed := false
 	for i, o := range c.Outputs {
 		if got[i] != want.Capture[i] {
-			t.Fatalf("arc %d extra %v clk %v: output %d kernel %v, full run %v",
-				arc, extra, clk, i, got[i], want.Capture[i])
+			t.Fatalf("%s: output %d kernel %v, oracle %v", what, i, got[i], want.Capture[i])
 		}
 		if oracle {
 			if ref := refValue(c, delays, &opts, pair, o, clk); got[i] != ref {
-				t.Fatalf("arc %d extra %v clk %v: output %d kernel %v, oracle %v",
-					arc, extra, clk, i, got[i], ref)
+				t.Fatalf("%s: output %d kernel %v, pointwise oracle %v", what, i, got[i], ref)
 			}
 		}
 		changed = changed || got[i] != baseCapture[i]
@@ -142,7 +174,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
 	clk := mcClock(t, m, 0.9, 400, 1)
-	kern, full := NewEngine(c), NewEngine(c)
+	kern, full := NewEngine(c), newEventSim(c)
 	r := rng.New(77)
 	for trial := 0; trial < 30; trial++ {
 		inst := m.SampleInstance(r)
@@ -153,7 +185,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
-// TestDefectDiffMatchesFullOnGrid pins the kernel to the event engine
+// TestDefectDiffMatchesFullOnGrid pins the kernel to the event oracle
 // on instances whose delays sit on a coarse grid: dyadic grids make
 // the float sums exact, so reconvergent paths tie and zero-width
 // toggles occur; 0.1 makes equal real sums round apart. The test also
@@ -166,7 +198,7 @@ func TestDefectDiffMatchesFullOnGrid(t *testing.T) {
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
 	cell := m.MeanCellDelay()
-	kern, full := NewEngine(c), NewEngine(c)
+	kern, full := NewEngine(c), newEventSim(c)
 	r := rng.New(5)
 	for _, grid := range []float64{0.5, 0.25, 0.1} {
 		zeroWidth, changed := 0, 0
@@ -177,9 +209,7 @@ func TestDefectDiffMatchesFullOnGrid(t *testing.T) {
 			if trial%2 == 0 { // on the grid: arrivals land exactly at clk
 				clk = math.Round(clk/grid) * grid
 			}
-			opts := AtClock(clk)
-			opts.RecordWaveforms = true
-			zeroWidth += zeroWidthSteps(full.Run(delays, pair, opts))
+			zeroWidth += zeroWidthSteps(full.run(delays, pair, AtClock(clk)))
 			for k := 0; k < 8; k++ {
 				arc := circuit.ArcID(r.IntN(len(c.Arcs)))
 				extra := math.Max(grid, math.Round(3*cell*r.Float64()/grid)*grid)
@@ -191,6 +221,45 @@ func TestDefectDiffMatchesFullOnGrid(t *testing.T) {
 		if zeroWidth == 0 || changed == 0 {
 			t.Errorf("grid %v: %d zero-width steps, %d defects that changed a capture; want both > 0",
 				grid, zeroWidth, changed)
+		}
+	}
+}
+
+// TestRunMatchesEventOracleOnGrid pins the kernel's full run to the
+// event oracle on the grids of TestDefectDiffMatchesFullOnGrid, with
+// and without a defect overlay: captures, waveforms, Transitioned and
+// LastChange must agree exactly for every gate. It asserts that
+// zero-width toggles occurred, the case where the two differ in their
+// raw histories.
+func TestRunMatchesEventOracleOnGrid(t *testing.T) {
+	c, err := synth.GenerateNamed("small", 37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := timing.NewModel(c, timing.DefaultParams())
+	cell := m.MeanCellDelay()
+	kern, full := NewEngine(c), newEventSim(c)
+	r := rng.New(11)
+	for _, grid := range []float64{0.5, 0.25, 0.1} {
+		zeroWidth := 0
+		for trial := 0; trial < 120; trial++ {
+			delays := snapDelays(m.SampleInstance(r).Delays, grid)
+			pair := randPair(r, c)
+			opts := AtClock((0.4 + 0.8*r.Float64()) * float64(c.Depth()) * cell)
+			switch trial % 4 {
+			case 0: // on the grid: arrivals land exactly at clk
+				opts.Horizon = math.Round(opts.Horizon/grid) * grid
+			case 1:
+				opts.Horizon = math.Inf(1)
+			}
+			if trial%3 == 0 {
+				opts.DefectArc = circuit.ArcID(r.IntN(len(c.Arcs)))
+				opts.DefectExtra = math.Max(grid, math.Round(3*cell*r.Float64()/grid)*grid)
+			}
+			zeroWidth += zeroWidthSteps(checkRunMatchesEvents(t, c, kern, full, delays, pair, opts))
+		}
+		if zeroWidth == 0 {
+			t.Errorf("grid %v: no zero-width steps; want > 0", grid)
 		}
 	}
 }
@@ -207,7 +276,7 @@ func TestDefectDiffMatchesPointwiseOracle(t *testing.T) {
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
 	cell := m.MeanCellDelay()
-	kern, full := NewEngine(c), NewEngine(c)
+	kern, full := NewEngine(c), newEventSim(c)
 	r := rng.New(19)
 	for trial := 0; trial < 60; trial++ {
 		grid := []float64{0, 0.5, 0.25}[trial%3]
@@ -226,8 +295,8 @@ func TestDefectDiffMatchesPointwiseOracle(t *testing.T) {
 
 // TestIncrementalEngineReuseUndoPath runs the kernel for many arcs
 // against one baseline on one engine, the engine that recorded the
-// baseline, as the dictionary build does. Each answer must match a
-// fresh engine's full run, so no scratch state may leak between arcs.
+// baseline, as the dictionary build does. Each answer must match the
+// event oracle's full run, so no scratch state may leak between arcs.
 func TestIncrementalEngineReuseUndoPath(t *testing.T) {
 	c, err := synth.GenerateNamed("small", 41)
 	if err != nil {
@@ -241,10 +310,8 @@ func TestIncrementalEngineReuseUndoPath(t *testing.T) {
 	for i := range pair.V2 {
 		pair.V2[i] = !pair.V1[i] || pair.V2[i]
 	}
-	eng := NewEngine(c)
-	baseOpts := AtClock(clk)
-	baseOpts.RecordWaveforms = true
-	base := eng.Run(inst.Delays, pair, baseOpts)
+	eng, full := NewEngine(c), newEventSim(c)
+	base := eng.Run(inst.Delays, pair, AtClock(clk))
 	for trial := 0; trial < 60; trial++ {
 		arc := circuit.ArcID(r.IntN(len(c.Arcs)))
 		extra := 0.2 + 3*r.Float64()
@@ -252,10 +319,10 @@ func TestIncrementalEngineReuseUndoPath(t *testing.T) {
 		opts := AtClock(clk)
 		opts.DefectArc = arc
 		opts.DefectExtra = extra
-		want := NewEngine(c).Run(inst.Delays, pair, opts)
+		want := full.run(inst.Delays, pair, opts)
 		for i := range want.Capture {
 			if got[i] != want.Capture[i] {
-				t.Fatalf("trial %d arc %d: output %d kernel %v, full run %v",
+				t.Fatalf("trial %d arc %d: output %d kernel %v, oracle %v",
 					trial, arc, i, got[i], want.Capture[i])
 			}
 		}
@@ -276,16 +343,16 @@ func TestIncrementalAfterRunInvalidatesBaseline(t *testing.T) {
 	m := timing.NewModel(c, timing.DefaultParams())
 	clk := mcClock(t, m, 0.9, 300, 3)
 	r := rng.New(9)
-	eng := NewEngine(c)
+	eng, full := NewEngine(c), newEventSim(c)
 	check := func(what string, delays []float64, pair logicsim.PatternPair, got []bool, arc circuit.ArcID, extra, horizon float64) {
 		t.Helper()
 		opts := AtClock(horizon)
 		opts.DefectArc = arc
 		opts.DefectExtra = extra
-		want := NewEngine(c).Run(delays, pair, opts)
+		want := full.run(delays, pair, opts)
 		for i := range want.Capture {
 			if got[i] != want.Capture[i] {
-				t.Fatalf("%s arc %d: output %d kernel %v, full run %v",
+				t.Fatalf("%s arc %d: output %d kernel %v, oracle %v",
 					what, arc, i, got[i], want.Capture[i])
 			}
 		}
@@ -293,9 +360,7 @@ func TestIncrementalAfterRunInvalidatesBaseline(t *testing.T) {
 
 	inst := m.SampleInstance(r)
 	pair := randPair(r, c)
-	baseOpts := AtClock(clk)
-	baseOpts.RecordWaveforms = true
-	base := NewEngine(c).Run(inst.Delays, pair, baseOpts)
+	base := NewEngine(c).Run(inst.Delays, pair, AtClock(clk))
 	arc := circuit.ArcID(r.IntN(len(c.Arcs)))
 	_ = eng.RunDefectDiff(inst.Delays, base, arc, 1.5, clk)
 	other := logicsim.PatternPair{V1: pair.V2, V2: pair.V1}
@@ -306,9 +371,7 @@ func TestIncrementalAfterRunInvalidatesBaseline(t *testing.T) {
 		delays := snapDelays(m.SampleInstance(r).Delays, []float64{0, 0.25}[b%2])
 		pair := randPair(r, c)
 		horizon := clk * (0.7 + 0.2*float64(b))
-		opts := AtClock(horizon)
-		opts.RecordWaveforms = true
-		base := eng.Run(delays, pair, opts)
+		base := eng.Run(delays, pair, AtClock(horizon))
 		for trial := 0; trial < 40; trial++ {
 			arc := circuit.ArcID(r.IntN(len(c.Arcs)))
 			extra := 0.2 + 3*r.Float64()
@@ -318,11 +381,12 @@ func TestIncrementalAfterRunInvalidatesBaseline(t *testing.T) {
 	}
 }
 
+// TestIncrementalRequiresWaveforms: a Result no run produced carries
+// no waveforms to re-simulate against.
 func TestIncrementalRequiresWaveforms(t *testing.T) {
 	c, m := chain(t)
 	in := m.NominalInstance()
-	pair := logicsim.PatternPair{V1: logicsim.Vector{false}, V2: logicsim.Vector{true}}
-	base := Simulate(c, in.Delays, pair, Quiescent()) // no waveforms
+	base := &Result{}
 	defer func() {
 		if recover() == nil {
 			t.Errorf("missing waveforms not detected")
@@ -332,9 +396,11 @@ func TestIncrementalRequiresWaveforms(t *testing.T) {
 }
 
 // FuzzDefectDiff fuzzes instance, grid, pattern, defect and horizon
-// (including an infinite one) against the full run and, except on the
-// non-dyadic 0.1 grid (see TestDefectDiffMatchesPointwiseOracle),
-// against the oracle.
+// (including an infinite one): the kernel's defect re-simulation and
+// its full run with the defect overlay against the event oracle and,
+// except on the non-dyadic 0.1 grid (see
+// TestDefectDiffMatchesPointwiseOracle), the re-simulation against
+// refValue.
 func FuzzDefectDiff(f *testing.F) {
 	c, err := synth.GenerateNamed("mini", 13)
 	if err != nil {
@@ -342,7 +408,7 @@ func FuzzDefectDiff(f *testing.F) {
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
 	cell := m.MeanCellDelay()
-	kern, full := NewEngine(c), NewEngine(c)
+	kern, full := NewEngine(c), newEventSim(c)
 	f.Add(uint64(1), uint8(0), uint16(0), uint8(40), uint8(128))
 	f.Add(uint64(2), uint8(1), uint16(17), uint8(200), uint8(90))
 	f.Add(uint64(3), uint8(2), uint16(63), uint8(7), uint8(255))
@@ -365,5 +431,9 @@ func FuzzDefectDiff(f *testing.F) {
 			}
 		}
 		checkDefectDiff(t, c, kern, full, delays, pair, arc, extra, clk, grid != 0.1)
+		opts := AtClock(clk)
+		opts.DefectArc = arc
+		opts.DefectExtra = extra
+		checkRunMatchesEvents(t, c, kern, full, delays, pair, opts)
 	})
 }

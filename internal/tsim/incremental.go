@@ -8,31 +8,96 @@ import (
 	"repro/internal/logicsim"
 )
 
-// diffState is the scratch of RunDefectDiff, allocated on an engine's
-// first defect re-simulation and reused by every later one. It is
-// disjoint from the event-run scratch, so the kernel may run on the
-// engine that produced its baseline.
-type diffState struct {
-	// gen identifies the current call: a gate is in the worklist when
-	// queued[g] == gen, and has a waveform that differs from the
-	// baseline when changed[g] == gen. Stamping replaces a per-call
-	// clear of both arrays.
-	gen     uint32
-	queued  []uint32
-	changed []uint32
-	// The rebuilt waveform of a changed gate g is steps[off[g]:end[g]].
+// waves is a set of right-continuous gate waveforms in one step arena:
+// gate g's waveform is steps[off[g]:end[g]] when set[g] == gen, and
+// empty otherwise. Opening a generation (reset) empties every waveform
+// at once, so no pass clears per-gate state.
+type waves struct {
+	gen      uint32
+	set      []uint32
 	off, end []int32
 	steps    []Step
-	// byLevel[l] holds the queued gates of level l (circuit.Levels).
-	byLevel [][]circuit.GateID
-	pins    []diffPin
-	capture []bool
 }
 
-// diffPin is one input pin of the gate being rebuilt: its driver's
+func newWaves(n int) waves {
+	return waves{
+		set: make([]uint32, n),
+		off: make([]int32, n),
+		end: make([]int32, n),
+	}
+}
+
+// reset empties every waveform.
+func (w *waves) reset() {
+	w.gen++
+	if w.gen == 0 { // wrapped: stale stamps could alias the new generation
+		clear(w.set)
+		w.gen = 1
+	}
+	w.steps = w.steps[:0]
+}
+
+// get returns gate g's waveform and whether it is set in this
+// generation.
+func (w *waves) get(g circuit.GateID) ([]Step, bool) {
+	if w.set[g] != w.gen {
+		return nil, false
+	}
+	return w.steps[w.off[g]:w.end[g]], true
+}
+
+// keep sets gate g's waveform to steps[off:].
+func (w *waves) keep(g circuit.GateID, off int) {
+	w.set[g] = w.gen
+	w.off[g] = int32(off)
+	w.end[g] = int32(len(w.steps))
+}
+
+// worklist holds the gates a kernel pass has still to visit, bucketed
+// by level (circuit.Levels): g is queued when queued[g] == gen, and
+// byLevel[l] lists the queued gates of level l, all within [lo, hi].
+type worklist struct {
+	c       *circuit.Circuit
+	gen     uint32
+	queued  []uint32
+	byLevel [][]circuit.GateID
+	lo, hi  int
+}
+
+func newWorklist(c *circuit.Circuit) worklist {
+	return worklist{
+		c:       c,
+		queued:  make([]uint32, len(c.Gates)),
+		byLevel: make([][]circuit.GateID, c.Depth()+1),
+	}
+}
+
+// reset empties the worklist.
+func (q *worklist) reset() {
+	q.gen++
+	if q.gen == 0 {
+		clear(q.queued)
+		q.gen = 1
+	}
+	q.lo, q.hi = len(q.byLevel), -1
+}
+
+// push queues gate g unless it is already queued.
+func (q *worklist) push(g circuit.GateID) {
+	if q.queued[g] == q.gen {
+		return
+	}
+	q.queued[g] = q.gen
+	l := q.c.Levels[g]
+	q.byLevel[l] = append(q.byLevel[l], g)
+	q.lo = min(q.lo, l)
+	q.hi = max(q.hi, l)
+}
+
+// pinCursor is one input pin of the gate being rebuilt: its driver's
 // waveform w, the arc delay d, the cursor i into w and the pin's
 // current value v.
-type diffPin struct {
+type pinCursor struct {
 	w []Step
 	d float64
 	i int
@@ -42,134 +107,117 @@ type diffPin struct {
 // RunDefectDiff returns the outputs captured at horizon by a run of
 // base's pattern and delays with defect overlay (defectArc, extra),
 // re-evaluating only the gates whose waveform the defect changes.
-// base must come from a Run on the same delays and horizon with
-// RecordWaveforms set.
+// base must come from a Run on the same delays and horizon; it may
+// come from this engine. DefectWaveform reads the defective waveforms
+// after the call.
 //
-// The kernel walks gates in increasing level order from
-// defectArc.To. Each visited gate's output waveform is rebuilt from
-// its inputs: the rebuilt waveform of a changed driver, the baseline
-// waveform of every other. Its fan-out is visited only if the
-// rebuilt waveform differs from the baseline. Outputs never reached
-// keep base.Capture.
-//
-// Under the transport-delay model a gate's value just after time t
-// depends only on its drivers' values just after t − d_k. Waveforms
-// are therefore rebuilt and compared as right-continuous step
-// functions: all pin arrivals at one instant are applied before the
-// gate is evaluated. The event engine's zero-width same-instant
-// toggles are thus dropped without changing a captured value. Arrival
-// times are st.T + d, the float sum the event engine schedules with,
-// so the captures are bit-identical to a full Run with the overlay
-// (DESIGN.md §20).
+// The kernel pass is seeded at defectArc.To against base's waveforms:
+// each visited gate's waveform is rebuilt from its drivers' (the
+// rebuilt waveform of a changed driver, the baseline waveform of every
+// other), and its fan-out is visited only if the rebuilt waveform
+// differs from the baseline. Outputs never reached keep base.Capture.
+// The captures equal a full Run with the overlay (DESIGN.md §20).
 //
 // The returned slice is engine-owned and valid until the next
-// RunDefectDiff on this engine; event runs do not touch it.
+// RunDefectDiff on this engine; full runs do not touch it.
 //
 //ddd:hot
 func (e *Engine) RunDefectDiff(delays []float64, base *Result, defectArc circuit.ArcID, extra, horizon float64) []bool {
-	if base.Waveforms == nil {
-		panic("tsim: RunDefectDiff requires a baseline with recorded waveforms")
+	if base.w == nil {
+		panic("tsim: RunDefectDiff requires a baseline produced by Run")
 	}
 	c := e.c
-	d := e.diffScratch()
 	opts := Options{Horizon: horizon, DefectArc: defectArc, DefectExtra: extra}
-	d.steps = d.steps[:0]
-
-	start := c.Arcs[defectArc].To
-	lo := c.Levels[start]
-	hi := lo
-	d.queued[start] = d.gen
-	d.byLevel[lo] = append(d.byLevel[lo], start)
-	for l := lo; l <= hi; l++ {
-		// Fan-out lies at strictly higher levels, so level l does not
-		// grow while it is walked.
-		for _, g := range d.byLevel[l] {
-			if !e.rebuild(d, g, delays, &opts, base) {
-				continue
-			}
-			d.changed[g] = d.gen
-			for _, h := range c.Gates[g].Fanout {
-				if d.queued[h] == d.gen {
-					continue
-				}
-				d.queued[h] = d.gen
-				lh := c.Levels[h]
-				d.byLevel[lh] = append(d.byLevel[lh], h)
-				if lh > hi {
-					hi = lh
-				}
-			}
-		}
-		d.byLevel[l] = d.byLevel[l][:0]
-	}
+	e.diff.reset()
+	e.queue.reset()
+	e.queue.push(c.Arcs[defectArc].To)
+	e.propagate(&e.diff, base.w, base.Init, delays, &opts)
 
 	for i, o := range c.Outputs {
-		if d.changed[o] != d.gen {
-			d.capture[i] = base.Capture[i]
-			continue
+		w, changed := e.diff.get(o)
+		switch {
+		case !changed:
+			e.diffCapture[i] = base.Capture[i]
+		case len(w) > 0:
+			e.diffCapture[i] = w[len(w)-1].V
+		default:
+			e.diffCapture[i] = base.Init[o]
 		}
-		v := base.Init[o]
-		if d.end[o] > d.off[o] {
-			v = d.steps[d.end[o]-1].V
-		}
-		d.capture[i] = v
 	}
-	return d.capture
+	return e.diffCapture
 }
 
-// diffScratch returns the engine's kernel scratch, allocating it on
-// first use, and opens a new stamp generation.
-func (e *Engine) diffScratch() *diffState {
-	d := e.diff
-	if d == nil {
-		n := len(e.c.Gates)
-		d = &diffState{
-			queued:  make([]uint32, n),
-			changed: make([]uint32, n),
-			off:     make([]int32, n),
-			end:     make([]int32, n),
-			byLevel: make([][]circuit.GateID, e.c.Depth()+1),
-			capture: make([]bool, len(e.c.Outputs)),
+// DefectWaveform returns gate g's waveform under the defect of this
+// engine's last RunDefectDiff, which ran against base: the rebuilt
+// waveform and true when the defect changed it, base's waveform and
+// false otherwise. The slice is valid as long as both the
+// RunDefectDiff answer and base are.
+func (e *Engine) DefectWaveform(base *Result, g circuit.GateID) ([]Step, bool) {
+	if w, ok := e.diff.get(g); ok {
+		return w, true
+	}
+	return base.Waveform(g), false
+}
+
+// propagate is the kernel pass. It visits the queued gates in
+// increasing level order and rebuilds each one's waveform into out
+// from its drivers' (out's where set, base's otherwise). A gate whose
+// waveform differs from base's is kept in out and queues its fan-out;
+// a nil base is all quiet.
+//
+// Under the transport-delay model a gate's value just after time t
+// depends only on its drivers' values just after t − d_k, so
+// waveforms are built and compared as right-continuous step functions:
+// all pin arrivals at one instant are applied before the gate is
+// evaluated, and a same-instant (zero-width) toggle is never a step.
+//
+//ddd:hot
+func (e *Engine) propagate(out, base *waves, init []bool, delays []float64, opts *Options) {
+	q := &e.queue
+	// Fan-out lies at strictly higher levels, so level l does not grow
+	// while it is walked; q.hi may.
+	for l := q.lo; l <= q.hi; l++ {
+		for _, g := range q.byLevel[l] {
+			if !e.rebuild(out, base, init, g, delays, opts) {
+				continue
+			}
+			for _, h := range e.c.Gates[g].Fanout {
+				q.push(h)
+			}
 		}
-		e.diff = d
+		q.byLevel[l] = q.byLevel[l][:0]
 	}
-	d.gen++
-	if d.gen == 0 { // wrapped: stale stamps could alias the new generation
-		clear(d.queued)
-		clear(d.changed)
-		d.gen = 1
-	}
-	return d
 }
 
 // rebuild computes gate g's right-continuous output waveform up to
-// the horizon into d.steps and reports whether it differs from g's
-// baseline waveform. A waveform equal to the baseline is discarded.
+// the horizon at the end of out.steps and reports whether it differs
+// from g's baseline waveform. A differing waveform is kept in out; one
+// equal to the baseline is discarded.
 //
 //ddd:hot
-func (e *Engine) rebuild(d *diffState, g circuit.GateID, delays []float64, opts *Options, base *Result) bool {
+func (e *Engine) rebuild(out, base *waves, init []bool, g circuit.GateID, delays []float64, opts *Options) bool {
 	gate := &e.c.Gates[g]
 	md := e.gmode[g]
 	cv := md&gmCV != 0
-	pins := d.pins[:0]
+	pins := e.pins[:0]
 	var cnt int16
 	for k, fi := range gate.Fanin {
-		v := base.Init[fi]
+		v := init[fi]
 		if v == cv {
 			cnt++
 		}
-		w := base.Waveforms[fi]
-		if d.changed[fi] == d.gen {
-			w = d.steps[d.off[fi]:d.end[fi]]
+		w, ok := out.get(fi)
+		if !ok && base != nil {
+			w, _ = base.get(fi)
 		}
 		if len(w) > 0 {
-			pins = append(pins, diffPin{w: w, d: arcDelay(delays, opts, gate.InArcs[k]), v: v})
+			pins = append(pins, pinCursor{w: w, d: arcDelay(delays, opts, gate.InArcs[k]), v: v})
 		}
 	}
-	d.pins = pins
+	e.pins = pins
 
-	out := base.Init[g]
-	off := len(d.steps)
+	val := init[g]
+	off := len(out.steps)
 	for {
 		// The next instant is the earliest pending arrival on any pin.
 		t := math.Inf(1)
@@ -186,12 +234,11 @@ func (e *Engine) rebuild(d *diffState, g circuit.GateID, delays []float64, opts 
 		if !live {
 			break
 		}
-		// Apply every arrival at t; a pin's last one wins, as in the
-		// event engine's (t, seq) order.
+		// Apply every arrival at t; a pin's last one wins.
 		for i := range pins {
 			p := &pins[i]
 			v := p.v
-			for p.i < len(p.w) && p.w[p.i].T+p.d == t { //lint:ignore floateq arrivals at one instant must group on the exact float time the event engine schedules them at
+			for p.i < len(p.w) && p.w[p.i].T+p.d == t { //lint:ignore floateq arrivals at one instant must group on their exact float time
 				v = p.w[p.i].V
 				p.i++
 			}
@@ -210,49 +257,41 @@ func (e *Engine) rebuild(d *diffState, g circuit.GateID, delays []float64, opts 
 		} else {
 			nv = (cnt == 0) != (md&gmInv != 0)
 		}
-		if nv != out {
-			d.steps = append(d.steps, Step{T: t, V: nv})
-			out = nv
+		if nv != val {
+			out.steps = append(out.steps, Step{T: t, V: nv})
+			val = nv
 		}
 	}
 
-	if sameWaveform(d.steps[off:], base.Waveforms[g], base.Init[g]) {
-		d.steps = d.steps[:off]
+	var bw []Step
+	if base != nil {
+		bw, _ = base.get(g)
+	}
+	if sameWaveform(out.steps[off:], bw) {
+		out.steps = out.steps[:off]
 		return false
 	}
-	d.off[g] = int32(off)
-	d.end[g] = int32(len(d.steps))
+	out.keep(g, off)
 	return true
 }
 
-// sameWaveform reports whether the right-continuous waveform rc (one
-// step per instant, each a change) equals the recorded waveform raw
-// starting from init. Steps of raw at one instant collapse to their
-// last value, and a collapsed step that leaves the value unchanged
-// (a zero-width toggle) is dropped.
-func sameWaveform(rc, raw []Step, init bool) bool {
-	i := 0
-	prev := init
-	for j := 0; j < len(raw); {
-		t, v := raw[j].T, raw[j].V
-		for j++; j < len(raw) && raw[j].T == t; j++ { //lint:ignore floateq same-instant steps are exactly equal times by construction
-			v = raw[j].V
-		}
-		if v == prev {
-			continue
-		}
-		prev = v
-		if i == len(rc) || rc[i].T != t || rc[i].V != v { //lint:ignore floateq waveform identity is exact: both sides are the same float sums
+// sameWaveform reports whether two right-continuous waveforms from
+// the same initial value are equal.
+func sameWaveform(a, b []Step) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].T != b[i].T || a[i].V != b[i].V { //lint:ignore floateq waveform identity is exact: both sides are the same float sums
 			return false
 		}
-		i++
 	}
-	return i == len(rc)
+	return true
 }
 
 // CheckPair validates that a pattern pair matches the circuit's input
 // width, returning a descriptive error instead of the panic that the
-// simulators would raise.
+// simulator would raise.
 func CheckPair(c *circuit.Circuit, p logicsim.PatternPair) error {
 	if len(p.V1) != len(c.Inputs) || len(p.V2) != len(c.Inputs) {
 		return fmt.Errorf("tsim: pattern width %d/%d does not match %d inputs",

@@ -15,7 +15,7 @@ import (
 // function over each fan-in's value at time t − d_pin, recursing down
 // to the inputs (which switch from V1 to V2 at t = 0, inclusive).
 // It evaluates pointwise with no event queue at all, so it cannot
-// share bugs with the engine's scheduling or commit logic.
+// share bugs with the kernel or the event oracle.
 func refValue(c *circuit.Circuit, delays []float64, opts *Options, p logicsim.PatternPair, g circuit.GateID, t float64) bool {
 	gate := &c.Gates[g]
 	if gate.Type == circuit.Input {
@@ -36,9 +36,9 @@ func refValue(c *circuit.Circuit, delays []float64, opts *Options, p logicsim.Pa
 	return gate.Type.Eval(vals)
 }
 
-// TestEngineMatchesPointwiseOracle cross-checks the event-driven
-// engine against the pointwise oracle on random circuits, patterns,
-// defect overlays and capture times.
+// TestEngineMatchesPointwiseOracle cross-checks the waveform kernel
+// against the pointwise oracle on random circuits, patterns, defect
+// overlays and capture times.
 func TestEngineMatchesPointwiseOracle(t *testing.T) {
 	c, err := synth.GenerateNamed("mini", 21)
 	if err != nil {

@@ -120,14 +120,15 @@ func TestHazardGlitchCapture(t *testing.T) {
 	in := m.NominalInstance()
 	pair := logicsim.PatternPair{V1: logicsim.Vector{false}, V2: logicsim.Vector{true}}
 
-	full := Simulate(c, in.Delays, pair, Options{Horizon: math.Inf(1), DefectArc: NoDefect, RecordWaveforms: true})
+	full := Simulate(c, in.Delays, pair, Quiescent())
 	o, _ := c.GateByName("o")
-	if len(full.Waveforms[o.ID]) != 2 {
-		t.Fatalf("expected a 2-step glitch at o, got %v", full.Waveforms[o.ID])
+	wo := full.Waveform(o.ID)
+	if len(wo) != 2 {
+		t.Fatalf("expected a 2-step glitch at o, got %v", wo)
 	}
-	rise, fall := full.Waveforms[o.ID][0].T, full.Waveforms[o.ID][1].T
+	rise, fall := wo[0].T, wo[1].T
 	if !(rise < fall) {
-		t.Fatalf("glitch steps out of order: %v", full.Waveforms[o.ID])
+		t.Fatalf("glitch steps out of order: %v", wo)
 	}
 	// Capture inside the glitch (between rise at o and fall at o, plus
 	// port delay) sees 1; the settled value is 0.
@@ -152,15 +153,15 @@ func TestTransitionedFlags(t *testing.T) {
 	in := m.NominalInstance()
 	pair := logicsim.PatternPair{V1: logicsim.Vector{true}, V2: logicsim.Vector{true}}
 	res := Simulate(c, in.Delays, pair, Quiescent())
-	for g, tr := range res.Transitioned {
-		if tr {
+	for g := range c.Gates {
+		if res.Transitioned(circuit.GateID(g)) {
 			t.Errorf("gate %d transitioned under a stable pattern", g)
 		}
 	}
 	pair2 := logicsim.PatternPair{V1: logicsim.Vector{false}, V2: logicsim.Vector{true}}
 	res2 := Simulate(c, in.Delays, pair2, Quiescent())
 	n2, _ := c.GateByName("n2")
-	if !res2.Transitioned[n2.ID] {
+	if !res2.Transitioned(n2.ID) {
 		t.Errorf("chain gate did not transition")
 	}
 }
@@ -173,8 +174,8 @@ func TestEngineReuseIsClean(t *testing.T) {
 	stable := logicsim.PatternPair{V1: logicsim.Vector{true}, V2: logicsim.Vector{true}}
 	_ = eng.Run(in.Delays, rise, Quiescent())
 	res := eng.Run(in.Delays, stable, Quiescent())
-	for g, tr := range res.Transitioned {
-		if tr {
+	for g := range c.Gates {
+		if res.Transitioned(circuit.GateID(g)) {
 			t.Errorf("stale transition flag on gate %d after engine reuse", g)
 		}
 	}
@@ -219,14 +220,12 @@ func TestSameDriverOnTwoPins(t *testing.T) {
 	delays[o.InArcs[0]] = 1.0
 	delays[o.InArcs[1]] = 2.5
 	pair := logicsim.PatternPair{V1: logicsim.Vector{false}, V2: logicsim.Vector{true}}
-	opts := Quiescent()
-	opts.RecordWaveforms = true
-	res := Simulate(c, delays, pair, opts)
+	res := Simulate(c, delays, pair, Quiescent())
 	if res.Capture[0] != false {
 		t.Errorf("settled value of XOR(a,a) must be 0")
 	}
 	// Glitch: rises at 1.0, falls at 2.5 at gate o.
-	w := res.Waveforms[o.ID]
+	w := res.Waveform(o.ID)
 	if len(w) != 2 || w[0].T != 1.0 || !w[0].V || w[1].T != 2.5 || w[1].V {
 		t.Errorf("glitch waveform = %v, want rise@1 fall@2.5", w)
 	}
@@ -248,23 +247,12 @@ func TestZeroWidthPulseSuppressed(t *testing.T) {
 		delays[i] = 1.5
 	}
 	pair := logicsim.PatternPair{V1: logicsim.Vector{false}, V2: logicsim.Vector{true}}
-	opts := Quiescent()
-	opts.RecordWaveforms = true
-	res := Simulate(c, delays, pair, opts)
+	res := Simulate(c, delays, pair, Quiescent())
 	o, _ := c.GateByName("o")
-	// A zero-width pulse may appear as two same-time steps or none;
-	// what matters is that any same-time pair cancels and the capture
-	// at every time is 0. Check value-at-t over the waveform.
-	w := res.Waveforms[o.ID]
-	val := res.Init[o.ID]
-	for i := 0; i < len(w); i++ {
-		val = w[i].V
-		if i+1 < len(w) && w[i+1].T == w[i].T {
-			continue // same-instant pair; only the final value counts
-		}
-		if val && (i+1 >= len(w) || w[i+1].T != w[i].T) {
-			t.Errorf("visible pulse at t=%v in %v", w[i].T, w)
-		}
+	// Both pin changes apply at one instant, so the right-continuous
+	// waveform has no step at all and the capture at every time is 0.
+	if w := res.Waveform(o.ID); len(w) != 0 {
+		t.Errorf("zero-width pulse recorded as %v", w)
 	}
 	if res.Capture[0] {
 		t.Errorf("captured 1 from a zero-width pulse")
@@ -288,15 +276,13 @@ func TestHorizonCutoffConsistent(t *testing.T) {
 		v2[i] = r.IntN(2) == 1
 	}
 	pair := logicsim.PatternPair{V1: v1, V2: v2}
-	opts := Quiescent()
-	opts.RecordWaveforms = true
-	full := Simulate(c, inst.Delays, pair, opts)
+	full := Simulate(c, inst.Delays, pair, Quiescent())
 
 	for _, clk := range []float64{1, 3, 5, 8, 12} {
 		capped := Simulate(c, inst.Delays, pair, AtClock(clk))
 		for i, o := range c.Outputs {
 			want := full.Init[o]
-			for _, st := range full.Waveforms[o] {
+			for _, st := range full.Waveform(o) {
 				if st.T <= clk {
 					want = st.V
 				}

@@ -18,11 +18,9 @@ func TestWriteVCD(t *testing.T) {
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
 	inst := m.NominalInstance()
-	opts := Quiescent()
-	opts.RecordWaveforms = true
 	res := Simulate(c, inst.Delays, logicsim.PatternPair{
 		V1: logicsim.Vector{false}, V2: logicsim.Vector{true},
-	}, opts)
+	}, Quiescent())
 
 	var sb strings.Builder
 	if err := WriteVCD(&sb, c, res, 1000); err != nil {
@@ -65,18 +63,13 @@ func TestWriteVCDValidation(t *testing.T) {
 	src := "INPUT(a)\nOUTPUT(o)\no = NOT(a)\n"
 	c, _ := benchfmt.ParseString(src, "x", false)
 	m := timing.NewModel(c, timing.DefaultParams())
-	res := Simulate(c, m.NominalInstance().Delays, logicsim.PatternPair{
-		V1: logicsim.Vector{false}, V2: logicsim.Vector{true},
-	}, Quiescent()) // no waveforms recorded
 	var sb strings.Builder
-	if err := WriteVCD(&sb, c, res, 1000); err == nil {
+	if err := WriteVCD(&sb, c, &Result{}, 1000); err == nil { // no run, no waveforms
 		t.Errorf("missing waveforms accepted")
 	}
-	opts := Quiescent()
-	opts.RecordWaveforms = true
-	res = Simulate(c, m.NominalInstance().Delays, logicsim.PatternPair{
+	res := Simulate(c, m.NominalInstance().Delays, logicsim.PatternPair{
 		V1: logicsim.Vector{false}, V2: logicsim.Vector{true},
-	}, opts)
+	}, Quiescent())
 	if err := WriteVCD(&sb, c, res, 0); err == nil {
 		t.Errorf("zero timescale accepted")
 	}

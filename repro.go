@@ -5,7 +5,7 @@
 // substrate it needs — a netlist model with ISCAS'89 .bench I/O and a
 // statistics-matched benchmark generator, a correlated statistical
 // timing model with Monte-Carlo and Clark-approximation STA, an
-// event-driven timed simulator with defect overlays, path enumeration,
+// timed waveform simulator with defect overlays, path enumeration,
 // a two-frame PODEM path-delay ATPG, segment-oriented defect models,
 // the probabilistic fault dictionary, the paper's four diagnosis error
 // functions, and the full Table-I / Figure-1..3 evaluation harness.
@@ -262,13 +262,12 @@ func BuildStaticDictionary(cfg ExperimentConfig, maxSuspects int) (*StaticDictio
 	return eval.BuildStatic(cfg, maxSuspects)
 }
 
-// WriteVCD dumps a recorded timed simulation as a VCD waveform file.
-// Obtain the result via tsim with Options.RecordWaveforms; see
-// internal/tsim for the lower-level API.
+// WriteVCD simulates p on inst to quiescence and dumps every gate's
+// waveform as a VCD file. Waveforms are right-continuous, so
+// zero-width (same-instant) toggles do not appear; see internal/tsim
+// for the lower-level API.
 func WriteVCD(w io.Writer, c *Circuit, inst *Instance, p PatternPair, timescale float64) error {
-	opts := tsim.Quiescent()
-	opts.RecordWaveforms = true
-	res := tsim.Simulate(c, inst.Delays, p, opts)
+	res := tsim.Simulate(c, inst.Delays, p, tsim.Quiescent())
 	return tsim.WriteVCD(w, c, res, timescale)
 }
 
