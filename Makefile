@@ -50,7 +50,7 @@ ci: build lint lint-self lint-obs smoke-serve smoke-router loadtest chaos-router
 
 # accept runs the analytic-vs-MC engine acceptance gate on its own:
 # rebuilds the precomputed dictionary under both engines and fails if
-# any tolerance in internal/eval/accept.go is exceeded (STA moments,
+# any tolerance in internal/eval/accept_test.go is exceeded (STA moments,
 # dictionary entries, top-1 diagnosis agreement). Also part of the
 # plain test suite via TestAnalyticEngineAcceptance.
 accept:

@@ -143,7 +143,7 @@ func BenchmarkCoreBuildDictionary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BuildDictionary(m, pats, suspects, cfg); err != nil {
+		if _, err := core.BuildDictionary(context.Background(), m, pats, suspects, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,7 +179,7 @@ func BenchmarkCoreBuildDictionaryAnalytic(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BuildDictionary(m, pats, suspects, cfg); err != nil {
+		if _, err := core.BuildDictionary(context.Background(), m, pats, suspects, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/atpg"
@@ -142,7 +144,9 @@ func setupCase(b *testing.B) (*timing.Model, []logicsim.PatternPair, []ArcID, *c
 	if !bh.AnyFailure() {
 		b.Fatal("case escaped")
 	}
-	suspects := core.SuspectArcs(c, pats, bh)
+	strict, relaxed := core.SuspectArcsTiered(c, pats, bh)
+	suspects := append(strict, relaxed...)
+	slices.Sort(suspects)
 	return m, pats, suspects, bh, clk, truth.Arc, inj.AssumedSizeDist()
 }
 
@@ -154,7 +158,7 @@ func BenchmarkAblationSamples(b *testing.B) {
 		b.Run(fmt.Sprintf("samples=%d", samples), func(b *testing.B) {
 			var rank int
 			for i := 0; i < b.N; i++ {
-				dict, err := core.BuildDictionary(m, pats, suspects, core.DictConfig{
+				dict, err := core.BuildDictionary(context.Background(), m, pats, suspects, core.DictConfig{
 					Clk: clk, Samples: samples, Seed: 17,
 					SizeDist: sizeDist,
 				})
@@ -169,23 +173,46 @@ func BenchmarkAblationSamples(b *testing.B) {
 }
 
 // BenchmarkAblationIncremental: difference-propagation defect
-// re-simulation (tsim.RunDefectDiff) vs a full run per
-// candidate (identical results, very different cost).
+// re-simulation (tsim.RunDefectDiff) vs a full run with the defect
+// overlay, over the same (sample, pattern, suspect) triples the
+// dictionary build re-simulates (identical captures, very different
+// cost). Both arms pay the same baseline run per (sample, pattern).
 func BenchmarkAblationIncremental(b *testing.B) {
 	m, pats, suspects, _, clk, _, sizeDist := setupCase(b)
-	for _, mode := range []struct {
-		name string
-		inc  bool
-	}{{"incremental", true}, {"full", false}} {
-		b.Run(mode.name, func(b *testing.B) {
+	c := m.C
+	const samples = 32
+	delays := make([][]float64, samples)
+	sizes := make([][]float64, samples)
+	for s := range delays {
+		delays[s] = m.SampleInstanceSeeded(17, uint64(s)).Delays
+		r := rng.NewDerived(18, uint64(s))
+		sizes[s] = make([]float64, len(suspects))
+		for i := range sizes[s] {
+			sizes[s][i] = sizeDist.Sample(r)
+		}
+	}
+	for _, mode := range []string{"incremental", "full"} {
+		b.Run(mode, func(b *testing.B) {
+			eng, full := tsim.NewEngine(c), tsim.NewEngine(c)
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := core.BuildDictionary(m, pats, suspects, core.DictConfig{
-					Clk: clk, Samples: 32, Seed: 17,
-					FullResim: !mode.inc, SizeDist: sizeDist,
-				})
-				if err != nil {
-					b.Fatal(err)
+			for n := 0; n < b.N; n++ {
+				for s := range delays {
+					for _, pat := range pats {
+						base := eng.Run(delays[s], pat, tsim.AtClock(clk))
+						for i, arc := range suspects {
+							if !base.Transitioned(c.Arcs[arc].From) {
+								continue
+							}
+							if mode == "incremental" {
+								eng.RunDefectDiff(delays[s], base, arc, sizes[s][i], clk)
+								continue
+							}
+							opts := tsim.AtClock(clk)
+							opts.DefectArc = arc
+							opts.DefectExtra = sizes[s][i]
+							full.Run(delays[s], pat, opts)
+						}
+					}
 				}
 			}
 		})
@@ -245,34 +272,6 @@ func BenchmarkAblationRobust(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTimedFill: cost of the timing-guided fill
-// optimization (Section G's GA-ATPG idea) and the arrival-time gain it
-// buys on the targeted output.
-func BenchmarkAblationTimedFill(b *testing.B) {
-	c, err := synth.GenerateNamed("small", 2003)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := timing.NewModel(c, timing.DefaultParams())
-	inst := m.NominalInstance()
-	site := ArcID(len(c.Arcs) / 2)
-	tests := atpg.DiagnosticPatterns(c, m.Nominal, site, 4, rng.New(3))
-	if len(tests) == 0 {
-		b.Skip("no tests for this site")
-	}
-	tc := tests[0]
-	outGate := c.Arcs[tc.Path.Arcs[len(tc.Path.Arcs)-1]].To
-	outIdx := c.OutputIndex(outGate)
-	eng := tsim.NewEngine(c)
-	before := eng.Run(inst.Delays, tc.Pair, tsim.Quiescent()).LastChange[outIdx]
-	var after float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, after = atpg.OptimizeFill(c, inst.Delays, tc.Path, tc.Pair, tc.Robust, 60, rng.New(uint64(i)))
-	}
-	b.ReportMetric((after-before)/before*100, "arrival_gain_%")
-}
-
 // --- Microbenchmarks of the substrates -------------------------------------
 
 func BenchmarkLogicSimWords(b *testing.B) {
@@ -285,7 +284,7 @@ func BenchmarkLogicSimWords(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		logicsim.EvalWords(c, in)
+		logicsim.EvalWordsInto(nil, c, in)
 	}
 	b.SetBytes(int64(len(c.Gates) * 8))
 }
@@ -295,7 +294,7 @@ func BenchmarkTimedSim(b *testing.B) {
 	m := timing.NewModel(c, timing.DefaultParams())
 	inst := m.NominalInstance()
 	r := rng.New(5)
-	pairs := atpg.RandomPairs(c, 16, r)
+	pairs := randomPairs(c, 16, r)
 	eng := tsim.NewEngine(c)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -363,7 +362,7 @@ func BenchmarkCriticality(b *testing.B) {
 
 func BenchmarkCompressAndPersist(b *testing.B) {
 	m, pats, suspects, _, clk, _, sizeDist := setupCase(b)
-	dict, err := core.BuildDictionary(m, pats, suspects, core.DictConfig{
+	dict, err := core.BuildDictionary(context.Background(), m, pats, suspects, core.DictConfig{
 		Clk: clk, Samples: 48, Seed: 17, SizeDist: sizeDist,
 	})
 	if err != nil {
@@ -388,7 +387,7 @@ func BenchmarkCompressAndPersist(b *testing.B) {
 
 func BenchmarkDiagnoseOnly(b *testing.B) {
 	m, pats, suspects, bh, clk, _, sizeDist := setupCase(b)
-	dict, err := core.BuildDictionary(m, pats, suspects, core.DictConfig{
+	dict, err := core.BuildDictionary(context.Background(), m, pats, suspects, core.DictConfig{
 		Clk: clk, Samples: 48, Seed: 17, SizeDist: sizeDist,
 	})
 	if err != nil {
@@ -410,4 +409,19 @@ func rankIn(ranked []core.Ranked, truth ArcID) int {
 		}
 	}
 	return 0
+}
+
+// randomPairs generates n random two-vector patterns.
+func randomPairs(c *circuit.Circuit, n int, r *rand.Rand) []logicsim.PatternPair {
+	out := make([]logicsim.PatternPair, n)
+	for i := range out {
+		v1 := make(logicsim.Vector, len(c.Inputs))
+		v2 := make(logicsim.Vector, len(c.Inputs))
+		for j := range v1 {
+			v1[j] = r.IntN(2) == 1
+			v2[j] = r.IntN(2) == 1
+		}
+		out[i] = logicsim.PatternPair{V1: v1, V2: v2}
+	}
+	return out
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // TestSummaryCountsSuppressed runs the driver against a package with a
-// known //lint:ignore directive (dist's degenerate-histogram guard) and
-// asserts the summary line reports the suppression and the process
-// exits 0.
+// known //lint:ignore directive (core's bit-identical clk check in
+// Merge) and asserts the summary line reports the suppression and the
+// process exits 0.
 func TestSummaryCountsSuppressed(t *testing.T) {
-	cmd := exec.Command("go", "run", ".", "repro/internal/dist")
+	cmd := exec.Command("go", "run", ".", "repro/internal/core")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("ddd-lint failed: %v\n%s", err, out)
@@ -25,10 +25,10 @@ func TestSummaryCountsSuppressed(t *testing.T) {
 
 // TestJSONSchema runs -json against the same package and asserts the
 // machine-readable output: a JSON array on stdout whose elements carry
-// exactly the documented fields, including the known suppressed dist
+// exactly the documented fields, including the known suppressed core
 // finding with its justification.
 func TestJSONSchema(t *testing.T) {
-	cmd := exec.Command("go", "run", ".", "-json", "repro/internal/dist")
+	cmd := exec.Command("go", "run", ".", "-json", "repro/internal/core")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -54,18 +54,18 @@ func TestJSONSchema(t *testing.T) {
 		t.Fatalf("stdout is not a JSON array of the documented schema: %v\n%s", err, stdout.String())
 	}
 
-	// dist has exactly one finding, suppressed by directive.
+	// core has exactly one finding, suppressed by directive.
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1: %+v", len(diags), diags)
 	}
 	d := diags[0]
-	if !strings.HasSuffix(d.File, "empirical.go") || d.Line <= 0 || d.Column <= 0 {
+	if !strings.HasSuffix(d.File, "dictionary.go") || d.Line <= 0 || d.Column <= 0 {
 		t.Errorf("bad position: %+v", d)
 	}
 	if d.Analyzer != "floateq" || d.Message == "" {
 		t.Errorf("bad analyzer/message: %+v", d)
 	}
-	if !d.Suppressed || !strings.Contains(d.Reason, "degenerate-sample guard") {
+	if !d.Suppressed || !strings.Contains(d.Reason, "bit-identical clk") {
 		t.Errorf("suppression not reflected in JSON: %+v", d)
 	}
 }
@@ -73,12 +73,12 @@ func TestJSONSchema(t *testing.T) {
 // TestVerbosePrintsSuppressed asserts -v surfaces the suppressed
 // finding with its justification.
 func TestVerbosePrintsSuppressed(t *testing.T) {
-	cmd := exec.Command("go", "run", ".", "-v", "repro/internal/dist")
+	cmd := exec.Command("go", "run", ".", "-v", "repro/internal/core")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("ddd-lint -v failed: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "suppressed (exact degenerate-sample guard") {
+	if !strings.Contains(string(out), "suppressed (merged dictionaries must share a bit-identical clk") {
 		t.Errorf("-v does not print the suppression justification:\n%s", out)
 	}
 }

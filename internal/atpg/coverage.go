@@ -25,18 +25,6 @@ type CoverageResult struct {
 	Detects []int
 }
 
-// NDetect returns the number of covered arcs with at least n detecting
-// patterns.
-func (r *CoverageResult) NDetect(n int) int {
-	c := 0
-	for _, d := range r.Detects {
-		if d >= n {
-			c++
-		}
-	}
-	return c
-}
-
 // Fraction returns covered/total.
 func (r *CoverageResult) Fraction() float64 {
 	if r.TotalArcs == 0 {
@@ -83,7 +71,7 @@ func ArcCoverage(c *circuit.Circuit, pats []logicsim.PatternPair) *CoverageResul
 		// Unpack lanes in pattern order so PerPattern reproduces the
 		// scalar cumulative curve exactly. Unused tail lanes pack
 		// all-zero vectors on both sides, so their mask bits are zero by
-		// construction (see PackVectors' ragged-tail contract); the loop
+		// construction (see PackPatternPairsInto's ragged-tail contract); the loop
 		// bound masks them regardless.
 		for b := range block {
 			for aid, w := range arcMasks {

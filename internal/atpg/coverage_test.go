@@ -73,7 +73,7 @@ func TestArcCoverageMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pats := RandomPairs(c, 30, rng.New(7))
+	pats := randomPairs(c, 30, rng.New(7))
 	res := ArcCoverage(c, pats)
 	prev := 0
 	for i, v := range res.PerPattern {
@@ -114,15 +114,18 @@ func TestNDetectCounts(t *testing.T) {
 	if res.Detects[o.InArcs[1]] != 0 {
 		t.Errorf("uncovered arc has detects %d", res.Detects[o.InArcs[1]])
 	}
-	if res.NDetect(1) != 1 || res.NDetect(2) != 1 || res.NDetect(3) != 0 {
-		t.Errorf("NDetect counts wrong: %d/%d/%d", res.NDetect(1), res.NDetect(2), res.NDetect(3))
-	}
-	// NDetect(1) must equal Covered on any input.
+	// The arcs detected at least once are exactly the covered ones.
 	c2, _ := synth.GenerateNamed("mini", 1)
-	pats := RandomPairs(c2, 12, rng.New(3))
+	pats := randomPairs(c2, 12, rng.New(3))
 	r2 := ArcCoverage(c2, pats)
-	if r2.NDetect(1) != r2.Covered {
-		t.Errorf("NDetect(1) %d != Covered %d", r2.NDetect(1), r2.Covered)
+	detected := 0
+	for _, d := range r2.Detects {
+		if d >= 1 {
+			detected++
+		}
+	}
+	if detected != r2.Covered {
+		t.Errorf("%d arcs detected at least once, Covered %d", detected, r2.Covered)
 	}
 }
 
@@ -144,7 +147,7 @@ func TestArcCoverageMatchesScalarOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range []int{1, 30, 64, 65, 150} {
-			pats := RandomPairs(c, n, rng.New(uint64(n)))
+			pats := randomPairs(c, n, rng.New(uint64(n)))
 			got := ArcCoverage(c, pats)
 			want := arcCoverageScalar(c, pats)
 			if got.TotalArcs != want.TotalArcs || got.Covered != want.Covered {

@@ -144,12 +144,3 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 	}
 	return bw.Flush()
 }
-
-// String renders c in .bench format.
-func String(c *circuit.Circuit) string {
-	var sb strings.Builder
-	if err := Write(&sb, c); err != nil {
-		panic(err) // strings.Builder cannot fail
-	}
-	return sb.String()
-}

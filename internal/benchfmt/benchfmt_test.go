@@ -110,7 +110,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := String(orig)
+	text := writeBench(t, orig)
 	back, err := ParseString(text, "c17", false)
 	if err != nil {
 		t.Fatalf("re-parse failed: %v\n%s", err, text)
@@ -146,7 +146,7 @@ func TestRoundTripScanConverted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseString(String(c), "seq", false) // already combinational
+	back, err := ParseString(writeBench(t, c), "seq", false) // already combinational
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +157,20 @@ func TestRoundTripScanConverted(t *testing.T) {
 
 func TestWriteContainsHeaderAndSections(t *testing.T) {
 	c, _ := ParseString(c17Bench, "c17", false)
-	text := String(c)
+	text := writeBench(t, c)
 	for _, want := range []string{"INPUT(G1)", "OUTPUT(G22)", "G10 = NAND(G1, G3)"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// writeBench renders c in .bench format through Write.
+func writeBench(t *testing.T, c *circuit.Circuit) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := Write(&sb, c); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }

@@ -36,7 +36,7 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("parsed circuit fails validation: %v\nsource:\n%s", err, src)
 		}
 		// Writer output must re-parse to the same shape.
-		text := String(c)
+		text := writeBench(t, c)
 		back, err := ParseString(text, "fuzz", false)
 		if err != nil {
 			t.Fatalf("round trip failed: %v\nwritten:\n%s", err, text)

@@ -15,9 +15,6 @@ type GateID int32
 // model (Definition D.9).
 type ArcID int32
 
-// NoGate is the invalid gate sentinel.
-const NoGate GateID = -1
-
 // Gate is one cell instance (vertex of the circuit DAG).
 type Gate struct {
 	ID     GateID
@@ -235,19 +232,6 @@ func (c *Circuit) GateByName(name string) (*Gate, bool) {
 
 // NumGates returns the number of gates (including port gates).
 func (c *Circuit) NumGates() int { return len(c.Gates) }
-
-// NumArcs returns the number of pin-to-pin arcs, |E|.
-func (c *Circuit) NumArcs() int { return len(c.Arcs) }
-
-// OutputIndex returns the position of gate id within c.Outputs, or -1.
-func (c *Circuit) OutputIndex(id GateID) int {
-	for i, o := range c.Outputs {
-		if o == id {
-			return i
-		}
-	}
-	return -1
-}
 
 // computeOrder performs Kahn's algorithm, failing on cycles. Among
 // ready gates the smallest ID is taken first, so the order is

@@ -226,7 +226,7 @@ func TestCones(t *testing.T) {
 			t.Errorf("fanout cone missing %s", name)
 		}
 	}
-	if got := fo.Count(); got != 5 {
+	if got := count(fo); got != 5 {
 		t.Errorf("fanout cone size = %d, want 5", got)
 	}
 }
@@ -245,17 +245,14 @@ func TestOutputsReachedFrom(t *testing.T) {
 	}
 }
 
-func TestConeArcsAndOrderedSubset(t *testing.T) {
+// TestOrderedSubset checks that c.Order restricted to a fan-in cone
+// stays topological.
+func TestOrderedSubset(t *testing.T) {
 	c := buildC17(t)
 	n16, _ := c.GateByName("n16")
 	cone := c.FaninCone(n16.ID)
-	arcs := c.ConeArcs(cone)
-	// Arcs fully inside {i2,i3,i4,n11,n16}: i3->n11, i4->n11, i2->n16, n11->n16.
-	if arcs.Count() != 4 {
-		t.Errorf("cone arcs = %d, want 4", arcs.Count())
-	}
-	sub := c.OrderedSubset(cone)
-	if len(sub) != cone.Count() {
+	sub := orderedSubset(c, cone)
+	if len(sub) != count(cone) {
 		t.Fatalf("subset size mismatch")
 	}
 	seen := c.NewGateSet()
@@ -267,21 +264,18 @@ func TestConeArcsAndOrderedSubset(t *testing.T) {
 		}
 		seen.Add(g)
 	}
-	if len(arcs.IDs()) != 4 {
-		t.Errorf("IDs() length mismatch")
-	}
 }
 
 func TestGateSetArcSetOps(t *testing.T) {
 	c := buildC17(t)
 	gs := c.NewGateSet()
-	if gs.Count() != 0 {
+	if count(gs) != 0 {
 		t.Errorf("fresh set non-empty")
 	}
 	gs.Add(3)
 	gs.Add(3)
 	gs.Add(5)
-	if !gs.Has(3) || gs.Has(4) || gs.Count() != 2 {
+	if !gs.Has(3) || gs.Has(4) || count(gs) != 2 {
 		t.Errorf("gate set ops wrong")
 	}
 	as := c.NewArcSet()
@@ -291,17 +285,29 @@ func TestGateSetArcSetOps(t *testing.T) {
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 7 {
 		t.Errorf("IDs = %v", ids)
 	}
-	if as.Count() != 2 || !as.Has(7) || as.Has(0) {
+	if count(as) != 2 || !as.Has(7) || as.Has(0) {
 		t.Errorf("arc set ops wrong")
 	}
 }
 
-func TestOutputIndex(t *testing.T) {
-	c := buildC17(t)
-	if i := c.OutputIndex(c.Outputs[1]); i != 1 {
-		t.Errorf("OutputIndex = %d, want 1", i)
+// count returns the number of members of a GateSet or ArcSet.
+func count(set []bool) int {
+	n := 0
+	for _, in := range set {
+		if in {
+			n++
+		}
 	}
-	if i := c.OutputIndex(c.Inputs[0]); i != -1 {
-		t.Errorf("OutputIndex of input = %d, want -1", i)
+	return n
+}
+
+// orderedSubset returns the gates of set in topological order.
+func orderedSubset(c *Circuit, set GateSet) []GateID {
+	var out []GateID
+	for _, g := range c.Order {
+		if set.Has(g) {
+			out = append(out, g)
+		}
 	}
+	return out
 }

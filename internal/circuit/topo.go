@@ -12,17 +12,6 @@ func (s GateSet) Add(id GateID) { s[id] = true }
 // Has reports membership.
 func (s GateSet) Has(id GateID) bool { return s[id] }
 
-// Count returns the number of members.
-func (s GateSet) Count() int {
-	n := 0
-	for _, v := range s {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
 // ArcSet is a dense membership set over arcs.
 type ArcSet []bool
 
@@ -34,17 +23,6 @@ func (s ArcSet) Add(id ArcID) { s[id] = true }
 
 // Has reports membership.
 func (s ArcSet) Has(id ArcID) bool { return s[id] }
-
-// Count returns the number of members.
-func (s ArcSet) Count() int {
-	n := 0
-	for _, v := range s {
-		if v {
-			n++
-		}
-	}
-	return n
-}
 
 // IDs returns the member arc IDs in ascending order.
 func (s ArcSet) IDs() []ArcID {
@@ -91,18 +69,6 @@ func (c *Circuit) FanoutCone(roots ...GateID) GateSet {
 	return seen
 }
 
-// ConeArcs returns the arcs both of whose endpoints lie in the gate set.
-func (c *Circuit) ConeArcs(gates GateSet) ArcSet {
-	arcs := c.NewArcSet()
-	for i := range c.Arcs {
-		a := &c.Arcs[i]
-		if gates.Has(a.From) && gates.Has(a.To) {
-			arcs.Add(a.ID)
-		}
-	}
-	return arcs
-}
-
 // OutputsReachedFrom returns the indices (into c.Outputs) of outputs in
 // the transitive fan-out of gate g.
 func (c *Circuit) OutputsReachedFrom(g GateID) []int {
@@ -111,17 +77,6 @@ func (c *Circuit) OutputsReachedFrom(g GateID) []int {
 	for i, o := range c.Outputs {
 		if cone.Has(o) {
 			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// OrderedSubset returns the gates of set in topological order.
-func (c *Circuit) OrderedSubset(set GateSet) []GateID {
-	var out []GateID
-	for _, g := range c.Order {
-		if set.Has(g) {
-			out = append(out, g)
 		}
 	}
 	return out

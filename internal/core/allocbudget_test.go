@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -14,7 +15,7 @@ func countBuildAllocs(t *testing.T, samples int) float64 {
 	cfg.Workers = 1
 	cfg.Samples = samples
 	return testing.AllocsPerRun(2, func() {
-		if _, err := BuildDictionary(m, pats, suspects, cfg); err != nil {
+		if _, err := BuildDictionary(context.Background(), m, pats, suspects, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})

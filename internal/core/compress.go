@@ -78,7 +78,7 @@ func Compress(d *Dictionary) *CompressedDictionary {
 // Shape returns the signature-matrix shape (|O| outputs × |TP|
 // patterns). Callers validating an observed behavior matrix against
 // the dictionary check it here instead of relying on the panic inside
-// PatternConsistency.
+// the scoring kernels.
 func (cd *CompressedDictionary) Shape() (rows, cols int) { return cd.rows, cd.cols }
 
 // Bytes returns the approximate in-memory size of the compressed
@@ -95,18 +95,6 @@ func (cd *CompressedDictionary) Bytes() int {
 // (8 bytes per cell), for compression-ratio reporting.
 func (cd *CompressedDictionary) DenseBytes() int {
 	return len(cd.entries) * cd.rows * cd.cols * 8
-}
-
-// PatternConsistency computes φ for suspect si against b from the
-// sparse form: φ_j = Π_{failing i} s_ij · Π_{passing i} (1−s_ij), with
-// absent entries contributing s = 0 (hence φ_j = 0 whenever a failing
-// output has no stored signature probability).
-func (cd *CompressedDictionary) PatternConsistency(si int, b *Behavior) []float64 {
-	phi := make([]float64, cd.cols)
-	failing := make([]int, cd.cols)
-	countFailing(b, failing)
-	cd.patternConsistencyInto(phi, failing, si, b)
-	return phi
 }
 
 // countFailing tallies the failing outputs of each pattern (column) of
@@ -130,7 +118,10 @@ func countFailing(b *Behavior, failing []int) {
 	}
 }
 
-// patternConsistencyInto is PatternConsistency writing into
+// patternConsistencyInto computes φ for suspect si against b from the
+// sparse form: φ_j = Π_{failing i} s_ij · Π_{passing i} (1−s_ij), with
+// absent entries contributing s = 0 (hence φ_j = 0 whenever a failing
+// output has no stored signature probability). It writes into
 // caller-owned phi, given precomputed per-pattern failing counts — the
 // kernel behind the compressed Diagnose, which reuses one phi buffer
 // and one failing count across every suspect (the per-request hot loop

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -46,7 +47,7 @@ func TestCompressRoundTripConsistency(t *testing.T) {
 		}
 		for si := range d.Suspects {
 			dense := d.PatternConsistency(si, b)
-			sparse := cd.PatternConsistency(si, b)
+			sparse := sparsePhi(cd, si, b)
 			for j := range dense {
 				// Per-entry quantization error ≤ 1/510; over ≤ nOut
 				// factors the product deviates by at most ~nOut/510
@@ -70,7 +71,7 @@ func TestCompressedDiagnoseMatchesDense(t *testing.T) {
 	tb := newBench(t, "mini", 3)
 	suspects := tb.inj.CandidateArcs()[:24]
 	suspects = append(suspects, tb.site)
-	d, err := BuildDictionary(tb.m, tb.pats, suspects, tb.dictConfig(64))
+	d, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, tb.dictConfig(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestCompressedDiagnoseMatchesDense(t *testing.T) {
 func TestCompressionRatio(t *testing.T) {
 	tb := newBench(t, "mini", 3)
 	suspects := tb.inj.CandidateArcs()[:30]
-	d, err := BuildDictionary(tb.m, tb.pats, suspects, tb.dictConfig(48))
+	d, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, tb.dictConfig(48))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,5 +121,15 @@ func TestCompressedShapeMismatchPanics(t *testing.T) {
 			t.Errorf("shape mismatch not caught")
 		}
 	}()
-	cd.PatternConsistency(0, NewBehavior(9, 9))
+	sparsePhi(cd, 0, NewBehavior(9, 9))
+}
+
+// sparsePhi computes φ for suspect si against b from the compressed
+// form, through the kernel the compressed Diagnose runs.
+func sparsePhi(cd *CompressedDictionary, si int, b *Behavior) []float64 {
+	phi := make([]float64, cd.cols)
+	failing := make([]int, cd.cols)
+	countFailing(b, failing)
+	cd.patternConsistencyInto(phi, failing, si, b)
+	return phi
 }

@@ -8,33 +8,12 @@ import (
 	"testing"
 )
 
-func TestBuildDictionaryCtxMatchesPlain(t *testing.T) {
-	tb := newBench(t, "mini", 3)
-	suspects := append(tb.inj.CandidateArcs()[:20:20], tb.site)
-	cfg := tb.dictConfig(32)
-	plain, err := BuildDictionary(tb.m, tb.pats, suspects, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCtx, err := BuildDictionaryCtx(context.Background(), tb.m, tb.pats, suspects, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain.S {
-		for k := range plain.S[i].Data {
-			if plain.S[i].Data[k] != viaCtx.S[i].Data[k] { //lint:ignore floateq same seed and sample count must reproduce bit-identical signatures
-				t.Fatalf("ctx build diverged at suspect %d cell %d", i, k)
-			}
-		}
-	}
-}
-
 func TestBuildDictionaryCtxCancelled(t *testing.T) {
 	tb := newBench(t, "mini", 3)
 	suspects := append(tb.inj.CandidateArcs()[:20:20], tb.site)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	d, err := BuildDictionaryCtx(ctx, tb.m, tb.pats, suspects, tb.dictConfig(64))
+	d, err := BuildDictionary(ctx, tb.m, tb.pats, suspects, tb.dictConfig(64))
 	if err == nil {
 		t.Fatal("err = nil on a dead context")
 	}
@@ -46,7 +25,7 @@ func TestBuildDictionaryCtxCancelled(t *testing.T) {
 func TestSaveFileAtomicRoundTrip(t *testing.T) {
 	tb := newBench(t, "mini", 3)
 	suspects := append(tb.inj.CandidateArcs()[:20:20], tb.site)
-	d, err := BuildDictionary(tb.m, tb.pats, suspects, tb.dictConfig(16))
+	d, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, tb.dictConfig(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +64,7 @@ func TestSaveFileAtomicRoundTrip(t *testing.T) {
 func TestSaveFileAtomicOverwritesAndCleansUpOnError(t *testing.T) {
 	tb := newBench(t, "mini", 3)
 	suspects := append(tb.inj.CandidateArcs()[:20:20], tb.site)
-	d, err := BuildDictionary(tb.m, tb.pats, suspects, tb.dictConfig(16))
+	d, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, tb.dictConfig(16))
 	if err != nil {
 		t.Fatal(err)
 	}

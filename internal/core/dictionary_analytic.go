@@ -11,15 +11,12 @@ import (
 )
 
 // buildDictionaryAnalytic is the analytic-engine arm of
-// BuildDictionaryCtx: M and every E come from closed-form SSTA
+// BuildDictionary: M and every E come from closed-form SSTA
 // signatures (engine.Analytic.Signatures) instead of Monte-Carlo
 // sampled captures — one nominal timed simulation per pattern plus
 // cone-limited canonical-normal propagation per suspect, with no
 // sample axis at all. Entries are exact probabilities under the
 // analytic model, so cfg.Samples and cfg.Seed are ignored.
-// cfg.FullResim has no analog: every defective signature already
-// comes from a full timed run (the canonical-normal propagation, not
-// the simulation, is cone-limited).
 //
 // Signature entries S = E − M are clamped at zero: the Monte-Carlo
 // build's common random numbers make S nonnegative by construction,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestBuildDictionaryInvariants(t *testing.T) {
 	tb := newBench(t, "mini", 3)
 	suspects := tb.inj.CandidateArcs()[:30]
 	suspects = append(suspects, tb.site)
-	d, err := BuildDictionary(tb.m, tb.pats, suspects, tb.dictConfig(64))
+	d, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, tb.dictConfig(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,42 +106,57 @@ func TestBuildDictionaryDeterministicAcrossWorkers(t *testing.T) {
 	suspects := tb.inj.CandidateArcs()[:12]
 	cfg := tb.dictConfig(48)
 	cfg.Workers = 1
-	a, err := BuildDictionary(tb.m, tb.pats, suspects, cfg)
+	a, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 7
-	b, err := BuildDictionary(tb.m, tb.pats, suspects, cfg)
+	b, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.M.MaxAbsDiff(b.M) != 0 {
+	if maxAbsDiff(a.M, b.M) != 0 {
 		t.Errorf("M depends on worker count")
 	}
 	for si := range suspects {
-		if a.E[si].MaxAbsDiff(b.E[si]) != 0 {
+		if maxAbsDiff(a.E[si], b.E[si]) != 0 {
 			t.Errorf("E[%d] depends on worker count", si)
 		}
 	}
 }
 
+// TestBuildDictionaryIncrementalMatchesFull pins the build, with its
+// transition skip and difference-propagation re-simulation, to the
+// unskipped full-simulation reference. Every candidate arc is a
+// suspect and the clock is tightened to 0.6 of the bench's, so that
+// defects do change captures (nonzero S) on some triples.
 func TestBuildDictionaryIncrementalMatchesFull(t *testing.T) {
 	tb := newBench(t, "mini", 5)
-	suspects := tb.inj.CandidateArcs()[:16]
-	cfgInc := tb.dictConfig(40)
-	cfgFull := cfgInc
-	cfgFull.FullResim = true
-	a, err := BuildDictionary(tb.m, tb.pats, suspects, cfgInc)
+	suspects := tb.inj.CandidateArcs()
+	cfg := tb.dictConfig(40)
+	cfg.Clk *= 0.6
+	a, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildDictionary(tb.m, tb.pats, suspects, cfgFull)
-	if err != nil {
-		t.Fatal(err)
+	b := buildDictionaryReference(tb.m, tb.pats, suspects, cfg)
+	signals := 0
+	for _, s := range b.S {
+		for _, v := range s.Data {
+			if v > 0 {
+				signals++
+			}
+		}
+	}
+	if signals == 0 {
+		t.Fatal("no defect changed a capture; the comparison is vacuous")
+	}
+	if d := maxAbsDiff(a.M, b.M); d != 0 {
+		t.Errorf("M: build vs reference differ by %v", d)
 	}
 	for si := range suspects {
-		if d := a.E[si].MaxAbsDiff(b.E[si]); d != 0 {
-			t.Errorf("suspect %d: incremental vs full differ by %v", si, d)
+		if d := maxAbsDiff(a.E[si], b.E[si]); d != 0 {
+			t.Errorf("suspect %d: build vs reference differ by %v", si, d)
 		}
 	}
 }
@@ -152,29 +168,26 @@ func TestBuildDictionaryIncrementalMatchesFull(t *testing.T) {
 func TestBuildDictionaryStageLedger(t *testing.T) {
 	tb := newBench(t, "mini", 5)
 	suspects := tb.inj.CandidateArcs()[:16]
-	for _, full := range []bool{false, true} {
-		cfg := tb.dictConfig(24)
-		cfg.FullResim = full
-		stages := []*obs.Counter{dictStageSample, dictStageBaseline, dictStageDefect, dictStageAccumulate}
-		before := make([]float64, len(stages))
-		for i, c := range stages {
-			before[i] = c.Value()
-		}
-		sim0, skip0 := dictDefectSimulated.Value(), dictDefectSkipped.Value()
-		if _, err := BuildDictionary(tb.m, tb.pats, suspects, cfg); err != nil {
-			t.Fatal(err)
-		}
-		sim, skip := dictDefectSimulated.Value()-sim0, dictDefectSkipped.Value()-skip0
-		if want := float64(cfg.Samples * len(tb.pats) * len(suspects)); sim+skip != want {
-			t.Errorf("full=%v: simulated %v + skipped %v, want %v triples", full, sim, skip, want)
-		}
-		if sim == 0 || skip == 0 {
-			t.Errorf("full=%v: simulated %v, skipped %v; fixture should exercise both", full, sim, skip)
-		}
-		for i, c := range stages {
-			if c.Value() <= before[i] {
-				t.Errorf("full=%v: stage %d recorded no time", full, i)
-			}
+	cfg := tb.dictConfig(24)
+	stages := []*obs.Counter{dictStageSample, dictStageBaseline, dictStageDefect, dictStageAccumulate}
+	before := make([]float64, len(stages))
+	for i, c := range stages {
+		before[i] = c.Value()
+	}
+	sim0, skip0 := dictDefectSimulated.Value(), dictDefectSkipped.Value()
+	if _, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg); err != nil {
+		t.Fatal(err)
+	}
+	sim, skip := dictDefectSimulated.Value()-sim0, dictDefectSkipped.Value()-skip0
+	if want := float64(cfg.Samples * len(tb.pats) * len(suspects)); sim+skip != want {
+		t.Errorf("simulated %v + skipped %v, want %v triples", sim, skip, want)
+	}
+	if sim == 0 || skip == 0 {
+		t.Errorf("simulated %v, skipped %v; fixture should exercise both", sim, skip)
+	}
+	for i, c := range stages {
+		if c.Value() <= before[i] {
+			t.Errorf("stage %d recorded no time", i)
 		}
 	}
 }
@@ -182,23 +195,23 @@ func TestBuildDictionaryStageLedger(t *testing.T) {
 func TestBuildDictionaryValidation(t *testing.T) {
 	tb := newBench(t, "mini", 3)
 	suspects := tb.inj.CandidateArcs()[:4]
-	if _, err := BuildDictionary(tb.m, nil, suspects, tb.dictConfig(8)); err == nil {
+	if _, err := BuildDictionary(context.Background(), tb.m, nil, suspects, tb.dictConfig(8)); err == nil {
 		t.Errorf("no patterns accepted")
 	}
-	if _, err := BuildDictionary(tb.m, tb.pats, nil, tb.dictConfig(8)); err == nil {
+	if _, err := BuildDictionary(context.Background(), tb.m, tb.pats, nil, tb.dictConfig(8)); err == nil {
 		t.Errorf("no suspects accepted")
 	}
 	cfg := tb.dictConfig(0)
-	if _, err := BuildDictionary(tb.m, tb.pats, suspects, cfg); err == nil {
+	if _, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg); err == nil {
 		t.Errorf("zero samples accepted")
 	}
 	cfg = tb.dictConfig(8)
 	cfg.SizeDist = nil
-	if _, err := BuildDictionary(tb.m, tb.pats, suspects, cfg); err == nil {
+	if _, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg); err == nil {
 		t.Errorf("nil size dist accepted")
 	}
 	bad := []logicsim.PatternPair{{V1: logicsim.Vector{true}, V2: logicsim.Vector{false}}}
-	if _, err := BuildDictionary(tb.m, bad, suspects, tb.dictConfig(8)); err == nil {
+	if _, err := BuildDictionary(context.Background(), tb.m, bad, suspects, tb.dictConfig(8)); err == nil {
 		t.Errorf("wrong-width pattern accepted")
 	}
 }
@@ -210,15 +223,15 @@ func TestMergeDictionaries(t *testing.T) {
 	}
 	suspects := tb.inj.CandidateArcs()[:15]
 	cfg := tb.dictConfig(48)
-	full, err := BuildDictionary(tb.m, tb.pats, suspects, cfg)
+	full, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := BuildDictionary(tb.m, tb.pats[:1], suspects, cfg)
+	a, err := BuildDictionary(context.Background(), tb.m, tb.pats[:1], suspects, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildDictionary(tb.m, tb.pats[1:], suspects, cfg)
+	b, err := BuildDictionary(context.Background(), tb.m, tb.pats[1:], suspects, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +246,11 @@ func TestMergeDictionaries(t *testing.T) {
 	// the full build — except for per-sample defect sizes, which are
 	// drawn per suspect ONCE per sample regardless of patterns, so the
 	// M matrices match exactly and the E matrices match exactly too.
-	if d := merged.M.MaxAbsDiff(full.M); d != 0 {
+	if d := maxAbsDiff(merged.M, full.M); d != 0 {
 		t.Errorf("merged M differs from full by %v", d)
 	}
 	for i := range suspects {
-		if d := merged.E[i].MaxAbsDiff(full.E[i]); d != 0 {
+		if d := maxAbsDiff(merged.E[i], full.E[i]); d != 0 {
 			t.Errorf("suspect %d merged E differs by %v", i, d)
 		}
 	}
@@ -247,11 +260,11 @@ func TestMergeValidation(t *testing.T) {
 	tb := newBench(t, "mini", 3)
 	suspects := tb.inj.CandidateArcs()[:5]
 	cfg := tb.dictConfig(16)
-	a, err := BuildDictionary(tb.m, tb.pats, suspects, cfg)
+	a, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildDictionary(tb.m, tb.pats, suspects[:4], cfg)
+	b, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects[:4], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +273,7 @@ func TestMergeValidation(t *testing.T) {
 	}
 	cfg2 := cfg
 	cfg2.Clk = cfg.Clk + 1
-	c2, err := BuildDictionary(tb.m, tb.pats, suspects, cfg2)
+	c2, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +286,7 @@ func TestMergeErrorsNameDictionaryIDs(t *testing.T) {
 	tb := newBench(t, "mini", 3)
 	cands := tb.inj.CandidateArcs()
 	cfg := tb.dictConfig(16)
-	a, err := BuildDictionary(tb.m, tb.pats, cands[:5], cfg)
+	a, err := BuildDictionary(context.Background(), tb.m, tb.pats, cands[:5], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +295,7 @@ func TestMergeErrorsNameDictionaryIDs(t *testing.T) {
 	// Clk mismatch: the error names both shards and both clks.
 	cfg2 := cfg
 	cfg2.Clk = cfg.Clk + 1
-	b, err := BuildDictionary(tb.m, tb.pats, cands[:5], cfg2)
+	b, err := BuildDictionary(context.Background(), tb.m, tb.pats, cands[:5], cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +312,7 @@ func TestMergeErrorsNameDictionaryIDs(t *testing.T) {
 
 	// Disjoint suspect sets of equal size: the error names the shards
 	// and the first diverging arc pair.
-	c2, err := BuildDictionary(tb.m, tb.pats, cands[5:10], cfg)
+	c2, err := BuildDictionary(context.Background(), tb.m, tb.pats, cands[5:10], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +335,7 @@ func TestMergeErrorsNameDictionaryIDs(t *testing.T) {
 	}
 
 	// A successful merge keeps the left shard's ID.
-	d2, err := BuildDictionary(tb.m, tb.pats, cands[:5], cfg)
+	d2, err := BuildDictionary(context.Background(), tb.m, tb.pats, cands[:5], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +359,7 @@ func TestSimulateBehaviorAndSuspects(t *testing.T) {
 	if !b.AnyFailure() {
 		t.Fatalf("huge defect produced no failures")
 	}
-	suspects := SuspectArcs(tb.c, tb.pats, b)
+	suspects := suspectArcs(tb.c, tb.pats, b)
 	if len(suspects) == 0 {
 		t.Fatalf("no suspects")
 	}
@@ -373,7 +386,7 @@ func TestEndToEndDiagnosisRanksTruthWell(t *testing.T) {
 	if !b.AnyFailure() {
 		t.Skip("defect escaped at this clock; site-dependent")
 	}
-	suspects := SuspectArcs(tb.c, tb.pats, b)
+	suspects := suspectArcs(tb.c, tb.pats, b)
 	hasTruth := false
 	for _, a := range suspects {
 		if a == tb.site {
@@ -383,7 +396,7 @@ func TestEndToEndDiagnosisRanksTruthWell(t *testing.T) {
 	if !hasTruth {
 		t.Skip("true arc pruned; cannot assess ranking")
 	}
-	d, err := BuildDictionary(tb.m, tb.pats, suspects, tb.dictConfig(96))
+	d, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, tb.dictConfig(96))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +406,7 @@ func TestEndToEndDiagnosisRanksTruthWell(t *testing.T) {
 	}
 	// With a big defect, diagnostic patterns aimed at the site, and a
 	// small circuit, the truth should rank in the top half.
-	if !HitWithin(ranked, tb.site, (len(ranked)+1)/2) {
+	if !hitWithin(ranked, tb.site, (len(ranked)+1)/2) {
 		pos := -1
 		for i, rk := range ranked {
 			if rk.Arc == tb.site {

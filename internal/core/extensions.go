@@ -101,15 +101,6 @@ func AutoK(ranked []Ranked, method Method, maxK int) (k int, gap float64) {
 	return k, gap
 }
 
-// DiagnoseNamed ranks suspects with a registered error function.
-func (d *Dictionary) DiagnoseNamed(b *Behavior, name string) ([]Ranked, bool) {
-	fn, ok := ErrorFuncs[name]
-	if !ok {
-		return nil, false
-	}
-	return d.DiagnoseErrorFunc(b, fn), true
-}
-
 // DiagnoseErrorFunc ranks suspects of the compressed form with a
 // custom error function (ascending error, arc-ID tie-break), mirroring
 // Dictionary.DiagnoseErrorFunc so stored dictionaries support the

@@ -57,17 +57,6 @@ func TestLogLikRepairsMethodIIICollapse(t *testing.T) {
 	}
 }
 
-func TestDiagnoseNamed(t *testing.T) {
-	d, b := randomDict(3, 4, 2, 3)
-	ranked, ok := d.DiagnoseNamed(b, "L1")
-	if !ok || len(ranked) != 4 {
-		t.Fatalf("DiagnoseNamed failed")
-	}
-	if _, ok := d.DiagnoseNamed(b, "nope"); ok {
-		t.Errorf("unknown error function accepted")
-	}
-}
-
 func TestAutoKPicksLargestGap(t *testing.T) {
 	ranked := []Ranked{
 		{Arc: 1, Score: 0.10}, // gap 0.05

@@ -91,7 +91,7 @@ func hashDict(d *Dictionary) string {
 // golden hash, byte for byte.
 func TestDictionaryGolden(t *testing.T) {
 	m, pats, suspects, cfg := goldenDictSetup(t)
-	d, err := BuildDictionary(m, pats, suspects, cfg)
+	d, err := BuildDictionary(context.Background(), m, pats, suspects, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,23 +101,32 @@ func TestDictionaryGolden(t *testing.T) {
 }
 
 // TestDictionaryGoldenInvariances asserts that neither the worker
-// count nor the incremental/full re-simulation switch changes a bit:
-// failure counts are integers, integer sums in float64 are exact, and
-// the cone-limited re-simulation is an exact optimization.
+// count nor the build's shortcuts change a bit: the unskipped
+// reference build, which re-simulates every (sample, pattern, suspect)
+// triple in full, must hash to the same golden. Failure counts are
+// integers, integer sums in float64 are exact, and both the transition
+// skip and difference propagation are exact optimizations.
 func TestDictionaryGoldenInvariances(t *testing.T) {
 	m, pats, suspects, cfg := goldenDictSetup(t)
+	withWorkers := func(n int) func() (*Dictionary, error) {
+		return func() (*Dictionary, error) {
+			c := cfg
+			c.Workers = n
+			return BuildDictionary(context.Background(), m, pats, suspects, c)
+		}
+	}
 	for _, mod := range []struct {
-		name string
-		mut  func(*DictConfig)
+		name  string
+		build func() (*Dictionary, error)
 	}{
-		{"workers=1", func(c *DictConfig) { c.Workers = 1 }},
-		{"workers=7", func(c *DictConfig) { c.Workers = 7 }},
-		{"full-resim", func(c *DictConfig) { c.FullResim = true }},
+		{"workers=1", withWorkers(1)},
+		{"workers=7", withWorkers(7)},
+		{"reference", func() (*Dictionary, error) {
+			return buildDictionaryReference(m, pats, suspects, cfg), nil
+		}},
 	} {
 		t.Run(mod.name, func(t *testing.T) {
-			c := cfg
-			mod.mut(&c)
-			d, err := BuildDictionary(m, pats, suspects, c)
+			d, err := mod.build()
 			if err != nil {
 				t.Fatal(err)
 			}

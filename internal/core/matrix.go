@@ -38,9 +38,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Add adds v to element (i, j).
-func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
-
 // Sub returns m − o clamped at zero element-wise: the signature
 // operation S_crt = max(E_crt − M_crt, 0). With common-random-number
 // estimation E ≥ M holds exactly; the clamp guards the general case.
@@ -65,21 +62,6 @@ func (m *Matrix) Scale(f float64) *Matrix {
 		m.Data[i] *= f
 	}
 	return m
-}
-
-// MaxAbsDiff returns the largest element-wise |m − o|.
-func (m *Matrix) MaxAbsDiff(o *Matrix) float64 {
-	d := 0.0
-	for i := range m.Data {
-		v := m.Data[i] - o.Data[i]
-		if v < 0 {
-			v = -v
-		}
-		if v > d {
-			d = v
-		}
-	}
-	return d
 }
 
 func (m *Matrix) String() string {

@@ -30,7 +30,7 @@ const (
 	// long-running services (cmd/ddd-serve), so the decoder must treat
 	// its input as untrusted: every count is bounded before it sizes an
 	// allocation, and the sparse entries must arrive in the canonical
-	// strictly-increasing order Save emits — PatternConsistency's
+	// strictly-increasing order Save emits — patternConsistencyInto's
 	// column-major walk silently miscomputes on any other order.
 	maxDim   = 1 << 20 // rows, cols, inputs, suspects
 	maxCells = 1 << 28 // rows × cols

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"bytes"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ func buildSmallDict(t *testing.T) (*Dictionary, *testBench) {
 	t.Helper()
 	tb := newBench(t, "mini", 3)
 	suspects := append(tb.inj.CandidateArcs()[:20], tb.site)
-	d, err := BuildDictionary(tb.m, tb.pats, suspects, tb.dictConfig(48))
+	d, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, tb.dictConfig(48))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,7 +197,7 @@ func TestSuspectTiersDisjointAndSorted(t *testing.T) {
 			t.Errorf("relaxed tier not sorted")
 		}
 	}
-	union := SuspectArcs(tb.c, tb.pats, b)
+	union := suspectArcs(tb.c, tb.pats, b)
 	if len(union) != len(strict)+len(relaxed) {
 		t.Errorf("union size %d != %d + %d", len(union), len(strict), len(relaxed))
 	}

@@ -1,20 +1,22 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/circuit"
 	"repro/internal/logicsim"
 )
 
-// SuspectArcs performs the cause-effect pruning of Algorithm E.1
-// step 1: an arc is a suspect when, under some failing pattern, it can
-// carry the failure to a failing output — it lies on a statically
-// sensitized transition path to that output, or (since delay faults
-// also surface through dynamic, non-statically-sensitized propagation
-// and captured hazards) it is a transitioning arc inside the failing
-// output's fan-in cone. Arcs into output-port gates are excluded (they
-// are not physical defect locations). The result is sorted by arc ID.
+// SuspectArcsTiered performs the cause-effect pruning of Algorithm
+// E.1 step 1: an arc is a suspect when, under some failing pattern, it
+// can carry the failure to a failing output. The two evidence tiers
+// are kept separate: strict holds arcs on statically sensitized
+// transition paths to failing outputs (the strongest cause-effect
+// evidence); relaxed holds the remaining transitioning arcs inside a
+// failing output's fan-in cone, since delay faults also surface
+// through dynamic, non-statically-sensitized propagation and captured
+// hazards. Arcs into output-port gates are excluded (they are not
+// physical defect locations). Callers that must cap the suspect count
+// keep the strict tier whole and subsample the relaxed tier. Both
+// slices are sorted by arc ID and mutually disjoint.
 //
 // The relaxation matters: a strict static-sensitization trace misses
 // defects whose extra delay propagates along paths that the settled
@@ -22,19 +24,6 @@ import (
 // diagnosis unwinnable regardless of the error function. The resulting
 // suspect-set sizes are in the range the paper reports (hundreds for
 // the larger circuits); ranking them is exactly the dictionary's job.
-func SuspectArcs(c *circuit.Circuit, patterns []logicsim.PatternPair, b *Behavior) []circuit.ArcID {
-	strict, relaxed := SuspectArcsTiered(c, patterns, b)
-	merged := append(strict, relaxed...)
-	sortArcIDs(merged)
-	return merged
-}
-
-// SuspectArcsTiered is SuspectArcs with the two evidence tiers kept
-// separate: strict holds arcs on statically sensitized paths to
-// failing outputs (the strongest cause-effect evidence), relaxed the
-// remaining transitioning cone arcs. Callers that must cap the suspect
-// count keep the strict tier whole and subsample the relaxed tier.
-// Both slices are sorted by arc ID and mutually disjoint.
 //
 // The production path is word-parallel: patterns are packed 64 pattern
 // pairs to a machine word (logicsim.PackPatternPairsInto, same lane
@@ -125,11 +114,4 @@ func extractTiers(c *circuit.Circuit, sensMarked, coneMarked circuit.ArcSet) (st
 		relaxed = append(relaxed, aid)
 	}
 	return strict, relaxed
-}
-
-// sortArcIDs sorts in place. ArcID is an ordered integer type, so the
-// generic sort avoids sort.Slice's closure allocation and interface
-// indirection.
-func sortArcIDs(ids []circuit.ArcID) {
-	slices.Sort(ids)
 }

@@ -15,15 +15,6 @@ import (
 // internal/core answer that question experimentally.
 type MultiDefect []Defect
 
-// Arcs returns the defect locations.
-func (md MultiDefect) Arcs() []circuit.ArcID {
-	out := make([]circuit.ArcID, len(md))
-	for i, d := range md {
-		out[i] = d.Arc
-	}
-	return out
-}
-
 // Contains reports whether the set has a defect on arc a.
 func (md MultiDefect) Contains(a circuit.ArcID) bool {
 	for _, d := range md {

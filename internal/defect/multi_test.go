@@ -12,10 +12,6 @@ func TestMultiDefectOps(t *testing.T) {
 	if !md.Contains(3) || !md.Contains(9) || md.Contains(4) {
 		t.Errorf("Contains wrong")
 	}
-	arcs := md.Arcs()
-	if len(arcs) != 2 || arcs[0] != 3 || arcs[1] != 9 {
-		t.Errorf("Arcs = %v", arcs)
-	}
 	if md.String() == "" {
 		t.Errorf("empty String")
 	}

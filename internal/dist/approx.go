@@ -27,10 +27,3 @@ func ApproxEqual(a, b, tol float64) bool {
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= tol*scale
 }
-
-// EqualWithin reports whether a and b differ by at most eps in
-// absolute value — the plain tolerance form for quantities with a
-// known scale (e.g. delays in library time units).
-func EqualWithin(a, b, eps float64) bool {
-	return math.Abs(a-b) <= eps
-}

@@ -28,12 +28,3 @@ func TestApproxEqual(t *testing.T) {
 		}
 	}
 }
-
-func TestEqualWithin(t *testing.T) {
-	if !EqualWithin(1.0, 1.05, 0.1) {
-		t.Error("EqualWithin(1, 1.05, 0.1) = false")
-	}
-	if EqualWithin(1.0, 1.2, 0.1) {
-		t.Error("EqualWithin(1, 1.2, 0.1) = true")
-	}
-}

@@ -19,23 +19,6 @@ func stdNormCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// SumNormal returns the exact distribution of the sum of two jointly
-// normal variables with correlation rho.
-//
-// Contract: for |rho| <= 1 the variance a² + b² + 2ρab is nonnegative
-// by Cauchy-Schwarz, so the clamp below can only trigger on rounding
-// noise (or an out-of-range rho, which callers must not pass). The
-// clamp exists to keep math.Sqrt off negative epsilons — it never
-// silently rescues a semantically negative variance, and the result
-// is then the exact degenerate sum (Sigma = 0).
-func SumNormal(a, b Normal, rho float64) Normal {
-	v := a.Variance() + b.Variance() + 2*rho*a.Sigma*b.Sigma
-	if v < 0 {
-		v = 0
-	}
-	return Normal{Mu: a.Mu + b.Mu, Sigma: math.Sqrt(v)}
-}
-
 // MaxNormal returns Clark's moment-matched normal approximation of
 // max(A, B) for jointly normal A, B with correlation rho, along with
 // the tie probability P(A > B).
@@ -76,19 +59,4 @@ func MaxNormal(a, b Normal, rho float64) (Normal, float64) {
 		v = 0
 	}
 	return Normal{Mu: m1, Sigma: math.Sqrt(v)}, PhiA
-}
-
-// MaxNormals folds MaxNormal over a set of normals assuming pairwise
-// correlation rho between every pair (a simplification appropriate for
-// the shared-global-factor delay model, where rho = σ_g²/(σ_g²+σ_l²)).
-// It panics on an empty input.
-func MaxNormals(ns []Normal, rho float64) Normal {
-	if len(ns) == 0 {
-		panic("dist: MaxNormals of empty set")
-	}
-	acc := ns[0]
-	for _, n := range ns[1:] {
-		acc, _ = MaxNormal(acc, n, rho)
-	}
-	return acc
 }

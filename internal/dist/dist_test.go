@@ -2,7 +2,6 @@ package dist
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -11,18 +10,16 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestPointMass(t *testing.T) {
-	p := PointMass{V: 3.5}
-	r := rng.New(1)
-	if got := p.Sample(r); got != 3.5 {
-		t.Fatalf("Sample = %v, want 3.5", got)
+// moments returns the sample mean and unbiased standard deviation of xs.
+func moments(xs []float64) (mean, std float64) {
+	for _, x := range xs {
+		mean += x
 	}
-	if p.Mean() != 3.5 || p.Variance() != 0 {
-		t.Fatalf("moments wrong: mean=%v var=%v", p.Mean(), p.Variance())
+	mean /= float64(len(xs))
+	for _, x := range xs {
+		std += (x - mean) * (x - mean)
 	}
-	if p.Exceed(3.4) != 1 || p.Exceed(3.5) != 0 || p.Exceed(4) != 0 {
-		t.Fatalf("Exceed wrong: %v %v %v", p.Exceed(3.4), p.Exceed(3.5), p.Exceed(4))
-	}
+	return mean, math.Sqrt(std / float64(len(xs)-1))
 }
 
 func TestNormalMoments(t *testing.T) {
@@ -33,10 +30,11 @@ func TestNormalMoments(t *testing.T) {
 	for i := range xs {
 		xs[i] = n.Sample(r)
 	}
-	if m := Mean(xs); !almostEq(m, 10, 0.05) {
+	m, s := moments(xs)
+	if !almostEq(m, 10, 0.05) {
 		t.Errorf("sample mean = %v, want ~10", m)
 	}
-	if s := Std(xs); !almostEq(s, 2, 0.05) {
+	if !almostEq(s, 2, 0.05) {
 		t.Errorf("sample std = %v, want ~2", s)
 	}
 }
@@ -69,14 +67,6 @@ func TestTruncNormalSupport(t *testing.T) {
 			t.Fatalf("sample %d below truncation: %v", i, v)
 		}
 	}
-	if tn.Exceed(-1) != 1 {
-		t.Errorf("Exceed below support should be 1")
-	}
-	// Renormalization: P(X>1 | X>=0) > P(N>1) since mass below 0 is cut.
-	n := Normal{Mu: 1, Sigma: 2}
-	if tn.Exceed(1) <= n.Exceed(1) {
-		t.Errorf("truncated exceed %v should be > untruncated %v", tn.Exceed(1), n.Exceed(1))
-	}
 }
 
 func TestUniform(t *testing.T) {
@@ -87,56 +77,12 @@ func TestUniform(t *testing.T) {
 	if !almostEq(u.Variance(), 16.0/12.0, 1e-12) {
 		t.Errorf("variance = %v", u.Variance())
 	}
-	if u.Exceed(1) != 1 || u.Exceed(7) != 0 || !almostEq(u.Exceed(5), 0.25, 1e-12) {
-		t.Errorf("Exceed wrong")
-	}
 	r := rng.New(3)
 	for i := 0; i < 10000; i++ {
 		v := u.Sample(r)
 		if v < 2 || v > 6 {
 			t.Fatalf("sample out of range: %v", v)
 		}
-	}
-}
-
-func TestShifted(t *testing.T) {
-	s := Shifted{D: Normal{Mu: 1, Sigma: 0.5}, Offset: 2}
-	if s.Mean() != 3 {
-		t.Errorf("mean = %v", s.Mean())
-	}
-	if s.Variance() != 0.25 {
-		t.Errorf("variance = %v", s.Variance())
-	}
-	want := Normal{Mu: 3, Sigma: 0.5}.Exceed(3.2)
-	if got := s.Exceed(3.2); !almostEq(got, want, 1e-12) {
-		t.Errorf("Exceed = %v, want %v", got, want)
-	}
-}
-
-// nonTail is a Dist without analytic exceedance.
-type nonTail struct{}
-
-func (nonTail) Sample(*rand.Rand) float64 { return 1 }
-func (nonTail) Mean() float64             { return 1 }
-func (nonTail) Variance() float64         { return 0 }
-
-func TestShiftedExceedWithoutTail(t *testing.T) {
-	s := Shifted{D: nonTail{}, Offset: 1}
-	if !math.IsNaN(s.Exceed(0)) {
-		t.Errorf("Exceed on tail-less dist should be NaN")
-	}
-}
-
-func TestSumNormal(t *testing.T) {
-	a := Normal{Mu: 3, Sigma: 1}
-	b := Normal{Mu: 4, Sigma: 2}
-	s := SumNormal(a, b, 0)
-	if s.Mu != 7 || !almostEq(s.Sigma, math.Sqrt(5), 1e-12) {
-		t.Errorf("independent sum = %+v", s)
-	}
-	sc := SumNormal(a, b, 1)
-	if !almostEq(sc.Sigma, 3, 1e-12) {
-		t.Errorf("fully correlated sum sigma = %v, want 3", sc.Sigma)
 	}
 }
 
@@ -156,10 +102,11 @@ func TestMaxNormalAgainstMC(t *testing.T) {
 		}
 		xs[i] = math.Max(x, y)
 	}
-	if m := Mean(xs); !almostEq(m, approx.Mu, 0.02) {
+	m, s := moments(xs)
+	if !almostEq(m, approx.Mu, 0.02) {
 		t.Errorf("Clark mean %v vs MC %v", approx.Mu, m)
 	}
-	if s := Std(xs); !almostEq(s, approx.Sigma, 0.02) {
+	if !almostEq(s, approx.Sigma, 0.02) {
 		t.Errorf("Clark std %v vs MC %v", approx.Sigma, s)
 	}
 	if mcP := float64(wins) / N; !almostEq(mcP, pAB, 0.01) {
@@ -178,20 +125,6 @@ func TestMaxNormalDegenerate(t *testing.T) {
 	if m2 != a || p2 != 0 {
 		t.Errorf("degenerate max = %+v p=%v, want a, 0", m2, p2)
 	}
-}
-
-func TestMaxNormalsFold(t *testing.T) {
-	ns := []Normal{{1, 0.1}, {5, 0.1}, {3, 0.1}}
-	m := MaxNormals(ns, 0)
-	if !almostEq(m.Mu, 5, 0.05) {
-		t.Errorf("fold mean = %v, want ~5", m.Mu)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("MaxNormals(empty) should panic")
-		}
-	}()
-	MaxNormals(nil, 0)
 }
 
 func TestMaxDominanceProperty(t *testing.T) {

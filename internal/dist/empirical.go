@@ -28,13 +28,6 @@ func NewEmpirical(samples []float64) *Empirical {
 	return &Empirical{xs: xs}
 }
 
-// N returns the sample size.
-func (e *Empirical) N() int { return len(e.xs) }
-
-// Samples returns the sorted sample values. The slice is shared; callers
-// must not mutate it.
-func (e *Empirical) Samples() []float64 { return e.xs }
-
 // Sample draws one value uniformly from the stored sample (bootstrap
 // resampling).
 func (e *Empirical) Sample(r *rand.Rand) float64 { return e.xs[r.IntN(len(e.xs))] }
@@ -66,12 +59,6 @@ func (e *Empirical) Variance() float64 {
 // Std returns the sample standard deviation.
 func (e *Empirical) Std() float64 { return math.Sqrt(e.Variance()) }
 
-// Min returns the smallest sample value.
-func (e *Empirical) Min() float64 { return e.xs[0] }
-
-// Max returns the largest sample value.
-func (e *Empirical) Max() float64 { return e.xs[len(e.xs)-1] }
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) by linear interpolation
 // between order statistics.
 func (e *Empirical) Quantile(q float64) float64 {
@@ -91,79 +78,14 @@ func (e *Empirical) Quantile(q float64) float64 {
 	return e.xs[lo]*(1-frac) + e.xs[hi]*frac
 }
 
-// CDF returns the empirical P(X <= x).
-func (e *Empirical) CDF(x float64) float64 {
-	// Count of samples <= x via binary search for the first index > x.
-	n := sort.SearchFloat64s(e.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(n) / float64(len(e.xs))
-}
-
 // Exceed returns the empirical critical probability P(X > x)
-// (Definition D.6 with cut-off period x).
-func (e *Empirical) Exceed(x float64) float64 { return 1 - e.CDF(x) }
+// (Definition D.6 with cut-off period x): one minus the fraction of
+// samples <= x, found by binary search for the first index > x.
+func (e *Empirical) Exceed(x float64) float64 {
+	n := sort.SearchFloat64s(e.xs, math.Nextafter(x, math.Inf(1)))
+	return 1 - float64(n)/float64(len(e.xs))
+}
 
 func (e *Empirical) String() string {
-	return fmt.Sprintf("Emp(n=%d, µ=%.4g, σ=%.4g)", e.N(), e.Mean(), e.Std())
-}
-
-// Histogram bins the sample into nbins equal-width bins over
-// [Min, Max] and returns the bin left edges and normalized densities.
-// With a degenerate sample (Min == Max) a single full bin is returned.
-func (e *Empirical) Histogram(nbins int) (edges, density []float64) {
-	if nbins < 1 {
-		nbins = 1
-	}
-	lo, hi := e.Min(), e.Max()
-	edges = make([]float64, nbins)
-	density = make([]float64, nbins)
-	if hi == lo { //lint:ignore floateq exact degenerate-sample guard; a tolerance would mis-bin nearly-degenerate samples
-		edges[0] = lo
-		density[0] = 1
-		return edges, density
-	}
-	w := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*w
-	}
-	for _, x := range e.xs {
-		b := int((x - lo) / w)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		density[b]++
-	}
-	norm := float64(len(e.xs)) * w
-	for i := range density {
-		density[i] /= norm
-	}
-	return edges, density
-}
-
-// KS returns the two-sample Kolmogorov–Smirnov statistic between e and
-// other: the sup-norm distance between their empirical CDFs. Used by
-// tests to validate analytic approximations against Monte Carlo.
-func (e *Empirical) KS(other *Empirical) float64 {
-	i, j := 0, 0
-	na, nb := len(e.xs), len(other.xs)
-	d := 0.0
-	for i < na && j < nb {
-		var x float64
-		if e.xs[i] <= other.xs[j] {
-			x = e.xs[i]
-		} else {
-			x = other.xs[j]
-		}
-		for i < na && e.xs[i] <= x {
-			i++
-		}
-		for j < nb && other.xs[j] <= x {
-			j++
-		}
-		fa := float64(i) / float64(na)
-		fb := float64(j) / float64(nb)
-		if diff := math.Abs(fa - fb); diff > d {
-			d = diff
-		}
-	}
-	return d
+	return fmt.Sprintf("Emp(n=%d, µ=%.4g, σ=%.4g)", len(e.xs), e.Mean(), e.Std())
 }

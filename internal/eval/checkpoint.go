@@ -124,8 +124,7 @@ func methodByName(name string) (core.Method, bool) {
 // header and cheap to compare) every Config field that influences
 // per-case results. Workers is excluded on purpose: parallelism never
 // changes results in this repo, so a resume on a different machine is
-// legal. CheckpointPath/Resume/CaseTimeout are control knobs, not
-// result inputs.
+// legal. CheckpointPath/Resume are control knobs, not result inputs.
 func checkpointFingerprint(cfg Config) string {
 	key := struct {
 		Circuit     string  `json:"circuit"`
@@ -242,9 +241,6 @@ func (ck *Checkpoint) Get(i int) (CaseResult, bool) {
 	cs, ok := ck.done[i]
 	return cs, ok
 }
-
-// Completed returns how many cases the journal holds.
-func (ck *Checkpoint) Completed() int { return len(ck.done) }
 
 // Record journals case i's result and rewrites the file atomically:
 // temp file in the same directory, fsync, rename, directory fsync. A

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/synth"
@@ -75,8 +74,8 @@ func TestCheckpointRoundTripBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Completed() != 4 {
-		t.Errorf("journal holds %d cases, want 4", ck.Completed())
+	if len(ck.done) != 4 {
+		t.Errorf("journal holds %d cases, want 4", len(ck.done))
 	}
 }
 
@@ -138,8 +137,8 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("journal after fresh run does not match its config: %v", err)
 	}
-	if ck.Completed() != 2 {
-		t.Errorf("rewritten journal holds %d cases, want 2", ck.Completed())
+	if len(ck.done) != 2 {
+		t.Errorf("rewritten journal holds %d cases, want 2", len(ck.done))
 	}
 }
 
@@ -163,8 +162,8 @@ func TestCheckpointTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn tail broke the load: %v", err)
 	}
-	if ck.Completed() != 3 {
-		t.Errorf("journal holds %d cases, want the 3 intact ones", ck.Completed())
+	if len(ck.done) != 3 {
+		t.Errorf("journal holds %d cases, want the 3 intact ones", len(ck.done))
 	}
 	if _, ok := ck.Get(7); ok {
 		t.Error("torn case 7 was loaded")
@@ -183,18 +182,6 @@ func TestRunOnCircuitCtxCancelled(t *testing.T) {
 	}
 	if res != nil {
 		t.Error("cancelled run returned a partial result")
-	}
-}
-
-// TestCaseTimeoutAborts: an absurdly small per-case deadline aborts
-// the run with a deadline error instead of recording a truncated
-// case.
-func TestCaseTimeoutAborts(t *testing.T) {
-	cfg := fastConfig("mini", 1)
-	cfg.DictSamples = 4096 // enough work that 1ns cannot finish
-	cfg.CaseTimeout = time.Nanosecond
-	if _, err := RunCircuit(cfg); err == nil {
-		t.Fatal("err = nil with a 1ns case deadline")
 	}
 }
 

@@ -3,8 +3,6 @@ package eval
 import (
 	"context"
 	"fmt"
-	"io"
-	"strings"
 )
 
 // The guardband curve quantifies the cut-off-period dial discussed in
@@ -67,15 +65,4 @@ func GuardbandCurve(cfg Config, quantiles []float64) ([]GuardbandPoint, error) {
 		out = append(out, pt)
 	}
 	return out, nil
-}
-
-// WriteGuardbandCSV emits the sweep as CSV.
-func WriteGuardbandCSV(w io.Writer, pts []GuardbandPoint) error {
-	var sb strings.Builder
-	sb.WriteString("quantile,escape,false_alarm\n")
-	for _, p := range pts {
-		fmt.Fprintf(&sb, "%.3f,%.4f,%.4f\n", p.Quantile, p.Escape, p.FalseAlarm)
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
 }

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -36,12 +35,5 @@ func TestGuardbandCurve(t *testing.T) {
 	// loose one passes good dies while defects start escaping.
 	if pts[0].Escape > pts[len(pts)-1].Escape {
 		t.Errorf("escape not increasing across the sweep")
-	}
-	var sb strings.Builder
-	if err := WriteGuardbandCSV(&sb, pts); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(sb.String(), "quantile,escape,false_alarm\n") {
-		t.Errorf("CSV header missing")
 	}
 }

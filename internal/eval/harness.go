@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -62,10 +61,6 @@ type Config struct {
 	// overwritten without it. None of these knobs affect results.
 	CheckpointPath string
 	Resume         bool
-	// CaseTimeout, when positive, bounds each case's wall time; an
-	// expired case aborts the run with a deadline error rather than
-	// recording a silently truncated result.
-	CaseTimeout time.Duration
 }
 
 // DefaultConfig returns the experiment parameters used for Table I.
@@ -186,17 +181,6 @@ func fraction(n int, hit func(i int) bool) float64 {
 // within reports whether a 1-based rank (0 = not ranked) is at most k.
 func within(pos, k int) bool { return pos >= 1 && pos <= k }
 
-// RankCDF returns the success rate at every K from 1 to maxK — the
-// full diagnostic-resolution curve of which Table I reports three
-// points per circuit.
-func (r *CircuitResult) RankCDF(m core.Method, maxK int) []float64 {
-	out := make([]float64, maxK)
-	for k := 1; k <= maxK; k++ {
-		out[k-1] = r.SuccessRate(m, k)
-	}
-	return out
-}
-
 // MeanSuspects returns the average suspect-set size over non-escaped
 // cases (the paper reports 100–600 for the ISCAS circuits).
 func (r *CircuitResult) MeanSuspects() float64 {
@@ -236,8 +220,8 @@ func RunOnCircuit(c *circuit.Circuit, cfg Config) (*CircuitResult, error) {
 
 // RunOnCircuitCtx is RunOnCircuit with cooperative cancellation and
 // checkpointing. ctx is checked between cases (and threaded into the
-// dictionary build, the dominant cost, which checks it per sample);
-// cfg.CaseTimeout additionally bounds each case. When
+// dictionary build, the dominant cost, which checks it per sample), so
+// a caller bounds a run by passing a deadline. When
 // cfg.CheckpointPath is set, completed cases are journaled as the run
 // goes and — under cfg.Resume — cases already journaled are loaded
 // instead of recomputed, bit-exactly (per-case RNG streams derive
@@ -269,12 +253,7 @@ func RunOnCircuitCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Circ
 				continue
 			}
 		}
-		caseCtx, cancel := ctx, context.CancelFunc(func() {})
-		if cfg.CaseTimeout > 0 {
-			caseCtx, cancel = context.WithTimeout(ctx, cfg.CaseTimeout)
-		}
-		cs, err := runCase(caseCtx, p, i)
-		cancel()
+		cs, err := runCase(ctx, p, i)
 		if err != nil {
 			return nil, fmt.Errorf("eval: case %d: %w", i, err)
 		}

@@ -3,10 +3,8 @@ package eval
 import (
 	"testing"
 
-	"repro/internal/atpg"
 	"repro/internal/benchfmt"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/logicsim"
 	"repro/internal/rng"
 	"repro/internal/synth"
@@ -22,8 +20,20 @@ func timingModel(c *circuit.Circuit) *timing.Model {
 	return timing.NewModel(c, timing.DefaultParams())
 }
 
+// randomPats generates n random two-vector patterns.
 func randomPats(c *circuit.Circuit, n int) []logicsim.PatternPair {
-	return atpg.RandomPairs(c, n, rng.New(9))
+	r := rng.New(9)
+	out := make([]logicsim.PatternPair, n)
+	for i := range out {
+		v1 := make(logicsim.Vector, len(c.Inputs))
+		v2 := make(logicsim.Vector, len(c.Inputs))
+		for j := range v1 {
+			v1[j] = r.IntN(2) == 1
+			v2[j] = r.IntN(2) == 1
+		}
+		out[i] = logicsim.PatternPair{V1: v1, V2: v2}
+	}
+	return out
 }
 
 func TestCapSuspectsKeepsStrictTier(t *testing.T) {
@@ -81,20 +91,6 @@ func TestMaxSuspectsConfigRespected(t *testing.T) {
 		if cs.Suspects > 20 {
 			t.Errorf("case %d has %d suspects, cap 20", cs.Instance, cs.Suspects)
 		}
-	}
-}
-
-func TestMethodIIIRestrictive(t *testing.T) {
-	r := &CircuitResult{Cases: []CaseResult{
-		{TruthInSuspects: true, Suspects: 10, Rank: map[core.Method]int{core.MethodIII: 9}},
-		{TruthInSuspects: true, Suspects: 10, Rank: map[core.Method]int{core.MethodIII: 1}},
-		{TruthInSuspects: false},
-	}}
-	if got := MethodIIIRestrictive(r); got != 0.5 {
-		t.Errorf("restrictive fraction = %v, want 0.5", got)
-	}
-	if got := MethodIIIRestrictive(&CircuitResult{}); got != 0 {
-		t.Errorf("empty result = %v", got)
 	}
 }
 

@@ -214,7 +214,7 @@ func (p *Pipeline) Suspects(cs *Case) {
 // over cs.Pats at cs.Clk with the pipeline's engine, rooted at seed.
 func (p *Pipeline) Dictionary(ctx context.Context, cs *Case, seed uint64) error {
 	stop := p.Stages.Start("dict_build")
-	d, err := core.BuildDictionaryCtx(ctx, p.Model, cs.Pats, cs.Suspects, core.DictConfig{
+	d, err := core.BuildDictionary(ctx, p.Model, cs.Pats, cs.Suspects, core.DictConfig{
 		Clk:      cs.Clk,
 		Engine:   p.Engine,
 		Samples:  p.Cfg.DictSamples,

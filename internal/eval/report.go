@@ -72,15 +72,3 @@ func WriteTable1CSV(w io.Writer, rows []Table1Row) error {
 	_, err := io.WriteString(w, sb.String())
 	return err
 }
-
-// WriteFigure1CSV emits the Figure 1 sweep as CSV.
-func WriteFigure1CSV(w io.Writer, r *Figure1Result) error {
-	var sb strings.Builder
-	sb.WriteString("clk,detect_long,detect_short,detect_dominant,detect_masked\n")
-	for _, p := range r.Points {
-		fmt.Fprintf(&sb, "%.4f,%.4f,%.4f,%.4f,%.4f\n",
-			p.Clk, p.DetectLong, p.DetectShort, p.DetectOnMax, p.DetectMasked)
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}

@@ -77,9 +77,9 @@ func GlobalPatternSet(c *circuit.Circuit, m *timing.Model, maxPatterns int, seed
 // prepareStatic runs everything of BuildStatic up to (but excluding)
 // the dictionary build, selecting clk with the engine named by
 // cfg.Engine. The returned case carries the global pattern set, the
-// cut-off period and the suspect universe; the acceptance harness
-// (CompareEngines) builds dictionaries from it under several engines
-// over identical stimuli.
+// cut-off period and the suspect universe; the engine acceptance test
+// builds dictionaries from it under several engines over identical
+// stimuli.
 func prepareStatic(cfg Config, maxSuspects int) (*Pipeline, *Case, error) {
 	p, err := newNamedPipeline(cfg)
 	if err != nil {
@@ -228,8 +228,8 @@ func RunPrecomputed(cfg Config, maxSuspects int) (*StaticResult, error) {
 }
 
 // staticCase is die i of the precomputed-dictionary experiment — its
-// own derivation, shared by RunPrecomputed and CompareEngines so their
-// dies line up — observed under the patterns and clk of sc, whose
+// own derivation, shared by RunPrecomputed and the engine acceptance
+// test so their dies line up — observed under the patterns and clk of sc, whose
 // suspects and dictionary it shares.
 func staticCase(p *Pipeline, sc *Case, i int) *Case {
 	seed := rng.DeriveN(p.Cfg.Seed, 0x57ca, uint64(i))

@@ -108,29 +108,3 @@ func FormatTable1(measured []Table1Row) string {
 	}
 	return sb.String()
 }
-
-// MethodIIIRestrictive measures the paper's qualitative observation
-// that Method III is "too restrictive": the fraction of diagnosable
-// cases (truth in suspects) where Method III assigns the true arc a
-// score of exactly zero — i.e. it cannot distinguish the truth from
-// arbitrary suspects.
-func MethodIIIRestrictive(r *CircuitResult) float64 {
-	diagnosable, zeroed := 0, 0
-	for _, cs := range r.Cases {
-		if !cs.TruthInSuspects {
-			continue
-		}
-		diagnosable++
-		// With ranking ties broken by arc ID, a zero score manifests
-		// as a rank far beyond what Methods I/II assign; approximate
-		// via the recorded ranks: treat "worse than half the suspect
-		// list" as collapsed.
-		if cs.Rank[core.MethodIII] > (cs.Suspects+1)/2 {
-			zeroed++
-		}
-	}
-	if diagnosable == 0 {
-		return 0
-	}
-	return float64(zeroed) / float64(diagnosable)
-}

@@ -54,16 +54,3 @@ func LaunchOnCapture(c *circuit.Circuit, m ScanMap, v1 Vector, piV2 Vector) Vect
 	}
 	return v2
 }
-
-// IsLaunchOnCapture reports whether a pattern pair is realizable in
-// broadside form: every pseudo input's v2 value equals the
-// corresponding pseudo output's settled value under v1.
-func IsLaunchOnCapture(c *circuit.Circuit, m ScanMap, p PatternPair) bool {
-	vals := Eval(c, p.V1)
-	for i, ppi := range m.PPIs {
-		if p.V2[ppi] != vals[c.Outputs[m.PPOs[i]]] {
-			return false
-		}
-	}
-	return true
-}

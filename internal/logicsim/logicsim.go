@@ -82,30 +82,14 @@ func EvalInto(dst []bool, c *circuit.Circuit, in Vector) []bool {
 	return vals
 }
 
-// OutputValues extracts the primary-output values from a gate-value
-// slice, indexed parallel to c.Outputs.
-func OutputValues(c *circuit.Circuit, vals []bool) []bool {
-	out := make([]bool, len(c.Outputs))
-	for i, o := range c.Outputs {
-		out[i] = vals[o]
-	}
-	return out
-}
-
-// EvalWords evaluates 64 patterns at once: in[i] packs the value of
-// input i across 64 patterns (bit b = pattern b). The result packs
-// every gate's value the same way. It is the allocating convenience
-// wrapper over EvalWordsInto.
-func EvalWords(c *circuit.Circuit, in []uint64) []uint64 {
-	return EvalWordsInto(nil, c, in)
-}
-
-// EvalWordsInto is EvalWords writing into dst, reusing its backing
-// array when it is large enough — the allocation-free form for the
-// word-parallel simulation loops (dictionary characterization, arc
-// coverage). It returns the filled slice (freshly allocated only when
-// dst lacks capacity); every element is overwritten, so dst's prior
-// contents do not matter.
+// EvalWordsInto evaluates 64 patterns at once: in[i] packs the value
+// of input i across 64 patterns (bit b = pattern b), and the result
+// packs every gate's value the same way. It writes into dst, reusing
+// its backing array when it is large enough — the allocation-free form
+// for the word-parallel simulation loops (dictionary characterization,
+// arc coverage). It returns the filled slice (freshly allocated only
+// when dst lacks capacity); every element is overwritten, so dst's
+// prior contents do not matter.
 //
 //ddd:hot
 func EvalWordsInto(dst []uint64, c *circuit.Circuit, in []uint64) []uint64 {
@@ -117,7 +101,7 @@ func EvalWordsInto(dst []uint64, c *circuit.Circuit, in []uint64) []uint64 {
 	}
 	vals := dst[:len(c.Gates)]
 	for i := range vals {
-		vals[i] = 0 // match EvalWords' freshly-zeroed slice exactly
+		vals[i] = 0
 	}
 	for i, g := range c.Inputs {
 		vals[g] = in[i]
@@ -138,35 +122,9 @@ func EvalWordsInto(dst []uint64, c *circuit.Circuit, in []uint64) []uint64 {
 	return vals
 }
 
-// PackVectors packs up to 64 vectors into the word-parallel input form
-// consumed by EvalWords: word i holds input i's value across the
-// vectors, bit b belonging to vectors[b].
-//
-// Ragged-tail contract: when fewer than 64 vectors are packed, the
-// high bits of every word stay zero, so those pattern lanes evaluate
-// the all-zeros input vector. Callers that aggregate over lanes must
-// mask the result down to TailMask(len(vectors)) — the bits above
-// len(vectors) are well-defined but meaningless.
-func PackVectors(c *circuit.Circuit, vectors []Vector) ([]uint64, error) {
-	if len(vectors) > 64 {
-		return nil, fmt.Errorf("logicsim: %d vectors exceed the 64-per-word limit", len(vectors))
-	}
-	in := make([]uint64, len(c.Inputs))
-	for b, v := range vectors {
-		if len(v) != len(c.Inputs) {
-			return nil, fmt.Errorf("logicsim: vector %d has %d values for %d inputs", b, len(v), len(c.Inputs))
-		}
-		for i, bit := range v {
-			if bit {
-				in[i] |= 1 << uint(b)
-			}
-		}
-	}
-	return in, nil
-}
-
 // TailMask returns the mask selecting the n low pattern lanes of a
-// word — the valid lanes of a ragged (sub-64) PackVectors block.
+// word — the valid lanes of a ragged (sub-64) PackPatternPairsInto
+// block.
 func TailMask(n int) uint64 {
 	if n >= 64 {
 		return ^uint64(0)
@@ -186,18 +144,6 @@ type Transition struct {
 // SimulatePair runs two-vector transition simulation.
 func SimulatePair(c *circuit.Circuit, p PatternPair) Transition {
 	return Transition{Init: Eval(c, p.V1), Final: Eval(c, p.V2)}
-}
-
-// Transitions returns the set of gates whose settled value changes
-// between the two vectors.
-func (t Transition) Transitions(c *circuit.Circuit) circuit.GateSet {
-	s := c.NewGateSet()
-	for i := range t.Init {
-		if t.Init[i] != t.Final[i] {
-			s.Add(circuit.GateID(i))
-		}
-	}
-	return s
 }
 
 // SensitizedArcs traces backward from primary output index outIdx and
@@ -248,38 +194,4 @@ func SensitizedArcs(c *circuit.Circuit, tr Transition, outIdx int) circuit.ArcSe
 	}
 	walk(root)
 	return arcs
-}
-
-// TransitionConeArcs returns the arcs that could carry a hazard to
-// primary output outIdx: arcs inside the output's fan-in cone whose
-// driver transitions. This is the relaxation of SensitizedArcs used
-// when an output fails without a settled-value transition (a captured
-// glitch): static sensitization cannot explain such a failure, but the
-// glitch must still have propagated along transitioning drivers within
-// the cone.
-func TransitionConeArcs(c *circuit.Circuit, tr Transition, outIdx int) circuit.ArcSet {
-	arcs := c.NewArcSet()
-	cone := c.FaninCone(c.Outputs[outIdx])
-	for i := range c.Arcs {
-		a := &c.Arcs[i]
-		if !cone.Has(a.To) || !cone.Has(a.From) {
-			continue
-		}
-		if tr.Init[a.From] != tr.Final[a.From] {
-			arcs.Add(a.ID)
-		}
-	}
-	return arcs
-}
-
-// FailingOutputs compares observed against expected output values and
-// returns the indices (into c.Outputs) that mismatch.
-func FailingOutputs(expected, observed []bool) []int {
-	var fails []int
-	for i := range expected {
-		if expected[i] != observed[i] {
-			fails = append(fails, i)
-		}
-	}
-	return fails
 }

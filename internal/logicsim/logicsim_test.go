@@ -1,6 +1,7 @@
 package logicsim
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -51,7 +52,7 @@ func TestEvalC17Exhaustive(t *testing.T) {
 	for m := 0; m < 32; m++ {
 		in := Vector{m&1 != 0, m&2 != 0, m&4 != 0, m&8 != 0, m&16 != 0}
 		vals := Eval(c, in)
-		out := OutputValues(c, vals)
+		out := outputValues(c, vals)
 		w22, w23 := c17Ref(in[0], in[1], in[2], in[3], in[4])
 		if out[0] != w22 || out[1] != w23 {
 			t.Errorf("m=%d: got %v/%v want %v/%v", m, out[0], out[1], w22, w23)
@@ -83,7 +84,7 @@ func randomVectors(r *rand.Rand, c *circuit.Circuit, n int) []Vector {
 
 func mustPack(t *testing.T, c *circuit.Circuit, vectors []Vector) []uint64 {
 	t.Helper()
-	in, err := PackVectors(c, vectors)
+	in, err := packVectors(c, vectors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestEvalWordsMatchesScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	vectors := randomVectors(rng.New(21), c, 64)
-	words := EvalWords(c, mustPack(t, c, vectors))
+	words := EvalWordsInto(nil, c, mustPack(t, c, vectors))
 	for b, v := range vectors {
 		vals := Eval(c, v)
 		for g := range vals {
@@ -114,7 +115,7 @@ func TestEvalWordsIntoReusesBuffer(t *testing.T) {
 	c := parseC17(t)
 	vectors := randomVectors(rng.New(5), c, 64)
 	in := mustPack(t, c, vectors)
-	want := EvalWords(c, in)
+	want := EvalWordsInto(nil, c, in)
 
 	dst := make([]uint64, len(c.Gates))
 	for i := range dst {
@@ -143,14 +144,14 @@ func TestPackVectorsErrors(t *testing.T) {
 	for i := range vs {
 		vs[i] = make(Vector, len(c.Inputs))
 	}
-	if _, err := PackVectors(c, vs); err == nil {
-		t.Error("PackVectors accepted 65 vectors")
+	if _, err := packVectors(c, vs); err == nil {
+		t.Error("packVectors accepted 65 vectors")
 	}
-	if _, err := PackVectors(c, []Vector{make(Vector, 1)}); err == nil {
-		t.Error("PackVectors accepted a width-mismatched vector")
+	if _, err := packVectors(c, []Vector{make(Vector, 1)}); err == nil {
+		t.Error("packVectors accepted a width-mismatched vector")
 	}
-	if in, err := PackVectors(c, nil); err != nil || len(in) != len(c.Inputs) {
-		t.Errorf("PackVectors(nil) = %v, %v", in, err)
+	if in, err := packVectors(c, nil); err != nil || len(in) != len(c.Inputs) {
+		t.Errorf("packVectors(nil) = %v, %v", in, err)
 	}
 }
 
@@ -168,7 +169,7 @@ func TestPackVectorsRaggedTail(t *testing.T) {
 			t.Errorf("input word %d has tail bits set: %#x", i, w)
 		}
 	}
-	words := EvalWords(c, in)
+	words := EvalWordsInto(nil, c, in)
 	zeros := Eval(c, make(Vector, len(c.Inputs)))
 	for g, w := range words {
 		wantTail := uint64(0)
@@ -206,8 +207,8 @@ func TestSensitizedArcsWordsMatchesScalar(t *testing.T) {
 		for _, lanes := range []int{64, 17, 1} {
 			v1s := randomVectors(r, c, lanes)
 			v2s := randomVectors(r, c, lanes)
-			init := EvalWords(c, mustPack(t, c, v1s))
-			final := EvalWords(c, mustPack(t, c, v2s))
+			init := EvalWordsInto(nil, c, mustPack(t, c, v1s))
+			final := EvalWordsInto(nil, c, mustPack(t, c, v2s))
 			dst := make([]uint64, len(c.Arcs))
 			active := make([]uint64, len(c.Gates))
 			for oi := range c.Outputs {
@@ -243,7 +244,7 @@ func TestSimulatePairTransitions(t *testing.T) {
 	v1 := Vector{true, true, true, true, true}
 	v2 := Vector{true, true, false, true, true}
 	tr := SimulatePair(c, PatternPair{v1, v2})
-	trans := tr.Transitions(c)
+	trans := transitions(c, tr)
 	g3, _ := c.GateByName("G3")
 	if !trans.Has(g3.ID) {
 		t.Errorf("flipped input not transitioning")
@@ -280,8 +281,8 @@ func TestSensitizedArcsSimple(t *testing.T) {
 	// has no transition.
 	tr2 := SimulatePair(c, PatternPair{Vector{false, false}, Vector{true, false}})
 	arcs2 := SensitizedArcs(c, tr2, 0)
-	if arcs2.Count() != 0 {
-		t.Errorf("blocked path reported sensitized arcs: %d", arcs2.Count())
+	if len(arcs2.IDs()) != 0 {
+		t.Errorf("blocked path reported sensitized arcs: %d", len(arcs2.IDs()))
 	}
 }
 
@@ -295,8 +296,8 @@ func TestSensitizedArcsBlockedSideInput(t *testing.T) {
 	}
 	tr := SimulatePair(c, PatternPair{Vector{false, true}, Vector{true, true}})
 	arcs := SensitizedArcs(c, tr, 0)
-	if arcs.Count() != 0 {
-		t.Errorf("controlled OR sensitized %d arcs", arcs.Count())
+	if len(arcs.IDs()) != 0 {
+		t.Errorf("controlled OR sensitized %d arcs", len(arcs.IDs()))
 	}
 }
 
@@ -324,14 +325,14 @@ func TestSensitizedArcsC17(t *testing.T) {
 		Vector{true, true, true, true, true},
 		Vector{true, true, false, true, true},
 	})
-	if got := SensitizedArcs(c, tr, 0).Count(); got != 0 {
+	if got := len(SensitizedArcs(c, tr, 0).IDs()); got != 0 {
 		t.Errorf("stable output G22 sensitized %d arcs", got)
 	}
 	arcs := SensitizedArcs(c, tr, 1)
 	// Every sensitized arc must join transitioning driver to a gate on
 	// a path to G23.
 	cone := c.FaninCone(c.Outputs[1])
-	trans := tr.Transitions(c)
+	trans := transitions(c, tr)
 	for _, id := range arcs.IDs() {
 		a := c.Arcs[id]
 		if !cone.Has(a.To) {
@@ -341,7 +342,7 @@ func TestSensitizedArcsC17(t *testing.T) {
 			t.Errorf("arc %v driver does not transition", a)
 		}
 	}
-	if arcs.Count() == 0 {
+	if len(arcs.IDs()) == 0 {
 		t.Errorf("no sensitized arcs found")
 	}
 }
@@ -362,7 +363,7 @@ func TestSensitizedArcsProperty(t *testing.T) {
 			v2[i] = r.IntN(2) == 1
 		}
 		tr := SimulatePair(c, PatternPair{v1, v2})
-		trans := tr.Transitions(c)
+		trans := transitions(c, tr)
 		for oi := range c.Outputs {
 			arcs := SensitizedArcs(c, tr, oi)
 			cone := c.FaninCone(c.Outputs[oi])
@@ -383,11 +384,11 @@ func TestSensitizedArcsProperty(t *testing.T) {
 func TestFailingOutputs(t *testing.T) {
 	exp := []bool{true, false, true}
 	obs := []bool{true, true, false}
-	fails := FailingOutputs(exp, obs)
+	fails := failingOutputs(exp, obs)
 	if len(fails) != 2 || fails[0] != 1 || fails[1] != 2 {
 		t.Errorf("fails = %v", fails)
 	}
-	if FailingOutputs(exp, exp) != nil {
+	if failingOutputs(exp, exp) != nil {
 		t.Errorf("identical outputs failed")
 	}
 }
@@ -397,4 +398,61 @@ func TestPatternPairString(t *testing.T) {
 	if p.String() != "10->01" {
 		t.Errorf("String = %q", p.String())
 	}
+}
+
+// outputValues extracts the primary-output values from a gate-value
+// slice, indexed parallel to c.Outputs.
+func outputValues(c *circuit.Circuit, vals []bool) []bool {
+	out := make([]bool, len(c.Outputs))
+	for i, o := range c.Outputs {
+		out[i] = vals[o]
+	}
+	return out
+}
+
+// packVectors packs up to 64 vectors into the word-parallel input form
+// consumed by EvalWordsInto: word i holds input i's value across the
+// vectors, bit b belonging to vectors[b]. With fewer than 64 vectors
+// the high bits of every word stay zero, the same ragged-tail contract
+// as PackPatternPairsInto.
+func packVectors(c *circuit.Circuit, vectors []Vector) ([]uint64, error) {
+	if len(vectors) > 64 {
+		return nil, fmt.Errorf("logicsim: %d vectors exceed the 64-per-word limit", len(vectors))
+	}
+	in := make([]uint64, len(c.Inputs))
+	for b, v := range vectors {
+		if len(v) != len(c.Inputs) {
+			return nil, fmt.Errorf("logicsim: vector %d has %d values for %d inputs", b, len(v), len(c.Inputs))
+		}
+		for i, bit := range v {
+			if bit {
+				in[i] |= 1 << uint(b)
+			}
+		}
+	}
+	return in, nil
+}
+
+// transitions returns the set of gates whose settled value changes
+// between the two vectors of tr.
+func transitions(c *circuit.Circuit, tr Transition) circuit.GateSet {
+	s := c.NewGateSet()
+	for i := range tr.Init {
+		if tr.Init[i] != tr.Final[i] {
+			s.Add(circuit.GateID(i))
+		}
+	}
+	return s
+}
+
+// failingOutputs compares observed against expected output values and
+// returns the indices that mismatch.
+func failingOutputs(expected, observed []bool) []int {
+	var fails []int
+	for i := range expected {
+		if expected[i] != observed[i] {
+			fails = append(fails, i)
+		}
+	}
+	return fails
 }

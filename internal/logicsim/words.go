@@ -26,7 +26,7 @@ import (
 // Ragged blocks are safe without explicit masking here: an unused lane
 // packs all-zero inputs into both vectors, so no gate transitions on
 // it and no arc picks up its bit. Callers combining blocks should
-// still respect PackVectors' tail contract.
+// still respect PackPatternPairsInto's tail contract.
 //
 //ddd:hot
 func SensitizedArcsWordsInto(dst, active []uint64, c *circuit.Circuit, init, final []uint64, outIdx int) {
@@ -97,11 +97,13 @@ func SensitizedArcsWordsMaskedInto(dst, active []uint64, c *circuit.Circuit, ini
 // TransitionConeArcsWordsInto accumulates, for primary output outIdx,
 // the per-arc hazard-cone masks of a 64-lane block into dst
 // (dst[arcID] |= lanes; len(dst) must be len(c.Arcs)), restricted to
-// the pattern lanes selected by mask. Per lane the semantics are
-// identical to TransitionConeArcs: an arc picks up a lane's bit when
+// the pattern lanes selected by mask. An arc picks up a lane's bit when
 // both endpoints lie in the output's fan-in cone and its driver
-// transitions in that lane. cone is caller scratch of len(c.Gates);
-// its contents are overwritten.
+// transitions in that lane: the relaxation of sensitization used when
+// an output fails without a settled-value transition (a captured
+// glitch), which must still have propagated along transitioning
+// drivers within the cone. cone is caller scratch of len(c.Gates); its
+// contents are overwritten.
 //
 //ddd:hot
 func TransitionConeArcsWordsInto(dst []uint64, cone circuit.GateSet, c *circuit.Circuit, init, final []uint64, outIdx int, mask uint64) {
@@ -135,23 +137,18 @@ func TransitionConeArcsWordsInto(dst []uint64, cone circuit.GateSet, c *circuit.
 	}
 }
 
-// PackPatternPairs packs up to 64 pattern pairs into the two
-// word-parallel input planes consumed by EvalWords: init holds the V1
-// values, final the V2 values, word i covering input i with bit b
-// belonging to pairs[b]. It is the allocating convenience wrapper over
-// PackPatternPairsInto and shares PackVectors' error and ragged-tail
-// TailMask contract: with fewer than 64 pairs the high lanes of every
-// word stay zero (the all-zeros vector on both sides), so aggregating
-// callers must mask results down to TailMask(len(pairs)).
-func PackPatternPairs(c *circuit.Circuit, pairs []PatternPair) (init, final []uint64, err error) {
-	return PackPatternPairsInto(nil, nil, c, pairs)
-}
-
-// PackPatternPairsInto is PackPatternPairs writing into dstInit and
-// dstFinal, reusing their backing arrays when they are large enough —
-// the allocation-free form for hot word-parallel loops. It returns the
-// filled slices (freshly allocated only when the dsts lack capacity);
-// every element is overwritten, so prior contents do not matter.
+// PackPatternPairsInto packs up to 64 pattern pairs into the two
+// word-parallel input planes consumed by EvalWordsInto: init holds the
+// V1 values, final the V2 values, word i covering input i with bit b
+// belonging to pairs[b]. It writes into dstInit and dstFinal, reusing
+// their backing arrays when they are large enough — the allocation-free
+// form for hot word-parallel loops — and returns the filled slices
+// (freshly allocated only when the dsts lack capacity); every element
+// is overwritten, so prior contents do not matter.
+//
+// Ragged-tail contract: with fewer than 64 pairs the high lanes of
+// every word stay zero (the all-zeros vector on both sides), so
+// aggregating callers must mask results down to TailMask(len(pairs)).
 //
 //ddd:hot
 func PackPatternPairsInto(dstInit, dstFinal []uint64, c *circuit.Circuit, pairs []PatternPair) ([]uint64, []uint64, error) {

@@ -22,7 +22,7 @@ func randomPairs(t *testing.T, c *circuit.Circuit, seed uint64, n int) []Pattern
 }
 
 // TestPackPatternPairsMatchesPackVectors pins the pair packer against
-// two independent PackVectors calls over the V1 and V2 planes.
+// two independent packVectors calls over the V1 and V2 planes.
 func TestPackPatternPairsMatchesPackVectors(t *testing.T) {
 	c, err := synth.GenerateNamed("small", 19)
 	if err != nil {
@@ -30,7 +30,7 @@ func TestPackPatternPairsMatchesPackVectors(t *testing.T) {
 	}
 	for _, n := range []int{64, 17, 1, 0} {
 		pairs := randomPairs(t, c, uint64(100+n), n)
-		init, final, err := PackPatternPairs(c, pairs)
+		init, final, err := PackPatternPairsInto(nil, nil, c, pairs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestPackPatternPairsMatchesPackVectors(t *testing.T) {
 		wantFinal := mustPack(t, c, v2s)
 		for i := range init {
 			if init[i] != wantInit[i] || final[i] != wantFinal[i] {
-				t.Fatalf("n=%d input %d: pair packing differs from PackVectors", n, i)
+				t.Fatalf("n=%d input %d: pair packing differs from packVectors", n, i)
 			}
 		}
 		// Ragged-tail contract: lanes above n stay zero.
@@ -62,17 +62,17 @@ func TestPackPatternPairsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := PackPatternPairs(c, randomPairs(t, c, 5, 65)); err == nil {
+	if _, _, err := PackPatternPairsInto(nil, nil, c, randomPairs(t, c, 5, 65)); err == nil {
 		t.Error("65 pairs accepted")
 	}
 	pairs := randomPairs(t, c, 6, 2)
 	pairs[1].V1 = pairs[1].V1[:len(pairs[1].V1)-1]
-	if _, _, err := PackPatternPairs(c, pairs); err == nil {
+	if _, _, err := PackPatternPairsInto(nil, nil, c, pairs); err == nil {
 		t.Error("short V1 accepted")
 	}
 	pairs = randomPairs(t, c, 7, 2)
 	pairs[0].V2 = append(pairs[0].V2, true)
-	if _, _, err := PackPatternPairs(c, pairs); err == nil {
+	if _, _, err := PackPatternPairsInto(nil, nil, c, pairs); err == nil {
 		t.Error("long V2 accepted")
 	}
 }
@@ -100,7 +100,7 @@ func TestPackPatternPairsIntoReusesBuffers(t *testing.T) {
 	if &init[0] != &dstI[0] || &final[0] != &dstF[0] {
 		t.Error("Into form did not reuse the provided backing arrays")
 	}
-	wantI, wantF, err := PackPatternPairs(c, pairs)
+	wantI, wantF, err := PackPatternPairsInto(nil, nil, c, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +123,12 @@ func TestTransitionConeArcsWordsMatchesScalar(t *testing.T) {
 		r := rng.New(47)
 		for _, lanes := range []int{64, 17, 1} {
 			pairs := randomPairs(t, c, uint64(200+lanes), lanes)
-			init, final, err := PackPatternPairs(c, pairs)
+			init, final, err := PackPatternPairsInto(nil, nil, c, pairs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			initVals := EvalWords(c, init)
-			finalVals := EvalWords(c, final)
+			initVals := EvalWordsInto(nil, c, init)
+			finalVals := EvalWordsInto(nil, c, final)
 			dst := make([]uint64, len(c.Arcs))
 			cone := c.NewGateSet()
 			for oi := range c.Outputs {
@@ -139,7 +139,7 @@ func TestTransitionConeArcsWordsMatchesScalar(t *testing.T) {
 				TransitionConeArcsWordsInto(dst, cone, c, initVals, finalVals, oi, mask)
 				for b := 0; b < lanes; b++ {
 					tr := SimulatePair(c, pairs[b])
-					want := TransitionConeArcs(c, tr, oi)
+					want := transitionConeArcs(c, tr, oi)
 					sel := mask>>uint(b)&1 == 1
 					for aid := range dst {
 						gotBit := dst[aid]>>uint(b)&1 == 1
@@ -167,12 +167,12 @@ func TestSensitizedArcsWordsMaskedRestrictsLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := randomPairs(t, c, 77, 64)
-	init, final, err := PackPatternPairs(c, pairs)
+	init, final, err := PackPatternPairsInto(nil, nil, c, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	initVals := EvalWords(c, init)
-	finalVals := EvalWords(c, final)
+	initVals := EvalWordsInto(nil, c, init)
+	finalVals := EvalWordsInto(nil, c, final)
 	full := make([]uint64, len(c.Arcs))
 	masked := make([]uint64, len(c.Arcs))
 	active := make([]uint64, len(c.Gates))
@@ -191,4 +191,22 @@ func TestSensitizedArcsWordsMaskedRestrictsLanes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// transitionConeArcs is the scalar hazard cone of output outIdx: the
+// arcs inside the output's fan-in cone whose driver transitions. It is
+// the oracle for TransitionConeArcsWordsInto.
+func transitionConeArcs(c *circuit.Circuit, tr Transition, outIdx int) circuit.ArcSet {
+	arcs := c.NewArcSet()
+	cone := c.FaninCone(c.Outputs[outIdx])
+	for i := range c.Arcs {
+		a := &c.Arcs[i]
+		if !cone.Has(a.To) || !cone.Has(a.From) {
+			continue
+		}
+		if tr.Init[a.From] != tr.Final[a.From] {
+			arcs.Add(a.ID)
+		}
+	}
+	return arcs
 }

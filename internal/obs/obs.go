@@ -67,20 +67,6 @@ func (c *Counter) Add(v float64) {
 // Value returns the current total.
 func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 
-// Gauge is a settable float64 that may go up or down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add accumulates v (which may be negative).
-func (g *Gauge) Add(v float64) { addFloat(&g.bits, v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // LatencyBuckets is the default histogram layout for request
 // latencies in seconds: 100 µs to 10 s, roughly logarithmic.
 var LatencyBuckets = []float64{
@@ -242,15 +228,6 @@ func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float
 	r.register(name, help, counterKind, labels, func(sb *strings.Builder, name, ls string) {
 		sampleLine(sb, name, ls, fn())
 	})
-}
-
-// Gauge registers and returns a gauge series.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, gaugeKind, labels, func(sb *strings.Builder, name, ls string) {
-		sampleLine(sb, name, ls, g.Value())
-	})
-	return g
 }
 
 // GaugeFunc registers a gauge computed from fn at scrape time.

@@ -21,7 +21,7 @@ func TestRenderDeterministicAndSorted(t *testing.T) {
 	r := NewRegistry()
 	// Register out of alphabetical order on purpose.
 	z := r.Counter("zz_total", "last family", nil)
-	r.Gauge("mid_gauge", "middle family", Labels{"b": "2", "a": "1"})
+	r.GaugeFunc("mid_gauge", "middle family", Labels{"b": "2", "a": "1"}, func() float64 { return 0 })
 	a := r.Counter("aa_total", "first family", Labels{"endpoint": "/x"})
 	b := r.Counter("aa_total", "first family", Labels{"endpoint": "/a"})
 	z.Add(3)
@@ -86,7 +86,7 @@ func TestKindConflictPanics(t *testing.T) {
 			t.Fatal("kind conflict did not panic")
 		}
 	}()
-	r.Gauge("m", "", Labels{"k": "v"})
+	r.GaugeFunc("m", "", Labels{"k": "v"}, func() float64 { return 0 })
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -126,13 +126,12 @@ func TestFuncMetrics(t *testing.T) {
 	}
 }
 
-// TestConcurrentObserve is the -race workout: hammered counters,
-// gauges and histograms from many goroutines must total exactly and
+// TestConcurrentObserve is the -race workout: hammered counters and
+// histograms from many goroutines must total exactly and
 // render cleanly while being written.
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hits_total", "", nil)
-	g := r.Gauge("depth", "", nil)
 	h := r.Histogram("lat", "", nil, []float64{1, 2, 4})
 	const goroutines, per = 16, 1000
 	var wg sync.WaitGroup
@@ -142,7 +141,6 @@ func TestConcurrentObserve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i % 5))
 				if i%100 == 0 {
 					var buf bytes.Buffer
@@ -156,9 +154,6 @@ func TestConcurrentObserve(t *testing.T) {
 	wg.Wait()
 	if c.Value() != goroutines*per {
 		t.Errorf("counter = %v, want %d", c.Value(), goroutines*per)
-	}
-	if g.Value() != goroutines*per {
-		t.Errorf("gauge = %v, want %d", g.Value(), goroutines*per)
 	}
 	if h.Count() != goroutines*per {
 		t.Errorf("histogram count = %d, want %d", h.Count(), goroutines*per)
@@ -222,7 +217,7 @@ func TestStagesConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				s.Observe("stage", 1000, 1)
 				if i%100 == 0 {
-					_ = s.TotalSeconds()
+					_ = s.Snapshot()
 				}
 			}
 		}()

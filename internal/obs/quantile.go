@@ -40,17 +40,6 @@ func (r *Reservoir) Count() int {
 	return len(r.samples)
 }
 
-// Sum returns the sum of all observations.
-func (r *Reservoir) Sum() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var s float64
-	for _, v := range r.samples {
-		s += v
-	}
-	return s
-}
-
 // Quantile returns the exact q-quantile (0 <= q <= 1) by the
 // nearest-rank method: the smallest observed value with at least
 // ceil(q*n) observations at or below it. q=0 is the minimum, q=1 the

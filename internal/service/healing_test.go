@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -160,11 +161,11 @@ func TestRingDiffJoinLeaveRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	join := RingDiff(rA, rB, keys)
+	join := ringDiff(rA, rB, keys)
 	if len(join) == 0 {
 		t.Fatal("join moved zero keys out of 200 — ring delta lost")
 	}
-	moved := make(map[string]KeyMove, len(join))
+	moved := make(map[string]keyMove, len(join))
 	for i, mv := range join {
 		if i > 0 && join[i-1].Key >= mv.Key {
 			t.Fatalf("moves not sorted by key: %q before %q", join[i-1].Key, mv.Key)
@@ -185,7 +186,7 @@ func TestRingDiffJoinLeaveRejoin(t *testing.T) {
 		}
 	}
 
-	leave := RingDiff(rB, rA, keys)
+	leave := ringDiff(rB, rA, keys)
 	if len(leave) != len(join) {
 		t.Errorf("leave moved %d keys, join moved %d — the deltas must mirror", len(leave), len(join))
 	}
@@ -199,7 +200,7 @@ func TestRingDiffJoinLeaveRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rejoin := RingDiff(rB, rB2, keys); len(rejoin) != 0 {
+	if rejoin := ringDiff(rB, rB2, keys); len(rejoin) != 0 {
 		t.Fatalf("rejoin of the identical set moved %d keys, want 0", len(rejoin))
 	}
 }
@@ -736,4 +737,28 @@ func TestRouterMetricsDeterministic(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+}
+
+// keyMove records one key whose owner changed between two rings.
+type keyMove struct {
+	Key  string
+	From string
+	To   string
+}
+
+// ringDiff returns the subset of keys whose owner differs between the
+// old and new rings, sorted by key. By the ring's bounded-movement
+// property, the moved set after a join contains only keys moving TO
+// the joined replica, after a leave only keys moving FROM the departed
+// one.
+func ringDiff(oldRing, newRing *Ring, keys []string) []keyMove {
+	var moves []keyMove
+	for _, key := range keys {
+		from, to := oldRing.Owner(key), newRing.Owner(key)
+		if from != to {
+			moves = append(moves, keyMove{Key: key, From: from, To: to})
+		}
+	}
+	sort.Slice(moves, func(i, j int) bool { return moves[i].Key < moves[j].Key })
+	return moves
 }

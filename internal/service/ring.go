@@ -105,31 +105,6 @@ func (r *Ring) Owner(key string) string {
 	return r.Owners(key, 1)[0]
 }
 
-// KeyMove records one key whose owner changed between two rings.
-type KeyMove struct {
-	Key  string
-	From string
-	To   string
-}
-
-// RingDiff returns the subset of keys whose owner differs between the
-// old and new rings, sorted by key. This is the rebalancer's transfer
-// plan after a membership change, and — by the ring's bounded-movement
-// property — the moved set after a join contains only keys moving TO
-// the joined replica, after a leave only keys moving FROM the departed
-// one.
-func RingDiff(oldRing, newRing *Ring, keys []string) []KeyMove {
-	var moves []KeyMove
-	for _, key := range keys {
-		from, to := oldRing.Owner(key), newRing.Owner(key)
-		if from != to {
-			moves = append(moves, KeyMove{Key: key, From: from, To: to})
-		}
-	}
-	sort.Slice(moves, func(i, j int) bool { return moves[i].Key < moves[j].Key })
-	return moves
-}
-
 // Owners returns up to n distinct replicas for key, in ring order:
 // the owner first, then the successors a hedged or failed-over
 // request should try next. n is clamped to the replica count.

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/benchfmt"
@@ -36,14 +37,14 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if benchfmt.String(a) != benchfmt.String(b) {
+	if benchText(t, a) != benchText(t, b) {
 		t.Errorf("same seed produced different circuits")
 	}
 	c, err := GenerateNamed("small", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if benchfmt.String(a) == benchfmt.String(c) {
+	if benchText(t, a) == benchText(t, c) {
 		t.Errorf("different seeds produced identical circuits")
 	}
 }
@@ -179,7 +180,7 @@ func TestRoundTripThroughBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := benchfmt.String(c)
+	text := benchText(t, c)
 	back, err := benchfmt.ParseString(text, "small", false)
 	if err != nil {
 		t.Fatal(err)
@@ -187,4 +188,14 @@ func TestRoundTripThroughBench(t *testing.T) {
 	if c.Stats() != back.Stats() {
 		t.Errorf("bench round trip changed stats: %v -> %v", c.Stats(), back.Stats())
 	}
+}
+
+// benchText renders c in .bench format.
+func benchText(t *testing.T, c *circuit.Circuit) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := benchfmt.Write(&sb, c); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }

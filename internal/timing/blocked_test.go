@@ -3,6 +3,7 @@ package timing
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/benchfmt"
@@ -127,22 +128,10 @@ func pathDelay(in *Instance, arcs []circuit.ArcID) float64 {
 	return t
 }
 
-// samples returns the sorted samples behind a Monte-Carlo result.
-func samples(d dist.Distribution) []float64 {
-	return d.(*dist.Empirical).Samples()
-}
-
-// sameBits reports whether two float slices are bit-identical.
-func sameBits(a, b []float64) (int, bool) {
-	if len(a) != len(b) {
-		return -1, false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return i, false
-		}
-	}
-	return -1, true
+// sameSamples reports whether d is the Monte-Carlo distribution of
+// exactly the samples xs: every sorted sample equal, in any order.
+func sameSamples(xs []float64, d dist.Distribution) bool {
+	return reflect.DeepEqual(dist.NewEmpirical(xs), d)
 }
 
 // checkBlockedSTA compares blocked STA with the scalar reference for
@@ -154,27 +143,12 @@ func checkBlockedSTA(t *testing.T, m *Model, nSamples int, seed uint64, block, w
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortedRef := make([]float64, nSamples)
-	copy(sortedRef, refDelays)
-	sortFloats(sortedRef)
-	if i, ok := sameBits(sortedRef, samples(res.CircuitDelay)); !ok {
-		t.Fatalf("block=%d workers=%d: circuit delay diverges at sorted sample %d", block, workers, i)
+	if !sameSamples(refDelays, res.CircuitDelay) {
+		t.Fatalf("block=%d workers=%d: circuit delay samples diverge from the scalar reference", block, workers)
 	}
 	for o := range refOut {
-		copy(sortedRef, refOut[o])
-		sortFloats(sortedRef)
-		if i, ok := sameBits(sortedRef, samples(res.Arrivals[o])); !ok {
-			t.Fatalf("block=%d workers=%d output %d: arrival diverges at sorted sample %d", block, workers, o, i)
-		}
-	}
-}
-
-func sortFloats(xs []float64) {
-	// insertion sort is fine at test sizes and avoids importing sort
-	// just for a helper
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+		if !sameSamples(refOut[o], res.Arrivals[o]) {
+			t.Fatalf("block=%d workers=%d output %d: arrival samples diverge from the scalar reference", block, workers, o)
 		}
 	}
 }
@@ -240,14 +214,13 @@ func TestTimingLengthCtxMatchesScalar(t *testing.T) {
 	for s := 0; s < nSamples; s++ {
 		ref[s] = pathDelay(m.SampleInstanceSeeded(19, uint64(s)), arcs)
 	}
-	sortFloats(ref)
 	for _, workers := range []int{1, 4} {
 		tl, err := NewMC(m).TimingLength(context.Background(), arcs, nSamples, 19, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i, ok := sameBits(ref, samples(tl)); !ok {
-			t.Fatalf("workers=%d: timing length diverges at sorted sample %d", workers, i)
+		if !sameSamples(ref, tl) {
+			t.Fatalf("workers=%d: timing length samples diverge from the scalar reference", workers)
 		}
 	}
 }

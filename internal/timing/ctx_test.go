@@ -29,11 +29,11 @@ func TestMonteCarloSTACtxMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(samples(viaCtx.CircuitDelay), samples(plain.CircuitDelay)) {
+	if !reflect.DeepEqual(viaCtx.CircuitDelay, plain.CircuitDelay) {
 		t.Error("live-context run diverged on the circuit delay")
 	}
 	for i := range plain.Arrivals {
-		if !reflect.DeepEqual(samples(viaCtx.Arrivals[i]), samples(plain.Arrivals[i])) {
+		if !reflect.DeepEqual(viaCtx.Arrivals[i], plain.Arrivals[i]) {
 			t.Fatalf("live-context run diverged on output %d", i)
 		}
 	}

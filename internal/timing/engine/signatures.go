@@ -46,7 +46,7 @@ type SignatureProbs struct {
 // variance). Collapsing the sample axis this way is what turns
 // seconds of dictionary build into milliseconds.
 //
-// Approximations (measured end-to-end by eval.CompareEngines):
+// Approximations (measured end-to-end by eval's engine acceptance test):
 // transition times shift under variation but the transition COUNT is
 // frozen at the nominal waveform's (variation-created or -killed
 // glitches are unseen), co-moving transitions are treated as perfectly

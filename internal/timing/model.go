@@ -126,17 +126,6 @@ func (m *Model) MeanCellDelay() float64 {
 	return sum / float64(n)
 }
 
-// Correlation returns the pairwise delay correlation implied by the
-// global/local sigma split.
-func (m *Model) Correlation() float64 {
-	g2 := m.P.SigmaGlobal * m.P.SigmaGlobal
-	l2 := m.P.SigmaLocal * m.P.SigmaLocal
-	if g2+l2 == 0 {
-		return 0
-	}
-	return g2 / (g2 + l2)
-}
-
 // Instance is a fixed-delay circuit instance C_in (Definition D.2):
 // one manufactured die drawn from the model.
 type Instance struct {
@@ -192,15 +181,6 @@ func (m *Model) NominalInstance() *Instance {
 	in := &Instance{Delays: make([]float64, len(m.Nominal))}
 	copy(in.Delays, m.Nominal)
 	return in
-}
-
-// WithDefect returns a copy of the instance with extra delay added on
-// one arc — the single-defect model D_s applied to this die.
-func (in *Instance) WithDefect(arc circuit.ArcID, size float64) *Instance {
-	out := &Instance{Delays: make([]float64, len(in.Delays))}
-	copy(out.Delays, in.Delays)
-	out.Delays[arc] += size
-	return out
 }
 
 func (m *Model) String() string {

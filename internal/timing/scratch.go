@@ -58,9 +58,6 @@ func NewScratch(m *Model, block int) *Scratch {
 	}
 }
 
-// Block returns the scratch's block width.
-func (sc *Scratch) Block() int { return sc.block }
-
 // acquireScratch hands out a Scratch for a kernel worker: from the
 // model's pool when the default block width is wanted (so repeated
 // Monte-Carlo calls reuse warm buffers), freshly allocated otherwise.

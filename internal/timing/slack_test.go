@@ -49,7 +49,7 @@ func TestSlacksDiamond(t *testing.T) {
 	}
 	// Slack consistency: adding exactly the slack as a defect makes the
 	// arc critical (arrival hits clk).
-	d := in.WithDefect(fast, slacks[fast])
+	d := withDefect(in, fast, slacks[fast])
 	arr2 := m.ArrivalTimes(d)
 	if math.Abs(arr2[c.Outputs[0]]-clk) > 1e-9 {
 		t.Errorf("slack-sized defect should land exactly on clk: %v vs %v", arr2[c.Outputs[0]], clk)

@@ -150,28 +150,12 @@ func TestGlobalCorrelation(t *testing.T) {
 		a[s] = in.Delays[0] / m.Nominal[0]
 		b[s] = in.Delays[len(in.Delays)/2] / m.Nominal[len(in.Delays)/2]
 	}
-	rho := dist.Correlation(a, b)
-	want := m.Correlation()
+	rho := pearson(a, b)
+	// The shared global factor implies rho = σg²/(σg²+σl²).
+	g2, l2 := m.P.SigmaGlobal*m.P.SigmaGlobal, m.P.SigmaLocal*m.P.SigmaLocal
+	want := g2 / (g2 + l2)
 	if math.Abs(rho-want) > 0.06 {
 		t.Errorf("empirical rho = %v, want ~%v", rho, want)
-	}
-}
-
-func TestWithDefect(t *testing.T) {
-	c, _ := synth.GenerateNamed("mini", 4)
-	m := NewModel(c, DefaultParams())
-	in := m.NominalInstance()
-	d := in.WithDefect(3, 2.5)
-	if d.Delays[3] != in.Delays[3]+2.5 {
-		t.Errorf("defect not applied")
-	}
-	for i := range in.Delays {
-		if i != 3 && d.Delays[i] != in.Delays[i] {
-			t.Errorf("defect leaked to arc %d", i)
-		}
-	}
-	if in.Delays[3] != m.Nominal[3] {
-		t.Errorf("WithDefect mutated the original")
 	}
 }
 
@@ -227,13 +211,14 @@ func TestMonteCarloSTA(t *testing.T) {
 		if cd.Mean() < a.Mean()-1e-9 {
 			t.Errorf("circuit delay mean below output %d mean", i)
 		}
-		if cd.Max() < a.(*dist.Empirical).Max()-1e-9 {
+		if cd.Quantile(1) < a.Quantile(1)-1e-9 {
 			t.Errorf("circuit delay max below output %d max", i)
 		}
 	}
 	// Critical probability is monotone nonincreasing in clk.
 	prev := 1.0
-	for clk := cd.Min(); clk <= cd.Max(); clk += (cd.Max() - cd.Min()) / 10 {
+	lo, hi := cd.Quantile(0), cd.Quantile(1)
+	for clk := lo; clk <= hi; clk += (hi - lo) / 10 {
 		p := res.CriticalProb(clk)
 		if p > prev+1e-12 {
 			t.Errorf("critical probability not monotone at clk=%v", clk)
@@ -303,7 +288,7 @@ func TestArrivalMonotoneProperty(t *testing.T) {
 	baseArr := m.ArrivalTimes(base)
 	f := func(arcIdx uint16, bump uint8) bool {
 		arc := circuit.ArcID(int(arcIdx) % len(base.Delays))
-		mod := base.WithDefect(arc, 0.1+float64(bump)/50)
+		mod := withDefect(base, arc, 0.1+float64(bump)/50)
 		arr := m.ArrivalTimes(mod)
 		for i := range arr {
 			if arr[i] < baseArr[i]-1e-12 {
@@ -315,4 +300,31 @@ func TestArrivalMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
+}
+
+// pearson returns the Pearson correlation coefficient of xs and ys.
+func pearson(xs, ys []float64) float64 {
+	var mx, my float64
+	for i := range xs {
+		mx += xs[i]
+		my += ys[i]
+	}
+	mx /= float64(len(xs))
+	my /= float64(len(ys))
+	var sxy, sxx, syy float64
+	for i := range xs {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	return sxy / math.Sqrt(sxx*syy)
+}
+
+// withDefect returns a copy of in with size added to arc's delay: the
+// single-defect model D_s applied to one die.
+func withDefect(in *Instance, arc circuit.ArcID, size float64) *Instance {
+	out := &Instance{Delays: append([]float64(nil), in.Delays...)}
+	out.Delays[arc] += size
+	return out
 }

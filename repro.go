@@ -283,7 +283,7 @@ func AutoK(ranked []Ranked, method Method, maxK int) (k int, gap float64) {
 func MergeDictionaries(a, b *Dictionary) (*Dictionary, error) { return core.Merge(a, b) }
 
 // ErrorFuncNames lists the registered extension error functions usable
-// with Dictionary.DiagnoseNamed (L1, chebyshev, loglik).
+// with CompressedDictionary.DiagnoseNamed (L1, chebyshev, loglik).
 func ErrorFuncNames() []string { return core.ErrorFuncNames() }
 
 // ScanMap relates pseudo inputs to the pseudo outputs feeding them.

@@ -2,6 +2,9 @@ package repro_test
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -151,5 +154,45 @@ func TestFacadeSimulateAtClock(t *testing.T) {
 	// At an infinite-like clock nothing fails.
 	if fails := repro.SimulateAtClock(c, die, tests[0].Pair, 1e9); len(fails) != 0 {
 		t.Errorf("failures at infinite clock: %v", fails)
+	}
+}
+
+func TestFacadeMergeDictionaries(t *testing.T) {
+	cfg := repro.DefaultExperimentConfig("mini")
+	cfg.MaxPatterns = 4
+	cfg.DictSamples = 24
+	cfg.ClkSamples = 40
+	sd, err := repro.BuildStaticDictionary(cfg, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := sd.Dict
+	merged, err := repro.MergeDictionaries(d, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(merged.Patterns) != 2*len(d.Patterns) || merged.M.Cols != 2*d.M.Cols {
+		t.Errorf("merged %d patterns (%d columns), want twice %d", len(merged.Patterns), merged.M.Cols, len(d.Patterns))
+	}
+	other := *d
+	other.Clk++
+	if _, err := repro.MergeDictionaries(d, &other); err == nil {
+		t.Error("merged dictionaries with different clk")
+	}
+}
+
+func TestFacadeDiagnosisServer(t *testing.T) {
+	if _, err := repro.NewDiagnosisServer(repro.ServeConfig{Dir: filepath.Join(t.TempDir(), "missing")}); err == nil {
+		t.Error("server accepted a missing dictionary directory")
+	}
+	srv, err := repro.NewDiagnosisServer(repro.ServeConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("GET /healthz = %d, want 200", rec.Code)
 	}
 }
