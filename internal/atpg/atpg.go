@@ -15,7 +15,7 @@
 //
 // Justification is a two-time-frame PODEM: objectives are justified by
 // backtracing through X-valued gates to unassigned primary inputs,
-// with chronological backtracking under a configurable budget.
+// with chronological backtracking under a fixed backtrack budget.
 package atpg
 
 import (
@@ -53,55 +53,50 @@ func b2t(b bool) byte {
 	return f0
 }
 
-// evalT computes the 3-valued output of a cell of type t whose input
-// pins are driven by gates fanin, reading their values from vals.
-func evalT(t circuit.CellType, fanin []circuit.GateID, vals []byte) byte {
-	ctrl, hasCtrl := t.Controlling()
-	if hasCtrl {
-		cv := b2t(ctrl)
-		anyX := false
-		for _, fi := range fanin {
-			v := vals[fi]
-			if v == cv {
-				return b2t(ctrl != t.Inverting())
-			}
-			if v == fX {
-				anyX = true
-			}
-		}
-		if anyX {
-			return fX
-		}
-		return b2t(ctrl == t.Inverting())
+// Cell classes of the implication kernel's cell table.
+const (
+	cellInput byte = iota // primary input: never evaluated
+	cellCtrl              // AND/NAND/OR/NOR: has a controlling value
+	cellXor               // XOR/XNOR: parity of the inputs
+	cellBuf               // BUF/NOT/OUTPUT/DFF: the single input, inverted for NOT
+	cellConst             // CONST0/CONST1
+)
+
+// cell is one gate's row of the cell table: its CellType's logic,
+// decoded once so that evaluation runs no type switch.
+type cell struct {
+	class   byte
+	cv      byte // controlling input value (cellCtrl)
+	ctrlOut byte // output when some input is controlling (cellCtrl)
+	ncOut   byte // output when every input is non-controlling (cellCtrl)
+	inv     byte // 1 when the cell inverts: NAND, NOR, XNOR, NOT
+	konst   byte // output value (cellConst)
+}
+
+// cellOf returns the cell table row of cell type t.
+func cellOf(t circuit.CellType) cell {
+	cl := cell{inv: b2t(t.Inverting())}
+	if ctrl, ok := t.Controlling(); ok {
+		cl.class = cellCtrl
+		cl.cv = b2t(ctrl)
+		cl.ctrlOut = b2t(ctrl != t.Inverting())
+		cl.ncOut = cl.ctrlOut ^ 1
+		return cl
 	}
 	switch t {
-	case circuit.Buf, circuit.Output, circuit.DFF:
-		return vals[fanin[0]]
-	case circuit.Not:
-		if v := vals[fanin[0]]; v != fX {
-			return v ^ 1
-		}
-		return fX
+	case circuit.Input:
+		cl.class = cellInput
 	case circuit.Xor, circuit.Xnor:
-		out := byte(0)
-		for _, fi := range fanin {
-			v := vals[fi]
-			if v == fX {
-				return fX
-			}
-			out ^= v
-		}
-		if t == circuit.Xnor {
-			out ^= 1
-		}
-		return out
-	case circuit.Const0:
-		return f0
-	case circuit.Const1:
-		return f1
+		cl.class = cellXor
+	case circuit.Buf, circuit.Not, circuit.Output, circuit.DFF:
+		cl.class = cellBuf
+	case circuit.Const0, circuit.Const1:
+		cl.class = cellConst
+		cl.konst = b2t(t == circuit.Const1)
 	default:
-		panic(fmt.Sprintf("atpg: evalT on %v", t))
+		panic(fmt.Sprintf("atpg: no cell table row for %v", t))
 	}
+	return cl
 }
 
 // objective is a required definite value at a gate output in a frame.
@@ -111,56 +106,81 @@ type objective struct {
 	val   byte
 }
 
+// trailEntry is one value setInput overwrote: gate's value in frame
+// was old.
+type trailEntry struct {
+	gate  circuit.GateID
+	frame uint8
+	old   byte
+}
+
+const (
+	// backtrackLimit bounds the PODEM search of one attempt.
+	backtrackLimit = 2000
+	// restarts is the number of attempts after the first, each with
+	// randomized backtrace choices. Only an attempt that hits the
+	// backtrack budget leaves anything to retry: one that exhausts its
+	// search space below the budget has proven the path untestable
+	// under the criterion, since every decision tries both values.
+	restarts = 3
+)
+
 // Generator produces path-delay tests for one circuit. A Generator
 // holds scratch state and is not safe for concurrent use; create one
 // per goroutine.
 type Generator struct {
 	c *circuit.Circuit
-	// BacktrackLimit bounds the PODEM search per call (default 2000).
-	BacktrackLimit int
-	// Restarts retries the search with randomized backtrace choices
-	// when the deterministic first-fanin heuristic fails (default 3).
-	// The single-target backtrace makes PODEM incomplete; randomized
-	// restarts recover most of the loss cheaply.
-	Restarts int
-	// Scoap, when set (circuit.ComputeScoap), steers the deterministic
-	// backtrace toward the fanin with the cheapest controllability for
-	// the needed value instead of the first X fanin.
-	Scoap *circuit.Scoap
 
-	// vals holds the 3-valued gate values per frame. Outside setInput
-	// it always equals what simulate would compute from inAssn
-	// (DESIGN.md §18).
+	// Flat circuit tables (DESIGN.md §18), the only view of the
+	// netlist the implication kernel reads: CSR fan-in and fan-out
+	// (gate i's fan-in is fin[finStart[i]:finStart[i+1]]), levels, and
+	// the cell table.
+	finStart, foStart []int32
+	fin, fo           []circuit.GateID
+	level             []int32
+	cells             []cell
+
+	// vals holds the 3-valued gate values per frame; an input's value
+	// is its assignment. Outside setInput, every other gate's value
+	// equals what simulate computes from the input values.
 	vals       [2][]byte
-	inAssn     [2][]byte // input assignments (by input index)
-	unassigned []byte    // gate values with every input at X
-	inputIdx   []int32   // input index by GateID, -1 for non-inputs
+	unassigned []byte // gate values with every input at X
+	// trail lists every value setInput overwrote since clear, oldest
+	// first; undo restores the values back to a mark.
+	trail []trailEntry
 	// Event-driven implication scratch: gates awaiting re-evaluation,
 	// bucketed by circuit level, and their membership flags.
 	pending [][]circuit.GateID
 	queued  []bool
 	choice  *rand.Rand // nil = deterministic first-X-fanin backtrace
+	// objs and rest are PathTest's objective lists, reused per call.
+	objs, rest []objective
 }
 
 // NewGenerator returns a Generator for c.
 func NewGenerator(c *circuit.Circuit) *Generator {
+	n := len(c.Gates)
 	g := &Generator{
-		c:              c,
-		BacktrackLimit: 2000,
-		Restarts:       3,
-		inputIdx:       make([]int32, len(c.Gates)),
-		pending:        make([][]circuit.GateID, c.Depth()+1),
-		queued:         make([]bool, len(c.Gates)),
+		c:        c,
+		finStart: make([]int32, n+1),
+		foStart:  make([]int32, n+1),
+		level:    make([]int32, n),
+		cells:    make([]cell, n),
+		trail:    make([]trailEntry, 0, 2*n),
+		pending:  make([][]circuit.GateID, c.Depth()+1),
+		queued:   make([]bool, n),
 	}
 	for i := range c.Gates {
-		g.inputIdx[i] = -1
-	}
-	for i, in := range c.Inputs {
-		g.inputIdx[in] = int32(i)
+		gate := &c.Gates[i]
+		g.fin = append(g.fin, gate.Fanin...)
+		g.fo = append(g.fo, gate.Fanout...)
+		g.finStart[i+1] = int32(len(g.fin))
+		g.foStart[i+1] = int32(len(g.fo))
+		g.level[i] = int32(c.Levels[i])
+		g.cells[i] = cellOf(gate.Type)
 	}
 	for f := 0; f < 2; f++ {
-		g.vals[f] = make([]byte, len(c.Gates))
-		g.inAssn[f] = bytes.Repeat([]byte{fX}, len(c.Inputs))
+		g.vals[f] = bytes.Repeat([]byte{fX}, n)
 	}
 	g.simulate()
 	g.unassigned = slices.Clone(g.vals[0])
@@ -168,95 +188,145 @@ func NewGenerator(c *circuit.Circuit) *Generator {
 }
 
 // clear unassigns every input of both frames. Copying the all-X gate
-// values restores vals == simulate(inAssn) without a simulation pass.
+// values restores the implication invariant without a simulation pass.
 func (g *Generator) clear() {
 	for f := 0; f < 2; f++ {
-		for i := range g.inAssn[f] {
-			g.inAssn[f][i] = fX
-		}
 		copy(g.vals[f], g.unassigned)
 	}
+	g.trail = g.trail[:0]
 }
 
-// simulate refreshes both frames' 3-valued gate values from the
-// current input assignments.
+// simulate refreshes every non-input gate value of both frames from
+// the input values.
 func (g *Generator) simulate() {
-	c := g.c
 	for f := 0; f < 2; f++ {
 		vals := g.vals[f]
-		for i, in := range c.Inputs {
-			vals[in] = g.inAssn[f][i]
-		}
-		for _, gid := range c.Order {
-			gate := &c.Gates[gid]
-			if gate.Type == circuit.Input {
-				continue
+		for _, gid := range g.c.Order {
+			if g.cells[gid].class != cellInput {
+				vals[gid] = g.eval(gid, vals)
 			}
-			vals[gid] = evalT(gate.Type, gate.Fanin, vals)
 		}
 	}
 }
 
-// setInput assigns v (f0, f1 or fX) to input idx in frame and implies
-// the change forward: only the input's fan-out cone in that frame is
-// re-evaluated, level by level, and propagation stops at every gate
-// whose 3-valued output does not change. Given vals == simulate(inAssn)
-// on entry, the same holds on return, so assigning fX undoes a
-// decision exactly.
-func (g *Generator) setInput(frame, idx int, v byte) {
-	c := g.c
+// eval computes the 3-valued output of non-input gate gid from its
+// fanin values in vals.
+//
+//ddd:hot
+func (g *Generator) eval(gid circuit.GateID, vals []byte) byte {
+	cl := &g.cells[gid]
+	fanin := g.fin[g.finStart[gid]:g.finStart[gid+1]]
+	switch cl.class {
+	case cellCtrl:
+		anyX := false
+		for _, fi := range fanin {
+			v := vals[fi]
+			if v == cl.cv {
+				return cl.ctrlOut
+			}
+			if v == fX {
+				anyX = true
+			}
+		}
+		if anyX {
+			return fX
+		}
+		return cl.ncOut
+	case cellXor, cellBuf:
+		out := cl.inv
+		for _, fi := range fanin {
+			v := vals[fi]
+			if v == fX {
+				return fX
+			}
+			out ^= v
+		}
+		return out
+	case cellConst:
+		return cl.konst
+	}
+	panic("atpg: eval on an input")
+}
+
+// setInput assigns v (f0, f1 or fX) to input gate in of frame and
+// implies the change forward: only the input's fan-out cone in that
+// frame is re-evaluated, level by level, and propagation stops at
+// every gate whose 3-valued output does not change. Every value it
+// overwrites, the input's own included, goes onto the trail.
+//
+//ddd:hot
+func (g *Generator) setInput(frame int, in circuit.GateID, v byte) {
 	vals := g.vals[frame]
-	g.inAssn[frame][idx] = v
-	in := c.Inputs[idx]
 	if vals[in] == v {
 		return
 	}
+	// Assigning an unassigned input only refines X values: 3-valued
+	// simulation is monotone, so a gate that is already definite keeps
+	// its value and need not be re-evaluated.
+	refine := vals[in] == fX
+	g.trail = append(g.trail, trailEntry{gate: in, frame: uint8(frame), old: vals[in]})
 	vals[in] = v
-	lo, hi := len(g.pending), -1
-	schedule := func(gid circuit.GateID) {
-		for _, fo := range c.Gates[gid].Fanout {
-			if g.queued[fo] {
-				continue
-			}
-			g.queued[fo] = true
-			l := c.Levels[fo]
-			g.pending[l] = append(g.pending[l], fo)
-			lo, hi = min(lo, l), max(hi, l)
-		}
-	}
-	schedule(in)
 	// A gate's fan-out sits at strictly higher levels, so sweeping the
 	// levels upward evaluates every gate after all of its changed
 	// fanins.
-	for l := lo; l <= hi; l++ {
+	hi := g.schedule(in, vals, refine, -1)
+	for l := g.level[in] + 1; l <= hi; l++ {
 		for _, gid := range g.pending[l] {
 			g.queued[gid] = false
-			if nv := evalT(c.Gates[gid].Type, c.Gates[gid].Fanin, vals); nv != vals[gid] {
+			if nv := g.eval(gid, vals); nv != vals[gid] {
+				g.trail = append(g.trail, trailEntry{gate: gid, frame: uint8(frame), old: vals[gid]})
 				vals[gid] = nv
-				schedule(gid)
+				hi = g.schedule(gid, vals, refine, hi)
 			}
 		}
 		g.pending[l] = g.pending[l][:0]
 	}
 }
 
+// schedule queues the fan-out of gid for re-evaluation, skipping
+// definite gates when refine is set, and returns the deepest pending
+// level: hi, or deeper.
+//
+//ddd:hot
+func (g *Generator) schedule(gid circuit.GateID, vals []byte, refine bool, hi int32) int32 {
+	for _, fo := range g.fo[g.foStart[gid]:g.foStart[gid+1]] {
+		if g.queued[fo] || refine && vals[fo] != fX {
+			continue
+		}
+		g.queued[fo] = true
+		l := g.level[fo]
+		g.pending[l] = append(g.pending[l], fo)
+		hi = max(hi, l)
+	}
+	return hi
+}
+
+// undo restores every value setInput overwrote after the trail held
+// mark entries, newest first, and truncates the trail to mark.
+//
+//ddd:hot
+func (g *Generator) undo(mark int) {
+	for i := len(g.trail) - 1; i >= mark; i-- {
+		e := g.trail[i]
+		g.vals[e.frame][e.gate] = e.old
+	}
+	g.trail = g.trail[:mark]
+}
+
 // pathObjectives derives the launch assignment and side-input
-// objectives for path p with the given launch polarity and criterion.
-// It returns the required on-path pin values so that the caller can
-// verify them, plus the objective list.
+// objectives for path p with the given launch polarity and criterion,
+// into g.objs.
 func (g *Generator) pathObjectives(p path.Path, rising, robust bool) ([]objective, error) {
 	c := g.c
 	if err := p.Validate(c); err != nil {
 		return nil, err
 	}
-	var objs []objective
+	objs := g.objs[:0]
 	// Launch values at the path input.
 	launch := c.Arcs[p.Arcs[0]].From
 	v1, v2 := b2t(!rising), b2t(rising)
 	objs = append(objs, objective{g: launch, frame: 0, val: v1}, objective{g: launch, frame: 1, val: v2})
 
-	// Walk the path, tracking the on-path transition polarity.
-	cur1, cur2 := v1, v2
 	for _, aid := range p.Arcs {
 		a := &c.Arcs[aid]
 		gate := &c.Gates[a.To]
@@ -266,18 +336,14 @@ func (g *Generator) pathObjectives(p path.Path, rising, robust bool) ([]objectiv
 			cv := b2t(ctrl)
 			// Side inputs: non-controlling in V2; steadily so in both
 			// frames for (hazard-free) robust tests.
-			steady := robust
 			for k, fi := range gate.Fanin {
 				if k == a.Pin {
 					continue
 				}
 				objs = append(objs, objective{g: fi, frame: 1, val: cv ^ 1})
-				if steady {
+				if robust {
 					objs = append(objs, objective{g: fi, frame: 0, val: cv ^ 1})
 				}
-			}
-			if gate.Type.Inverting() {
-				cur1, cur2 = cur1^1, cur2^1
 			}
 		case gate.Type == circuit.Xor || gate.Type == circuit.Xnor:
 			// Hold side inputs stable at 0 in both frames.
@@ -288,17 +354,13 @@ func (g *Generator) pathObjectives(p path.Path, rising, robust bool) ([]objectiv
 				objs = append(objs, objective{g: fi, frame: 0, val: f0})
 				objs = append(objs, objective{g: fi, frame: 1, val: f0})
 			}
-			if gate.Type == circuit.Xnor {
-				cur1, cur2 = cur1^1, cur2^1
-			}
-		case gate.Type == circuit.Not:
-			cur1, cur2 = cur1^1, cur2^1
-		case gate.Type == circuit.Buf || gate.Type == circuit.Output:
-			// transparent
+		case gate.Type == circuit.Not, gate.Type == circuit.Buf, gate.Type == circuit.Output:
+			// no side inputs
 		default:
 			return nil, fmt.Errorf("atpg: unsupported on-path cell %v", gate.Type)
 		}
 	}
+	g.objs = objs
 	return objs, nil
 }
 
@@ -308,25 +370,10 @@ func (g *Generator) pathObjectives(p path.Path, rising, robust bool) ([]objectiv
 // generated pair is re-verified with CheckPathTest before being
 // returned.
 func (g *Generator) PathTest(p path.Path, rising, robust bool, r *rand.Rand) (logicsim.PatternPair, error) {
-	objs, err := g.pathObjectives(p, rising, robust)
+	rest, err := g.prepare(p, rising, robust)
 	if err != nil {
 		return logicsim.PatternPair{}, err
 	}
-	g.clear()
-	// Launch objectives are direct input assignments.
-	var rest []objective
-	for _, o := range objs {
-		if idx := g.inputIdx[o.g]; idx >= 0 {
-			prev := g.inAssn[o.frame][idx]
-			if prev != fX && prev != o.val {
-				return logicsim.PatternPair{}, ErrUntestable
-			}
-			g.setInput(o.frame, int(idx), o.val)
-			continue
-		}
-		rest = append(rest, o)
-	}
-
 	// Attempt 0 uses the deterministic backtrace; further attempts
 	// randomize the X-fanin choice (drawn from r, so the overall
 	// generation stays reproducible per seed). A failed search undoes
@@ -334,22 +381,20 @@ func (g *Generator) PathTest(p path.Path, rising, robust bool, r *rand.Rand) (lo
 	// input constraints alone.
 	solved := false
 	budgetHit := false
-	for attempt := 0; attempt <= g.Restarts && !solved; attempt++ {
+	for attempt := 0; attempt <= restarts; attempt++ {
+		choice := r
 		if attempt == 0 {
-			g.choice = nil
-		} else {
-			g.choice = r
+			choice = nil
 		}
-		backtracks := 0
-		if g.search(rest, &backtracks) {
+		ok, backtracks := g.attempt(rest, choice)
+		if ok {
 			solved = true
 			break
 		}
-		if backtracks >= g.BacktrackLimit {
+		if backtracks >= backtrackLimit {
 			budgetHit = true
 		}
 	}
-	g.choice = nil
 	if !solved {
 		if budgetHit {
 			return logicsim.PatternPair{}, ErrBudget
@@ -364,10 +409,48 @@ func (g *Generator) PathTest(p path.Path, rising, robust bool, r *rand.Rand) (lo
 	return pair, nil
 }
 
+// prepare starts a PathTest: it unassigns every input, applies the
+// objectives that sit on inputs as direct assignments, and returns the
+// rest, which the search must justify. It returns ErrUntestable when
+// two direct assignments conflict.
+func (g *Generator) prepare(p path.Path, rising, robust bool) ([]objective, error) {
+	objs, err := g.pathObjectives(p, rising, robust)
+	if err != nil {
+		return nil, err
+	}
+	g.clear()
+	rest := g.rest[:0]
+	for _, o := range objs {
+		if g.cells[o.g].class != cellInput {
+			rest = append(rest, o)
+			continue
+		}
+		if prev := g.vals[o.frame][o.g]; prev != fX && prev != o.val {
+			return nil, ErrUntestable
+		}
+		g.setInput(o.frame, o.g, o.val)
+	}
+	g.rest = rest
+	return rest, nil
+}
+
+// attempt runs one PODEM search for objs, with backtrace choices drawn
+// from choice (nil = first X fanin), and reports whether it succeeded
+// and how many backtracks it spent. A failed attempt leaves the values
+// as it found them.
+func (g *Generator) attempt(objs []objective, choice *rand.Rand) (bool, int) {
+	g.choice = choice
+	backtracks := 0
+	ok := g.search(objs, &backtracks)
+	g.choice = nil
+	return ok, backtracks
+}
+
 // search is the PODEM loop: check objectives, pick an X objective,
 // backtrace to an input, branch. Each decision is implied with
-// setInput and, when its subtree fails, undone by setting the input
-// back to X, so a false return leaves inAssn and vals as they were.
+// setInput and, when its subtree fails, undone by restoring the trail
+// to the mark taken before it, so a false return leaves vals as they
+// were.
 func (g *Generator) search(objs []objective, backtracks *int) bool {
 	var open *objective
 	for i := range objs {
@@ -390,19 +473,15 @@ func (g *Generator) search(objs []objective, backtracks *int) bool {
 	if !ok {
 		return false // objective unreachable: no X input controls it
 	}
-	idx := int(g.inputIdx[in])
-	for attempt := 0; attempt < 2; attempt++ {
-		v := target
-		if attempt == 1 {
-			v = target ^ 1
-		}
-		g.setInput(open.frame, idx, v)
+	mark := len(g.trail)
+	for _, v := range [2]byte{target, target ^ 1} {
+		g.setInput(open.frame, in, v)
 		if g.search(objs, backtracks) {
 			return true
 		}
-		g.setInput(open.frame, idx, fX)
+		g.undo(mark)
 		*backtracks++
-		if *backtracks >= g.BacktrackLimit {
+		if *backtracks >= backtrackLimit {
 			return false
 		}
 	}
@@ -412,54 +491,43 @@ func (g *Generator) search(objs []objective, backtracks *int) bool {
 // backtrace walks from an X-valued gate toward an unassigned input,
 // choosing at each step a fanin that can move the output toward val.
 func (g *Generator) backtrace(gid circuit.GateID, frame int, val byte) (circuit.GateID, byte, bool) {
-	c := g.c
+	vals := g.vals[frame]
 	for {
-		gate := &c.Gates[gid]
-		if gate.Type == circuit.Input {
+		cl := &g.cells[gid]
+		if cl.class == cellInput {
 			return gid, val, true
 		}
-		ctrl, hasCtrl := gate.Type.Controlling()
-		need := val
-		if gate.Type.Inverting() {
-			need ^= 1
-		}
-		// Determine the value to pursue on the chosen fanin first, so
-		// SCOAP guidance can cost candidates against it.
+		// The value to pursue on the chosen fanin.
+		need := val ^ cl.inv
 		var target byte
-		switch {
-		case hasCtrl:
-			cv := b2t(ctrl)
-			if need == cv {
-				target = cv // one controlling input suffices
+		switch cl.class {
+		case cellCtrl:
+			if need == cl.cv {
+				target = cl.cv // one controlling input suffices
 			} else {
-				target = cv ^ 1 // all inputs must be non-controlling
+				target = cl.cv ^ 1 // all inputs must be non-controlling
 			}
-		case gate.Type == circuit.Xor || gate.Type == circuit.Xnor:
+		case cellXor:
 			target = f0 // arbitrary; parity resolved by other pins
 		default: // NOT/BUF/Output
 			target = need
 		}
-		// Choose an X-valued fanin: the cheapest by SCOAP
-		// controllability when available, the first one otherwise, or
-		// a random one during restarts.
+		// Choose an X-valued fanin: the first one, or a random one
+		// during restarts.
 		var pick circuit.GateID = -1
 		nX := 0
-		for _, fi := range gate.Fanin {
-			if g.vals[frame][fi] != fX {
+		for _, fi := range g.fin[g.finStart[gid]:g.finStart[gid+1]] {
+			if vals[fi] != fX {
 				continue
 			}
 			nX++
-			switch {
-			case pick < 0:
+			if pick < 0 {
 				pick = fi
-			case g.choice != nil:
-				if g.choice.IntN(nX) == 0 {
-					pick = fi
+				if g.choice == nil {
+					break
 				}
-			case g.Scoap != nil:
-				if g.Scoap.Controllability(fi, target == f1) < g.Scoap.Controllability(pick, target == f1) {
-					pick = fi
-				}
+			} else if g.choice.IntN(nX) == 0 {
+				pick = fi
 			}
 		}
 		if pick < 0 {
@@ -476,8 +544,8 @@ func (g *Generator) extractPair(r *rand.Rand) logicsim.PatternPair {
 	n := len(g.c.Inputs)
 	v1 := make(logicsim.Vector, n)
 	v2 := make(logicsim.Vector, n)
-	for i := 0; i < n; i++ {
-		a, b := g.inAssn[0][i], g.inAssn[1][i]
+	for i, in := range g.c.Inputs {
+		a, b := g.vals[0][in], g.vals[1][in]
 		if a == fX {
 			a = b2t(r.IntN(2) == 1)
 		}

@@ -23,38 +23,6 @@ func mustParse(t *testing.T, src, name string) *circuit.Circuit {
 	return c
 }
 
-func TestEvalT(t *testing.T) {
-	cases := []struct {
-		typ  circuit.CellType
-		in   []byte
-		want byte
-	}{
-		{circuit.And, []byte{f1, f1}, f1},
-		{circuit.And, []byte{f0, fX}, f0},
-		{circuit.And, []byte{f1, fX}, fX},
-		{circuit.Nand, []byte{f0, fX}, f1},
-		{circuit.Or, []byte{f1, fX}, f1},
-		{circuit.Or, []byte{f0, fX}, fX},
-		{circuit.Nor, []byte{f0, f0}, f1},
-		{circuit.Xor, []byte{f1, f1}, f0},
-		{circuit.Xor, []byte{f1, fX}, fX},
-		{circuit.Xnor, []byte{f1, f0}, f0},
-		{circuit.Not, []byte{fX}, fX},
-		{circuit.Not, []byte{f0}, f1},
-		{circuit.Buf, []byte{f1}, f1},
-	}
-	for _, c := range cases {
-		// Pin k reads vals[k]: the fanin list is the identity.
-		fanin := make([]circuit.GateID, len(c.in))
-		for k := range fanin {
-			fanin[k] = circuit.GateID(k)
-		}
-		if got := evalT(c.typ, fanin, c.in); got != c.want {
-			t.Errorf("evalT(%v, %v) = %v, want %v", c.typ, c.in, got, c.want)
-		}
-	}
-}
-
 func TestPathTestAndGate(t *testing.T) {
 	c := mustParse(t, "INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = AND(a, b)\n", "and2")
 	m := timing.NewModel(c, timing.DefaultParams())
@@ -248,40 +216,6 @@ func TestRandomPairs(t *testing.T) {
 		if len(p.V1) != len(c.Inputs) || len(p.V2) != len(c.Inputs) {
 			t.Errorf("pair width wrong")
 		}
-	}
-}
-
-func TestScoapGuidedGeneration(t *testing.T) {
-	// SCOAP guidance must not break anything: every test it produces
-	// verifies, and its yield is at least comparable to the unguided
-	// generator on a shared path pool.
-	c, err := synth.GenerateNamed("small", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := timing.NewModel(c, timing.DefaultParams())
-	site := circuit.ArcID(len(c.Arcs) / 2)
-	paths := path.KLongestThrough(c, m.Nominal, site, 30)
-
-	plain := NewGenerator(c)
-	guided := NewGenerator(c)
-	guided.Scoap = circuit.ComputeScoap(c)
-
-	plainYield, guidedYield := 0, 0
-	for i, p := range paths {
-		if _, err := plain.PathTest(p, i%2 == 0, false, rng.New(uint64(i))); err == nil {
-			plainYield++
-		}
-		pair, err := guided.PathTest(p, i%2 == 0, false, rng.New(uint64(i)))
-		if err == nil {
-			guidedYield++
-			if err := CheckPathTest(c, p, pair, false); err != nil {
-				t.Errorf("path %d: guided test invalid: %v", i, err)
-			}
-		}
-	}
-	if guidedYield < plainYield-2 {
-		t.Errorf("SCOAP guidance regressed yield: %d vs %d", guidedYield, plainYield)
 	}
 }
 

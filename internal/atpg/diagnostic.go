@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"repro/internal/circuit"
@@ -37,9 +38,14 @@ func SensitizedPathsThrough(c *circuit.Circuit, site circuit.ArcID, want, tries 
 	// Only outputs in the site's fan-out cone can have it on a
 	// sensitized path, and only transitioning ones have any.
 	observing := c.OutputsReachedFrom(a.To)
+	// One pair and one transition serve every trial; a kept witness
+	// gets its own copy of the pair.
+	pair := logicsim.PatternPair{V1: make(logicsim.Vector, len(c.Inputs)), V2: make(logicsim.Vector, len(c.Inputs))}
+	var tr logicsim.Transition
 	for trial := 0; trial < tries && len(out) < want; trial++ {
-		pair := biasedPair(c, inCone, r)
-		tr := logicsim.SimulatePair(c, pair)
+		biasedPair(pair, inCone, r)
+		tr.Init = logicsim.EvalInto(tr.Init, c, pair.V1)
+		tr.Final = logicsim.EvalInto(tr.Final, c, pair.V2)
 		if tr.Init[a.From] == tr.Final[a.From] {
 			continue // site driver does not even transition
 		}
@@ -63,7 +69,8 @@ func SensitizedPathsThrough(c *circuit.Circuit, site circuit.ArcID, want, tries 
 				continue // e.g. XOR side instability: not a test under our criterion
 			}
 			seenPath[key] = true
-			out = append(out, PathTestResult{Path: p, Pair: pair, Robust: false})
+			kept := logicsim.PatternPair{V1: slices.Clone(pair.V1), V2: slices.Clone(pair.V2)}
+			out = append(out, PathTestResult{Path: p, Pair: kept, Robust: false})
 			if len(out) >= want {
 				break
 			}
@@ -72,13 +79,12 @@ func SensitizedPathsThrough(c *circuit.Circuit, site circuit.ArcID, want, tries 
 	return out
 }
 
-// biasedPair draws a two-vector pattern biased for witness discovery:
-// launch-cone inputs flip with probability 1/2, the rest with 1/10.
-func biasedPair(c *circuit.Circuit, inCone []bool, r *rand.Rand) logicsim.PatternPair {
-	n := len(c.Inputs)
-	v1 := make(logicsim.Vector, n)
-	v2 := make(logicsim.Vector, n)
-	for i := 0; i < n; i++ {
+// biasedPair draws a two-vector pattern biased for witness discovery
+// into pair: launch-cone inputs flip with probability 1/2, the rest
+// with 1/10.
+func biasedPair(pair logicsim.PatternPair, inCone []bool, r *rand.Rand) {
+	v1, v2 := pair.V1, pair.V2
+	for i := range v1 {
 		v1[i] = r.IntN(2) == 1
 		v2[i] = v1[i]
 		if inCone[i] {
@@ -89,7 +95,6 @@ func biasedPair(c *circuit.Circuit, inCone []bool, r *rand.Rand) logicsim.Patter
 			v2[i] = !v1[i]
 		}
 	}
-	return logicsim.PatternPair{V1: v1, V2: v2}
 }
 
 // extractPathThrough builds one input-to-output path through site using

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/atpg"
+	"repro/internal/circuit"
 	"repro/internal/defect"
 	"repro/internal/eval"
+	"repro/internal/path"
 	"repro/internal/rng"
 	"repro/internal/synth"
 	"repro/internal/timing"
@@ -21,14 +23,25 @@ import (
 // changes it.
 const goldenPatternsSHA256 = "f859b3a106299f543987724c762181befae54abd65db4f9e45a8476b650477fa"
 
-// TestDiagnosticPatternsGolden hashes the diagnostic pattern sets that
-// the end-to-end table1_analytic workload generates: s1196 and s1238
+// analyticCase is the ATPG input of one case of the end-to-end
+// table1_analytic workload.
+type analyticCase struct {
+	circuit     string
+	seed        uint64 // the case number
+	c           *circuit.Circuit
+	nominal     []float64
+	site        circuit.ArcID
+	maxPatterns int
+	atpgSeed    uint64 // seeds the case's ATPG stream
+}
+
+// analyticCases returns the table1_analytic cases: s1196 and s1238
 // cases 1-4 and s1488 cases 1-8 under the Table I defaults. Case j's
 // site and ATPG stream derive exactly as in eval's per-case pipeline
-// (eval.RunOnCircuitCtx with N = 1, Seed = j). The digest covers every
-// pattern pair, its robust flag and its path's arcs, in order.
-func TestDiagnosticPatternsGolden(t *testing.T) {
-	h := sha256.New()
+// (eval.RunOnCircuitCtx with N = 1, Seed = j).
+func analyticCases(t *testing.T) []analyticCase {
+	t.Helper()
+	var out []analyticCase
 	for _, cc := range []struct {
 		name  string
 		cases int
@@ -42,15 +55,76 @@ func TestDiagnosticPatternsGolden(t *testing.T) {
 		inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
 		for seed := uint64(1); seed <= uint64(cc.cases); seed++ {
 			caseSeed := rng.DeriveN(seed, 0xca5e, 0)
-			site := inj.Sample(rng.New(caseSeed)).Arc
-			tests := atpg.DiagnosticPatterns(c, m.Nominal, site, cfg.MaxPatterns, rng.New(rng.Derive(caseSeed, 1)))
-			for k, tc := range tests {
-				fmt.Fprintf(h, "%s %d %d site=%d robust=%t pair=%s arcs=%v\n",
-					cc.name, seed, k, site, tc.Robust, tc.Pair.String(), tc.Path.Arcs)
-			}
+			out = append(out, analyticCase{
+				circuit:     cc.name,
+				seed:        seed,
+				c:           c,
+				nominal:     m.Nominal,
+				site:        inj.Sample(rng.New(caseSeed)).Arc,
+				maxPatterns: cfg.MaxPatterns,
+				atpgSeed:    rng.Derive(caseSeed, 1),
+			})
+		}
+	}
+	return out
+}
+
+// TestDiagnosticPatternsGolden hashes the diagnostic pattern sets that
+// the end-to-end table1_analytic workload generates. The digest covers
+// every pattern pair, its robust flag and its path's arcs, in order.
+func TestDiagnosticPatternsGolden(t *testing.T) {
+	h := sha256.New()
+	for _, tc := range analyticCases(t) {
+		tests := atpg.DiagnosticPatterns(tc.c, tc.nominal, tc.site, tc.maxPatterns, rng.New(tc.atpgSeed))
+		for k, res := range tests {
+			fmt.Fprintf(h, "%s %d %d site=%d robust=%t pair=%s arcs=%v\n",
+				tc.circuit, tc.seed, k, tc.site, res.Robust, res.Pair.String(), res.Path.Arcs)
 		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenPatternsSHA256 {
 		t.Errorf("diagnostic pattern digest %s, want %s", got, goldenPatternsSHA256)
 	}
+}
+
+// TestExhaustedAttemptFailsEveryRestart checks, over the structural
+// paths DiagnosticPatterns tries for the table1_analytic sites, that
+// every PathTest whose deterministic attempt 0 exhausts its search
+// below the backtrack budget also fails every randomized restart: such
+// an attempt has proven the path untestable under the criterion. Each
+// path's criteria and polarities run in PathTest's order until one
+// succeeds, as in PathSetTests.
+func TestExhaustedAttemptFailsEveryRestart(t *testing.T) {
+	exhausted, budgetHit := 0, 0
+	for _, tc := range analyticCases(t) {
+		paths := path.KLongestThrough(tc.c, tc.nominal, tc.site, max(6*tc.maxPatterns, 100))
+		gen := atpg.NewGenerator(tc.c)
+		r := rng.New(tc.atpgSeed)
+		for i, p := range paths {
+		criteria:
+			for _, robust := range []bool{true, false} {
+				for _, rising := range []bool{true, false} {
+					outs, err := gen.Attempts(p, rising, robust, r)
+					if err != nil {
+						continue // conflicting direct assignments
+					}
+					if outs[0].Backtracks >= atpg.BacktrackLimit {
+						budgetHit++
+					} else if !outs[0].Solved {
+						exhausted++
+						if len(outs) != atpg.Restarts+1 || outs[len(outs)-1].Solved {
+							t.Errorf("%s case %d path %d (robust=%t rising=%t): attempt 0 exhausted after %d backtracks, yet a restart found a test",
+								tc.circuit, tc.seed, i, robust, rising, outs[0].Backtracks)
+						}
+					}
+					if outs[len(outs)-1].Solved {
+						break criteria
+					}
+				}
+			}
+		}
+	}
+	if exhausted == 0 {
+		t.Fatal("no attempt 0 exhausted its search: the check is vacuous")
+	}
+	t.Logf("%d exhausted attempts, %d budget hits", exhausted, budgetHit)
 }

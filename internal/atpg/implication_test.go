@@ -2,6 +2,8 @@ package atpg
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -9,13 +11,201 @@ import (
 	"repro/internal/synth"
 )
 
-// checkImplication fails t unless g.vals equals a full simulation of
-// g.inAssn, computed on a fresh Generator.
-func checkImplication(t *testing.T, g *Generator, step string) {
+// evalT is the scalar oracle for eval: the 3-valued output of a cell
+// of type t whose input pins are driven by gates fanin, reading their
+// values from vals, computed straight from the CellType's logic.
+func evalT(t circuit.CellType, fanin []circuit.GateID, vals []byte) byte {
+	ctrl, hasCtrl := t.Controlling()
+	if hasCtrl {
+		cv := b2t(ctrl)
+		anyX := false
+		for _, fi := range fanin {
+			v := vals[fi]
+			if v == cv {
+				return b2t(ctrl != t.Inverting())
+			}
+			if v == fX {
+				anyX = true
+			}
+		}
+		if anyX {
+			return fX
+		}
+		return b2t(ctrl == t.Inverting())
+	}
+	switch t {
+	case circuit.Buf, circuit.Output, circuit.DFF:
+		return vals[fanin[0]]
+	case circuit.Not:
+		if v := vals[fanin[0]]; v != fX {
+			return v ^ 1
+		}
+		return fX
+	case circuit.Xor, circuit.Xnor:
+		out := byte(0)
+		for _, fi := range fanin {
+			v := vals[fi]
+			if v == fX {
+				return fX
+			}
+			out ^= v
+		}
+		if t == circuit.Xnor {
+			out ^= 1
+		}
+		return out
+	case circuit.Const0:
+		return f0
+	case circuit.Const1:
+		return f1
+	default:
+		panic(fmt.Sprintf("atpg: evalT on %v", t))
+	}
+}
+
+// TestEvalT pins the oracle on hand-checked cases, then compares the
+// table-driven eval with it for every cell type and every 3-valued
+// input vector up to fan-in 4.
+func TestEvalT(t *testing.T) {
+	// Pin k reads vals[k]: the fanin list is the identity.
+	identity := func(n int) []circuit.GateID {
+		fanin := make([]circuit.GateID, n)
+		for k := range fanin {
+			fanin[k] = circuit.GateID(k)
+		}
+		return fanin
+	}
+	cases := []struct {
+		typ  circuit.CellType
+		in   []byte
+		want byte
+	}{
+		{circuit.And, []byte{f1, f1}, f1},
+		{circuit.And, []byte{f0, fX}, f0},
+		{circuit.And, []byte{f1, fX}, fX},
+		{circuit.Nand, []byte{f0, fX}, f1},
+		{circuit.Or, []byte{f1, fX}, f1},
+		{circuit.Or, []byte{f0, fX}, fX},
+		{circuit.Nor, []byte{f0, f0}, f1},
+		{circuit.Xor, []byte{f1, f1}, f0},
+		{circuit.Xor, []byte{f1, fX}, fX},
+		{circuit.Xnor, []byte{f1, f0}, f0},
+		{circuit.Not, []byte{fX}, fX},
+		{circuit.Not, []byte{f0}, f1},
+		{circuit.Buf, []byte{f1}, f1},
+	}
+	for _, c := range cases {
+		if got := evalT(c.typ, identity(len(c.in)), c.in); got != c.want {
+			t.Errorf("evalT(%v, %v) = %v, want %v", c.typ, c.in, got, c.want)
+		}
+	}
+
+	checked := 0
+	for typ := circuit.Buf; typ <= circuit.Const1; typ++ {
+		lo, hi := 1, 4
+		switch typ {
+		case circuit.Buf, circuit.Not, circuit.Output, circuit.DFF:
+			hi = 1
+		case circuit.Const0, circuit.Const1:
+			lo, hi = 0, 0
+		}
+		for n := lo; n <= hi; n++ {
+			// Gate n is the cell under test; gates 0..n-1 drive its
+			// pins.
+			fanin := identity(n)
+			g := &Generator{
+				finStart: make([]int32, n+2),
+				fin:      fanin,
+				cells:    make([]cell, n+1),
+			}
+			g.finStart[n+1] = int32(n)
+			g.cells[n] = cellOf(typ)
+			vals := make([]byte, n+1)
+			for code := 0; code < pow3(n); code++ {
+				for k, rem := 0, code; k < n; k, rem = k+1, rem/3 {
+					vals[k] = byte(rem % 3)
+				}
+				if got, want := g.eval(circuit.GateID(n), vals), evalT(typ, fanin, vals); got != want {
+					t.Errorf("eval(%v, %v) = %d, evalT gives %d", typ, vals[:n], got, want)
+				}
+				checked++
+			}
+		}
+	}
+	if checked != 6*(3+9+27+81)+4*3+2 { // multi-input, single-input, constant cells
+		t.Errorf("checked %d input vectors", checked)
+	}
+}
+
+func pow3(n int) int {
+	p := 1
+	for range n {
+		p *= 3
+	}
+	return p
+}
+
+// implicationDriver drives a Generator through setInput, trail marks,
+// undo and clear, and tracks the input assignment the generator's
+// values must reflect.
+type implicationDriver struct {
+	g     *Generator
+	assn  [2][]byte // expected input values, by input index
+	marks []int     // trail marks, innermost last
+	saved [][2][]byte
+}
+
+func newImplicationDriver(c *circuit.Circuit) *implicationDriver {
+	d := &implicationDriver{g: NewGenerator(c)}
+	for f := range d.assn {
+		d.assn[f] = bytes.Repeat([]byte{fX}, len(c.Inputs))
+	}
+	return d
+}
+
+func (d *implicationDriver) set(frame, idx int, v byte) {
+	d.g.setInput(frame, d.g.c.Inputs[idx], v)
+	d.assn[frame][idx] = v
+}
+
+func (d *implicationDriver) mark() {
+	d.marks = append(d.marks, len(d.g.trail))
+	d.saved = append(d.saved, [2][]byte{slices.Clone(d.assn[0]), slices.Clone(d.assn[1])})
+}
+
+// undo restores the innermost mark; it reports false when there is
+// none.
+func (d *implicationDriver) undo() bool {
+	n := len(d.marks)
+	if n == 0 {
+		return false
+	}
+	d.g.undo(d.marks[n-1])
+	d.assn = d.saved[n-1]
+	d.marks, d.saved = d.marks[:n-1], d.saved[:n-1]
+	return true
+}
+
+func (d *implicationDriver) clear() {
+	d.g.clear()
+	for f := range d.assn {
+		for i := range d.assn[f] {
+			d.assn[f][i] = fX
+		}
+	}
+	d.marks, d.saved = d.marks[:0], d.saved[:0]
+}
+
+// check fails t unless the generator's values equal a full simulation
+// of the expected input assignment, computed on a fresh Generator.
+func (d *implicationDriver) check(t *testing.T, step string) {
 	t.Helper()
+	g := d.g
 	want := NewGenerator(g.c)
 	for f := 0; f < 2; f++ {
-		copy(want.inAssn[f], g.inAssn[f])
+		for i, in := range g.c.Inputs {
+			want.vals[f][in] = d.assn[f][i]
+		}
 	}
 	want.simulate()
 	for f := 0; f < 2; f++ {
@@ -44,53 +234,76 @@ func implicationCircuits(tb testing.TB) []*circuit.Circuit {
 	return cs
 }
 
-// TestImplicationMatchesFullSimulate drives random assign/unassign
-// sequences through setInput on both frames and checks after every
-// step that the incrementally maintained values equal a full
-// re-simulation of the assignment — the invariant PODEM relies on.
+// TestImplicationMatchesFullSimulate drives random sequences of
+// assignments, unassignments, trail marks and undos through both
+// frames and checks after every step that the incrementally maintained
+// values equal a full re-simulation of the assignment — the invariant
+// PODEM relies on.
 func TestImplicationMatchesFullSimulate(t *testing.T) {
 	for _, c := range implicationCircuits(t) {
 		t.Run(c.Name, func(t *testing.T) {
-			g := NewGenerator(c)
-			checkImplication(t, g, "fresh generator")
+			d := newImplicationDriver(c)
+			d.check(t, "fresh generator")
 			r := rng.New(7)
+			undos := 0
 			for step := 0; step < 600; step++ {
-				frame, idx := r.IntN(2), r.IntN(len(c.Inputs))
-				v := fX
-				if r.IntN(3) != 0 { // assign twice as often as unassign
-					v = byte(r.IntN(2))
+				switch op := r.IntN(12); {
+				case op == 0:
+					d.mark()
+				case op == 1:
+					if d.undo() {
+						undos++
+						d.check(t, fmt.Sprintf("step %d: after undo", step))
+					}
+				default:
+					frame, idx := r.IntN(2), r.IntN(len(c.Inputs))
+					v := fX
+					if r.IntN(3) != 0 { // assign twice as often as unassign
+						v = byte(r.IntN(2))
+					}
+					d.set(frame, idx, v)
+					if d.g.vals[frame][c.Inputs[idx]] != v {
+						t.Fatalf("step %d: input value not updated", step)
+					}
+					d.check(t, fmt.Sprintf("step %d", step))
 				}
-				g.setInput(frame, idx, v)
-				if g.inAssn[frame][idx] != v {
-					t.Fatalf("step %d: inAssn not updated", step)
-				}
-				checkImplication(t, g, "after step")
 				if step%200 == 199 {
-					g.clear()
-					checkImplication(t, g, "after clear")
+					d.clear()
+					d.check(t, "after clear")
 				}
+			}
+			if undos == 0 {
+				t.Error("no undo exercised")
 			}
 		})
 	}
 }
 
 // FuzzImplication is TestImplicationMatchesFullSimulate with the
-// assign/unassign sequence chosen by the fuzzer: each 3-byte group
-// selects a frame and input and a value (0, 1 or X).
+// operation sequence chosen by the fuzzer. Each 3-byte group is one
+// operation: bit 0 of the first byte selects the frame and bits 1-2
+// the operation (0, 1: assign; 2: mark; 3: undo to the innermost
+// mark); for an assignment the second byte selects the input and the
+// third the value (0, 1 or X).
 func FuzzImplication(f *testing.F) {
 	cs := implicationCircuits(f)
 	f.Add(byte(0), []byte{0, 0, 1, 1, 0, 0, 0, 0, 2})
 	f.Add(byte(1), []byte{3, 7, 0, 2, 9, 1, 3, 7, 2, 0, 1, 1})
 	f.Add(byte(2), []byte{1, 200, 1, 0, 13, 0, 1, 200, 2, 1, 5, 1})
+	f.Add(byte(2), []byte{4, 0, 0, 1, 3, 1, 0, 4, 0, 6, 0, 0, 1, 3, 0})
 	f.Fuzz(func(t *testing.T, which byte, seq []byte) {
 		c := cs[int(which)%len(cs)]
-		g := NewGenerator(c)
+		d := newImplicationDriver(c)
 		for i := 0; i+2 < len(seq); i += 3 {
-			frame := int(seq[i] & 1)
-			idx := int(seq[i+1]) % len(c.Inputs)
-			v := seq[i+2] % 3 // f0, f1, fX
-			g.setInput(frame, idx, v)
-			checkImplication(t, g, "fuzz step")
+			switch seq[i] >> 1 & 3 {
+			case 2:
+				d.mark()
+			case 3:
+				d.undo()
+			default:
+				d.set(int(seq[i]&1), int(seq[i+1])%len(c.Inputs), seq[i+2]%3)
+			}
+			d.check(t, "fuzz step")
 		}
 	})
 }
