@@ -138,8 +138,9 @@ bench:
 # kernels (behavior-sim prescreen, tiered suspect pruning) fall below
 # 4x over their committed scalar baselines (the baseline lines carry
 # the scalar-path numbers — see the comment in core_baseline.txt), or
-# the flat-table, trail-undo PODEM kernel falls below 6x over the
-# full-resimulation ATPG.
+# diagnostic pattern generation (the flat-table, trail-undo PODEM
+# kernel plus the word-parallel witness search) falls below 8x over
+# the full-resimulation, trial-at-a-time ATPG.
 # Expect ~1 h wall clock (the dictionary benchmark is ~3-4 s/op x 3
 # runs), and the baseline was captured with the identical flags.
 bench-core:
@@ -153,7 +154,7 @@ bench-core:
 		-check BenchmarkCoreBuildDictionaryAnalytic:10 \
 		-check BenchmarkCoreBehaviorSim:4 \
 		-check BenchmarkCoreSuspects:4 \
-		-check BenchmarkCoreDiagnosticPatterns:6
+		-check BenchmarkCoreDiagnosticPatterns:8
 
 # bench-serve measures the service's cache-hit diagnosis path — both
 # the single-node handler stack and the routed path through the
@@ -177,6 +178,7 @@ fuzz:
 	$(GO) test ./internal/eval -fuzz=FuzzCheckpointJournal -fuzztime 30s
 	$(GO) test ./internal/timing -fuzz=FuzzBlockedSTA -fuzztime 30s
 	$(GO) test ./internal/atpg -fuzz=FuzzImplication -fuzztime 30s
+	$(GO) test ./internal/logicsim -fuzz=FuzzSiteSensitizedWords -fuzztime 30s
 	$(GO) test ./internal/tsim -fuzz=FuzzDefectDiff -fuzztime 30s
 
 table1:

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -21,6 +22,14 @@ import (
 // reconvergent circuits most of the structurally longest paths are
 // false, and random witnesses recover sensitizable paths the
 // justification search alone would have to discover by luck.
+//
+// The trials run 64 to a word: a block's pairs are drawn in trial
+// order, simulated at once, and screened by
+// logicsim.SiteSensitizedWordsInto; only the (trial, output) hits it
+// reports are traced pair by pair, in trial order and then output
+// order, so the result is the one a trial-at-a-time loop returns. The
+// search may stop partway through a block, after r has drawn the rest
+// of it, so r's state after the call is unspecified.
 func SensitizedPathsThrough(c *circuit.Circuit, site circuit.ArcID, want, tries int, r *rand.Rand) []PathTestResult {
 	var out []PathTestResult
 	seenPath := make(map[string]bool)
@@ -38,41 +47,63 @@ func SensitizedPathsThrough(c *circuit.Circuit, site circuit.ArcID, want, tries 
 	// Only outputs in the site's fan-out cone can have it on a
 	// sensitized path, and only transitioning ones have any.
 	observing := c.OutputsReachedFrom(a.To)
-	// One pair and one transition serve every trial; a kept witness
-	// gets its own copy of the pair.
-	pair := logicsim.PatternPair{V1: make(logicsim.Vector, len(c.Inputs)), V2: make(logicsim.Vector, len(c.Inputs))}
+	cone := c.FanoutConeOrder(a.To)
+	// One block of pairs, its planes and one transition serve every
+	// trial; a kept witness gets its own copy of the pair.
+	nIn := len(c.Inputs)
+	vals := make(logicsim.Vector, 2*64*nIn)
+	pairs := make([]logicsim.PatternPair, 64)
+	for i := range pairs {
+		v := vals[2*i*nIn : 2*(i+1)*nIn : 2*(i+1)*nIn]
+		pairs[i] = logicsim.PatternPair{V1: v[:nIn:nIn], V2: v[nIn:]}
+	}
+	inInit, inFinal := make([]uint64, nIn), make([]uint64, nIn)
+	var init, final []uint64
+	reach := make([]uint64, len(c.Gates))
+	hits := make([]uint64, len(c.Outputs))
 	var tr logicsim.Transition
-	for trial := 0; trial < tries && len(out) < want; trial++ {
-		biasedPair(pair, inCone, r)
-		tr.Init = logicsim.EvalInto(tr.Init, c, pair.V1)
-		tr.Final = logicsim.EvalInto(tr.Final, c, pair.V2)
-		if tr.Init[a.From] == tr.Final[a.From] {
-			continue // site driver does not even transition
+	for base := 0; base < tries && len(out) < want; base += 64 {
+		block := pairs[:min(64, tries-base)]
+		for _, pair := range block {
+			biasedPair(pair, inCone, r)
 		}
+		if _, _, err := logicsim.PackPatternPairsInto(inInit, inFinal, c, block); err != nil {
+			panic(err) // the pairs are built for c's inputs
+		}
+		init = logicsim.EvalWordsInto(init, c, inInit)
+		final = logicsim.EvalWordsInto(final, c, inFinal)
+		logicsim.SiteSensitizedWordsInto(hits, reach, c, cone, init, final, site)
+		var lanes uint64
 		for _, oi := range observing {
-			if o := c.Outputs[oi]; tr.Init[o] == tr.Final[o] {
-				continue
-			}
-			arcs := logicsim.SensitizedArcs(c, tr, oi)
-			if !arcs.Has(site) {
-				continue
-			}
-			p, ok := extractPathThrough(c, arcs, site, oi)
-			if !ok {
-				continue
-			}
-			key := pathKey(p)
-			if seenPath[key] {
-				continue
-			}
-			if CheckPathTest(c, p, pair, false) != nil {
-				continue // e.g. XOR side instability: not a test under our criterion
-			}
-			seenPath[key] = true
-			kept := logicsim.PatternPair{V1: slices.Clone(pair.V1), V2: slices.Clone(pair.V2)}
-			out = append(out, PathTestResult{Path: p, Pair: kept, Robust: false})
-			if len(out) >= want {
-				break
+			lanes |= hits[oi]
+		}
+		for lanes &= logicsim.TailMask(len(block)); lanes != 0; lanes &= lanes - 1 {
+			t := bits.TrailingZeros64(lanes)
+			pair := block[t]
+			tr.Init = logicsim.EvalInto(tr.Init, c, pair.V1)
+			tr.Final = logicsim.EvalInto(tr.Final, c, pair.V2)
+			for _, oi := range observing {
+				if hits[oi]>>uint(t)&1 == 0 {
+					continue
+				}
+				arcs := logicsim.SensitizedArcs(c, tr, oi)
+				p, ok := extractPathThrough(c, arcs, site, oi)
+				if !ok {
+					continue
+				}
+				key := pathKey(p)
+				if seenPath[key] {
+					continue
+				}
+				if CheckPathTest(c, p, pair, false) != nil {
+					continue // e.g. XOR side instability: not a test under our criterion
+				}
+				seenPath[key] = true
+				kept := logicsim.PatternPair{V1: slices.Clone(pair.V1), V2: slices.Clone(pair.V2)}
+				out = append(out, PathTestResult{Path: p, Pair: kept, Robust: false})
+				if len(out) >= want {
+					return out
+				}
 			}
 		}
 	}
@@ -163,7 +194,8 @@ func pathKey(p path.Path) string {
 // without considering timing, and top the set up with random-witness
 // tests when the structural candidates are largely false paths. At
 // most maxPatterns distinct pattern pairs are returned, longest target
-// path first.
+// path first. r's state after the call is unspecified: the witness
+// search may draw past the last trial it uses.
 func DiagnosticPatterns(c *circuit.Circuit, nominal []float64, site circuit.ArcID, maxPatterns int, r *rand.Rand) []PathTestResult {
 	pool := 6 * maxPatterns
 	if pool < 100 {

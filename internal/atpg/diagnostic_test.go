@@ -1,9 +1,12 @@
 package atpg
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/logicsim"
 	"repro/internal/rng"
 	"repro/internal/synth"
 	"repro/internal/timing"
@@ -88,4 +91,58 @@ func TestDiagnosticPatternsDeterministic(t *testing.T) {
 			t.Errorf("pattern %d differs", i)
 		}
 	}
+}
+
+// sensitizedPathsThroughScalar is the trial-at-a-time witness search:
+// each pair is drawn, simulated and traced toward every observing
+// output on its own. It is the oracle for SensitizedPathsThrough,
+// whose word-parallel screen must keep exactly the witnesses, in
+// exactly the order, that this loop keeps.
+func sensitizedPathsThroughScalar(c *circuit.Circuit, site circuit.ArcID, want, tries int, r *rand.Rand) []PathTestResult {
+	var out []PathTestResult
+	seenPath := make(map[string]bool)
+	a := c.Arcs[site]
+	launchCone := c.FaninCone(a.From)
+	inCone := make([]bool, len(c.Inputs))
+	for i, g := range c.Inputs {
+		inCone[i] = launchCone.Has(g)
+	}
+	observing := c.OutputsReachedFrom(a.To)
+	pair := logicsim.PatternPair{V1: make(logicsim.Vector, len(c.Inputs)), V2: make(logicsim.Vector, len(c.Inputs))}
+	var tr logicsim.Transition
+	for trial := 0; trial < tries && len(out) < want; trial++ {
+		biasedPair(pair, inCone, r)
+		tr.Init = logicsim.EvalInto(tr.Init, c, pair.V1)
+		tr.Final = logicsim.EvalInto(tr.Final, c, pair.V2)
+		if tr.Init[a.From] == tr.Final[a.From] {
+			continue // site driver does not even transition
+		}
+		for _, oi := range observing {
+			if o := c.Outputs[oi]; tr.Init[o] == tr.Final[o] {
+				continue
+			}
+			arcs := logicsim.SensitizedArcs(c, tr, oi)
+			if !arcs.Has(site) {
+				continue
+			}
+			p, ok := extractPathThrough(c, arcs, site, oi)
+			if !ok {
+				continue
+			}
+			key := pathKey(p)
+			if seenPath[key] {
+				continue
+			}
+			if CheckPathTest(c, p, pair, false) != nil {
+				continue
+			}
+			seenPath[key] = true
+			kept := logicsim.PatternPair{V1: slices.Clone(pair.V1), V2: slices.Clone(pair.V2)}
+			out = append(out, PathTestResult{Path: p, Pair: kept, Robust: false})
+			if len(out) >= want {
+				break
+			}
+		}
+	}
+	return out
 }

@@ -12,6 +12,10 @@ const (
 	Restarts       = restarts
 )
 
+// SensitizedPathsThroughScalar is the trial-at-a-time oracle of
+// SensitizedPathsThrough, for the external tests.
+var SensitizedPathsThroughScalar = sensitizedPathsThroughScalar
+
 // Attempt is the outcome of one PODEM attempt of a PathTest.
 type Attempt struct {
 	Solved     bool

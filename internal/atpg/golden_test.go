@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/atpg"
@@ -84,6 +85,42 @@ func TestDiagnosticPatternsGolden(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenPatternsSHA256 {
 		t.Errorf("diagnostic pattern digest %s, want %s", got, goldenPatternsSHA256)
 	}
+}
+
+// TestSensitizedPathsThroughMatchesScalar pins the word-parallel
+// witness search to the trial-at-a-time oracle on the table1_analytic
+// case sites — which include the table1_mc sites, s1196 and s1238
+// cases 1-2, since the engine does not enter site or stream
+// derivation. The try counts cover one trial, a ragged single block, a
+// full block, a ragged second block and DiagnosticPatterns' budget;
+// small wants stop the search partway through a block.
+func TestSensitizedPathsThroughMatchesScalar(t *testing.T) {
+	kept := 0
+	for _, tc := range analyticCases(t) {
+		for _, tries := range []int{1, 63, 64, 65, 130, 720} {
+			for _, want := range []int{1, 3, 12} {
+				seed := rng.Derive(tc.atpgSeed, uint64(tries))
+				got := atpg.SensitizedPathsThrough(tc.c, tc.site, want, tries, rng.New(seed))
+				exp := atpg.SensitizedPathsThroughScalar(tc.c, tc.site, want, tries, rng.New(seed))
+				if len(got) != len(exp) {
+					t.Fatalf("%s case %d tries=%d want=%d: %d witnesses, oracle %d",
+						tc.circuit, tc.seed, tries, want, len(got), len(exp))
+				}
+				for k := range got {
+					g, e := got[k], exp[k]
+					if !slices.Equal(g.Path.Arcs, e.Path.Arcs) || g.Pair.String() != e.Pair.String() || g.Robust != e.Robust {
+						t.Fatalf("%s case %d tries=%d want=%d witness %d: %v %s robust=%t, oracle %v %s robust=%t",
+							tc.circuit, tc.seed, tries, want, k, g.Path.Arcs, g.Pair, g.Robust, e.Path.Arcs, e.Pair, e.Robust)
+					}
+				}
+				kept += len(got)
+			}
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no witness found on any site: the check is vacuous")
+	}
+	t.Logf("%d witnesses matched", kept)
 }
 
 // TestExhaustedAttemptFailsEveryRestart checks, over the structural

@@ -69,6 +69,19 @@ func (c *Circuit) FanoutCone(roots ...GateID) GateSet {
 	return seen
 }
 
+// FanoutConeOrder returns the gates in the transitive fan-out of g (g
+// included) in topological order; g comes first.
+func (c *Circuit) FanoutConeOrder(g GateID) []GateID {
+	cone := c.FanoutCone(g)
+	var out []GateID
+	for _, h := range c.Order {
+		if cone.Has(h) {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
 // OutputsReachedFrom returns the indices (into c.Outputs) of outputs in
 // the transitive fan-out of gate g.
 func (c *Circuit) OutputsReachedFrom(g GateID) []int {

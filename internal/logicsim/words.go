@@ -69,28 +69,92 @@ func SensitizedArcsWordsMaskedInto(dst, active []uint64, c *circuit.Circuit, ini
 				continue // no active lane sees a transition on this pin
 			}
 			if hasCtrl {
-				for j, other := range g.Fanin {
-					if j == k {
-						continue
-					}
-					// A lane is blocked when the side pin settles at the
-					// controlling value.
-					if ctrl {
-						sens &^= final[other]
-					} else {
-						sens &= final[other]
-					}
-					if sens == 0 {
-						break
-					}
-				}
-				if sens == 0 {
+				if sens = sideNonControlling(sens, g, k, ctrl, final); sens == 0 {
 					continue
 				}
 			}
 			dst[g.InArcs[k]] |= sens
 			active[d] |= sens
 		}
+	}
+}
+
+// sideNonControlling narrows the lanes sens of pin k of gate g (whose
+// controlling value is ctrl) to those where every other pin settles at
+// the non-controlling value in final; a side pin at the controlling
+// value blocks the lane.
+func sideNonControlling(sens uint64, g *circuit.Gate, k int, ctrl bool, final []uint64) uint64 {
+	for j, other := range g.Fanin {
+		if j == k {
+			continue
+		}
+		if ctrl {
+			sens &^= final[other]
+		} else {
+			sens &= final[other]
+		}
+		if sens == 0 {
+			break
+		}
+	}
+	return sens
+}
+
+// SiteSensitizedWordsInto finds, for a 64-lane block, the lanes in
+// which arc site lies on a statically sensitized transition path to
+// each primary output: it sets hits[oi] (len(hits) must be
+// len(c.Outputs)) so that bit t is set exactly when
+// SensitizedArcs(c, tr, oi).Has(site) for lane t's transition tr.
+// init and final are the word-parallel settled values of the block's
+// two vectors (EvalWordsInto over the packed V1s and V2s). cone is
+// c.FanoutConeOrder of the site's sink. reach is caller scratch of
+// len(c.Gates); its contents are overwritten.
+//
+// Where SensitizedArcs walks backward from one output, this sweeps
+// forward from the site once for every output. reach[g] holds the
+// lanes in which a chain of locally sensitized arcs — driver
+// transitions, every other pin non-controlling — runs from the site
+// arc to g. The backward walk enters only transitioning gates through
+// exactly such arcs, so it reaches the site's sink, and records the
+// site, precisely in the lanes where that chain ends at a
+// transitioning output.
+//
+// Ragged blocks need no masking here: an unused lane packs all-zero
+// inputs into both vectors, so nothing transitions on it.
+//
+//ddd:hot
+func SiteSensitizedWordsInto(hits, reach []uint64, c *circuit.Circuit, cone []circuit.GateID, init, final []uint64, site circuit.ArcID) {
+	for i := range reach {
+		reach[i] = 0
+	}
+	a := &c.Arcs[site]
+	sink := &c.Gates[a.To]
+	sens := init[a.From] ^ final[a.From]
+	if ctrl, hasCtrl := sink.Type.Controlling(); hasCtrl {
+		sens = sideNonControlling(sens, sink, a.Pin, ctrl, final)
+	}
+	reach[a.To] = sens
+	// Every gate of the cone past the sink sits later in c.Order than
+	// all of its fanins that are in the cone; fanins outside the cone
+	// keep reach 0.
+	for _, gid := range cone[1:] {
+		g := &c.Gates[gid]
+		ctrl, hasCtrl := g.Type.Controlling()
+		var m uint64
+		for k, d := range g.Fanin {
+			s := reach[d] & (init[d] ^ final[d])
+			if s == 0 {
+				continue
+			}
+			if hasCtrl {
+				s = sideNonControlling(s, g, k, ctrl, final)
+			}
+			m |= s
+		}
+		reach[gid] = m
+	}
+	for oi, o := range c.Outputs {
+		hits[oi] = reach[o] & (init[o] ^ final[o])
 	}
 }
 

@@ -1,6 +1,8 @@
 package logicsim
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -191,6 +193,115 @@ func TestSensitizedArcsWordsMaskedRestrictsLanes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// lowFlipPairs builds n pattern pairs for c whose V1 is uniform and
+// whose V2 flips each input with probability 1/flip: quiet side inputs
+// let transitions propagate much further than uniform pairs do.
+func lowFlipPairs(r *rand.Rand, c *circuit.Circuit, n, flip int) []PatternPair {
+	pairs := make([]PatternPair, n)
+	for i, v1 := range randomVectors(r, c, n) {
+		v2 := slices.Clone(v1)
+		for j := range v2 {
+			if r.IntN(flip) == 0 {
+				v2[j] = !v2[j]
+			}
+		}
+		pairs[i] = PatternPair{V1: v1, V2: v2}
+	}
+	return pairs
+}
+
+// checkSiteSensitizedWords runs SiteSensitizedWordsInto on one block
+// of up to 64 pairs for every site in sites and compares each lane of
+// every output's hit word with SensitizedArcs(...).Has(site). It
+// returns the number of set hit bits.
+func checkSiteSensitizedWords(t testing.TB, c *circuit.Circuit, pairs []PatternPair, sites []circuit.ArcID) int {
+	t.Helper()
+	init, final, err := PackPatternPairsInto(nil, nil, c, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initVals := EvalWordsInto(nil, c, init)
+	finalVals := EvalWordsInto(nil, c, final)
+	want := make([][]circuit.ArcSet, len(pairs))
+	for b, p := range pairs {
+		tr := SimulatePair(c, p)
+		want[b] = make([]circuit.ArcSet, len(c.Outputs))
+		for oi := range c.Outputs {
+			want[b][oi] = SensitizedArcs(c, tr, oi)
+		}
+	}
+	hits := make([]uint64, len(c.Outputs))
+	reach := make([]uint64, len(c.Gates))
+	n := 0
+	for _, site := range sites {
+		SiteSensitizedWordsInto(hits, reach, c, c.FanoutConeOrder(c.Arcs[site].To), initVals, finalVals, site)
+		for oi, w := range hits {
+			if w&^TailMask(len(pairs)) != 0 {
+				t.Fatalf("site %d output %d: tail lanes set (%#x)", site, oi, w)
+			}
+			for b := range pairs {
+				got := w>>uint(b)&1 == 1
+				if got != want[b][oi].Has(site) {
+					t.Fatalf("site %d output %d lane %d: words %v, SensitizedArcs %v", site, oi, b, got, !got)
+				}
+				if got {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestSiteSensitizedWords pins the site-sensitization kernel, lane by
+// lane and output by output, to the scalar SensitizedArcs walk for
+// every arc of the circuit as the site, over full and ragged blocks of
+// uniform and low-flip pairs.
+func TestSiteSensitizedWords(t *testing.T) {
+	for _, profile := range []string{"small", "s1196", "s1488"} {
+		c, err := synth.GenerateNamed(profile, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites := make([]circuit.ArcID, len(c.Arcs))
+		for i := range sites {
+			sites[i] = circuit.ArcID(i)
+		}
+		r := rng.New(29)
+		hits := 0
+		for _, lanes := range []int{64, 37, 1} {
+			hits += checkSiteSensitizedWords(t, c, randomPairs(t, c, uint64(300+lanes), lanes), sites)
+			hits += checkSiteSensitizedWords(t, c, lowFlipPairs(r, c, lanes, 10), sites)
+		}
+		if hits == 0 {
+			t.Fatalf("%s: no lane sensitizes any site: the check is vacuous", profile)
+		}
+		t.Logf("%s: %d arcs, %d (site, output, lane) hits", profile, len(sites), hits)
+	}
+}
+
+// FuzzSiteSensitizedWords lets the fuzzer pick the circuit, the block
+// size, the flip rate of the pairs and the site.
+func FuzzSiteSensitizedWords(f *testing.F) {
+	var circuits []*circuit.Circuit
+	for _, profile := range []string{"mini", "small", "s1196"} {
+		c, err := synth.GenerateNamed(profile, 3)
+		if err != nil {
+			f.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	f.Add(uint8(0), uint64(1), uint8(64), uint8(2), uint16(0))
+	f.Add(uint8(1), uint64(2), uint8(17), uint8(10), uint16(40))
+	f.Add(uint8(2), uint64(3), uint8(63), uint8(8), uint16(500))
+	f.Fuzz(func(t *testing.T, ci uint8, seed uint64, lanes, flip uint8, site uint16) {
+		c := circuits[int(ci)%len(circuits)]
+		n := 1 + int(lanes)%64
+		pairs := lowFlipPairs(rng.New(seed), c, n, 1+int(flip)%16)
+		checkSiteSensitizedWords(t, c, pairs, []circuit.ArcID{circuit.ArcID(int(site) % len(c.Arcs))})
+	})
 }
 
 // transitionConeArcs is the scalar hazard cone of output outIdx: the

@@ -357,6 +357,13 @@ func TestChaosMetricsExposeFailureCounters(t *testing.T) {
 	}
 	fault.Reset()
 
+	// runBatch answers the batch's requests before it re-panics into
+	// the pool worker that counts the panic, so the 500 can arrive
+	// before the counter moves: wait for it to move, then check it
+	// moved exactly once.
+	waitUntil(t, 5*time.Second, "ddd_pool_panics_total to count the panic", func() bool {
+		return parseMetrics(t, scrapeMetrics(t, ts.URL))[`ddd_pool_panics_total`] >= 1
+	})
 	vals := parseMetrics(t, scrapeMetrics(t, ts.URL))
 	if got := vals[`ddd_retries_total`]; got != 1 {
 		t.Errorf("ddd_retries_total = %v, want 1", got)
