@@ -133,11 +133,10 @@ type Generator struct {
 
 	// Flat circuit tables (DESIGN.md §18), the only view of the
 	// netlist the implication kernel reads: CSR fan-in and fan-out
-	// (gate i's fan-in is fin[finStart[i]:finStart[i+1]]), levels, and
-	// the cell table.
+	// (gate i's fan-in is fin[finStart[i]:finStart[i+1]]) and the cell
+	// table.
 	finStart, foStart []int32
 	fin, fo           []circuit.GateID
-	level             []int32
 	cells             []cell
 
 	// vals holds the 3-valued gate values per frame; an input's value
@@ -146,13 +145,14 @@ type Generator struct {
 	vals       [2][]byte
 	unassigned []byte // gate values with every input at X
 	// trail lists every value setInput overwrote since clear, oldest
-	// first; undo restores the values back to a mark.
+	// first; undo restores the values back to a mark. Preallocated at
+	// two entries per gate, which refining implication never exceeds.
 	trail []trailEntry
-	// Event-driven implication scratch: gates awaiting re-evaluation,
-	// bucketed by circuit level, and their membership flags.
-	pending [][]circuit.GateID
-	queued  []bool
-	choice  *rand.Rand // nil = deterministic first-X-fanin backtrace
+	// work is setInput's LIFO worklist of gates awaiting
+	// re-evaluation, preallocated at one slot per fan-out edge, which
+	// refining implication never exceeds.
+	work   []circuit.GateID
+	choice *rand.Rand // nil = deterministic first-X-fanin backtrace
 	// objs and rest are PathTest's objective lists, reused per call.
 	objs, rest []objective
 }
@@ -164,11 +164,8 @@ func NewGenerator(c *circuit.Circuit) *Generator {
 		c:        c,
 		finStart: make([]int32, n+1),
 		foStart:  make([]int32, n+1),
-		level:    make([]int32, n),
 		cells:    make([]cell, n),
 		trail:    make([]trailEntry, 0, 2*n),
-		pending:  make([][]circuit.GateID, c.Depth()+1),
-		queued:   make([]bool, n),
 	}
 	for i := range c.Gates {
 		gate := &c.Gates[i]
@@ -176,9 +173,9 @@ func NewGenerator(c *circuit.Circuit) *Generator {
 		g.fo = append(g.fo, gate.Fanout...)
 		g.finStart[i+1] = int32(len(g.fin))
 		g.foStart[i+1] = int32(len(g.fo))
-		g.level[i] = int32(c.Levels[i])
 		g.cells[i] = cellOf(gate.Type)
 	}
+	g.work = make([]circuit.GateID, 0, len(g.fo))
 	for f := 0; f < 2; f++ {
 		g.vals[f] = bytes.Repeat([]byte{fX}, n)
 	}
@@ -249,56 +246,41 @@ func (g *Generator) eval(gid circuit.GateID, vals []byte) byte {
 }
 
 // setInput assigns v (f0, f1 or fX) to input gate in of frame and
-// implies the change forward: only the input's fan-out cone in that
-// frame is re-evaluated, level by level, and propagation stops at
-// every gate whose 3-valued output does not change. Every value it
-// overwrites, the input's own included, goes onto the trail.
+// implies the change forward through the input's fan-out cone in that
+// frame. A LIFO worklist re-evaluates a gate after every change of any
+// of its fanins, and propagation stops at every gate whose 3-valued
+// output does not change; the netlist is acyclic, so when the worklist
+// empties every gate equals its simulate value, whatever the order.
+// Every value it overwrites, the input's own included, goes onto the
+// trail.
 //
 //ddd:hot
 func (g *Generator) setInput(frame int, in circuit.GateID, v byte) {
 	vals := g.vals[frame]
-	if vals[in] == v {
-		return
-	}
 	// Assigning an unassigned input only refines X values: 3-valued
 	// simulation is monotone, so a gate that is already definite keeps
-	// its value and need not be re-evaluated.
+	// its value and need not be re-evaluated, and every gate changes at
+	// most once.
 	refine := vals[in] == fX
-	g.trail = append(g.trail, trailEntry{gate: in, frame: uint8(frame), old: vals[in]})
-	vals[in] = v
-	// A gate's fan-out sits at strictly higher levels, so sweeping the
-	// levels upward evaluates every gate after all of its changed
-	// fanins.
-	hi := g.schedule(in, vals, refine, -1)
-	for l := g.level[in] + 1; l <= hi; l++ {
-		for _, gid := range g.pending[l] {
-			g.queued[gid] = false
-			if nv := g.eval(gid, vals); nv != vals[gid] {
-				g.trail = append(g.trail, trailEntry{gate: gid, frame: uint8(frame), old: vals[gid]})
-				vals[gid] = nv
-				hi = g.schedule(gid, vals, refine, hi)
+	work := g.work[:0]
+	for gid, nv := in, v; ; {
+		if nv != vals[gid] {
+			g.trail = append(g.trail, trailEntry{gate: gid, frame: uint8(frame), old: vals[gid]})
+			vals[gid] = nv
+			for _, fo := range g.fo[g.foStart[gid]:g.foStart[gid+1]] {
+				if !refine || vals[fo] == fX {
+					work = append(work, fo)
+				}
 			}
 		}
-		g.pending[l] = g.pending[l][:0]
-	}
-}
-
-// schedule queues the fan-out of gid for re-evaluation, skipping
-// definite gates when refine is set, and returns the deepest pending
-// level: hi, or deeper.
-//
-//ddd:hot
-func (g *Generator) schedule(gid circuit.GateID, vals []byte, refine bool, hi int32) int32 {
-	for _, fo := range g.fo[g.foStart[gid]:g.foStart[gid+1]] {
-		if g.queued[fo] || refine && vals[fo] != fX {
-			continue
+		if len(work) == 0 {
+			break
 		}
-		g.queued[fo] = true
-		l := g.level[fo]
-		g.pending[l] = append(g.pending[l], fo)
-		hi = max(hi, l)
+		gid = work[len(work)-1]
+		work = work[:len(work)-1]
+		nv = g.eval(gid, vals)
 	}
-	return hi
+	g.work = work
 }
 
 // undo restores every value setInput overwrote after the trail held

@@ -16,6 +16,12 @@ const (
 // SensitizedPathsThrough, for the external tests.
 var SensitizedPathsThroughScalar = sensitizedPathsThroughScalar
 
+// Capacities returns the capacities of the implication trail and
+// worklist.
+func (g *Generator) Capacities() (trail, work int) {
+	return cap(g.trail), cap(g.work)
+}
+
 // Attempt is the outcome of one PODEM attempt of a PathTest.
 type Attempt struct {
 	Solved     bool

@@ -3,6 +3,7 @@ package atpg_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -164,4 +165,67 @@ func TestExhaustedAttemptFailsEveryRestart(t *testing.T) {
 		t.Fatal("no attempt 0 exhausted its search: the check is vacuous")
 	}
 	t.Logf("%d exhausted attempts, %d budget hits", exhausted, budgetHit)
+}
+
+// TestImplicationStaysPreallocated runs every PathTest — both criteria,
+// both polarities — of every structural path DiagnosticPatterns tries
+// for the table1_analytic sites, on one Generator per circuit, and
+// fails if the implication trail or worklist ever grows past the
+// capacity NewGenerator gave it: two trail entries per gate and one
+// worklist slot per fan-out edge. It then checks that PathTest on a
+// path whose search exhausts without a test allocates nothing.
+func TestImplicationStaysPreallocated(t *testing.T) {
+	gens := map[*circuit.Circuit]*atpg.Generator{}
+	var untestable func()
+	calls := 0
+	for _, tc := range analyticCases(t) {
+		gen := gens[tc.c]
+		if gen == nil {
+			gen = atpg.NewGenerator(tc.c)
+			gens[tc.c] = gen
+		}
+		edges := 0
+		for i := range tc.c.Gates {
+			edges += len(tc.c.Gates[i].Fanout)
+		}
+		trail0, work0 := gen.Capacities()
+		if trail0 != 2*len(tc.c.Gates) || work0 != edges {
+			t.Fatalf("%s: trail capacity %d, worklist capacity %d; want %d and %d",
+				tc.circuit, trail0, work0, 2*len(tc.c.Gates), edges)
+		}
+		paths := path.KLongestThrough(tc.c, tc.nominal, tc.site, max(6*tc.maxPatterns, 100))
+		r := rng.New(tc.atpgSeed)
+		for i, p := range paths {
+			for _, robust := range []bool{true, false} {
+				for _, rising := range []bool{true, false} {
+					_, err := gen.PathTest(p, rising, robust, r)
+					calls++
+					if trail, work := gen.Capacities(); trail != trail0 || work != work0 {
+						t.Fatalf("%s case %d path %d (robust=%t rising=%t): trail capacity %d -> %d, worklist %d -> %d",
+							tc.circuit, tc.seed, i, robust, rising, trail0, trail, work0, work)
+					}
+					if untestable != nil || !errors.Is(err, atpg.ErrUntestable) {
+						continue
+					}
+					// Keep a path whose attempt 0 searched and exhausted
+					// below the budget: every restart then fails too.
+					outs, err := gen.Attempts(p, rising, robust, r)
+					if err == nil && outs[0].Backtracks > 0 && outs[0].Backtracks < atpg.BacktrackLimit {
+						untestable = func() {
+							if _, err := gen.PathTest(p, rising, robust, r); !errors.Is(err, atpg.ErrUntestable) {
+								t.Fatalf("PathTest = %v, want ErrUntestable", err)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d PathTest calls", calls)
+	if untestable == nil {
+		t.Fatal("no path exhausted a search: the allocation check is vacuous")
+	}
+	if n := testing.AllocsPerRun(20, untestable); n != 0 {
+		t.Errorf("PathTest on an untestable path: %v allocations per run, want 0", n)
+	}
 }

@@ -220,11 +220,12 @@ func (d *implicationDriver) check(t *testing.T, step string) {
 	}
 }
 
-// implicationCircuits are the netlists the implication oracle runs on.
+// implicationCircuits are the netlists the implication oracle runs on:
+// two toy circuits and the three table1_analytic circuits.
 func implicationCircuits(tb testing.TB) []*circuit.Circuit {
 	tb.Helper()
 	var cs []*circuit.Circuit
-	for _, name := range []string{"mini", "small", "s1238"} {
+	for _, name := range []string{"mini", "small", "s1196", "s1238", "s1488"} {
 		c, err := synth.GenerateNamed(name, 2003)
 		if err != nil {
 			tb.Fatal(err)
