@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/atpg"
 	"repro/internal/circuit"
 	"repro/internal/defect"
 	"repro/internal/logicsim"
@@ -134,5 +135,90 @@ func TestDictionaryGoldenInvariances(t *testing.T) {
 				t.Fatalf("dictionary depends on %s:\n got  %s\n want %s", mod.name, got, goldenDictSHA256)
 			}
 		})
+	}
+}
+
+// goldenSignalDictSHA256 is the SHA-256 of the dictionary built by
+// goldenSignalDictSetup, captured on the level-ordered waveform kernel
+// without observation windows; every later optimization of the build must
+// reproduce it bit for bit. Unlike goldenDictSHA256 it pins a
+// dictionary with signal: diagnostic patterns for one site and a tight
+// clk make defects change captures, so M, E and S hold nonzero entries.
+const goldenSignalDictSHA256 = "18d3f58ceb5be2d9bed70c8725c39864e6b76cc80f6be773d58d3e54f7b6af22"
+
+// goldenSignalMinNonzeroS is the least number of nonzero S entries the
+// signal golden must hold; the golden dictionary has 55.
+const goldenSignalMinNonzeroS = 40
+
+// goldenSignalDictSetup is the signal-bearing golden configuration:
+// the "small" profile, atpg.DiagnosticPatterns patterns for the first
+// candidate site that has at least four, every candidate arc as a
+// suspect, and clk at the largest median timing length of the tested
+// paths, the way the evaluation pipeline picks it but at a lower
+// quantile.
+func goldenSignalDictSetup(t *testing.T) (*timing.Model, []logicsim.PatternPair, []circuit.ArcID, DictConfig) {
+	t.Helper()
+	c, err := synth.GenerateNamed("small", 2003)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := timing.NewModel(c, timing.DefaultParams())
+	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
+	cands := inj.CandidateArcs()
+	var tests []atpg.PathTestResult
+	for i, site := range cands {
+		tests = atpg.DiagnosticPatterns(c, m.Nominal, site, 8, rng.New(rng.Derive(43, uint64(i))))
+		if len(tests) >= 4 {
+			break
+		}
+	}
+	if len(tests) < 4 {
+		t.Fatal("no site with diagnostic patterns")
+	}
+	pats := make([]logicsim.PatternPair, len(tests))
+	clk := 0.0
+	for i, tc := range tests {
+		pats[i] = tc.Pair
+		tl, err := timing.NewMC(m).TimingLength(context.Background(), tc.Path.Arcs, 200, 7, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk = max(clk, tl.Quantile(0.5))
+	}
+	cfg := DictConfig{
+		Clk: clk, Samples: 48, Seed: 23,
+		Workers: 3, SizeDist: inj.AssumedSizeDist(),
+	}
+	return m, pats, cands, cfg
+}
+
+// TestDictionaryGoldenSignal pins the signal-bearing dictionary, from
+// both the build and the unskipped reference, to its golden hash, and
+// checks that it has signal.
+func TestDictionaryGoldenSignal(t *testing.T) {
+	m, pats, suspects, cfg := goldenSignalDictSetup(t)
+	d, err := BuildDictionary(context.Background(), m, pats, suspects, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonzero := 0
+	for _, s := range d.S {
+		for _, v := range s.Data {
+			if v != 0 {
+				nonzero++
+			}
+		}
+	}
+	if nonzero < goldenSignalMinNonzeroS {
+		t.Fatalf("%d nonzero S entries, want at least %d", nonzero, goldenSignalMinNonzeroS)
+	}
+	ref := buildDictionaryReference(m, pats, suspects, cfg)
+	for _, b := range []struct {
+		name string
+		d    *Dictionary
+	}{{"build", d}, {"reference", ref}} {
+		if got := hashDict(b.d); got != goldenSignalDictSHA256 {
+			t.Errorf("%s drifted from the signal golden:\n got  %s\n want %s", b.name, got, goldenSignalDictSHA256)
+		}
 	}
 }
