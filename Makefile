@@ -126,15 +126,16 @@ examples:
 bench:
 	$(GO) test -bench=. -benchmem -run XXX .
 
-# bench-quick is the fast tier to run on every change, under a minute
-# once built: one traced end-to-end pass over each Table I workload
-# (Monte-Carlo and analytic engine, seed 1, with the per-stage
+# bench-quick is the fast tier to run on every change, about 21 s once
+# built on a 2-vCPU Xeon VM: one traced end-to-end pass over each Table I
+# workload (Monte-Carlo and analytic engine, seed 1, with the per-stage
 # breakdown; the harness exits nonzero unless the Table I digests
-# match its golden file) and the diagnostic pattern generation
-# benchmark, single-threaded, three runs.
+# match its golden file), then the diagnostic pattern generation and
+# Monte-Carlo dictionary build benchmarks, single-threaded, three runs
+# each.
 bench-quick:
 	bash cmd/ddd-e2e/run.sh --workload table1_mc,table1_analytic --seed 1 --seconds 20 --trace 1
-	$(GO) test -run XXX -bench 'BenchmarkCoreDiagnosticPatterns$$' -count 3 -cpu 1 .
+	$(GO) test -run XXX -bench 'BenchmarkCore(DiagnosticPatterns|BuildDictionary)$$' -count 3 -cpu 1 .
 
 # bench-core runs the tracked core kernel suite (bench_core_test.go)
 # single-threaded, three runs per benchmark, then folds the medians

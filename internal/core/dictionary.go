@@ -68,8 +68,15 @@ type Dictionary struct {
 // defect is re-simulated against the sample's baseline run by
 // re-evaluating only the gates whose waveform it changes
 // (tsim.RunDefectDiff), and skipped entirely when the suspect arc's
-// driver never transitions under a pattern (the defect cannot change
-// that pattern's response).
+// driver is quiet under a pattern (the defect cannot change that
+// pattern's response).
+//
+// Every run of a sample is confined to the sample's observation
+// windows (tsim.Window, Set once per sample and timed with the
+// sampling): a gate is simulated only up to the last instant at which
+// a capture at clk can see it, and "quiet" and "changed" are read
+// inside its window. The captures, and so the dictionary, are those of
+// unconfined runs bit for bit.
 //
 // Each worker checks ctx between Monte-Carlo samples (a sample is a
 // full dynamic timing pass over every pattern and suspect, so the
@@ -134,6 +141,7 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 	type dictWorker struct {
 		acc      accum
 		eng      *tsim.Engine
+		opts     tsim.Options // capture at cfg.Clk under the sample's windows
 		baseFail []bool
 		delays   []float64
 		sizes    []float64
@@ -151,6 +159,7 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 					e: make([]int32, nSus*nOut*nPat),
 				},
 				eng:      tsim.NewEngine(c),
+				opts:     tsim.Options{Horizon: cfg.Clk, DefectArc: tsim.NoDefect, Window: tsim.NewWindow(c)},
 				baseFail: make([]bool, nOut),
 				delays:   make([]float64, len(c.Arcs)),
 				sizes:    make([]float64, nSus),
@@ -167,10 +176,11 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 		for i := range wk.sizes {
 			wk.sizes[i] = cfg.SizeDist.Sample(szRng)
 		}
+		wk.opts.Window.Set(wk.delays, cfg.Clk)
 		t1 := time.Now()
 		wk.st.sample += t1.Sub(t0)
 		for j, pat := range patterns {
-			base := wk.eng.RunSettled(wk.delays, pat, tsim.AtClock(cfg.Clk), patInit[j], patFinal[j])
+			base := wk.eng.RunSettled(wk.delays, pat, wk.opts, patInit[j], patFinal[j])
 			for oi, o := range c.Outputs {
 				wk.baseFail[oi] = base.Capture[oi] != base.Final[o]
 				if wk.baseFail[oi] {
@@ -182,8 +192,9 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 			for i, arc := range suspects {
 				row := (i*nOut)*nPat + j
 				if !base.Transitioned(c.Arcs[arc].From) {
-					// The defect arc never sees a transition:
-					// E equals the baseline for this pattern.
+					// The defect arc sees no transition a capture
+					// can observe: E equals the baseline for this
+					// pattern.
 					for oi := 0; oi < nOut; oi++ {
 						if wk.baseFail[oi] {
 							acc.e[row+oi*nPat]++

@@ -126,37 +126,40 @@ func TestBuildDictionaryDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestBuildDictionaryIncrementalMatchesFull pins the build, with its
-// transition skip and difference-propagation re-simulation, to the
-// unskipped full-simulation reference. Every candidate arc is a
-// suspect and the clock is tightened to 0.6 of the bench's, so that
-// defects do change captures (nonzero S) on some triples.
+// transition skip, observation windows and difference-propagation
+// re-simulation, to the unskipped full-simulation reference. Every
+// candidate arc is a suspect and the clock is tightened to factors of
+// the bench's from 0.4 to 1.0, so that windows cut waveforms short and
+// defects change captures (nonzero S) on some triples.
 func TestBuildDictionaryIncrementalMatchesFull(t *testing.T) {
 	tb := newBench(t, "mini", 5)
 	suspects := tb.inj.CandidateArcs()
-	cfg := tb.dictConfig(40)
-	cfg.Clk *= 0.6
-	a, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := buildDictionaryReference(tb.m, tb.pats, suspects, cfg)
-	signals := 0
-	for _, s := range b.S {
-		for _, v := range s.Data {
-			if v > 0 {
-				signals++
+	for _, f := range []float64{0.4, 0.6, 0.8, 1.0} {
+		cfg := tb.dictConfig(40)
+		cfg.Clk *= f
+		a, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := buildDictionaryReference(tb.m, tb.pats, suspects, cfg)
+		signals := 0
+		for _, s := range b.S {
+			for _, v := range s.Data {
+				if v > 0 {
+					signals++
+				}
 			}
 		}
-	}
-	if signals == 0 {
-		t.Fatal("no defect changed a capture; the comparison is vacuous")
-	}
-	if d := maxAbsDiff(a.M, b.M); d != 0 {
-		t.Errorf("M: build vs reference differ by %v", d)
-	}
-	for si := range suspects {
-		if d := maxAbsDiff(a.E[si], b.E[si]); d != 0 {
-			t.Errorf("suspect %d: build vs reference differ by %v", si, d)
+		if signals == 0 {
+			t.Fatalf("clk factor %v: no defect changed a capture; the comparison is vacuous", f)
+		}
+		if d := maxAbsDiff(a.M, b.M); d != 0 {
+			t.Errorf("clk factor %v: M: build vs reference differ by %v", f, d)
+		}
+		for si := range suspects {
+			if d := maxAbsDiff(a.E[si], b.E[si]); d != 0 {
+				t.Errorf("clk factor %v: suspect %d: build vs reference differ by %v", f, si, d)
+			}
 		}
 	}
 }
@@ -164,7 +167,8 @@ func TestBuildDictionaryIncrementalMatchesFull(t *testing.T) {
 // TestBuildDictionaryStageLedger checks the MC build's sub-stage
 // counters: every (sample, pattern, suspect) triple is either
 // simulated or skipped, skips happen exactly where the suspect's
-// driver is quiet, and every stage records time.
+// driver is quiet up to the upper end of its observation window, and
+// every stage records time.
 func TestBuildDictionaryStageLedger(t *testing.T) {
 	tb := newBench(t, "mini", 5)
 	suspects := tb.inj.CandidateArcs()[:16]

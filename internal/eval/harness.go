@@ -329,9 +329,9 @@ func PatternResponseQuantile(m *timing.Model, pats []logicsim.PatternPair, q flo
 		worst := 0.0
 		for _, p := range pats {
 			res := eng.Run(inst.Delays, p, tsim.Quiescent())
-			for _, t := range res.LastChange {
-				if t > worst {
-					worst = t
+			for _, o := range m.C.Outputs {
+				if w := res.Waveform(o); len(w) > 0 {
+					worst = max(worst, w[len(w)-1].T)
 				}
 			}
 		}

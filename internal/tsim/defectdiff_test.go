@@ -98,19 +98,68 @@ func checkWaveform(t testing.TB, what string, g int, got, raw []Step, init bool)
 	}
 }
 
+// checkWaveformInWindow fails unless got agrees with the
+// right-continuous form of the oracle's raw waveform inside the window
+// [lo, hi]: the same value at lo and the same steps in (lo, hi], step
+// times compared exactly. An empty window (lo > hi) checks nothing.
+func checkWaveformInWindow(t testing.TB, what string, g int, got, raw []Step, init bool, lo, hi float64) {
+	t.Helper()
+	if lo > hi {
+		return
+	}
+	ref := rightContinuous(raw, init)
+	at := func(w []Step) (bool, []Step) {
+		v, k := init, 0
+		for k < len(w) && w[k].T <= lo {
+			v = w[k].V
+			k++
+		}
+		n := k
+		for n < len(w) && w[n].T <= hi {
+			n++
+		}
+		return v, w[k:n]
+	}
+	gv, gs := at(got)
+	rv, rs := at(ref)
+	bad := gv != rv || len(gs) != len(rs)
+	for k := 0; !bad && k < len(gs); k++ {
+		bad = gs[k] != rs[k]
+	}
+	if bad {
+		t.Fatalf("%s: gate %d in window [%v, %v]: waveform %v, oracle %v", what, g, lo, hi, got, ref)
+	}
+}
+
+// truncate returns the steps of w at or before limit.
+func truncate(w []Step, limit float64) []Step {
+	n := 0
+	for n < len(w) && w[n].T <= limit {
+		n++
+	}
+	return w[:n]
+}
+
 // checkRunMatchesEvents runs p under opts on the kernel and on the
 // event oracle and compares, exactly, every output's capture and
 // every gate's waveform, with Transitioned read as "the
-// right-continuous waveform is non-empty" and LastChange as "the time
-// of its last step". It returns the oracle's run.
+// right-continuous waveform is non-empty" and each output's last step
+// against the oracle's last right-continuous one. Under opts.Window,
+// which the caller has Set, each gate's waveform must equal the
+// oracle's up to the upper end of its window. It returns the oracle's
+// run.
 func checkRunMatchesEvents(t testing.TB, c *circuit.Circuit, kern *Engine, full *eventSim, delays []float64, p logicsim.PatternPair, opts Options) *eventResult {
 	t.Helper()
 	got := kern.Run(delays, p, opts)
 	want := full.run(delays, p, opts)
-	what := fmt.Sprintf("full run arc %d extra %v clk %v", opts.DefectArc, opts.DefectExtra, opts.Horizon)
+	what := fmt.Sprintf("full run arc %d extra %v clk %v windowed %v", opts.DefectArc, opts.DefectExtra, opts.Horizon, opts.Window != nil)
 	for g := range c.Gates {
 		w := got.Waveform(circuit.GateID(g))
-		checkWaveform(t, what, g, w, want.Waveforms[g], want.Init[g])
+		raw := want.Waveforms[g]
+		if opts.Window != nil {
+			raw = truncate(raw, opts.Window.hi[g])
+		}
+		checkWaveform(t, what, g, w, raw, want.Init[g])
 		if got.Transitioned(circuit.GateID(g)) != (len(w) > 0) {
 			t.Fatalf("%s: gate %d Transitioned %v with waveform %v", what, g, got.Transitioned(circuit.GateID(g)), w)
 		}
@@ -123,8 +172,8 @@ func checkRunMatchesEvents(t testing.TB, c *circuit.Circuit, kern *Engine, full 
 		if rc := rightContinuous(want.Waveforms[o], want.Init[o]); len(rc) > 0 {
 			last = rc[len(rc)-1].T
 		}
-		if got.LastChange[i] != last {
-			t.Fatalf("%s: output %d LastChange %v, oracle's last step %v", what, i, got.LastChange[i], last)
+		if got := lastStep(got, o); got != last {
+			t.Fatalf("%s: output %d last step %v, oracle's last step %v", what, i, got, last)
 		}
 	}
 	return want
@@ -135,11 +184,18 @@ func checkRunMatchesEvents(t testing.TB, c *circuit.Circuit, kern *Engine, full 
 // run under the defect overlay and, with oracle set, with the
 // pointwise refValue. It also checks every gate's waveform as the
 // kernel left it (rebuilt or baseline) against the oracle's, step
-// times compared exactly. It reports whether the defect changed any
+// times compared exactly. With win set, the baseline and the defect
+// pass run under win, Set here, and each waveform is checked inside
+// its gate's window only. It reports whether the defect changed any
 // capture.
-func checkDefectDiff(t testing.TB, c *circuit.Circuit, kern *Engine, full *eventSim, delays []float64, pair logicsim.PatternPair, arc circuit.ArcID, extra, clk float64, oracle bool) bool {
+func checkDefectDiff(t testing.TB, c *circuit.Circuit, kern *Engine, full *eventSim, delays []float64, pair logicsim.PatternPair, arc circuit.ArcID, extra, clk float64, oracle bool, win *Window) bool {
 	t.Helper()
-	base := kern.Run(delays, pair, AtClock(clk))
+	baseOpts := AtClock(clk)
+	if win != nil {
+		win.Set(delays, clk)
+		baseOpts.Window = win
+	}
+	base := kern.Run(delays, pair, baseOpts)
 	baseCapture := append([]bool(nil), base.Capture...)
 	got := kern.RunDefectDiff(delays, base, arc, extra, clk)
 
@@ -147,9 +203,13 @@ func checkDefectDiff(t testing.TB, c *circuit.Circuit, kern *Engine, full *event
 	opts.DefectArc = arc
 	opts.DefectExtra = extra
 	want := full.run(delays, pair, opts)
-	what := fmt.Sprintf("arc %d extra %v clk %v", arc, extra, clk)
+	what := fmt.Sprintf("arc %d extra %v clk %v windowed %v", arc, extra, clk, win != nil)
 	for g := range c.Gates {
 		kw, _ := kern.DefectWaveform(base, circuit.GateID(g))
+		if win != nil {
+			checkWaveformInWindow(t, what, g, kw, want.Waveforms[g], base.Init[g], win.lo[g], min(clk, win.hi[g]))
+			continue
+		}
 		checkWaveform(t, what, g, kw, want.Waveforms[g], base.Init[g])
 	}
 	changed := false
@@ -181,14 +241,15 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		pair := randPair(r, c)
 		arc := circuit.ArcID(r.IntN(len(c.Arcs)))
 		extra := 0.3 + 2*r.Float64()
-		checkDefectDiff(t, c, kern, full, inst.Delays, pair, arc, extra, clk, false)
+		checkDefectDiff(t, c, kern, full, inst.Delays, pair, arc, extra, clk, false, nil)
 	}
 }
 
 // TestDefectDiffMatchesFullOnGrid pins the kernel to the event oracle
 // on instances whose delays sit on a coarse grid: dyadic grids make
 // the float sums exact, so reconvergent paths tie and zero-width
-// toggles occur; 0.1 makes equal real sums round apart. The test also
+// toggles occur; 0.1 makes equal real sums round apart. Every defect
+// runs twice, without and with observation windows. The test also
 // asserts that zero-width toggles and capture-changing defects
 // occurred, so the coverage is real.
 func TestDefectDiffMatchesFullOnGrid(t *testing.T) {
@@ -198,10 +259,10 @@ func TestDefectDiffMatchesFullOnGrid(t *testing.T) {
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
 	cell := m.MeanCellDelay()
-	kern, full := NewEngine(c), newEventSim(c)
+	kern, full, win := NewEngine(c), newEventSim(c), NewWindow(c)
 	r := rng.New(5)
 	for _, grid := range []float64{0.5, 0.25, 0.1} {
-		zeroWidth, changed := 0, 0
+		zeroWidth, changed, changedWindowed := 0, 0, 0
 		for trial := 0; trial < 120; trial++ {
 			delays := snapDelays(m.SampleInstance(r).Delays, grid)
 			pair := randPair(r, c)
@@ -213,8 +274,11 @@ func TestDefectDiffMatchesFullOnGrid(t *testing.T) {
 			for k := 0; k < 8; k++ {
 				arc := circuit.ArcID(r.IntN(len(c.Arcs)))
 				extra := math.Max(grid, math.Round(3*cell*r.Float64()/grid)*grid)
-				if checkDefectDiff(t, c, kern, full, delays, pair, arc, extra, clk, false) {
+				if checkDefectDiff(t, c, kern, full, delays, pair, arc, extra, clk, false, nil) {
 					changed++
+				}
+				if checkDefectDiff(t, c, kern, full, delays, pair, arc, extra, clk, false, win) {
+					changedWindowed++
 				}
 			}
 		}
@@ -222,13 +286,18 @@ func TestDefectDiffMatchesFullOnGrid(t *testing.T) {
 			t.Errorf("grid %v: %d zero-width steps, %d defects that changed a capture; want both > 0",
 				grid, zeroWidth, changed)
 		}
+		if changedWindowed != changed {
+			t.Errorf("grid %v: %d defects changed a capture without windows, %d with", grid, changed, changedWindowed)
+		}
 	}
 }
 
 // TestRunMatchesEventOracleOnGrid pins the kernel's full run to the
 // event oracle on the grids of TestDefectDiffMatchesFullOnGrid, with
 // and without a defect overlay: captures, waveforms, Transitioned and
-// LastChange must agree exactly for every gate. It asserts that
+// each output's last step must agree exactly for every gate. Every run
+// is repeated under observation windows, where each waveform must be
+// the oracle's cut at its window's upper end. It asserts that
 // zero-width toggles occurred, the case where the two differ in their
 // raw histories.
 func TestRunMatchesEventOracleOnGrid(t *testing.T) {
@@ -238,7 +307,7 @@ func TestRunMatchesEventOracleOnGrid(t *testing.T) {
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
 	cell := m.MeanCellDelay()
-	kern, full := NewEngine(c), newEventSim(c)
+	kern, full, win := NewEngine(c), newEventSim(c), NewWindow(c)
 	r := rng.New(11)
 	for _, grid := range []float64{0.5, 0.25, 0.1} {
 		zeroWidth := 0
@@ -257,6 +326,9 @@ func TestRunMatchesEventOracleOnGrid(t *testing.T) {
 				opts.DefectExtra = math.Max(grid, math.Round(3*cell*r.Float64()/grid)*grid)
 			}
 			zeroWidth += zeroWidthSteps(checkRunMatchesEvents(t, c, kern, full, delays, pair, opts))
+			win.Set(delays, opts.Horizon)
+			opts.Window = win
+			checkRunMatchesEvents(t, c, kern, full, delays, pair, opts)
 		}
 		if zeroWidth == 0 {
 			t.Errorf("grid %v: no zero-width steps; want > 0", grid)
@@ -289,7 +361,7 @@ func TestDefectDiffMatchesPointwiseOracle(t *testing.T) {
 			extra = math.Round(extra/grid) * grid
 			clk = math.Round(clk/grid) * grid
 		}
-		checkDefectDiff(t, c, kern, full, delays, pair, arc, extra, clk, true)
+		checkDefectDiff(t, c, kern, full, delays, pair, arc, extra, clk, true, nil)
 	}
 }
 
@@ -400,7 +472,8 @@ func TestIncrementalRequiresWaveforms(t *testing.T) {
 // its full run with the defect overlay against the event oracle and,
 // except on the non-dyadic 0.1 grid (see
 // TestDefectDiffMatchesPointwiseOracle), the re-simulation against
-// refValue.
+// refValue. The high bit of gridSel runs both under observation
+// windows.
 func FuzzDefectDiff(f *testing.F) {
 	c, err := synth.GenerateNamed("mini", 13)
 	if err != nil {
@@ -408,14 +481,19 @@ func FuzzDefectDiff(f *testing.F) {
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
 	cell := m.MeanCellDelay()
-	kern, full := NewEngine(c), newEventSim(c)
+	kern, full, win := NewEngine(c), newEventSim(c), NewWindow(c)
 	f.Add(uint64(1), uint8(0), uint16(0), uint8(40), uint8(128))
 	f.Add(uint64(2), uint8(1), uint16(17), uint8(200), uint8(90))
 	f.Add(uint64(3), uint8(2), uint16(63), uint8(7), uint8(255))
 	f.Add(uint64(4), uint8(3), uint16(5), uint8(255), uint8(30))
+	f.Add(uint64(5), uint8(0x81), uint16(23), uint8(120), uint8(70))
 	f.Fuzz(func(t *testing.T, seed uint64, gridSel uint8, arcRaw uint16, extraRaw, clkRaw uint8) {
 		r := rng.New(seed)
-		grid := []float64{0, 0.5, 0.25, 0.125, 0.1}[int(gridSel)%5]
+		grid := []float64{0, 0.5, 0.25, 0.125, 0.1}[int(gridSel&0x7f)%5]
+		var w *Window
+		if gridSel&0x80 != 0 {
+			w = win
+		}
 		delays := snapDelays(m.SampleInstance(r).Delays, grid)
 		pair := randPair(r, c)
 		arc := circuit.ArcID(int(arcRaw) % len(c.Arcs))
@@ -430,10 +508,11 @@ func FuzzDefectDiff(f *testing.F) {
 				clk = math.Round(clk/grid) * grid
 			}
 		}
-		checkDefectDiff(t, c, kern, full, delays, pair, arc, extra, clk, grid != 0.1)
+		checkDefectDiff(t, c, kern, full, delays, pair, arc, extra, clk, grid != 0.1, w)
 		opts := AtClock(clk)
 		opts.DefectArc = arc
 		opts.DefectExtra = extra
+		opts.Window = w
 		checkRunMatchesEvents(t, c, kern, full, delays, pair, opts)
 	})
 }

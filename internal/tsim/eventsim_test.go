@@ -46,8 +46,7 @@ type fanRef struct {
 // eventResult is one eventSim run.
 type eventResult struct {
 	Capture      []bool
-	LastChange   []float64 // time of output i's last committed step
-	Transitioned []bool    // gate g committed at least one step
+	Transitioned []bool // gate g committed at least one step
 	Init, Final  []bool
 	Waveforms    [][]Step // raw, zero-width toggles included
 }
@@ -82,7 +81,6 @@ func (e *eventSim) run(delays []float64, p logicsim.PatternPair, opts Options) *
 	c := e.c
 	res := &eventResult{
 		Capture:      make([]bool, len(c.Outputs)),
-		LastChange:   make([]float64, len(c.Outputs)),
 		Transitioned: make([]bool, len(c.Gates)),
 		Init:         logicsim.Eval(c, p.V1),
 		Final:        logicsim.Eval(c, p.V2),
@@ -125,9 +123,6 @@ func (e *eventSim) run(delays []float64, p logicsim.PatternPair, opts Options) *
 	}
 	for i, o := range c.Outputs {
 		res.Capture[i] = e.cur[o]
-		if w := res.Waveforms[o]; len(w) > 0 {
-			res.LastChange[i] = w[len(w)-1].T
-		}
 	}
 	return res
 }

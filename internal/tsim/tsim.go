@@ -26,6 +26,15 @@
 // per-suspect fault dictionary construction tractable. Defect overlays
 // (extra delay on one arc, the single-defect model D_s) never copy the
 // instance.
+//
+// A run may be given the instance's observation windows (Window,
+// window.go): gate g can change a capture at clk only inside
+// [clk − maxDown(g), clk − minDown(g)], where maxDown and minDown are
+// its longest and shortest delays to an output. Such a run builds each
+// waveform only up to its window's upper end, and its defect passes
+// compare inside windows, so "quiet" and "unchanged" mean quiet and
+// unchanged up to, or inside, the gate's window. Captures are exactly
+// those of the run without windows.
 package tsim
 
 import (
@@ -47,6 +56,13 @@ type Options struct {
 	// DefectArc, if not NoDefect, adds DefectExtra to that arc's delay.
 	DefectArc   circuit.ArcID
 	DefectExtra float64
+	// Window, if not nil, holds the observation windows Set for the
+	// run's delays (without the defect) and Horizon. The run then
+	// builds each gate's waveform only up to the upper end of its
+	// window, and defect passes against it compare inside the window.
+	// Captures are unchanged; waveforms are exact only up to their
+	// window's upper end. nil simulates every gate up to Horizon.
+	Window *Window
 }
 
 // Step is one transition in a recorded waveform.
@@ -63,27 +79,27 @@ type Step struct {
 type Result struct {
 	// Capture[i] is the value of output i sampled at the horizon.
 	Capture []bool
-	// LastChange[i] is the time of the last step of output i's
-	// waveform (0 when the output never changes). With an infinite
-	// horizon this is the output's arrival time.
-	LastChange []float64
 	// Init and Final are the settled gate values under V1 and V2.
 	Init, Final []bool
-	// w holds every gate's waveform up to the horizon.
-	w *waves
+	// w holds every gate's waveform up to the horizon, or up to the
+	// upper end of its window under win.
+	w   *waves
+	win *Window
 }
 
 // Waveform returns gate g's right-continuous waveform up to the
-// horizon: one step per instant at which its value changes, in time
-// order, starting from Init[g]. Same-instant (zero-width) toggles are
-// not steps. The slice aliases engine scratch, like the Result.
+// horizon (under a Window, up to the upper end of g's window): one
+// step per instant at which its value changes, in time order, starting
+// from Init[g]. Same-instant (zero-width) toggles are not steps. The
+// slice aliases engine scratch, like the Result.
 func (r *Result) Waveform(g circuit.GateID) []Step {
 	w, _ := r.w.get(g)
 	return w
 }
 
 // Transitioned reports whether gate g's output changed within the
-// horizon, i.e. whether its waveform has a step.
+// horizon (under a Window, within the upper end of g's window), i.e.
+// whether its waveform has a step.
 func (r *Result) Transitioned(g circuit.GateID) bool {
 	return len(r.Waveform(g)) > 0
 }
@@ -144,6 +160,12 @@ func gateMode(t circuit.CellType) uint8 {
 type Engine struct {
 	c     *circuit.Circuit
 	gmode []uint8
+	// Gate g's input pins k = finOff[g] … finOff[g+1]−1 are driven by
+	// fin[k] through arc finArc[k]; its fan-out gates are
+	// fout[foutOff[g]:foutOff[g+1]]. Flat copies of the netlist's
+	// Fanin, InArcs and Fanout for the kernel's inner loops.
+	finOff, fin, finArc []int32
+	foutOff, fout       []int32
 	// run holds the waveforms of the last Run; diff those the last
 	// RunDefectDiff rebuilt. The two are disjoint, so the kernel may
 	// run against a baseline recorded by the same engine.
@@ -153,30 +175,44 @@ type Engine struct {
 
 	// res and the settled-value and capture buffers are reused across
 	// runs, making steady-state simulation allocation-free.
-	res           Result
-	initBuf       []bool
-	finalBuf      []bool
-	captureBuf    []bool
-	lastChangeBuf []float64
-	diffCapture   []bool
+	res         Result
+	initBuf     []bool
+	finalBuf    []bool
+	captureBuf  []bool
+	diffCapture []bool
 }
 
 // NewEngine returns an Engine for circuit c.
 func NewEngine(c *circuit.Circuit) *Engine {
-	gmode := make([]uint8, len(c.Gates))
-	for i := range c.Gates {
-		gmode[i] = gateMode(c.Gates[i].Type)
+	n := len(c.Gates)
+	e := &Engine{
+		c:           c,
+		gmode:       make([]uint8, n),
+		finOff:      make([]int32, n+1),
+		fin:         make([]int32, 0, len(c.Arcs)),
+		finArc:      make([]int32, 0, len(c.Arcs)),
+		foutOff:     make([]int32, n+1),
+		fout:        make([]int32, 0, len(c.Arcs)),
+		run:         newWaves(n),
+		diff:        newWaves(n),
+		queue:       newWorklist(c),
+		captureBuf:  make([]bool, len(c.Outputs)),
+		diffCapture: make([]bool, len(c.Outputs)),
 	}
-	return &Engine{
-		c:             c,
-		gmode:         gmode,
-		run:           newWaves(len(c.Gates)),
-		diff:          newWaves(len(c.Gates)),
-		queue:         newWorklist(c),
-		captureBuf:    make([]bool, len(c.Outputs)),
-		lastChangeBuf: make([]float64, len(c.Outputs)),
-		diffCapture:   make([]bool, len(c.Outputs)),
+	for g := range c.Gates {
+		gate := &c.Gates[g]
+		e.gmode[g] = gateMode(gate.Type)
+		for k, fi := range gate.Fanin {
+			e.fin = append(e.fin, int32(fi))
+			e.finArc = append(e.finArc, int32(gate.InArcs[k]))
+		}
+		e.finOff[g+1] = int32(len(e.fin))
+		for _, h := range gate.Fanout {
+			e.fout = append(e.fout, int32(h))
+		}
+		e.foutOff[g+1] = int32(len(e.fout))
 	}
+	return e
 }
 
 // arcDelay resolves an arc's effective delay under the defect overlay.
@@ -206,7 +242,8 @@ func (e *Engine) Run(delays []float64, p logicsim.PatternPair, opts Options) *Re
 //
 // The run is one kernel pass against an all-quiet baseline: each input
 // that toggles gets one step at t = 0 and queues its fan-out, so gates
-// no toggling input reaches are never visited.
+// no toggling input reaches are never visited. Under opts.Window an
+// input whose window ends before 0 stays quiet.
 //
 //ddd:hot
 func (e *Engine) RunSettled(delays []float64, p logicsim.PatternPair, opts Options, init, final []bool) *Result {
@@ -215,32 +252,29 @@ func (e *Engine) RunSettled(delays []float64, p logicsim.PatternPair, opts Optio
 	w.reset()
 	e.queue.reset()
 	for i, g := range c.Inputs {
-		if p.V1[i] == p.V2[i] {
+		if p.V1[i] == p.V2[i] || opts.Window != nil && opts.Window.hi[g] < 0 {
 			continue
 		}
 		w.steps = append(w.steps, Step{T: 0, V: p.V2[i]})
 		w.keep(g, len(w.steps)-1)
-		for _, h := range c.Gates[g].Fanout {
-			e.queue.push(h)
-		}
+		e.pushFanout(w, nil, g, delays, &opts)
 	}
 	e.propagate(w, nil, init, delays, &opts)
 
 	res := &e.res
 	*res = Result{
-		Capture:    e.captureBuf,
-		LastChange: e.lastChangeBuf,
-		Init:       init,
-		Final:      final,
-		w:          w,
+		Capture: e.captureBuf,
+		Init:    init,
+		Final:   final,
+		w:       w,
+		win:     opts.Window,
 	}
 	for i, o := range c.Outputs {
-		v, t := init[o], 0.0
+		v := init[o]
 		if s, _ := w.get(o); len(s) > 0 {
-			v, t = s[len(s)-1].V, s[len(s)-1].T
+			v = s[len(s)-1].V
 		}
 		res.Capture[i] = v
-		res.LastChange[i] = t
 	}
 	return res
 }
