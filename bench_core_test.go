@@ -40,14 +40,15 @@ func benchCoreModel(b *testing.B) *timing.Model {
 	return timing.NewModel(c, timing.DefaultParams())
 }
 
-// mcClock is the Monte-Carlo engine's q-quantile clock pick.
+// mcClock is the Monte-Carlo q-quantile clock pick: the circuit-delay
+// quantile of an STA run on the 0x51a9 sub-stream of seed.
 func mcClock(b *testing.B, m *timing.Model, q float64, nSamples int, seed uint64) float64 {
 	b.Helper()
-	clk, err := timing.NewMC(m).SuggestClock(context.Background(), q, nSamples, seed, 0)
+	res, err := timing.NewMC(m).STA(context.Background(), nSamples, rng.Derive(seed, 0x51a9), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return clk
+	return res.CircuitDelay.Quantile(q)
 }
 
 // BenchmarkCoreMonteCarloSTA tracks the statistical STA sampling loop:

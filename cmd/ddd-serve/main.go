@@ -64,43 +64,73 @@ import (
 	"repro/internal/service"
 )
 
-func main() {
-	addr := flag.String("addr", ":8344", "listen address")
-	dicts := flag.String("dicts", "", "dictionary directory (required; files named <id>.dict)")
-	cacheMB := flag.Int64("cache-mb", 256, "dictionary cache budget in MiB")
-	shards := flag.Int("shards", 8, "cache shard count")
-	workers := flag.Int("workers", 0, "diagnosis workers (0 = NumCPU)")
-	queue := flag.Int("queue", 64, "worker queue depth (full queue answers 429)")
-	batchWorkers := flag.Int("batch-workers", 0, "parallelism inside one same-dictionary batch (0 = min(4, NumCPU))")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline (alias of -request-timeout)")
-	reqTimeout := flag.Duration("request-timeout", 0, "per-request deadline; wins over -timeout when set")
-	loadRetries := flag.Int("load-retries", 2, "transparent retries of a failed dictionary load (0 = fail fast)")
-	faults := flag.String("faults", "", "arm fault-injection sites: comma-separated site:prob:seed[:param] (also DDD_FAULTS env; flag wins)")
-	preload := flag.String("preload", "", "comma-separated dictionary ids to warm before ready, or \"all\"")
-	grace := flag.Duration("grace", 15*time.Second, "shutdown drain budget")
-	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	engineName := flag.String("engine", "", "timing engine the served dictionaries were built with (mc|analytic; shown in /stats)")
-	router := flag.String("router", "", "run as a router over this comma-separated replica URL list instead of serving dictionaries")
-	replicasFile := flag.String("replicas-file", "", "router: replica URL list file (one per line, #-comments); reloaded on change")
-	hedgeAfter := flag.Duration("hedge-after", 30*time.Millisecond, "router: latency budget before hedging to the next replica on the ring")
-	maxHedges := flag.Int("max-hedges", 1, "router: extra attempts beyond the first (0 disables hedging)")
-	vnodes := flag.Int("vnodes", 0, "router: virtual nodes per replica on the placement ring (0 = default 64)")
-	healthInterval := flag.Duration("health-interval", 2*time.Second, "router: replica health-probe cadence (0 disables active health checking)")
-	healthTimeout := flag.Duration("health-timeout", 2*time.Second, "router: per-probe timeout")
-	failAfter := flag.Int("fail-after", 3, "router: consecutive probe failures that demote a replica out of the ring")
-	recoverAfter := flag.Int("recover-after", 2, "router: consecutive probe successes that promote a replica back")
-	breakerFailures := flag.Int("breaker-failures", 3, "router: consecutive transport errors that open a replica's circuit")
-	breakerCooldown := flag.Duration("breaker-cooldown", 2*time.Second, "router: open-circuit wait before a half-open probe")
-	breakerSuccesses := flag.Int("breaker-successes", 2, "router: half-open probe successes that close the circuit")
-	rebalanceWorkers := flag.Int("rebalance-workers", 2, "router: concurrent snapshot transfers during a rebalance")
-	rebalanceRetries := flag.Int("rebalance-retries", 3, "router: per-transfer retry budget beyond the first attempt")
-	rebalanceJournal := flag.String("rebalance-journal", "", "router: JSONL transfer journal path (enables restart resume)")
-	flag.Parse()
+// options holds the parsed command line: the flags bind straight into
+// the replica and router configs, plus the process-level settings
+// neither config carries.
+type options struct {
+	cfg          service.Config
+	rcfg         service.RouterConfig
+	addr         string
+	reqTimeout   time.Duration
+	faults       string
+	preload      string
+	grace        time.Duration
+	router       string
+	replicasFile string
+}
 
-	if *reqTimeout > 0 {
-		*timeout = *reqTimeout
+// newFlags registers the flags on fs. Call resolve after parsing.
+func newFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	cfg, rcfg := &o.cfg, &o.rcfg
+	fs.StringVar(&o.addr, "addr", ":8344", "listen address")
+	fs.StringVar(&cfg.Dir, "dicts", "", "dictionary directory (required; files named <id>.dict)")
+	fs.Int64Var(&cfg.CacheBytes, "cache-mb", 256, "dictionary cache budget in MiB")
+	fs.IntVar(&cfg.CacheShards, "shards", 8, "cache shard count")
+	fs.IntVar(&cfg.Workers, "workers", 0, "diagnosis workers (0 = NumCPU)")
+	fs.IntVar(&cfg.QueueDepth, "queue", 64, "worker queue depth (full queue answers 429)")
+	fs.IntVar(&cfg.BatchWorkers, "batch-workers", 0, "parallelism inside one same-dictionary batch (0 = min(4, NumCPU))")
+	fs.DurationVar(&cfg.RequestTimeout, "timeout", 10*time.Second, "per-request deadline (alias of -request-timeout)")
+	fs.DurationVar(&o.reqTimeout, "request-timeout", 0, "per-request deadline; wins over -timeout when set")
+	fs.IntVar(&cfg.LoadRetries, "load-retries", 2, "transparent retries of a failed dictionary load (0 = fail fast)")
+	fs.StringVar(&o.faults, "faults", "", "arm fault-injection sites: comma-separated site:prob:seed[:param] (also DDD_FAULTS env; flag wins)")
+	fs.StringVar(&o.preload, "preload", "", "comma-separated dictionary ids to warm before ready, or \"all\"")
+	fs.DurationVar(&o.grace, "grace", 15*time.Second, "shutdown drain budget")
+	fs.BoolVar(&cfg.EnablePprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
+	fs.StringVar(&cfg.Engine, "engine", "", "timing engine the served dictionaries were built with (mc|analytic; shown in /stats)")
+	fs.StringVar(&o.router, "router", "", "run as a router over this comma-separated replica URL list instead of serving dictionaries")
+	fs.StringVar(&o.replicasFile, "replicas-file", "", "router: replica URL list file (one per line, #-comments); reloaded on change")
+	fs.DurationVar(&rcfg.HedgeAfter, "hedge-after", 30*time.Millisecond, "router: latency budget before hedging to the next replica on the ring")
+	fs.IntVar(&rcfg.MaxHedges, "max-hedges", 1, "router: extra attempts beyond the first (0 disables hedging)")
+	fs.IntVar(&rcfg.VNodes, "vnodes", 0, "router: virtual nodes per replica on the placement ring (0 = default 64)")
+	fs.DurationVar(&rcfg.HealthInterval, "health-interval", 2*time.Second, "router: replica health-probe cadence (0 disables active health checking)")
+	fs.DurationVar(&rcfg.HealthTimeout, "health-timeout", 2*time.Second, "router: per-probe timeout")
+	fs.IntVar(&rcfg.FailAfter, "fail-after", 3, "router: consecutive probe failures that demote a replica out of the ring")
+	fs.IntVar(&rcfg.RecoverAfter, "recover-after", 2, "router: consecutive probe successes that promote a replica back")
+	fs.IntVar(&rcfg.BreakerFailures, "breaker-failures", 3, "router: consecutive transport errors that open a replica's circuit")
+	fs.DurationVar(&rcfg.BreakerCooldown, "breaker-cooldown", 2*time.Second, "router: open-circuit wait before a half-open probe")
+	fs.IntVar(&rcfg.BreakerSuccesses, "breaker-successes", 2, "router: half-open probe successes that close the circuit")
+	fs.IntVar(&rcfg.RebalanceWorkers, "rebalance-workers", 2, "router: concurrent snapshot transfers during a rebalance")
+	fs.IntVar(&rcfg.RebalanceRetries, "rebalance-retries", 3, "router: per-transfer retry budget beyond the first attempt")
+	fs.StringVar(&rcfg.JournalPath, "rebalance-journal", "", "router: JSONL transfer journal path (enables restart resume)")
+	return o
+}
+
+// resolve finishes the configs after parsing: -cache-mb was parsed in
+// MiB, and -request-timeout, when set, wins over -timeout in both.
+func (o *options) resolve() {
+	o.cfg.CacheBytes <<= 20
+	if o.reqTimeout > 0 {
+		o.cfg.RequestTimeout = o.reqTimeout
 	}
-	spec := *faults
+	o.rcfg.RequestTimeout = o.cfg.RequestTimeout
+}
+
+func main() {
+	o := newFlags(flag.CommandLine)
+	flag.Parse()
+	o.resolve()
+	spec := o.faults
 	if spec == "" {
 		spec = os.Getenv("DDD_FAULTS")
 	}
@@ -110,67 +140,36 @@ func main() {
 	if spec != "" {
 		log.Printf("fault injection armed: %s", spec)
 	}
-	if *router != "" || *replicasFile != "" {
-		err := runRouter(routerOptions{
-			addr:             *addr,
-			replicas:         *router,
-			replicasFile:     *replicasFile,
-			hedgeAfter:       *hedgeAfter,
-			maxHedges:        *maxHedges,
-			vnodes:           *vnodes,
-			timeout:          *timeout,
-			grace:            *grace,
-			healthInterval:   *healthInterval,
-			healthTimeout:    *healthTimeout,
-			failAfter:        *failAfter,
-			recoverAfter:     *recoverAfter,
-			breakerFailures:  *breakerFailures,
-			breakerCooldown:  *breakerCooldown,
-			breakerSuccesses: *breakerSuccesses,
-			rebalanceWorkers: *rebalanceWorkers,
-			rebalanceRetries: *rebalanceRetries,
-			journal:          *rebalanceJournal,
-		})
-		if err != nil {
+	if o.router != "" || o.replicasFile != "" {
+		if err := runRouter(o); err != nil {
 			log.Fatalf("ddd-serve: %v", err)
 		}
 		return
 	}
-	if *dicts == "" {
+	if o.cfg.Dir == "" {
 		fmt.Fprintln(os.Stderr, "ddd-serve: -dicts is required (or -router/-replicas-file for router mode)")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*addr, *dicts, *cacheMB, *shards, *workers, *queue, *batchWorkers, *timeout, *loadRetries, *preload, *grace, *pprofFlag, *engineName); err != nil {
+	if err := run(o); err != nil {
 		log.Fatalf("ddd-serve: %v", err)
 	}
 }
 
-func run(addr, dicts string, cacheMB int64, shards, workers, queue, batchWorkers int, timeout time.Duration, loadRetries int, preload string, grace time.Duration, enablePprof bool, engineName string) error {
-	cfg := service.Config{
-		Engine:         engineName,
-		Dir:            dicts,
-		CacheBytes:     cacheMB << 20,
-		CacheShards:    shards,
-		Workers:        workers,
-		QueueDepth:     queue,
-		BatchWorkers:   batchWorkers,
-		RequestTimeout: timeout,
-		LoadRetries:    loadRetries,
-		EnablePprof:    enablePprof,
-	}
+func run(o *options) error {
+	cfg := o.cfg
 	var err error
-	if cfg.Preload, err = preloadList(preload, dicts); err != nil {
+	if cfg.Preload, err = preloadList(o.preload, cfg.Dir); err != nil {
 		return err
 	}
 	srv, err := service.New(cfg)
 	if err != nil {
 		return err
 	}
-	if err := srv.Start(addr); err != nil {
+	if err := srv.Start(o.addr); err != nil {
 		return err
 	}
-	log.Printf("serving on %s (dictionaries from %s)", srv.Addr(), dicts)
+	log.Printf("serving on %s (dictionaries from %s)", srv.Addr(), cfg.Dir)
 
 	// Warm the preload list in the background; /readyz turns 200 when
 	// it completes. A failed preload is fatal — the operator asked for
@@ -188,7 +187,7 @@ func run(addr, dicts string, cacheMB int64, shards, workers, queue, batchWorkers
 	select {
 	case err := <-warmErr:
 		if err != nil {
-			shutdown(srv, grace)
+			shutdown(srv, o.grace)
 			return err
 		}
 		log.Printf("ready")
@@ -196,7 +195,7 @@ func run(addr, dicts string, cacheMB int64, shards, workers, queue, batchWorkers
 	case <-sig:
 	}
 	log.Printf("shutting down, draining in-flight requests")
-	return shutdown(srv, grace)
+	return shutdown(srv, o.grace)
 }
 
 func shutdown(srv *service.Server, grace time.Duration) error {
@@ -205,82 +204,41 @@ func shutdown(srv *service.Server, grace time.Duration) error {
 	return srv.Shutdown(ctx)
 }
 
-// routerOptions carries the router-mode flag values.
-type routerOptions struct {
-	addr         string
-	replicas     string
-	replicasFile string
-	hedgeAfter   time.Duration
-	maxHedges    int
-	vnodes       int
-	timeout      time.Duration
-	grace        time.Duration
-
-	healthInterval time.Duration
-	healthTimeout  time.Duration
-	failAfter      int
-	recoverAfter   int
-
-	breakerFailures  int
-	breakerCooldown  time.Duration
-	breakerSuccesses int
-
-	rebalanceWorkers int
-	rebalanceRetries int
-	journal          string
-}
-
 // runRouter runs the process as the sharded tier's router until
 // SIGINT/SIGTERM, watching the replicas file (when given) for
 // membership edits.
-func runRouter(opt routerOptions) error {
-	var replicas []string
+func runRouter(o *options) error {
+	rcfg := o.rcfg
 	switch {
-	case opt.replicasFile != "" && opt.replicas != "":
+	case o.replicasFile != "" && o.router != "":
 		return fmt.Errorf("-router and -replicas-file are mutually exclusive")
-	case opt.replicasFile != "":
+	case o.replicasFile != "":
 		var err error
-		if replicas, err = service.LoadReplicasFile(opt.replicasFile); err != nil {
+		if rcfg.Replicas, err = service.LoadReplicasFile(o.replicasFile); err != nil {
 			return err
 		}
 	default:
-		replicas = strings.Split(opt.replicas, ",")
+		rcfg.Replicas = strings.Split(o.router, ",")
 	}
-	rt, err := service.NewRouter(service.RouterConfig{
-		Replicas:         replicas,
-		VNodes:           opt.vnodes,
-		HedgeAfter:       opt.hedgeAfter,
-		MaxHedges:        opt.maxHedges,
-		RequestTimeout:   opt.timeout,
-		HealthInterval:   opt.healthInterval,
-		HealthTimeout:    opt.healthTimeout,
-		FailAfter:        opt.failAfter,
-		RecoverAfter:     opt.recoverAfter,
-		BreakerFailures:  opt.breakerFailures,
-		BreakerCooldown:  opt.breakerCooldown,
-		BreakerSuccesses: opt.breakerSuccesses,
-		RebalanceWorkers: opt.rebalanceWorkers,
-		RebalanceRetries: opt.rebalanceRetries,
-		JournalPath:      opt.journal,
-	})
+	rt, err := service.NewRouter(rcfg)
 	if err != nil {
 		return err
 	}
-	if err := rt.Start(opt.addr); err != nil {
+	if err := rt.Start(o.addr); err != nil {
 		return err
 	}
 	log.Printf("routing on %s over %v (hedge after %v, max %d, health interval %v)",
-		rt.Addr(), rt.Ring().Replicas(), opt.hedgeAfter, opt.maxHedges, opt.healthInterval)
+		rt.Addr(), rt.Ring().Replicas(), rcfg.HedgeAfter, rcfg.MaxHedges, rcfg.HealthInterval)
 	stopWatch := make(chan struct{})
-	if opt.replicasFile != "" {
-		go watchReplicasFile(rt, opt.replicasFile, stopWatch)
+	if o.replicasFile != "" {
+		go watchReplicasFile(rt, o.replicasFile, stopWatch)
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	close(stopWatch)
 	log.Printf("shutting down router")
-	ctx, cancel := context.WithTimeout(context.Background(), opt.grace)
+	ctx, cancel := context.WithTimeout(context.Background(), o.grace)
 	defer cancel()
 	return rt.Shutdown(ctx)
 }

@@ -14,10 +14,10 @@ package eval
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -255,55 +255,21 @@ func (ck *Checkpoint) Record(i int, cs CaseResult) error {
 }
 
 func (ck *Checkpoint) writeAll() error {
-	dir := filepath.Dir(ck.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(ck.path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("eval: checkpoint %s: %w", ck.path, err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("eval: checkpoint %s: %w", ck.path, err)
-	}
-	w := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	if err := enc.Encode(journalHeader{Version: journalVersion, Fingerprint: ck.fp}); err != nil {
-		return fail(err)
+		return fmt.Errorf("eval: checkpoint %s: %w", ck.path, err)
 	}
 	// Cases are journaled in index order so the file is stable for a
 	// given completion set and torn-tail recovery skips only the tail.
 	for _, i := range sortedCases(ck.done) {
 		if err := enc.Encode(journalLine{Case: i, Result: toCaseJSON(ck.done[i])}); err != nil {
-			return fail(err)
+			return fmt.Errorf("eval: checkpoint %s: %w", ck.path, err)
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
+	if err := core.WriteFileAtomic(ck.path, buf.Bytes()); err != nil {
 		return fmt.Errorf("eval: checkpoint %s: %w", ck.path, err)
 	}
-	if err := os.Rename(tmpName, ck.path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("eval: checkpoint %s: %w", ck.path, err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-completed rename is durable;
-// platforms where directories cannot be fsynced degrade to a no-op.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	_ = d.Sync()
 	return nil
 }
 

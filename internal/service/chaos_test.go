@@ -162,6 +162,13 @@ func TestChaosWorkerPanicContained(t *testing.T) {
 			t.Fatalf("panic response is not structured JSON: %v (%s)", err, body)
 		}
 	}
+	// runBatch answers each request before it re-panics into the pool
+	// worker that counts the panic, so the sixth 500 can arrive before
+	// the counter moves: wait for the count to reach 6, then check it
+	// is exactly 6.
+	waitUntil(t, 5*time.Second, "pool to count six panics", func() bool {
+		return s.pool.Stats().Panics >= 6
+	})
 	if got := s.pool.Stats().Panics; got != 6 {
 		t.Errorf("pool panics = %d, want 6", got)
 	}

@@ -44,32 +44,12 @@ func (e *MC) Criticality(ctx context.Context, nSamples int, seed uint64, workers
 		critSeconds.Add(time.Since(start).Seconds())
 	}()
 	critSamples.Add(float64(nSamples))
-	block := DefaultBlock
-	nBlocks := (nSamples + block - 1) / block
-	nWorkers := par.Workers(workers, nBlocks)
-	scratches := make([]*Scratch, nWorkers)
-	counts := make([][]int64, nWorkers)
-	defer func() {
-		for _, sc := range scratches {
-			if sc != nil {
-				m.releaseScratch(sc)
-			}
-		}
-	}()
-	if _, err := par.ForWorkerCtx(ctx, nBlocks, workers, func(w, j int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = m.acquireScratch(block)
-			scratches[w] = sc
+	counts := make([][]int64, par.Workers(workers, nSamples))
+	if err := m.forBlocks(ctx, nSamples, seed, workers, DefaultBlock, func(w int, sc *Scratch, _, nb int) {
+		if counts[w] == nil {
 			counts[w] = make([]int64, len(m.C.Arcs))
 		}
-		s0 := j * block
-		nb := block
-		if s0+nb > nSamples {
-			nb = nSamples - s0
-		}
 		arrivalEvals.Add(float64(nb))
-		m.sampleBlock(sc, seed, s0, nb)
 		m.propagateBlock(sc, nb)
 		m.backtraceBlock(sc, nb, counts[w])
 	}); err != nil {

@@ -46,7 +46,4 @@ type Engine interface {
 	// TimingLength returns the statistical timing length TL(p) of a
 	// path given as a sequence of arcs.
 	TimingLength(ctx context.Context, arcs []circuit.ArcID, nSamples int, seed uint64, workers int) (dist.Distribution, error)
-	// SuggestClock returns the q-quantile of the circuit-delay
-	// distribution — the standard cut-off period pick.
-	SuggestClock(ctx context.Context, q float64, nSamples int, seed uint64, workers int) (float64, error)
 }

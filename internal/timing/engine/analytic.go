@@ -9,10 +9,6 @@ import (
 	"repro/internal/timing"
 )
 
-func init() {
-	Register("analytic", func(m *timing.Model) timing.Engine { return NewAnalytic(m) })
-}
-
 // Analytic is the closed-form SSTA engine: arrival times propagate
 // through the circuit as first-order canonical normals under Clark's
 // moment-matching max operator, with the correlation between
@@ -267,14 +263,4 @@ func (e *Analytic) TimingLength(ctx context.Context, arcs []circuit.ArcID, nSamp
 	g := e.m.P.SigmaGlobal * nomSum
 	lv := e.m.P.SigmaLocal * e.m.P.SigmaLocal * sq
 	return dist.Normal{Mu: nomSum, Sigma: math.Sqrt(g*g + lv)}, nil
-}
-
-// SuggestClock returns the q-quantile of the analytic circuit-delay
-// normal.
-func (e *Analytic) SuggestClock(ctx context.Context, q float64, nSamples int, seed uint64, workers int) (float64, error) {
-	sta, err := e.STA(ctx, nSamples, seed, workers)
-	if err != nil {
-		return 0, err
-	}
-	return sta.CircuitDelay.Quantile(q), nil
 }

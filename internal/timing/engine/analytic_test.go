@@ -173,12 +173,5 @@ func TestAnalyticHygiene(t *testing.T) {
 				t.Fatalf("criticality[%d] = %v out of [0,1]", a, p)
 			}
 		}
-		clk, err := eng.SuggestClock(ctx, 0.99, 0, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.IsNaN(clk) || math.IsInf(clk, 0) {
-			t.Fatalf("non-finite clk %v", clk)
-		}
 	}
 }

@@ -1,8 +1,10 @@
 package timing
 
 import (
+	"context"
 	"sync"
 
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -86,4 +88,42 @@ func (m *Model) releaseScratch(sc *Scratch) {
 // lets the GC reclaim them under memory pressure.
 func newScratchPool(m *Model) *sync.Pool {
 	return &sync.Pool{New: func() any { return NewScratch(m, DefaultBlock) }}
+}
+
+// forBlocks is the block driver shared by the Monte-Carlo kernels. It
+// splits instances 0..nSamples-1 of the stream rooted at seed into
+// blocks of block lanes (block <= 0 selects DefaultBlock; the last
+// block may be short), fans the blocks out across workers goroutines
+// (see par.ForWorkerCtx) and calls fn once per block with the block's
+// first instance s0, its width nb and worker w's Scratch, already
+// holding the sampled delays of those nb lanes. Each worker's Scratch
+// comes from the model's pool on first use and goes back when the run
+// ends, so fn may keep state keyed by w (0 <= w < par.Workers(workers,
+// nSamples)) without locking. The error is ctx.Err() when the run was
+// cancelled.
+func (m *Model) forBlocks(ctx context.Context, nSamples int, seed uint64, workers, block int, fn func(w int, sc *Scratch, s0, nb int)) error {
+	if block <= 0 {
+		block = DefaultBlock
+	}
+	nBlocks := (nSamples + block - 1) / block
+	scratches := make([]*Scratch, par.Workers(workers, nBlocks))
+	defer func() {
+		for _, sc := range scratches {
+			if sc != nil {
+				m.releaseScratch(sc)
+			}
+		}
+	}()
+	_, err := par.ForWorkerCtx(ctx, nBlocks, workers, func(w, j int) {
+		sc := scratches[w]
+		if sc == nil {
+			sc = m.acquireScratch(block)
+			scratches[w] = sc
+		}
+		s0 := j * block
+		nb := min(block, nSamples-s0)
+		m.sampleBlock(sc, seed, s0, nb)
+		fn(w, sc, s0, nb)
+	})
+	return err
 }

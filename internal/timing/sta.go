@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/dist"
-	"repro/internal/par"
-	"repro/internal/rng"
 )
 
 // ArrivalTimes computes topological (latest-transition, i.e. static)
@@ -80,31 +78,8 @@ func (m *Model) staBlocked(ctx context.Context, nSamples int, seed uint64, worke
 		perOut[i] = make([]float64, nSamples)
 	}
 	delays := make([]float64, nSamples)
-	if block <= 0 {
-		block = DefaultBlock
-	}
-	nBlocks := (nSamples + block - 1) / block
-	scratches := make([]*Scratch, par.Workers(workers, nBlocks))
-	defer func() {
-		for _, sc := range scratches {
-			if sc != nil {
-				m.releaseScratch(sc)
-			}
-		}
-	}()
-	if _, err := par.ForWorkerCtx(ctx, nBlocks, workers, func(w, j int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = m.acquireScratch(block)
-			scratches[w] = sc
-		}
-		s0 := j * block
-		nb := block
-		if s0+nb > nSamples {
-			nb = nSamples - s0
-		}
+	if err := m.forBlocks(ctx, nSamples, seed, workers, block, func(_ int, sc *Scratch, s0, nb int) {
 		arrivalEvals.Add(float64(nb))
-		m.sampleBlock(sc, seed, s0, nb)
 		m.propagateBlock(sc, nb)
 		B := sc.block
 		for b := 0; b < nb; b++ {
@@ -142,28 +117,7 @@ func (e *MC) TimingLength(ctx context.Context, arcs []circuit.ArcID, nSamples in
 		tlSamples.Add(float64(nSamples))
 	}
 	xs := make([]float64, nSamples)
-	block := DefaultBlock
-	nBlocks := (nSamples + block - 1) / block
-	scratches := make([]*Scratch, par.Workers(workers, nBlocks))
-	defer func() {
-		for _, sc := range scratches {
-			if sc != nil {
-				m.releaseScratch(sc)
-			}
-		}
-	}()
-	if _, err := par.ForWorkerCtx(ctx, nBlocks, workers, func(w, j int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = m.acquireScratch(block)
-			scratches[w] = sc
-		}
-		s0 := j * block
-		nb := block
-		if s0+nb > nSamples {
-			nb = nSamples - s0
-		}
-		m.sampleBlock(sc, seed, s0, nb)
+	if err := m.forBlocks(ctx, nSamples, seed, workers, DefaultBlock, func(_ int, sc *Scratch, s0, nb int) {
 		B := sc.block
 		for b := 0; b < nb; b++ {
 			t := 0.0
@@ -176,20 +130,4 @@ func (e *MC) TimingLength(ctx context.Context, arcs []circuit.ArcID, nSamples in
 		return nil, err
 	}
 	return dist.NewEmpirical(xs), nil
-}
-
-// quantileSeed is the sub-stream index used by helpers that need an
-// auxiliary instance stream distinct from the main MC stream.
-const quantileSeed = 0x51a9
-
-// SuggestClock returns the q-quantile of the Monte-Carlo circuit-delay
-// distribution — the natural way to pick the cut-off period clk for an
-// experiment (e.g. q = 0.95 puts 5 % of defect-free dies over clk).
-// The STA run samples the quantileSeed sub-stream of seed.
-func (e *MC) SuggestClock(ctx context.Context, q float64, nSamples int, seed uint64, workers int) (float64, error) {
-	res, err := e.STA(ctx, nSamples, rng.Derive(seed, quantileSeed), workers)
-	if err != nil {
-		return 0, err
-	}
-	return res.CircuitDelay.Quantile(q), nil
 }

@@ -258,27 +258,6 @@ func TestTimingLengthAndPathDelay(t *testing.T) {
 	}
 }
 
-func TestSuggestClock(t *testing.T) {
-	c, _ := synth.GenerateNamed("mini", 4)
-	m := NewModel(c, DefaultParams())
-	ctx := context.Background()
-	res := mcSTA(t, m, 2000, rng.Derive(9, 0x51a9), 0)
-	clk95, err := NewMC(m).SuggestClock(ctx, 0.95, 2000, 9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := res.CircuitDelay.Exceed(clk95); math.Abs(p-0.05) > 0.02 {
-		t.Errorf("clk95 exceedance = %v, want ~0.05", p)
-	}
-	clk50, err := NewMC(m).SuggestClock(ctx, 0.5, 2000, 9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clk50 >= clk95 {
-		t.Errorf("quantiles out of order: %v >= %v", clk50, clk95)
-	}
-}
-
 // Property: arrival times are monotone in arc delays — increasing any
 // arc delay never decreases any arrival time.
 func TestArrivalMonotoneProperty(t *testing.T) {
