@@ -10,10 +10,12 @@ build:
 	$(GO) build ./...
 
 # vet covers the root module and the nested cmd/ddd-e2e module, which
-# has its own go.mod and so is outside the root's ./...
+# has its own go.mod and so is outside the root's ./..., and fails when
+# gofmt would reformat any Go file in either.
 vet:
 	$(GO) vet ./...
 	cd cmd/ddd-e2e && $(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l: unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # ddd-lint: the repo's eight analyzers (detrand, parsafe, floateq,
 # checkerr, hotalloc, ctxflow, pairok, detorder) run alongside go vet

@@ -165,7 +165,7 @@ func BenchmarkAblationSamples(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rank = rankIn(dict.Diagnose(bh, core.AlgRev), truth)
+				rank = core.Position(dict.Diagnose(bh, core.AlgRev), truth)
 			}
 			b.ReportMetric(float64(rank), "truth_rank")
 		})
@@ -401,15 +401,6 @@ func BenchmarkDiagnoseOnly(b *testing.B) {
 }
 
 // --- helpers ---------------------------------------------------------------
-
-func rankIn(ranked []core.Ranked, truth ArcID) int {
-	for i, rk := range ranked {
-		if rk.Arc == truth {
-			return i + 1
-		}
-	}
-	return 0
-}
 
 // randomPairs generates n random two-vector patterns.
 func randomPairs(c *circuit.Circuit, n int, r *rand.Rand) []logicsim.PatternPair {

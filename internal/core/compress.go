@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sort"
 
 	"repro/internal/circuit"
 	"repro/internal/logicsim"
@@ -172,26 +171,8 @@ func (cd *CompressedDictionary) patternConsistencyInto(phi []float64, failing []
 // Diagnose ranks all suspects against b using the given method, like
 // Dictionary.Diagnose but on the compressed form.
 func (cd *CompressedDictionary) Diagnose(b *Behavior, method Method) []Ranked {
-	diagnoses.Inc()
-	out := make([]Ranked, len(cd.Suspects))
-	// Shared scratch for the suspect loop: the failing counts depend
-	// only on b, and Method.Score reduces phi to a scalar without
-	// retaining the slice.
-	phi := make([]float64, cd.cols)
+	// The failing counts depend only on b: compute them once.
 	failing := make([]int, cd.cols)
 	countFailing(b, failing)
-	for si, arc := range cd.Suspects {
-		cd.patternConsistencyInto(phi, failing, si, b)
-		out[si] = Ranked{Arc: arc, Score: method.Score(phi)}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score < out[j].Score {
-			return method.lowerIsBetter()
-		}
-		if out[i].Score > out[j].Score {
-			return !method.lowerIsBetter()
-		}
-		return out[i].Arc < out[j].Arc
-	})
-	return out
+	return rank(cd.Suspects, cd.cols, func(phi []float64, si int) { cd.patternConsistencyInto(phi, failing, si, b) }, method.Score, method.lowerIsBetter())
 }

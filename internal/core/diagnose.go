@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/circuit"
@@ -10,15 +11,26 @@ import (
 // Method selects a diagnosis error function. Methods I–III are the
 // Alg_sim variants of Algorithm E.1 step 7; AlgRev is the revised
 // algorithm of Section F-3 with the explicit Euclidean error function
-// of equation (5).
+// of equation (5). L1, Chebyshev and LogLik are further error
+// functions of the kind the paper's conclusion asks for (future-work
+// item 5); each answers Figure 2's question of what a "better match"
+// means differently.
 type Method int
 
-// The paper's diagnosis methods.
+// The paper's diagnosis methods, then the extension error functions.
+// AlgRev and every method after it is an error, minimized.
 const (
 	MethodI   Method = iota // ℘ = 1 − Π_j (1 − φ_j): consistent with at least one pattern
 	MethodII                // ℘ = mean_j φ_j: average per-pattern consistency
 	MethodIII               // ℘ = Π_j φ_j: consistent with every pattern
 	AlgRev                  // ℘ = Σ_j (1 − φ_j)²: Euclidean distance to the ideal, minimized
+	L1                      // ℘ = Σ_j |1 − φ_j|: linear penalty, less dominated by the worst pattern than AlgRev
+	Chebyshev               // ℘ = max_j (1 − φ_j): only the worst pattern matters
+	// LogLik is ℘ = −Σ_j log max(φ_j, ε), the log-likelihood of the
+	// behavior under the independence model: Method III in the log
+	// domain with an ε floor, so one inconsistent pattern costs −log ε
+	// instead of zeroing the whole product.
+	LogLik
 )
 
 func (m Method) String() string {
@@ -31,16 +43,45 @@ func (m Method) String() string {
 		return "Alg_sim-III"
 	case AlgRev:
 		return "Alg_rev"
+	case L1:
+		return "L1"
+	case Chebyshev:
+		return "chebyshev"
+	case LogLik:
+		return "loglik"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
 }
 
-// Methods lists all built-in diagnosis methods.
+// Methods lists the paper's four diagnosis methods, the ones Table I
+// reports.
 var Methods = []Method{MethodI, MethodII, MethodIII, AlgRev}
 
+// Extensions lists the extension error functions beyond the paper's
+// four methods.
+var Extensions = []Method{L1, Chebyshev, LogLik}
+
+// ParseMethod maps a method name to its Method: every method's String,
+// plus the short aliases "" and "rev" (AlgRev) and "I", "II", "III"
+// (the Alg_sim variants).
+func ParseMethod(name string) (Method, bool) {
+	switch name {
+	case "", "rev":
+		return AlgRev, true
+	case "I", "II", "III":
+		name = "Alg_sim-" + name
+	}
+	for m := MethodI; m <= LogLik; m++ {
+		if m.String() == name {
+			return m, true
+		}
+	}
+	return 0, false
+}
+
 // lowerIsBetter reports the ranking direction of the method's score.
-func (m Method) lowerIsBetter() bool { return m == AlgRev }
+func (m Method) lowerIsBetter() bool { return m >= AlgRev }
 
 // Ranked is one candidate in a diagnosis result.
 type Ranked struct {
@@ -123,6 +164,30 @@ func (m Method) Score(phi []float64) float64 {
 			sum += e * e
 		}
 		return sum
+	case L1:
+		sum := 0.0
+		for _, p := range phi {
+			sum += math.Abs(1 - p)
+		}
+		return sum
+	case Chebyshev:
+		worst := 0.0
+		for _, p := range phi {
+			if e := 1 - p; e > worst {
+				worst = e
+			}
+		}
+		return worst
+	case LogLik:
+		const eps = 1e-6
+		sum := 0.0
+		for _, p := range phi {
+			if p < eps {
+				p = eps
+			}
+			sum -= math.Log(p)
+		}
+		return sum
 	default:
 		panic(fmt.Sprintf("core: unknown method %d", int(m)))
 	}
@@ -134,45 +199,38 @@ func (m Method) Score(phi []float64) float64 {
 // ID for determinism. Callers take the first K entries as the
 // diagnosis answer.
 func (d *Dictionary) Diagnose(b *Behavior, method Method) []Ranked {
-	diagnoses.Inc()
-	out := make([]Ranked, len(d.Suspects))
-	// One phi buffer serves every suspect: Method.Score reduces it to a
-	// scalar without retaining the slice.
-	phi := make([]float64, b.Cols)
-	for si, arc := range d.Suspects {
-		d.patternConsistencyInto(phi, si, b)
-		out[si] = Ranked{Arc: arc, Score: method.Score(phi)}
-	}
-	less := func(i, j int) bool {
-		if out[i].Score < out[j].Score {
-			return method.lowerIsBetter()
-		}
-		if out[i].Score > out[j].Score {
-			return !method.lowerIsBetter()
-		}
-		return out[i].Arc < out[j].Arc
-	}
-	sort.Slice(out, less)
-	return out
+	return rank(d.Suspects, b.Cols, func(phi []float64, si int) { d.patternConsistencyInto(phi, si, b) }, method.Score, method.lowerIsBetter())
 }
 
 // DiagnoseErrorFunc ranks suspects with a custom diagnosis error
 // function: fn maps the per-pattern consistency vector φ to an error
 // value that is minimized. This is the extension point the paper's
 // conclusion calls for ("to develop a good diagnosis algorithm ... we
-// need to search for a good error function first").
+// need to search for a good error function first"). One φ buffer
+// serves every suspect, so fn must not retain the slice.
 func (d *Dictionary) DiagnoseErrorFunc(b *Behavior, fn func(phi []float64) float64) []Ranked {
+	return rank(d.Suspects, b.Cols, func(phi []float64, si int) { d.patternConsistencyInto(phi, si, b) }, fn, true)
+}
+
+// rank is the one ranking loop behind both dictionary forms:
+// consistency writes suspect si's φ into a buffer shared by every
+// suspect, score reduces it to the suspect's score without retaining
+// it, and the result is sorted best first with ties on ascending arc
+// ID.
+func rank(suspects []circuit.ArcID, cols int, consistency func(phi []float64, si int), score func(phi []float64) float64, lowerIsBetter bool) []Ranked {
 	diagnoses.Inc()
-	out := make([]Ranked, len(d.Suspects))
-	for si, arc := range d.Suspects {
-		out[si] = Ranked{Arc: arc, Score: fn(d.PatternConsistency(si, b))}
+	out := make([]Ranked, len(suspects))
+	phi := make([]float64, cols)
+	for si, arc := range suspects {
+		consistency(phi, si)
+		out[si] = Ranked{Arc: arc, Score: score(phi)}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score < out[j].Score {
-			return true
+			return lowerIsBetter
 		}
 		if out[i].Score > out[j].Score {
-			return false
+			return !lowerIsBetter
 		}
 		return out[i].Arc < out[j].Arc
 	})

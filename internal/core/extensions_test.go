@@ -10,19 +10,23 @@ import (
 )
 
 func TestErrorFuncRegistry(t *testing.T) {
-	names := ErrorFuncNames()
-	if len(names) != 3 {
-		t.Fatalf("registry = %v", names)
+	if len(Extensions) != 3 {
+		t.Fatalf("extensions = %v", Extensions)
+	}
+	for _, m := range Extensions {
+		if !m.lowerIsBetter() {
+			t.Errorf("%v ranks higher-is-better; an error function is minimized", m)
+		}
 	}
 	phi := []float64{0.5, 0.9}
-	if got := ErrorFuncs["L1"](phi); !almostEq2(got, 0.6) {
+	if got := L1.Score(phi); !almostEq2(got, 0.6) {
 		t.Errorf("L1 = %v", got)
 	}
-	if got := ErrorFuncs["chebyshev"](phi); !almostEq2(got, 0.5) {
+	if got := Chebyshev.Score(phi); !almostEq2(got, 0.5) {
 		t.Errorf("chebyshev = %v", got)
 	}
 	want := -(math.Log(0.5) + math.Log(0.9))
-	if got := ErrorFuncs["loglik"](phi); !almostEq2(got, want) {
+	if got := LogLik.Score(phi); !almostEq2(got, want) {
 		t.Errorf("loglik = %v, want %v", got, want)
 	}
 }
@@ -42,7 +46,7 @@ func TestLogLikRepairsMethodIIICollapse(t *testing.T) {
 	if MethodIII.Score(phiA) >= MethodIII.Score(phiB) {
 		t.Skip("phiA product is not smaller; adjust example")
 	}
-	ll := ErrorFuncs["loglik"]
+	ll := LogLik.Score
 	if ll(phiA) >= ll(phiB) {
 		t.Errorf("loglik should prefer the near-perfect candidate: %v vs %v", ll(phiA), ll(phiB))
 	}

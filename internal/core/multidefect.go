@@ -67,7 +67,7 @@ func (d *Dictionary) DiagnoseIterative(b *Behavior, method Method, maxDefects in
 	for round := 0; round < maxDefects && cur.AnyFailure(); round++ {
 		ranked := d.Diagnose(cur, method)
 		best := ranked[0]
-		si := d.suspectIndex(best.Arc)
+		si := d.SuspectIndex(best.Arc)
 		s := d.S[si]
 		explained := 0
 		for i := 0; i < cur.Rows; i++ {
@@ -90,7 +90,9 @@ func (d *Dictionary) DiagnoseIterative(b *Behavior, method Method, maxDefects in
 	return rounds
 }
 
-func (d *Dictionary) suspectIndex(a circuit.ArcID) int {
+// SuspectIndex returns the index of arc a in d.Suspects (the row of its
+// signature in d.S), or -1 when a is not a suspect.
+func (d *Dictionary) SuspectIndex(a circuit.ArcID) int {
 	for i, s := range d.Suspects {
 		if s == a {
 			return i

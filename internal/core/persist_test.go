@@ -1,8 +1,8 @@
 package core
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 

@@ -102,22 +102,13 @@ func (cj caseJSON) toCaseResult() (CaseResult, error) {
 		AutoKGap:        cj.AutoKGap,
 	}
 	for name, pos := range cj.Rank {
-		m, ok := methodByName(name)
+		m, ok := core.ParseMethod(name)
 		if !ok {
 			return cs, fmt.Errorf("unknown method %q in journal", name)
 		}
 		cs.Rank[m] = pos
 	}
 	return cs, nil
-}
-
-func methodByName(name string) (core.Method, bool) {
-	for _, m := range core.Methods {
-		if m.String() == name {
-			return m, true
-		}
-	}
-	return 0, false
 }
 
 // checkpointFingerprint hashes (as canonical JSON — readable in the

@@ -272,7 +272,7 @@ func Figure3(seed uint64) (*Figure3Result, error) {
 		truth := cs.Truth[0].Arc
 		res := &Figure3Result{Clk: cs.Clk, Truth: truth}
 		for _, rk := range cs.Ranked[core.AlgRev] {
-			phi := cs.Dict.PatternConsistency(suspectIndex(cs.Dict, rk.Arc), cs.B)
+			phi := cs.Dict.PatternConsistency(cs.Dict.SuspectIndex(rk.Arc), cs.B)
 			mis := make([]float64, len(phi))
 			for j, v := range phi {
 				mis[j] = 1 - v
@@ -284,15 +284,6 @@ func Figure3(seed uint64) (*Figure3Result, error) {
 		return res, nil
 	}
 	return nil, fmt.Errorf("eval: Figure3 found no diagnosable case")
-}
-
-func suspectIndex(d *core.Dictionary, arc circuit.ArcID) int {
-	for i, a := range d.Suspects {
-		if a == arc {
-			return i
-		}
-	}
-	return -1
 }
 
 // FormatFigure3 renders the top candidates of the error decomposition.

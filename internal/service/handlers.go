@@ -22,9 +22,11 @@ import (
 type DiagnoseRequest struct {
 	// Dict is the dictionary id: the file stem of <dir>/<id>.dict.
 	Dict string `json:"dict"`
-	// Method selects the error function: "Alg_rev" (default), the
-	// Alg_sim variants "I"/"II"/"III", or a registered extension error
-	// function ("L1", "chebyshev", "loglik").
+	// Method selects the error function by any name core.ParseMethod
+	// accepts: "Alg_rev" (also "rev" or empty, the default), the Alg_sim
+	// variants "Alg_sim-I"/"Alg_sim-II"/"Alg_sim-III" (also "I"/"II"/
+	// "III"), or an extension error function "L1", "chebyshev" or
+	// "loglik".
 	Method string `json:"method,omitempty"`
 	// Behavior is the 0-1 matrix B, one string per output row, one
 	// '0'/'1' byte per pattern column.
@@ -81,25 +83,6 @@ func validID(id string) bool {
 	return true
 }
 
-// resolveMethod maps a request method name to a built-in core.Method
-// or a registered extension error-function name.
-func resolveMethod(name string) (m core.Method, named string, ok bool) {
-	switch name {
-	case "", "rev", "Alg_rev":
-		return core.AlgRev, "", true
-	case "I", "Alg_sim-I":
-		return core.MethodI, "", true
-	case "II", "Alg_sim-II":
-		return core.MethodII, "", true
-	case "III", "Alg_sim-III":
-		return core.MethodIII, "", true
-	}
-	if _, exists := core.ErrorFuncs[name]; exists {
-		return 0, name, true
-	}
-	return 0, "", false
-}
-
 // behaviorPool recycles the per-request behavior matrices. Shapes vary
 // across dictionaries, so pooled values are Reset to the request's
 // shape on checkout; Reset reuses the backing array whenever it is
@@ -141,7 +124,7 @@ func parseBehavior(rowStrs []string, rows, cols int) (*core.Behavior, error) {
 
 // diagnoseOne executes one request against a resident dictionary.
 func diagnoseOne(ent *Entry, req *DiagnoseRequest) (*DiagnoseResponse, int, string) {
-	method, named, ok := resolveMethod(req.Method)
+	method, ok := core.ParseMethod(req.Method)
 	if !ok {
 		return nil, http.StatusBadRequest, fmt.Sprintf("unknown method %q", req.Method)
 	}
@@ -150,22 +133,14 @@ func diagnoseOne(ent *Entry, req *DiagnoseRequest) (*DiagnoseResponse, int, stri
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
-
-	var ranked []core.Ranked
-	methodName := named
-	if named != "" {
-		ranked, _ = ent.Dict.DiagnoseNamed(b, named)
-	} else {
-		ranked = ent.Dict.Diagnose(b, method)
-		methodName = method.String()
-	}
+	ranked := ent.Dict.Diagnose(b, method)
 	// Diagnose copies everything it needs out of b; recycle it before
 	// building the response.
 	behaviorPool.Put(b)
 
 	resp := &DiagnoseResponse{
 		Dict:     ent.ID,
-		Method:   methodName,
+		Method:   method.String(),
 		Suspects: len(ent.Dict.Suspects),
 		Patterns: len(ent.Dict.Patterns),
 		Clk:      ent.Dict.Clk,
@@ -176,13 +151,7 @@ func diagnoseOne(ent *Entry, req *DiagnoseRequest) (*DiagnoseResponse, int, stri
 		if maxK <= 0 {
 			maxK = 10
 		}
-		// Extension error functions rank by ascending error like
-		// Alg_rev, so AlgRev supplies the gap direction for them.
-		dir := method
-		if named != "" {
-			dir = core.AlgRev
-		}
-		k, resp.Gap = core.AutoK(ranked, dir, maxK)
+		k, resp.Gap = core.AutoK(ranked, method, maxK)
 		resp.AutoK = true
 	}
 	if k <= 0 || k > len(ranked) {

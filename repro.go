@@ -282,9 +282,16 @@ func AutoK(ranked []Ranked, method Method, maxK int) (k int, gap float64) {
 // characterization).
 func MergeDictionaries(a, b *Dictionary) (*Dictionary, error) { return core.Merge(a, b) }
 
-// ErrorFuncNames lists the registered extension error functions usable
-// with CompressedDictionary.DiagnoseNamed (L1, chebyshev, loglik).
-func ErrorFuncNames() []string { return core.ErrorFuncNames() }
+// ErrorFuncNames lists the names of the extension error functions
+// beyond the paper's four methods (L1, chebyshev, loglik). Each is a
+// Method, so every Diagnose and the service's "method" field take it.
+func ErrorFuncNames() []string {
+	names := make([]string, len(core.Extensions))
+	for i, m := range core.Extensions {
+		names[i] = m.String()
+	}
+	return names
+}
 
 // ScanMap relates pseudo inputs to the pseudo outputs feeding them.
 type ScanMap = logicsim.ScanMap
