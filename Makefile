@@ -176,9 +176,9 @@ bench-core:
 # folds the medians against the committed baseline
 # (benchmarks/serve_baseline.txt) into BENCH_serve.json via
 # cmd/ddd-bench, so serve-tier numbers are tracked in git alongside
-# the core kernels.
+# the core kernels. Single-threaded (-cpu 1), like bench-core.
 bench-serve:
-	$(GO) test ./internal/service -run '^$$' -bench '^BenchmarkServe' -benchmem -count 3 \
+	$(GO) test ./internal/service -run '^$$' -bench '^BenchmarkServe' -benchmem -count 3 -cpu 1 \
 		| tee benchmarks/serve_current.txt
 	$(GO) run ./cmd/ddd-bench \
 		-baseline benchmarks/serve_baseline.txt \

@@ -71,7 +71,6 @@ type options struct {
 	cfg          service.Config
 	rcfg         service.RouterConfig
 	addr         string
-	reqTimeout   time.Duration
 	faults       string
 	preload      string
 	grace        time.Duration
@@ -90,8 +89,7 @@ func newFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&cfg.Workers, "workers", 0, "diagnosis workers (0 = NumCPU)")
 	fs.IntVar(&cfg.QueueDepth, "queue", 64, "worker queue depth (full queue answers 429)")
 	fs.IntVar(&cfg.BatchWorkers, "batch-workers", 0, "parallelism inside one same-dictionary batch (0 = min(4, NumCPU))")
-	fs.DurationVar(&cfg.RequestTimeout, "timeout", 10*time.Second, "per-request deadline (alias of -request-timeout)")
-	fs.DurationVar(&o.reqTimeout, "request-timeout", 0, "per-request deadline; wins over -timeout when set")
+	fs.DurationVar(&cfg.RequestTimeout, "request-timeout", 10*time.Second, "per-request deadline (replica and router)")
 	fs.IntVar(&cfg.LoadRetries, "load-retries", 2, "transparent retries of a failed dictionary load (0 = fail fast)")
 	fs.StringVar(&o.faults, "faults", "", "arm fault-injection sites: comma-separated site:prob:seed[:param] (also DDD_FAULTS env; flag wins)")
 	fs.StringVar(&o.preload, "preload", "", "comma-separated dictionary ids to warm before ready, or \"all\"")
@@ -117,12 +115,9 @@ func newFlags(fs *flag.FlagSet) *options {
 }
 
 // resolve finishes the configs after parsing: -cache-mb was parsed in
-// MiB, and -request-timeout, when set, wins over -timeout in both.
+// MiB, and -request-timeout feeds both configs.
 func (o *options) resolve() {
 	o.cfg.CacheBytes <<= 20
-	if o.reqTimeout > 0 {
-		o.cfg.RequestTimeout = o.reqTimeout
-	}
 	o.rcfg.RequestTimeout = o.cfg.RequestTimeout
 }
 

@@ -59,22 +59,12 @@ func TestDefaultConfigs(t *testing.T) {
 	}
 }
 
-// TestRequestTimeoutWins: -request-timeout overrides -timeout in both
-// configs, whichever order they are given in; -timeout alone applies
-// to both.
+// TestRequestTimeoutWins: -request-timeout, the one deadline flag,
+// reaches both configs.
 func TestRequestTimeoutWins(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want time.Duration
-	}{
-		{[]string{"-timeout", "3s"}, 3 * time.Second},
-		{[]string{"-timeout", "3s", "-request-timeout", "7s"}, 7 * time.Second},
-		{[]string{"-request-timeout", "7s", "-timeout", "3s"}, 7 * time.Second},
-	} {
-		o := parseFlags(t, tc.args...)
-		if o.cfg.RequestTimeout != tc.want || o.rcfg.RequestTimeout != tc.want {
-			t.Errorf("%v: Config.RequestTimeout = %v, RouterConfig.RequestTimeout = %v, want %v",
-				tc.args, o.cfg.RequestTimeout, o.rcfg.RequestTimeout, tc.want)
-		}
+	o := parseFlags(t, "-request-timeout", "7s")
+	if o.cfg.RequestTimeout != 7*time.Second || o.rcfg.RequestTimeout != 7*time.Second {
+		t.Errorf("Config.RequestTimeout = %v, RouterConfig.RequestTimeout = %v, want 7s",
+			o.cfg.RequestTimeout, o.rcfg.RequestTimeout)
 	}
 }

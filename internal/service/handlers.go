@@ -237,15 +237,68 @@ func writeRetryable(w http.ResponseWriter, status int, code, msg string, retrySe
 	writeJSON(w, status, errorBody{Error: msg, Code: code, RetrySeconds: retrySecs})
 }
 
+// decodeStrict decodes r's JSON body into v under a limit-byte cap,
+// rejecting unknown fields. On failure it answers 400 and reports
+// false.
+func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// pathID returns the request's {id} path value. An invalid id answers
+// 400 and reports false.
+func pathID(w http.ResponseWriter, r *http.Request) (string, bool) {
+	id := r.PathValue("id")
+	if !validID(id) {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid dictionary id %q", id))
+		return "", false
+	}
+	return id, true
+}
+
+// admit runs the slow-handler fault site for a diagnose request whose
+// deadline context is ctx: the injected delay burns the request's own
+// deadline, and a delay past it answers 504 before anything is
+// enqueued. It reports whether the request may go on.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter) bool {
+	if faultSlowHandler.Hit() {
+		time.Sleep(time.Duration(faultSlowHandler.Param(100)) * time.Millisecond)
+		if ctx.Err() != nil {
+			s.writeDeadline(w)
+			return false
+		}
+	}
+	return true
+}
+
+// writeDeadline answers 504 for a request whose deadline expired or
+// whose client went away, and counts the cancellation.
+func (s *Server) writeDeadline(w http.ResponseWriter) {
+	s.cancellations.Add(1)
+	writeRetryable(w, http.StatusGatewayTimeout, "deadline", "request deadline exceeded", s.retryAfterSeconds())
+}
+
+// writeShed answers a request the pool refused: 503 while it drains,
+// 429 when its queue is full.
+func (s *Server) writeShed(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrPoolDraining) {
+		writeRetryable(w, http.StatusServiceUnavailable, "draining", "server shutting down", s.retryAfterSeconds())
+		return
+	}
+	writeRetryable(w, http.StatusTooManyRequests, "busy", "server busy, retry later", s.retryAfterSeconds())
+}
+
 // handleDiagnose implements POST /v1/diagnose: validate, enqueue into
 // the same-dictionary batcher, and wait for the worker or the request
 // deadline, whichever comes first.
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	var req DiagnoseRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeStrict(w, r, maxRequestBytes, &req) {
 		return
 	}
 	if !validID(req.Dict) {
@@ -258,25 +311,12 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	// worker skips the job the moment it notices j.ctx is dead.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	if faultSlowHandler.Hit() {
-		// The injected delay burns the request's own deadline; a delay
-		// past the deadline answers 504 before ever enqueueing.
-		time.Sleep(time.Duration(faultSlowHandler.Param(100)) * time.Millisecond)
-		if ctx.Err() != nil {
-			s.cancellations.Add(1)
-			writeRetryable(w, http.StatusGatewayTimeout, "deadline", "request deadline exceeded", s.retryAfterSeconds())
-			return
-		}
+	if !s.admit(ctx, w) {
+		return
 	}
-
 	job := &diagJob{ctx: ctx, req: &req, done: make(chan struct{})}
 	if err := s.batch.enqueue(req.Dict, job); err != nil {
-		switch err {
-		case ErrPoolDraining:
-			writeRetryable(w, http.StatusServiceUnavailable, "draining", "server shutting down", s.retryAfterSeconds())
-		default:
-			writeRetryable(w, http.StatusTooManyRequests, "busy", "server busy, retry later", s.retryAfterSeconds())
-		}
+		s.writeShed(w, err)
 		return
 	}
 	select {
@@ -287,8 +327,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, job.resp)
 	case <-ctx.Done():
-		s.cancellations.Add(1)
-		writeRetryable(w, http.StatusGatewayTimeout, "deadline", "request deadline exceeded", s.retryAfterSeconds())
+		s.writeDeadline(w)
 	}
 }
 
@@ -330,10 +369,7 @@ type BatchResponse struct {
 // requests.
 func (s *Server) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 	var breq BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeStrict(w, r, maxRequestBytes, &breq) {
 		return
 	}
 	if len(breq.Requests) == 0 {
@@ -346,34 +382,21 @@ func (s *Server) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	if faultSlowHandler.Hit() {
-		time.Sleep(time.Duration(faultSlowHandler.Param(100)) * time.Millisecond)
-		if ctx.Err() != nil {
-			s.cancellations.Add(1)
-			writeRetryable(w, http.StatusGatewayTimeout, "deadline", "request deadline exceeded", s.retryAfterSeconds())
-			return
-		}
+	if !s.admit(ctx, w) {
+		return
 	}
-
 	// Buffered so the worker never blocks publishing a result the
 	// handler stopped waiting for.
 	done := make(chan *BatchResponse, 1)
-	err := s.pool.Submit(func() { done <- s.runDegradedBatch(ctx, breq.Requests) })
-	if err != nil {
-		switch err {
-		case ErrPoolDraining:
-			writeRetryable(w, http.StatusServiceUnavailable, "draining", "server shutting down", s.retryAfterSeconds())
-		default:
-			writeRetryable(w, http.StatusTooManyRequests, "busy", "server busy, retry later", s.retryAfterSeconds())
-		}
+	if err := s.pool.Submit(func() { done <- s.runDegradedBatch(ctx, breq.Requests) }); err != nil {
+		s.writeShed(w, err)
 		return
 	}
 	select {
 	case resp := <-done:
 		writeJSON(w, http.StatusOK, resp)
 	case <-ctx.Done():
-		s.cancellations.Add(1)
-		writeRetryable(w, http.StatusGatewayTimeout, "deadline", "request deadline exceeded", s.retryAfterSeconds())
+		s.writeDeadline(w)
 	}
 }
 
@@ -427,6 +450,17 @@ func (s *Server) runDegradedBatch(ctx context.Context, reqs []DiagnoseRequest) *
 	return resp
 }
 
+// dictInfo is one /v1/dicts entry and dictList the whole document, as
+// a replica and the router both render it.
+type dictInfo struct {
+	ID     string `json:"id"`
+	Cached bool   `json:"cached"`
+}
+
+type dictList struct {
+	Dicts []dictInfo `json:"dicts"`
+}
+
 // handleDicts implements GET /v1/dicts: the dictionary files on disk,
 // flagged with cache residency.
 func (s *Server) handleDicts(w http.ResponseWriter, r *http.Request) {
@@ -435,13 +469,7 @@ func (s *Server) handleDicts(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "reading dictionary directory: "+err.Error())
 		return
 	}
-	type dictInfo struct {
-		ID     string `json:"id"`
-		Cached bool   `json:"cached"`
-	}
-	out := struct {
-		Dicts []dictInfo `json:"dicts"`
-	}{Dicts: []dictInfo{}}
+	out := dictList{Dicts: []dictInfo{}}
 	for _, de := range des {
 		name := de.Name()
 		if de.IsDir() || !strings.HasSuffix(name, ".dict") {
@@ -460,9 +488,8 @@ func (s *Server) handleDicts(w http.ResponseWriter, r *http.Request) {
 // handleDictInfo implements GET /v1/dicts/{id}: load (or hit) the
 // dictionary and describe it.
 func (s *Server) handleDictInfo(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !validID(id) {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid dictionary id %q", id))
+	id, ok := pathID(w, r)
+	if !ok {
 		return
 	}
 	ent, err := s.cache.Get(id)
@@ -490,7 +517,8 @@ func loadErrStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// handleHealthz answers GET /healthz on a replica and on the router.
+func handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{"ok"})

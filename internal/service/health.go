@@ -160,16 +160,10 @@ func (p *prober) probeOnce(url string) bool {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), p.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	// Reading the small body to EOF lets the probe's connection be
+	// reused.
+	res, err := fetch(ctx, p.client, http.MethodGet, url+"/readyz", nil, nil, 1<<10)
+	return err == nil && res.status == http.StatusOK
 }
 
 // injectedDown reports whether the replica-down site fails this probe.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -302,28 +301,15 @@ func (r *rebalancer) journal(rec transferRecord) {
 func (r *rebalancer) listDicts(replica string) (map[string]bool, error) {
 	ctx, cancel := context.WithTimeout(r.ctx, defaultHealthTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, replica+"/v1/dicts", nil)
+	res, err := fetch(ctx, r.rt.cfg.Client, http.MethodGet, replica+"/v1/dicts", nil, nil, 1<<22)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.rt.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
+	if res.status != http.StatusOK {
+		return nil, fmt.Errorf("service: %s/v1/dicts: status %d", replica, res.status)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("service: %s/v1/dicts: status %d", replica, resp.StatusCode)
-	}
-	var doc struct {
-		Dicts []struct {
-			ID string `json:"id"`
-		} `json:"dicts"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
+	var doc dictList
+	if err := json.Unmarshal(res.body, &doc); err != nil {
 		return nil, err
 	}
 	has := make(map[string]bool, len(doc.Dicts))

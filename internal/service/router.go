@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strings"
@@ -16,6 +15,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Router fronts N ddd-serve replicas with consistent-hash dictionary
@@ -55,7 +55,8 @@ type RouterConfig struct {
 	// 0 disables hedging and failover consults only the owner).
 	MaxHedges int
 	// RequestTimeout bounds one routed request end to end, all
-	// attempts included (default 10s).
+	// attempts included, and each /v1/dicts and /readyz fan-out over
+	// the replicas (default 10s).
 	RequestTimeout time.Duration
 	// Client is the upstream HTTP client (default: a fresh
 	// http.Client; per-attempt deadlines come from request contexts).
@@ -156,8 +157,7 @@ type Router struct {
 	metricReplicas map[string]bool
 
 	closeOnce sync.Once
-	httpSrv   *http.Server
-	ln        net.Listener
+	front
 }
 
 // NewRouter builds a router over cfg.Replicas and starts its
@@ -213,7 +213,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	mux.HandleFunc("GET /v1/dicts", rt.timed(rt.handleDicts))
 	mux.HandleFunc("GET /v1/dicts/{id}", rt.timed(rt.handleDictForward))
 	mux.HandleFunc("GET /v1/dicts/{id}/snapshot", rt.timed(rt.handleDictForward))
-	mux.HandleFunc("GET /healthz", rt.handleHealthz)
+	mux.HandleFunc("GET /healthz", handleHealthz)
 	mux.HandleFunc("GET /readyz", rt.handleReadyz)
 	mux.HandleFunc("GET /stats", rt.handleStats)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
@@ -323,11 +323,41 @@ func (rt *Router) owners(key string) []string {
 	return out
 }
 
-// upstreamResult is one attempt's complete response.
+// upstreamResult is one complete replica response.
 type upstreamResult struct {
 	status int
 	header http.Header
 	body   []byte
+}
+
+// jsonHeader is the request header of every forwarded JSON body.
+var jsonHeader = http.Header{"Content-Type": {"application/json"}}
+
+// fetch is the tier's one HTTP round trip to a replica: it builds the
+// request (hdr adds headers, a nil body sends none), sends it, reads at
+// most limit bytes of the response and closes the body.
+func fetch(ctx context.Context, client *http.Client, method, url string, hdr http.Header, body []byte, limit int64) (*upstreamResult, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return nil, err
+	}
+	for k, v := range hdr {
+		req.Header[k] = v
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	if err != nil {
+		return nil, err
+	}
+	return &upstreamResult{status: resp.StatusCode, header: resp.Header, body: data}, nil
 }
 
 // retryableStatus reports statuses a different replica might answer
@@ -353,35 +383,18 @@ type attemptOutcome struct {
 	err error
 }
 
-// attempt performs one upstream request and reads the full response.
-func (rt *Router) attempt(ctx context.Context, idx int, method, url, contentType string, body []byte) attemptOutcome {
+// attempt performs one upstream request and reads the full response,
+// up to the snapshot cap. Every failure counts as an upstream error.
+func (rt *Router) attempt(ctx context.Context, method, url string, hdr http.Header, body []byte) (*upstreamResult, error) {
 	if faultProxyError.Hit() {
 		rt.upErrors.Inc()
-		return attemptOutcome{idx: idx, err: fmt.Errorf("service: injected proxy error for %s", url)}
+		return nil, fmt.Errorf("service: injected proxy error for %s", url)
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return attemptOutcome{idx: idx, err: err}
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	resp, err := rt.cfg.Client.Do(req)
+	res, err := fetch(ctx, rt.cfg.Client, method, url, hdr, body, maxSnapshotBytes)
 	if err != nil {
 		rt.upErrors.Inc()
-		return attemptOutcome{idx: idx, err: err}
 	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		rt.upErrors.Inc()
-		return attemptOutcome{idx: idx, err: err}
-	}
-	return attemptOutcome{idx: idx, res: &upstreamResult{status: resp.StatusCode, header: resp.Header, body: data}}
+	return res, err
 }
 
 // forward runs the hedged attempt ladder for one request over
@@ -400,7 +413,7 @@ func (rt *Router) attempt(ctx context.Context, idx int, method, url, contentType
 // reports success (the replica is alive), a transport error reports
 // failure, and a cancelled attempt (hedge loser, request timeout)
 // reports nothing so losers never poison a circuit.
-func (rt *Router) forward(ctx context.Context, method, path, contentType string, body []byte, targets []string) (*upstreamResult, error) {
+func (rt *Router) forward(ctx context.Context, method, path string, hdr http.Header, body []byte, targets []string) (*upstreamResult, error) {
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	defer cancel()
 	rt.forwards.Inc()
@@ -432,13 +445,13 @@ func (rt *Router) forward(ctx context.Context, method, path, contentType string,
 			actx, acancel := context.WithCancel(ctx)
 			cancels[i] = acancel
 			go func() {
-				out := rt.attempt(actx, i, method, targets[i]+path, contentType, body)
-				if out.err != nil && actx.Err() != nil {
+				res, err := rt.attempt(actx, method, targets[i]+path, hdr, body)
+				if err != nil && actx.Err() != nil {
 					br.Cancelled()
 				} else {
-					br.Report(out.err == nil)
+					br.Report(err == nil)
 				}
-				results <- out
+				results <- attemptOutcome{idx: i, res: res, err: err}
 			}()
 			return true
 		}
@@ -543,12 +556,7 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var peek struct {
-		Dict string `json:"dict"`
-	}
-	// Errors are deliberately ignored: the replica owns rejection.
-	_ = json.Unmarshal(body, &peek)
-	res, err := rt.forward(r.Context(), http.MethodPost, "/v1/diagnose", "application/json", body, rt.owners(peek.Dict))
+	res, err := rt.forward(r.Context(), http.MethodPost, "/v1/diagnose", jsonHeader, body, rt.owners(keyOf(body)))
 	if err != nil {
 		rt.writeForwardError(w, err)
 		return
@@ -586,7 +594,7 @@ func (rt *Router) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	forwardWhole := func(key string) {
-		res, err := rt.forward(r.Context(), http.MethodPost, "/v1/diagnose/batch", "application/json", body, rt.owners(key))
+		res, err := rt.forward(r.Context(), http.MethodPost, "/v1/diagnose/batch", jsonHeader, body, rt.owners(key))
 		if err != nil {
 			rt.writeForwardError(w, err)
 			return
@@ -609,22 +617,17 @@ func (rt *Router) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Group items by owner, preserving request order within a group.
 	type group struct {
-		owner   string
 		indices []int
 		items   []json.RawMessage
 	}
 	groups := make(map[string]*group)
-	order := make([]string, 0, 4) // owners in first-appearance order
-	ring := rt.ms.Ring()          // one snapshot for the whole batch
+	var order []string   // the distinct owners
+	ring := rt.ms.Ring() // one snapshot for the whole batch
 	for i, item := range breq.Requests {
-		var peek struct {
-			Dict string `json:"dict"`
-		}
-		_ = json.Unmarshal(item, &peek)
-		owner := ring.Owner(peek.Dict)
+		owner := ring.Owner(keyOf(item))
 		g, okg := groups[owner]
 		if !okg {
-			g = &group{owner: owner}
+			g = &group{}
 			groups[owner] = g
 			order = append(order, owner)
 		}
@@ -634,69 +637,48 @@ func (rt *Router) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 	if len(order) == 1 {
 		// One owner holds every dictionary in the batch: forward the
 		// client's bytes untouched.
-		first := groups[order[0]]
-		var peek struct {
-			Dict string `json:"dict"`
-		}
-		_ = json.Unmarshal(first.items[0], &peek)
-		forwardWhole(peek.Dict)
+		forwardWhole(keyOf(breq.Requests[0]))
 		return
 	}
 
-	// Fan the sub-batches out concurrently; each is hedged on its own
-	// owner's ladder.
-	type subResult struct {
-		g   *group
-		res *upstreamResult
-		err error
-	}
-	results := make([]subResult, len(order))
-	done := make(chan int, len(order))
-	for gi, owner := range order {
-		gi, g := gi, groups[owner]
-		go func() {
-			sub, err := json.Marshal(struct {
-				Requests []json.RawMessage `json:"requests"`
-			}{g.items})
-			if err == nil {
-				var res *upstreamResult
-				res, err = rt.forward(r.Context(), http.MethodPost, "/v1/diagnose/batch", "application/json", sub, rt.owners(keyOf(g.items[0])))
-				results[gi] = subResult{g: g, res: res, err: err}
-			} else {
-				results[gi] = subResult{g: g, err: err}
-			}
-			done <- gi
-		}()
-	}
-	for range order {
-		<-done
-	}
-
-	// A failed sub-batch fails the whole request the way a single
-	// node's shed would; pick the failure deterministically (first
-	// owner in canonical order) so the response does not depend on
-	// goroutine scheduling.
-	sort.Slice(results, func(i, j int) bool { return results[i].g.owner < results[j].g.owner })
-	for _, sr := range results {
-		if sr.err != nil {
-			rt.writeForwardError(w, sr.err)
+	// Fan the sub-batches out concurrently, each hedged on its own
+	// owner's ladder. A failed sub-batch fails the whole request the
+	// way a single node's shed would; owners in canonical order pick
+	// that failure deterministically, whatever the goroutine schedule.
+	sort.Strings(order)
+	results := make([]*upstreamResult, len(order))
+	errs := make([]error, len(order))
+	par.For(len(order), len(order), func(gi int) {
+		g := groups[order[gi]]
+		sub, err := json.Marshal(struct {
+			Requests []json.RawMessage `json:"requests"`
+		}{g.items})
+		if err == nil {
+			results[gi], err = rt.forward(r.Context(), http.MethodPost, "/v1/diagnose/batch", jsonHeader, sub, rt.owners(keyOf(g.items[0])))
+		}
+		errs[gi] = err
+	})
+	for gi, res := range results {
+		if errs[gi] != nil {
+			rt.writeForwardError(w, errs[gi])
 			return
 		}
-		if sr.res.status != http.StatusOK {
-			writeUpstream(w, sr.res)
+		if res.status != http.StatusOK {
+			writeUpstream(w, res)
 			return
 		}
 	}
 
 	merged := rawBatchResponse{Results: make([]rawBatchItem, len(breq.Requests))}
-	for _, sr := range results {
+	for gi, res := range results {
+		g := groups[order[gi]]
 		var sub rawBatchResponse
-		if err := json.Unmarshal(sr.res.body, &sub); err != nil || len(sub.Results) != len(sr.g.indices) {
-			writeError(w, http.StatusBadGateway, fmt.Sprintf("replica %s returned an unmergeable batch response", sr.g.owner))
+		if err := json.Unmarshal(res.body, &sub); err != nil || len(sub.Results) != len(g.indices) {
+			writeError(w, http.StatusBadGateway, fmt.Sprintf("replica %s returned an unmergeable batch response", order[gi]))
 			return
 		}
 		for k, item := range sub.Results {
-			item.Index = sr.g.indices[k]
+			item.Index = g.indices[k]
 			merged.Results[item.Index] = item
 		}
 		merged.Failed += sub.Failed
@@ -704,8 +686,10 @@ func (rt *Router) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, merged)
 }
 
-// keyOf peeks the routing key (dictionary id) out of one batch item.
-func keyOf(item json.RawMessage) string {
+// keyOf peeks the routing key (dictionary id) out of a diagnose body
+// or one batch item. Errors are deliberately ignored: a malformed body
+// routes to the empty key's owner, and the replica owns rejection.
+func keyOf(item []byte) string {
 	var peek struct {
 		Dict string `json:"dict"`
 	}
@@ -719,42 +703,26 @@ func keyOf(item json.RawMessage) string {
 // Down members are skipped — the listing keeps answering through a
 // replica outage, which is the point of the health-checked view.
 func (rt *Router) handleDicts(w http.ResponseWriter, r *http.Request) {
-	type dictInfo struct {
-		ID     string `json:"id"`
-		Cached bool   `json:"cached"`
-	}
+	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
+	defer cancel()
 	replicas := rt.ms.Live()
-	type fanResult struct {
-		res *upstreamResult
-		err error
-	}
-	results := make([]fanResult, len(replicas))
-	done := make(chan int, len(replicas))
-	for i, rep := range replicas {
-		i, rep := i, rep
-		go func() {
-			out := rt.attempt(r.Context(), i, http.MethodGet, rep+"/v1/dicts", "", nil)
-			results[i] = fanResult{res: out.res, err: out.err}
-			done <- i
-		}()
-	}
-	for range replicas {
-		<-done
-	}
+	results := make([]*upstreamResult, len(replicas))
+	errs := make([]error, len(replicas))
+	par.For(len(replicas), len(replicas), func(i int) {
+		results[i], errs[i] = rt.attempt(ctx, http.MethodGet, replicas[i]+"/v1/dicts", nil, nil)
+	})
 	union := make(map[string]bool)
-	for i, fr := range results {
-		if fr.err != nil {
-			writeError(w, http.StatusBadGateway, fmt.Sprintf("replica %s: %v", replicas[i], fr.err))
+	for i, res := range results {
+		if errs[i] != nil {
+			writeError(w, http.StatusBadGateway, fmt.Sprintf("replica %s: %v", replicas[i], errs[i]))
 			return
 		}
-		if fr.res.status != http.StatusOK {
-			writeUpstream(w, fr.res)
+		if res.status != http.StatusOK {
+			writeUpstream(w, res)
 			return
 		}
-		var doc struct {
-			Dicts []dictInfo `json:"dicts"`
-		}
-		if err := json.Unmarshal(fr.res.body, &doc); err != nil {
+		var doc dictList
+		if err := json.Unmarshal(res.body, &doc); err != nil {
 			writeError(w, http.StatusBadGateway, fmt.Sprintf("replica %s: undecodable /v1/dicts", replicas[i]))
 			return
 		}
@@ -767,9 +735,7 @@ func (rt *Router) handleDicts(w http.ResponseWriter, r *http.Request) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	out := struct {
-		Dicts []dictInfo `json:"dicts"`
-	}{Dicts: make([]dictInfo, len(ids))}
+	out := dictList{Dicts: make([]dictInfo, len(ids))}
 	for i, id := range ids {
 		out.Dicts[i] = dictInfo{ID: id, Cached: union[id]}
 	}
@@ -779,16 +745,15 @@ func (rt *Router) handleDicts(w http.ResponseWriter, r *http.Request) {
 // handleDictForward routes GET /v1/dicts/{id} and its snapshot to the
 // id's owner, hedged like a diagnosis.
 func (rt *Router) handleDictForward(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !validID(id) {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid dictionary id %q", id))
+	id, ok := pathID(w, r)
+	if !ok {
 		return
 	}
 	path := "/v1/dicts/" + id
 	if strings.HasSuffix(r.URL.Path, "/snapshot") {
 		path += "/snapshot"
 	}
-	res, err := rt.forward(r.Context(), http.MethodGet, path, "", nil, rt.owners(id))
+	res, err := rt.forward(r.Context(), http.MethodGet, path, nil, nil, rt.owners(id))
 	if err != nil {
 		rt.writeForwardError(w, err)
 		return
@@ -797,12 +762,6 @@ func (rt *Router) handleDictForward(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(shaHeader, sha)
 	}
 	writeUpstream(w, res)
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
-		Status string `json:"status"`
-	}{"ok"})
 }
 
 // handleReadyz aggregates replica readiness over the membership view:
@@ -817,27 +776,21 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		State   string `json:"state"`
 		Ready   bool   `json:"ready"`
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
+	defer cancel()
 	members := rt.ms.Members()
 	states := make([]repReady, len(members))
-	done := make(chan int, len(members))
-	probes := 0
+	ready := false
 	for i, m := range members {
 		states[i] = repReady{Replica: m.Replica, State: m.State}
-		if m.State != "up" {
-			continue
+		ready = ready || m.State == "up"
+	}
+	par.For(len(states), len(states), func(i int) {
+		if states[i].State == "up" {
+			res, err := rt.attempt(ctx, http.MethodGet, states[i].Replica+"/readyz", nil, nil)
+			states[i].Ready = err == nil && res.status == http.StatusOK
 		}
-		i, rep := i, m.Replica
-		probes++
-		go func() {
-			out := rt.attempt(r.Context(), i, http.MethodGet, rep+"/readyz", "", nil)
-			states[i].Ready = out.err == nil && out.res.status == http.StatusOK
-			done <- i
-		}()
-	}
-	for n := 0; n < probes; n++ {
-		<-done
-	}
-	ready := probes > 0
+	})
 	for _, st := range states {
 		if st.State == "up" {
 			ready = ready && st.Ready
@@ -918,10 +871,7 @@ func (rt *Router) handleTransfer(w http.ResponseWriter, r *http.Request) {
 		From string `json:"from,omitempty"`
 		To   string `json:"to"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeStrict(w, r, 1<<20, &req) {
 		return
 	}
 	if !validID(req.Dict) {
@@ -962,10 +912,7 @@ func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
 		Op      string `json:"op"`
 		Replica string `json:"replica"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeStrict(w, r, 1<<20, &req) {
 		return
 	}
 	var changed bool
@@ -998,32 +945,7 @@ func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
 // Start listens on addr and serves in the background (same transport
 // protections as Server.Start).
 func (rt *Router) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	writeTimeout := 2 * rt.cfg.RequestTimeout
-	if writeTimeout < minWriteTimeout {
-		writeTimeout = minWriteTimeout
-	}
-	rt.ln = ln
-	rt.httpSrv = &http.Server{
-		Handler:           rt.mux,
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		WriteTimeout:      writeTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-	go func() { _ = rt.httpSrv.Serve(ln) }()
-	return nil
-}
-
-// Addr returns the bound listen address after Start.
-func (rt *Router) Addr() string {
-	if rt.ln == nil {
-		return ""
-	}
-	return rt.ln.Addr().String()
+	return rt.start(addr, rt.mux, rt.cfg.RequestTimeout)
 }
 
 // Close stops the router's background machinery — health probers,
@@ -1043,8 +965,5 @@ func (rt *Router) Close() {
 // only has in-flight forwards to wait for.
 func (rt *Router) Shutdown(ctx context.Context) error {
 	rt.Close()
-	if rt.httpSrv == nil {
-		return nil
-	}
-	return rt.httpSrv.Shutdown(ctx)
+	return rt.shutdown(ctx)
 }

@@ -155,8 +155,7 @@ type Server struct {
 	// ddd_cancellations_total.
 	cancellations atomic.Int64
 
-	httpSrv *http.Server
-	ln      net.Listener
+	front
 }
 
 // New builds a server over cfg.Dir. The directory must exist; the
@@ -196,7 +195,7 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /v1/dicts/{id}", s.instrument("/v1/dicts/{id}", s.handleDictInfo))
 	mux.HandleFunc("GET /v1/dicts/{id}/snapshot", s.instrument("/v1/dicts/{id}/snapshot", s.handleSnapshotGet))
 	mux.HandleFunc("PUT /v1/dicts/{id}/snapshot", s.instrument("/v1/dicts/{id}/snapshot", s.handleSnapshotPut))
-	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
+	mux.HandleFunc("GET /healthz", s.instrument("/healthz", handleHealthz))
 	mux.HandleFunc("GET /readyz", s.instrument("/readyz", s.handleReadyz))
 	mux.HandleFunc("GET /stats", s.instrument("/stats", s.handleStats))
 	// /metrics is not instrumented: a scrape must not change the next
@@ -350,7 +349,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Transport-level protections for the listener: a slow or stalled
 // client must never hold a connection (and its handler goroutine)
 // open indefinitely. Write/idle deadlines scale off the request
-// timeout in Start; these are the floors.
+// timeout in front.start; these are the floors.
 const (
 	readHeaderTimeout = 5 * time.Second
 	readTimeout       = 30 * time.Second
@@ -358,12 +357,18 @@ const (
 	idleTimeout       = 120 * time.Second
 )
 
-// Start listens on addr (e.g. "127.0.0.1:0") and serves in the
-// background; use Addr for the bound address and Shutdown to stop.
-// The http.Server carries the full timeout set — header read, body
-// read, response write, keep-alive idle — so a stalled client is a
-// closed connection, not a leaked goroutine (slowloris protection).
-func (s *Server) Start(addr string) error {
+// front is the listener a Server and a Router share: one TCP listener
+// served in the background by an http.Server that carries the full
+// timeout set — header read, body read, response write, keep-alive
+// idle — so a stalled client is a closed connection, not a leaked
+// goroutine (slowloris protection).
+type front struct {
+	httpSrv *http.Server
+	ln      net.Listener
+}
+
+// start listens on addr and serves h in the background.
+func (f *front) start(addr string, h http.Handler, requestTimeout time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -371,28 +376,43 @@ func (s *Server) Start(addr string) error {
 	// The write deadline must outlive the request deadline, or the
 	// server would cut off a response the worker legitimately spent
 	// RequestTimeout computing.
-	writeTimeout := 2 * s.cfg.RequestTimeout
+	writeTimeout := 2 * requestTimeout
 	if writeTimeout < minWriteTimeout {
 		writeTimeout = minWriteTimeout
 	}
-	s.ln = ln
-	s.httpSrv = &http.Server{
-		Handler:           s.mux,
+	f.ln = ln
+	f.httpSrv = &http.Server{
+		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
 		WriteTimeout:      writeTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-	go func() { _ = s.httpSrv.Serve(ln) }()
+	go func() { _ = f.httpSrv.Serve(ln) }()
 	return nil
 }
 
 // Addr returns the bound listen address after Start.
-func (s *Server) Addr() string {
-	if s.ln == nil {
+func (f *front) Addr() string {
+	if f.ln == nil {
 		return ""
 	}
-	return s.ln.Addr().String()
+	return f.ln.Addr().String()
+}
+
+// shutdown stops the listener gracefully, waiting (bounded by ctx) for
+// in-flight handlers; a front never started has nothing to stop.
+func (f *front) shutdown(ctx context.Context) error {
+	if f.httpSrv == nil {
+		return nil
+	}
+	return f.httpSrv.Shutdown(ctx)
+}
+
+// Start listens on addr (e.g. "127.0.0.1:0") and serves in the
+// background; use Addr for the bound address and Shutdown to stop.
+func (s *Server) Start(addr string) error {
+	return s.start(addr, s.mux, s.cfg.RequestTimeout)
 }
 
 // Shutdown drains the server gracefully: stop accepting connections,
@@ -401,10 +421,7 @@ func (s *Server) Addr() string {
 // exit.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false)
-	var err error
-	if s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
-	}
+	err := s.shutdown(ctx)
 	s.pool.Drain()
 	return err
 }

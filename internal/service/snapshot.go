@@ -39,9 +39,8 @@ const maxSnapshotBytes = 1 << 30
 // handleSnapshotGet implements GET /v1/dicts/{id}/snapshot: the raw
 // dictionary file bytes plus their SHA-256.
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !validID(id) {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid dictionary id %q", id))
+	id, ok := pathID(w, r)
+	if !ok {
 		return
 	}
 	data, err := os.ReadFile(filepath.Join(s.cfg.Dir, id+".dict"))
@@ -65,9 +64,8 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 // bytes as <dir>/<id>.dict. The cache entry for id (if any) is
 // invalidated so the next request loads the new file.
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !validID(id) {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid dictionary id %q", id))
+	id, ok := pathID(w, r)
+	if !ok {
 		return
 	}
 	declared := r.Header.Get(shaHeader)
@@ -119,46 +117,28 @@ func TransferSnapshot(ctx context.Context, client *http.Client, fromURL, toURL, 
 	if !validID(id) {
 		return 0, "", fmt.Errorf("service: invalid dictionary id %q", id)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fromURL+"/v1/dicts/"+id+"/snapshot", nil)
-	if err != nil {
-		return 0, "", err
-	}
-	resp, err := client.Do(req)
+	get, err := fetch(ctx, client, http.MethodGet, fromURL+"/v1/dicts/"+id+"/snapshot", nil, nil, maxSnapshotBytes)
 	if err != nil {
 		return 0, "", fmt.Errorf("service: snapshot get %s: %w", fromURL, err)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSnapshotBytes))
-	resp.Body.Close()
-	if err != nil {
-		return 0, "", fmt.Errorf("service: snapshot get %s: %w", fromURL, err)
+	if get.status != http.StatusOK {
+		return 0, "", fmt.Errorf("service: snapshot get %s: status %d: %s", fromURL, get.status, bytes.TrimSpace(get.body))
 	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, "", fmt.Errorf("service: snapshot get %s: status %d: %s", fromURL, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	declared := resp.Header.Get(shaHeader)
+	data := get.body
+	declared := get.header.Get(shaHeader)
 	sum := sha256.Sum256(data)
 	digest := hex.EncodeToString(sum[:])
 	if declared == "" || digest != declared {
 		return 0, "", fmt.Errorf("service: snapshot %q from %s corrupted in flight: sha256 %s, declared %q", id, fromURL, digest, declared)
 	}
 
-	preq, err := http.NewRequestWithContext(ctx, http.MethodPut, toURL+"/v1/dicts/"+id+"/snapshot", bytes.NewReader(data))
-	if err != nil {
-		return 0, "", err
-	}
-	preq.Header.Set("Content-Type", "application/octet-stream")
-	preq.Header.Set(shaHeader, digest)
-	presp, err := client.Do(preq)
+	hdr := http.Header{"Content-Type": {"application/octet-stream"}, shaHeader: {digest}}
+	put, err := fetch(ctx, client, http.MethodPut, toURL+"/v1/dicts/"+id+"/snapshot", hdr, data, 1<<20)
 	if err != nil {
 		return 0, "", fmt.Errorf("service: snapshot put %s: %w", toURL, err)
 	}
-	pbody, err := io.ReadAll(io.LimitReader(presp.Body, 1<<20))
-	presp.Body.Close()
-	if err != nil {
-		return 0, "", fmt.Errorf("service: snapshot put %s: %w", toURL, err)
-	}
-	if presp.StatusCode != http.StatusOK {
-		return 0, "", fmt.Errorf("service: snapshot put %s: status %d: %s", toURL, presp.StatusCode, bytes.TrimSpace(pbody))
+	if put.status != http.StatusOK {
+		return 0, "", fmt.Errorf("service: snapshot put %s: status %d: %s", toURL, put.status, bytes.TrimSpace(put.body))
 	}
 	return len(data), digest, nil
 }
