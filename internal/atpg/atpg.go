@@ -140,10 +140,20 @@ type Generator struct {
 	cells             []cell
 
 	// vals holds the 3-valued gate values per frame; an input's value
-	// is its assignment. Outside setInput, every other gate's value
-	// equals what simulate computes from the input values.
+	// is its assignment. Outside setInput, every gate in a frame's
+	// cone equals what simulate computes from the input values; gates
+	// outside it are stale.
 	vals       [2][]byte
 	unassigned []byte // gate values with every input at X
+	// rel marks each frame's cone: gate i is in frame f's cone when
+	// rel[f][i] == stamp. restrict stamps the fan-in cones of the
+	// current objectives, which are all PODEM ever reads; a fresh
+	// Generator's cone is the whole circuit.
+	rel   [2][]uint32
+	stamp uint32
+	// coneStack is restrict's DFS stack, preallocated at one slot per
+	// gate: a gate is pushed at most once per frame and stamp.
+	coneStack []circuit.GateID
 	// trail lists every value setInput overwrote since clear, oldest
 	// first; undo restores the values back to a mark. Preallocated at
 	// two entries per gate, which refining implication never exceeds.
@@ -161,11 +171,13 @@ type Generator struct {
 func NewGenerator(c *circuit.Circuit) *Generator {
 	n := len(c.Gates)
 	g := &Generator{
-		c:        c,
-		finStart: make([]int32, n+1),
-		foStart:  make([]int32, n+1),
-		cells:    make([]cell, n),
-		trail:    make([]trailEntry, 0, 2*n),
+		c:         c,
+		finStart:  make([]int32, n+1),
+		foStart:   make([]int32, n+1),
+		cells:     make([]cell, n),
+		stamp:     1,
+		coneStack: make([]circuit.GateID, 0, n),
+		trail:     make([]trailEntry, 0, 2*n),
 	}
 	for i := range c.Gates {
 		gate := &c.Gates[i]
@@ -178,6 +190,10 @@ func NewGenerator(c *circuit.Circuit) *Generator {
 	g.work = make([]circuit.GateID, 0, len(g.fo))
 	for f := 0; f < 2; f++ {
 		g.vals[f] = bytes.Repeat([]byte{fX}, n)
+		g.rel[f] = make([]uint32, n)
+		for i := range g.rel[f] {
+			g.rel[f][i] = g.stamp
+		}
 	}
 	g.simulate()
 	g.unassigned = slices.Clone(g.vals[0])
@@ -191,6 +207,44 @@ func (g *Generator) clear() {
 		copy(g.vals[f], g.unassigned)
 	}
 	g.trail = g.trail[:0]
+}
+
+// restrict makes each frame's cone the fan-in cone of that frame's
+// objectives in objs. The cone is closed under fan-in: eval of a gate
+// in it reads only gates in it, and backtrace, which walks from an
+// objective to fan-ins, never leaves it. Bumping the stamp drops the
+// previous cone without clearing rel; only when the stamp wraps are
+// the marks reset.
+//
+//ddd:hot
+func (g *Generator) restrict(objs []objective) {
+	g.stamp++
+	if g.stamp == 0 {
+		for f := range g.rel {
+			clear(g.rel[f])
+		}
+		g.stamp = 1
+	}
+	stack := g.coneStack[:0]
+	for _, o := range objs {
+		rel := g.rel[o.frame]
+		if rel[o.g] == g.stamp {
+			continue
+		}
+		rel[o.g] = g.stamp
+		stack = append(stack, o.g)
+		for len(stack) > 0 {
+			gid := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, fi := range g.fin[g.finStart[gid]:g.finStart[gid+1]] {
+				if rel[fi] != g.stamp {
+					rel[fi] = g.stamp
+					stack = append(stack, fi)
+				}
+			}
+		}
+	}
+	g.coneStack = stack
 }
 
 // simulate refreshes every non-input gate value of both frames from
@@ -247,16 +301,18 @@ func (g *Generator) eval(gid circuit.GateID, vals []byte) byte {
 
 // setInput assigns v (f0, f1 or fX) to input gate in of frame and
 // implies the change forward through the input's fan-out cone in that
-// frame. A LIFO worklist re-evaluates a gate after every change of any
-// of its fanins, and propagation stops at every gate whose 3-valued
-// output does not change; the netlist is acyclic, so when the worklist
-// empties every gate equals its simulate value, whatever the order.
+// frame, as far as the frame's cone reaches. A LIFO worklist
+// re-evaluates a gate after every change of any of its fanins, and
+// propagation stops at every gate whose 3-valued output does not
+// change and at every gate outside the cone; the netlist is acyclic
+// and the cone closed under fan-in, so when the worklist empties every
+// gate in the cone equals its simulate value, whatever the order.
 // Every value it overwrites, the input's own included, goes onto the
 // trail.
 //
 //ddd:hot
 func (g *Generator) setInput(frame int, in circuit.GateID, v byte) {
-	vals := g.vals[frame]
+	vals, rel, stamp := g.vals[frame], g.rel[frame], g.stamp
 	// Assigning an unassigned input only refines X values: 3-valued
 	// simulation is monotone, so a gate that is already definite keeps
 	// its value and need not be re-evaluated, and every gate changes at
@@ -268,7 +324,7 @@ func (g *Generator) setInput(frame int, in circuit.GateID, v byte) {
 			g.trail = append(g.trail, trailEntry{gate: gid, frame: uint8(frame), old: vals[gid]})
 			vals[gid] = nv
 			for _, fo := range g.fo[g.foStart[gid]:g.foStart[gid+1]] {
-				if !refine || vals[fo] == fX {
+				if rel[fo] == stamp && (!refine || vals[fo] == fX) {
 					work = append(work, fo)
 				}
 			}
@@ -391,16 +447,18 @@ func (g *Generator) PathTest(p path.Path, rising, robust bool, r *rand.Rand) (lo
 	return pair, nil
 }
 
-// prepare starts a PathTest: it unassigns every input, applies the
-// objectives that sit on inputs as direct assignments, and returns the
-// rest, which the search must justify. It returns ErrUntestable when
-// two direct assignments conflict.
+// prepare starts a PathTest: it unassigns every input, restricts
+// implication to the objectives' cones, applies the objectives that sit
+// on inputs as direct assignments, and returns the rest, which the
+// search must justify. It returns ErrUntestable when two direct
+// assignments conflict.
 func (g *Generator) prepare(p path.Path, rising, robust bool) ([]objective, error) {
 	objs, err := g.pathObjectives(p, rising, robust)
 	if err != nil {
 		return nil, err
 	}
 	g.clear()
+	g.restrict(objs)
 	rest := g.rest[:0]
 	for _, o := range objs {
 		if g.cells[o.g].class != cellInput {

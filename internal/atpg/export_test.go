@@ -17,9 +17,9 @@ const (
 var SensitizedPathsThroughScalar = sensitizedPathsThroughScalar
 
 // Capacities returns the capacities of the implication trail and
-// worklist.
-func (g *Generator) Capacities() (trail, work int) {
-	return cap(g.trail), cap(g.work)
+// worklist and of the cone-marking stack.
+func (g *Generator) Capacities() (trail, work, cone int) {
+	return cap(g.trail), cap(g.work), cap(g.coneStack)
 }
 
 // Attempt is the outcome of one PODEM attempt of a PathTest.

@@ -3,6 +3,8 @@ package atpg
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -146,13 +148,14 @@ func pow3(n int) int {
 }
 
 // implicationDriver drives a Generator through setInput, trail marks,
-// undo and clear, and tracks the input assignment the generator's
-// values must reflect.
+// undo, clear and restrict, and tracks the input assignment the
+// generator's values must reflect.
 type implicationDriver struct {
 	g     *Generator
 	assn  [2][]byte // expected input values, by input index
 	marks []int     // trail marks, innermost last
 	saved [][2][]byte
+	objs  []objective // the objectives of the last restrict
 }
 
 func newImplicationDriver(c *circuit.Circuit) *implicationDriver {
@@ -196,18 +199,33 @@ func (d *implicationDriver) clear() {
 	d.marks, d.saved = d.marks[:0], d.saved[:0]
 }
 
+// restrict unassigns every input and restricts implication to the
+// cones of objs, as prepare does.
+func (d *implicationDriver) restrict(objs []objective) {
+	d.clear()
+	d.objs = objs
+	d.g.restrict(objs)
+}
+
+// simulated returns a fresh Generator holding a full simulation of the
+// expected input assignment.
+func (d *implicationDriver) simulated() *Generator {
+	want := NewGenerator(d.g.c)
+	for f := 0; f < 2; f++ {
+		for i, in := range d.g.c.Inputs {
+			want.vals[f][in] = d.assn[f][i]
+		}
+	}
+	want.simulate()
+	return want
+}
+
 // check fails t unless the generator's values equal a full simulation
 // of the expected input assignment, computed on a fresh Generator.
 func (d *implicationDriver) check(t *testing.T, step string) {
 	t.Helper()
 	g := d.g
-	want := NewGenerator(g.c)
-	for f := 0; f < 2; f++ {
-		for i, in := range g.c.Inputs {
-			want.vals[f][in] = d.assn[f][i]
-		}
-	}
-	want.simulate()
+	want := d.simulated()
 	for f := 0; f < 2; f++ {
 		if !bytes.Equal(g.vals[f], want.vals[f]) {
 			for gid := range want.vals[f] {
@@ -218,6 +236,80 @@ func (d *implicationDriver) check(t *testing.T, step string) {
 			}
 		}
 	}
+}
+
+// checkCone fails t unless each frame's cone holds that frame's
+// objectives and is closed under fan-in, and every gate in it equals a
+// full simulation of the expected input assignment.
+func (d *implicationDriver) checkCone(t *testing.T, step string) {
+	t.Helper()
+	g := d.g
+	for _, o := range d.objs {
+		if g.rel[o.frame][o.g] != g.stamp {
+			t.Fatalf("%s: objective gate %s not in frame %d's cone", step, g.c.Gates[o.g].Name, o.frame)
+		}
+	}
+	want := d.simulated()
+	for f := 0; f < 2; f++ {
+		rel := g.rel[f]
+		for gid := range rel {
+			if rel[gid] != g.stamp {
+				continue
+			}
+			for _, fi := range g.c.Gates[gid].Fanin {
+				if rel[fi] != g.stamp {
+					t.Fatalf("%s: frame %d cone holds %s but not its fanin %s",
+						step, f, g.c.Gates[gid].Name, g.c.Gates[fi].Name)
+				}
+			}
+			if g.vals[f][gid] != want.vals[f][gid] {
+				t.Fatalf("%s: frame %d cone gate %s = %d, full simulation gives %d",
+					step, f, g.c.Gates[gid].Name, g.vals[f][gid], want.vals[f][gid])
+			}
+		}
+	}
+}
+
+// randomObjectives returns one to eight objectives on random gates of
+// c in random frames.
+func randomObjectives(r *rand.Rand, c *circuit.Circuit) []objective {
+	objs := make([]objective, 1+r.IntN(8))
+	for i := range objs {
+		objs[i] = objective{g: circuit.GateID(r.IntN(len(c.Gates))), frame: r.IntN(2), val: byte(r.IntN(2))}
+	}
+	return objs
+}
+
+// randomSteps drives steps random assignments, unassignments, trail
+// marks and undos through both frames, calls check after every one,
+// and returns how many undos it ran.
+func (d *implicationDriver) randomSteps(t *testing.T, r *rand.Rand, steps int, check func(*testing.T, string)) int {
+	t.Helper()
+	c := d.g.c
+	undos := 0
+	for step := 0; step < steps; step++ {
+		switch op := r.IntN(12); {
+		case op == 0:
+			d.mark()
+		case op == 1:
+			if d.undo() {
+				undos++
+				check(t, fmt.Sprintf("step %d: after undo", step))
+			}
+		default:
+			frame, idx := r.IntN(2), r.IntN(len(c.Inputs))
+			v := fX
+			if r.IntN(3) != 0 { // assign twice as often as unassign
+				v = byte(r.IntN(2))
+			}
+			d.set(frame, idx, v)
+			if d.g.vals[frame][c.Inputs[idx]] != v {
+				t.Fatalf("step %d: input value not updated", step)
+			}
+			check(t, fmt.Sprintf("step %d", step))
+		}
+	}
+	return undos
 }
 
 // implicationCircuits are the netlists the implication oracle runs on:
@@ -239,7 +331,10 @@ func implicationCircuits(tb testing.TB) []*circuit.Circuit {
 // assignments, unassignments, trail marks and undos through both
 // frames and checks after every step that the incrementally maintained
 // values equal a full re-simulation of the assignment — the invariant
-// PODEM relies on.
+// PODEM relies on. A fresh Generator's cone is the whole circuit, so
+// every gate must match. It then restricts implication to the cones of
+// random objective sets, one stamp wrap included, and checks after
+// every step that every gate in a cone still matches.
 func TestImplicationMatchesFullSimulate(t *testing.T) {
 	for _, c := range implicationCircuits(t) {
 		t.Run(c.Name, func(t *testing.T) {
@@ -247,34 +342,29 @@ func TestImplicationMatchesFullSimulate(t *testing.T) {
 			d.check(t, "fresh generator")
 			r := rng.New(7)
 			undos := 0
-			for step := 0; step < 600; step++ {
-				switch op := r.IntN(12); {
-				case op == 0:
-					d.mark()
-				case op == 1:
-					if d.undo() {
-						undos++
-						d.check(t, fmt.Sprintf("step %d: after undo", step))
-					}
-				default:
-					frame, idx := r.IntN(2), r.IntN(len(c.Inputs))
-					v := fX
-					if r.IntN(3) != 0 { // assign twice as often as unassign
-						v = byte(r.IntN(2))
-					}
-					d.set(frame, idx, v)
-					if d.g.vals[frame][c.Inputs[idx]] != v {
-						t.Fatalf("step %d: input value not updated", step)
-					}
-					d.check(t, fmt.Sprintf("step %d", step))
-				}
-				if step%200 == 199 {
-					d.clear()
-					d.check(t, "after clear")
-				}
+			for range 3 {
+				undos += d.randomSteps(t, r, 200, d.check)
+				d.clear()
+				d.check(t, "after clear")
 			}
 			if undos == 0 {
 				t.Error("no undo exercised")
+			}
+
+			undos = 0
+			for k := range 4 {
+				if k == 3 {
+					d.g.stamp = math.MaxUint32 // the next restrict wraps
+				}
+				d.restrict(randomObjectives(r, c))
+				d.checkCone(t, fmt.Sprintf("cone %d: after restrict", k))
+				undos += d.randomSteps(t, r, 150, d.checkCone)
+			}
+			if d.g.stamp != 1 {
+				t.Errorf("stamp %d after the wrap, want 1", d.g.stamp)
+			}
+			if undos == 0 {
+				t.Error("no undo exercised under a cone")
 			}
 		})
 	}
@@ -285,26 +375,41 @@ func TestImplicationMatchesFullSimulate(t *testing.T) {
 // operation: bit 0 of the first byte selects the frame and bits 1-2
 // the operation (0, 1: assign; 2: mark; 3: undo to the innermost
 // mark); for an assignment the second byte selects the input and the
-// third the value (0, 1 or X).
+// third the value (0, 1 or X). When bit 3 is set the group instead
+// adds an objective on the gate the second and third bytes select and
+// restricts implication to the cones of every objective added so far.
+// Until the first restrict every gate must match a full simulation;
+// after it, every gate in a cone.
 func FuzzImplication(f *testing.F) {
 	cs := implicationCircuits(f)
 	f.Add(byte(0), []byte{0, 0, 1, 1, 0, 0, 0, 0, 2})
 	f.Add(byte(1), []byte{3, 7, 0, 2, 9, 1, 3, 7, 2, 0, 1, 1})
 	f.Add(byte(2), []byte{1, 200, 1, 0, 13, 0, 1, 200, 2, 1, 5, 1})
 	f.Add(byte(2), []byte{4, 0, 0, 1, 3, 1, 0, 4, 0, 6, 0, 0, 1, 3, 0})
+	f.Add(byte(3), []byte{8, 1, 44, 0, 2, 1, 4, 0, 0, 1, 5, 0, 9, 0, 7, 1, 2, 1, 6, 0, 0})
+	f.Add(byte(4), []byte{9, 3, 200, 8, 2, 17, 1, 0, 1, 0, 9, 0, 4, 0, 0, 1, 9, 1, 6, 0, 0})
 	f.Fuzz(func(t *testing.T, which byte, seq []byte) {
 		c := cs[int(which)%len(cs)]
 		d := newImplicationDriver(c)
+		var objs []objective
 		for i := 0; i+2 < len(seq); i += 3 {
-			switch seq[i] >> 1 & 3 {
-			case 2:
+			switch {
+			case seq[i]&8 != 0:
+				gid := (int(seq[i+1])<<8 | int(seq[i+2])) % len(c.Gates)
+				objs = append(objs, objective{g: circuit.GateID(gid), frame: int(seq[i] & 1), val: f1})
+				d.restrict(objs)
+			case seq[i]>>1&3 == 2:
 				d.mark()
-			case 3:
+			case seq[i]>>1&3 == 3:
 				d.undo()
 			default:
 				d.set(int(seq[i]&1), int(seq[i+1])%len(c.Inputs), seq[i+2]%3)
 			}
-			d.check(t, "fuzz step")
+			if objs == nil {
+				d.check(t, "fuzz step")
+			} else {
+				d.checkCone(t, "fuzz step")
+			}
 		}
 	})
 }
