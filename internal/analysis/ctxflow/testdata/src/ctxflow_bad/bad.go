@@ -54,3 +54,54 @@ func (s *store) FlushCtx(ctx context.Context) error {
 func method(ctx context.Context, s *store) {
 	s.Flush() // want `use FlushCtx so cancellation propagates`
 }
+
+// deferDetach passes a possibly laundered ctx to a deferred call: Go
+// evaluates the deferred arguments at the defer statement.
+func deferDetach(ctx context.Context, fallback bool) {
+	if fallback {
+		ctx = context.TODO()
+	}
+	defer work(ctx) // want `context "ctx" may be context.TODO\(\) here \(reassigned at line 62\)`
+}
+
+// goDetach hands a possibly laundered ctx to a goroutine.
+func goDetach(ctx context.Context, fallback bool) {
+	if fallback {
+		ctx = context.Background()
+	}
+	go work(ctx) // want `context "ctx" may be context.Background\(\) here \(reassigned at line 70\)`
+}
+
+// condDetach passes a possibly laundered ctx in an if condition.
+func condDetach(ctx context.Context, fallback bool) bool {
+	if fallback {
+		ctx = context.Background()
+	}
+	if work(ctx) != nil { // want `context "ctx" may be context.Background\(\) here \(reassigned at line 78\)`
+		return false
+	}
+	return true
+}
+
+// varSpec binds a fresh root through a var spec and passes it on.
+func varSpec(ctx context.Context) error {
+	var c = context.Background()
+	return work(c) // want `context "c" may be context.Background\(\) here \(reassigned at line 88\)`
+}
+
+// loopDetach launders ctx at the end of an iteration: the next
+// iteration's call receives it around the loop back edge.
+func loopDetach(ctx context.Context, n int) {
+	for i := 0; i < n; i++ {
+		_ = work(ctx) // want `context "ctx" may be context.TODO\(\) here \(reassigned at line 97\)`
+		ctx = context.TODO()
+	}
+}
+
+// relaunder launders twice: only the second laundering reaches the
+// call, so the finding names it.
+func relaunder(ctx context.Context) error {
+	ctx = context.Background()
+	ctx = context.TODO()
+	return work(ctx) // want `context "ctx" may be context.TODO\(\) here \(reassigned at line 105\)`
+}

@@ -50,3 +50,30 @@ func detached(ctx context.Context) error {
 	//lint:ignore ctxflow audit write must complete even when the request is canceled
 	return work(context.Background())
 }
+
+// overwritten launders ctx but overwrites it with an attached context
+// before any use.
+func overwritten(ctx, parent context.Context) error {
+	ctx = context.TODO()
+	ctx = parent
+	return work(ctx)
+}
+
+// rangeRebinds launders ctx, then the range clause rebinds it to an
+// attached context on every iteration before the call.
+func rangeRebinds(ctx context.Context, ctxs []context.Context) {
+	ctx = context.TODO()
+	for _, ctx = range ctxs {
+		_ = work(ctx)
+	}
+}
+
+// shadowed launders only an inner-block ctx that shadows the
+// parameter; the outer ctx reaches the call intact.
+func shadowed(ctx context.Context, fallback bool) error {
+	if fallback {
+		ctx := context.TODO()
+		_ = ctx
+	}
+	return work(ctx)
+}

@@ -379,3 +379,71 @@ func TestPairsUseWhileHeld(t *testing.T) {
 		t.Fatalf("exit leaks = %d, want 0", len(res.ExitLeaks))
 	}
 }
+
+// defClassifier models a reaching-definitions client on Pairs, the way
+// ctxflow uses it: every assignment to a releases it, an assignment
+// from g() then acquires it, and a return statement uses it.
+func defClassifier(n ast.Node) []Event {
+	var events []Event
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		for i, lhs := range n.Lhs {
+			if id, ok := lhs.(*ast.Ident); !ok || id.Name != "a" {
+				continue
+			}
+			events = append(events, Event{Kind: EventRelease, Key: "a", Node: n})
+			if call, ok := n.Rhs[i].(*ast.CallExpr); ok {
+				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "g" {
+					events = append(events, Event{Kind: EventAcquire, Key: "a", Node: n})
+				}
+			}
+		}
+	case *ast.ReturnStmt:
+		events = append(events, Event{Kind: EventUse, Key: "a", Node: n})
+	}
+	return events
+}
+
+const defSrc = `package p
+func g() int { return 1 }
+func join(a int, cond bool) int {
+	a = g()
+	if cond {
+		a = g()
+	}
+	return a + 1
+}
+func kill(a int) int {
+	a = g()
+	a = g()
+	return a
+}
+`
+
+// TestPairsBranchJoinKeepsBoth checks the merge: the acquire before
+// the if and the one inside its branch both reach the return.
+func TestPairsBranchJoinKeepsBoth(t *testing.T) {
+	fset, _, fd := load(t, defSrc, "join")
+	res := New(fd).Pairs(defClassifier)
+	if len(res.UseLeaks) != 2 {
+		t.Fatalf("use leaks = %d, want 2 (both assignments reach the join)", len(res.UseLeaks))
+	}
+	for i, want := range []int{4, 6} {
+		if got := fset.Position(res.UseLeaks[i].Acquire.Pos()).Line; got != want {
+			t.Errorf("use leak %d acquired at line %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestPairsReleaseKills checks the kill: the second assignment
+// releases the first one's acquire, so only the second reaches.
+func TestPairsReleaseKills(t *testing.T) {
+	fset, _, fd := load(t, defSrc, "kill")
+	res := New(fd).Pairs(defClassifier)
+	if len(res.UseLeaks) != 1 {
+		t.Fatalf("use leaks = %d, want 1 (the second assignment killed the first)", len(res.UseLeaks))
+	}
+	if got := fset.Position(res.UseLeaks[0].Acquire.Pos()).Line; got != 12 {
+		t.Fatalf("use leak acquired at line %d, want 12", got)
+	}
+}
