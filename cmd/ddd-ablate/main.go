@@ -1,20 +1,24 @@
 // ddd-ablate runs the extension experiments built on top of the
-// paper's framework (its "future research" directions):
+// paper's framework (its "future research" directions), in this order:
 //
-//	multi    — multiple simultaneous defects: single-shot top-K recall
-//	           vs the iterative peel-and-re-diagnose loop (item 3);
-//	autok    — automatic K selection from the score-gap heuristic
-//	           (item 2): chosen K, success within it;
-//	size     — sensitivity to the assumed defect-size distribution in
-//	           the dictionary (paper default vs a wide uniform);
-//	compress — sparse/quantized dictionary storage (item 4): bytes,
-//	           compression ratio, ranking agreement with the dense form;
-//	errfuncs — the additional explicit error functions (item 5) next to
-//	           the paper's four methods;
-//	static   — one precomputed dictionary for a global pattern set vs
-//	           per-case targeted patterns (the effect-cause trade-off);
-//	loc      — pattern yield under the launch-on-capture (broadside)
-//	           constraint vs the enhanced-scan assumption.
+//	static    — one precomputed dictionary for a global pattern set vs
+//	            per-case targeted patterns (the effect-cause trade-off);
+//	loc       — pattern yield under the launch-on-capture (broadside)
+//	            constraint vs the enhanced-scan assumption;
+//	guardband — escape and false-alarm rates as the test clock's
+//	            quantile moves (the tester's guard band);
+//	patterns  — Alg_rev success and escape rate as the per-case
+//	            targeted pattern budget grows;
+//	multi     — multiple simultaneous defects: single-shot top-K recall
+//	            vs the iterative peel-and-re-diagnose loop (item 3);
+//	autok     — automatic K selection from the score-gap heuristic
+//	            (item 2): chosen K, success within it;
+//	size      — sensitivity to the assumed defect-size distribution in
+//	            the dictionary (paper default vs a wide uniform);
+//	compress  — sparse/quantized dictionary storage (item 4): bytes,
+//	            compression ratio, ranking agreement with the dense form;
+//	errfuncs  — the additional explicit error functions (item 5) next to
+//	            the paper's four methods.
 //
 // Usage:
 //
@@ -62,7 +66,7 @@ func withCheckpoint(cfg eval.Config, name string) eval.Config {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: multi, autok, size, compress, errfuncs or all")
+	exp := flag.String("exp", "all", "experiment: static, loc, guardband, patterns, multi, autok, size, compress, errfuncs or all")
 	circuitName := flag.String("circuit", "small", "circuit profile")
 	n := flag.Int("n", 10, "cases per experiment")
 	checkpoint := flag.String("checkpoint", "", "journal completed cases to DIR/<experiment>.journal (crash-safe)")
@@ -306,7 +310,7 @@ func errfuncsExp(circuitName string, n int) error {
 	for _, m := range core.Methods {
 		fmt.Printf("%-12s K=5 success %.0f%%\n", m, 100*res.SuccessRate(m, 5))
 	}
-	fmt.Println("(registered extension error functions are exercised per-case in")
+	fmt.Println("(the extension error functions are core.Methods too, exercised per-case in")
 	fmt.Println(" examples/errorfuncs and the core test suite)")
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 // TestSummaryCountsSuppressed runs the driver against a package with a
@@ -80,5 +82,25 @@ func TestVerbosePrintsSuppressed(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "suppressed (merged dictionaries must share a bit-identical clk") {
 		t.Errorf("-v does not print the suppression justification:\n%s", out)
+	}
+}
+
+// TestRepositoryLintClean runs the whole suite over every package of
+// the module, as `make lint` does, and fails on any diagnostic that no
+// //lint:ignore directive suppresses, so `go test ./...` alone catches
+// a change that breaks the determinism and pairing invariants.
+func TestRepositoryLintClean(t *testing.T) {
+	pkgs, err := analysis.Load("repro/...")
+	if err != nil {
+		t.Fatalf("loading repro/...: %v", err)
+	}
+	diags, err := analysis.Run(Analyzers, pkgs)
+	if err != nil {
+		t.Fatalf("running analyzers: %v", err)
+	}
+	for _, d := range diags {
+		if !d.Suppressed {
+			t.Errorf("%s", d)
+		}
 	}
 }

@@ -129,6 +129,47 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.TypesInfo.ObjectOf(id)
 }
 
+// Callee returns the function or method that call invokes, or nil for
+// builtins, function values, and conversions.
+func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := p.ObjectOf(id).(*types.Func)
+	return fn
+}
+
+// QualifierPath returns the import path of the package that e names
+// when e is a selector's package qualifier (the fmt of fmt.Println),
+// or "" when e is not a package name.
+func (p *Pass) QualifierPath(e ast.Expr) string {
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	pkg, ok := p.ObjectOf(id).(*types.PkgName)
+	if !ok {
+		return ""
+	}
+	return pkg.Imported().Path()
+}
+
+// NamedOf returns the named type t denotes, looking through one
+// pointer (a method receiver's *T), or nil.
+func NamedOf(t types.Type) *types.Named {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
 // Run applies each analyzer to each package and returns all
 // diagnostics, sorted by position then analyzer. Suppression
 // directives are already applied: suppressed diagnostics are included

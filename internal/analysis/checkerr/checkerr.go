@@ -63,27 +63,13 @@ func report(pass *analysis.Pass, e ast.Expr) {
 	if !ok {
 		return
 	}
-	fn := callee(pass, call)
+	fn := pass.Callee(call)
 	if fn == nil || !isChecker(fn) {
 		return
 	}
 	pass.Reportf(call.Pos(),
 		"result of %s discarded: invariant-check errors must be handled or explicitly suppressed",
 		fn.Name())
-}
-
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = f
-	case *ast.SelectorExpr:
-		id = f.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.ObjectOf(id).(*types.Func)
-	return fn
 }
 
 // isChecker reports whether fn looks like a domain invariant checker:

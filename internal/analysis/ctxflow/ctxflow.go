@@ -14,9 +14,11 @@
 //     context.TODO(): the caller's context is dropped on the spot;
 //   - a context-typed variable argument that, on some control-flow
 //     path, was reassigned from context.Background()/TODO() — found
-//     with reaching definitions over the function's CFG, so a detach
-//     inside one branch of a conditional is caught at the call site
-//     where the laundered context escapes;
+//     by the flow package's pairing analysis over the function's CFG,
+//     where such an assignment acquires the variable, any other
+//     assignment releases it, and a call argument uses it; so a
+//     detach inside one branch of a conditional is caught at the call
+//     site where the laundered context escapes;
 //   - a call of a module-internal function or method Foo when a
 //     sibling FooCtx accepting a context.Context exists (par.For vs
 //     par.ForCtx, Cache.Get vs Cache.GetCtx): the context-free
@@ -48,11 +50,10 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	pass.ForEachFunc(func(fn ast.Node, body *ast.BlockStmt) {
-		params := ctxParams(pass, fn)
-		if len(params) == 0 {
-			return
+		if receivesCtx(pass, fn) {
+			checkCalls(pass, body)
+			checkLaundering(pass, fn)
 		}
-		checkFunc(pass, fn, body, params)
 	})
 	return nil
 }
@@ -67,8 +68,9 @@ func isContextType(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
-// ctxParams returns the context.Context parameters of fn.
-func ctxParams(pass *analysis.Pass, fn ast.Node) []types.Object {
+// receivesCtx reports whether fn has a named context.Context
+// parameter.
+func receivesCtx(pass *analysis.Pass, fn ast.Node) bool {
 	var fieldList *ast.FieldList
 	switch fn := fn.(type) {
 	case *ast.FuncDecl:
@@ -77,18 +79,16 @@ func ctxParams(pass *analysis.Pass, fn ast.Node) []types.Object {
 		fieldList = fn.Type.Params
 	}
 	if fieldList == nil {
-		return nil
+		return false
 	}
-	var out []types.Object
 	for _, field := range fieldList.List {
 		for _, name := range field.Names {
-			obj := pass.ObjectOf(name)
-			if obj != nil && isContextType(obj.Type()) {
-				out = append(out, obj)
+			if obj := pass.ObjectOf(name); obj != nil && isContextType(obj.Type()) {
+				return true
 			}
 		}
 	}
-	return out
+	return false
 }
 
 // isDetachCall reports whether e is context.Background() or
@@ -99,29 +99,20 @@ func isDetachCall(pass *analysis.Pass, e ast.Expr) (string, bool) {
 		return "", false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Background" && sel.Sel.Name != "TODO") {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	pkg, ok := pass.ObjectOf(id).(*types.PkgName)
-	if !ok || pkg.Imported().Path() != "context" {
+	if !ok || (sel.Sel.Name != "Background" && sel.Sel.Name != "TODO") ||
+		pass.QualifierPath(sel.X) != "context" {
 		return "", false
 	}
 	return "context." + sel.Sel.Name + "()", true
 }
 
-func checkFunc(pass *analysis.Pass, fn ast.Node, body *ast.BlockStmt, params []types.Object) {
-	g := pass.CFG(fn)
-	if g == nil {
-		return
-	}
-	var reaching *flow.Reaching // built lazily: most functions need none
+// checkCalls reports Background/TODO call arguments and context-free
+// calls with a Ctx sibling in body, skipping function literals (they
+// are analyzed in their own right).
+func checkCalls(pass *analysis.Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
-			return false // literals are analyzed in their own right
+			return false
 		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -132,26 +123,6 @@ func checkFunc(pass *analysis.Pass, fn ast.Node, body *ast.BlockStmt, params []t
 				pass.Reportf(arg.Pos(),
 					"%s passed onward from a function that receives a context.Context: thread the caller's ctx instead",
 					name)
-				continue
-			}
-			id, ok := arg.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if t := pass.TypeOf(id); t == nil || !isContextType(t) {
-				continue
-			}
-			if reaching == nil {
-				reaching = g.Reaching(pass.TypesInfo, params)
-			}
-			obj := pass.ObjectOf(id)
-			for _, def := range reaching.DefsAt(obj, call) {
-				if rhs := detachingRHS(pass, def, obj); rhs != "" {
-					pass.Reportf(arg.Pos(),
-						"context %q may be %s here (reassigned at line %d): the callee runs detached from the caller's cancellation on that path",
-						id.Name, rhs, pass.Fset.Position(def.Pos()).Line)
-					break
-				}
 			}
 		}
 		checkCtxSibling(pass, call)
@@ -159,39 +130,106 @@ func checkFunc(pass *analysis.Pass, fn ast.Node, body *ast.BlockStmt, params []t
 	})
 }
 
-// detachingRHS reports the Background/TODO expression a definition of
-// obj binds, or "" when the definition keeps the chain intact.
-func detachingRHS(pass *analysis.Pass, def ast.Node, obj types.Object) string {
-	switch def := def.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range def.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || pass.ObjectOf(id) != obj {
-				continue
+// checkLaundering reports each context argument that some path reaches
+// holding a Background/TODO value, once, naming the earliest such
+// assignment.
+func checkLaundering(pass *analysis.Pass, fn ast.Node) {
+	g := pass.CFG(fn)
+	if g == nil {
+		return
+	}
+	res := g.Pairs(func(n ast.Node) []flow.Event { return classifyNode(pass, n) })
+	reported := make(map[ast.Node]bool)
+	for _, leak := range res.UseLeaks {
+		if reported[leak.At] {
+			continue
+		}
+		reported[leak.At] = true
+		obj := leak.Key.(types.Object)
+		var rhs string
+		eachDef(pass, leak.Acquire, func(o types.Object, val ast.Expr) {
+			if name, ok := isDetachCall(pass, val); ok && o == obj {
+				rhs = name
 			}
-			if len(def.Rhs) == len(def.Lhs) {
-				if name, ok := isDetachCall(pass, def.Rhs[i]); ok {
-					return name
+		})
+		pass.Reportf(leak.At.Pos(),
+			"context %q may be %s here (reassigned at line %d): the callee runs detached from the caller's cancellation on that path",
+			obj.Name(), rhs, pass.Fset.Position(leak.Acquire.Pos()).Line)
+	}
+}
+
+// classifyNode emits the laundering events of one shallow CFG node in
+// evaluation order: a use for every context-typed identifier passed as
+// a call argument, then, for every context variable the node defines,
+// a release followed by an acquire when the new value is
+// context.Background() or context.TODO().
+func classifyNode(pass *analysis.Pass, n ast.Node) []flow.Event {
+	var events []flow.Event
+	flow.Inspect(n, func(m ast.Node) bool {
+		if call, ok := m.(*ast.CallExpr); ok {
+			for _, arg := range call.Args {
+				if id, ok := arg.(*ast.Ident); ok {
+					if obj := pass.ObjectOf(id); obj != nil && isContextType(obj.Type()) {
+						events = append(events, flow.Event{Kind: flow.EventUse, Key: obj, Node: id})
+					}
 				}
 			}
 		}
+		return true
+	})
+	define := func(def ast.Node) {
+		eachDef(pass, def, func(obj types.Object, val ast.Expr) {
+			events = append(events, flow.Event{Kind: flow.EventRelease, Key: obj, Node: def})
+			if _, ok := isDetachCall(pass, val); ok {
+				events = append(events, flow.Event{Kind: flow.EventAcquire, Key: obj, Node: def})
+			}
+		})
+	}
+	if decl, ok := n.(*ast.DeclStmt); ok {
+		for _, spec := range decl.Decl.(*ast.GenDecl).Specs {
+			define(spec)
+		}
+	} else {
+		define(n)
+	}
+	return events
+}
+
+// eachDef calls f for every context variable that def (an assignment,
+// a var spec, or a range clause) binds, with the expression bound to
+// it, or nil when the right-hand side does not pair one to one.
+func eachDef(pass *analysis.Pass, def ast.Node, f func(obj types.Object, val ast.Expr)) {
+	var lhs, rhs []ast.Expr
+	switch def := def.(type) {
+	case *ast.AssignStmt:
+		lhs, rhs = def.Lhs, def.Rhs
 	case *ast.ValueSpec:
-		for i, name := range def.Names {
-			if pass.ObjectOf(name) != obj || i >= len(def.Values) {
-				continue
+		for _, name := range def.Names {
+			lhs = append(lhs, name)
+		}
+		rhs = def.Values
+	case *ast.RangeStmt:
+		lhs = []ast.Expr{def.Key, def.Value}
+	}
+	for i, e := range lhs {
+		id, ok := e.(*ast.Ident)
+		if !ok {
+			continue
+		}
+		if obj := pass.ObjectOf(id); obj != nil && isContextType(obj.Type()) {
+			var val ast.Expr
+			if len(rhs) == len(lhs) {
+				val = rhs[i]
 			}
-			if rhs, ok := isDetachCall(pass, def.Values[i]); ok {
-				return rhs
-			}
+			f(obj, val)
 		}
 	}
-	return ""
 }
 
 // checkCtxSibling reports a call of module-internal Foo when FooCtx
 // exists, accepts a context, and Foo itself does not.
 func checkCtxSibling(pass *analysis.Pass, call *ast.CallExpr) {
-	callee := calleeFunc(pass, call)
+	callee := pass.Callee(call)
 	if callee == nil || callee.Pkg() == nil {
 		return
 	}
@@ -226,22 +264,6 @@ func checkCtxSibling(pass *analysis.Pass, call *ast.CallExpr) {
 		kind, name, sibling.Name())
 }
 
-// calleeFunc resolves the called function or method, or nil for
-// builtins, function values, and conversions.
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.ObjectOf(id).(*types.Func)
-	return fn
-}
-
 // hasCtxParam reports whether any parameter of sig is context.Context.
 func hasCtxParam(sig *types.Signature) bool {
 	params := sig.Params()
@@ -259,7 +281,7 @@ func hasCtxParam(sig *types.Signature) bool {
 func lookupSibling(callee *types.Func, name string) *types.Func {
 	sig := callee.Type().(*types.Signature)
 	if recv := sig.Recv(); recv != nil {
-		named := namedOf(recv.Type())
+		named := analysis.NamedOf(recv.Type())
 		if named == nil {
 			return nil
 		}
@@ -272,13 +294,4 @@ func lookupSibling(callee *types.Func, name string) *types.Func {
 	}
 	fn, _ := callee.Pkg().Scope().Lookup(name).(*types.Func)
 	return fn
-}
-
-// namedOf unwraps pointers to the receiver's named type.
-func namedOf(t types.Type) *types.Named {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
 }

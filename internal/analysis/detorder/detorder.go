@@ -156,18 +156,13 @@ func serializingCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	if !ok {
 		return ""
 	}
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if pkg, ok := pass.ObjectOf(id).(*types.PkgName); ok {
-			if fns := serializeFuncs[pkg.Imported().Path()]; fns != nil && fns[sel.Sel.Name] {
-				return pkg.Imported().Path() + "." + sel.Sel.Name
-			}
-			return ""
+	if path := pass.QualifierPath(sel.X); path != "" {
+		if serializeFuncs[path][sel.Sel.Name] {
+			return path + "." + sel.Sel.Name
 		}
-	}
-	if _, ok := pass.ObjectOf(sel.Sel).(*types.Func); !ok {
 		return ""
 	}
-	if serializeMethods[sel.Sel.Name] {
+	if pass.Callee(call) != nil && serializeMethods[sel.Sel.Name] {
 		return "call of " + sel.Sel.Name
 	}
 	return ""
@@ -294,32 +289,13 @@ func appendTarget(pass *analysis.Pass, call *ast.CallExpr, mapRanges []*ast.Rang
 // sortArcs, sortByCount, … for comparators that must keep strict weak
 // ordering instead of tolerance-aware comparison; see DESIGN.md §8).
 func isSortCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		if id, ok := fun.X.(*ast.Ident); ok {
-			if pkg, ok := pass.ObjectOf(id).(*types.PkgName); ok {
-				switch pkg.Imported().Path() {
-				case "sort":
-					return true
-				case "slices":
-					return strings.HasPrefix(fun.Sel.Name, "Sort")
-				}
-				return false
-			}
-		}
-		if _, ok := pass.ObjectOf(fun.Sel).(*types.Func); ok {
-			return hasSortName(fun.Sel.Name)
-		}
-	case *ast.Ident:
-		if _, ok := pass.ObjectOf(fun).(*types.Func); ok {
-			return hasSortName(fun.Name)
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if path := pass.QualifierPath(sel.X); path != "" {
+			return path == "sort" || path == "slices" && strings.HasPrefix(sel.Sel.Name, "Sort")
 		}
 	}
-	return false
-}
-
-func hasSortName(name string) bool {
-	return strings.HasPrefix(name, "sort") || strings.HasPrefix(name, "Sort")
+	fn := pass.Callee(call)
+	return fn != nil && (strings.HasPrefix(fn.Name(), "sort") || strings.HasPrefix(fn.Name(), "Sort"))
 }
 
 // identObjs resolves plain identifier expressions (including those

@@ -62,3 +62,13 @@ func reRange(m map[string]int) int {
 	}
 	return n
 }
+
+// deferredSink hands the unsorted collection to a deferred printer:
+// Go evaluates the deferred arguments at the defer statement.
+func deferredSink(w io.Writer, m map[string]int) {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	defer fmt.Fprintln(w, keys) // want `"keys" collects map-range keys \(append at line 71\)`
+}

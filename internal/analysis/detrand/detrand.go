@@ -65,12 +65,8 @@ func run(pass *analysis.Pass) error {
 // checkRandUse flags sel when it denotes a package-level function of
 // math/rand or math/rand/v2 (type and constant references stay legal).
 func checkRandUse(pass *analysis.Pass, sel *ast.SelectorExpr) {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return
-	}
-	pkgName, ok := pass.ObjectOf(id).(*types.PkgName)
-	if !ok || !isRandPkg(pkgName.Imported().Path()) {
+	path := pass.QualifierPath(sel.X)
+	if !isRandPkg(path) {
 		return
 	}
 	fn, ok := pass.ObjectOf(sel.Sel).(*types.Func)
@@ -79,7 +75,7 @@ func checkRandUse(pass *analysis.Pass, sel *ast.SelectorExpr) {
 	}
 	pass.Reportf(sel.Pos(),
 		"call of %s.%s: construct generators with repro/internal/rng (rng.New, rng.NewDerived) so runs stay reproducible",
-		pkgName.Imported().Path(), fn.Name())
+		path, fn.Name())
 }
 
 // checkWallClockSeed flags time.Now().UnixNano() and sibling chains.
@@ -93,15 +89,7 @@ func checkWallClockSeed(pass *analysis.Pass, call *ast.CallExpr) {
 		return
 	}
 	innerSel, ok := inner.Fun.(*ast.SelectorExpr)
-	if !ok || innerSel.Sel.Name != "Now" {
-		return
-	}
-	id, ok := innerSel.X.(*ast.Ident)
-	if !ok {
-		return
-	}
-	pkgName, ok := pass.ObjectOf(id).(*types.PkgName)
-	if !ok || pkgName.Imported().Path() != "time" {
+	if !ok || innerSel.Sel.Name != "Now" || pass.QualifierPath(innerSel.X) != "time" {
 		return
 	}
 	pass.Reportf(call.Pos(),

@@ -1,5 +1,5 @@
 // Package flow builds per-function control-flow graphs and runs the
-// dataflow analyses (reaching definitions, acquire/release pairing)
+// one dataflow analysis, acquire/release/use pairing (Graph.Pairs),
 // that the flow-sensitive ddd-lint analyzers — ctxflow, pairok,
 // detorder — are written against. Like the rest of internal/analysis
 // it is stdlib-only (go/ast + go/types), mirroring the shape of
@@ -20,7 +20,8 @@
 // the Graph and treated by the pairing analysis as running on every
 // path to Exit, panic edges included — exactly the Go runtime's
 // semantics, and the reason `defer mu.Unlock()` satisfies pairok where
-// a trailing Unlock does not.
+// a trailing Unlock does not. A defer's arguments are still evaluated
+// where the statement stands, so its uses apply there.
 package flow
 
 import (
@@ -186,9 +187,9 @@ func (b *builder) stmt(s ast.Stmt) {
 	case *ast.RangeStmt:
 		b.rangeStmt(s, label)
 	case *ast.SwitchStmt:
-		b.switchStmt(s, label)
+		b.switchStmt(s.Init, s.Tag, s.Body, label)
 	case *ast.TypeSwitchStmt:
-		b.typeSwitchStmt(s, label)
+		b.switchStmt(s.Init, s.Assign, s.Body, label)
 	case *ast.SelectStmt:
 		b.selectStmt(s, label)
 	case *ast.DeferStmt:
@@ -334,49 +335,25 @@ func (b *builder) rangeStmt(s *ast.RangeStmt, label string) {
 	b.cur = after
 }
 
-func (b *builder) switchStmt(s *ast.SwitchStmt, label string) {
-	b.add(s.Init)
-	b.add(s.Tag)
+// switchStmt builds an expression switch (tag is its Tag, which may be
+// nil) or a type switch (tag is its Assign statement): head fans out
+// to each case, each case body joins at after, and fallthrough edges
+// to the next case's body.
+func (b *builder) switchStmt(init ast.Stmt, tag ast.Node, body *ast.BlockStmt, label string) {
+	b.add(init)
+	b.add(tag)
 	head := b.cur
 	if head == nil {
 		head = b.newBlock("switch.head")
-		b.cur = head
 	}
 	after := b.newBlock("switch.after")
-	b.caseClauses(s.Body.List, head, after, label, func(cc *ast.CaseClause) []ast.Expr { return cc.List })
-	b.cur = after
-	if len(after.Preds) == 0 {
-		b.cur = nil
-	}
-}
-
-func (b *builder) typeSwitchStmt(s *ast.TypeSwitchStmt, label string) {
-	b.add(s.Init)
-	b.add(s.Assign)
-	head := b.cur
-	if head == nil {
-		head = b.newBlock("switch.head")
-		b.cur = head
-	}
-	after := b.newBlock("switch.after")
-	b.caseClauses(s.Body.List, head, after, label, func(cc *ast.CaseClause) []ast.Expr { return cc.List })
-	b.cur = after
-	if len(after.Preds) == 0 {
-		b.cur = nil
-	}
-}
-
-// caseClauses wires the shared switch shape: head fans out to each
-// case, each case body joins at after, fallthrough edges to the next
-// case's body.
-func (b *builder) caseClauses(list []ast.Stmt, head, after *Block, label string, exprs func(*ast.CaseClause) []ast.Expr) {
 	type caseBlock struct {
 		cc  *ast.CaseClause
 		blk *Block
 	}
 	var cases []caseBlock
 	hasDefault := false
-	for _, cs := range list {
+	for _, cs := range body.List {
 		cc, ok := cs.(*ast.CaseClause)
 		if !ok {
 			continue
@@ -386,7 +363,7 @@ func (b *builder) caseClauses(list []ast.Stmt, head, after *Block, label string,
 		}
 		blk := b.newBlock("case")
 		edge(head, blk)
-		for _, e := range exprs(cc) {
+		for _, e := range cc.List {
 			blk.Nodes = append(blk.Nodes, e)
 		}
 		cases = append(cases, caseBlock{cc, blk})
@@ -413,6 +390,10 @@ func (b *builder) caseClauses(list []ast.Stmt, head, after *Block, label string,
 		}
 	}
 	b.targets = b.targets[:len(b.targets)-1]
+	b.cur = after
+	if len(after.Preds) == 0 {
+		b.cur = nil
+	}
 }
 
 func (b *builder) selectStmt(s *ast.SelectStmt, label string) {

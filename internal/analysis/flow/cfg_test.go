@@ -193,7 +193,7 @@ func f(xs []int) int {
 }
 
 func TestCFGSwitchAllCasesJoin(t *testing.T) {
-	_, _, fd := load(t, `package p
+	for _, src := range []string{`package p
 func f(a int) int {
 	out := 0
 	switch a {
@@ -205,86 +205,34 @@ func f(a int) int {
 		out = 3
 	}
 	return out
-}`, "f")
-	g := New(fd)
-	// With a default, exactly one return path to exit.
-	if got := len(g.Exit.Preds); got != 1 {
-		t.Fatalf("exit preds = %d, want 1", got)
+}`, `package p
+func f(a any) int {
+	out := 0
+	switch v := a.(type) {
+	case int:
+		out = v
+	case string:
+		out = len(v)
+	default:
+		out = 3
 	}
-	cases := 0
-	for _, b := range g.Blocks {
-		if b.Kind == "case" {
-			cases++
+	return out
+}`} {
+		_, _, fd := load(t, src, "f")
+		g := New(fd)
+		// With a default, exactly one return path to exit.
+		if got := len(g.Exit.Preds); got != 1 {
+			t.Fatalf("exit preds = %d, want 1", got)
 		}
-	}
-	if cases != 3 {
-		t.Fatalf("case blocks = %d, want 3", cases)
-	}
-}
-
-func TestReachingBranchMerge(t *testing.T) {
-	_, info, fd := load(t, `package p
-func g() int { return 1 }
-func f(a int, cond bool) int {
-	if cond {
-		a = g()
-	}
-	return a + 1
-}`, "f")
-	g := New(fd)
-	var aObj types.Object
-	for id, obj := range info.Defs {
-		if id.Name == "a" && obj != nil {
-			aObj = obj
+		cases := 0
+		for _, b := range g.Blocks {
+			if b.Kind == "case" {
+				cases++
+			}
 		}
-	}
-	if aObj == nil {
-		t.Fatal("no object for a")
-	}
-	r := g.Reaching(info, []types.Object{aObj})
-	// At the return, both the parameter definition and the branch
-	// assignment reach.
-	var ret *ast.ReturnStmt
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if rs, ok := n.(*ast.ReturnStmt); ok {
-			ret = rs
+		if cases != 3 {
+			t.Fatalf("case blocks = %d, want 3", cases)
 		}
-		return true
-	})
-	defs := r.DefsAt(aObj, ret)
-	if len(defs) != 2 {
-		t.Fatalf("defs at return = %d, want 2 (param + branch assign)", len(defs))
-	}
-}
-
-func TestReachingKill(t *testing.T) {
-	_, info, fd := load(t, `package p
-func g() int { return 1 }
-func f(a int) int {
-	a = g()
-	return a
-}`, "f")
-	g := New(fd)
-	var aObj types.Object
-	for id, obj := range info.Defs {
-		if id.Name == "a" && obj != nil {
-			aObj = obj
-		}
-	}
-	r := g.Reaching(info, []types.Object{aObj})
-	var ret *ast.ReturnStmt
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if rs, ok := n.(*ast.ReturnStmt); ok {
-			ret = rs
-		}
-		return true
-	})
-	defs := r.DefsAt(aObj, ret)
-	if len(defs) != 1 {
-		t.Fatalf("defs at return = %d, want 1 (assignment killed the param)", len(defs))
-	}
-	if _, ok := defs[0].(*ast.AssignStmt); !ok {
-		t.Fatalf("reaching def is %T, want *ast.AssignStmt", defs[0])
 	}
 }
 
@@ -341,6 +289,11 @@ func deferredRelease() {
 func useWhileHeld() {
 	acquire()
 	use()
+	release()
+}
+func deferredUse() {
+	acquire()
+	defer use()
 	release()
 }
 `
@@ -445,5 +398,19 @@ func TestPairsReleaseKills(t *testing.T) {
 	}
 	if got := fset.Position(res.UseLeaks[0].Acquire.Pos()).Line; got != 12 {
 		t.Fatalf("use leak acquired at line %d, want 12", got)
+	}
+}
+
+// TestPairsDeferUseInPlace checks that a deferred call's use applies
+// where the defer stands (Go evaluates its arguments there), while the
+// resource is still held.
+func TestPairsDeferUseInPlace(t *testing.T) {
+	_, _, fd := load(t, pairSrc, "deferredUse")
+	res := New(fd).Pairs(testClassifier)
+	if len(res.UseLeaks) != 1 {
+		t.Fatalf("use leaks = %d, want 1", len(res.UseLeaks))
+	}
+	if len(res.ExitLeaks) != 0 {
+		t.Fatalf("exit leaks = %d, want 0", len(res.ExitLeaks))
 	}
 }

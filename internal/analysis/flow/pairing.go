@@ -87,20 +87,22 @@ func (ps pairState) merge(src pairState) bool {
 }
 
 // Pairs runs a forward may-held analysis: a key acquired on any path
-// stays held until a release on that path. Defer statements are
-// skipped in place — their calls replay against the exit state, which
-// is when the runtime executes them. The result is deterministic:
-// leaks are ordered by acquire position, then use position.
+// stays held until a release on that path. A defer statement applies
+// only its uses in place, where Go evaluates the deferred arguments;
+// its releases replay against the exit state, which is when the
+// runtime runs the call. The result is deterministic: leaks are
+// ordered by acquire position, then use position.
 func (g *Graph) Pairs(classify Classifier) PairResult {
 	in := make(map[*Block]pairState, len(g.Blocks))
 	for _, blk := range g.Blocks {
 		in[blk] = make(pairState)
 	}
 	apply := func(ps pairState, n ast.Node, uses *[]Leak) {
-		if _, ok := n.(*ast.DeferStmt); ok {
-			return
-		}
+		_, deferred := n.(*ast.DeferStmt)
 		for _, ev := range classify(n) {
+			if deferred && ev.Kind != EventUse {
+				continue
+			}
 			switch ev.Kind {
 			case EventAcquire:
 				held := ps[ev.Key]

@@ -69,7 +69,7 @@ var classes = []pairClass{
 // isSyncType matches sync.<name> or a pointer to it.
 func isSyncType(name string) func(types.Type) bool {
 	return func(t types.Type) bool {
-		named := namedOf(t)
+		named := analysis.NamedOf(t)
 		if named == nil {
 			return false
 		}
@@ -82,14 +82,6 @@ func isSyncType(name string) func(types.Type) bool {
 // uses the same Lock/Unlock names).
 func isSyncLocker(t types.Type) bool {
 	return isSyncType("Mutex")(t) || isSyncType("RWMutex")(t)
-}
-
-func namedOf(t types.Type) *types.Named {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
 }
 
 func run(pass *analysis.Pass) error {

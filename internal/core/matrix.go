@@ -10,7 +10,8 @@
 //   - the cause-effect suspect pruning of Algorithm E.1 step 1;
 //   - the diagnosis error functions: Alg_sim Methods I/II/III and the
 //     explicit Euclidean error function of Alg_rev (Sections E, F),
-//     plus a pluggable interface for new error functions;
+//     plus the extension error functions (L1, Chebyshev, floored
+//     log-likelihood), each a Method like the paper's four;
 //   - ranked-candidate diagnosis with top-K selection.
 package core
 

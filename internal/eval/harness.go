@@ -38,7 +38,7 @@ type Config struct {
 	// Engine names the statistical timing backend for cut-off
 	// selection and dictionary construction ("" or "mc" for
 	// Monte-Carlo, "analytic" for closed-form SSTA); NewPipeline
-	// resolves it once through the engine registry. Defect injection
+	// resolves it once through engine.New. Defect injection
 	// and behavior simulation always use timed simulation — the ground
 	// truth is a die, not a model.
 	Engine string
