@@ -339,15 +339,6 @@ func BenchmarkKLongestThrough(b *testing.B) {
 	}
 }
 
-func BenchmarkScoap(b *testing.B) {
-	c, _ := synth.GenerateNamed("medium", 2003)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		circuit.ComputeScoap(c)
-	}
-}
-
 func BenchmarkCriticality(b *testing.B) {
 	c, _ := synth.GenerateNamed("medium", 2003)
 	m := timing.NewModel(c, timing.DefaultParams())

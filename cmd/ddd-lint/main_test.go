@@ -10,27 +10,27 @@ import (
 	"repro/internal/analysis"
 )
 
-// TestSummaryCountsSuppressed runs the driver against a package with a
-// known //lint:ignore directive (core's bit-identical clk check in
-// Merge) and asserts the summary line reports the suppression and the
-// process exits 0.
+// TestSummaryCountsSuppressed runs the driver against a package with
+// two known //lint:ignore directives (tsim's exact waveform and arrival
+// compares) and asserts the summary line reports the suppressions and
+// the process exits 0.
 func TestSummaryCountsSuppressed(t *testing.T) {
-	cmd := exec.Command("go", "run", ".", "repro/internal/core")
+	cmd := exec.Command("go", "run", ".", "repro/internal/tsim")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("ddd-lint failed: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "0 issue(s), 1 suppressed") {
+	if !strings.Contains(string(out), "0 issue(s), 2 suppressed") {
 		t.Errorf("summary does not count the suppressed diagnostic:\n%s", out)
 	}
 }
 
 // TestJSONSchema runs -json against the same package and asserts the
 // machine-readable output: a JSON array on stdout whose elements carry
-// exactly the documented fields, including the known suppressed core
-// finding with its justification.
+// exactly the documented fields, including the known suppressed tsim
+// findings with their justifications.
 func TestJSONSchema(t *testing.T) {
-	cmd := exec.Command("go", "run", ".", "-json", "repro/internal/core")
+	cmd := exec.Command("go", "run", ".", "-json", "repro/internal/tsim")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -56,31 +56,36 @@ func TestJSONSchema(t *testing.T) {
 		t.Fatalf("stdout is not a JSON array of the documented schema: %v\n%s", err, stdout.String())
 	}
 
-	// core has exactly one finding, suppressed by directive.
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want 1: %+v", len(diags), diags)
+	// tsim has exactly two findings, each suppressed by directive.
+	want := []struct{ file, reason string }{
+		{"incremental.go", "waveform identity is exact"},
+		{"window.go", "arrivals match exactly"},
 	}
-	d := diags[0]
-	if !strings.HasSuffix(d.File, "dictionary.go") || d.Line <= 0 || d.Column <= 0 {
-		t.Errorf("bad position: %+v", d)
+	if len(diags) != len(want) {
+		t.Fatalf("got %d diagnostics, want %d: %+v", len(diags), len(want), diags)
 	}
-	if d.Analyzer != "floateq" || d.Message == "" {
-		t.Errorf("bad analyzer/message: %+v", d)
-	}
-	if !d.Suppressed || !strings.Contains(d.Reason, "bit-identical clk") {
-		t.Errorf("suppression not reflected in JSON: %+v", d)
+	for i, d := range diags {
+		if !strings.HasSuffix(d.File, want[i].file) || d.Line <= 0 || d.Column <= 0 {
+			t.Errorf("bad position: %+v", d)
+		}
+		if d.Analyzer != "floateq" || d.Message == "" {
+			t.Errorf("bad analyzer/message: %+v", d)
+		}
+		if !d.Suppressed || !strings.Contains(d.Reason, want[i].reason) {
+			t.Errorf("suppression not reflected in JSON: %+v", d)
+		}
 	}
 }
 
-// TestVerbosePrintsSuppressed asserts -v surfaces the suppressed
+// TestVerbosePrintsSuppressed asserts -v surfaces a suppressed
 // finding with its justification.
 func TestVerbosePrintsSuppressed(t *testing.T) {
-	cmd := exec.Command("go", "run", ".", "-v", "repro/internal/core")
+	cmd := exec.Command("go", "run", ".", "-v", "repro/internal/tsim")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("ddd-lint -v failed: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "suppressed (merged dictionaries must share a bit-identical clk") {
+	if !strings.Contains(string(out), "suppressed (waveform identity is exact: both sides are the same float sums)") {
 		t.Errorf("-v does not print the suppression justification:\n%s", out)
 	}
 }

@@ -54,17 +54,3 @@ func Example_methodScores() {
 	// Alg_sim-III: 0.100
 	// Alg_rev: 0.890
 }
-
-// Example_scoap computes SCOAP testability for a two-gate circuit.
-func Example_scoap() {
-	src := "INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = AND(a, b)\n"
-	c, err := repro.ParseBench(strings.NewReader(src), "and2")
-	if err != nil {
-		panic(err)
-	}
-	s := repro.ComputeScoap(c)
-	g, _ := c.GateByName("o")
-	fmt.Printf("CC0=%d CC1=%d\n", s.CC0[g.ID], s.CC1[g.ID])
-	// Output:
-	// CC0=2 CC1=3
-}

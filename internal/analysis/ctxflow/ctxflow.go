@@ -21,8 +21,8 @@
 //     site where the laundered context escapes;
 //   - a call of a module-internal function or method Foo when a
 //     sibling FooCtx accepting a context.Context exists (par.For vs
-//     par.ForCtx, Cache.Get vs Cache.GetCtx): the context-free
-//     variant runs the work detached from cancellation.
+//     par.ForCtx, eval.RunOnCircuit vs eval.RunOnCircuitCtx): the
+//     context-free variant runs the work detached from cancellation.
 //
 // Constructing a fresh root context is legitimate in functions outside
 // the chain (main, tests, servers creating their root); those have no

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -23,9 +24,12 @@ var testSupport = map[string]string{
 // TestNoTestOnlyExports fails when a top-level exported func, type, var
 // or const of the root module has no reference outside _test.go files
 // and its own declaration. References from the nested cmd/ddd-e2e
-// module count, and the root repro facade is exempt as the documented
-// public API. Code only tests call belongs in a _test.go file next to
-// them; code nobody calls is deleted.
+// module count. The root repro facade is exempt as the documented
+// public API, but a facade declaration's references count only when
+// a program outside the facade reaches that declaration, directly or
+// through other facade declarations: a one-line forward keeps nothing
+// alive on its own. Code only tests call belongs in a _test.go file
+// next to them; code nobody calls is deleted.
 func TestNoTestOnlyExports(t *testing.T) {
 	if len(testSupport) > 8 {
 		t.Errorf("testSupport holds %d entries; at most 8 may stay", len(testSupport))
@@ -36,21 +40,52 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	decls := make(map[string]token.Position)
 	used := make(map[string]bool)
+	forwards := make(map[string][]string) // facade declaration -> what it references
+	use := func(p *Package) {
+		facade := p.ImportPath == "repro"
+		collectUses(p, func(owners []string, key string) {
+			if !facade {
+				used[key] = true
+				return
+			}
+			for _, o := range owners {
+				forwards[o] = append(forwards[o], key)
+			}
+		})
+	}
 	for _, p := range pkgs {
 		collectExports(p, decls)
-		collectUses(p, used)
+		use(p)
 	}
 	e2e, err := loadIn("../../cmd/ddd-e2e")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range e2e {
-		collectUses(p, used)
+		use(p)
+	}
+	var reached []string
+	for key := range used {
+		if isFacade(key) {
+			reached = append(reached, key)
+		}
+	}
+	for len(reached) > 0 {
+		key := reached[len(reached)-1]
+		reached = reached[:len(reached)-1]
+		for _, ref := range forwards[key] {
+			if !used[ref] {
+				used[ref] = true
+				if isFacade(ref) {
+					reached = append(reached, ref)
+				}
+			}
+		}
 	}
 
 	var unused []string
 	for key := range decls {
-		if !used[key] && !strings.HasPrefix(key, "repro.") {
+		if !used[key] && !isFacade(key) {
 			unused = append(unused, key)
 		}
 	}
@@ -95,6 +130,10 @@ func objKey(obj types.Object) (string, bool) {
 	return "", false
 }
 
+// isFacade reports whether key names a declaration of the root repro
+// package; keys of its subpackages start with "repro/".
+func isFacade(key string) bool { return strings.HasPrefix(key, "repro.") }
+
 func isTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
@@ -112,33 +151,35 @@ func collectExports(p *Package, decls map[string]token.Position) {
 	}
 }
 
-// collectUses marks every package-level object referenced from a
-// non-test file of p, outside the object's own declaration. A type's
-// own declaration includes the methods declared on it.
-func collectUses(p *Package, used map[string]bool) {
+// collectUses calls use for every package-level object referenced
+// from a non-test file of p, outside the object's own declaration,
+// with the keys of the package-level objects that declaration
+// declares. A type's own declaration includes the methods declared on
+// it.
+func collectUses(p *Package, use func(owners []string, key string)) {
 	for _, f := range p.Files {
 		if isTestFile(p.Fset, f.Pos()) {
 			continue
 		}
 		for _, d := range f.Decls {
 			for _, unit := range declUnits(d) {
-				owners := make(map[string]bool)
+				var owners []string
 				for _, id := range unit.names {
 					if key, ok := objKey(p.TypesInfo.Defs[id]); ok {
-						owners[key] = true
+						owners = append(owners, key)
 					}
 				}
 				if unit.recv != nil {
 					if named := receiverNamed(p.TypesInfo.TypeOf(unit.recv)); named != nil {
 						if key, ok := objKey(named.Obj()); ok {
-							owners[key] = true
+							owners = append(owners, key)
 						}
 					}
 				}
 				ast.Inspect(unit.node, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
-						if key, ok := objKey(p.TypesInfo.Uses[id]); ok && !owners[key] {
-							used[key] = true
+						if key, ok := objKey(p.TypesInfo.Uses[id]); ok && !slices.Contains(owners, key) {
+							use(owners, key)
 						}
 					}
 					return true

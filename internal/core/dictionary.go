@@ -49,10 +49,6 @@ type Dictionary struct {
 	Patterns []logicsim.PatternPair
 	Suspects []circuit.ArcID
 	Clk      float64
-	// ID optionally names the dictionary (a file stem, a shard id).
-	// Merge quotes it in error messages so a failed combine over a
-	// directory of shards names the offending inputs.
-	ID string
 
 	M *Matrix   // M_crt: defect-free critical probabilities
 	E []*Matrix // E_crt per suspect
@@ -261,67 +257,6 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 	}
 	dictStageAccumulate.Add(time.Since(tAcc).Seconds())
 	return d, nil
-}
-
-// Merge combines two dictionaries built over the SAME suspects and
-// clk but different pattern sets into one whose pattern axis is the
-// concatenation — incremental characterization: add patterns later
-// without re-simulating the old ones. Matrices are concatenated
-// column-wise.
-func Merge(a, b *Dictionary) (*Dictionary, error) {
-	ids := func() string { return fmt.Sprintf("%s + %s", dictID(a), dictID(b)) }
-	if a.C != b.C {
-		return nil, fmt.Errorf("core: Merge %s: different circuits", ids())
-	}
-	if a.Clk != b.Clk { //lint:ignore floateq merged dictionaries must share a bit-identical clk; any drift means different test conditions
-		return nil, fmt.Errorf("core: Merge %s: different clk (%v vs %v)", ids(), a.Clk, b.Clk)
-	}
-	if len(a.Suspects) != len(b.Suspects) {
-		return nil, fmt.Errorf("core: Merge %s: different suspect counts (%d vs %d)",
-			ids(), len(a.Suspects), len(b.Suspects))
-	}
-	for i := range a.Suspects {
-		if a.Suspects[i] != b.Suspects[i] {
-			return nil, fmt.Errorf("core: Merge %s: different suspects at %d (arc %d vs arc %d)",
-				ids(), i, a.Suspects[i], b.Suspects[i])
-		}
-	}
-	out := &Dictionary{
-		C:        a.C,
-		ID:       a.ID,
-		Patterns: append(append([]logicsim.PatternPair(nil), a.Patterns...), b.Patterns...),
-		Suspects: append([]circuit.ArcID(nil), a.Suspects...),
-		Clk:      a.Clk,
-		M:        concatCols(a.M, b.M),
-		E:        make([]*Matrix, len(a.E)),
-		S:        make([]*Matrix, len(a.S)),
-	}
-	for i := range a.E {
-		out.E[i] = concatCols(a.E[i], b.E[i])
-		out.S[i] = concatCols(a.S[i], b.S[i])
-	}
-	return out, nil
-}
-
-// dictID names a dictionary for error messages.
-func dictID(d *Dictionary) string {
-	if d.ID == "" {
-		return "<unnamed>"
-	}
-	return d.ID
-}
-
-// concatCols joins two matrices with equal row counts column-wise.
-func concatCols(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic("core: concatCols row mismatch")
-	}
-	out := NewMatrix(a.Rows, a.Cols+b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.Data[i*out.Cols:], a.Data[i*a.Cols:(i+1)*a.Cols])
-		copy(out.Data[i*out.Cols+a.Cols:], b.Data[i*b.Cols:(i+1)*b.Cols])
-	}
-	return out
 }
 
 // SimulateBehavior produces the behavior matrix B of one failing die:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"repro/internal/atpg"
@@ -217,138 +216,6 @@ func TestBuildDictionaryValidation(t *testing.T) {
 	bad := []logicsim.PatternPair{{V1: logicsim.Vector{true}, V2: logicsim.Vector{false}}}
 	if _, err := BuildDictionary(context.Background(), tb.m, bad, suspects, tb.dictConfig(8)); err == nil {
 		t.Errorf("wrong-width pattern accepted")
-	}
-}
-
-func TestMergeDictionaries(t *testing.T) {
-	tb := newBench(t, "mini", 3)
-	if len(tb.pats) < 2 {
-		t.Skip("need at least two patterns to split")
-	}
-	suspects := tb.inj.CandidateArcs()[:15]
-	cfg := tb.dictConfig(48)
-	full, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := BuildDictionary(context.Background(), tb.m, tb.pats[:1], suspects, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildDictionary(context.Background(), tb.m, tb.pats[1:], suspects, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged.Patterns) != len(tb.pats) {
-		t.Fatalf("merged patterns = %d", len(merged.Patterns))
-	}
-	// Same instance samples (same seed) make the merged matrices equal
-	// the full build — except for per-sample defect sizes, which are
-	// drawn per suspect ONCE per sample regardless of patterns, so the
-	// M matrices match exactly and the E matrices match exactly too.
-	if d := maxAbsDiff(merged.M, full.M); d != 0 {
-		t.Errorf("merged M differs from full by %v", d)
-	}
-	for i := range suspects {
-		if d := maxAbsDiff(merged.E[i], full.E[i]); d != 0 {
-			t.Errorf("suspect %d merged E differs by %v", i, d)
-		}
-	}
-}
-
-func TestMergeValidation(t *testing.T) {
-	tb := newBench(t, "mini", 3)
-	suspects := tb.inj.CandidateArcs()[:5]
-	cfg := tb.dictConfig(16)
-	a, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects[:4], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Merge(a, b); err == nil {
-		t.Errorf("suspect mismatch accepted")
-	}
-	cfg2 := cfg
-	cfg2.Clk = cfg.Clk + 1
-	c2, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Merge(a, c2); err == nil {
-		t.Errorf("clk mismatch accepted")
-	}
-}
-
-func TestMergeErrorsNameDictionaryIDs(t *testing.T) {
-	tb := newBench(t, "mini", 3)
-	cands := tb.inj.CandidateArcs()
-	cfg := tb.dictConfig(16)
-	a, err := BuildDictionary(context.Background(), tb.m, tb.pats, cands[:5], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.ID = "shard-a"
-
-	// Clk mismatch: the error names both shards and both clks.
-	cfg2 := cfg
-	cfg2.Clk = cfg.Clk + 1
-	b, err := BuildDictionary(context.Background(), tb.m, tb.pats, cands[:5], cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.ID = "shard-b"
-	_, err = Merge(a, b)
-	if err == nil {
-		t.Fatal("clk mismatch accepted")
-	}
-	for _, want := range []string{"shard-a", "shard-b", "clk"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("clk-mismatch error %q does not mention %q", err, want)
-		}
-	}
-
-	// Disjoint suspect sets of equal size: the error names the shards
-	// and the first diverging arc pair.
-	c2, err := BuildDictionary(context.Background(), tb.m, tb.pats, cands[5:10], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.ID = "shard-c"
-	_, err = Merge(a, c2)
-	if err == nil {
-		t.Fatal("disjoint-suspect merge accepted")
-	}
-	for _, want := range []string{"shard-a", "shard-c", "suspects"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("disjoint-suspect error %q does not mention %q", err, want)
-		}
-	}
-
-	// Unnamed dictionaries get a placeholder, not an empty string.
-	c2.ID = ""
-	_, err = Merge(a, c2)
-	if err == nil || !strings.Contains(err.Error(), "<unnamed>") {
-		t.Errorf("unnamed dictionary error = %v, want <unnamed> placeholder", err)
-	}
-
-	// A successful merge keeps the left shard's ID.
-	d2, err := BuildDictionary(context.Background(), tb.m, tb.pats, cands[:5], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := Merge(a, d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.ID != "shard-a" {
-		t.Errorf("merged ID = %q, want shard-a", merged.ID)
 	}
 }
 

@@ -72,46 +72,7 @@ func For(n, workers int, fn func(i int)) {
 // Panic semantics match For: the first recovered worker panic
 // re-panics on the caller as a *PanicError after the join.
 func ForCtx(ctx context.Context, n, workers int, fn func(i int)) (int, error) {
-	if n <= 0 {
-		return 0, ctx.Err()
-	}
-	workers = Workers(workers, n)
-	if workers == 1 {
-		done := 0
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return done, err
-			}
-			call(i, fn, nil)
-			done++
-		}
-		return done, ctx.Err()
-	}
-	var firstPanic atomic.Pointer[PanicError]
-	var next, completed atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				call(i, fn, &firstPanic)
-				completed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if pe := firstPanic.Load(); pe != nil {
-		panic(pe)
-	}
-	return int(completed.Load()), ctx.Err()
+	return ForWorkerCtx(ctx, n, workers, func(_, i int) { fn(i) })
 }
 
 // ForWorkerCtx is ForCtx for callers that keep per-worker scratch: fn
@@ -129,12 +90,13 @@ func ForWorkerCtx(ctx context.Context, n, workers int, fn func(w, i int)) (int, 
 	}
 	workers = Workers(workers, n)
 	if workers == 1 {
+		item := func(i int) { fn(0, i) }
 		done := 0
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return done, err
 			}
-			call(i, func(i int) { fn(0, i) }, nil)
+			call(i, item, nil)
 			done++
 		}
 		return done, ctx.Err()
@@ -146,6 +108,7 @@ func ForWorkerCtx(ctx context.Context, n, workers int, fn func(w, i int)) (int, 
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
+			item := func(i int) { fn(w, i) }
 			for {
 				if ctx.Err() != nil {
 					return
@@ -154,7 +117,7 @@ func ForWorkerCtx(ctx context.Context, n, workers int, fn func(w, i int)) (int, 
 				if i >= n {
 					return
 				}
-				call(i, func(i int) { fn(w, i) }, &firstPanic)
+				call(i, item, &firstPanic)
 				completed.Add(1)
 			}
 		}(w)

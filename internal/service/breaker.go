@@ -62,7 +62,7 @@ func (s BreakerState) String() string {
 }
 
 // breaker is one replica's circuit. Zero value is not usable; build
-// through newBreakerSet.
+// through a breakerSet.
 type breaker struct {
 	mu       sync.Mutex
 	failN    int // consecutive failures that open the circuit
@@ -190,20 +190,10 @@ type breakerSet struct {
 	m        map[string]*breaker
 }
 
-func newBreakerSet(failN, succN int, cooldown time.Duration, now func() time.Time) *breakerSet {
-	if failN <= 0 {
-		failN = defaultBreakerFailures
-	}
-	if succN <= 0 {
-		succN = defaultBreakerSuccesses
-	}
-	if cooldown <= 0 {
-		cooldown = defaultBreakerCooldown
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &breakerSet{failN: failN, succN: succN, cooldown: cooldown, now: now, m: make(map[string]*breaker)}
+// newBreakerSet builds the circuit set from a resolved router config.
+func newBreakerSet(cfg *RouterConfig) *breakerSet {
+	return &breakerSet{failN: cfg.BreakerFailures, succN: cfg.BreakerSuccesses,
+		cooldown: cfg.BreakerCooldown, now: cfg.now, m: make(map[string]*breaker)}
 }
 
 func (s *breakerSet) get(replica string) *breaker {

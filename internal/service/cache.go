@@ -50,7 +50,7 @@ type Cache struct {
 	loader   Loader
 	shards   []cacheShard
 	shardCap int64
-	// maxRetries is how many times one Get re-invokes a failing loader
+	// maxRetries is how many times one GetCtx re-invokes a failing loader
 	// after its first attempt (0 = no retries). Not-found errors are
 	// terminal and never retried: absence is a stable answer.
 	maxRetries int
@@ -100,7 +100,7 @@ func NewCache(loader Loader, capBytes int64, shards int) *Cache {
 }
 
 // SetLoadRetries sets how many times a failing load is retried within
-// one Get (see maxRetries). Call before the cache starts serving.
+// one GetCtx (see maxRetries). Call before the cache starts serving.
 func (c *Cache) SetLoadRetries(n int) {
 	if n < 0 {
 		n = 0
@@ -114,19 +114,16 @@ func (c *Cache) shardOf(id string) *cacheShard {
 	return &c.shards[int(h.Sum32())%len(c.shards)]
 }
 
-// Get returns the dictionary for id, loading it on a miss. Concurrent
-// misses on the same id share one loader call. The returned entry
-// stays valid even if the cache evicts it later.
-func (c *Cache) Get(id string) (*Entry, error) {
-	return c.GetCtx(context.Background(), id)
-}
-
-// GetCtx is Get with cooperative cancellation: a waiter piggybacking
-// on another request's in-flight load stops waiting when ctx is done
-// (the load itself keeps running for whoever else wants it), and the
-// retry loop of a load this call owns checks ctx before every sleep
-// and attempt. The initiating caller's ctx governs the shared load —
-// if it dies mid-load, waiters receive the load's error.
+// GetCtx returns the dictionary for id, loading it on a miss.
+// Concurrent misses on the same id share one loader call. The returned
+// entry stays valid even if the cache evicts it later.
+//
+// Cancellation is cooperative: a waiter piggybacking on another
+// request's in-flight load stops waiting when ctx is done (the load
+// itself keeps running for whoever else wants it), and the retry loop
+// of a load this call owns checks ctx before every sleep and attempt.
+// The initiating caller's ctx governs the shared load — if it dies
+// mid-load, waiters receive the load's error.
 func (c *Cache) GetCtx(ctx context.Context, id string) (*Entry, error) {
 	sh := c.shardOf(id)
 	sh.mu.Lock()
@@ -212,7 +209,7 @@ func retryable(err error) bool {
 	return !errors.Is(err, fs.ErrNotExist)
 }
 
-// Invalidate drops id from the cache if resident, so the next Get
+// Invalidate drops id from the cache if resident, so the next GetCtx
 // reloads from disk. Used after a snapshot install replaces the
 // on-disk file; an in-flight load of the old file may still complete
 // and briefly re-cache it, which is acceptable staleness — the entry

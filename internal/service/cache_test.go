@@ -26,7 +26,7 @@ func TestCacheHitMissCounters(t *testing.T) {
 	}, 1<<20, 1)
 
 	for i := 0; i < 3; i++ {
-		if _, err := c.Get("a"); err != nil {
+		if _, err := c.GetCtx(context.Background(), "a"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 	mustGet := func(id string) {
 		t.Helper()
-		if _, err := c.Get(id); err != nil {
+		if _, err := c.GetCtx(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestCacheOversizeEntryPassesThrough(t *testing.T) {
 	c := NewCache(func(id string) (*Entry, error) {
 		return fakeEntry(id, 1000), nil
 	}, 25, 1)
-	ent, err := c.Get("big")
+	ent, err := c.GetCtx(context.Background(), "big")
 	if err != nil || ent == nil {
 		t.Fatalf("oversize entry not served: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestCacheSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if _, err := c.Get("shared"); err != nil {
+			if _, err := c.GetCtx(context.Background(), "shared"); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -115,10 +115,10 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheLoadErrors(t *testing.T) {
 	boom := errors.New("boom")
 	c := NewCache(func(id string) (*Entry, error) { return nil, boom }, 1<<20, 2)
-	if _, err := c.Get("x"); !errors.Is(err, boom) {
+	if _, err := c.GetCtx(context.Background(), "x"); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := c.Get("x"); !errors.Is(err, boom) {
+	if _, err := c.GetCtx(context.Background(), "x"); !errors.Is(err, boom) {
 		t.Fatalf("second err = %v", err)
 	}
 	st := c.Stats()
@@ -141,19 +141,19 @@ func TestCacheLoadFailureThenSuccessNotPoisoned(t *testing.T) {
 		return fakeEntry(id, 10), nil
 	}, 1<<20, 2)
 
-	if _, err := c.Get("x"); !errors.Is(err, boom) {
+	if _, err := c.GetCtx(context.Background(), "x"); !errors.Is(err, boom) {
 		t.Fatalf("first err = %v, want boom", err)
 	}
 	if c.Contains("x") {
 		t.Fatal("failed load left an entry resident")
 	}
-	if _, err := c.Get("x"); err != nil {
+	if _, err := c.GetCtx(context.Background(), "x"); err != nil {
 		t.Fatalf("second Get after transient failure: %v", err)
 	}
 	if !c.Contains("x") {
 		t.Fatal("successful reload not resident")
 	}
-	if _, err := c.Get("x"); err != nil {
+	if _, err := c.GetCtx(context.Background(), "x"); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -175,7 +175,7 @@ func TestCacheRetriesRecoverWithinOneGet(t *testing.T) {
 	}, 1<<20, 2)
 	c.SetLoadRetries(3)
 
-	if _, err := c.Get("x"); err != nil {
+	if _, err := c.GetCtx(context.Background(), "x"); err != nil {
 		t.Fatalf("Get with retries = %v, want success on third attempt", err)
 	}
 	st := c.Stats()
@@ -197,7 +197,7 @@ func TestCacheRetrySkipsNotFound(t *testing.T) {
 	}, 1<<20, 2)
 	c.SetLoadRetries(5)
 
-	if _, err := c.Get("gone"); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := c.GetCtx(context.Background(), "gone"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("err = %v, want fs.ErrNotExist", err)
 	}
 	if n := calls.Load(); n != 1 {
@@ -222,7 +222,7 @@ func TestCacheGetCtxWaiterUnblocksOnCancel(t *testing.T) {
 
 	initiatorDone := make(chan error, 1)
 	go func() {
-		_, err := c.Get("shared")
+		_, err := c.GetCtx(context.Background(), "shared")
 		initiatorDone <- err
 	}()
 	<-loading // the load is in flight
@@ -245,7 +245,7 @@ func TestCacheGetCtxWaiterUnblocksOnCancel(t *testing.T) {
 func TestCacheShardingSpreadsKeys(t *testing.T) {
 	c := NewCache(func(id string) (*Entry, error) { return fakeEntry(id, 1), nil }, 1<<20, 8)
 	for i := 0; i < 64; i++ {
-		if _, err := c.Get(fmt.Sprintf("dict-%d", i)); err != nil {
+		if _, err := c.GetCtx(context.Background(), fmt.Sprintf("dict-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}

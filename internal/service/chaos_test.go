@@ -193,7 +193,7 @@ func TestChaosDegradedBatchDeterministic(t *testing.T) {
 
 	// Warm alpha, then break every further load: beta becomes the
 	// degraded member of the batch.
-	if _, err := s.cache.Get("alpha"); err != nil {
+	if _, err := s.cache.GetCtx(context.Background(), "alpha"); err != nil {
 		t.Fatal(err)
 	}
 	mustConfigure(t, "cache-load-error:1:5")
@@ -307,7 +307,7 @@ func TestChaosSlowHandlerTimesOut(t *testing.T) {
 	defer func() { _ = s.Shutdown(context.Background()) }()
 
 	// Warm the cache so only the injected delay can slow the request.
-	if _, err := s.cache.Get("alpha"); err != nil {
+	if _, err := s.cache.GetCtx(context.Background(), "alpha"); err != nil {
 		t.Fatal(err)
 	}
 	mustConfigure(t, "slow-handler:1:2:200")

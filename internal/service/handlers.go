@@ -486,14 +486,21 @@ func (s *Server) handleDicts(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDictInfo implements GET /v1/dicts/{id}: load (or hit) the
-// dictionary and describe it.
+// dictionary and describe it. The load runs under the request
+// deadline, so a slow or retrying load answers 504 when it expires.
 func (s *Server) handleDictInfo(w http.ResponseWriter, r *http.Request) {
 	id, ok := pathID(w, r)
 	if !ok {
 		return
 	}
-	ent, err := s.cache.Get(id)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	ent, err := s.cache.GetCtx(ctx, id)
 	if err != nil {
+		if ctx.Err() != nil {
+			s.writeDeadline(w)
+			return
+		}
 		writeError(w, loadErrStatus(err), err.Error())
 		return
 	}

@@ -479,3 +479,42 @@ func TestRequestDeadline(t *testing.T) {
 	close(gate)
 	_ = s.Shutdown(context.Background())
 }
+
+func TestDictInfoDeadline(t *testing.T) {
+	// A dictionary-info request waiting on a load that does not finish
+	// must come back 504 at its deadline, not when the load does.
+	s := newTestServer(t, func(cfg *Config) { cfg.RequestTimeout = 30 * time.Millisecond })
+	started, release := make(chan struct{}), make(chan struct{})
+	s.cache = NewCache(func(id string) (*Entry, error) {
+		close(started)
+		<-release
+		return fakeEntry(id, 1), nil
+	}, 1<<20, 2)
+	loaded := make(chan struct{})
+	go func() {
+		defer close(loaded)
+		if _, err := s.cache.GetCtx(context.Background(), "alpha"); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-started
+
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/dicts/alpha", nil))
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("GET /v1/dicts/alpha still waiting on the load 5s past its 30ms deadline")
+	}
+	close(release)
+	<-done
+	<-loaded
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Errorf("status = %d body %s, want 504", rec.Code, rec.Body)
+	}
+	_ = s.Shutdown(context.Background())
+}

@@ -53,28 +53,13 @@ type prober struct {
 
 func newProber(rt *Router) *prober {
 	cfg := rt.cfg
-	timeout := cfg.HealthTimeout
-	if timeout <= 0 {
-		timeout = defaultHealthTimeout
-	}
-	if timeout > cfg.HealthInterval && cfg.HealthInterval > 0 {
-		timeout = cfg.HealthInterval
-	}
-	failAfter := cfg.FailAfter
-	if failAfter <= 0 {
-		failAfter = defaultFailAfter
-	}
-	recoverAfter := cfg.RecoverAfter
-	if recoverAfter <= 0 {
-		recoverAfter = defaultRecoverAfter
-	}
 	return &prober{
 		rt:           rt,
 		client:       cfg.Client,
 		interval:     cfg.HealthInterval,
-		timeout:      timeout,
-		failAfter:    failAfter,
-		recoverAfter: recoverAfter,
+		timeout:      cfg.HealthTimeout,
+		failAfter:    cfg.FailAfter,
+		recoverAfter: cfg.RecoverAfter,
 		stops:        make(map[string]chan struct{}),
 	}
 }

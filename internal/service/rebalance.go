@@ -118,19 +118,11 @@ type rebalancer struct {
 
 func newRebalancer(rt *Router) (*rebalancer, error) {
 	cfg := rt.cfg
-	workers := cfg.RebalanceWorkers
-	if workers <= 0 {
-		workers = defaultRebalanceWorkers
-	}
-	retries := cfg.RebalanceRetries
-	if retries < 0 {
-		retries = defaultRebalanceRetries
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &rebalancer{
 		rt:      rt,
-		workers: workers,
-		retries: retries,
+		workers: cfg.RebalanceWorkers,
+		retries: cfg.RebalanceRetries,
 		ctx:     ctx,
 		cancel:  cancel,
 		kick:    make(chan struct{}, 1),

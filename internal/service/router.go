@@ -102,6 +102,9 @@ type RouterConfig struct {
 	now func() time.Time
 }
 
+// applyDefaults resolves every defaulted field in place, so the
+// router, prober, breakers and rebalancer all read one resolved
+// config.
 func (cfg *RouterConfig) applyDefaults() {
 	if cfg.VNodes <= 0 {
 		cfg.VNodes = defaultVNodes
@@ -117,6 +120,36 @@ func (cfg *RouterConfig) applyDefaults() {
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
+	}
+	if cfg.HealthTimeout <= 0 {
+		cfg.HealthTimeout = defaultHealthTimeout
+	}
+	if cfg.HealthInterval > 0 && cfg.HealthTimeout > cfg.HealthInterval {
+		cfg.HealthTimeout = cfg.HealthInterval
+	}
+	if cfg.FailAfter <= 0 {
+		cfg.FailAfter = defaultFailAfter
+	}
+	if cfg.RecoverAfter <= 0 {
+		cfg.RecoverAfter = defaultRecoverAfter
+	}
+	if cfg.BreakerFailures <= 0 {
+		cfg.BreakerFailures = defaultBreakerFailures
+	}
+	if cfg.BreakerSuccesses <= 0 {
+		cfg.BreakerSuccesses = defaultBreakerSuccesses
+	}
+	if cfg.BreakerCooldown <= 0 {
+		cfg.BreakerCooldown = defaultBreakerCooldown
+	}
+	if cfg.now == nil {
+		cfg.now = time.Now
+	}
+	if cfg.RebalanceWorkers <= 0 {
+		cfg.RebalanceWorkers = defaultRebalanceWorkers
+	}
+	if cfg.RebalanceRetries < 0 {
+		cfg.RebalanceRetries = defaultRebalanceRetries
 	}
 }
 
@@ -173,7 +206,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt := &Router{
 		cfg:            cfg,
 		ms:             ms,
-		breakers:       newBreakerSet(cfg.BreakerFailures, cfg.BreakerSuccesses, cfg.BreakerCooldown, cfg.now),
+		breakers:       newBreakerSet(&cfg),
 		reg:            obs.NewRegistry(),
 		metricReplicas: make(map[string]bool),
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -77,7 +78,7 @@ func TestRouterResponsesGolden(t *testing.T) {
 	// depends on the bound ports and on hedge timing.
 	for _, s := range tc.replicas {
 		for _, id := range []string{"alpha", "beta"} {
-			if _, err := s.cache.Get(id); err != nil {
+			if _, err := s.cache.GetCtx(context.Background(), id); err != nil {
 				t.Fatal(err)
 			}
 		}

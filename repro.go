@@ -133,8 +133,6 @@ type (
 	MultiDefect = defect.MultiDefect
 	// IterativeResult is one round of multi-defect peeling diagnosis.
 	IterativeResult = core.IterativeResult
-	// Scoap holds SCOAP testability measures.
-	Scoap = circuit.Scoap
 	// Criticality holds per-arc critical-path probabilities.
 	Criticality = timing.Criticality
 	// CoverageResult reports a pattern set's arc coverage.
@@ -246,9 +244,6 @@ func LoadDictionary(r io.Reader) (*CompressedDictionary, int, error) {
 	return core.LoadCompressed(r)
 }
 
-// ComputeScoap returns SCOAP controllability/observability measures.
-func ComputeScoap(c *Circuit) *Scoap { return circuit.ComputeScoap(c) }
-
 // ArcCoverage reports which logic arcs a pattern set statically
 // sensitizes — the hard ceiling on diagnosable locations.
 func ArcCoverage(c *Circuit, pats []PatternPair) *CoverageResult {
@@ -276,11 +271,6 @@ func WriteVCD(w io.Writer, c *Circuit, inst *Instance, p PatternPair, timescale 
 func AutoK(ranked []Ranked, method Method, maxK int) (k int, gap float64) {
 	return core.AutoK(ranked, method, maxK)
 }
-
-// MergeDictionaries concatenates two dictionaries built over the same
-// suspects and clk but different pattern sets (incremental
-// characterization).
-func MergeDictionaries(a, b *Dictionary) (*Dictionary, error) { return core.Merge(a, b) }
 
 // ErrorFuncNames lists the names of the extension error functions
 // beyond the paper's four methods (L1, chebyshev, loglik). Each is a

@@ -94,10 +94,6 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := repro.ComputeScoap(c)
-	if len(s.CC0) != c.NumGates() {
-		t.Errorf("SCOAP size mismatch")
-	}
 	model := repro.NewTimingModel(c, repro.DefaultTimingParams())
 	tests := repro.DiagnosticPatterns(model, repro.ArcID(5), 3, 7)
 	if len(tests) > 0 {
@@ -154,30 +150,6 @@ func TestFacadeSimulateAtClock(t *testing.T) {
 	// At an infinite-like clock nothing fails.
 	if fails := repro.SimulateAtClock(c, die, tests[0].Pair, 1e9); len(fails) != 0 {
 		t.Errorf("failures at infinite clock: %v", fails)
-	}
-}
-
-func TestFacadeMergeDictionaries(t *testing.T) {
-	cfg := repro.DefaultExperimentConfig("mini")
-	cfg.MaxPatterns = 4
-	cfg.DictSamples = 24
-	cfg.ClkSamples = 40
-	sd, err := repro.BuildStaticDictionary(cfg, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := sd.Dict
-	merged, err := repro.MergeDictionaries(d, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged.Patterns) != 2*len(d.Patterns) || merged.M.Cols != 2*d.M.Cols {
-		t.Errorf("merged %d patterns (%d columns), want twice %d", len(merged.Patterns), merged.M.Cols, len(d.Patterns))
-	}
-	other := *d
-	other.Clk++
-	if _, err := repro.MergeDictionaries(d, &other); err == nil {
-		t.Error("merged dictionaries with different clk")
 	}
 }
 
