@@ -133,11 +133,11 @@ bench:
 # workload (Monte-Carlo and analytic engine, seed 1, with the per-stage
 # breakdown; the harness exits nonzero unless the Table I digests
 # match its golden file), then the diagnostic pattern generation and
-# Monte-Carlo dictionary build benchmarks, single-threaded, three runs
-# each.
+# the two Monte-Carlo dictionary build benchmarks (the fixed kernel mix
+# and one s1196 Table I case), single-threaded, three runs each.
 bench-quick:
 	bash cmd/ddd-e2e/run.sh --workload table1_mc,table1_analytic --seed 1 --seconds 20 --trace 1
-	$(GO) test -run XXX -bench 'BenchmarkCore(DiagnosticPatterns|BuildDictionary)$$' -count 3 -cpu 1 .
+	$(GO) test -run XXX -bench 'BenchmarkCore(DiagnosticPatterns|BuildDictionary|BuildDictionaryCase)$$' -count 3 -cpu 1 .
 
 # bench-core runs the tracked core kernel suite (bench_core_test.go)
 # single-threaded, three runs per benchmark, then folds the medians

@@ -151,6 +151,47 @@ func BenchmarkCoreBuildDictionary(b *testing.B) {
 	b.ReportMetric(float64(cfg.Samples)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
 
+// BenchmarkCoreBuildDictionaryCase tracks the Monte-Carlo dictionary
+// build as a Table I case runs it: case 3 of the default s1196
+// configuration, prepared by eval.Pipeline (ATPG patterns, the
+// path-quantile clk, the observed behavior and the tiered suspects),
+// then the pipeline's Dictionary stage alone is timed, single worker.
+// Unlike BenchmarkCoreBuildDictionary's 2 random patterns and 12
+// spread suspects, this mix has the workload's ~10 patterns, ~650
+// suspects and 96 samples.
+func BenchmarkCoreBuildDictionaryCase(b *testing.B) {
+	cfg := eval.DefaultConfig("s1196")
+	cfg.Workers = 1
+	c, err := synth.GenerateNamed(cfg.Circuit, cfg.CircuitSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := eval.NewPipeline(c, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	cs := p.NewCase(3)
+	p.Patterns(cs)
+	if err := p.Clock(ctx, cs, cfg.ClkQuantile); err != nil {
+		b.Fatal(err)
+	}
+	p.Observe(cs)
+	p.Suspects(cs)
+	if !cs.B.AnyFailure() || cs.TruthInSuspects() == 0 {
+		b.Fatal("bench case escaped or lost its truth arc")
+	}
+	seed := rng.Derive(cs.Seed, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Dictionary(ctx, cs, seed); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(cfg.DictSamples)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+}
+
 // BenchmarkCoreAnalyticSTA tracks the closed-form SSTA pass (Clark
 // moment-matched propagation, internal/timing/engine) on the same
 // s9234-class circuit the MC suite uses. Its baseline line in
