@@ -89,12 +89,12 @@ func BenchmarkCoreTimingLength(b *testing.B) {
 	if len(paths) == 0 {
 		b.Fatal("no path through bench site")
 	}
-	arcs := paths[0].Arcs
+	arcs := [][]ArcID{paths[0].Arcs}
 	mc, ctx := timing.NewMC(m), context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mc.TimingLength(ctx, arcs, 2000, 13, 0); err != nil {
+		if _, err := mc.TimingLengths(ctx, arcs, 2000, 13, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

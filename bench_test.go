@@ -129,14 +129,17 @@ func setupCase(b *testing.B) (*timing.Model, []logicsim.PatternPair, []ArcID, *c
 		b.Fatal("no patterns")
 	}
 	pats := make([]logicsim.PatternPair, len(tests))
-	clk := 0.0
-	mc := timing.NewMC(m)
+	paths := make([][]ArcID, len(tests))
 	for i, tc := range tests {
 		pats[i] = tc.Pair
-		tl, err := mc.TimingLength(context.Background(), tc.Path.Arcs, 200, 13, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		paths[i] = tc.Path.Arcs
+	}
+	tls, err := timing.NewMC(m).TimingLengths(context.Background(), paths, 200, 13, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clk := 0.0
+	for _, tl := range tls {
 		clk = max(clk, tl.Quantile(0.9))
 	}
 	inst := m.SampleInstanceSeeded(2, 0)

@@ -22,11 +22,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/eval"
 )
 
@@ -40,7 +42,7 @@ func main() {
 	engineName := flag.String("engine", "", "timing engine for clk selection and dictionaries (mc|analytic; default mc)")
 	quick := flag.Bool("quick", false, "reduced configuration for a fast smoke run")
 	verbose := flag.Bool("v", false, "per-case detail")
-	timings := flag.Bool("timings", false, "per-stage wall-time breakdown per circuit (stderr)")
+	timings := flag.Bool("timings", false, "per-stage wall-time breakdown and Monte-Carlo dictionary sub-stages per circuit (stderr)")
 	wideSize := flag.Bool("wide-size", false, "dictionary assumes Uniform[0.25,1.5] cell-delay defect sizes")
 	csvOut := flag.String("csv", "", "also write measured rows as CSV to this file")
 	checkpoint := flag.String("checkpoint", "", "journal completed cases to DIR/<circuit>.journal (crash-safe)")
@@ -87,6 +89,7 @@ func main() {
 			cfg.Resume = *resume
 		}
 		start := time.Now()
+		ledger := core.DictLedger()
 		res, err := eval.RunCircuit(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ddd-table1: %s: %v\n", name, err)
@@ -98,6 +101,7 @@ func main() {
 			if err := res.Timings.WriteTable(os.Stderr); err != nil {
 				fmt.Fprintln(os.Stderr, "ddd-table1:", err)
 			}
+			writeDictLedger(os.Stderr, ledger, core.DictLedger())
 		}
 		if *verbose {
 			if err := eval.WriteReport(os.Stderr, res, true); err != nil {
@@ -118,6 +122,21 @@ func main() {
 		if err := eval.WriteTable1CSV(f, all); err != nil {
 			fmt.Fprintln(os.Stderr, "ddd-table1:", err)
 			os.Exit(1)
+		}
+	}
+}
+
+// writeDictLedger prints the Monte-Carlo dictionary build's sub-stage
+// ledger accrued between two core.DictLedger reads, one
+// dict_build.<name> row each: stage seconds, summed over workers, then
+// the defect re-simulations run and skipped.
+func writeDictLedger(w io.Writer, before, after []core.LedgerEntry) {
+	for i, e := range after {
+		v := e.Value - before[i].Value
+		if strings.HasSuffix(e.Name, "_s") {
+			fmt.Fprintf(w, "%-28s %12.6f\n", "dict_build."+e.Name, v)
+		} else {
+			fmt.Fprintf(w, "%-28s %12.0f\n", "dict_build."+e.Name, v)
 		}
 	}
 }

@@ -75,12 +75,16 @@ func main() {
 		log.Fatal("no diagnostic patterns for this site")
 	}
 	fmt.Printf("\ndiagnostic tests through the site (with TL quantiles):\n")
-	mc := timing.NewMC(model)
+	arcs := make([][]repro.ArcID, len(tests))
 	for i, tc := range tests {
-		tl, err := mc.TimingLength(context.Background(), tc.Path.Arcs, 500, 23, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
+		arcs[i] = tc.Path.Arcs
+	}
+	tls, err := timing.NewMC(model).TimingLengths(context.Background(), arcs, 500, 23, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, tc := range tests {
+		tl := tls[i]
 		crit := "non-robust"
 		if tc.Robust {
 			crit = "robust"

@@ -65,7 +65,10 @@ type Dictionary struct {
 // re-evaluating only the gates whose waveform it changes
 // (tsim.RunDefectDiff), and skipped entirely when the suspect arc's
 // driver is quiet under a pattern (the defect cannot change that
-// pattern's response).
+// pattern's response). Only the captures a defect flips are counted:
+// on common samples a suspect's failure count is M's plus the flips
+// to failing minus the flips to passing, so E = (M count + flips) /
+// Samples exactly (DESIGN.md §20).
 //
 // Every run of a sample is confined to the sample's observation
 // windows (tsim.Window, Set once per sample and timed with the
@@ -126,6 +129,12 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 		patFinal[j] = logicsim.Eval(c, pat.V2)
 	}
 
+	// accum is one worker's integer counts: m the defect-free failures
+	// per (output, pattern), e each suspect's change against them per
+	// (suspect, output, pattern). Common random numbers make a
+	// suspect's failure count exactly m plus the captures its defect
+	// flips to failing minus those it flips to passing, so only the
+	// flips are counted.
 	type accum struct {
 		m []int32 // nOut*nPat
 		e []int32 // nSus*nOut*nPat
@@ -135,14 +144,13 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 	// streams and the stage ledger — allocated once per worker, so the
 	// per-sample loop is allocation-free in steady state.
 	type dictWorker struct {
-		acc      accum
-		eng      *tsim.Engine
-		opts     tsim.Options // capture at cfg.Clk under the sample's windows
-		baseFail []bool
-		delays   []float64
-		sizes    []float64
-		stream   *rng.Stream
-		st       dictStages
+		acc    accum
+		eng    *tsim.Engine
+		opts   tsim.Options // capture at cfg.Clk under the sample's windows
+		delays []float64
+		sizes  []float64
+		stream *rng.Stream
+		st     dictStages
 	}
 	ws := make([]*dictWorker, workers)
 
@@ -154,12 +162,11 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 					m: make([]int32, nOut*nPat),
 					e: make([]int32, nSus*nOut*nPat),
 				},
-				eng:      tsim.NewEngine(c),
-				opts:     tsim.Options{Horizon: cfg.Clk, DefectArc: tsim.NoDefect, Window: tsim.NewWindow(c)},
-				baseFail: make([]bool, nOut),
-				delays:   make([]float64, len(c.Arcs)),
-				sizes:    make([]float64, nSus),
-				stream:   rng.NewStream(),
+				eng:    tsim.NewEngine(c),
+				opts:   tsim.Options{Horizon: cfg.Clk, DefectArc: tsim.NoDefect, Window: tsim.NewWindow(c)},
+				delays: make([]float64, len(c.Arcs)),
+				sizes:  make([]float64, nSus),
+				stream: rng.NewStream(),
 			}
 			ws[w] = wk
 		}
@@ -178,32 +185,29 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 		for j, pat := range patterns {
 			base := wk.eng.RunSettled(wk.delays, pat, wk.opts, patInit[j], patFinal[j])
 			for oi, o := range c.Outputs {
-				wk.baseFail[oi] = base.Capture[oi] != base.Final[o]
-				if wk.baseFail[oi] {
+				if base.Capture[oi] != base.Final[o] {
 					acc.m[oi*nPat+j]++
 				}
 			}
 			t2 := time.Now()
 			wk.st.baseline += t2.Sub(t1)
 			for i, arc := range suspects {
-				row := (i*nOut)*nPat + j
 				if !base.Transitioned(c.Arcs[arc].From) {
 					// The defect arc sees no transition a capture
 					// can observe: E equals the baseline for this
 					// pattern.
-					for oi := 0; oi < nOut; oi++ {
-						if wk.baseFail[oi] {
-							acc.e[row+oi*nPat]++
-						}
-					}
 					wk.st.skipped++
 					continue
 				}
-				capture := wk.eng.RunDefectDiff(wk.delays, base, arc, wk.sizes[i], cfg.Clk)
 				wk.st.simulated++
-				for oi, o := range c.Outputs {
-					if capture[oi] != base.Final[o] {
-						acc.e[row+oi*nPat]++
+				row := (i*nOut)*nPat + j
+				for _, oi := range wk.eng.RunDefectDiff(wk.delays, base, arc, wk.sizes[i], cfg.Clk) {
+					switch capture := wk.eng.DefectCapture(base, oi); {
+					case capture == base.Capture[oi]:
+					case capture != base.Final[c.Outputs[oi]]:
+						acc.e[row+oi*nPat]++ // a passing capture now fails
+					default:
+						acc.e[row+oi*nPat]-- // a failing capture now passes
 					}
 				}
 			}
@@ -221,6 +225,23 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 	}
 	tAcc := time.Now()
 
+	// Fold every worker's counts into the first one's: integer sums
+	// are exact, so the fold order cannot change a bit.
+	var sum *accum
+	for _, wk := range ws {
+		switch {
+		case wk == nil: // worker never claimed a sample
+		case sum == nil:
+			sum = &wk.acc
+		default:
+			for k, v := range wk.acc.m {
+				sum.m[k] += v
+			}
+			for k, v := range wk.acc.e {
+				sum.e[k] += v
+			}
+		}
+	}
 	d := &Dictionary{
 		C:        c,
 		Patterns: patterns,
@@ -231,27 +252,15 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 		S:        make([]*Matrix, nSus),
 	}
 	inv := 1.0 / float64(cfg.Samples)
-	for _, wk := range ws {
-		if wk == nil {
-			continue // worker never claimed a sample
-		}
-		for k, v := range wk.acc.m {
-			d.M.Data[k] += float64(v)
-		}
+	for k, v := range sum.m {
+		d.M.Data[k] = float64(v) * inv
 	}
-	d.M.Scale(inv)
-	for i := 0; i < nSus; i++ {
+	for i := range suspects {
 		e := NewMatrix(nOut, nPat)
-		off := i * nOut * nPat
-		for _, wk := range ws {
-			if wk == nil {
-				continue
-			}
-			for k := 0; k < nOut*nPat; k++ {
-				e.Data[k] += float64(wk.acc.e[off+k])
-			}
+		delta := sum.e[i*nOut*nPat:]
+		for k, v := range sum.m {
+			e.Data[k] = float64(v+delta[k]) * inv
 		}
-		e.Scale(inv)
 		d.E[i] = e
 		d.S[i] = e.Sub(d.M)
 	}

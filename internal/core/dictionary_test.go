@@ -125,41 +125,54 @@ func TestBuildDictionaryDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestBuildDictionaryIncrementalMatchesFull pins the build, with its
-// transition skip, observation windows and difference-propagation
-// re-simulation, to the unskipped full-simulation reference. Every
-// candidate arc is a suspect and the clock is tightened to factors of
-// the bench's from 0.4 to 1.0, so that windows cut waveforms short and
-// defects change captures (nonzero S) on some triples.
+// transition skip, observation windows, difference-propagation
+// re-simulation and flip-only counting, to the unskipped
+// full-simulation reference at one, the default and three workers.
+// Every candidate arc is a suspect and the clock is tightened to
+// factors of the bench's from 0.4 to 1.0, so that windows cut
+// waveforms short and defects change captures (nonzero S) on some
+// triples; the tight clocks fail outputs defect-free, so defects that
+// make a failing capture pass (E below M) occur too.
 func TestBuildDictionaryIncrementalMatchesFull(t *testing.T) {
 	tb := newBench(t, "mini", 5)
 	suspects := tb.inj.CandidateArcs()
+	below := 0
 	for _, f := range []float64{0.4, 0.6, 0.8, 1.0} {
 		cfg := tb.dictConfig(40)
 		cfg.Clk *= f
-		a, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		b := buildDictionaryReference(tb.m, tb.pats, suspects, cfg)
 		signals := 0
-		for _, s := range b.S {
-			for _, v := range s.Data {
+		for si, s := range b.S {
+			for k, v := range s.Data {
 				if v > 0 {
 					signals++
+				}
+				if b.E[si].Data[k] < b.M.Data[k] {
+					below++
 				}
 			}
 		}
 		if signals == 0 {
 			t.Fatalf("clk factor %v: no defect changed a capture; the comparison is vacuous", f)
 		}
-		if d := maxAbsDiff(a.M, b.M); d != 0 {
-			t.Errorf("clk factor %v: M: build vs reference differ by %v", f, d)
-		}
-		for si := range suspects {
-			if d := maxAbsDiff(a.E[si], b.E[si]); d != 0 {
-				t.Errorf("clk factor %v: suspect %d: build vs reference differ by %v", f, si, d)
+		for _, workers := range []int{0, 1, 3} {
+			cfg.Workers = workers
+			a, err := BuildDictionary(context.Background(), tb.m, tb.pats, suspects, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxAbsDiff(a.M, b.M); d != 0 {
+				t.Errorf("clk factor %v workers %d: M: build vs reference differ by %v", f, workers, d)
+			}
+			for si := range suspects {
+				if d := maxAbsDiff(a.E[si], b.E[si]); d != 0 {
+					t.Errorf("clk factor %v workers %d: suspect %d: build vs reference differ by %v", f, workers, si, d)
+				}
 			}
 		}
+	}
+	if below == 0 {
+		t.Errorf("no defect made a failing capture pass; the -1 count is unexercised")
 	}
 }
 

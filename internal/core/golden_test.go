@@ -177,13 +177,17 @@ func goldenSignalDictSetup(t *testing.T) (*timing.Model, []logicsim.PatternPair,
 		t.Fatal("no site with diagnostic patterns")
 	}
 	pats := make([]logicsim.PatternPair, len(tests))
-	clk := 0.0
+	paths := make([][]circuit.ArcID, len(tests))
 	for i, tc := range tests {
 		pats[i] = tc.Pair
-		tl, err := timing.NewMC(m).TimingLength(context.Background(), tc.Path.Arcs, 200, 7, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		paths[i] = tc.Path.Arcs
+	}
+	tls, err := timing.NewMC(m).TimingLengths(context.Background(), paths, 200, 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := 0.0
+	for _, tl := range tls {
 		clk = max(clk, tl.Quantile(0.5))
 	}
 	cfg := DictConfig{

@@ -66,6 +66,30 @@ func dictStageCounter(stage string) *obs.Counter {
 		obs.Labels{"stage": stage})
 }
 
+// LedgerEntry is one process-wide total of the Monte-Carlo build's
+// sub-stage ledger.
+type LedgerEntry struct {
+	Name  string
+	Value float64
+}
+
+// DictLedger returns the process-wide totals of the Monte-Carlo
+// build's sub-stage ledger: the four stage times in seconds
+// (sample_s, baseline_s, defect_s, accumulate_s), then the defect
+// re-simulations run and skipped (defect_simulated, defect_skipped).
+// The difference of two reads is the ledger of the builds between
+// them.
+func DictLedger() []LedgerEntry {
+	return []LedgerEntry{
+		{"sample_s", dictStageSample.Value()},
+		{"baseline_s", dictStageBaseline.Value()},
+		{"defect_s", dictStageDefect.Value()},
+		{"accumulate_s", dictStageAccumulate.Value()},
+		{"defect_simulated", dictDefectSimulated.Value()},
+		{"defect_skipped", dictDefectSkipped.Value()},
+	}
+}
+
 // dictStages is one worker's share of the ledger: sample is delay and
 // defect-size sampling, baseline the defect-free run per pattern, and
 // defect the per-suspect re-simulations together with their

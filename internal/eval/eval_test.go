@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -292,5 +294,40 @@ func TestRunCircuitTimings(t *testing.T) {
 	table := res.Timings.String()
 	if !strings.Contains(table, "atpg") || !strings.Contains(table, "total") {
 		t.Errorf("timings table missing rows:\n%s", table)
+	}
+}
+
+// TestClockRecordsStageOnError: a clk selection cancelled inside the
+// engine call still records its clk_select time, once, under either
+// engine, and leaves the case's clk unset.
+func TestClockRecordsStageOnError(t *testing.T) {
+	for _, engine := range []string{"mc", "analytic"} {
+		cfg := fastConfig("small", 1)
+		cfg.Engine = engine
+		p, err := newNamedPipeline(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := p.NewCase(0)
+		if p.Patterns(cs); len(cs.Tests) == 0 {
+			t.Fatalf("%s: fixture case has no tests", engine)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := p.Clock(ctx, cs, cfg.ClkQuantile); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Clock under a cancelled context returned %v", engine, err)
+		}
+		if cs.Clk != 0 {
+			t.Errorf("%s: cancelled Clock set clk %v", engine, cs.Clk)
+		}
+		calls := int64(0)
+		for _, s := range p.Stages.Snapshot() {
+			if s.Name == "clk_select" {
+				calls = s.Calls
+			}
+		}
+		if calls != 1 {
+			t.Errorf("%s: clk_select recorded %d calls, want 1", engine, calls)
+		}
 	}
 }

@@ -171,19 +171,26 @@ func (p *Pipeline) Patterns(cs *Case) {
 // shmoos the clock down to the frequency where the targeted paths are
 // marginal — and puts clk where a 0.5–1 cell-delay defect on the site
 // moves the pass/fail outcome. Critical probabilities of everything
-// else at this clk are captured by M_crt.
+// else at this clk are captured by M_crt. All the paths' timing
+// lengths come from one engine call, so Monte-Carlo draws the case's
+// instances once. The stage records its time even when the call
+// fails.
 func (p *Pipeline) Clock(ctx context.Context, cs *Case, q float64) error {
 	stop := p.Stages.Start("clk_select")
+	paths := make([][]circuit.ArcID, len(cs.Tests))
+	for i, tc := range cs.Tests {
+		paths[i] = tc.Path.Arcs
+	}
+	tls, err := p.Engine.TimingLengths(ctx, paths, p.Cfg.ClkSamples, rng.Derive(cs.Seed, 2), 0)
 	clk := 0.0
-	for _, tc := range cs.Tests {
-		tl, err := p.Engine.TimingLength(ctx, tc.Path.Arcs, p.Cfg.ClkSamples, rng.Derive(cs.Seed, 2), 0)
-		if err != nil {
-			return err
-		}
+	for _, tl := range tls {
 		clk = max(clk, tl.Quantile(q))
 	}
-	cs.Clk = clk
 	stop(int64(len(cs.Tests)))
+	if err != nil {
+		return err
+	}
+	cs.Clk = clk
 	return nil
 }
 

@@ -91,13 +91,17 @@ func prepareStatic(cfg Config, maxSuspects int) (*Pipeline, *Case, error) {
 		return nil, nil, fmt.Errorf("eval: no global patterns for %s", cfg.Circuit)
 	}
 	pats := make([]logicsim.PatternPair, len(tests))
-	tls := make([]float64, len(tests))
+	paths := make([][]circuit.ArcID, len(tests))
 	for i, tc := range tests {
 		pats[i] = tc.Pair
-		tl, err := p.Engine.TimingLength(context.Background(), tc.Path.Arcs, cfg.ClkSamples, rng.Derive(cfg.Seed, 0x57a8), 0)
-		if err != nil {
-			return nil, nil, err
-		}
+		paths[i] = tc.Path.Arcs
+	}
+	dists, err := p.Engine.TimingLengths(context.Background(), paths, cfg.ClkSamples, rng.Derive(cfg.Seed, 0x57a8), 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	tls := make([]float64, len(tests))
+	for i, tl := range dists {
 		tls[i] = tl.Quantile(cfg.ClkQuantile)
 	}
 	// One clk must serve every site this dictionary covers. Anchoring

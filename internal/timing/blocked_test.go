@@ -118,7 +118,7 @@ func scalarCriticalityCounts(m *Model, nSamples int, seed uint64) []int64 {
 	return cnt
 }
 
-// pathDelay is the scalar reference for MC.TimingLength: the fixed
+// pathDelay is the scalar reference for MC.TimingLengths: the fixed
 // timing length of a path (a sequence of arcs) on an instance.
 func pathDelay(in *Instance, arcs []circuit.ArcID) float64 {
 	t := 0.0
@@ -199,28 +199,46 @@ func TestBlockedCriticalityMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestTimingLengthCtxMatchesScalar pins MC.TimingLength to the scalar
-// pathDelay reference.
+// TestTimingLengthCtxMatchesScalar pins MC.TimingLengths to the
+// scalar pathDelay reference, path by path, on a path set with an
+// empty path and a repeated path: one draw serves every path, so each
+// path's samples must be those of its own scalar sums.
 func TestTimingLengthCtxMatchesScalar(t *testing.T) {
 	m := synthModel(t, "small", 4)
-	// A pseudo-path of spread arcs is enough: TimingLength sums
+	// Pseudo-paths of spread arcs are enough: TimingLengths sums
 	// whatever arcs it is given.
-	arcs := make([]circuit.ArcID, 12)
-	for i := range arcs {
-		arcs[i] = circuit.ArcID(i * len(m.C.Arcs) / len(arcs))
+	spread := func(n, off int) []circuit.ArcID {
+		arcs := make([]circuit.ArcID, n)
+		for i := range arcs {
+			arcs[i] = circuit.ArcID((i*len(m.C.Arcs)/n + off) % len(m.C.Arcs))
+		}
+		return arcs
 	}
+	long, short := spread(12, 0), spread(5, 3)
+	paths := [][]circuit.ArcID{long, {}, short, long}
 	const nSamples = 37
-	ref := make([]float64, nSamples)
-	for s := 0; s < nSamples; s++ {
-		ref[s] = pathDelay(m.SampleInstanceSeeded(19, uint64(s)), arcs)
+	ref := make([][]float64, len(paths))
+	for i := range ref {
+		ref[i] = make([]float64, nSamples)
 	}
-	for _, workers := range []int{1, 4} {
-		tl, err := NewMC(m).TimingLength(context.Background(), arcs, nSamples, 19, workers)
+	for s := 0; s < nSamples; s++ {
+		in := m.SampleInstanceSeeded(19, uint64(s))
+		for i, arcs := range paths {
+			ref[i][s] = pathDelay(in, arcs)
+		}
+	}
+	for workers := 1; workers <= 3; workers++ {
+		tls, err := NewMC(m).TimingLengths(context.Background(), paths, nSamples, 19, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameSamples(ref, tl) {
-			t.Fatalf("workers=%d: timing length samples diverge from the scalar reference", workers)
+		if len(tls) != len(paths) {
+			t.Fatalf("workers=%d: %d timing lengths for %d paths", workers, len(tls), len(paths))
+		}
+		for i, tl := range tls {
+			if !sameSamples(ref[i], tl) {
+				t.Fatalf("workers=%d path %d: timing length samples diverge from the scalar reference", workers, i)
+			}
 		}
 	}
 }
@@ -238,7 +256,7 @@ func TestBlockedSTACancellation(t *testing.T) {
 	if cr, err := mc.Criticality(ctx, 100, 7, 2); err == nil || cr != nil {
 		t.Fatalf("criticality: res=%v err=%v, want nil result and error", cr, err)
 	}
-	if tl, err := mc.TimingLength(ctx, []circuit.ArcID{0}, 100, 7, 2); err == nil || tl != nil {
+	if tl, err := mc.TimingLengths(ctx, [][]circuit.ArcID{{0}}, 100, 7, 2); err == nil || tl != nil {
 		t.Fatalf("timing length: res=%v err=%v, want nil result and error", tl, err)
 	}
 }

@@ -43,7 +43,9 @@ type Engine interface {
 	// Criticality returns per-arc critical-path membership
 	// probabilities.
 	Criticality(ctx context.Context, nSamples int, seed uint64, workers int) (*Criticality, error)
-	// TimingLength returns the statistical timing length TL(p) of a
-	// path given as a sequence of arcs.
-	TimingLength(ctx context.Context, arcs []circuit.ArcID, nSamples int, seed uint64, workers int) (dist.Distribution, error)
+	// TimingLengths returns the statistical timing length TL(p) of
+	// each path, given as a sequence of arcs, in path order. A case
+	// asks once for all its paths, so Monte-Carlo draws its instances
+	// once per case, not once per path.
+	TimingLengths(ctx context.Context, paths [][]circuit.ArcID, nSamples int, seed uint64, workers int) ([]dist.Distribution, error)
 }

@@ -244,23 +244,27 @@ func (e *Analytic) Criticality(ctx context.Context, nSamples int, seed uint64, w
 	return cr, nil
 }
 
-// TimingLength returns the exact closed-form timing length of a path:
-// arc delays along a path share the global factor (means and global
-// sensitivities add linearly) while their local factors are
+// TimingLengths returns the exact closed-form timing length of each
+// path: arc delays along a path share the global factor (means and
+// global sensitivities add linearly) while their local factors are
 // independent (variances add). No max is involved, so unlike STA this
 // is not an approximation of the model — it is the model's marginal,
 // and the property tests hold it to Monte-Carlo at statistical error.
-func (e *Analytic) TimingLength(ctx context.Context, arcs []circuit.ArcID, nSamples int, seed uint64, workers int) (dist.Distribution, error) {
+func (e *Analytic) TimingLengths(ctx context.Context, paths [][]circuit.ArcID, nSamples int, seed uint64, workers int) ([]dist.Distribution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	nomSum, sq := 0.0, 0.0
-	for _, a := range arcs {
-		nom := e.m.Nominal[a]
-		nomSum += nom
-		sq += nom * nom
+	tls := make([]dist.Distribution, len(paths))
+	for i, arcs := range paths {
+		nomSum, sq := 0.0, 0.0
+		for _, a := range arcs {
+			nom := e.m.Nominal[a]
+			nomSum += nom
+			sq += nom * nom
+		}
+		g := e.m.P.SigmaGlobal * nomSum
+		lv := e.m.P.SigmaLocal * e.m.P.SigmaLocal * sq
+		tls[i] = dist.Normal{Mu: nomSum, Sigma: math.Sqrt(g*g + lv)}
 	}
-	g := e.m.P.SigmaGlobal * nomSum
-	lv := e.m.P.SigmaLocal * e.m.P.SigmaLocal * sq
-	return dist.Normal{Mu: nomSum, Sigma: math.Sqrt(g*g + lv)}, nil
+	return tls, nil
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/circuit"
+	"repro/internal/dist"
 	"repro/internal/timing"
 )
 
@@ -130,19 +132,48 @@ func TestAnalyticTimingLengthExact(t *testing.T) {
 	ctx := context.Background()
 	m := synthModel(t, "small", 7)
 	arcs := longestStructuralPath(m)
-	an, err := NewAnalytic(m).TimingLength(ctx, arcs, 0, 0, 0)
+	paths := [][]circuit.ArcID{arcs}
+	ans, err := NewAnalytic(m).TimingLengths(ctx, paths, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := timing.NewMC(m).TimingLength(ctx, arcs, mcRefSamples, 5, 0)
+	mcs, err := timing.NewMC(m).TimingLengths(ctx, paths, mcRefSamples, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	an, mc := ans[0], mcs[0]
 	if e := math.Abs(an.Mean()-mc.Mean()) / mc.Mean(); e > 0.002 {
 		t.Errorf("timing length mean rel err %.5f (mc %.5f an %.5f)", e, mc.Mean(), an.Mean())
 	}
 	if e := math.Abs(an.Std()-mc.Std()) / mc.Std(); e > 0.02 {
 		t.Errorf("timing length sigma rel err %.5f (mc %.5f an %.5f)", e, mc.Std(), an.Std())
+	}
+}
+
+// TestAnalyticTimingLengthsPerPath: on a path set with an empty and a
+// repeated path, each analytic timing length is its own path's closed
+// form, whatever the other paths.
+func TestAnalyticTimingLengthsPerPath(t *testing.T) {
+	m := synthModel(t, "small", 7)
+	long := longestStructuralPath(m)
+	paths := [][]circuit.ArcID{long, {}, long[:len(long)/2], long}
+	tls, err := NewAnalytic(m).TimingLengths(context.Background(), paths, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tls) != len(paths) {
+		t.Fatalf("%d timing lengths for %d paths", len(tls), len(paths))
+	}
+	for i, arcs := range paths {
+		nomSum, sq := 0.0, 0.0
+		for _, a := range arcs {
+			nomSum += m.Nominal[a]
+			sq += m.Nominal[a] * m.Nominal[a]
+		}
+		g, l := m.P.SigmaGlobal*nomSum, m.P.SigmaLocal*m.P.SigmaLocal*sq
+		if want := (dist.Normal{Mu: nomSum, Sigma: math.Sqrt(g*g + l)}); tls[i] != want {
+			t.Errorf("path %d: timing length %v, want closed form %v", i, tls[i], want)
+		}
 	}
 }
 

@@ -92,23 +92,24 @@ func TestMCBitIdentity(t *testing.T) {
 			t.Errorf("workers=%d: Criticality differs from timing.MC", workers)
 		}
 
-		tl, err := eng.TimingLength(ctx, arcs, n, seed, workers)
+		paths := [][]circuit.ArcID{arcs, arcs[:len(arcs)/2]}
+		tl, err := eng.TimingLengths(ctx, paths, n, seed, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tlRef, err := ref.TimingLength(ctx, arcs, n, seed, workers)
+		tlRef, err := ref.TimingLengths(ctx, paths, n, seed, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(tl, tlRef) {
-			t.Errorf("workers=%d: TimingLength differs from timing.MC", workers)
+			t.Errorf("workers=%d: TimingLengths differs from timing.MC", workers)
 		}
 	}
 }
 
 // longestStructuralPath walks back from the first output along each
 // gate's nominally latest fan-in, collecting the arc sequence — a
-// convenient real path for TimingLength tests.
+// convenient real path for TimingLengths tests.
 func longestStructuralPath(m *timing.Model) []circuit.ArcID {
 	arr := m.ArrivalTimes(m.NominalInstance())
 	var arcs []circuit.ArcID
@@ -124,7 +125,7 @@ func longestStructuralPath(m *timing.Model) []circuit.ArcID {
 		arcs = append(arcs, m.C.Gates[g].InArcs[best])
 		g = m.C.Gates[g].Fanin[best]
 	}
-	// Reverse into launch-to-capture order (TimingLength is
+	// Reverse into launch-to-capture order (TimingLengths is
 	// order-independent, but paths read better forward).
 	for i, j := 0, len(arcs)-1; i < j; i, j = i+1, j-1 {
 		arcs[i], arcs[j] = arcs[j], arcs[i]

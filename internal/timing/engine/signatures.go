@@ -32,7 +32,8 @@ type SignatureProbs struct {
 // difference-propagation re-simulation (tsim.RunDefectDiff) of the
 // defect at its mean size — and turns each output waveform into a
 // capture-failure probability in closed form. An output whose
-// waveform the defect leaves unchanged keeps its M entry exactly.
+// waveform the defect leaves unchanged (one RunDefectDiff does not
+// list) keeps its M entry exactly.
 // An output captures wrongly exactly when clk falls in a time interval
 // where its waveform still differs from the settled value; walking the
 // nominal transitions t_1 < … < t_k backward, those intervals
@@ -83,21 +84,18 @@ func (e *Analytic) Signatures(ctx context.Context, patterns []logicsim.PatternPa
 			sp.M[oi*nPat+j] = e.captureFailProb(base.Waveform(o), clk, nil, 0)
 		}
 		for i, arc := range suspects {
+			for oi := 0; oi < nOut; oi++ {
+				sp.E[(i*nOut+oi)*nPat+j] = sp.M[oi*nPat+j]
+			}
 			if !base.Transitioned(c.Arcs[arc].From) {
 				// The defect arc never sees a transition under this
 				// pattern: E equals the baseline (the MC build's skip).
-				for oi := 0; oi < nOut; oi++ {
-					sp.E[(i*nOut+oi)*nPat+j] = sp.M[oi*nPat+j]
-				}
 				continue
 			}
-			eng.RunDefectDiff(e.m.Nominal, base, arc, defMu, math.Inf(1))
-			for oi, o := range c.Outputs {
-				v := sp.M[oi*nPat+j]
-				if w, changed := eng.DefectWaveform(base, o); changed {
-					v = e.captureFailProb(w, clk, base.Waveform(o), defVar)
-				}
-				sp.E[(i*nOut+oi)*nPat+j] = v
+			for _, oi := range eng.RunDefectDiff(e.m.Nominal, base, arc, defMu, math.Inf(1)) {
+				o := c.Outputs[oi]
+				w, _ := eng.DefectWaveform(base, o)
+				sp.E[(i*nOut+oi)*nPat+j] = e.captureFailProb(w, clk, base.Waveform(o), defVar)
 			}
 		}
 	}); err != nil {

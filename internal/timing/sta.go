@@ -106,28 +106,36 @@ func (m *Model) staBlocked(ctx context.Context, nSamples int, seed uint64, worke
 	return res, nil
 }
 
-// TimingLength estimates the statistical timing length TL(p) of a path
-// given as a sequence of arcs. Each sample draws the full instance
-// (the same stream as every other method) and sums the path's arc
-// delays in path order, so sample s equals the scalar sum of those
-// arcs on SampleInstanceSeeded(seed, s) bit for bit.
-func (e *MC) TimingLength(ctx context.Context, arcs []circuit.ArcID, nSamples int, seed uint64, workers int) (dist.Distribution, error) {
+// TimingLengths estimates the statistical timing length TL(p) of each
+// path, given as a sequence of arcs. Each sample block draws the full
+// instance once (the same stream as every other method) and sums every
+// path's arc delays from it in path order, so sample s of path i
+// equals the scalar sum of its arcs on SampleInstanceSeeded(seed, s)
+// bit for bit, whatever the other paths.
+func (e *MC) TimingLengths(ctx context.Context, paths [][]circuit.ArcID, nSamples int, seed uint64, workers int) ([]dist.Distribution, error) {
 	m := e.m
 	if nSamples > 0 {
 		tlSamples.Add(float64(nSamples))
 	}
-	xs := make([]float64, nSamples)
+	xs := make([]float64, len(paths)*nSamples)
 	if err := m.forBlocks(ctx, nSamples, seed, workers, DefaultBlock, func(_ int, sc *Scratch, s0, nb int) {
 		B := sc.block
-		for b := 0; b < nb; b++ {
-			t := 0.0
-			for _, a := range arcs {
-				t += sc.delays[int(a)*B+b]
+		for i, arcs := range paths {
+			x := xs[i*nSamples+s0 : i*nSamples+s0+nb]
+			for b := range x {
+				t := 0.0
+				for _, a := range arcs {
+					t += sc.delays[int(a)*B+b]
+				}
+				x[b] = t
 			}
-			xs[s0+b] = t
 		}
 	}); err != nil {
 		return nil, err
 	}
-	return dist.NewEmpirical(xs), nil
+	tls := make([]dist.Distribution, len(paths))
+	for i := range tls {
+		tls[i] = dist.NewEmpirical(xs[i*nSamples : (i+1)*nSamples])
+	}
+	return tls, nil
 }

@@ -244,10 +244,11 @@ func TestTimingLengthAndPathDelay(t *testing.T) {
 	n2, _ := c.GateByName("n2")
 	port := &c.Gates[c.Outputs[0]]
 	path := []circuit.ArcID{n1.InArcs[0], n2.InArcs[0], port.InArcs[0]}
-	tl, err := NewMC(m).TimingLength(context.Background(), path, 800, 3, 0)
+	tls, err := NewMC(m).TimingLengths(context.Background(), [][]circuit.ArcID{path}, 800, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tl := tls[0]
 	wantMean := m.Nominal[path[0]] + m.Nominal[path[1]] + m.Nominal[path[2]]
 	if math.Abs(tl.Mean()-wantMean)/wantMean > 0.05 {
 		t.Errorf("TL mean = %v, want ~%v", tl.Mean(), wantMean)

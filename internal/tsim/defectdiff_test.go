@@ -180,10 +180,34 @@ func checkRunMatchesEvents(t testing.TB, c *circuit.Circuit, kern *Engine, full 
 	return want
 }
 
+// defectCaptures returns the captures of kern's last RunDefectDiff
+// against base, which returned changed: base.Capture for an unlisted
+// output, where its defect waveform ends for a listed one.
+func defectCaptures(c *circuit.Circuit, kern *Engine, base *Result, changed []int) []bool {
+	got := append([]bool(nil), base.Capture...)
+	for _, oi := range changed {
+		got[oi] = defectEnd(kern, base, c.Outputs[oi])
+	}
+	return got
+}
+
+// defectEnd is the value output o's defect waveform ends at: its last
+// step's, or its initial value when it has no step.
+func defectEnd(kern *Engine, base *Result, o circuit.GateID) bool {
+	if w, _ := kern.DefectWaveform(base, o); len(w) > 0 {
+		return w[len(w)-1].V
+	}
+	return base.Init[o]
+}
+
 // checkDefectDiff runs the kernel on kern against a baseline kern
-// itself recorded, and compares its captures with the event oracle's
-// run under the defect overlay and, with oracle set, with the
-// pointwise refValue. It also checks every gate's waveform as the
+// itself recorded, and checks its changed-output list both ways
+// against the event oracle's full run under the defect overlay: each
+// output is listed at most once, exactly when its defect waveform
+// changed; a listed output's defect waveform ends at the full run's
+// capture, and an unlisted output's full-run capture equals the
+// baseline's. With oracle set, the captures are also compared with
+// the pointwise refValue. It also checks every gate's waveform as the
 // kernel left it (rebuilt or baseline) against the oracle's, step
 // times compared exactly. With win set, the baseline and the defect
 // pass run under win, Set here, and each waveform is checked inside
@@ -213,17 +237,39 @@ func checkDefectDiff(t testing.TB, c *circuit.Circuit, kern *Engine, full *event
 		}
 		checkWaveform(t, what, g, kw, want.Waveforms[g], base.Init[g])
 	}
+	if cap(kern.changed) != len(c.Outputs) {
+		t.Fatalf("%s: changed-output list grew to cap %d past its preallocated %d", what, cap(kern.changed), len(c.Outputs))
+	}
+	listed := make([]bool, len(c.Outputs))
+	for _, oi := range got {
+		if listed[oi] {
+			t.Fatalf("%s: output %d listed twice in %v", what, oi, got)
+		}
+		listed[oi] = true
+	}
 	changed := false
 	for i, o := range c.Outputs {
-		if got[i] != want.Capture[i] {
-			t.Fatalf("%s: output %d kernel %v, oracle %v", what, i, got[i], want.Capture[i])
+		if _, waveChanged := kern.DefectWaveform(base, o); waveChanged != listed[i] {
+			t.Fatalf("%s: output %d listed %v, defect waveform changed %v", what, i, listed[i], waveChanged)
+		}
+		capture := baseCapture[i]
+		if dc := kern.DefectCapture(base, i); dc != want.Capture[i] {
+			t.Fatalf("%s: output %d DefectCapture %v, oracle captures %v", what, i, dc, want.Capture[i])
+		}
+		if listed[i] {
+			capture = defectEnd(kern, base, o)
+			if capture != want.Capture[i] {
+				t.Fatalf("%s: listed output %d ends at %v, oracle captures %v", what, i, capture, want.Capture[i])
+			}
+		} else if want.Capture[i] != baseCapture[i] {
+			t.Fatalf("%s: unlisted output %d: oracle captures %v, baseline %v", what, i, want.Capture[i], baseCapture[i])
 		}
 		if oracle {
-			if ref := refValue(c, delays, &opts, pair, o, clk); got[i] != ref {
-				t.Fatalf("%s: output %d kernel %v, pointwise oracle %v", what, i, got[i], ref)
+			if ref := refValue(c, delays, &opts, pair, o, clk); capture != ref {
+				t.Fatalf("%s: output %d kernel %v, pointwise oracle %v", what, i, capture, ref)
 			}
 		}
-		changed = changed || got[i] != baseCapture[i]
+		changed = changed || capture != baseCapture[i]
 	}
 	return changed
 }
@@ -388,7 +434,7 @@ func TestIncrementalEngineReuseUndoPath(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		arc := circuit.ArcID(r.IntN(len(c.Arcs)))
 		extra := 0.2 + 3*r.Float64()
-		got := eng.RunDefectDiff(inst.Delays, base, arc, extra, clk)
+		got := defectCaptures(c, eng, base, eng.RunDefectDiff(inst.Delays, base, arc, extra, clk))
 		opts := AtClock(clk)
 		opts.DefectArc = arc
 		opts.DefectExtra = extra
@@ -438,7 +484,7 @@ func TestIncrementalAfterRunInvalidatesBaseline(t *testing.T) {
 	_ = eng.RunDefectDiff(inst.Delays, base, arc, 1.5, clk)
 	other := logicsim.PatternPair{V1: pair.V2, V2: pair.V1}
 	_ = eng.Run(inst.Delays, other, AtClock(clk))
-	check("after interleaved Run:", inst.Delays, pair, eng.RunDefectDiff(inst.Delays, base, arc, 1.5, clk), arc, 1.5, clk)
+	check("after interleaved Run:", inst.Delays, pair, defectCaptures(c, eng, base, eng.RunDefectDiff(inst.Delays, base, arc, 1.5, clk)), arc, 1.5, clk)
 
 	for b := 0; b < 6; b++ {
 		delays := snapDelays(m.SampleInstance(r).Delays, []float64{0, 0.25}[b%2])
@@ -448,7 +494,7 @@ func TestIncrementalAfterRunInvalidatesBaseline(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			arc := circuit.ArcID(r.IntN(len(c.Arcs)))
 			extra := 0.2 + 3*r.Float64()
-			got := eng.RunDefectDiff(delays, base, arc, extra, horizon)
+			got := defectCaptures(c, eng, base, eng.RunDefectDiff(delays, base, arc, extra, horizon))
 			check(fmt.Sprintf("baseline %d trial %d", b, trial), delays, pair, got, arc, extra, horizon)
 		}
 	}

@@ -106,63 +106,74 @@ type pinCursor struct {
 	v    bool
 }
 
-// RunDefectDiff returns the outputs captured at horizon by a run of
-// base's pattern and delays with defect overlay (defectArc, extra),
-// re-evaluating only the gates whose waveform the defect changes.
-// base must come from a Run on the same delays and horizon; it may
-// come from this engine. The pass runs under base's Window, if any,
-// which must not have been Set again since. DefectWaveform reads the
-// defective waveforms after the call.
+// RunDefectDiff re-simulates base's pattern and delays with defect
+// overlay (defectArc, extra) up to horizon, re-evaluating only the
+// gates whose waveform the defect changes, and returns the indices
+// (into c.Outputs) of the outputs whose waveform it changed. base must
+// come from a Run on the same delays and horizon; it may come from
+// this engine. The pass runs under base's Window, if any, which must
+// not have been Set again since. DefectWaveform reads the defective
+// waveforms after the call.
 //
 // The kernel pass is seeded at defectArc.To against base's waveforms:
 // each visited gate's waveform is rebuilt from its drivers' (the
 // rebuilt waveform of a changed driver, the baseline waveform of every
 // other), and its fan-out is visited only if the rebuilt waveform
-// differs from the baseline. Outputs never reached keep base.Capture.
-// Under a Window, "differs" is read inside windows: a gate is changed
-// when its waveform differs inside its own window, and a fan-out gate
-// is visited only when the changed driver differs inside the fan-out's
-// window as its pin sees it. The seed itself is skipped when the
-// defect arc's shifted arrivals differ nowhere inside To's window. The
-// captures equal a full Run with the overlay (DESIGN.md §20).
+// differs from the baseline. Under a Window, "differs" is read inside
+// windows: a gate is changed when its waveform differs inside its own
+// window, and a fan-out gate is visited only when the changed driver
+// differs inside the fan-out's window as its pin sees it. The seed
+// itself is skipped when the defect arc's shifted arrivals differ
+// nowhere inside To's window.
+//
+// DefectCapture reads each output's capture under the defect: an
+// unlisted output keeps base.Capture, and a listed one may still
+// capture it. The captures equal a full Run with the overlay
+// (DESIGN.md §20). The list is in the pass's level order.
 //
 // The returned slice is engine-owned and valid until the next
 // RunDefectDiff on this engine; full runs do not touch it.
 //
 //ddd:hot
-func (e *Engine) RunDefectDiff(delays []float64, base *Result, defectArc circuit.ArcID, extra, horizon float64) []bool {
+func (e *Engine) RunDefectDiff(delays []float64, base *Result, defectArc circuit.ArcID, extra, horizon float64) []int {
 	if base.w == nil {
 		panic("tsim: RunDefectDiff requires a baseline produced by Run")
 	}
 	c := e.c
 	opts := Options{Horizon: horizon, DefectArc: defectArc, DefectExtra: extra, Window: base.win}
 	e.diff.reset()
+	e.changed = e.changed[:0]
 	a := &c.Arcs[defectArc]
 	if win := opts.Window; win != nil {
 		// The defect moves its driver's arrivals at To from d to
 		// d + extra; if To cannot see that, nothing changes.
 		w, _ := base.w.get(a.From)
 		if !win.differs(w, w, delays[defectArc], arcDelay(delays, &opts, defectArc), a.To, horizon) {
-			copy(e.diffCapture, base.Capture)
-			return e.diffCapture
+			return e.changed
 		}
 	}
 	e.queue.reset()
 	e.queue.push(a.To)
 	e.propagate(&e.diff, base.w, base.Init, delays, &opts)
+	return e.changed
+}
 
-	for i, o := range c.Outputs {
-		w, changed := e.diff.get(o)
-		switch {
-		case !changed:
-			e.diffCapture[i] = base.Capture[i]
-		case len(w) > 0:
-			e.diffCapture[i] = w[len(w)-1].V
-		default:
-			e.diffCapture[i] = base.Init[o]
-		}
+// DefectCapture returns output oi's capture at the horizon under the
+// defect of this engine's last RunDefectDiff, which ran against base:
+// where its rebuilt waveform ends (its last step's value, or its
+// initial value when it has none) when the pass changed it, and
+// base.Capture[oi] otherwise.
+func (e *Engine) DefectCapture(base *Result, oi int) bool {
+	o := e.c.Outputs[oi]
+	w, changed := e.diff.get(o)
+	switch {
+	case !changed:
+		return base.Capture[oi]
+	case len(w) > 0:
+		return w[len(w)-1].V
+	default:
+		return base.Init[o]
 	}
-	return e.diffCapture
 }
 
 // DefectWaveform returns gate g's waveform under the defect of this
@@ -183,7 +194,8 @@ func (e *Engine) DefectWaveform(base *Result, g circuit.GateID) ([]Step, bool) {
 // increasing level order and rebuilds each one's waveform into out
 // from its drivers' (out's where set, base's otherwise). A gate whose
 // waveform differs from base's is kept in out and queues its fan-out;
-// a nil base is all quiet. Under opts.Window a defect pass (non-nil
+// a nil base is all quiet. A defect pass (non-nil base) also lists
+// each kept output in e.changed. Under opts.Window a defect pass (non-nil
 // base) compares only inside windows: a gate is kept when it differs
 // inside its own window, and queues only the fan-out whose window it
 // differs in (pushFanout). A full run compares whole waveforms, since
@@ -204,6 +216,9 @@ func (e *Engine) propagate(out, base *waves, init []bool, delays []float64, opts
 	for l := q.lo; l <= q.hi; l++ {
 		for _, g := range q.byLevel[l] {
 			if e.rebuild(out, base, init, g, delays, opts) {
+				if oi := e.outIdx[g]; oi >= 0 && base != nil {
+					e.changed = append(e.changed, int(oi))
+				}
 				e.pushFanout(out, base, g, delays, opts)
 			}
 		}

@@ -173,31 +173,44 @@ type Engine struct {
 	queue     worklist
 	pins      []pinCursor // rebuild's per-gate scratch
 
+	// outIdx[g] is gate g's index in c.Outputs, or -1; changed lists
+	// the outputs the last RunDefectDiff changed. Each output gate is
+	// kept at most once per pass, so changed never outgrows its
+	// preallocated len(c.Outputs).
+	outIdx  []int32
+	changed []int
+
 	// res and the settled-value and capture buffers are reused across
 	// runs, making steady-state simulation allocation-free.
-	res         Result
-	initBuf     []bool
-	finalBuf    []bool
-	captureBuf  []bool
-	diffCapture []bool
+	res        Result
+	initBuf    []bool
+	finalBuf   []bool
+	captureBuf []bool
 }
 
 // NewEngine returns an Engine for circuit c.
 func NewEngine(c *circuit.Circuit) *Engine {
 	n := len(c.Gates)
 	e := &Engine{
-		c:           c,
-		gmode:       make([]uint8, n),
-		finOff:      make([]int32, n+1),
-		fin:         make([]int32, 0, len(c.Arcs)),
-		finArc:      make([]int32, 0, len(c.Arcs)),
-		foutOff:     make([]int32, n+1),
-		fout:        make([]int32, 0, len(c.Arcs)),
-		run:         newWaves(n),
-		diff:        newWaves(n),
-		queue:       newWorklist(c),
-		captureBuf:  make([]bool, len(c.Outputs)),
-		diffCapture: make([]bool, len(c.Outputs)),
+		c:          c,
+		gmode:      make([]uint8, n),
+		finOff:     make([]int32, n+1),
+		fin:        make([]int32, 0, len(c.Arcs)),
+		finArc:     make([]int32, 0, len(c.Arcs)),
+		foutOff:    make([]int32, n+1),
+		fout:       make([]int32, 0, len(c.Arcs)),
+		run:        newWaves(n),
+		diff:       newWaves(n),
+		queue:      newWorklist(c),
+		outIdx:     make([]int32, n),
+		changed:    make([]int, 0, len(c.Outputs)),
+		captureBuf: make([]bool, len(c.Outputs)),
+	}
+	for g := range e.outIdx {
+		e.outIdx[g] = -1
+	}
+	for i, o := range c.Outputs {
+		e.outIdx[o] = int32(i)
 	}
 	for g := range c.Gates {
 		gate := &c.Gates[g]
