@@ -130,11 +130,8 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 	}
 
 	// accum is one worker's integer counts: m the defect-free failures
-	// per (output, pattern), e each suspect's change against them per
-	// (suspect, output, pattern). Common random numbers make a
-	// suspect's failure count exactly m plus the captures its defect
-	// flips to failing minus those it flips to passing, so only the
-	// flips are counted.
+	// per (output, pattern), e each suspect's flips against them per
+	// (suspect, output, pattern).
 	type accum struct {
 		m []int32 // nOut*nPat
 		e []int32 // nSus*nOut*nPat
