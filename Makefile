@@ -194,6 +194,7 @@ fuzz:
 	$(GO) test ./internal/atpg -fuzz=FuzzImplication -fuzztime 30s
 	$(GO) test ./internal/logicsim -fuzz=FuzzSiteSensitizedWords -fuzztime 30s
 	$(GO) test ./internal/tsim -fuzz=FuzzDefectDiff -fuzztime 30s
+	$(GO) test ./internal/tsim -fuzz=FuzzDiffs -fuzztime 30s
 	$(GO) test ./internal/dist -fuzz=FuzzMaxNormal -fuzztime 30s
 
 table1:

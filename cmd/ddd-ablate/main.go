@@ -319,11 +319,7 @@ func errfuncsExp(circuitName string, n int) error {
 		if cs.Dict == nil {
 			continue
 		}
-		for j, m := range methods {
-			ranked, ok := cs.Ranked[m]
-			if !ok {
-				ranked = cs.Dict.Diagnose(cs.B, m)
-			}
+		for j, ranked := range cs.Dict.DiagnoseMethods(cs.B, methods) {
 			if pos := core.Position(ranked, cs.Truth[0].Arc); pos >= 1 && pos <= 5 {
 				hits[j]++
 			}

@@ -10,12 +10,17 @@ import (
 	"repro/internal/analysis"
 )
 
-// TestSummaryCountsSuppressed runs the driver against a package with
-// two known //lint:ignore directives (tsim's exact waveform and arrival
-// compares) and asserts the summary line reports the suppressions and
-// the process exits 0.
+// fixture is a package with two known //lint:ignore floateq
+// directives (an exact waveform compare and an exact arrival compare).
+// It lives under testdata, so ./... patterns, and with them the
+// repository's own lint run, leave it out.
+const fixture = "./testdata/floatcmp"
+
+// TestSummaryCountsSuppressed runs the driver against the fixture and
+// asserts the summary line reports the suppressions and the process
+// exits 0.
 func TestSummaryCountsSuppressed(t *testing.T) {
-	cmd := exec.Command("go", "run", ".", "repro/internal/tsim")
+	cmd := exec.Command("go", "run", ".", fixture)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("ddd-lint failed: %v\n%s", err, out)
@@ -27,10 +32,10 @@ func TestSummaryCountsSuppressed(t *testing.T) {
 
 // TestJSONSchema runs -json against the same package and asserts the
 // machine-readable output: a JSON array on stdout whose elements carry
-// exactly the documented fields, including the known suppressed tsim
-// findings with their justifications.
+// exactly the documented fields, including the fixture's known
+// suppressed findings with their justifications.
 func TestJSONSchema(t *testing.T) {
-	cmd := exec.Command("go", "run", ".", "-json", "repro/internal/tsim")
+	cmd := exec.Command("go", "run", ".", "-json", fixture)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -56,9 +61,9 @@ func TestJSONSchema(t *testing.T) {
 		t.Fatalf("stdout is not a JSON array of the documented schema: %v\n%s", err, stdout.String())
 	}
 
-	// tsim has exactly two findings, each suppressed by directive.
+	// The fixture has exactly two findings, each suppressed by directive.
 	want := []struct{ file, reason string }{
-		{"incremental.go", "waveform identity is exact"},
+		{"identity.go", "waveform identity is exact"},
 		{"window.go", "arrivals match exactly"},
 	}
 	if len(diags) != len(want) {
@@ -80,7 +85,7 @@ func TestJSONSchema(t *testing.T) {
 // TestVerbosePrintsSuppressed asserts -v surfaces a suppressed
 // finding with its justification.
 func TestVerbosePrintsSuppressed(t *testing.T) {
-	cmd := exec.Command("go", "run", ".", "-v", "repro/internal/tsim")
+	cmd := exec.Command("go", "run", ".", "-v", fixture)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("ddd-lint -v failed: %v\n%s", err, out)

@@ -174,5 +174,5 @@ func (cd *CompressedDictionary) Diagnose(b *Behavior, method Method) []Ranked {
 	// The failing counts depend only on b: compute them once.
 	failing := make([]int, cd.cols)
 	countFailing(b, failing)
-	return rank(cd.Suspects, cd.cols, func(phi []float64, si int) { cd.patternConsistencyInto(phi, failing, si, b) }, method.Score, method.lowerIsBetter())
+	return rank(cd.Suspects, cd.cols, func(phi []float64, si int) { cd.patternConsistencyInto(phi, failing, si, b) }, []scorer{{method.Score, method.lowerIsBetter()}})[0]
 }

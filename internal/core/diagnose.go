@@ -83,6 +83,12 @@ func ParseMethod(name string) (Method, bool) {
 // lowerIsBetter reports the ranking direction of the method's score.
 func (m Method) lowerIsBetter() bool { return m >= AlgRev }
 
+// scorer is one ranking's error function and direction.
+type scorer struct {
+	score         func(phi []float64) float64
+	lowerIsBetter bool
+}
+
 // Ranked is one candidate in a diagnosis result.
 type Ranked struct {
 	Arc   circuit.ArcID
@@ -199,7 +205,17 @@ func (m Method) Score(phi []float64) float64 {
 // ID for determinism. Callers take the first K entries as the
 // diagnosis answer.
 func (d *Dictionary) Diagnose(b *Behavior, method Method) []Ranked {
-	return rank(d.Suspects, b.Cols, func(phi []float64, si int) { d.patternConsistencyInto(phi, si, b) }, method.Score, method.lowerIsBetter())
+	return d.DiagnoseMethods(b, []Method{method})[0]
+}
+
+// DiagnoseMethods returns Diagnose(b, methods[k]) for every k, computing
+// each suspect's per-pattern consistencies once for all the methods.
+func (d *Dictionary) DiagnoseMethods(b *Behavior, methods []Method) [][]Ranked {
+	by := make([]scorer, len(methods))
+	for k, m := range methods {
+		by[k] = scorer{m.Score, m.lowerIsBetter()}
+	}
+	return rank(d.Suspects, b.Cols, func(phi []float64, si int) { d.patternConsistencyInto(phi, si, b) }, by)
 }
 
 // DiagnoseErrorFunc ranks suspects with a custom diagnosis error
@@ -209,30 +225,38 @@ func (d *Dictionary) Diagnose(b *Behavior, method Method) []Ranked {
 // need to search for a good error function first"). One φ buffer
 // serves every suspect, so fn must not retain the slice.
 func (d *Dictionary) DiagnoseErrorFunc(b *Behavior, fn func(phi []float64) float64) []Ranked {
-	return rank(d.Suspects, b.Cols, func(phi []float64, si int) { d.patternConsistencyInto(phi, si, b) }, fn, true)
+	return rank(d.Suspects, b.Cols, func(phi []float64, si int) { d.patternConsistencyInto(phi, si, b) }, []scorer{{fn, true}})[0]
 }
 
 // rank is the one ranking loop behind both dictionary forms:
 // consistency writes suspect si's φ into a buffer shared by every
-// suspect, score reduces it to the suspect's score without retaining
-// it, and the result is sorted best first with ties on ascending arc
-// ID.
-func rank(suspects []circuit.ArcID, cols int, consistency func(phi []float64, si int), score func(phi []float64) float64, lowerIsBetter bool) []Ranked {
-	diagnoses.Inc()
-	out := make([]Ranked, len(suspects))
+// suspect, each scorer reduces it to the suspect's score in its own
+// ranking without retaining it, and each ranking is sorted best first
+// with ties on ascending arc ID. Every ranking counts as one diagnosis.
+func rank(suspects []circuit.ArcID, cols int, consistency func(phi []float64, si int), by []scorer) [][]Ranked {
+	diagnoses.Add(float64(len(by)))
+	outs := make([][]Ranked, len(by))
+	for k := range outs {
+		outs[k] = make([]Ranked, len(suspects))
+	}
 	phi := make([]float64, cols)
 	for si, arc := range suspects {
 		consistency(phi, si)
-		out[si] = Ranked{Arc: arc, Score: score(phi)}
+		for k, s := range by {
+			outs[k][si] = Ranked{Arc: arc, Score: s.score(phi)}
+		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score < out[j].Score {
-			return lowerIsBetter
-		}
-		if out[i].Score > out[j].Score {
-			return !lowerIsBetter
-		}
-		return out[i].Arc < out[j].Arc
-	})
-	return out
+	for k, s := range by {
+		out := outs[k]
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].Score < out[j].Score {
+				return s.lowerIsBetter
+			}
+			if out[i].Score > out[j].Score {
+				return !s.lowerIsBetter
+			}
+			return out[i].Arc < out[j].Arc
+		})
+	}
+	return outs
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/rng"
 )
 
 // allMethods is the paper's four methods followed by the extension
@@ -151,4 +154,45 @@ func TestParseMethod(t *testing.T) {
 func TestDiagnoseErrorFuncMatchesMethod(t *testing.T) {
 	d, b := tieDict()
 	sameRanking(t, "DiagnoseErrorFunc(LogLik.Score)", d.DiagnoseErrorFunc(b, LogLik.Score), d.Diagnose(b, LogLik))
+}
+
+// TestDiagnoseMethodsMatchesDiagnose ranks behaviors against the signal
+// golden dictionary with all seven methods in one DiagnoseMethods call
+// and checks each ranking bit for bit against its own Diagnose call,
+// and that the call counts one diagnosis per method. The behaviors are
+// the all-pass one, each suspect's most likely one (s_ij > 1/2) and
+// random ones.
+func TestDiagnoseMethodsMatchesDiagnose(t *testing.T) {
+	m, pats, suspects, cfg := goldenSignalDictSetup(t)
+	d, err := BuildDictionary(context.Background(), m, pats, suspects, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, cols := d.S[0].Rows, d.S[0].Cols
+	bs := []*Behavior{NewBehavior(rows, cols)}
+	for _, s := range d.S {
+		b := NewBehavior(rows, cols)
+		for k, v := range s.Data {
+			b.Set(k/cols, k%cols, v > 0.5)
+		}
+		bs = append(bs, b)
+	}
+	r := rng.New(5)
+	for n := 0; n < 8; n++ {
+		b := NewBehavior(rows, cols)
+		for k := 0; k < rows*cols; k++ {
+			b.Set(k/cols, k%cols, r.IntN(4) == 0)
+		}
+		bs = append(bs, b)
+	}
+	for bi, b := range bs {
+		before := diagnoses.Value()
+		all := d.DiagnoseMethods(b, allMethods)
+		if got := diagnoses.Value() - before; got != float64(len(allMethods)) {
+			t.Fatalf("behavior %d: DiagnoseMethods counted %v diagnoses, want %d", bi, got, len(allMethods))
+		}
+		for k, meth := range allMethods {
+			sameRanking(t, fmt.Sprintf("behavior %d %v", bi, meth), all[k], d.Diagnose(b, meth))
+		}
+	}
 }

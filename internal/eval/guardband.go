@@ -25,44 +25,52 @@ type GuardbandPoint struct {
 }
 
 // GuardbandCurve sweeps the clk quantile over the first cfg.N
-// harness cases that have diagnostic patterns: patterns are generated
-// once per case, then every quantile re-picks clk and observes the die
-// with its defect and without it.
+// harness cases that have diagnostic patterns, drawing each case's
+// timing lengths once for every quantile.
 func GuardbandCurve(cfg Config, quantiles []float64) ([]GuardbandPoint, error) {
 	p, err := newNamedPipeline(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var cases []*Case
-	for i := 0; i < cfg.N; i++ {
-		cs := p.NewCase(i)
-		if p.Patterns(cs); len(cs.Pats) > 0 {
-			cases = append(cases, cs)
-		}
-	}
-	if len(cases) == 0 {
-		return nil, fmt.Errorf("eval: no diagnosable sites for the guardband sweep")
-	}
+	return p.guardband(cfg.N, quantiles)
+}
 
-	var out []GuardbandPoint
-	for _, q := range quantiles {
-		pt := GuardbandPoint{Quantile: q}
-		for _, cs := range cases {
-			if err := p.Clock(context.Background(), cs, q); err != nil {
-				return nil, err
-			}
+// guardband is the sweep over the first n cases that have diagnostic
+// patterns: patterns are generated once per case, and so is the draw
+// of its timing lengths, from which every quantile picks its clk; at
+// each clk the die is observed with its defect and without it.
+func (p *Pipeline) guardband(n int, quantiles []float64) ([]GuardbandPoint, error) {
+	out := make([]GuardbandPoint, len(quantiles))
+	cases := 0
+	for i := 0; i < n; i++ {
+		cs := p.NewCase(i)
+		if p.Patterns(cs); len(cs.Pats) == 0 {
+			continue
+		}
+		clks, err := p.clocks(context.Background(), cs, quantiles...)
+		if err != nil {
+			return nil, err
+		}
+		cases++
+		for k, clk := range clks {
+			cs.Clk = clk
 			if p.Observe(cs); !cs.B.AnyFailure() {
-				pt.Escape++
+				out[k].Escape++
 			}
 			good := *cs
 			good.Truth = nil
 			if p.Observe(&good); good.B.AnyFailure() {
-				pt.FalseAlarm++
+				out[k].FalseAlarm++
 			}
 		}
-		pt.Escape /= float64(len(cases))
-		pt.FalseAlarm /= float64(len(cases))
-		out = append(out, pt)
+	}
+	if cases == 0 {
+		return nil, fmt.Errorf("eval: no diagnosable sites for the guardband sweep")
+	}
+	for k, q := range quantiles {
+		out[k].Quantile = q
+		out[k].Escape /= float64(cases)
+		out[k].FalseAlarm /= float64(cases)
 	}
 	return out, nil
 }

@@ -37,3 +37,26 @@ func TestGuardbandCurve(t *testing.T) {
 		t.Errorf("escape not increasing across the sweep")
 	}
 }
+
+// TestGuardbandDrawsOncePerCase checks that the sweep draws each
+// case's timing lengths once, not once per quantile: one clk_select
+// call per case, where each case is observed twice per quantile.
+func TestGuardbandDrawsOncePerCase(t *testing.T) {
+	cfg := fastConfig("small", 4)
+	qs := []float64{0.1, 0.5, 0.9}
+	p, err := newNamedPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.guardband(cfg.N, qs); err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]int64{}
+	for _, s := range p.Stages.Snapshot() {
+		calls[s.Name] = s.Calls
+	}
+	cases := calls["behavior_sim"] / int64(2*len(qs))
+	if cases == 0 || calls["clk_select"] != cases {
+		t.Errorf("%d clk_select calls for %d cases (stage calls %v), want one per case", calls["clk_select"], cases, calls)
+	}
+}

@@ -171,27 +171,34 @@ func (p *Pipeline) Patterns(cs *Case) {
 // shmoos the clock down to the frequency where the targeted paths are
 // marginal — and puts clk where a 0.5–1 cell-delay defect on the site
 // moves the pass/fail outcome. Critical probabilities of everything
-// else at this clk are captured by M_crt. All the paths' timing
-// lengths come from one engine call, so Monte-Carlo draws the case's
-// instances once. The stage records its time even when the call
-// fails.
+// else at this clk are captured by M_crt.
 func (p *Pipeline) Clock(ctx context.Context, cs *Case, q float64) error {
+	clks, err := p.clocks(ctx, cs, q)
+	if err == nil {
+		cs.Clk = clks[0]
+	}
+	return err
+}
+
+// clocks returns Clock's cut-off period at each of the quantiles qs.
+// All the paths' timing lengths come from one engine call, so
+// Monte-Carlo draws the case's instances once whatever the number of
+// quantiles. The stage records its time even when the call fails.
+func (p *Pipeline) clocks(ctx context.Context, cs *Case, qs ...float64) ([]float64, error) {
 	stop := p.Stages.Start("clk_select")
 	paths := make([][]circuit.ArcID, len(cs.Tests))
 	for i, tc := range cs.Tests {
 		paths[i] = tc.Path.Arcs
 	}
 	tls, err := p.Engine.TimingLengths(ctx, paths, p.Cfg.ClkSamples, rng.Derive(cs.Seed, 2), 0)
-	clk := 0.0
-	for _, tl := range tls {
-		clk = max(clk, tl.Quantile(q))
+	clks := make([]float64, len(qs))
+	for k, q := range qs {
+		for _, tl := range tls {
+			clks[k] = max(clks[k], tl.Quantile(q))
+		}
 	}
 	stop(int64(len(cs.Tests)))
-	if err != nil {
-		return err
-	}
-	cs.Clk = clk
-	return nil
+	return clks, err
 }
 
 // Observe simulates the die with every truth defect at clk — the
@@ -247,9 +254,10 @@ func (p *Pipeline) sizeDist() dist.Dist {
 // Rank diagnoses B against the dictionary with every method.
 func (p *Pipeline) Rank(cs *Case) {
 	stop := p.Stages.Start("diagnose")
+	ranked := cs.Dict.DiagnoseMethods(cs.B, core.Methods)
 	cs.Ranked = make(map[core.Method][]core.Ranked, len(core.Methods))
-	for _, m := range core.Methods {
-		cs.Ranked[m] = cs.Dict.Diagnose(cs.B, m)
+	for k, m := range core.Methods {
+		cs.Ranked[m] = ranked[k]
 	}
 	stop(int64(len(core.Methods)))
 }

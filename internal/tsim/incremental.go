@@ -3,6 +3,7 @@ package tsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/logicsim"
@@ -94,16 +95,51 @@ func (q *worklist) push(g circuit.GateID) {
 	q.hi = max(q.hi, l)
 }
 
-// pinCursor is one input pin of the gate being rebuilt: its driver's
-// waveform w, the arc delay d, the cursor i into w, the arrival time
-// next of step w[i] (+Inf once no step is pending up to the limit) and
-// the pin's current value v.
-type pinCursor struct {
-	w    []Step
-	d    float64
-	i    int
-	next float64
-	v    bool
+// arrival is one pin arrival of the gate being rebuilt: at time t the
+// pin toggles, to the counted value when up.
+type arrival struct {
+	t  float64
+	up bool
+}
+
+// span is an interval [lo, hi) on which two pins differ.
+type span struct{ lo, hi float64 }
+
+// diffs returns, in dst's storage, the time-ordered intervals on which
+// a pin fed by waveform a through delay da and one fed by b through db
+// hold different values. a and b are right-continuous waveforms from
+// the same initial value, each step a toggle, so the pins differ at t
+// when an odd number of arrivals at or before t separates them. All
+// arrivals at one instant apply together, so same-instant toggles of
+// one pin cancel and every interval is nonempty. The arrival times are
+// the sums rebuild forms.
+//
+//ddd:hot
+func diffs(dst []span, a []Step, da float64, b []Step, db float64) []span {
+	dst = dst[:0]
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		t := math.Inf(1)
+		if i < len(a) {
+			t = a[i].T + da
+		}
+		if j < len(b) {
+			t = min(t, b[j].T+db)
+		}
+		was := (i-j)&1 != 0
+		for i < len(a) && a[i].T+da <= t {
+			i++
+		}
+		for j < len(b) && b[j].T+db <= t {
+			j++
+		}
+		switch now := (i-j)&1 != 0; {
+		case now && !was:
+			dst = append(dst, span{lo: t, hi: math.Inf(1)})
+		case was && !now:
+			dst[len(dst)-1].hi = t
+		}
+	}
+	return dst
 }
 
 // RunDefectDiff re-simulates base's pattern and delays with defect
@@ -119,12 +155,13 @@ type pinCursor struct {
 // each visited gate's waveform is rebuilt from its drivers' (the
 // rebuilt waveform of a changed driver, the baseline waveform of every
 // other), and its fan-out is visited only if the rebuilt waveform
-// differs from the baseline. Under a Window, "differs" is read inside
-// windows: a gate is changed when its waveform differs inside its own
-// window, and a fan-out gate is visited only when the changed driver
-// differs inside the fan-out's window as its pin sees it. The seed
-// itself is skipped when the defect arc's shifted arrivals differ
-// nowhere inside To's window.
+// differs from the baseline. The intervals on which the two differ
+// (diffs) are computed once per rebuilt gate, and under a Window they
+// are read inside windows (Window.sees): a gate is changed when they
+// meet its own window, and a fan-out gate is visited only when they
+// meet the fan-out's window as its pin sees them. The seed itself is
+// skipped when the defect arc's shifted arrivals differ from the
+// baseline's nowhere To can see.
 //
 // DefectCapture reads each output's capture under the defect: an
 // unlisted output keeps base.Capture, and a listed one may still
@@ -139,18 +176,16 @@ func (e *Engine) RunDefectDiff(delays []float64, base *Result, defectArc circuit
 	if base.w == nil {
 		panic("tsim: RunDefectDiff requires a baseline produced by Run")
 	}
-	c := e.c
 	opts := Options{Horizon: horizon, DefectArc: defectArc, DefectExtra: extra, Window: base.win}
 	e.diff.reset()
 	e.changed = e.changed[:0]
-	a := &c.Arcs[defectArc]
-	if win := opts.Window; win != nil {
-		// The defect moves its driver's arrivals at To from d to
-		// d + extra; if To cannot see that, nothing changes.
-		w, _ := base.w.get(a.From)
-		if !win.differs(w, w, delays[defectArc], arcDelay(delays, &opts, defectArc), a.To, horizon) {
-			return e.changed
-		}
+	a := &e.c.Arcs[defectArc]
+	// The defect moves its driver's arrivals at To from d to d + extra;
+	// if To cannot see that, nothing changes.
+	w, _ := base.w.get(a.From)
+	e.iv = diffs(e.iv, w, delays[defectArc], w, arcDelay(delays, &opts, defectArc))
+	if !opts.Window.sees(e.iv, 0, a.To, horizon) {
+		return e.changed
 	}
 	e.queue.reset()
 	e.queue.push(a.To)
@@ -165,15 +200,10 @@ func (e *Engine) RunDefectDiff(delays []float64, base *Result, defectArc circuit
 // base.Capture[oi] otherwise.
 func (e *Engine) DefectCapture(base *Result, oi int) bool {
 	o := e.c.Outputs[oi]
-	w, changed := e.diff.get(o)
-	switch {
-	case !changed:
-		return base.Capture[oi]
-	case len(w) > 0:
-		return w[len(w)-1].V
-	default:
-		return base.Init[o]
+	if w, changed := e.diff.get(o); changed {
+		return endsAt(w, base.Init[o])
 	}
+	return base.Capture[oi]
 }
 
 // DefectWaveform returns gate g's waveform under the defect of this
@@ -198,8 +228,8 @@ func (e *Engine) DefectWaveform(base *Result, g circuit.GateID) ([]Step, bool) {
 // each kept output in e.changed. Under opts.Window a defect pass (non-nil
 // base) compares only inside windows: a gate is kept when it differs
 // inside its own window, and queues only the fan-out whose window it
-// differs in (pushFanout). A full run compares whole waveforms, since
-// a defect pass may read a baseline step below the window
+// differs in (pushFanout). A full run keeps every gate that steps,
+// since a defect pass may read a baseline step below the window
 // (DESIGN.md §20).
 //
 // Under the transport-delay model a gate's value just after time t
@@ -219,22 +249,22 @@ func (e *Engine) propagate(out, base *waves, init []bool, delays []float64, opts
 				if oi := e.outIdx[g]; oi >= 0 && base != nil {
 					e.changed = append(e.changed, int(oi))
 				}
-				e.pushFanout(out, base, g, delays, opts)
+				e.pushFanout(base, g, delays, opts)
 			}
 		}
 		q.byLevel[l] = q.byLevel[l][:0]
 	}
 }
 
-// pushFanout queues the fan-out of gate g, whose waveform in out has
-// just been kept. A full run, or a pass without a window, queues every
-// fan-out gate. A defect pass under a window queues a gate h only when
-// the rebuilt and baseline waveforms of g differ inside h's window as
-// h's pin sees them (Window.differs); gates that reach no output are
-// never queued.
+// pushFanout queues the fan-out of gate g, whose waveform has just
+// been kept. A full run (nil base), or a pass without a window, queues
+// every fan-out gate. A defect pass under a window queues a gate h
+// only when it sees, through its arc's delay, the intervals e.iv on
+// which g's rebuilt waveform differs from its baseline; gates that
+// reach no output are never queued.
 //
 //ddd:hot
-func (e *Engine) pushFanout(out, base *waves, g circuit.GateID, delays []float64, opts *Options) {
+func (e *Engine) pushFanout(base *waves, g circuit.GateID, delays []float64, opts *Options) {
 	win := opts.Window
 	if win == nil || base == nil {
 		for _, h := range e.fout[e.foutOff[g]:e.foutOff[g+1]] {
@@ -242,11 +272,8 @@ func (e *Engine) pushFanout(out, base *waves, g circuit.GateID, delays []float64
 		}
 		return
 	}
-	nw, _ := out.get(g)
-	bw, _ := base.get(g)
-	for _, a := range win.fanout(g) {
-		d := arcDelay(delays, opts, circuit.ArcID(a.id))
-		if win.differs(nw, bw, d, d, circuit.GateID(a.to), opts.Horizon) {
+	for _, a := range win.fan[win.fanOff[g]:win.fanOff[g+1]] {
+		if win.sees(e.iv, arcDelay(delays, opts, circuit.ArcID(a.id)), circuit.GateID(a.to), opts.Horizon) {
 			e.queue.push(circuit.GateID(a.to))
 		}
 	}
@@ -255,8 +282,14 @@ func (e *Engine) pushFanout(out, base *waves, g circuit.GateID, delays []float64
 // rebuild computes gate g's right-continuous output waveform up to
 // the horizon (under a Window, up to the upper end of g's window) at
 // the end of out.steps and reports whether it differs from g's
-// baseline waveform. A differing waveform is kept in out; one equal to
-// the baseline is discarded.
+// baseline waveform. A differing waveform is kept in out, and in a
+// defect pass e.iv holds the intervals on which it differs; one equal
+// to the baseline is discarded.
+//
+// The waveform is swept from one time-ordered list of every pin
+// arrival up to the limit. Each arrival toggles its pin, so it moves
+// the count of pins at the counted value by one; all arrivals at one
+// instant are applied before the gate is evaluated.
 //
 //ddd:hot
 func (e *Engine) rebuild(out, base *waves, init []bool, g circuit.GateID, delays []float64, opts *Options) bool {
@@ -266,112 +299,72 @@ func (e *Engine) rebuild(out, base *waves, init []bool, g circuit.GateID, delays
 	}
 	md := e.gmode[g]
 	cv := md&gmCV != 0
-	pins := e.pins[:0]
+	arr := e.arr[:0]
 	var cnt int16
-	// t is the next instant: the earliest pending arrival on any pin.
-	t := math.Inf(1)
 	for k := e.finOff[g]; k < e.finOff[g+1]; k++ {
 		fi := circuit.GateID(e.fin[k])
-		v := init[fi]
-		if v == cv {
+		if init[fi] == cv {
 			cnt++
 		}
 		w, ok := out.get(fi)
 		if !ok && base != nil {
 			w, _ = base.get(fi)
 		}
-		if len(w) > 0 {
-			d := arcDelay(delays, opts, circuit.ArcID(e.finArc[k]))
-			next := w[0].T + d
-			if next > limit {
-				next = math.Inf(1)
+		// Merge the pin's arrivals up to the limit into arr from the
+		// back; a tie keeps the earlier pin's arrival first.
+		d := arcDelay(delays, opts, circuit.ArcID(e.finArc[k]))
+		j := len(w) - 1
+		for j >= 0 && w[j].T+d > limit {
+			j--
+		}
+		i := len(arr) - 1
+		arr = slices.Grow(arr, j+1)[:len(arr)+j+1]
+		for o := len(arr) - 1; j >= 0; o-- {
+			if t := w[j].T + d; i >= 0 && arr[i].t > t {
+				arr[o] = arr[i]
+				i--
+			} else {
+				arr[o] = arrival{t: t, up: w[j].V == cv}
+				j--
 			}
-			pins = append(pins, pinCursor{w: w, d: d, next: next, v: v})
-			t = min(t, next)
 		}
 	}
-	e.pins = pins
+	e.arr = arr
 
 	val := init[g]
 	off := len(out.steps)
-	for !math.IsInf(t, 1) {
-		// Apply every arrival at t (a pin's last one wins) and find the
-		// next instant. No pending arrival is earlier than t, so
-		// "<= t" and "> t" below are exact same-instant tests.
-		nt := math.Inf(1)
-		for i := range pins {
-			p := &pins[i]
-			if p.next <= t {
-				v := p.v
-				for {
-					v = p.w[p.i].V
-					p.i++
-					if p.i == len(p.w) {
-						p.next = math.Inf(1)
-						break
-					}
-					if ta := p.w[p.i].T + p.d; ta > t {
-						p.next = ta
-						if ta > limit {
-							p.next = math.Inf(1)
-						}
-						break
-					}
-				}
-				if v != p.v {
-					p.v = v
-					if v == cv {
-						cnt++
-					} else {
-						cnt--
-					}
-				}
+	for i := 0; i < len(arr); {
+		// arr is sorted, so "<= t" is the same-instant test.
+		t := arr[i].t
+		for ; i < len(arr) && arr[i].t <= t; i++ {
+			if arr[i].up {
+				cnt++
+			} else {
+				cnt--
 			}
-			nt = min(nt, p.next)
 		}
-		var nv bool
+		nv := (cnt == 0) != (md&gmInv != 0)
 		if md&gmParity != 0 {
 			nv = (cnt&1 == 1) != (md&gmInv != 0)
-		} else {
-			nv = (cnt == 0) != (md&gmInv != 0)
 		}
 		if nv != val {
 			out.steps = append(out.steps, Step{T: t, V: nv})
 			val = nv
 		}
-		t = nt
 	}
 
-	var bw []Step
-	if base != nil {
-		bw, _ = base.get(g)
-	}
 	nw := out.steps[off:]
-	var same bool
-	if opts.Window != nil && base != nil {
-		same = !opts.Window.differs(nw, bw, 0, 0, g, opts.Horizon)
-	} else {
-		same = sameWaveform(nw, bw)
+	keep := len(nw) > 0
+	if base != nil {
+		bw, _ := base.get(g)
+		e.iv = diffs(e.iv, nw, 0, bw, 0)
+		keep = opts.Window.sees(e.iv, 0, g, opts.Horizon)
 	}
-	if same {
+	if !keep {
 		out.steps = out.steps[:off]
 		return false
 	}
 	out.keep(g, off)
-	return true
-}
-
-// sameWaveform reports whether two right-continuous waveforms from
-// the same initial value are equal.
-func sameWaveform(a, b []Step) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].T != b[i].T || a[i].V != b[i].V { //lint:ignore floateq waveform identity is exact: both sides are the same float sums
-			return false
-		}
-	}
 	return true
 }
 

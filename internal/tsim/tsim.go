@@ -71,6 +71,15 @@ type Step struct {
 	V bool
 }
 
+// endsAt returns the value a waveform from init ends at: its last
+// step's value, or init when it has none.
+func endsAt(w []Step, init bool) bool {
+	if len(w) > 0 {
+		return w[len(w)-1].V
+	}
+	return init
+}
+
 // Result reports one timed simulation. Results are owned by the
 // Engine that produced them and alias its scratch buffers: a Result is
 // valid until the producing engine's next Run or RunSettled, after
@@ -171,7 +180,10 @@ type Engine struct {
 	// run against a baseline recorded by the same engine.
 	run, diff waves
 	queue     worklist
-	pins      []pinCursor // rebuild's per-gate scratch
+	arr       []arrival // rebuild's merged pin arrivals
+	// iv holds the intervals of the last diffs: the seed's, then each
+	// gate a defect pass rebuilds.
+	iv []span
 
 	// outIdx[g] is gate g's index in c.Outputs, or -1; changed lists
 	// the outputs the last RunDefectDiff changed. Each output gate is
@@ -270,7 +282,7 @@ func (e *Engine) RunSettled(delays []float64, p logicsim.PatternPair, opts Optio
 		}
 		w.steps = append(w.steps, Step{T: 0, V: p.V2[i]})
 		w.keep(g, len(w.steps)-1)
-		e.pushFanout(w, nil, g, delays, &opts)
+		e.pushFanout(nil, g, delays, &opts)
 	}
 	e.propagate(w, nil, init, delays, &opts)
 
@@ -283,11 +295,8 @@ func (e *Engine) RunSettled(delays []float64, p logicsim.PatternPair, opts Optio
 		win:     opts.Window,
 	}
 	for i, o := range c.Outputs {
-		v := init[o]
-		if s, _ := w.get(o); len(s) > 0 {
-			v = s[len(s)-1].V
-		}
-		res.Capture[i] = v
+		s, _ := w.get(o)
+		res.Capture[i] = endsAt(s, init[o])
 	}
 	return res
 }

@@ -13,8 +13,8 @@ import (
 // capture at clk reads g only at instants in [lo[g], hi[g]] =
 // [clk − maxDown(g), clk − minDown(g)]. A run given a Window (see
 // Options) therefore builds each gate's waveform only up to hi[g], and
-// a defect pass treats a gate as unchanged when its waveform agrees
-// with the baseline's at lo[g] and on (lo[g], hi[g]]. The captures
+// a defect pass treats a gate as unchanged when no interval on which
+// its waveform differs from the baseline's meets [lo[g], hi[g]]. The captures
 // are those of the run without the window, bit for bit.
 //
 // NewWindow precomputes the circuit's part once; Set fills in one
@@ -99,44 +99,26 @@ func NewWindow(c *circuit.Circuit) *Window {
 	return w
 }
 
-// fanout returns gate g's arcs to gates that reach an output.
-func (w *Window) fanout(g circuit.GateID) []winArc {
-	return w.fan[w.fanOff[g]:w.fanOff[g+1]]
-}
-
-// differs reports whether a pin fed by waveform a through delay da and
-// one fed by b through db can hold different values at some instant of
-// gate h's window, capped at horizon. a and b are right-continuous
-// waveforms from the same initial value, so a pin's value at t is the
-// parity of its arrivals at or before t. The pins agree on the window
-// when the same number of arrivals, mod 2, lie at or below its lower
-// end and the arrivals inside it are the same; differs reports any
-// other case, so it errs only toward "differs". The arrival times are
-// the sums rebuild forms.
+// sees reports whether a pin that differs on the intervals iv, shifted
+// by d, differs somewhere in gate h's window, capped at horizon. A
+// shifted interval that rounds to zero width is empty: the pin sees a
+// same-instant toggle there. A nil Window sees every interval.
 //
 //ddd:hot
-func (w *Window) differs(a, b []Step, da, db float64, h circuit.GateID, horizon float64) bool {
+func (w *Window) sees(iv []span, d float64, h circuit.GateID, horizon float64) bool {
+	if w == nil {
+		return len(iv) > 0
+	}
 	lo, hi := w.lo[h], min(horizon, w.hi[h])
-	i, j := 0, 0
-	for i < len(a) && a[i].T+da <= lo {
-		i++
-	}
-	for j < len(b) && b[j].T+db <= lo {
-		j++
-	}
-	if (i-j)&1 != 0 {
-		return true
-	}
-	for ; i < len(a) && j < len(b); i, j = i+1, j+1 {
-		ta, tb := a[i].T+da, b[j].T+db
-		if ta > hi || tb > hi {
-			return (ta <= hi) != (tb <= hi)
+	for _, s := range iv {
+		if s.lo+d > hi {
+			return false
 		}
-		if ta != tb || a[i].V != b[j].V { //lint:ignore floateq arrivals match exactly or the pins are taken to differ
+		if x := max(s.lo+d, lo); x < s.hi+d && x <= hi {
 			return true
 		}
 	}
-	return i < len(a) && a[i].T+da <= hi || j < len(b) && b[j].T+db <= hi
+	return false
 }
 
 // Set computes the windows of the instance with the given per-arc
