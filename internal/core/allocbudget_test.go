@@ -46,3 +46,25 @@ func TestBuildDictionaryAllocBudget(t *testing.T) {
 	}
 	t.Logf("allocs: %.0f at 64 samples, %.0f at 256 samples", lo, hi)
 }
+
+// TestCompressedDiagnoseAllocBudget pins the allocations of one
+// compressed Diagnose, the per-request call of ddd-serve: the failing
+// counts, φ, the class scores, the ranking and its one-element outer
+// slice, and sort.Slice's three (the boxed slice, its swapper and the
+// swapper's temporary). None of them is per suspect or per class, so a
+// dictionary with more suspects and classes allocates no more.
+func TestCompressedDiagnoseAllocBudget(t *testing.T) {
+	const budget = 8
+	small, b := tieDict()
+	big, bb := randomDict(7, 40, 3, 5)
+	big.M = NewMatrix(bb.Rows, bb.Cols)
+	for _, c := range []struct {
+		d *Dictionary
+		b *Behavior
+	}{{small, b}, {big, bb}} {
+		cd := Compress(c.d)
+		if got := testing.AllocsPerRun(50, func() { cd.Diagnose(c.b, AlgRev) }); got > budget {
+			t.Errorf("%d suspects in %d classes: %v allocations per Diagnose, budget %d", len(cd.Suspects), len(cd.reps), got, budget)
+		}
+	}
+}

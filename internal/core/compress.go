@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"repro/internal/circuit"
@@ -35,6 +36,11 @@ type CompressedDictionary struct {
 	rows     int // |O|
 	cols     int // |TP|
 	entries  [][]sparseEntry
+	// Suspects with identical entry lists share one signature class:
+	// classOf[si] is suspect si's class and reps[c] the first suspect
+	// of class c. Diagnose scores each class once.
+	classOf []int32
+	reps    []int32
 }
 
 // quantize maps p in [0,1] to 8 bits, rounding to nearest level.
@@ -71,7 +77,31 @@ func Compress(d *Dictionary) *CompressedDictionary {
 		}
 		cd.entries[si] = es
 	}
+	cd.classify()
 	return cd
+}
+
+// classify splits the suspects into classes of identical entry lists,
+// once per dictionary (Compress and LoadCompressed call it). A class is
+// keyed by its entry bytes, which the map hashes and compares exactly;
+// the entry-free suspects share the empty key.
+func (cd *CompressedDictionary) classify() {
+	cd.classOf = make([]int32, len(cd.entries))
+	byKey := make(map[string]int32)
+	var key []byte
+	for si, es := range cd.entries {
+		key = key[:0]
+		for _, e := range es {
+			key = append(binary.LittleEndian.AppendUint32(key, uint32(e.idx)), e.q)
+		}
+		c, ok := byKey[string(key)]
+		if !ok {
+			c = int32(len(cd.reps))
+			cd.reps = append(cd.reps, int32(si))
+			byKey[string(key)] = c
+		}
+		cd.classOf[si] = c
+	}
 }
 
 // Shape returns the signature-matrix shape (|O| outputs × |TP|
@@ -148,31 +178,36 @@ func (cd *CompressedDictionary) patternConsistencyInto(phi []float64, failing []
 		for end < len(es) && int(es[end].idx)/cd.rows == j {
 			end++
 		}
-		p := 1.0
-		covered := 0
-		for _, e := range es[start:end] {
-			i := int(e.idx) % cd.rows
-			s := float64(e.q) / 255
-			if b.At(i, j) {
-				p *= s
-				covered++
-			} else {
-				p *= 1 - s
+		// With fewer entries than failing outputs, some failing output
+		// has s = 0 and φ_j stays 0: skip the product.
+		if end-start >= failing[j] {
+			p := 1.0
+			covered := 0
+			for _, e := range es[start:end] {
+				i := int(e.idx) % cd.rows
+				s := float64(e.q) / 255
+				if b.At(i, j) {
+					p *= s
+					covered++
+				} else {
+					p *= 1 - s
+				}
 			}
+			if covered < failing[j] {
+				p = 0 // some failing output has s = 0
+			}
+			phi[j] = p
 		}
-		if covered < failing[j] {
-			p = 0 // some failing output has s = 0
-		}
-		phi[j] = p
 		start = end
 	}
 }
 
 // Diagnose ranks all suspects against b using the given method, like
-// Dictionary.Diagnose but on the compressed form.
+// Dictionary.Diagnose but on the compressed form, scoring each
+// signature class once.
 func (cd *CompressedDictionary) Diagnose(b *Behavior, method Method) []Ranked {
 	// The failing counts depend only on b: compute them once.
 	failing := make([]int, cd.cols)
 	countFailing(b, failing)
-	return rank(cd.Suspects, cd.cols, func(phi []float64, si int) { cd.patternConsistencyInto(phi, failing, si, b) }, []scorer{{method.Score, method.lowerIsBetter()}})[0]
+	return rank(cd.Suspects, cd.classOf, len(cd.reps), cd.cols, func(phi []float64, c int) { cd.patternConsistencyInto(phi, failing, int(cd.reps[c]), b) }, []scorer{{method.Score, method.lowerIsBetter()}})[0]
 }

@@ -215,7 +215,7 @@ func (d *Dictionary) DiagnoseMethods(b *Behavior, methods []Method) [][]Ranked {
 	for k, m := range methods {
 		by[k] = scorer{m.Score, m.lowerIsBetter()}
 	}
-	return rank(d.Suspects, b.Cols, func(phi []float64, si int) { d.patternConsistencyInto(phi, si, b) }, by)
+	return rank(d.Suspects, nil, len(d.Suspects), b.Cols, func(phi []float64, si int) { d.patternConsistencyInto(phi, si, b) }, by)
 }
 
 // DiagnoseErrorFunc ranks suspects with a custom diagnosis error
@@ -225,25 +225,36 @@ func (d *Dictionary) DiagnoseMethods(b *Behavior, methods []Method) [][]Ranked {
 // need to search for a good error function first"). One φ buffer
 // serves every suspect, so fn must not retain the slice.
 func (d *Dictionary) DiagnoseErrorFunc(b *Behavior, fn func(phi []float64) float64) []Ranked {
-	return rank(d.Suspects, b.Cols, func(phi []float64, si int) { d.patternConsistencyInto(phi, si, b) }, []scorer{{fn, true}})[0]
+	return rank(d.Suspects, nil, len(d.Suspects), b.Cols, func(phi []float64, si int) { d.patternConsistencyInto(phi, si, b) }, []scorer{{fn, true}})[0]
 }
 
-// rank is the one ranking loop behind both dictionary forms:
-// consistency writes suspect si's φ into a buffer shared by every
-// suspect, each scorer reduces it to the suspect's score in its own
-// ranking without retaining it, and each ranking is sorted best first
-// with ties on ascending arc ID. Every ranking counts as one diagnosis.
-func rank(suspects []circuit.ArcID, cols int, consistency func(phi []float64, si int), by []scorer) [][]Ranked {
+// rank is the one ranking loop behind both dictionary forms. The
+// suspects fall into classes of identical signatures: classOf[si] is
+// suspect si's class, or nil when each suspect is its own class (the
+// dense form). consistency writes class c's φ into a buffer shared by
+// every class, each scorer reduces it to the class's score without
+// retaining it, every suspect takes its class's score in each ranking,
+// and each ranking is sorted best first with ties on ascending arc ID.
+// Every ranking counts as one diagnosis.
+func rank(suspects []circuit.ArcID, classOf []int32, classes, cols int, consistency func(phi []float64, c int), by []scorer) [][]Ranked {
 	diagnoses.Add(float64(len(by)))
+	scores := make([]float64, classes*len(by))
+	phi := make([]float64, cols)
+	for c := 0; c < classes; c++ {
+		consistency(phi, c)
+		for k, s := range by {
+			scores[c*len(by)+k] = s.score(phi)
+		}
+	}
 	outs := make([][]Ranked, len(by))
 	for k := range outs {
 		outs[k] = make([]Ranked, len(suspects))
-	}
-	phi := make([]float64, cols)
-	for si, arc := range suspects {
-		consistency(phi, si)
-		for k, s := range by {
-			outs[k][si] = Ranked{Arc: arc, Score: s.score(phi)}
+		for si, arc := range suspects {
+			c := si
+			if classOf != nil {
+				c = int(classOf[si])
+			}
+			outs[k][si] = Ranked{Arc: arc, Score: scores[c*len(by)+k]}
 		}
 	}
 	for k, s := range by {

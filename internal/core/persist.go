@@ -103,10 +103,10 @@ func LoadCompressed(r io.Reader) (*CompressedDictionary, int, error) {
 		return nil, 0, fmt.Errorf("core: not a dictionary file (magic %q)", magic)
 	}
 	le := binary.LittleEndian
+	var buf [8]byte
 	readU32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(br, le, &v)
-		return v, err
+		_, err := io.ReadFull(br, buf[:4])
+		return le.Uint32(buf[:4]), err
 	}
 	ver, err := readU32()
 	if err != nil {
@@ -115,11 +115,10 @@ func LoadCompressed(r io.Reader) (*CompressedDictionary, int, error) {
 	if ver != persistVersion {
 		return nil, 0, fmt.Errorf("core: dictionary version %d not supported", ver)
 	}
-	var clkBits uint64
-	if err := binary.Read(br, le, &clkBits); err != nil {
+	if _, err := io.ReadFull(br, buf[:8]); err != nil {
 		return nil, 0, err
 	}
-	cd := &CompressedDictionary{Clk: math.Float64frombits(clkBits)}
+	cd := &CompressedDictionary{Clk: math.Float64frombits(le.Uint64(buf[:8]))}
 	rows, err := readU32()
 	if err != nil {
 		return nil, 0, err
@@ -186,10 +185,10 @@ func LoadCompressed(r io.Reader) (*CompressedDictionary, int, error) {
 		es := make([]sparseEntry, 0, min(int(count), 1<<15))
 		prev := int64(-1)
 		for i := 0; i < int(count); i++ {
-			idx, err := readU32()
-			if err != nil {
+			if _, err := io.ReadFull(br, buf[:5]); err != nil {
 				return nil, 0, err
 			}
+			idx, q := le.Uint32(buf[:4]), buf[4]
 			if idx >= maxIdx {
 				return nil, 0, fmt.Errorf("core: suspect %d entry index %d out of range", s, idx)
 			}
@@ -197,10 +196,6 @@ func LoadCompressed(r io.Reader) (*CompressedDictionary, int, error) {
 				return nil, 0, fmt.Errorf("core: suspect %d entries not in canonical order at %d", s, idx)
 			}
 			prev = int64(idx)
-			q, err := br.ReadByte()
-			if err != nil {
-				return nil, 0, err
-			}
 			if q == 0 {
 				return nil, 0, fmt.Errorf("core: suspect %d stores a zero entry at %d", s, idx)
 			}
@@ -211,6 +206,7 @@ func LoadCompressed(r io.Reader) (*CompressedDictionary, int, error) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, 0, fmt.Errorf("core: trailing data after dictionary")
 	}
+	cd.classify()
 	return cd, int(nIn), nil
 }
 

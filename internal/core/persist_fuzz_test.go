@@ -10,13 +10,17 @@ import (
 
 // seedDictionaryBytes builds a small, fully valid serialized compressed
 // dictionary without any circuit machinery: Compress and Save only
-// consume the matrices, patterns, suspects and clk.
-func seedDictionaryBytes() []byte {
+// consume the matrices, patterns, suspects and clk. With repeat, the
+// second suspect repeats the first one's signature.
+func seedDictionaryBytes(repeat bool) []byte {
 	s0 := NewMatrix(2, 2)
 	s0.Set(0, 0, 0.5)
 	s0.Set(1, 1, 0.25)
 	s1 := NewMatrix(2, 2)
 	s1.Set(0, 1, 1.0)
+	if repeat {
+		s1 = s0
+	}
 	s2 := NewMatrix(2, 2) // all-zero signature: no stored entries
 	d := &Dictionary{
 		Patterns: []logicsim.PatternPair{
@@ -39,9 +43,11 @@ func seedDictionaryBytes() []byte {
 // bytes: the server (cmd/ddd-serve) loads dictionary files from disk,
 // so decoding must fail with an error — never a panic or a runaway
 // allocation — on truncated or corrupt input, and every input it does
-// accept must be canonical (re-encoding reproduces the bytes exactly).
+// accept must be canonical (re-encoding reproduces the bytes exactly),
+// split into signature classes of exactly equal entry lists, and ranked
+// under every method as the per-suspect reference loop ranks it.
 func FuzzLoadDictionary(f *testing.F) {
-	valid := seedDictionaryBytes()
+	valid := seedDictionaryBytes(false)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-1])
@@ -49,6 +55,7 @@ func FuzzLoadDictionary(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("DDD1"))
 	f.Add([]byte("DDD1\x01\x00\x00\x00"))
+	f.Add(seedDictionaryBytes(true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cd, nIn, err := LoadCompressed(bytes.NewReader(data))
 		if err != nil {
@@ -61,7 +68,7 @@ func FuzzLoadDictionary(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data) {
 			t.Fatalf("accepted dictionary is not canonical: %d bytes in, %d bytes out", len(data), buf.Len())
 		}
-		// Diagnosis over any accepted dictionary must not panic.
+		checkClasses(t, cd)
 		rows, cols := cd.Shape()
 		if len(cd.Suspects) == 0 || rows*cols == 0 || rows*cols > 1<<16 {
 			return
@@ -72,6 +79,8 @@ func FuzzLoadDictionary(f *testing.F) {
 				b.Set(i, j, (i*cols+j)%3 == 0)
 			}
 		}
-		cd.Diagnose(b, AlgRev)
+		for _, m := range allMethods {
+			sameRanking(t, m.String(), cd.Diagnose(b, m), diagnoseCompressedScalar(cd, b, m))
+		}
 	})
 }

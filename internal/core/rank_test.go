@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -194,5 +195,92 @@ func TestDiagnoseMethodsMatchesDiagnose(t *testing.T) {
 		for k, meth := range allMethods {
 			sameRanking(t, fmt.Sprintf("behavior %d %v", bi, meth), all[k], d.Diagnose(b, meth))
 		}
+	}
+}
+
+// checkClasses checks cd's signature classes: every suspect stores
+// exactly its class representative's entries, and no two classes store
+// equal entries.
+func checkClasses(t *testing.T, cd *CompressedDictionary) {
+	t.Helper()
+	if len(cd.classOf) != len(cd.Suspects) {
+		t.Fatalf("%d class indices for %d suspects", len(cd.classOf), len(cd.Suspects))
+	}
+	for si, c := range cd.classOf {
+		if !slices.Equal(cd.entries[si], cd.entries[cd.reps[c]]) {
+			t.Fatalf("suspect %d stores other entries than its class %d", si, c)
+		}
+	}
+	for c := range cd.reps {
+		for c2 := c + 1; c2 < len(cd.reps); c2++ {
+			if slices.Equal(cd.entries[cd.reps[c]], cd.entries[cd.reps[c2]]) {
+				t.Fatalf("classes %d and %d store equal entries", c, c2)
+			}
+		}
+	}
+}
+
+// decompress expands cd's quantized entries into a dense dictionary.
+// An absent entry is exactly 0, which multiplies φ by exactly 1 or 0,
+// so the dense φ equals the sparse kernel's bit for bit.
+func decompress(cd *CompressedDictionary) *Dictionary {
+	d := &Dictionary{Suspects: cd.Suspects, M: NewMatrix(cd.rows, cd.cols)}
+	for _, es := range cd.entries {
+		s := NewMatrix(cd.rows, cd.cols)
+		for _, e := range es {
+			s.Set(int(e.idx)%cd.rows, int(e.idx)/cd.rows, float64(e.q)/255)
+		}
+		d.S = append(d.S, s)
+	}
+	return d
+}
+
+// TestRankSignatureClasses ranks a compressed dictionary whose
+// suspects repeat, omit and vary one signature, listed in descending
+// arc order, under every method: against the per-suspect reference
+// loop, and against the dense reference loop on the decompressed
+// signatures, which shares no kernel with the compressed form.
+func TestRankSignatureClasses(t *testing.T) {
+	const rows, cols = 3, 4
+	// Signatures as (output, pattern, probability) cells.
+	type cell struct {
+		i, j int
+		p    float64
+	}
+	a := []cell{{0, 0, 0.8}, {1, 1, 0.6}, {0, 2, 0.9}, {1, 2, 0.7}}
+	sigs := map[string][]cell{
+		"A":     a,
+		"empty": nil,
+		"B":     {{2, 0, 0.5}, {0, 1, 0.4}, {1, 1, 0.3}, {2, 3, 0.2}}, // as many entries as A
+		"C":     {{0, 0, 0.2}, {1, 1, 0.6}, {0, 2, 0.9}, {1, 2, 0.7}}, // A's cells, one other value
+		"D":     {{0, 0, 1}, {1, 1, 1}, {0, 2, 1}, {1, 2, 1}},         // matches b below exactly
+	}
+	order := []string{"A", "empty", "B", "A", "C", "empty", "D", "A", "B"}
+	d := &Dictionary{M: NewMatrix(rows, cols)}
+	for k, name := range order {
+		s := NewMatrix(rows, cols)
+		for _, c := range sigs[name] {
+			s.Set(c.i, c.j, c.p)
+		}
+		d.S = append(d.S, s)
+		d.Suspects = append(d.Suspects, circuit.ArcID(100-7*k))
+	}
+	// b fails output 0 under patterns 0 and 2 and output 1 under
+	// patterns 1 and 2: patterns 0 and 1 each have one failing output,
+	// and A stores exactly one entry there.
+	b := NewBehavior(rows, cols)
+	for _, c := range []cell{{0, 0, 1}, {1, 1, 1}, {0, 2, 1}, {1, 2, 1}} {
+		b.Set(c.i, c.j, true)
+	}
+	cd := Compress(d)
+	checkClasses(t, cd)
+	if len(cd.reps) != len(sigs) {
+		t.Fatalf("%d signature classes, want %d", len(cd.reps), len(sigs))
+	}
+	dense := decompress(cd)
+	for _, m := range allMethods {
+		got := cd.Diagnose(b, m)
+		sameRanking(t, m.String(), got, diagnoseCompressedScalar(cd, b, m))
+		sameRanking(t, m.String()+" decompressed", got, diagnoseDenseScalar(dense, b, m))
 	}
 }

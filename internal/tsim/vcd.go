@@ -42,7 +42,10 @@ func WriteVCD(w io.Writer, c *circuit.Circuit, res *Result, timescale float64) e
 	}
 	fmt.Fprintln(bw, "$end")
 
-	// Merge all transitions into one time-ordered stream.
+	// Merge all transitions into one time-ordered stream. They are
+	// appended gate by gate in waveform order, so the stable sort keeps
+	// gates ascending within a tick and a gate's steps in order even
+	// when two of them round to the same tick.
 	type change struct {
 		t    int64
 		gate int
@@ -54,12 +57,7 @@ func WriteVCD(w io.Writer, c *circuit.Circuit, res *Result, timescale float64) e
 			changes = append(changes, change{t: int64(math.Round(st.T * timescale)), gate: g, v: st.V})
 		}
 	}
-	sort.Slice(changes, func(i, j int) bool {
-		if changes[i].t != changes[j].t {
-			return changes[i].t < changes[j].t
-		}
-		return changes[i].gate < changes[j].gate
-	})
+	sort.SliceStable(changes, func(i, j int) bool { return changes[i].t < changes[j].t })
 	last := int64(-1)
 	for _, ch := range changes {
 		if ch.t != last {
