@@ -147,10 +147,10 @@ bench-quick:
 # pre-optimization baseline (difference-propagation defect
 # re-simulation, DESIGN.md §20), the analytic build drops below 10x
 # over the pre-change MC build (its baseline row is that MC build's
-# time, not the current one's), or the word-parallel diagnosis
-# kernels (behavior-sim prescreen, tiered suspect pruning) fall below
-# 4x over their committed scalar baselines (the baseline lines carry
-# the scalar-path numbers — see the comment in core_baseline.txt), or
+# time, not the current one's), or word-parallel tiered suspect
+# pruning falls below 4x over its committed scalar baseline (the
+# baseline lines carry the scalar-path numbers — see the comment in
+# core_baseline.txt; BenchmarkCoreBehaviorSim is folded but ungated), or
 # diagnostic pattern generation (the flat-table, trail-undo PODEM
 # kernel with cone-restricted worklist implication plus the
 # word-parallel witness search) falls below 20x over the
@@ -166,7 +166,6 @@ bench-core:
 		-out BENCH_core.json \
 		-check BenchmarkCoreBuildDictionary:4 \
 		-check BenchmarkCoreBuildDictionaryAnalytic:10 \
-		-check BenchmarkCoreBehaviorSim:4 \
 		-check BenchmarkCoreSuspects:4 \
 		-check BenchmarkCoreDiagnosticPatterns:20
 

@@ -104,6 +104,10 @@ func (cd *CompressedDictionary) classify() {
 	}
 }
 
+// Classes returns the number of signature classes: distinct entry
+// lists among the suspects, each scored once per diagnosis.
+func (cd *CompressedDictionary) Classes() int { return len(cd.reps) }
+
 // Shape returns the signature-matrix shape (|O| outputs × |TP|
 // patterns). Callers validating an observed behavior matrix against
 // the dictionary check it here instead of relying on the panic inside

@@ -271,12 +271,6 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 // SimulateBehaviorMulti over a one-element defect set — bit-identical,
 // since both add the defect size to the arc delay before simulating —
 // and an arc outside the circuit injects nothing.
-//
-// The word-parallel cone prescreen (behavior_screen.go) first proves,
-// 64 patterns at a time, which columns of B are necessarily all-zero;
-// only the remaining patterns pay for a tsim run. The
-// un-screened loop survives in the tests as simulateBehaviorScalar, the
-// bit-exact oracle the differential tests pin this path against.
 func SimulateBehavior(c *circuit.Circuit, delays []float64, patterns []logicsim.PatternPair, defectArc circuit.ArcID, defectSize, clk float64) *Behavior {
 	var md defect.MultiDefect
 	if defectArc >= 0 && int(defectArc) < len(c.Arcs) {

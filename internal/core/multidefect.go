@@ -17,26 +17,14 @@ import (
 // the single-defect machinery degrades.
 
 // SimulateBehaviorMulti is SimulateBehavior under a multi-defect: all
-// extra delays are applied at once. It shares SimulateBehavior's
-// word-parallel prescreen — the defect-activity mask becomes the OR
-// over all defect drivers — and simulateBehaviorMultiScalar, in the
-// tests, is the un-screened oracle.
+// extra delays are applied at once, then every pattern runs through
+// tsim captured at clk, and B(i, j) is set where output i's captured
+// value differs from its settled one.
 func SimulateBehaviorMulti(c *circuit.Circuit, delays []float64, patterns []logicsim.PatternPair, md defect.MultiDefect, clk float64) *Behavior {
-	defects := make([]screenDefect, 0, len(md))
-	for _, df := range md {
-		if df.Arc >= 0 && int(df.Arc) < len(c.Arcs) {
-			defects = append(defects, screenDefect{arc: df.Arc, extra: df.Size})
-		}
-	}
-	skip, skipped := screenBehavior(c, delays, patterns, defects, clk)
-	behaviorSimSkipped.Add(float64(skipped))
 	withDefects := md.ApplyTo(delays)
 	b := NewBehavior(len(c.Outputs), len(patterns))
 	eng := tsim.NewEngine(c)
 	for j, pat := range patterns {
-		if skip[j>>6]>>(uint(j)&63)&1 != 0 {
-			continue // capture provably equals the settled values
-		}
 		res := eng.Run(withDefects, pat, tsim.AtClock(clk))
 		for i, o := range c.Outputs {
 			b.Set(i, j, res.Capture[i] != res.Final[o])

@@ -2,26 +2,50 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/defect"
+	"repro/internal/logicsim"
 	"repro/internal/rng"
 )
 
+// TestSimulateBehaviorMultiMatchesSingle pins SimulateBehavior to the
+// one-defect multi form over more than one 64-pattern word, for sizes
+// of either sign, and checks its edge inputs: a zero size or an arc
+// outside the circuit gives the defect-free die's behavior, and a clock
+// 100x the case clock captures every output settled (all-pass).
 func TestSimulateBehaviorMultiMatchesSingle(t *testing.T) {
 	tb := newBench(t, "mini", 7)
 	r := rng.New(4)
 	inst := tb.m.SampleInstance(r)
-	size := 2 * tb.inj.CellDelay
-	single := SimulateBehavior(tb.c, inst.Delays, tb.pats, tb.site, size, tb.clk)
-	multi := SimulateBehaviorMulti(tb.c, inst.Delays, tb.pats,
-		defect.MultiDefect{{Arc: tb.site, Size: size}}, tb.clk)
-	for i := 0; i < single.Rows; i++ {
-		for j := 0; j < single.Cols; j++ {
-			if single.At(i, j) != multi.At(i, j) {
-				t.Fatalf("single vs one-element multi differ at (%d, %d)", i, j)
-			}
+	pats := append(append([]logicsim.PatternPair{}, tb.pats...), randomPairs(r, tb.c, 90)...)
+	cell := tb.inj.CellDelay
+	multi := func(md defect.MultiDefect, clk float64) *Behavior {
+		return SimulateBehaviorMulti(tb.c, inst.Delays, pats, md, clk)
+	}
+	clean := multi(nil, tb.clk)
+	if !clean.AnyFailure() {
+		t.Fatal("the die passes every pattern at the case clock, so the huge-clock case checks nothing")
+	}
+	cases := []struct {
+		name      string
+		arc       circuit.ArcID
+		size, clk float64
+		want      *Behavior
+	}{
+		{"positive size", tb.site, 2 * cell, tb.clk, multi(defect.MultiDefect{{Arc: tb.site, Size: 2 * cell}}, tb.clk)},
+		{"negative size", tb.site, -0.5 * cell, tb.clk, multi(defect.MultiDefect{{Arc: tb.site, Size: -0.5 * cell}}, tb.clk)},
+		{"zero size", tb.site, 0, tb.clk, clean},
+		{"arc below range", -1, 2 * cell, tb.clk, clean},
+		{"arc above range", circuit.ArcID(len(tb.c.Arcs)), 2 * cell, tb.clk, clean},
+		{"huge clock", tb.site, 2 * cell, 100 * tb.clk, NewBehavior(len(tb.c.Outputs), len(pats))},
+	}
+	for _, tc := range cases {
+		got := SimulateBehavior(tb.c, inst.Delays, pats, tc.arc, tc.size, tc.clk)
+		if got.Rows != tc.want.Rows || got.Cols != tc.want.Cols || !slices.Equal(got.bits, tc.want.bits) {
+			t.Errorf("%s: behavior\n%v\nwant\n%v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -29,16 +29,11 @@ var (
 		"Monte-Carlo instance samples simulated into dictionaries", obs.Labels{"engine": "mc"})
 	diagnoses = obs.Default().Counter("ddd_core_diagnoses_total",
 		"diagnosis rankings computed (all methods, plain and compressed)", nil)
-	// Word-parallel diagnosis kernels (DESIGN.md §17): suspectWords
-	// counts the 64-pattern word sweeps SuspectArcsTiered actually ran
-	// (blocks with no failing bit are skipped and not counted), and
-	// behaviorSimSkipped the per-pattern tsim runs the cone prescreen
-	// proved unnecessary in SimulateBehavior/SimulateBehaviorMulti.
-	// Both are bulk-added once per call.
+	// suspectWords counts the 64-pattern word sweeps SuspectArcsTiered
+	// actually ran (DESIGN.md §17; blocks with no failing bit are
+	// skipped and not counted), bulk-added once per call.
 	suspectWords = obs.Default().Counter("ddd_suspect_words_total",
 		"64-pattern word sweeps executed by suspect pruning", nil)
-	behaviorSimSkipped = obs.Default().Counter("ddd_behavior_sim_skipped_total",
-		"behavior-simulation tsim runs skipped by the word-parallel prescreen", nil)
 )
 
 // The Monte-Carlo build's sub-stage ledger: wall time per inner stage

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"repro/internal/circuit"
-	"repro/internal/defect"
 	"repro/internal/logicsim"
 	"repro/internal/rng"
 	"repro/internal/timing"
@@ -15,39 +14,6 @@ import (
 // kernels are pinned against (words_test.go). They are kept verbatim
 // from the code those kernels replaced and are compiled only into
 // tests.
-
-// simulateBehaviorScalar is SimulateBehavior without the prescreen:
-// every pattern runs through tsim. Kept verbatim from the pre-screen
-// code as the oracle for the screened path.
-func simulateBehaviorScalar(c *circuit.Circuit, delays []float64, patterns []logicsim.PatternPair, defectArc circuit.ArcID, defectSize, clk float64) *Behavior {
-	b := NewBehavior(len(c.Outputs), len(patterns))
-	eng := tsim.NewEngine(c)
-	for j, pat := range patterns {
-		opts := tsim.AtClock(clk)
-		opts.DefectArc = defectArc
-		opts.DefectExtra = defectSize
-		res := eng.Run(delays, pat, opts)
-		for i, o := range c.Outputs {
-			b.Set(i, j, res.Capture[i] != res.Final[o])
-		}
-	}
-	return b
-}
-
-// simulateBehaviorMultiScalar is SimulateBehaviorMulti without the
-// prescreen, kept verbatim as the oracle for the screened path.
-func simulateBehaviorMultiScalar(c *circuit.Circuit, delays []float64, patterns []logicsim.PatternPair, md defect.MultiDefect, clk float64) *Behavior {
-	withDefects := md.ApplyTo(delays)
-	b := NewBehavior(len(c.Outputs), len(patterns))
-	eng := tsim.NewEngine(c)
-	for j, pat := range patterns {
-		res := eng.Run(withDefects, pat, tsim.AtClock(clk))
-		for i, o := range c.Outputs {
-			b.Set(i, j, res.Capture[i] != res.Final[o])
-		}
-	}
-	return b
-}
 
 // suspectArcs is the untiered suspect set: both tiers of
 // SuspectArcsTiered, merged and sorted by arc ID.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/defect"
 	"repro/internal/logicsim"
 	"repro/internal/rng"
 	"repro/internal/synth"
@@ -88,109 +87,6 @@ func TestSuspectArcsTieredMatchesScalar(t *testing.T) {
 		}
 	}
 }
-
-// TestSimulateBehaviorScreenedMatchesScalar pins the prescreened
-// SimulateBehavior against the unscreened oracle over several dies and
-// defect sizes, including zero and negative sizes (the screen's bounds
-// clamp extras at >= 0, so both signs must stay bit-exact).
-func TestSimulateBehaviorScreenedMatchesScalar(t *testing.T) {
-	for _, profile := range []string{"mini", "small"} {
-		c, err := synth.GenerateNamed(profile, 23)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := timing.NewModel(c, timing.DefaultParams())
-		clk := mcClock(t, m, 0.9, 300, 23)
-		cell := m.MeanCellDelay()
-		r := rng.New(41)
-		pats := randomPairs(r, c, 100)
-		for die := 0; die < 3; die++ {
-			inst := m.SampleInstance(r)
-			site := circuit.ArcID(r.IntN(len(c.Arcs)))
-			for _, size := range []float64{0, -0.5 * cell, 2 * cell, 8 * cell} {
-				got := SimulateBehavior(c, inst.Delays, pats, site, size, clk)
-				want := simulateBehaviorScalar(c, inst.Delays, pats, site, size, clk)
-				for i := 0; i < want.Rows; i++ {
-					for j := 0; j < want.Cols; j++ {
-						if got.At(i, j) != want.At(i, j) {
-							t.Fatalf("%s die %d site %d size %.3g: screened differs at (%d, %d)",
-								profile, die, site, size, i, j)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSimulateBehaviorMultiScreenedMatchesScalar: the multi-defect
-// variant of the screen stays bit-exact too, with mixed-sign sizes.
-func TestSimulateBehaviorMultiScreenedMatchesScalar(t *testing.T) {
-	tb := newBench(t, "small", 5)
-	r := rng.New(8)
-	cell := tb.inj.CellDelay
-	pats := append(append([]logicsim.PatternPair{}, tb.pats...), randomPairs(r, tb.c, 90)...)
-	for die := 0; die < 2; die++ {
-		inst := tb.m.SampleInstance(r)
-		md := defect.MultiDefect{
-			{Arc: tb.site, Size: 3 * cell},
-			{Arc: circuit.ArcID(r.IntN(len(tb.c.Arcs))), Size: -cell},
-		}
-		got := SimulateBehaviorMulti(tb.c, inst.Delays, pats, md, tb.clk)
-		want := simulateBehaviorMultiScalar(tb.c, inst.Delays, pats, md, tb.clk)
-		for i := 0; i < want.Rows; i++ {
-			for j := 0; j < want.Cols; j++ {
-				if got.At(i, j) != want.At(i, j) {
-					t.Fatalf("die %d: screened multi differs at (%d, %d)", die, i, j)
-				}
-			}
-		}
-	}
-}
-
-// TestScreenBehaviorSkipsSomething guards the screen against vacuity:
-// with a clock far above every static path bound there are no risky
-// inputs, every pattern is provably safe, and the screen must claim all
-// of them (the scalar oracle confirms the all-zero behavior).
-func TestScreenBehaviorSkipsSomething(t *testing.T) {
-	tb := newBench(t, "mini", 3)
-	r := rng.New(6)
-	pats := randomPairs(r, tb.c, 70)
-	inst := tb.m.SampleInstance(r)
-	hugeClk := 100 * tb.clk
-	skip, skipped := screenBehavior(tb.c, inst.Delays, pats,
-		[]screenDefect{{arc: tb.site, extra: 2 * tb.inj.CellDelay}}, hugeClk)
-	if skipped != len(pats) {
-		t.Fatalf("huge clock: skipped %d of %d patterns", skipped, len(pats))
-	}
-	for w, word := range skip {
-		n := min(64, len(pats)-w*64)
-		if word != logicsim.TailMask(n) {
-			t.Errorf("skip word %d = %#x, want full tail mask", w, word)
-		}
-	}
-	b := simulateBehaviorScalar(tb.c, inst.Delays, pats, tb.site, 2*tb.inj.CellDelay, hugeClk)
-	if b.AnyFailure() {
-		t.Fatalf("oracle disagrees: failures exist at the huge clock")
-	}
-	// And at the realistic clock the screen must stay sound even if it
-	// skips fewer patterns: every skipped column is zero in the oracle.
-	skip, _ = screenBehavior(tb.c, inst.Delays, pats, nil, tb.clk)
-	b = simulateBehaviorScalar(tb.c, inst.Delays, pats, tsimNoDefectArc, 0, tb.clk)
-	for j := 0; j < len(pats); j++ {
-		if skip[j>>6]>>(uint(j)&63)&1 == 0 {
-			continue
-		}
-		for i := 0; i < b.Rows; i++ {
-			if b.At(i, j) {
-				t.Fatalf("screen skipped failing pattern %d (output %d)", j, i)
-			}
-		}
-	}
-}
-
-// tsimNoDefectArc mirrors tsim.NoDefect without importing tsim here.
-const tsimNoDefectArc = circuit.ArcID(-1)
 
 // TestBehaviorBitPacking pins the packed representation: padding bits
 // beyond Cols stay zero, Reset reuses storage and clears it, Clone is

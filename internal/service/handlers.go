@@ -431,6 +431,13 @@ func (s *Server) runDegradedBatch(ctx context.Context, reqs []DiagnoseRequest) *
 			}
 			var err error
 			ent, err = s.cache.GetCtx(ctx, req.Dict)
+			if err != nil && ctx.Err() != nil {
+				// The load ended on this batch's own deadline: answer as the
+				// loop top does, and memoize nothing about the dictionary.
+				item.Status, item.Code, item.Error = http.StatusGatewayTimeout, "deadline", "request deadline exceeded"
+				resp.Failed++
+				continue
+			}
 			if err != nil {
 				loadErrs[req.Dict] = err
 				item.Status, item.Code, item.Error = loadErrStatus(err), "load_failed", err.Error()

@@ -480,6 +480,51 @@ func TestRequestDeadline(t *testing.T) {
 	_ = s.Shutdown(context.Background())
 }
 
+func TestDegradedBatchLoadDeadline(t *testing.T) {
+	// A batch item waiting on another caller's in-flight load that gives
+	// up on its own deadline answers 504 "deadline", as the items after
+	// it do, not 500 "load_failed".
+	s := newTestServer(t, nil)
+	started, release := make(chan struct{}), make(chan struct{})
+	s.cache = NewCache(func(id string) (*Entry, error) {
+		close(started)
+		<-release
+		return fakeEntry(id, 1), nil
+	}, 1<<20, 2)
+	loaded := make(chan struct{})
+	go func() {
+		defer close(loaded)
+		if _, err := s.cache.GetCtx(context.Background(), "alpha"); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan *BatchResponse, 1)
+	go func() { done <- s.runDegradedBatch(ctx, []DiagnoseRequest{{Dict: "alpha"}, {Dict: "alpha"}}) }()
+	// Item 0 counts its miss just before it waits on the load.
+	for wait := 0; s.cache.Stats().Misses < 2; wait++ {
+		if wait == 5000 {
+			t.Fatal("the batch never joined the in-flight load")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	resp := <-done
+	close(release)
+	<-loaded
+	for _, item := range resp.Results {
+		if item.Status != http.StatusGatewayTimeout || item.Code != "deadline" {
+			t.Errorf("item %d: status %d code %q error %q, want 504 deadline", item.Index, item.Status, item.Code, item.Error)
+		}
+	}
+	if resp.Failed != 2 {
+		t.Errorf("failed = %d, want 2", resp.Failed)
+	}
+	_ = s.Shutdown(context.Background())
+}
+
 func TestDictInfoDeadline(t *testing.T) {
 	// A dictionary-info request waiting on a load that does not finish
 	// must come back 504 at its deadline, not when the load does.

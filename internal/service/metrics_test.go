@@ -116,14 +116,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := m["ddd_core_diagnoses_total"]; v < 1 {
 		t.Errorf("core diagnoses = %v, want >= 1", v)
 	}
-	// The word-parallel diagnosis counters (DESIGN.md §17) are on the
-	// same registry, so the byte-identical double scrape above covers
-	// their determinism; here we pin that they render at all.
+	// The word-parallel suspect-pruning counter (DESIGN.md §17) is on
+	// the same registry, so the byte-identical double scrape above
+	// covers its determinism; here we pin that it renders at all.
 	if _, ok := m["ddd_suspect_words_total"]; !ok {
 		t.Error("ddd_suspect_words_total missing from scrape")
-	}
-	if _, ok := m["ddd_behavior_sim_skipped_total"]; !ok {
-		t.Error("ddd_behavior_sim_skipped_total missing from scrape")
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // two-replica router, plus the non-admin requests again straight to
 // one replica. Any change to routing, relaying, merging, error
 // rendering or request decoding moves it.
-const goldenRouterSHA256 = "87be887cca9e803ae18eb46137254ad8c965af479be58d6a641b2de0a1b9b887"
+const goldenRouterSHA256 = "6da3146506f813fe212874c6c20fc48ab662a6eba373f6838a633130df83493d"
 
 type goldenRequest struct {
 	method, path, body string

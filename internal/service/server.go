@@ -216,8 +216,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // loadFromDisk is the cache loader: decode <dir>/<id>.dict. The size
-// accounts the sparse entries plus the pattern/suspect overhead so the
-// cache budget tracks real residency.
+// accounts the sparse entries, the pattern/suspect overhead and the
+// signature-class index so the cache budget tracks real residency.
 func (s *Server) loadFromDisk(id string) (*Entry, error) {
 	if faultCacheLoadStall.Hit() {
 		time.Sleep(time.Duration(faultCacheLoadStall.Param(100)) * time.Millisecond)
@@ -244,7 +244,8 @@ func (s *Server) loadFromDisk(id string) (*Entry, error) {
 	}
 	size := int64(cd.Bytes()) +
 		int64(len(cd.Patterns))*int64(2*nIn+32) + // two bool vectors + headers
-		int64(len(cd.Suspects))*4 + 256
+		int64(len(cd.Suspects))*8 + // arc id + signature class
+		int64(cd.Classes())*4 + 256 // one representative per class
 	return &Entry{ID: id, Dict: cd, NInputs: nIn, Size: size}, nil
 }
 
