@@ -82,9 +82,10 @@ loadtest:
 
 # smoke-resume builds ddd-table1, SIGKILLs a checkpointed run
 # mid-journal, resumes it, and byte-compares the final table against
-# an uninterrupted run.
+# an uninterrupted run; then checks that -resume over a journal of an
+# older layout version exits nonzero, naming both versions.
 smoke-resume:
-	$(GO) test ./cmd/ddd-table1 -run '^TestKillAndResumeReproducesTable$$' -count=1 -v
+	$(GO) test ./cmd/ddd-table1 -run '^(TestKillAndResumeReproducesTable|TestResumeRejectsStaleJournal)$$' -count=1 -v
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector: failed loads never poison the singleflight, worker panics

@@ -153,7 +153,8 @@ func guardbandExp(circuitName string, n int) error {
 }
 
 func locExp(circuitName string) error {
-	c, err := synth.GenerateNamed(circuitName, 2003)
+	cfg := eval.DefaultConfig(circuitName)
+	c, err := synth.GenerateNamed(circuitName, cfg.CircuitSeed)
 	if err != nil {
 		return err
 	}
@@ -165,9 +166,7 @@ func locExp(circuitName string) error {
 		return fmt.Errorf("%s has no flip-flops; launch-on-capture needs state", circuitName)
 	}
 	sm := logicsim.BuildScanMap(c, p.PI, p.PO)
-	tp := timing.DefaultParams()
-	tp.SigmaGlobal, tp.SigmaLocal = 0.02, 0.08
-	m := timing.NewModel(c, tp)
+	m := timing.NewModel(c, cfg.Timing)
 	es, loc := 0, 0
 	sites := 0
 	for site := 5; site < len(c.Arcs); site += 29 {
@@ -197,7 +196,7 @@ func staticExp(circuitName string, n int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("precomputed dictionary: universe %d arcs, %d patterns\n", pre.Universe, pre.Patterns)
+	fmt.Printf("precomputed dictionary: universe %d arcs, %d patterns\n", pre.Cases[0].Suspects, pre.Cases[0].Patterns)
 	for _, k := range []int{1, 5, 10} {
 		fmt.Printf("K=%-2d  precomputed %3.0f%%   per-case targeted %3.0f%% (Alg_rev)\n",
 			k, 100*pre.SuccessRate(core.AlgRev, k), 100*tgt.SuccessRate(core.AlgRev, k))

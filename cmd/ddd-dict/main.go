@@ -140,16 +140,15 @@ func diagnose(args []string) error {
 	if err != nil {
 		return err
 	}
-	c, err := synth.GenerateNamed(*profile, 2003)
+	cfg := eval.DefaultConfig(*profile)
+	c, err := synth.GenerateNamed(*profile, cfg.CircuitSeed)
 	if err != nil {
 		return err
 	}
 	if len(c.Inputs) != nIn {
 		return fmt.Errorf("dictionary was built for %d inputs, circuit has %d", nIn, len(c.Inputs))
 	}
-	tp := timing.DefaultParams()
-	tp.SigmaGlobal, tp.SigmaLocal = 0.02, 0.08
-	m := timing.NewModel(c, tp)
+	m := timing.NewModel(c, cfg.Timing)
 	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
 	df := inj.Sample(rng.New(*caseSeed))
 	inst := m.SampleInstanceSeeded(*caseSeed, 42)

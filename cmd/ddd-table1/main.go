@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,8 +96,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ddd-table1: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "%s: %s | escape=%.0f%% meanSuspects=%.0f (%v)\n",
-			name, res.Stats, 100*res.EscapeRate(), res.MeanSuspects(), time.Since(start).Round(time.Second))
+		meanSuspects := "-" // every case escaped
+		if ms := res.MeanSuspects(); !math.IsNaN(ms) {
+			meanSuspects = fmt.Sprintf("%.0f", ms)
+		}
+		fmt.Fprintf(os.Stderr, "%s: %s | escape=%.0f%% meanSuspects=%s (%v)\n",
+			name, res.Stats, 100*res.EscapeRate(), meanSuspects, time.Since(start).Round(time.Second))
 		if *timings && res.Timings != nil {
 			if err := res.Timings.WriteTable(os.Stderr); err != nil {
 				fmt.Fprintln(os.Stderr, "ddd-table1:", err)

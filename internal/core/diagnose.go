@@ -80,6 +80,21 @@ func ParseMethod(name string) (Method, bool) {
 	return 0, false
 }
 
+// MarshalText encodes a method as its name, so a map keyed by Method
+// serializes with readable keys that do not depend on the enum's
+// numeric values.
+func (m Method) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText decodes any name ParseMethod accepts.
+func (m *Method) UnmarshalText(text []byte) error {
+	parsed, ok := ParseMethod(string(text))
+	if !ok {
+		return fmt.Errorf("core: unknown method %q", text)
+	}
+	*m = parsed
+	return nil
+}
+
 // lowerIsBetter reports the ranking direction of the method's score.
 func (m Method) lowerIsBetter() bool { return m >= AlgRev }
 

@@ -59,7 +59,9 @@ type Dictionary struct {
 // statistical dynamic timing simulation (Section H-2): the same
 // Monte-Carlo instance samples are used for the defect-free and every
 // defective hypothesis (common random numbers), so the signature
-// S_crt = E_crt − M_crt is nonnegative and has low variance. Per
+// S_crt = max(E_crt − M_crt, 0) has low variance. E can fall below M:
+// a defect may also turn a failing capture into a pass, and Matrix.Sub
+// clamps those entries at zero. Per
 // sample and suspect a defect size is drawn from cfg.SizeDist; the
 // defect is re-simulated against the sample's baseline run by
 // re-evaluating only the gates whose waveform it changes

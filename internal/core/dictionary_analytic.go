@@ -18,11 +18,11 @@ import (
 // sample axis at all. Entries are exact probabilities under the
 // analytic model, so cfg.Samples and cfg.Seed are ignored.
 //
-// Signature entries S = E − M are clamped at zero: the Monte-Carlo
-// build's common random numbers make S nonnegative by construction,
-// and downstream match scores assume that; the analytic E and M are
-// computed independently per entry, so rounding can land a defect that
-// cannot reach an output a hair below its baseline.
+// Signature entries S = E − M are clamped at zero by Matrix.Sub, as in
+// the Monte-Carlo build: downstream match scores assume S ≥ 0, and the
+// analytic E and M are computed independently per entry, so rounding
+// can land a defect that cannot reach an output a hair below its
+// baseline.
 func buildDictionaryAnalytic(ctx context.Context, eng *engine.Analytic, m *timing.Model, patterns []logicsim.PatternPair, suspects []circuit.ArcID, cfg DictConfig) (*Dictionary, error) {
 	start := time.Now()
 	defer func() {
@@ -53,13 +53,7 @@ func buildDictionaryAnalytic(ctx context.Context, eng *engine.Analytic, m *timin
 		e := NewMatrix(nOut, nPat)
 		copy(e.Data, sp.E[i*nOut*nPat:(i+1)*nOut*nPat])
 		d.E[i] = e
-		s := e.Sub(d.M)
-		for k, v := range s.Data {
-			if v < 0 {
-				s.Data[k] = 0
-			}
-		}
-		d.S[i] = s
+		d.S[i] = e.Sub(d.M)
 	}
 	return d, nil
 }

@@ -40,8 +40,9 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Sub returns m − o clamped at zero element-wise: the signature
-// operation S_crt = max(E_crt − M_crt, 0). With common-random-number
-// estimation E ≥ M holds exactly; the clamp guards the general case.
+// operation S_crt = max(E_crt − M_crt, 0). Common random numbers do not
+// make E ≥ M: a defect can also turn a failing capture into a pass, so
+// the clamp is what keeps every signature entry nonnegative.
 func (m *Matrix) Sub(o *Matrix) *Matrix {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		panic("core: matrix shape mismatch")

@@ -33,8 +33,8 @@ func DefaultParams() Params {
 // Defect is one concrete injected defect: the single-defect model D_s
 // with ρ concentrated on Arc and a drawn size δ = Size.
 type Defect struct {
-	Arc  circuit.ArcID
-	Size float64
+	Arc  circuit.ArcID `json:"arc"`
+	Size float64       `json:"size"`
 }
 
 func (d Defect) String() string { return fmt.Sprintf("defect(arc=%d, δ=%.4g)", d.Arc, d.Size) }

@@ -16,24 +16,23 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
 
-	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/defect"
 	"repro/internal/obs"
-	"repro/internal/timing"
 )
 
 var checkpointCases = obs.Default().Counter("ddd_checkpoint_cases_total",
 	"Cases recorded to an eval checkpoint journal.", nil)
 
-// journalVersion guards the on-disk layout; bump it when caseJSON
-// changes incompatibly so a stale journal is detected, not misread.
-const journalVersion = 1
+// journalVersion guards the on-disk layout; bump it when CaseResult's
+// serialized form changes incompatibly so a stale journal is detected,
+// not misread.
+const journalVersion = 2
 
 // journalHeader is the journal's first line.
 type journalHeader struct {
@@ -43,113 +42,20 @@ type journalHeader struct {
 
 // journalLine is every subsequent line: one completed case.
 type journalLine struct {
-	Case   int      `json:"case"`
-	Result caseJSON `json:"result"`
+	Case   int        `json:"case"`
+	Result CaseResult `json:"result"`
 }
 
-// caseJSON is CaseResult's stable serialized form. Ranks are keyed by
-// Method.String() — readable in the journal and independent of the
-// Method enum's numeric values. Floats round-trip bit-exactly:
-// encoding/json emits the shortest representation that parses back to
-// the same float64.
-type caseJSON struct {
-	Instance        int            `json:"instance"`
-	DefectArc       int            `json:"defect_arc"`
-	DefectSize      float64        `json:"defect_size"`
-	Clk             float64        `json:"clk"`
-	Patterns        int            `json:"patterns"`
-	Escaped         bool           `json:"escaped,omitempty"`
-	Suspects        int            `json:"suspects"`
-	TruthInSuspects bool           `json:"truth_in_suspects,omitempty"`
-	Rank            map[string]int `json:"rank,omitempty"`
-	AutoK           int            `json:"auto_k,omitempty"`
-	AutoKGap        float64        `json:"auto_k_gap,omitempty"`
-}
-
-func toCaseJSON(cs CaseResult) caseJSON {
-	out := caseJSON{
-		Instance:        cs.Instance,
-		DefectArc:       int(cs.Defect.Arc),
-		DefectSize:      cs.Defect.Size,
-		Clk:             cs.Clk,
-		Patterns:        cs.Patterns,
-		Escaped:         cs.Escaped,
-		Suspects:        cs.Suspects,
-		TruthInSuspects: cs.TruthInSuspects,
-		AutoK:           cs.AutoK,
-		AutoKGap:        cs.AutoKGap,
-	}
-	if len(cs.Rank) > 0 {
-		out.Rank = make(map[string]int, len(cs.Rank))
-		for m, pos := range cs.Rank {
-			out.Rank[m.String()] = pos
-		}
-	}
-	return out
-}
-
-func (cj caseJSON) toCaseResult() (CaseResult, error) {
-	cs := CaseResult{
-		Instance:        cj.Instance,
-		Defect:          defect.Defect{Arc: circuit.ArcID(cj.DefectArc), Size: cj.DefectSize},
-		Clk:             cj.Clk,
-		Patterns:        cj.Patterns,
-		Escaped:         cj.Escaped,
-		Suspects:        cj.Suspects,
-		TruthInSuspects: cj.TruthInSuspects,
-		Rank:            make(map[core.Method]int),
-		AutoK:           cj.AutoK,
-		AutoKGap:        cj.AutoKGap,
-	}
-	for name, pos := range cj.Rank {
-		m, ok := core.ParseMethod(name)
-		if !ok {
-			return cs, fmt.Errorf("unknown method %q in journal", name)
-		}
-		cs.Rank[m] = pos
-	}
-	return cs, nil
-}
-
-// checkpointFingerprint hashes (as canonical JSON — readable in the
-// header and cheap to compare) every Config field that influences
-// per-case results. Workers is excluded on purpose: parallelism never
-// changes results in this repo, so a resume on a different machine is
-// legal. CheckpointPath/Resume are control knobs, not result inputs.
+// checkpointFingerprint is the canonical JSON of cfg — readable in the
+// header and cheap to compare. Config tags the fields that cannot
+// change a case's result json:"-" (Workers: parallelism never changes
+// results in this repo, so a resume on a different machine is legal;
+// CheckpointPath/Resume: control knobs), so every other field,
+// including one added later, is part of the fingerprint.
 func checkpointFingerprint(cfg Config) string {
-	key := struct {
-		Circuit     string  `json:"circuit"`
-		CircuitSeed uint64  `json:"circuit_seed"`
-		Seed        uint64  `json:"seed"`
-		N           int     `json:"n"`
-		MaxPatterns int     `json:"max_patterns"`
-		DictSamples int     `json:"dict_samples"`
-		ClkSamples  int     `json:"clk_samples"`
-		ClkQuantile float64 `json:"clk_quantile"`
-		MaxSuspects int     `json:"max_suspects"`
-		// Engine changes every clk and dictionary entry; omitempty
-		// keeps journals written before the field existed loadable
-		// under the default (Monte-Carlo) engine.
-		Engine            string        `json:"engine,omitempty"`
-		Timing            timing.Params `json:"timing"`
-		AssumedSizeFactor [2]float64    `json:"assumed_size_factor"`
-	}{
-		Circuit:           cfg.Circuit,
-		CircuitSeed:       cfg.CircuitSeed,
-		Seed:              cfg.Seed,
-		N:                 cfg.N,
-		MaxPatterns:       cfg.MaxPatterns,
-		DictSamples:       cfg.DictSamples,
-		ClkSamples:        cfg.ClkSamples,
-		ClkQuantile:       cfg.ClkQuantile,
-		MaxSuspects:       cfg.MaxSuspects,
-		Engine:            cfg.Engine,
-		Timing:            cfg.Timing,
-		AssumedSizeFactor: cfg.AssumedSizeFactor,
-	}
-	data, err := json.Marshal(key)
+	data, err := json.Marshal(cfg)
 	if err != nil {
-		// The key struct is marshal-safe by construction.
+		// Config holds only strings, integers and finite floats.
 		panic(err)
 	}
 	return string(data)
@@ -211,15 +117,20 @@ func LoadCheckpoint(path string, cfg Config, resume bool) (*Checkpoint, error) {
 		}
 		var jl journalLine
 		if err := json.Unmarshal([]byte(line), &jl); err != nil {
-			// Tolerate a torn trailing line; anything after it is
-			// unreachable anyway since lines are written in order.
-			break
-		}
-		cs, err := jl.Result.toCaseResult()
-		if err != nil {
+			var torn *json.SyntaxError
+			if errors.As(err, &torn) {
+				// Tolerate a torn trailing line; anything after it is
+				// unreachable anyway since lines are written in order.
+				break
+			}
+			// A complete line that does not decode (an unknown method
+			// name, a mistyped field) is a corrupt journal.
 			return nil, fmt.Errorf("eval: checkpoint %s: case %d: %w", path, jl.Case, err)
 		}
-		ck.done[jl.Case] = cs
+		if jl.Result.Rank == nil {
+			jl.Result.Rank = make(map[core.Method]int)
+		}
+		ck.done[jl.Case] = jl.Result
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("eval: checkpoint %s: %w", path, err)
@@ -254,7 +165,7 @@ func (ck *Checkpoint) writeAll() error {
 	// Cases are journaled in index order so the file is stable for a
 	// given completion set and torn-tail recovery skips only the tail.
 	for _, i := range sortedCases(ck.done) {
-		if err := enc.Encode(journalLine{Case: i, Result: toCaseJSON(ck.done[i])}); err != nil {
+		if err := enc.Encode(journalLine{Case: i, Result: ck.done[i]}); err != nil {
 			return fmt.Errorf("eval: checkpoint %s: %w", ck.path, err)
 		}
 	}

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
+	"repro/internal/defect"
 	"repro/internal/synth"
 )
 
@@ -185,17 +187,79 @@ func TestRunOnCircuitCtxCancelled(t *testing.T) {
 	}
 }
 
+// v1Journal is a journal in the version-1 layout, whose case lines
+// kept the defect as flat defect_arc/defect_size keys.
+const v1Journal = `{"version":1,"fingerprint":"{\"circuit\":\"mini\"}"}
+{"case":0,"result":{"instance":0,"defect_arc":3,"defect_size":0.5,"clk":1.5,"patterns":2,"suspects":4,"rank":{"Alg_rev":1}}}
+`
+
+// TestCheckpointRejectsStaleOrCorruptJournal: under resume, a journal
+// of another layout version fails with both versions named; a case
+// ranked by every method round-trips exactly; and a complete case line
+// with an unknown method name fails the load instead of passing for a
+// torn tail.
+func TestCheckpointRejectsStaleOrCorruptJournal(t *testing.T) {
+	cfg, path := journalConfig(t, 2)
+	if err := os.WriteFile(path, []byte(v1Journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadCheckpoint(path, cfg, true)
+	if err == nil || !strings.Contains(err.Error(), "journal version 1, this binary writes 2") {
+		t.Errorf("version-1 journal: err = %v", err)
+	}
+
+	ck, err := LoadCheckpoint(path, cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := CaseResult{
+		Instance: 1, Defect: defect.Defect{Arc: 7, Size: 0.1 + 0.2}, Clk: 1.0 / 3, Patterns: 5,
+		Suspects: 40, TruthInSuspects: true, Rank: map[core.Method]int{}, AutoK: 3, AutoKGap: 2.0 / 7,
+	}
+	for m := core.MethodI; m <= core.LogLik; m++ {
+		want.Rank[m] = int(m) + 1
+	}
+	if err := ck.Record(1, want); err != nil {
+		t.Fatal(err)
+	}
+	ck, err = LoadCheckpoint(path, cfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := ck.Get(1); !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("journaled case = %+v, %v; want %+v", got, ok, want)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := strings.Replace(string(data), `"Alg_rev":`, `"Alg_bogus":`, 1)
+	if bad == string(data) {
+		t.Fatalf("journal does not key ranks by method name:\n%s", data)
+	}
+	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadCheckpoint(path, cfg, true)
+	if err == nil || !strings.Contains(err.Error(), `unknown method "Alg_bogus"`) {
+		t.Errorf("unknown method name: err = %v", err)
+	}
+}
+
 // FuzzCheckpointJournal: LoadCheckpoint over arbitrary bytes must
 // never panic — it either errors or returns a consistent checkpoint
 // whose cases all parse.
 func FuzzCheckpointJournal(f *testing.F) {
 	cfg := fastConfig("mini", 2)
 	fp := checkpointFingerprint(cfg)
+	hdr := "{\"version\":2,\"fingerprint\":" + quoteJSON(fp) + "}\n"
 	f.Add([]byte(""))
-	f.Add([]byte("{\"version\":1,\"fingerprint\":\"x\"}\n"))
-	f.Add([]byte("{\"version\":1,\"fingerprint\":" + quoteJSON(fp) + "}\n" +
-		`{"case":0,"result":{"instance":0,"defect_arc":3,"defect_size":0.5,"clk":1.5,"patterns":2,"suspects":4,"rank":{"Alg_rev":1}}}` + "\n"))
-	f.Add([]byte("{\"version\":1,\"fingerprint\":" + quoteJSON(fp) + "}\n" + `{"case":0,"result":{"instance":0,"de`))
+	f.Add([]byte("{\"version\":2,\"fingerprint\":\"x\"}\n"))
+	f.Add([]byte(hdr + `{"case":0,"result":{"instance":0,"defect":{"arc":3,"size":0.5},"clk":1.5,"patterns":2,"suspects":4,"rank":{"Alg_rev":1}}}` + "\n"))
+	f.Add([]byte(hdr + `{"case":0,"result":{"instance":0,"de`))
+	f.Add([]byte(hdr + `{"case":0,"result":{"instance":0,"defect":{"arc":3,"size":0.5},"clk":1.5,"patterns":2,"suspects":4,"rank":{"Alg_bogus":1}}}` + "\n"))
+	f.Add([]byte(v1Journal))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.journal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -71,9 +71,6 @@ func TestSuccessRateEmptyNaN(t *testing.T) {
 	if !math.IsNaN(r.SuccessRate(core.AlgRev, 1)) || !math.IsNaN(r.EscapeRate()) {
 		t.Errorf("empty result should be NaN")
 	}
-	if got := (&StaticResult{}).SuccessRate(core.AlgRev, 1); !math.IsNaN(got) {
-		t.Errorf("empty precomputed result SuccessRate = %v, want NaN", got)
-	}
 }
 
 func TestRunCircuitDeterministic(t *testing.T) {

@@ -33,7 +33,7 @@ type Config struct {
 	DictSamples int     // Monte-Carlo samples for the fault dictionary
 	ClkSamples  int     // Monte-Carlo samples for cut-off selection
 	ClkQuantile float64 // quantile of the longest targeted path's timing length (e.g. 0.90)
-	Workers     int     // dictionary parallelism (0 = NumCPU)
+	Workers     int     `json:"-"` // dictionary parallelism (0 = NumCPU)
 	MaxSuspects int     // cap on the suspect set (0 = unlimited)
 	// Engine names the statistical timing backend for cut-off
 	// selection and dictionary construction ("" or "mc" for
@@ -59,8 +59,8 @@ type Config struct {
 	// randomness derives from (Seed, case index). A journal written
 	// under a different configuration is an error under Resume and is
 	// overwritten without it. None of these knobs affect results.
-	CheckpointPath string
-	Resume         bool
+	CheckpointPath string `json:"-"`
+	Resume         bool   `json:"-"`
 }
 
 // DefaultConfig returns the experiment parameters used for Table I.
@@ -91,22 +91,42 @@ func DefaultConfig(circuitName string) Config {
 	}
 }
 
-// CaseResult records one injected-defect diagnosis case.
+// CaseResult records one injected-defect diagnosis case. It is also
+// the checkpoint journal's serialized form: Rank encodes with method
+// names as keys, and encoding/json round-trips every float64 exactly.
 type CaseResult struct {
-	Instance        int
-	Defect          defect.Defect
-	Clk             float64
-	Patterns        int
-	Escaped         bool // behavior matrix all-pass: the defect was not observed
-	Suspects        int
-	TruthInSuspects bool
+	Instance        int           `json:"instance"`
+	Defect          defect.Defect `json:"defect"`
+	Clk             float64       `json:"clk"`
+	Patterns        int           `json:"patterns"`
+	Escaped         bool          `json:"escaped,omitempty"` // behavior matrix all-pass: the defect was not observed
+	Suspects        int           `json:"suspects"`
+	TruthInSuspects bool          `json:"truth_in_suspects,omitempty"`
 	// Rank[m] is the 1-based position of the true arc in method m's
 	// ranking (0 when the case escaped or the truth was pruned).
-	Rank map[core.Method]int
+	Rank map[core.Method]int `json:"rank"`
 	// AutoK is the automatically selected answer-set size for AlgRev
 	// (future-work item 2), and AutoKGap the score gap behind it.
-	AutoK    int
-	AutoKGap float64
+	AutoK    int     `json:"auto_k,omitempty"`
+	AutoKGap float64 `json:"auto_k_gap,omitempty"`
+}
+
+// result keeps the case's outcome.
+func (cs *Case) result() CaseResult {
+	out := CaseResult{
+		Instance:        cs.Index,
+		Defect:          cs.Truth[0],
+		Clk:             cs.Clk,
+		Patterns:        len(cs.Pats),
+		Escaped:         cs.Escaped,
+		Suspects:        len(cs.Suspects),
+		TruthInSuspects: cs.TruthInSuspects() > 0,
+		Rank:            cs.ranks(),
+	}
+	if cs.Ranked != nil {
+		out.AutoK, out.AutoKGap = core.AutoK(cs.Ranked[core.AlgRev], core.AlgRev, 16)
+	}
+	return out
 }
 
 // AutoKSuccessRate returns the fraction of cases where the truth falls
@@ -182,7 +202,8 @@ func fraction(n int, hit func(i int) bool) float64 {
 func within(pos, k int) bool { return pos >= 1 && pos <= k }
 
 // MeanSuspects returns the average suspect-set size over non-escaped
-// cases (the paper reports 100–600 for the ISCAS circuits).
+// cases (the paper reports 100–600 for the ISCAS circuits), or NaN
+// when every case escaped.
 func (r *CircuitResult) MeanSuspects() float64 {
 	sum, n := 0, 0
 	for _, cs := range r.Cases {
@@ -192,7 +213,7 @@ func (r *CircuitResult) MeanSuspects() float64 {
 		}
 	}
 	if n == 0 {
-		return 0
+		return math.NaN()
 	}
 	return float64(sum) / float64(n)
 }
@@ -253,10 +274,11 @@ func RunOnCircuitCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Circ
 				continue
 			}
 		}
-		cs, err := runCase(ctx, p, i)
-		if err != nil {
+		run := p.NewCase(i)
+		if err := p.Run(ctx, run); err != nil {
 			return nil, fmt.Errorf("eval: case %d: %w", i, err)
 		}
+		cs := run.result()
 		if ck != nil {
 			if err := ck.Record(i, cs); err != nil {
 				return nil, err
@@ -265,29 +287,6 @@ func RunOnCircuitCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Circ
 		res.Cases = append(res.Cases, cs)
 	}
 	return res, nil
-}
-
-// runCase runs harness case i through the pipeline and keeps its
-// outcome.
-func runCase(ctx context.Context, p *Pipeline, i int) (CaseResult, error) {
-	cs := p.NewCase(i)
-	if err := p.Run(ctx, cs); err != nil {
-		return CaseResult{}, err
-	}
-	out := CaseResult{
-		Instance:        i,
-		Defect:          cs.Truth[0],
-		Clk:             cs.Clk,
-		Patterns:        len(cs.Pats),
-		Escaped:         cs.Escaped,
-		Suspects:        len(cs.Suspects),
-		TruthInSuspects: cs.TruthInSuspects() > 0,
-		Rank:            cs.ranks(),
-	}
-	if cs.Ranked != nil {
-		out.AutoK, out.AutoKGap = core.AutoK(cs.Ranked[core.AlgRev], core.AlgRev, 16)
-	}
-	return out, nil
 }
 
 // capSuspects bounds the suspect set for tractability: the strict

@@ -17,8 +17,8 @@ func WriteReport(w io.Writer, r *CircuitResult, perCase bool) error {
 	fmt.Fprintf(&sb, "circuit %s (%s)\n", cfg.Circuit, r.Stats)
 	fmt.Fprintf(&sb, "N=%d patterns<=%d dictSamples=%d clkQuantile=%.2f seed=%d\n",
 		cfg.N, cfg.MaxPatterns, cfg.DictSamples, cfg.ClkQuantile, cfg.Seed)
-	fmt.Fprintf(&sb, "escape rate %.0f%%, mean suspects %.0f, mean auto-K %s (success within: %s%%)\n\n",
-		100*r.EscapeRate(), r.MeanSuspects(), fmtMeas(r.MeanAutoK(), 1), fmtMeas(100*r.AutoKSuccessRate(), 0))
+	fmt.Fprintf(&sb, "escape rate %.0f%%, mean suspects %s, mean auto-K %s (success within: %s%%)\n\n",
+		100*r.EscapeRate(), fmtMeas(r.MeanSuspects(), 0), fmtMeas(r.MeanAutoK(), 1), fmtMeas(100*r.AutoKSuccessRate(), 0))
 
 	ks := Table1KValues(cfg.Circuit)
 	fmt.Fprintf(&sb, "%-12s", "method")

@@ -34,6 +34,22 @@ func TestWriteReport(t *testing.T) {
 	}
 }
 
+// TestWriteReportAllEscaped: with no diagnosed case there is no mean
+// suspect count, and the report says so instead of printing 0.
+func TestWriteReportAllEscaped(t *testing.T) {
+	res := &CircuitResult{Config: fastConfig("mini", 2), Cases: []CaseResult{
+		{Instance: 0, Escaped: true, Rank: map[core.Method]int{}},
+		{Instance: 1, Escaped: true, Rank: map[core.Method]int{}},
+	}}
+	var sb strings.Builder
+	if err := WriteReport(&sb, res, false); err != nil {
+		t.Fatal(err)
+	}
+	if want := "escape rate 100%, mean suspects -, mean auto-K -"; !strings.Contains(sb.String(), want) {
+		t.Errorf("report missing %q:\n%s", want, sb.String())
+	}
+}
+
 func TestWriteTable1CSV(t *testing.T) {
 	rows := []Table1Row{
 		{Circuit: "s1196", K: 1, I: 5, II: 10, Rev: 15},

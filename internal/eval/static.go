@@ -182,51 +182,25 @@ func sortArcs(arcs []circuit.ArcID) {
 	sort.Slice(arcs, func(i, j int) bool { return arcs[i] < arcs[j] })
 }
 
-// StaticCaseResult is one die diagnosed against the precomputed
-// dictionary.
-type StaticCaseResult struct {
-	Instance        int
-	Defect          defect.Defect
-	Escaped         bool
-	TruthInUniverse bool
-	Rank            map[core.Method]int
-}
-
-// StaticResult aggregates the precomputed-dictionary experiment.
-type StaticResult struct {
-	Universe int // suspects in the precomputed dictionary
-	Patterns int
-	Cases    []StaticCaseResult
-}
-
-// SuccessRate is the fraction of cases whose true arc ranks within k,
-// NaN when there are no cases.
-func (r *StaticResult) SuccessRate(m core.Method, k int) float64 {
-	return fraction(len(r.Cases), func(i int) bool { return within(r.Cases[i].Rank[m], k) })
-}
-
 // RunPrecomputed diagnoses cfg.N random-defect dies against one
 // precomputed dictionary (built once, reused for every die — the
-// classic effect-cause flow).
-func RunPrecomputed(cfg Config, maxSuspects int) (*StaticResult, error) {
+// classic effect-cause flow). Every case shares the dictionary's
+// patterns, clk and suspect universe.
+func RunPrecomputed(cfg Config, maxSuspects int) (*CircuitResult, error) {
+	if cfg.N < 1 {
+		return nil, fmt.Errorf("eval: N = %d", cfg.N)
+	}
 	p, sc, err := buildStatic(cfg, maxSuspects)
 	if err != nil {
 		return nil, err
 	}
-	res := &StaticResult{Universe: len(sc.Suspects), Patterns: len(sc.Pats)}
+	res := &CircuitResult{Config: p.Cfg, Stats: p.C.Stats(), Timings: p.Stages}
 	for i := 0; i < cfg.N; i++ {
 		cs := staticCase(p, sc, i)
-		out := StaticCaseResult{
-			Instance:        i,
-			Defect:          cs.Truth[0],
-			Escaped:         !cs.B.AnyFailure(),
-			TruthInUniverse: cs.TruthInSuspects() > 0,
-		}
-		if !out.Escaped {
+		if cs.Escaped = !cs.B.AnyFailure(); !cs.Escaped {
 			p.Rank(cs)
 		}
-		out.Rank = cs.ranks()
-		res.Cases = append(res.Cases, out)
+		res.Cases = append(res.Cases, cs.result())
 	}
 	return res, nil
 }

@@ -51,15 +51,17 @@ func TestBuildStaticAndRunPrecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Universe == 0 || res.Patterns == 0 {
-		t.Fatalf("result header empty: %+v", res)
-	}
 	if len(res.Cases) != cfg.N {
 		t.Fatalf("cases = %d", len(res.Cases))
 	}
+	universe := len(sd.Dict.Suspects)
 	for _, cs := range res.Cases {
+		if cs.Suspects != universe || cs.Patterns != len(sd.Patterns) || cs.Clk != sd.Clk {
+			t.Errorf("case %d: suspects %d patterns %d clk %v, want the dictionary's %d, %d, %v",
+				cs.Instance, cs.Suspects, cs.Patterns, cs.Clk, universe, len(sd.Patterns), sd.Clk)
+		}
 		for m, rank := range cs.Rank {
-			if rank < 0 || rank > res.Universe {
+			if rank < 0 || rank > universe {
 				t.Errorf("case %d method %v rank %d", cs.Instance, m, rank)
 			}
 		}
