@@ -196,6 +196,7 @@ fuzz:
 	$(GO) test ./internal/tsim -fuzz=FuzzDefectDiff -fuzztime 30s
 	$(GO) test ./internal/tsim -fuzz=FuzzDiffs -fuzztime 30s
 	$(GO) test ./internal/dist -fuzz=FuzzMaxNormal -fuzztime 30s
+	$(GO) test ./internal/service -fuzz=FuzzDecodeRequest -fuzztime 30s
 
 table1:
 	$(GO) run ./cmd/ddd-table1 -n 20

@@ -118,10 +118,14 @@ const (
 	// backtrackLimit bounds the PODEM search of one attempt.
 	backtrackLimit = 2000
 	// restarts is the number of attempts after the first, each with
-	// randomized backtrace choices. Only an attempt that hits the
-	// backtrack budget leaves anything to retry: one that exhausts its
-	// search space below the budget has proven the path untestable
-	// under the criterion, since every decision tries both values.
+	// randomized backtrace choices. PathTest runs all of them after any
+	// failed attempt 0, also one that exhausted its search space below
+	// the backtrack budget, although such an attempt has already proven
+	// the path untestable under the criterion (every decision tries
+	// both values). They must keep running until the pattern fixed
+	// point is moved on purpose: each draws its choices from the
+	// caller's r, so skipping one changes every later draw and with it
+	// the generated patterns.
 	restarts = 3
 )
 

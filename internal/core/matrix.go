@@ -162,6 +162,15 @@ func (b *Behavior) WordsPerRow() int { return b.words }
 // pattern 64*w+l. Bits above Cols are zero by invariant.
 func (b *Behavior) Word(i, w int) uint64 { return b.bits[i*b.words+w] }
 
+// SetWord assigns the w-th 64-pattern word of output row i, the inverse
+// of Word. Bits above Cols must be zero.
+func (b *Behavior) SetWord(i, w int, v uint64) {
+	if uint(i) >= uint(b.Rows) || uint(w) >= uint(b.words) || w == b.words-1 && v>>(uint(b.Cols-1)&63)>>1 != 0 {
+		panic(fmt.Sprintf("core: behavior word (%d, %d) = %#x out of %dx%d", i, w, v, b.Rows, b.Cols))
+	}
+	b.bits[i*b.words+w] = v
+}
+
 // AnyFailure reports whether at least one entry fails.
 func (b *Behavior) AnyFailure() bool {
 	for _, w := range b.bits {

@@ -24,14 +24,33 @@ func mustCircuit(t *testing.T, cfg Config) *circuit.Circuit {
 	return c
 }
 
-// journalPath runs fastConfig("mini", n) with a checkpoint journal in
-// a temp dir and returns (cfg, path).
+// journalConfig returns fastConfig("small", n) with a checkpoint
+// journal in a temp dir, and the journal's path. On "small" most cases
+// rank (on "mini" the first five all escape), so the journal holds
+// ranks, AutoK and AutoKGap floats.
 func journalConfig(t *testing.T, n int) (Config, string) {
 	t.Helper()
-	cfg := fastConfig("mini", n)
-	path := filepath.Join(t.TempDir(), "mini.journal")
+	cfg := fastConfig("small", n)
+	path := filepath.Join(t.TempDir(), "small.journal")
 	cfg.CheckpointPath = path
 	return cfg, path
+}
+
+// requireRanked fails unless the journal at path holds a ranked case:
+// a non-empty Rank and an AutoK. Without one a round trip through the
+// journal checks only escapes.
+func requireRanked(t *testing.T, path string, cfg Config) {
+	t.Helper()
+	ck, err := LoadCheckpoint(path, cfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cs := range ck.done {
+		if len(cs.Rank) > 0 && cs.AutoK > 0 {
+			return
+		}
+	}
+	t.Fatalf("none of the %d journaled cases is ranked", len(ck.done))
 }
 
 func casesEqual(t *testing.T, a, b []CaseResult) {
@@ -51,7 +70,7 @@ func casesEqual(t *testing.T, a, b []CaseResult) {
 // case loaded from the journal, nothing recomputed) must reproduce
 // them exactly — ranks, floats and all.
 func TestCheckpointRoundTripBitExact(t *testing.T) {
-	plainCfg := fastConfig("mini", 4)
+	plainCfg := fastConfig("small", 4)
 	plain, err := RunCircuit(plainCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +98,7 @@ func TestCheckpointRoundTripBitExact(t *testing.T) {
 	if len(ck.done) != 4 {
 		t.Errorf("journal holds %d cases, want 4", len(ck.done))
 	}
+	requireRanked(t, path, cfg)
 }
 
 // TestCheckpointPartialResume simulates a kill mid-run: the journal
@@ -105,6 +125,7 @@ func TestCheckpointPartialResume(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines[:3], "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	requireRanked(t, path, cfg)
 
 	cfg.Resume = true
 	resumed, err := RunCircuit(cfg)

@@ -10,7 +10,7 @@ import (
 func coreMethods() []core.Method { return core.Methods }
 
 func TestWriteReport(t *testing.T) {
-	res, err := RunCircuit(fastConfig("mini", 4))
+	res, err := RunCircuit(fastConfig("small", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,10 +19,21 @@ func TestWriteReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"circuit mini", "escape rate", "Alg_rev", "case"} {
+	for _, want := range []string{"circuit small", "escape rate", "Alg_rev", "case"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+	// At least one per-case row is a diagnosed case's, with its ranks.
+	_, rows, _ := strings.Cut(out, "truthIn")
+	diagnosed := 0
+	for _, line := range strings.Split(rows, "\n")[1:] {
+		if line != "" && !strings.HasSuffix(line, "escaped") {
+			diagnosed++
+		}
+	}
+	if diagnosed == 0 {
+		t.Errorf("report prints no diagnosed case:\n%s", out)
 	}
 	// Without per-case detail the table header must be absent.
 	sb.Reset()

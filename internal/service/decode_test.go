@@ -2,10 +2,16 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/rng"
 )
 
 // post sends body to base+path and returns the status and body.
@@ -36,7 +42,7 @@ type edgeBody struct {
 // edgeBodies lists the edge cases over the alpha fixture. rows is the
 // fixture's behavior as a JSON array, and canon maps each name a case
 // can use as same to its canonical body.
-func edgeBodies(t *testing.T) (cases []edgeBody, canon map[string]string) {
+func edgeBodies(t testing.TB) (cases []edgeBody, canon map[string]string) {
 	fx := getFixture(t)
 	quoted := make([]string, len(fx["alpha"].behavior))
 	for i, r := range fx["alpha"].behavior {
@@ -114,5 +120,184 @@ func TestDecodeEdgeBodies(t *testing.T) {
 				t.Errorf("%s via %s: got %d %q, want %d %q", c.name, base, status, body, c.status, wantBody)
 			}
 		}
+	}
+}
+
+// TestOverCapBodyParity sends a valid request followed by enough
+// whitespace to pass the body cap, straight to a replica and through
+// the router: both tiers read the whole body under the cap, so both
+// must refuse it with the same bytes.
+func TestOverCapBodyParity(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	_, canon := edgeBodies(t)
+	pad := strings.Repeat(" ", 9<<20)
+	for _, c := range []struct{ path, req string }{
+		{"/v1/diagnose", canon["alpha3"]},
+		{"/v1/diagnose/batch", canon["batch"]},
+	} {
+		body := []byte(c.req + pad)
+		dStatus, dBody := post(t, tc.backends[0].URL, c.path, body)
+		rStatus, rBody := post(t, tc.front.URL, c.path, body)
+		if dStatus != rStatus || dBody != rBody {
+			t.Errorf("%s: direct %d %q, routed %d %q", c.path, dStatus, dBody, rStatus, rBody)
+		}
+		want := `{"error":"bad request body: http: request body too large"}` + "\n"
+		if dStatus != http.StatusBadRequest || dBody != want {
+			t.Errorf("%s: direct %d %q, want 400 %q", c.path, dStatus, dBody, want)
+		}
+	}
+}
+
+// FuzzDecodeRequest checks the scanner against encoding/json at all
+// four places it serves. Whenever it accepts a body, the replica's
+// single and batch decodes must equal strict encoding/json's, the
+// router's routing key must equal a tolerant peek's, and the router's
+// batch split must give the items and keys of its encoding/json path.
+func FuzzDecodeRequest(f *testing.F) {
+	cases, canon := edgeBodies(f)
+	for _, c := range cases {
+		f.Add([]byte(c.req))
+	}
+	for name, req := range canon {
+		// The canonical bodies are the shape clients send: the scanner
+		// must take them, or the differential below checks nothing.
+		s := scanner{b: []byte(req)}
+		ok := s.object(&DiagnoseRequest{}, false) && s.end()
+		if name == "batch" {
+			s = scanner{b: []byte(req)}
+			_, _, ok = s.batch(false)
+		}
+		if !ok {
+			f.Fatalf("scanner declines canonical %s", name)
+		}
+		f.Add([]byte(req))
+	}
+	for _, gr := range goldenRouterRequests(f) {
+		f.Add([]byte(gr.body))
+	}
+	for _, body := range []string{
+		`{}`, `{"requests":[]}`, `{"dict":"a","behavior":[],"method":"","k":-0,"auto_k":false,"max_k":123456789012345678}`,
+		`{"dict":"a","k":1234567890123456789}`, `{"dict":"a","max_k":9999999999999999999}`, `{"dict":"a","k":01}`, `{"dict":"a","auto_k":truex}`,
+		`{"dict":"a\tb"}`, "{\"dict\":\"a\x7fb\"}", `{"requests":[{}],"requests":[{}]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var got DiagnoseRequest
+		s := scanner{b: body, src: string(body)}
+		if s.object(&got, true) && s.end() {
+			var want DiagnoseRequest
+			if err := strictJSON(body, &want); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("single %q: scanned %+v, encoding/json %+v (%v)", body, got, want, err)
+			}
+			var peek struct {
+				Dict string `json:"dict"`
+			}
+			if err := json.Unmarshal(body, &peek); err != nil || keyOf(body) != peek.Dict {
+				t.Fatalf("key of %q: %q, encoding/json %q (%v)", body, keyOf(body), peek.Dict, err)
+			}
+		}
+		s = scanner{b: body, src: string(body)}
+		if reqs, _, ok := s.batch(true); ok {
+			var want BatchRequest
+			if err := strictJSON(body, &want); err != nil || !reflect.DeepEqual(BatchRequest{reqs}, want) {
+				t.Fatalf("batch %q: scanned %+v, encoding/json %+v (%v)", body, reqs, want, err)
+			}
+			var raw struct {
+				Requests []json.RawMessage `json:"requests"`
+			}
+			if err := strictJSON(body, &raw); err != nil {
+				t.Fatal(err)
+			}
+			items, keys, ok := splitBatch(body)
+			if !ok || len(items) != len(raw.Requests) {
+				t.Fatalf("split %q: %d items (%v), encoding/json %d", body, len(items), ok, len(raw.Requests))
+			}
+			for i, item := range raw.Requests {
+				var peek struct {
+					Dict string `json:"dict"`
+				}
+				_ = json.Unmarshal(item, &peek)
+				if !bytes.Equal(items[i], item) || keys[i] != peek.Dict {
+					t.Fatalf("split %q item %d: %q key %q, encoding/json %q key %q", body, i, items[i], keys[i], item, peek.Dict)
+				}
+			}
+		}
+	})
+}
+
+// parseBehaviorScalar is the oracle for parseBehavior: one Behavior.Set
+// per pattern.
+func parseBehaviorScalar(rowStrs []string, rows, cols int) (*core.Behavior, error) {
+	if len(rowStrs) != rows {
+		return nil, fmt.Errorf("behavior has %d rows, dictionary expects %d outputs", len(rowStrs), rows)
+	}
+	b := core.NewBehavior(rows, cols)
+	for i, row := range rowStrs {
+		if len(row) != cols {
+			return nil, fmt.Errorf("behavior row %d has %d columns, dictionary expects %d patterns", i, len(row), cols)
+		}
+		for j := 0; j < cols; j++ {
+			switch row[j] {
+			case '0':
+			case '1':
+				b.Set(i, j, true)
+			default:
+				return nil, fmt.Errorf("behavior row %d column %d: %q is not '0' or '1'", i, j, row[j])
+			}
+		}
+	}
+	return b, nil
+}
+
+// TestParseBehaviorMatchesScalar compares the word-row parse with the
+// scalar oracle on random matrices around the word boundaries, with and
+// without a bad byte, a short row or a missing row.
+func TestParseBehaviorMatchesScalar(t *testing.T) {
+	r := rng.New(1)
+	for trial := 0; trial < 2000; trial++ {
+		rows := 1 + r.IntN(4)
+		cols := []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 200}[r.IntN(10)]
+		strs := make([]string, rows)
+		for i := range strs {
+			row := make([]byte, cols)
+			for j := range row {
+				row[j] = '0' + byte(r.IntN(2))
+			}
+			strs[i] = string(row)
+		}
+		switch r.IntN(4) {
+		case 0:
+			if i := r.IntN(rows); cols > 0 {
+				row := []byte(strs[i])
+				row[r.IntN(cols)] = "2x \x00\xff/"[r.IntN(6)]
+				strs[i] = string(row)
+			}
+		case 1:
+			if i := r.IntN(rows); cols > 0 {
+				strs[i] = strs[i][:cols-1]
+			}
+		case 2:
+			strs = strs[:rows-1]
+		}
+		want, werr := parseBehaviorScalar(strs, rows, cols)
+		got, gerr := parseBehavior(strs, rows, cols)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("%dx%d %q: error %v, scalar %v", rows, cols, strs, gerr, werr)
+		}
+		if werr != nil {
+			continue
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%dx%d: parsed\n%s, scalar\n%s", rows, cols, got, want)
+		}
+		for i := 0; i < rows; i++ {
+			for w := 0; w < want.WordsPerRow(); w++ {
+				if got.Word(i, w) != want.Word(i, w) {
+					t.Fatalf("%dx%d row %d word %d: %#x, scalar %#x", rows, cols, i, w, got.Word(i, w), want.Word(i, w))
+				}
+			}
+		}
+		behaviorPool.Put(got)
 	}
 }

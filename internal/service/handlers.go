@@ -94,9 +94,9 @@ var behaviorPool = sync.Pool{
 }
 
 // parseBehavior converts the row strings into a pooled core.Behavior
-// of the dictionary's shape. The caller must return it with
-// behaviorPool.Put once diagnosis is done — the matrix never escapes
-// into the response.
+// of the dictionary's shape, a 64-pattern word at a time. The caller
+// must return it with behaviorPool.Put once diagnosis is done — the
+// matrix never escapes into the response.
 func parseBehavior(rowStrs []string, rows, cols int) (*core.Behavior, error) {
 	if len(rowStrs) != rows {
 		return nil, fmt.Errorf("behavior has %d rows, dictionary expects %d outputs", len(rowStrs), rows)
@@ -108,18 +108,47 @@ func parseBehavior(rowStrs []string, rows, cols int) (*core.Behavior, error) {
 			behaviorPool.Put(b)
 			return nil, fmt.Errorf("behavior row %d has %d columns, dictionary expects %d patterns", i, len(row), cols)
 		}
-		for j := 0; j < cols; j++ {
-			switch row[j] {
-			case '0':
-			case '1':
-				b.Set(i, j, true)
-			default:
+		for w := 0; w < b.WordsPerRow(); w++ {
+			v, bad := packWord(row[w*64 : min(cols, w*64+64)])
+			if bad >= 0 {
 				behaviorPool.Put(b)
+				j := w*64 + bad
 				return nil, fmt.Errorf("behavior row %d column %d: %q is not '0' or '1'", i, j, row[j])
 			}
+			b.SetWord(i, w, v)
 		}
 	}
 	return b, nil
+}
+
+// packWord packs up to 64 '0'/'1' bytes into one word, byte l into bit
+// l. It returns the index of the first other byte, or -1.
+//
+//ddd:hot
+func packWord(s string) (uint64, int) {
+	var v uint64
+	l := 0
+	// Eight bytes at a time: XOR with '0' maps '0' and '1' to 0 and 1
+	// and every other byte to something else, and the multiply gathers
+	// byte k's low bit into bit 56+k. A chunk with another byte is left
+	// to the byte loop, which finds it.
+	for ; l+8 <= len(s); l += 8 {
+		x := uint64(s[l]) | uint64(s[l+1])<<8 | uint64(s[l+2])<<16 | uint64(s[l+3])<<24 |
+			uint64(s[l+4])<<32 | uint64(s[l+5])<<40 | uint64(s[l+6])<<48 | uint64(s[l+7])<<56
+		x ^= 0x3030303030303030
+		if x&^0x0101010101010101 != 0 {
+			break
+		}
+		v |= x * 0x0102040810204080 >> 56 << l
+	}
+	for ; l < len(s); l++ {
+		d := s[l] - '0'
+		if d > 1 {
+			return 0, l
+		}
+		v |= uint64(d) << l
+	}
+	return v, -1
 }
 
 // diagnoseOne executes one request against a resident dictionary.
@@ -237,19 +266,6 @@ func writeRetryable(w http.ResponseWriter, status int, code, msg string, retrySe
 	writeJSON(w, status, errorBody{Error: msg, Code: code, RetrySeconds: retrySecs})
 }
 
-// decodeStrict decodes r's JSON body into v under a limit-byte cap,
-// rejecting unknown fields. On failure it answers 400 and reports
-// false.
-func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return false
-	}
-	return true
-}
-
 // pathID returns the request's {id} path value. An invalid id answers
 // 400 and reports false.
 func pathID(w http.ResponseWriter, r *http.Request) (string, bool) {
@@ -298,7 +314,7 @@ func (s *Server) writeShed(w http.ResponseWriter, err error) {
 // deadline, whichever comes first.
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	var req DiagnoseRequest
-	if !decodeStrict(w, r, maxRequestBytes, &req) {
+	if !decodeDiagnose(w, r, &req) {
 		return
 	}
 	if !validID(req.Dict) {
@@ -369,7 +385,7 @@ type BatchResponse struct {
 // requests.
 func (s *Server) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 	var breq BatchRequest
-	if !decodeStrict(w, r, maxRequestBytes, &breq) {
+	if !decodeBatch(w, r, &breq) {
 		return
 	}
 	if len(breq.Requests) == 0 {

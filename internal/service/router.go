@@ -568,24 +568,12 @@ func writeUpstream(w http.ResponseWriter, res *upstreamResult) {
 	_, _ = w.Write(res.body)
 }
 
-// readBody reads the request body under the same byte cap the
-// replicas apply, so an oversized body produces the same 400 here as
-// it would on a single node.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return nil, false
-	}
-	return body, true
-}
-
 // handleDiagnose routes POST /v1/diagnose: peek the dictionary id
 // (tolerantly — a malformed body routes deterministically to the
 // empty key's owner, whose strict decoder produces the exact error a
 // single node would), then forward the raw bytes hedged.
 func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := readBody(w, r, maxRequestBytes)
 	if !ok {
 		return
 	}
@@ -622,7 +610,7 @@ type rawBatchResponse struct {
 // size/item caps) are forwarded whole to a deterministic replica so
 // the error response still matches a single node's bytes.
 func (rt *Router) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := readBody(w, r, maxRequestBytes)
 	if !ok {
 		return
 	}
@@ -634,33 +622,29 @@ func (rt *Router) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		writeUpstream(w, res)
 	}
-	// The strict peek mirrors the replica's own decode; any
-	// divergence (unknown fields, bad JSON, caps) routes the original
-	// bytes to a replica for the authoritative error.
-	var breq struct {
-		Requests []json.RawMessage `json:"requests"`
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil ||
-		len(breq.Requests) == 0 || len(breq.Requests) > maxBatchItems {
+	// The split mirrors the replica's own strict decode; a body it
+	// rejects, or one over the item cap, goes to a replica whole for
+	// the authoritative error.
+	items, keys, ok := splitBatch(body)
+	if !ok || len(items) == 0 || len(items) > maxBatchItems {
 		forwardWhole("")
 		return
 	}
 
 	// Group items by owner, preserving request order within a group.
 	type group struct {
+		key     string // the first item's routing key
 		indices []int
 		items   []json.RawMessage
 	}
 	groups := make(map[string]*group)
 	var order []string   // the distinct owners
 	ring := rt.ms.Ring() // one snapshot for the whole batch
-	for i, item := range breq.Requests {
-		owner := ring.Owner(keyOf(item))
+	for i, item := range items {
+		owner := ring.Owner(keys[i])
 		g, okg := groups[owner]
 		if !okg {
-			g = &group{}
+			g = &group{key: keys[i]}
 			groups[owner] = g
 			order = append(order, owner)
 		}
@@ -670,7 +654,7 @@ func (rt *Router) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 	if len(order) == 1 {
 		// One owner holds every dictionary in the batch: forward the
 		// client's bytes untouched.
-		forwardWhole(keyOf(breq.Requests[0]))
+		forwardWhole(keys[0])
 		return
 	}
 
@@ -687,7 +671,7 @@ func (rt *Router) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 			Requests []json.RawMessage `json:"requests"`
 		}{g.items})
 		if err == nil {
-			results[gi], err = rt.forward(r.Context(), http.MethodPost, "/v1/diagnose/batch", jsonHeader, sub, rt.owners(keyOf(g.items[0])))
+			results[gi], err = rt.forward(r.Context(), http.MethodPost, "/v1/diagnose/batch", jsonHeader, sub, rt.owners(g.key))
 		}
 		errs[gi] = err
 	})
@@ -702,7 +686,7 @@ func (rt *Router) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	merged := rawBatchResponse{Results: make([]rawBatchItem, len(breq.Requests))}
+	merged := rawBatchResponse{Results: make([]rawBatchItem, len(items))}
 	for gi, res := range results {
 		g := groups[order[gi]]
 		var sub rawBatchResponse
@@ -717,17 +701,6 @@ func (rt *Router) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 		merged.Failed += sub.Failed
 	}
 	writeJSON(w, http.StatusOK, merged)
-}
-
-// keyOf peeks the routing key (dictionary id) out of a diagnose body
-// or one batch item. Errors are deliberately ignored: a malformed body
-// routes to the empty key's owner, and the replica owns rejection.
-func keyOf(item []byte) string {
-	var peek struct {
-		Dict string `json:"dict"`
-	}
-	_ = json.Unmarshal(item, &peek)
-	return peek.Dict
 }
 
 // handleDicts implements GET /v1/dicts as the union over the live

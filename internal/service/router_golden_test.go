@@ -26,7 +26,7 @@ type goldenRequest struct {
 
 // goldenRouterRequests is the fixed request list of
 // TestRouterResponsesGolden.
-func goldenRouterRequests(t *testing.T) []goldenRequest {
+func goldenRouterRequests(t testing.TB) []goldenRequest {
 	alpha := string(diagnoseBody(t, "alpha", "", 3))
 	beta := string(diagnoseBody(t, "beta", "Alg_sim-II", 0))
 	batch := func(items ...string) string {
