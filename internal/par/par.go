@@ -2,6 +2,8 @@
 // Monte-Carlo samples out across CPUs. Work items are indexed, so each
 // item can derive its own deterministic random stream and results land
 // in preallocated slots — runs are reproducible under any GOMAXPROCS.
+// The calling goroutine is worker 0: a fan-out over k workers starts
+// k−1 goroutines and works alongside them rather than parking.
 package par
 
 import (
@@ -46,9 +48,9 @@ func Workers(workers, n int) int {
 }
 
 // For runs fn(i) for every i in [0, n) on up to workers goroutines
-// (workers <= 0 selects GOMAXPROCS(0); see Workers). It returns when
-// all items finish. fn must be safe for concurrent invocation on
-// distinct indices.
+// (workers <= 0 selects GOMAXPROCS(0); see Workers), the caller being
+// one of them. It returns when all items finish. fn must be safe for
+// concurrent invocation on distinct indices.
 //
 // If fn panics, For re-panics on the calling goroutine with a
 // *PanicError carrying the panicking item's index and the original
@@ -83,6 +85,10 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int)) (int, error) {
 // dynamically, so which items a worker sees is scheduling-dependent —
 // results must not depend on the (w, i) pairing.
 //
+// Worker 0 is the calling goroutine. It claims its first item only
+// after spawning workers 1..k−1, so k items that each wait until the
+// others have started all run to completion.
+//
 // Cancellation, completion counting, and panic semantics match ForCtx.
 func ForWorkerCtx(ctx context.Context, n, workers int, fn func(w, i int)) (int, error) {
 	if n <= 0 {
@@ -103,25 +109,29 @@ func ForWorkerCtx(ctx context.Context, n, workers int, fn func(w, i int)) (int, 
 	}
 	var firstPanic atomic.Pointer[PanicError]
 	var next, completed atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			item := func(i int) { fn(w, i) }
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				call(i, item, &firstPanic)
-				completed.Add(1)
+	worker := func(w int) {
+		item := func(i int) { fn(w, i) }
+		for {
+			if ctx.Err() != nil {
+				return
 			}
-		}(w)
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			call(i, item, &firstPanic)
+			completed.Add(1)
+		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			worker(w)
+		}()
+	}
+	worker(0)
 	wg.Wait()
 	if pe := firstPanic.Load(); pe != nil {
 		panic(pe)

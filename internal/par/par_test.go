@@ -3,8 +3,10 @@ package par
 import (
 	"context"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversAllIndices(t *testing.T) {
@@ -17,6 +19,32 @@ func TestForCoversAllIndices(t *testing.T) {
 				t.Fatalf("workers=%d index %d hit %d times", workers, i, got)
 			}
 		}
+	}
+}
+
+// TestForItemsRunTogether: with two workers, each of two items waits
+// until both have started. The caller is worker 0, so it must spawn
+// worker 1 before it claims an item; had it run its share first, item
+// 0 would wait for an item nobody had started.
+func TestForItemsRunTogether(t *testing.T) {
+	var started sync.WaitGroup
+	started.Add(2)
+	both := make(chan struct{})
+	go func() {
+		started.Wait()
+		close(both)
+	}()
+	var waited atomic.Int32
+	For(2, 2, func(int) {
+		started.Done()
+		select {
+		case <-both:
+			waited.Add(1)
+		case <-time.After(5 * time.Second):
+		}
+	})
+	if got := waited.Load(); got != 2 {
+		t.Fatalf("%d of 2 items saw the other start; the workers ran one after the other", got)
 	}
 }
 

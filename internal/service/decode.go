@@ -18,12 +18,37 @@ import (
 // readBody reads r's whole body under a limit-byte cap. On failure it
 // answers 400 and reports false.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := readAll(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return nil, false
 	}
 	return body, true
+}
+
+// readAll reads r to EOF and returns what io.ReadAll would. A body
+// whose length n is known (its Content-Length; -1 when unknown) and
+// within limit gets one buffer of n bytes plus one spare, so the read
+// that meets EOF needs no growth; any other body grows from
+// io.ReadAll's 512 bytes.
+func readAll(r io.Reader, n, limit int64) ([]byte, error) {
+	if n < 0 || n > limit {
+		return io.ReadAll(r)
+	}
+	b := make([]byte, 0, n+1)
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // strictJSON decodes the first JSON value of body into v, rejecting
@@ -99,7 +124,9 @@ func keyOf(item []byte) string {
 
 // splitBatch returns the items of a batch body, as raw bytes, and
 // their routing keys. It reports false for a body a replica's strict
-// decode rejects.
+// decode rejects, items included: split, each owner would judge only
+// its own items, and the answer would name the bad item of whichever
+// owner sorts first rather than the body's first error.
 func splitBatch(body []byte) (items []json.RawMessage, keys []string, ok bool) {
 	s := scanner{b: body}
 	if reqs, spans, ok := s.batch(false); ok {
@@ -111,17 +138,21 @@ func splitBatch(body []byte) (items []json.RawMessage, keys []string, ok bool) {
 		}
 		return items, keys, true
 	}
-	var breq struct {
-		Requests []json.RawMessage `json:"requests"`
-	}
+	var breq BatchRequest
 	if strictJSON(body, &breq) != nil {
 		return nil, nil, false
 	}
-	keys = make([]string, len(breq.Requests))
-	for i, item := range breq.Requests {
-		keys[i] = keyOf(item)
+	var raw struct {
+		Requests []json.RawMessage `json:"requests"`
 	}
-	return breq.Requests, keys, true
+	if strictJSON(body, &raw) != nil {
+		return nil, nil, false
+	}
+	keys = make([]string, len(breq.Requests))
+	for i, req := range breq.Requests {
+		keys[i] = req.Dict
+	}
+	return raw.Requests, keys, true
 }
 
 // scanner decodes the subset of diagnosis bodies for which it can

@@ -2,11 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -299,5 +302,105 @@ func TestParseBehaviorMatchesScalar(t *testing.T) {
 			}
 		}
 		behaviorPool.Put(got)
+	}
+}
+
+// TestSizedReadMatchesReadAll checks the Content-Length-sized body
+// reads against io.ReadAll, the read they replace: readBody on a
+// request of known length, of unknown length (chunked) and over the
+// cap, and fetch on responses within and past its limit.
+func TestSizedReadMatchesReadAll(t *testing.T) {
+	const limit = 64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /sized", func(w http.ResponseWriter, r *http.Request) {
+		if body, ok := readBody(w, r, limit); ok {
+			_, _ = w.Write(body)
+		}
+	})
+	mux.HandleFunc("POST /plain", func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+			return
+		}
+		_, _ = w.Write(body)
+	})
+	mux.HandleFunc("GET /resp", func(w http.ResponseWriter, r *http.Request) {
+		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
+		data := bytes.Repeat([]byte("r"), n)
+		if r.URL.Query().Has("chunked") {
+			_, _ = w.Write(data[:n/2])
+			w.(http.Flusher).Flush()
+			_, _ = w.Write(data[n/2:])
+			return
+		}
+		w.Header().Set("Content-Length", fmt.Sprint(n))
+		_, _ = w.Write(data)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	// chunked hides a body's length from the client, so it goes out
+	// with Transfer-Encoding: chunked and no Content-Length.
+	type chunked struct{ io.Reader }
+	exact := strings.Repeat("e", limit)
+	over := strings.Repeat("o", limit+1)
+	for _, c := range []struct {
+		name string
+		body func() io.Reader
+		want int
+	}{
+		{"exact length", func() io.Reader { return strings.NewReader(exact) }, http.StatusOK},
+		{"chunked", func() io.Reader { return chunked{strings.NewReader(exact[:limit/2])} }, http.StatusOK},
+		{"over the cap", func() io.Reader { return strings.NewReader(over) }, http.StatusBadRequest},
+		{"over the cap, chunked", func() io.Reader { return chunked{strings.NewReader(over)} }, http.StatusBadRequest},
+	} {
+		var got [2]string
+		for i, path := range []string{"/sized", "/plain"} {
+			resp, err := http.Post(srv.URL+path, "application/json", c.body())
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != c.want {
+				t.Errorf("%s via %s: status %d, want %d", c.name, path, resp.StatusCode, c.want)
+			}
+			got[i] = string(data)
+		}
+		if got[0] != got[1] {
+			t.Errorf("%s: sized read %q, io.ReadAll %q", c.name, got[0], got[1])
+		}
+		if c.want == http.StatusBadRequest && got[0] != `{"error":"bad request body: http: request body too large"}`+"\n" {
+			t.Errorf("%s: over-cap answer %q", c.name, got[0])
+		}
+	}
+
+	for _, path := range []string{"/resp?n=64", "/resp?n=65", "/resp?n=65&chunked"} {
+		res, err := fetch(context.Background(), http.DefaultClient, http.MethodGet, srv.URL+path, nil, nil, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.body, want) || len(want) != limit {
+			t.Errorf("fetch %s: %d bytes, io.ReadAll %d (limit %d)", path, len(res.body), len(want), limit)
+		}
+	}
+
+	// A known length within the limit is read into one buffer.
+	b, err := readAll(strings.NewReader(exact), limit, limit)
+	if err != nil || string(b) != exact || cap(b) != limit+1 {
+		t.Errorf("sized read: %d bytes, cap %d, err %v; want %d bytes, cap %d", len(b), cap(b), err, limit, limit+1)
 	}
 }

@@ -386,7 +386,7 @@ func fetch(ctx context.Context, client *http.Client, method, url string, hdr htt
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	data, err := readAll(io.LimitReader(resp.Body, limit), resp.ContentLength, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -416,6 +416,12 @@ type attemptOutcome struct {
 	err error
 }
 
+// definitive reports whether the outcome answers the request: a
+// response whose status no other replica could improve on.
+func (o attemptOutcome) definitive() bool {
+	return o.err == nil && !retryableStatus(o.res.status)
+}
+
 // attempt performs one upstream request and reads the full response,
 // up to the snapshot cap. Every failure counts as an upstream error.
 func (rt *Router) attempt(ctx context.Context, method, url string, hdr http.Header, body []byte) (*upstreamResult, error) {
@@ -435,9 +441,19 @@ func (rt *Router) attempt(ctx context.Context, method, url string, hdr http.Head
 // attempt launches when the hedge timer expires or the newest
 // outstanding attempt fails (transport error or retryable status).
 // The first definitive response wins and every other in-flight
-// attempt is cancelled through its context — the PR-4 plumbing
-// (handler ctx -> batch ctx -> worker skip) turns that cancellation
-// into a freed worker slot on the losing replica.
+// attempt is cancelled through the request context they share — the
+// replica's context plumbing (handler ctx -> batch ctx -> worker skip)
+// turns that cancellation into a freed worker slot on the losing
+// replica.
+//
+// Attempt 0 runs on the calling goroutine, so a request answered
+// within the hedge budget starts no goroutine. The budget is an
+// AfterFunc timer: if it expires while attempt 0 runs, the timer's
+// goroutine takes the ladder, launches the hedge and waits; attempt 0's
+// outcome reaches it through the results channel like any other
+// attempt's, and the caller waits for its answer. Otherwise the caller
+// keeps the ladder and either returns attempt 0's answer or waits out
+// the failover itself. Either way one goroutine at a time owns it.
 //
 // Each launch consults the target's circuit breaker: open circuits
 // are skipped without burning a connection, and if every target is
@@ -451,93 +467,155 @@ func (rt *Router) forward(ctx context.Context, method, path string, hdr http.Hea
 	defer cancel()
 	rt.forwards.Inc()
 
-	results := make(chan attemptOutcome, len(targets))
-	cancels := make([]context.CancelFunc, len(targets))
-	defer func() {
-		for _, c := range cancels {
-			if c != nil {
-				c()
-			}
-		}
-	}()
-	next := 0
-	firstLaunched := -1
-	// launch starts the next target whose circuit admits a request,
-	// skipping open breakers; it reports whether anything launched.
-	launch := func() bool {
-		for next < len(targets) {
-			i := next
-			next++
-			br := rt.breakers.get(targets[i])
-			if !br.Allow() {
-				continue
-			}
-			if firstLaunched < 0 {
-				firstLaunched = i
-			}
-			actx, acancel := context.WithCancel(ctx)
-			cancels[i] = acancel
-			go func() {
-				res, err := rt.attempt(actx, method, targets[i]+path, hdr, body)
-				if err != nil && actx.Err() != nil {
-					br.Cancelled()
-				} else {
-					br.Report(err == nil)
-				}
-				results <- attemptOutcome{idx: i, res: res, err: err}
-			}()
-			return true
-		}
-		return false
+	l := &ladder{
+		rt: rt, ctx: ctx, cancel: cancel,
+		method: method, path: path, hdr: hdr, body: body, targets: targets,
+		results: make(chan attemptOutcome, len(targets)),
 	}
-	if !launch() {
+	first, br, ok := l.admit()
+	if !ok {
 		rt.fastFails.Inc()
 		return nil, errAllBreakersOpen
 	}
-	timer := time.NewTimer(rt.cfg.HedgeAfter)
-	defer timer.Stop()
+	l.first, l.pending = first, 1
 
-	pending := 1
-	var lastRes *upstreamResult
-	var lastErr error
-	for pending > 0 {
+	start := time.Now()
+	l.answered.Add(1)
+	hedge := time.AfterFunc(rt.cfg.HedgeAfter, l.takeOver)
+	out := l.attempt(first, br)
+	if !hedge.Stop() {
+		// The timer's goroutine owns the ladder: hand it attempt 0's
+		// outcome and take its answer.
+		l.results <- out
+		l.answered.Wait()
+		return l.res, l.err
+	}
+	if out.definitive() {
+		return out.res, nil
+	}
+	if ctx.Err() != nil {
+		// The request's deadline, not the replica, ended attempt 0.
+		return nil, ctx.Err()
+	}
+	l.results <- out
+	return l.wait(rt.cfg.HedgeAfter - time.Since(start))
+}
+
+// ladder is the state of one forwarded request's attempts. Exactly one
+// goroutine owns it at a time (see forward); the attempts themselves
+// only read the request fields and send on results.
+type ladder struct {
+	rt           *Router
+	ctx          context.Context    // the request's, shared by every attempt
+	cancel       context.CancelFunc // ends ctx: every attempt still running
+	method, path string
+	hdr          http.Header
+	body         []byte
+	targets      []string
+
+	// results carries every finished attempt's outcome. Each rung sends
+	// at most once, so its len(targets) buffer never blocks a sender:
+	// a loser nobody waits for still exits.
+	results chan attemptOutcome
+	next    int // the next rung admit consults
+	first   int // the rung attempt 0 went to
+	pending int // attempts whose outcome has not been received
+	lastRes *upstreamResult
+	lastErr error
+
+	// answered is done once takeOver has stored its answer in res, err.
+	answered sync.WaitGroup
+	res      *upstreamResult
+	err      error
+}
+
+// takeOver runs on the hedge timer's goroutine when the budget expires
+// while attempt 0 is still running on forward's caller. From here it
+// owns the ladder: it hedges at once and waits for the answer.
+func (l *ladder) takeOver() {
+	l.res, l.err = l.wait(0)
+	l.cancel() // a winning hedge frees the caller from attempt 0
+	l.answered.Done()
+}
+
+// admit claims the next rung whose circuit admits a request, skipping
+// open breakers. It reports false when no rung is left.
+func (l *ladder) admit() (int, *breaker, bool) {
+	for l.next < len(l.targets) {
+		i := l.next
+		l.next++
+		if br := l.rt.breakers.get(l.targets[i]); br.Allow() {
+			return i, br, true
+		}
+	}
+	return 0, nil, false
+}
+
+// attempt runs rung i and reports its verdict to br.
+func (l *ladder) attempt(i int, br *breaker) attemptOutcome {
+	res, err := l.rt.attempt(l.ctx, l.method, l.targets[i]+l.path, l.hdr, l.body)
+	if err != nil && l.ctx.Err() != nil {
+		br.Cancelled()
+	} else {
+		br.Report(err == nil)
+	}
+	return attemptOutcome{idx: i, res: res, err: err}
+}
+
+// launch starts the next admitted rung on its own goroutine; it
+// reports whether anything launched.
+func (l *ladder) launch() bool {
+	i, br, ok := l.admit()
+	if !ok {
+		return false
+	}
+	l.pending++
+	go func() { l.results <- l.attempt(i, br) }()
+	return true
+}
+
+// wait receives outcomes until one is definitive, every attempt has
+// failed, or the request ends. The hedge budget has left time to run;
+// when it expires the next rung launches, and each hedge restarts it.
+func (l *ladder) wait(left time.Duration) (*upstreamResult, error) {
+	timer := time.NewTimer(left)
+	defer timer.Stop()
+	for l.pending > 0 {
 		select {
-		case out := <-results:
-			pending--
-			if out.err == nil && !retryableStatus(out.res.status) {
-				if out.idx > firstLaunched {
-					rt.hedgeWins.Inc()
+		case out := <-l.results:
+			l.pending--
+			if out.definitive() {
+				if out.idx > l.first {
+					l.rt.hedgeWins.Inc()
 				}
 				return out.res, nil
 			}
 			if out.err != nil {
-				lastErr = out.err
+				l.lastErr = out.err
 			} else {
-				lastRes = out.res
+				l.lastRes = out.res
 			}
 			// Immediate failover: the newest attempt failed, so the
 			// hedge budget is moot — consult the next replica now.
-			if launch() {
-				rt.failovers.Inc()
-				pending++
+			if l.launch() {
+				l.rt.failovers.Inc()
 			}
 		case <-timer.C:
-			if launch() {
-				rt.hedges.Inc()
-				pending++
-				timer.Reset(rt.cfg.HedgeAfter)
+			if l.launch() {
+				l.rt.hedges.Inc()
+				timer.Reset(l.rt.cfg.HedgeAfter)
 			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		case <-l.ctx.Done():
+			return nil, l.ctx.Err()
 		}
 	}
 	// Every attempt failed. Prefer a structured upstream response
 	// (404/429/503/504 with its headers) over a bare transport error.
-	if lastRes != nil {
-		return lastRes, nil
+	if l.lastRes != nil {
+		return l.lastRes, nil
 	}
-	if lastErr != nil {
-		return nil, lastErr
+	if l.lastErr != nil {
+		return nil, l.lastErr
 	}
 	return nil, errAllBreakersOpen
 }

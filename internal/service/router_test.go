@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,7 +14,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -293,6 +296,48 @@ func TestRouterBatchMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestRouterBadBatchItemMatchesSingleNode: a batch whose bad items sit
+// on two owners gets the single node's 400, which names the body's
+// first bad item, in either item order; a valid batch over the same
+// owners is still split.
+func TestRouterBadBatchItemMatchesSingleNode(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	ring := tc.router.Ring()
+	other := ""
+	for i := 0; other == ""; i++ {
+		if id := fmt.Sprintf("x%d", i); ring.Owner(id) != ring.Owner("alpha") {
+			other = id
+		}
+	}
+	batch := func(items ...string) []byte {
+		return []byte(`{"requests":[` + strings.Join(items, ",") + `]}`)
+	}
+	for _, bad := range []struct{ alpha, other string }{
+		{`{"dict":"alpha","zz1":1}`, `{"dict":"` + other + `","zz2":1}`},
+		{`{"dict":"alpha","k":"x"}`, `{"dict":"` + other + `","zz2":1}`},
+		{`{"dict":"alpha","zz1":1}`, `{"dict":"` + other + `","k":"x"}`},
+	} {
+		for _, body := range [][]byte{batch(bad.alpha, bad.other), batch(bad.other, bad.alpha)} {
+			dStatus, dBody := post(t, tc.backends[0].URL, "/v1/diagnose/batch", body)
+			rStatus, rBody := post(t, tc.front.URL, "/v1/diagnose/batch", body)
+			if dStatus != http.StatusBadRequest || rStatus != dStatus || rBody != dBody {
+				t.Errorf("%s: direct %d %q, routed %d %q", body, dStatus, dBody, rStatus, rBody)
+			}
+		}
+	}
+
+	valid := batch(`{"dict":"alpha","behavior":["0"]}`, `{"dict":"`+other+`","behavior":["0"]}`)
+	before := tc.router.Stats().Forwards
+	dStatus, dBody := post(t, tc.backends[0].URL, "/v1/diagnose/batch", valid)
+	rStatus, rBody := post(t, tc.front.URL, "/v1/diagnose/batch", valid)
+	if rStatus != dStatus || rBody != dBody {
+		t.Errorf("valid batch: direct %d %q, routed %d %q", dStatus, dBody, rStatus, rBody)
+	}
+	if got := tc.router.Stats().Forwards - before; got != 2 {
+		t.Errorf("valid batch over two owners made %d forwards, want 2 (one per owner)", got)
+	}
+}
+
 // --- hedging --------------------------------------------------------
 
 // TestRouterHedgeCancelsLoser: with every replica's handler stalled
@@ -334,6 +379,103 @@ func TestRouterHedgeCancelsLoser(t *testing.T) {
 	waitGoroutines(t, baseline+len(tc.replicas)*goroutinesPerServer(tc.replicas[0]))
 	tc.close()
 	waitGoroutines(t, baseline)
+}
+
+// fakeReplica answers every request with status and its own URL as
+// the body once delay has passed, unless the request is cancelled
+// first; it counts those cancellations.
+type fakeReplica struct {
+	*httptest.Server
+	cancelled atomic.Int32
+}
+
+func newFakeReplica(status int, delay time.Duration) *fakeReplica {
+	f := &fakeReplica{}
+	f.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		timer := time.NewTimer(delay)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+			w.WriteHeader(status)
+			_, _ = io.WriteString(w, f.URL)
+		case <-r.Context().Done():
+			f.cancelled.Add(1)
+		}
+	}))
+	return f
+}
+
+// TestRouterLadder drives forward over two fake replicas, a then b,
+// through each way its attempt 0 can end: a retryable status, an
+// answer after the hedge fired, a cancellation by the winning hedge,
+// and the request deadline. No attempt may charge a breaker (one
+// failure would open it), and every goroutine must be gone afterwards.
+func TestRouterLadder(t *testing.T) {
+	const stall = time.Hour // answers only once cancelled
+	type reply struct {
+		status int
+		delay  time.Duration
+	}
+	for _, c := range []struct {
+		name                 string
+		a, b                 reply
+		hedgeAfter, timeout  time.Duration
+		winner               string // "a", "b", or "" for a deadline error
+		hedges, wins, fovers float64
+		cancelled            string // the replica whose attempt gets cancelled
+	}{
+		{name: "404 fails over", a: reply{404, 0}, b: reply{200, 0}, hedgeAfter: 10 * time.Second,
+			winner: "b", wins: 1, fovers: 1},
+		{name: "attempt 0 wins after the hedge", a: reply{200, 100 * time.Millisecond}, b: reply{200, stall},
+			hedgeAfter: 20 * time.Millisecond, winner: "a", hedges: 1, cancelled: "b"},
+		{name: "hedge wins", a: reply{200, stall}, b: reply{200, 0}, hedgeAfter: 20 * time.Millisecond,
+			winner: "b", hedges: 1, wins: 1, cancelled: "a"},
+		{name: "deadline during attempt 0", a: reply{200, stall}, b: reply{200, 0}, hedgeAfter: 10 * time.Second,
+			timeout: 100 * time.Millisecond, cancelled: "a"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			a, b := newFakeReplica(c.a.status, c.a.delay), newFakeReplica(c.b.status, c.b.delay)
+			fakes := map[string]*fakeReplica{"a": a, "b": b}
+			rt, err := NewRouter(RouterConfig{
+				Replicas: []string{a.URL, b.URL}, HedgeAfter: c.hedgeAfter, MaxHedges: 1,
+				RequestTimeout: c.timeout, BreakerFailures: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := rt.forward(context.Background(), http.MethodGet, "/", nil, nil, []string{a.URL, b.URL})
+			switch {
+			case c.winner == "":
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("forward = %v, %v; want the request deadline", res, err)
+				}
+			case err != nil:
+				t.Errorf("forward: %v", err)
+			case res.status != http.StatusOK || string(res.body) != fakes[c.winner].URL:
+				t.Errorf("answer %d %q, want 200 from %s", res.status, res.body, c.winner)
+			}
+			got := [4]float64{rt.forwards.Value(), rt.hedges.Value(), rt.hedgeWins.Value(), rt.failovers.Value()}
+			if want := [4]float64{1, c.hedges, c.wins, c.fovers}; got != want {
+				t.Errorf("forwards, hedges, hedge_wins, failovers = %v, want %v", got, want)
+			}
+			for name, f := range fakes {
+				if st := rt.breakers.get(f.URL).State(); st != BreakerClosed {
+					t.Errorf("replica %s breaker %v, want closed", name, st)
+				}
+				if name == c.cancelled {
+					waitUntil(t, 2*time.Second, name+"'s attempt to be cancelled", func() bool { return f.cancelled.Load() == 1 })
+				} else if n := f.cancelled.Load(); n != 0 {
+					t.Errorf("replica %s saw %d cancelled attempts, want 0", name, n)
+				}
+			}
+			rt.Close()
+			rt.cfg.Client.CloseIdleConnections()
+			a.Close()
+			b.Close()
+			waitGoroutines(t, baseline)
+		})
+	}
 }
 
 // goroutinesPerServer approximates a quiescent test server's standing
