@@ -165,10 +165,21 @@ type Generator struct {
 	// work is setInput's LIFO worklist of gates awaiting
 	// re-evaluation, preallocated at one slot per fan-out edge, which
 	// refining implication never exceeds.
-	work   []circuit.GateID
+	work []circuit.GateID
+	// forbid is the objective table: bit v of forbid[f][i] is set when
+	// value v of gate i in frame f falsifies an objective of the
+	// current PathTest (both bits when two objectives disagree).
+	// prepareSides marks the non-input objectives, rest, after
+	// clearing the marks of the previous call's rest; every other
+	// entry is 0.
+	forbid [2][]byte
 	choice *rand.Rand // nil = deterministic first-X-fanin backtrace
 	// objs and rest are PathTest's objective lists, reused per call.
 	objs, rest []objective
+	// launchGate is the current path's launch input, and launchMark
+	// the trail length before its assignment.
+	launchGate circuit.GateID
+	launchMark int
 }
 
 // NewGenerator returns a Generator for c.
@@ -195,6 +206,7 @@ func NewGenerator(c *circuit.Circuit) *Generator {
 	for f := 0; f < 2; f++ {
 		g.vals[f] = bytes.Repeat([]byte{fX}, n)
 		g.rel[f] = make([]uint32, n)
+		g.forbid[f] = make([]byte, n)
 		for i := range g.rel[f] {
 			g.rel[f][i] = g.stamp
 		}
@@ -314,9 +326,16 @@ func (g *Generator) eval(gid circuit.GateID, vals []byte) byte {
 // Every value it overwrites, the input's own included, goes onto the
 // trail.
 //
+// When the input was unassigned, setInput stops at the first change
+// that gives a gate a value its forbid entry marks, and returns false:
+// the assignment falsifies an objective under any completion of the
+// propagation. The values written so far are exact, but the cone holds
+// a partial propagation; only the objective scan may read it before
+// it is undone.
+//
 //ddd:hot
-func (g *Generator) setInput(frame int, in circuit.GateID, v byte) {
-	vals, rel, stamp := g.vals[frame], g.rel[frame], g.stamp
+func (g *Generator) setInput(frame int, in circuit.GateID, v byte) bool {
+	vals, rel, stamp, forbid := g.vals[frame], g.rel[frame], g.stamp, g.forbid[frame]
 	// Assigning an unassigned input only refines X values: 3-valued
 	// simulation is monotone, so a gate that is already definite keeps
 	// its value and need not be re-evaluated, and every gate changes at
@@ -327,6 +346,9 @@ func (g *Generator) setInput(frame int, in circuit.GateID, v byte) {
 		if nv != vals[gid] {
 			g.trail = append(g.trail, trailEntry{gate: gid, frame: uint8(frame), old: vals[gid]})
 			vals[gid] = nv
+			if refine && forbid[gid]>>nv&1 != 0 {
+				return false
+			}
 			for _, fo := range g.fo[g.foStart[gid]:g.foStart[gid+1]] {
 				if rel[fo] == stamp && (!refine || vals[fo] == fX) {
 					work = append(work, fo)
@@ -341,6 +363,7 @@ func (g *Generator) setInput(frame int, in circuit.GateID, v byte) {
 		nv = g.eval(gid, vals)
 	}
 	g.work = work
+	return true
 }
 
 // undo restores every value setInput overwrote after the trail held
@@ -412,15 +435,18 @@ func (g *Generator) pathObjectives(p path.Path, rising, robust bool) ([]objectiv
 // generated pair is re-verified with CheckPathTest before being
 // returned.
 func (g *Generator) PathTest(p path.Path, rising, robust bool, r *rand.Rand) (logicsim.PatternPair, error) {
-	rest, err := g.prepare(p, rising, robust)
-	if err != nil {
+	if err := g.prepare(p, rising, robust); err != nil {
 		return logicsim.PatternPair{}, err
 	}
-	// Attempt 0 uses the deterministic backtrace; further attempts
-	// randomize the X-fanin choice (drawn from r, so the overall
-	// generation stays reproducible per seed). A failed search undoes
-	// every decision it made, so each attempt starts from the direct
-	// input constraints alone.
+	return g.solve(p, robust, r)
+}
+
+// solve runs the attempts of a prepared PathTest for p. Attempt 0 uses
+// the deterministic backtrace; further attempts randomize the X-fanin
+// choice (drawn from r, so the overall generation stays reproducible
+// per seed). A failed search undoes every decision it made, so each
+// attempt starts from the direct input constraints alone.
+func (g *Generator) solve(p path.Path, robust bool, r *rand.Rand) (logicsim.PatternPair, error) {
 	solved := false
 	budgetHit := false
 	for attempt := 0; attempt <= restarts; attempt++ {
@@ -428,7 +454,7 @@ func (g *Generator) PathTest(p path.Path, rising, robust bool, r *rand.Rand) (lo
 		if attempt == 0 {
 			choice = nil
 		}
-		ok, backtracks := g.attempt(rest, choice)
+		ok, backtracks := g.attempt(g.rest, choice)
 		if ok {
 			solved = true
 			break
@@ -451,15 +477,33 @@ func (g *Generator) PathTest(p path.Path, rising, robust bool, r *rand.Rand) (lo
 	return pair, nil
 }
 
-// prepare starts a PathTest: it unassigns every input, restricts
-// implication to the objectives' cones, applies the objectives that sit
-// on inputs as direct assignments, and returns the rest, which the
-// search must justify. It returns ErrUntestable when two direct
-// assignments conflict.
-func (g *Generator) prepare(p path.Path, rising, robust bool) ([]objective, error) {
-	objs, err := g.pathObjectives(p, rising, robust)
+// prepare starts a PathTest: prepareSides, then launch. The search
+// must then justify rest.
+func (g *Generator) prepare(p path.Path, rising, robust bool) error {
+	if err := g.prepareSides(p, robust); err != nil {
+		return err
+	}
+	return g.launch(rising)
+}
+
+// prepareSides does the part of a PathTest's setup that both launch
+// polarities share: it unassigns every input, restricts implication
+// to the objectives' cones, marks the objectives that sit on gates in
+// the forbid table and keeps them in rest, and applies the side
+// objectives that sit on inputs as direct assignments. It returns
+// ErrUntestable when two of them conflict. A direct assignment that
+// falsifies an objective stops its propagation; the search's first
+// objective scan then fails at once, as it would under full
+// propagation.
+func (g *Generator) prepareSides(p path.Path, robust bool) error {
+	// The launch objectives are objs[0:2], on an input, so the rest
+	// and the cones do not depend on the polarity.
+	objs, err := g.pathObjectives(p, true, robust)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	for _, o := range g.rest {
+		g.forbid[o.frame][o.g] = 0
 	}
 	g.clear()
 	g.restrict(objs)
@@ -467,15 +511,36 @@ func (g *Generator) prepare(p path.Path, rising, robust bool) ([]objective, erro
 	for _, o := range objs {
 		if g.cells[o.g].class != cellInput {
 			rest = append(rest, o)
+			g.forbid[o.frame][o.g] |= 1 << (o.val ^ 1)
+		}
+	}
+	g.rest = rest
+	g.launchGate = objs[0].g
+	for _, o := range objs[2:] {
+		if g.cells[o.g].class != cellInput {
 			continue
 		}
 		if prev := g.vals[o.frame][o.g]; prev != fX && prev != o.val {
-			return nil, ErrUntestable
+			return ErrUntestable
 		}
 		g.setInput(o.frame, o.g, o.val)
 	}
-	g.rest = rest
-	return rest, nil
+	g.launchMark = len(g.trail)
+	return nil
+}
+
+// launch undoes everything after prepareSides and assigns the launch
+// input's two values for the given polarity. It returns ErrUntestable
+// when a side objective already holds the input at another value.
+func (g *Generator) launch(rising bool) error {
+	g.undo(g.launchMark)
+	for f, v := range [2]byte{b2t(!rising), b2t(rising)} {
+		if prev := g.vals[f][g.launchGate]; prev != fX && prev != v {
+			return ErrUntestable
+		}
+		g.setInput(f, g.launchGate, v)
+	}
+	return nil
 }
 
 // attempt runs one PODEM search for objs, with backtrace choices drawn
@@ -494,7 +559,9 @@ func (g *Generator) attempt(objs []objective, choice *rand.Rand) (bool, int) {
 // backtrace to an input, branch. Each decision is implied with
 // setInput and, when its subtree fails, undone by restoring the trail
 // to the mark taken before it, so a false return leaves vals as they
-// were.
+// were. A decision that falsifies an objective fails without the
+// child call: that call's objective scan would return false before it
+// drew from choice or counted a backtrack.
 func (g *Generator) search(objs []objective, backtracks *int) bool {
 	var open *objective
 	for i := range objs {
@@ -519,8 +586,7 @@ func (g *Generator) search(objs []objective, backtracks *int) bool {
 	}
 	mark := len(g.trail)
 	for _, v := range [2]byte{target, target ^ 1} {
-		g.setInput(open.frame, in, v)
-		if g.search(objs, backtracks) {
+		if g.setInput(open.frame, in, v) && g.search(objs, backtracks) {
 			return true
 		}
 		g.undo(mark)

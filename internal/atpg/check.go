@@ -137,9 +137,15 @@ func tryPath(gen *Generator, p path.Path, allowNonRobust bool, r *rand.Rand) (Pa
 		if !robust && !allowNonRobust {
 			break
 		}
+		// One setup serves both polarities: only the launch differs.
+		if gen.prepareSides(p, robust) != nil {
+			continue
+		}
 		for _, rising := range []bool{true, false} {
-			pair, err := gen.PathTest(p, rising, robust, r)
-			if err == nil {
+			if gen.launch(rising) != nil {
+				continue
+			}
+			if pair, err := gen.solve(p, robust, r); err == nil {
 				return PathTestResult{Path: p, Pair: pair, Robust: robust}, true
 			}
 		}

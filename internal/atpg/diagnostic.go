@@ -27,9 +27,11 @@ import (
 // order, simulated at once, and screened by
 // logicsim.SiteSensitizedWordsInto; only the (trial, output) hits it
 // reports are traced pair by pair, in trial order and then output
-// order, so the result is the one a trial-at-a-time loop returns. The
-// search may stop partway through a block, after r has drawn the rest
-// of it, so r's state after the call is unspecified.
+// order, so the result is the one a trial-at-a-time loop returns. A
+// hit's gate values are read from its lane of the block's word planes,
+// not simulated again. The search may stop partway through a block,
+// after r has drawn the rest of it, so r's state after the call is
+// unspecified.
 func SensitizedPathsThrough(c *circuit.Circuit, site circuit.ArcID, want, tries int, r *rand.Rand) []PathTestResult {
 	var out []PathTestResult
 	seenPath := make(map[string]bool)
@@ -80,8 +82,8 @@ func SensitizedPathsThrough(c *circuit.Circuit, site circuit.ArcID, want, tries 
 		for lanes &= logicsim.TailMask(len(block)); lanes != 0; lanes &= lanes - 1 {
 			t := bits.TrailingZeros64(lanes)
 			pair := block[t]
-			tr.Init = logicsim.EvalInto(tr.Init, c, pair.V1)
-			tr.Final = logicsim.EvalInto(tr.Final, c, pair.V2)
+			tr.Init = laneInto(tr.Init, init, t)
+			tr.Final = laneInto(tr.Final, final, t)
 			for _, oi := range observing {
 				if hits[oi]>>uint(t)&1 == 0 {
 					continue
@@ -108,6 +110,16 @@ func SensitizedPathsThrough(c *circuit.Circuit, site circuit.ArcID, want, tries 
 		}
 	}
 	return out
+}
+
+// laneInto returns lane t of the word planes, one value per word, in
+// dst's backing array when it is large enough.
+func laneInto(dst []bool, planes []uint64, t int) []bool {
+	dst = slices.Grow(dst[:0], len(planes))[:len(planes)]
+	for i, w := range planes {
+		dst[i] = w>>uint(t)&1 != 0
+	}
+	return dst
 }
 
 // biasedPair draws a two-vector pattern biased for witness discovery

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"fmt"
 	"math/rand/v2"
 
 	"repro/internal/path"
@@ -33,8 +34,7 @@ type Attempt struct {
 // r — and returns each attempt's outcome, stopping after the first
 // success as PathTest does. It does not fill or verify the found pair.
 func (g *Generator) Attempts(p path.Path, rising, robust bool, r *rand.Rand) ([]Attempt, error) {
-	rest, err := g.prepare(p, rising, robust)
-	if err != nil {
+	if err := g.prepare(p, rising, robust); err != nil {
 		return nil, err
 	}
 	var outs []Attempt
@@ -43,11 +43,49 @@ func (g *Generator) Attempts(p path.Path, rising, robust bool, r *rand.Rand) ([]
 		if attempt == 0 {
 			choice = nil
 		}
-		ok, backtracks := g.attempt(rest, choice)
+		ok, backtracks := g.attempt(g.rest, choice)
 		outs = append(outs, Attempt{Solved: ok, Backtracks: backtracks})
 		if ok {
 			break
 		}
 	}
 	return outs, nil
+}
+
+// TryPath is tryPath on g: PathSetTests' criteria and polarities for
+// p, with one setup per criterion.
+func (g *Generator) TryPath(p path.Path, allowNonRobust bool, r *rand.Rand) (PathTestResult, bool) {
+	return tryPath(g, p, allowNonRobust, r)
+}
+
+// ForbidMarks returns the number of forbid table entries that are set,
+// and an error naming the first entry that differs from the marks of
+// the non-input objectives of PathTest(p, rising, robust). It rebuilds
+// the objectives, so it overwrites the Generator's objective scratch.
+func (g *Generator) ForbidMarks(p path.Path, rising, robust bool) (int, error) {
+	objs, err := g.pathObjectives(p, rising, robust)
+	if err != nil {
+		return 0, err
+	}
+	var want [2][]byte
+	for f := range want {
+		want[f] = make([]byte, len(g.forbid[f]))
+	}
+	for _, o := range objs {
+		if g.cells[o.g].class != cellInput {
+			want[o.frame][o.g] |= 1 << (o.val ^ 1)
+		}
+	}
+	set := 0
+	for f := range want {
+		for i, got := range g.forbid[f] {
+			if got != 0 {
+				set++
+			}
+			if got != want[f][i] {
+				return set, fmt.Errorf("frame %d gate %s: forbid mark %02b, want %02b", f, g.c.Gates[i].Name, got, want[f][i])
+			}
+		}
+	}
+	return set, nil
 }

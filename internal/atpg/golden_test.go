@@ -44,17 +44,27 @@ type analyticCase struct {
 	atpgSeed    uint64 // seeds the case's ATPG stream
 }
 
+// caseSpan names Table I cases 1 to cases of one circuit.
+type caseSpan struct {
+	name  string
+	cases int
+}
+
 // analyticCases returns the table1_analytic cases: s1196 and s1238
-// cases 1-4 and s1488 cases 1-8 under the Table I defaults. Case j's
-// site and ATPG stream derive exactly as in eval's per-case pipeline
-// (eval.RunOnCircuitCtx with N = 1, Seed = j).
+// cases 1-4 and s1488 cases 1-8.
 func analyticCases(t *testing.T) []analyticCase {
 	t.Helper()
+	return tableICases(t, caseSpan{"s1196", 4}, caseSpan{"s1238", 4}, caseSpan{"s1488", 8})
+}
+
+// tableICases returns the ATPG inputs of the given Table I cases under
+// the Table I defaults. Case j's site and ATPG stream derive exactly as
+// in eval's per-case pipeline (eval.RunOnCircuitCtx with N = 1,
+// Seed = j).
+func tableICases(t *testing.T, spans ...caseSpan) []analyticCase {
+	t.Helper()
 	var out []analyticCase
-	for _, cc := range []struct {
-		name  string
-		cases int
-	}{{"s1196", 4}, {"s1238", 4}, {"s1488", 8}} {
+	for _, cc := range spans {
 		cfg := eval.DefaultConfig(cc.name)
 		c, err := synth.GenerateNamed(cc.name, cfg.CircuitSeed)
 		if err != nil {
@@ -218,12 +228,13 @@ func TestAttemptsGolden(t *testing.T) {
 // fails if the implication trail, worklist or cone-marking stack ever
 // grows past the capacity NewGenerator gave it: two trail entries per
 // gate, one worklist slot per fan-out edge and one stack slot per
-// gate. It then checks that PathTest on a
-// path whose search exhausts without a test allocates nothing.
+// gate, or if the objective table marks anything but that PathTest's
+// non-input objectives. It then checks that PathTest on a path whose
+// search exhausts without a test allocates nothing.
 func TestImplicationStaysPreallocated(t *testing.T) {
 	gens := map[*circuit.Circuit]*atpg.Generator{}
 	var untestable func()
-	calls := 0
+	calls, marked := 0, 0
 	for _, tc := range analyticCases(t) {
 		gen := gens[tc.c]
 		if gen == nil {
@@ -250,6 +261,12 @@ func TestImplicationStaysPreallocated(t *testing.T) {
 						t.Fatalf("%s case %d path %d (robust=%t rising=%t): trail capacity %d -> %d, worklist %d -> %d, cone stack %d -> %d",
 							tc.circuit, tc.seed, i, robust, rising, trail0, trail, work0, work, cone0, cone)
 					}
+					if n, tableErr := gen.ForbidMarks(p, rising, robust); tableErr != nil {
+						t.Fatalf("%s case %d path %d (robust=%t rising=%t): objective table: %v",
+							tc.circuit, tc.seed, i, robust, rising, tableErr)
+					} else if n > 0 {
+						marked++
+					}
 					if untestable != nil || !errors.Is(err, atpg.ErrUntestable) {
 						continue
 					}
@@ -267,7 +284,10 @@ func TestImplicationStaysPreallocated(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d PathTest calls", calls)
+	t.Logf("%d PathTest calls, %d with objective marks", calls, marked)
+	if marked == 0 {
+		t.Fatal("no PathTest marked an objective: the table check is vacuous")
+	}
 	if untestable == nil {
 		t.Fatal("no path exhausted a search: the allocation check is vacuous")
 	}

@@ -411,9 +411,9 @@ func retryableStatus(code int) bool {
 }
 
 type attemptOutcome struct {
-	idx int
-	res *upstreamResult
-	err error
+	hedge bool // the hedge timer launched the rung, not a failover
+	res   *upstreamResult
+	err   error
 }
 
 // definitive reports whether the outcome answers the request: a
@@ -423,14 +423,19 @@ func (o attemptOutcome) definitive() bool {
 }
 
 // attempt performs one upstream request and reads the full response,
-// up to the snapshot cap. Every failure counts as an upstream error.
+// up to the snapshot cap. A failure counts as an upstream error unless
+// ctx had ended by then: a hedge loser, an attempt 0 that a winning
+// hedge cancelled or a request past its deadline is the router's own
+// doing, not the replica's (the breaker hears Cancelled for it).
 func (rt *Router) attempt(ctx context.Context, method, url string, hdr http.Header, body []byte) (*upstreamResult, error) {
+	var res *upstreamResult
+	var err error
 	if faultProxyError.Hit() {
-		rt.upErrors.Inc()
-		return nil, fmt.Errorf("service: injected proxy error for %s", url)
+		err = fmt.Errorf("service: injected proxy error for %s", url)
+	} else {
+		res, err = fetch(ctx, rt.cfg.Client, method, url, hdr, body, maxSnapshotBytes)
 	}
-	res, err := fetch(ctx, rt.cfg.Client, method, url, hdr, body, maxSnapshotBytes)
-	if err != nil {
+	if err != nil && ctx.Err() == nil {
 		rt.upErrors.Inc()
 	}
 	return res, err
@@ -477,12 +482,12 @@ func (rt *Router) forward(ctx context.Context, method, path string, hdr http.Hea
 		rt.fastFails.Inc()
 		return nil, errAllBreakersOpen
 	}
-	l.first, l.pending = first, 1
+	l.pending = 1
 
 	start := time.Now()
 	l.answered.Add(1)
 	hedge := time.AfterFunc(rt.cfg.HedgeAfter, l.takeOver)
-	out := l.attempt(first, br)
+	out := l.attempt(first, br, false)
 	if !hedge.Stop() {
 		// The timer's goroutine owns the ladder: hand it attempt 0's
 		// outcome and take its answer.
@@ -518,7 +523,6 @@ type ladder struct {
 	// a loser nobody waits for still exits.
 	results chan attemptOutcome
 	next    int // the next rung admit consults
-	first   int // the rung attempt 0 went to
 	pending int // attempts whose outcome has not been received
 	lastRes *upstreamResult
 	lastErr error
@@ -551,26 +555,27 @@ func (l *ladder) admit() (int, *breaker, bool) {
 	return 0, nil, false
 }
 
-// attempt runs rung i and reports its verdict to br.
-func (l *ladder) attempt(i int, br *breaker) attemptOutcome {
+// attempt runs rung i, launched as a hedge or not, and reports its
+// verdict to br.
+func (l *ladder) attempt(i int, br *breaker, hedge bool) attemptOutcome {
 	res, err := l.rt.attempt(l.ctx, l.method, l.targets[i]+l.path, l.hdr, l.body)
 	if err != nil && l.ctx.Err() != nil {
 		br.Cancelled()
 	} else {
 		br.Report(err == nil)
 	}
-	return attemptOutcome{idx: i, res: res, err: err}
+	return attemptOutcome{hedge: hedge, res: res, err: err}
 }
 
-// launch starts the next admitted rung on its own goroutine; it
-// reports whether anything launched.
-func (l *ladder) launch() bool {
+// launch starts the next admitted rung on its own goroutine, as a
+// hedge or as a failover; it reports whether anything launched.
+func (l *ladder) launch(hedge bool) bool {
 	i, br, ok := l.admit()
 	if !ok {
 		return false
 	}
 	l.pending++
-	go func() { l.results <- l.attempt(i, br) }()
+	go func() { l.results <- l.attempt(i, br, hedge) }()
 	return true
 }
 
@@ -585,7 +590,7 @@ func (l *ladder) wait(left time.Duration) (*upstreamResult, error) {
 		case out := <-l.results:
 			l.pending--
 			if out.definitive() {
-				if out.idx > l.first {
+				if out.hedge {
 					l.rt.hedgeWins.Inc()
 				}
 				return out.res, nil
@@ -597,11 +602,11 @@ func (l *ladder) wait(left time.Duration) (*upstreamResult, error) {
 			}
 			// Immediate failover: the newest attempt failed, so the
 			// hedge budget is moot — consult the next replica now.
-			if l.launch() {
+			if l.launch(false) {
 				l.rt.failovers.Inc()
 			}
 		case <-timer.C:
-			if l.launch() {
+			if l.launch(true) {
 				l.rt.hedges.Inc()
 				timer.Reset(l.rt.cfg.HedgeAfter)
 			}

@@ -408,8 +408,10 @@ func newFakeReplica(status int, delay time.Duration) *fakeReplica {
 // TestRouterLadder drives forward over two fake replicas, a then b,
 // through each way its attempt 0 can end: a retryable status, an
 // answer after the hedge fired, a cancellation by the winning hedge,
-// and the request deadline. No attempt may charge a breaker (one
-// failure would open it), and every goroutine must be gone afterwards.
+// the request deadline, and a transport error. Only the transport
+// error may charge a breaker (one failure opens it) or count as an
+// upstream error, once every goroutine is gone; only an answer from a
+// rung the hedge timer launched counts as a hedge win.
 func TestRouterLadder(t *testing.T) {
 	const stall = time.Hour // answers only once cancelled
 	type reply struct {
@@ -419,19 +421,23 @@ func TestRouterLadder(t *testing.T) {
 	for _, c := range []struct {
 		name                 string
 		a, b                 reply
+		aDown                bool // a's server is closed before the request
 		hedgeAfter, timeout  time.Duration
 		winner               string // "a", "b", or "" for a deadline error
 		hedges, wins, fovers float64
+		upErrors             float64
 		cancelled            string // the replica whose attempt gets cancelled
 	}{
 		{name: "404 fails over", a: reply{404, 0}, b: reply{200, 0}, hedgeAfter: 10 * time.Second,
-			winner: "b", wins: 1, fovers: 1},
+			winner: "b", fovers: 1},
 		{name: "attempt 0 wins after the hedge", a: reply{200, 100 * time.Millisecond}, b: reply{200, stall},
 			hedgeAfter: 20 * time.Millisecond, winner: "a", hedges: 1, cancelled: "b"},
 		{name: "hedge wins", a: reply{200, stall}, b: reply{200, 0}, hedgeAfter: 20 * time.Millisecond,
 			winner: "b", hedges: 1, wins: 1, cancelled: "a"},
 		{name: "deadline during attempt 0", a: reply{200, stall}, b: reply{200, 0}, hedgeAfter: 10 * time.Second,
 			timeout: 100 * time.Millisecond, cancelled: "a"},
+		{name: "transport error fails over", a: reply{200, 0}, aDown: true, b: reply{200, 0}, hedgeAfter: 10 * time.Second,
+			winner: "b", fovers: 1, upErrors: 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
@@ -443,6 +449,9 @@ func TestRouterLadder(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if c.aDown {
+				a.Close()
 			}
 			res, err := rt.forward(context.Background(), http.MethodGet, "/", nil, nil, []string{a.URL, b.URL})
 			switch {
@@ -460,8 +469,12 @@ func TestRouterLadder(t *testing.T) {
 				t.Errorf("forwards, hedges, hedge_wins, failovers = %v, want %v", got, want)
 			}
 			for name, f := range fakes {
-				if st := rt.breakers.get(f.URL).State(); st != BreakerClosed {
-					t.Errorf("replica %s breaker %v, want closed", name, st)
+				want := BreakerClosed
+				if name == "a" && c.aDown {
+					want = BreakerOpen
+				}
+				if st := rt.breakers.get(f.URL).State(); st != want {
+					t.Errorf("replica %s breaker %v, want %v", name, st, want)
 				}
 				if name == c.cancelled {
 					waitUntil(t, 2*time.Second, name+"'s attempt to be cancelled", func() bool { return f.cancelled.Load() == 1 })
@@ -474,6 +487,10 @@ func TestRouterLadder(t *testing.T) {
 			a.Close()
 			b.Close()
 			waitGoroutines(t, baseline)
+			// Every attempt has ended, losers included.
+			if got := rt.upErrors.Value(); got != c.upErrors {
+				t.Errorf("upstream_errors = %v, want %v", got, c.upErrors)
+			}
 		})
 	}
 }
