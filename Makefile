@@ -158,7 +158,9 @@ bench-quick:
 # once for both launch polarities, plus the word-parallel witness
 # search that reads a hit's gate values from its word planes) falls
 # below 30x over the full-resimulation, trial-at-a-time ATPG (it
-# measured 44x when the gate was raised from 20x).
+# measured 44x when the gate was raised from 20x), or synthetic netlist
+# generation falls below 2x (the three table1_analytic circuits) or 10x
+# (s15850) over the quadratic generator (the ledger measured 2.5x and 31x).
 # Expect ~1.5 min wall clock on the 2-vCPU Xeon VM (the dictionary
 # benchmark is ~2 s/op x 3 runs), and the baseline was captured with
 # the identical flags.
@@ -172,7 +174,9 @@ bench-core:
 		-check BenchmarkCoreBuildDictionary:4 \
 		-check BenchmarkCoreBuildDictionaryAnalytic:10 \
 		-check BenchmarkCoreSuspects:4 \
-		-check BenchmarkCoreDiagnosticPatterns:30
+		-check BenchmarkCoreDiagnosticPatterns:30 \
+		-check BenchmarkCoreGenerate/table1_analytic:2 \
+		-check BenchmarkCoreGenerate/s15850:10
 
 # bench-serve measures the service's cache-hit diagnosis path — both
 # the single-node handler stack and the routed path through the

@@ -151,6 +151,32 @@ func BenchmarkCoreBuildDictionary(b *testing.B) {
 	b.ReportMetric(float64(cfg.Samples)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
 
+// BenchmarkCoreGenerate tracks synthetic netlist generation at the
+// Table I circuit seed: table1_analytic generates s1196, s1238 and
+// s1488 per op (the set-up of the e2e table1_analytic workload), and
+// s15850 the largest Table I circuit, where a per-gate cost that grows
+// with the circuit shows first.
+func BenchmarkCoreGenerate(b *testing.B) {
+	for _, set := range []struct {
+		name     string
+		circuits []string
+	}{
+		{"table1_analytic", []string{"s1196", "s1238", "s1488"}},
+		{"s15850", []string{"s15850"}},
+	} {
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, name := range set.circuits {
+					if _, err := synth.GenerateNamed(name, benchCoreSeed); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCoreBuildDictionaryCase tracks the Monte-Carlo dictionary
 // build as a Table I case runs it: case 3 of the default s1196
 // configuration, prepared by eval.Pipeline (ATPG patterns, the

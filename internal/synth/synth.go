@@ -93,7 +93,6 @@ type generator struct {
 	probs   []float64 // signal index -> estimated P(value = 1) under random inputs
 	buckets [][]int   // level -> signal indices
 	gates   []genGate
-	gateOf  map[int]int // signal index -> index into gates (logic gates only)
 }
 
 // Generate builds a circuit matching profile p, deterministically from
@@ -113,7 +112,6 @@ func Generate(p Profile, seed uint64) (*circuit.Circuit, error) {
 		r:       rng.New(rng.DeriveN(seed, hashName(p.Name))),
 		p:       p,
 		buckets: make([][]int, depth+1),
-		gateOf:  make(map[int]int),
 	}
 
 	// Level-0 signals: PIs then DFF outputs.
@@ -149,13 +147,11 @@ func hashName(s string) uint64 {
 	return h
 }
 
-func (g *generator) addSignal(name string, level int, p1 float64) int {
-	id := len(g.names)
+func (g *generator) addSignal(name string, level int, p1 float64) {
+	g.buckets[level] = append(g.buckets[level], len(g.names))
 	g.names = append(g.names, name)
 	g.levels = append(g.levels, level)
 	g.probs = append(g.probs, p1)
-	g.buckets[level] = append(g.buckets[level], id)
-	return id
 }
 
 // gateType draws a cell family: multi-input (exact type chosen later,
@@ -286,10 +282,10 @@ func (g *generator) emitGates(depth int) {
 		// Remaining fan-ins from any strictly lower level.
 		lower := g.signalsBelow(level)
 		for len(fanin) < want {
-			cand := lower[g.r.IntN(len(lower))]
+			cand := g.r.IntN(lower)
 			if !contains(fanin, cand) {
 				fanin = append(fanin, cand)
-			} else if len(lower) <= want {
+			} else if lower <= want {
 				break // tiny pools: accept fewer inputs
 			}
 		}
@@ -307,21 +303,21 @@ func (g *generator) emitGates(depth int) {
 		}
 
 		name := fmt.Sprintf("N%d", i)
-		id := g.addSignal(name, level, typeP1(typ, ps))
-		g.gateOf[id] = len(g.gates)
+		g.addSignal(name, level, typeP1(typ, ps))
 		g.gates = append(g.gates, genGate{name: name, typ: typ, fanin: fanin, level: level})
 	}
 }
 
-// signalsBelow returns all signal IDs with level < level. Buckets are
-// filled in nondecreasing level order, so this is a prefix; it is
-// rebuilt lazily per call but costs only the slice header copies.
-func (g *generator) signalsBelow(level int) []int {
-	var out []int
+// signalsBelow returns how many signals have level < level. Levels
+// never decrease as signal IDs grow, so those signals are exactly the
+// IDs [0, k): drawing IntN(k) picks the same signal as drawing an index
+// into their ID-ordered list.
+func (g *generator) signalsBelow(level int) int {
+	k := 0
 	for l := 0; l < level; l++ {
-		out = append(out, g.buckets[l]...)
+		k += len(g.buckets[l])
 	}
-	return out
+	return k
 }
 
 func contains(xs []int, x int) bool {
@@ -406,26 +402,21 @@ func (g *generator) repairDangling(pos, ffData []int) {
 		sink[id] = true
 	}
 	fanout := g.fanoutCounts()
-	// Variadic gates grouped by level for quick lookup.
-	varByLevel := make(map[int][]int) // level -> gate indices
-	maxLevel := 0
+	// Variadic gates in index order and their levels. Levels never
+	// decrease with the index, so the gates deeper than a level are a
+	// suffix of this list.
+	var varGates, varLevels []int
 	for gi, gg := range g.gates {
 		if gg.typ.MaxFanin() < 0 {
-			varByLevel[gg.level] = append(varByLevel[gg.level], gi)
-			if gg.level > maxLevel {
-				maxLevel = gg.level
-			}
+			varGates = append(varGates, gi)
+			varLevels = append(varLevels, gg.level)
 		}
 	}
 	for id := g.p.PI + g.p.DFF; id < len(g.names); id++ {
 		if fanout[id] > 0 || sink[id] {
 			continue
 		}
-		lvl := g.levels[id]
-		var cands []int
-		for l := lvl + 1; l <= maxLevel; l++ {
-			cands = append(cands, varByLevel[l]...)
-		}
+		cands := varGates[sort.SearchInts(varLevels, g.levels[id]+1):]
 		if len(cands) == 0 {
 			continue
 		}
