@@ -3,17 +3,29 @@ package core
 import (
 	"context"
 	"testing"
+
+	"repro/internal/circuit"
+	"repro/internal/timing/engine"
 )
 
 // countBuildAllocs reports total heap allocations of one BuildDictionary
-// call at the given sample count, on the golden configuration with a
-// single worker (so the count is not diluted across goroutines —
-// testing.AllocsPerRun only observes the calling goroutine).
-func countBuildAllocs(t *testing.T, samples int) float64 {
+// call at the given sample count on the golden configuration, over
+// nSus suspects spread evenly over the arcs (10 is the golden set),
+// with a single worker (so the count is not diluted across goroutines
+// — testing.AllocsPerRun only observes the calling goroutine) and
+// under the analytic engine when analytic is set.
+func countBuildAllocs(t *testing.T, samples, nSus int, analytic bool) float64 {
 	t.Helper()
-	m, pats, suspects, cfg := goldenDictSetup(t)
+	m, pats, _, cfg := goldenDictSetup(t)
 	cfg.Workers = 1
 	cfg.Samples = samples
+	if analytic {
+		cfg.Engine = engine.NewAnalytic(m)
+	}
+	suspects := make([]circuit.ArcID, nSus)
+	for i := range suspects {
+		suspects[i] = circuit.ArcID(i * len(m.C.Arcs) / nSus)
+	}
 	return testing.AllocsPerRun(2, func() {
 		if _, err := BuildDictionary(context.Background(), m, pats, suspects, cfg); err != nil {
 			t.Fatal(err)
@@ -29,6 +41,12 @@ func countBuildAllocs(t *testing.T, samples int) float64 {
 // must not grow allocations beyond run-to-run noise. A violation here
 // is exactly the regression class the hotalloc analyzer and the
 // tracked allocs/op in BENCH_core.json exist to catch.
+//
+// The suspect arm asserts the same of the suspect axis, under both
+// engines: the dictionary stores M and E once each as flat blocks, so
+// quadrupling the suspects must not grow allocations beyond a small
+// absolute slack either: one allocation per suspect would add 30, and
+// the slack of 16 covers the engines' buffer growth (4–5 here).
 func TestBuildDictionaryAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run allocation measurement")
@@ -39,12 +57,20 @@ func TestBuildDictionaryAllocBudget(t *testing.T) {
 	// Past that, quadrupling Samples must not move the count beyond a
 	// small absolute slack; O(samples) allocation would add hundreds of
 	// allocations here and thousands at benchmark scale.
-	lo := countBuildAllocs(t, 64)
-	hi := countBuildAllocs(t, 256)
+	lo := countBuildAllocs(t, 64, 10, false)
+	hi := countBuildAllocs(t, 256, 10, false)
 	if hi > lo+64 {
 		t.Fatalf("allocations grow with sample count: %0.f allocs at 64 samples, %0.f at 256", lo, hi)
 	}
 	t.Logf("allocs: %.0f at 64 samples, %.0f at 256 samples", lo, hi)
+	for _, analytic := range []bool{false, true} {
+		lo := countBuildAllocs(t, 64, 10, analytic)
+		hi := countBuildAllocs(t, 64, 40, analytic)
+		if hi > lo+16 {
+			t.Errorf("analytic=%v: allocations grow with suspect count: %.0f allocs at 10 suspects, %.0f at 40", analytic, lo, hi)
+		}
+		t.Logf("analytic=%v allocs: %.0f at 10 suspects, %.0f at 40 suspects", analytic, lo, hi)
+	}
 }
 
 // TestCompressedDiagnoseAllocBudget pins the allocations of one
@@ -57,7 +83,6 @@ func TestCompressedDiagnoseAllocBudget(t *testing.T) {
 	const budget = 8
 	small, b := tieDict()
 	big, bb := randomDict(7, 40, 3, 5)
-	big.M = NewMatrix(bb.Rows, bb.Cols)
 	for _, c := range []struct {
 		d *Dictionary
 		b *Behavior

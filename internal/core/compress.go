@@ -55,23 +55,24 @@ func quantize(p float64) uint8 {
 }
 
 // Compress converts a dictionary to the sparse quantized form. Only
-// the signature matrices are retained — they are all the matching
-// needs (Algorithm E.1 step 5 consumes S_crt alone).
+// the signature matrices S_crt, derived from M and E, are retained —
+// they are all the matching needs (Algorithm E.1 step 5 consumes S_crt
+// alone).
 func Compress(d *Dictionary) *CompressedDictionary {
 	cd := &CompressedDictionary{
 		Suspects: append([]circuit.ArcID(nil), d.Suspects...),
 		Patterns: append([]logicsim.PatternPair(nil), d.Patterns...),
 		Clk:      d.Clk,
-		rows:     d.M.Rows,
-		cols:     d.M.Cols,
-		entries:  make([][]sparseEntry, len(d.S)),
+		rows:     d.Rows,
+		cols:     d.Cols,
+		entries:  make([][]sparseEntry, len(d.Suspects)),
 	}
-	for si, s := range d.S {
+	for si := range d.Suspects {
 		var es []sparseEntry
-		for j := 0; j < s.Cols; j++ {
-			for i := 0; i < s.Rows; i++ {
-				if q := quantize(s.At(i, j)); q > 0 {
-					es = append(es, sparseEntry{idx: int32(j*s.Rows + i), q: q})
+		for j := 0; j < d.Cols; j++ {
+			for i := 0; i < d.Rows; i++ {
+				if q := quantize(d.signature(si, i*d.Cols+j)); q > 0 {
+					es = append(es, sparseEntry{idx: int32(j*d.Rows + i), q: q})
 				}
 			}
 		}

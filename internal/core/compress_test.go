@@ -31,15 +31,11 @@ func TestCompressRoundTripConsistency(t *testing.T) {
 		r := rng.New(seed)
 		nSus, nOut, nPat := 1+r.IntN(5), 1+r.IntN(5), 1+r.IntN(5)
 		d, b := randomDict(seed, nSus, nOut, nPat)
-		for _, s := range d.S {
-			for k := range s.Data {
-				if r.IntN(4) != 0 { // 75 % sparsity
-					s.Data[k] = 0
-				}
+		for k := range d.E {
+			if r.IntN(4) != 0 { // 75 % sparsity
+				d.E[k] = 0
 			}
 		}
-		// Compress needs M for the shape.
-		d.M = NewMatrix(nOut, nPat)
 		d.Clk = 12.5
 		cd := Compress(d)
 		if cd.Clk != 12.5 || len(cd.Suspects) != nSus {
@@ -114,7 +110,6 @@ func TestCompressionRatio(t *testing.T) {
 
 func TestCompressedShapeMismatchPanics(t *testing.T) {
 	d, _ := randomDict(1, 1, 2, 2)
-	d.M = NewMatrix(2, 2)
 	cd := Compress(d)
 	defer func() {
 		if recover() == nil {

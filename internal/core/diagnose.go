@@ -127,7 +127,7 @@ func Position(ranked []Ranked, arc circuit.ArcID) int {
 // probability that output i's behavior under pattern j is consistent
 // with the observation, with outputs treated as independent.
 func (d *Dictionary) PatternConsistency(si int, b *Behavior) []float64 {
-	phi := make([]float64, d.S[si].Cols)
+	phi := make([]float64, d.Cols)
 	d.patternConsistencyInto(phi, si, b)
 	return phi
 }
@@ -138,14 +138,13 @@ func (d *Dictionary) PatternConsistency(si int, b *Behavior) []float64 {
 //
 //ddd:hot
 func (d *Dictionary) patternConsistencyInto(phi []float64, si int, b *Behavior) {
-	s := d.S[si]
-	if b.Rows != s.Rows || b.Cols != s.Cols {
+	if b.Rows != d.Rows || b.Cols != d.Cols {
 		panic("core: behavior shape does not match dictionary")
 	}
-	for j := 0; j < s.Cols; j++ {
+	for j := 0; j < d.Cols; j++ {
 		p := 1.0
-		for i := 0; i < s.Rows; i++ {
-			sij := s.At(i, j)
+		for i := 0; i < d.Rows; i++ {
+			sij := d.signature(si, i*d.Cols+j)
 			if b.At(i, j) {
 				p *= sij
 			} else {

@@ -8,11 +8,18 @@ import (
 )
 
 // handDict builds a dictionary with explicit signature matrices for
-// formula-level tests (no simulation involved).
-func handDict(sigs []*Matrix) *Dictionary {
-	d := &Dictionary{S: sigs, Suspects: make([]circuit.ArcID, len(sigs))}
-	for i := range sigs {
-		d.Suspects[i] = circuit.ArcID(i)
+// formula-level tests (no simulation involved): each signature is a
+// rows × cols matrix, row-major, stored as its suspect's E over M = 0,
+// so the derived S = E − 0 is the signature exactly. Suspect i is
+// arc i.
+func handDict(rows, cols int, sigs ...[]float64) *Dictionary {
+	d := &Dictionary{Rows: rows, Cols: cols, M: make([]float64, rows*cols)}
+	for i, s := range sigs {
+		if len(s) != rows*cols {
+			panic("handDict: signature shape")
+		}
+		d.E = append(d.E, s...)
+		d.Suspects = append(d.Suspects, circuit.ArcID(i))
 	}
 	return d
 }
@@ -20,14 +27,10 @@ func handDict(sigs []*Matrix) *Dictionary {
 // TestExampleE1 reproduces Example E.1 of the paper: B_j = [0,1,1],
 // S_j = [0.4,0.3,0.1] gives P_j = [0.6,0.3,0.1] and φ_j = 0.018.
 func TestExampleE1(t *testing.T) {
-	s := NewMatrix(3, 1)
-	s.Set(0, 0, 0.4)
-	s.Set(1, 0, 0.3)
-	s.Set(2, 0, 0.1)
 	b := NewBehavior(3, 1)
 	b.Set(1, 0, true)
 	b.Set(2, 0, true)
-	d := handDict([]*Matrix{s})
+	d := handDict(3, 1, []float64{0.4, 0.3, 0.1})
 	phi := d.PatternConsistency(0, b)
 	if len(phi) != 1 || math.Abs(phi[0]-0.018) > 1e-12 {
 		t.Errorf("φ = %v, want [0.018]", phi)
@@ -57,22 +60,14 @@ func TestMethodScores(t *testing.T) {
 func TestFigure2Ambiguity(t *testing.T) {
 	// Fault #1 probabilities (2 outputs × 2 vectors): strong on the
 	// failing entries. Fault #2: strong on the passing entries.
-	f1 := NewMatrix(2, 2)
-	f1.Set(0, 0, 0.8)
-	f1.Set(0, 1, 0.5)
-	f1.Set(1, 0, 0.4)
-	f1.Set(1, 1, 0.6)
-	f2 := NewMatrix(2, 2)
-	f2.Set(0, 0, 0.6)
-	f2.Set(0, 1, 0.2)
-	f2.Set(1, 0, 0.3)
-	f2.Set(1, 1, 0.5)
+	f1 := []float64{0.8, 0.5, 0.4, 0.6}
+	f2 := []float64{0.6, 0.2, 0.3, 0.5}
 	// Behavior: PO1 fails vec1 and vec2? Figure 2: PO1 = [1, 0],
 	// PO2 = [0, 1].
 	b := NewBehavior(2, 2)
 	b.Set(0, 0, true)
 	b.Set(1, 1, true)
-	d := handDict([]*Matrix{f1, f2})
+	d := handDict(2, 2, f1, f2)
 	phi1 := d.PatternConsistency(0, b)
 	phi2 := d.PatternConsistency(1, b)
 	// φ for fault1 vec1: 0.8 * (1-0.4) = 0.48; vec2: (1-0.5)*0.6 = 0.30
@@ -91,16 +86,12 @@ func TestFigure2Ambiguity(t *testing.T) {
 // uniformly mediocre candidate under Method I (at-least-one-pattern)
 // but loses under AlgRev's Euclidean distance.
 func TestErrorFunctionsDisagree(t *testing.T) {
-	spiky := NewMatrix(1, 2) // φ = [0.9, 0.05]
-	spiky.Set(0, 0, 0.9)
-	spiky.Set(0, 1, 0.05)
-	flat := NewMatrix(1, 2) // φ = [0.5, 0.5]
-	flat.Set(0, 0, 0.5)
-	flat.Set(0, 1, 0.5)
+	spiky := []float64{0.9, 0.05} // φ = [0.9, 0.05]
+	flat := []float64{0.5, 0.5}   // φ = [0.5, 0.5]
 	b := NewBehavior(1, 2)
 	b.Set(0, 0, true)
 	b.Set(0, 1, true)
-	d := handDict([]*Matrix{spiky, flat}) // arcs 0 (spiky), 1 (flat)
+	d := handDict(1, 2, spiky, flat) // arcs 0 (spiky), 1 (flat)
 	if top := d.Diagnose(b, MethodI)[0].Arc; top != 0 {
 		t.Errorf("Method I top = arc %d, want spiky (0)", top)
 	}
@@ -112,14 +103,12 @@ func TestErrorFunctionsDisagree(t *testing.T) {
 func TestDiagnoseRankingDirection(t *testing.T) {
 	// Suspect 0: perfect match (φ = 1 per pattern).
 	// Suspect 1: no match (φ = 0).
-	perfect := NewMatrix(1, 2)
-	perfect.Set(0, 0, 1)
-	perfect.Set(0, 1, 1)
-	awful := NewMatrix(1, 2)
+	perfect := []float64{1, 1}
+	awful := []float64{0, 0}
 	b := NewBehavior(1, 2)
 	b.Set(0, 0, true)
 	b.Set(0, 1, true)
-	d := handDict([]*Matrix{awful, perfect}) // arcs 0, 1
+	d := handDict(1, 2, awful, perfect) // arcs 0, 1
 	for _, m := range Methods {
 		ranked := d.Diagnose(b, m)
 		if len(ranked) != 2 {
@@ -132,12 +121,8 @@ func TestDiagnoseRankingDirection(t *testing.T) {
 }
 
 func TestDiagnoseTieBreakDeterministic(t *testing.T) {
-	s1 := NewMatrix(1, 1)
-	s2 := NewMatrix(1, 1)
-	s1.Set(0, 0, 0.5)
-	s2.Set(0, 0, 0.5)
 	b := NewBehavior(1, 1)
-	d := handDict([]*Matrix{s2, s1})
+	d := handDict(1, 1, []float64{0.5}, []float64{0.5})
 	ranked := d.Diagnose(b, MethodII)
 	if ranked[0].Arc != 0 || ranked[1].Arc != 1 {
 		t.Errorf("tie not broken by arc ID: %v", ranked)
@@ -145,13 +130,9 @@ func TestDiagnoseTieBreakDeterministic(t *testing.T) {
 }
 
 func TestDiagnoseErrorFunc(t *testing.T) {
-	good := NewMatrix(1, 1)
-	good.Set(0, 0, 0.9)
-	bad := NewMatrix(1, 1)
-	bad.Set(0, 0, 0.1)
 	b := NewBehavior(1, 1)
 	b.Set(0, 0, true)
-	d := handDict([]*Matrix{bad, good})
+	d := handDict(1, 1, []float64{0.1}, []float64{0.9}) // arcs 0 (bad), 1 (good)
 	// Custom error: sum |1-φ| (L1 distance).
 	ranked := d.DiagnoseErrorFunc(b, func(phi []float64) float64 {
 		sum := 0.0

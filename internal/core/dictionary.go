@@ -41,18 +41,34 @@ type DictConfig struct {
 	SizeDist dist.Dist
 }
 
-// Dictionary is the probabilistic fault dictionary: for every suspect
-// arc, the signature probability matrix S_crt against which observed
-// behavior is matched.
+// Dictionary is the probabilistic fault dictionary: the defect-free
+// critical probabilities M_crt and, for every suspect arc, its E_crt,
+// each an outputs × patterns matrix stored once, row-major with the
+// pattern innermost. The signature S_crt against which observed
+// behavior is matched is derived from them where it is read
+// (signature).
 type Dictionary struct {
-	C        *circuit.Circuit
-	Patterns []logicsim.PatternPair
-	Suspects []circuit.ArcID
-	Clk      float64
+	C          *circuit.Circuit
+	Patterns   []logicsim.PatternPair
+	Suspects   []circuit.ArcID
+	Clk        float64
+	Rows, Cols int // |O| outputs × |TP| patterns
 
-	M *Matrix   // M_crt: defect-free critical probabilities
-	E []*Matrix // E_crt per suspect
-	S []*Matrix // S_crt = E_crt − M_crt per suspect
+	M []float64 // M_crt: M[i*Cols + j] for output i, pattern j
+	E []float64 // E_crt per suspect: E[(si*Rows + i)*Cols + j]
+}
+
+// signature returns suspect si's signature entry at cell
+// k = i*Cols + j: S_crt = max(E_crt − M_crt, 0) (Definition E.1).
+// Common random numbers do not make E ≥ M: a defect can also turn a
+// failing capture into a pass, so the clamp is what keeps every
+// signature entry nonnegative.
+func (d *Dictionary) signature(si, k int) float64 {
+	s := d.E[si*len(d.M)+k] - d.M[k]
+	if s < 0 {
+		s = 0
+	}
+	return s
 }
 
 // BuildDictionary estimates M_crt and every suspect's E_crt by
@@ -60,7 +76,7 @@ type Dictionary struct {
 // Monte-Carlo instance samples are used for the defect-free and every
 // defective hypothesis (common random numbers), so the signature
 // S_crt = max(E_crt − M_crt, 0) has low variance. E can fall below M:
-// a defect may also turn a failing capture into a pass, and Matrix.Sub
+// a defect may also turn a failing capture into a pass, and signature
 // clamps those entries at zero. Per
 // sample and suspect a defect size is drawn from cfg.SizeDist; the
 // defect is re-simulated against the sample's baseline run by
@@ -241,27 +257,26 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 			}
 		}
 	}
+	n := nOut * nPat
 	d := &Dictionary{
 		C:        c,
 		Patterns: patterns,
 		Suspects: suspects,
 		Clk:      cfg.Clk,
-		M:        NewMatrix(nOut, nPat),
-		E:        make([]*Matrix, nSus),
-		S:        make([]*Matrix, nSus),
+		Rows:     nOut,
+		Cols:     nPat,
+		M:        make([]float64, n),
+		E:        make([]float64, nSus*n),
 	}
 	inv := 1.0 / float64(cfg.Samples)
 	for k, v := range sum.m {
-		d.M.Data[k] = float64(v) * inv
+		d.M[k] = float64(v) * inv
 	}
 	for i := range suspects {
-		e := NewMatrix(nOut, nPat)
-		delta := sum.e[i*nOut*nPat:]
+		e, delta := d.E[i*n:(i+1)*n], sum.e[i*n:]
 		for k, v := range sum.m {
-			e.Data[k] = float64(v+delta[k]) * inv
+			e[k] = float64(v+delta[k]) * inv
 		}
-		d.E[i] = e
-		d.S[i] = e.Sub(d.M)
 	}
 	dictStageAccumulate.Add(time.Since(tAcc).Seconds())
 	return d, nil

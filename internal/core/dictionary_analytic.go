@@ -18,8 +18,9 @@ import (
 // sample axis at all. Entries are exact probabilities under the
 // analytic model, so cfg.Samples and cfg.Seed are ignored.
 //
-// Signature entries S = E − M are clamped at zero by Matrix.Sub, as in
-// the Monte-Carlo build: downstream match scores assume S ≥ 0, and the
+// The dictionary adopts the signature blocks as its M and E. Signature
+// entries S = E − M are clamped at zero where they are read, as in the
+// Monte-Carlo build: downstream match scores assume S ≥ 0, and the
 // analytic E and M are computed independently per entry, so rounding
 // can land a defect that cannot reach an output a hair below its
 // baseline.
@@ -33,27 +34,18 @@ func buildDictionaryAnalytic(ctx context.Context, eng *engine.Analytic, m *timin
 	}
 	dictBuildsAnalytic.Inc()
 
-	sp, err := eng.Signatures(ctx, patterns, suspects, cfg.Clk, cfg.SizeDist, cfg.Workers)
+	mCrt, eCrt, err := eng.Signatures(ctx, patterns, suspects, cfg.Clk, cfg.SizeDist, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-
-	nOut, nPat, nSus := sp.NOut, sp.NPat, sp.NSus
-	d := &Dictionary{
+	return &Dictionary{
 		C:        m.C,
 		Patterns: patterns,
 		Suspects: suspects,
 		Clk:      cfg.Clk,
-		M:        NewMatrix(nOut, nPat),
-		E:        make([]*Matrix, nSus),
-		S:        make([]*Matrix, nSus),
-	}
-	copy(d.M.Data, sp.M)
-	for i := 0; i < nSus; i++ {
-		e := NewMatrix(nOut, nPat)
-		copy(e.Data, sp.E[i*nOut*nPat:(i+1)*nOut*nPat])
-		d.E[i] = e
-		d.S[i] = e.Sub(d.M)
-	}
-	return d, nil
+		Rows:     len(m.C.Outputs),
+		Cols:     len(patterns),
+		M:        mCrt,
+		E:        eCrt,
+	}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/atpg"
@@ -75,20 +76,21 @@ func TestBuildDictionaryInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	nOut, nPat := len(tb.c.Outputs), len(tb.pats)
-	if d.M.Rows != nOut || d.M.Cols != nPat {
-		t.Fatalf("M shape %dx%d", d.M.Rows, d.M.Cols)
+	n := nOut * nPat
+	if d.Rows != nOut || d.Cols != nPat || len(d.M) != n || len(d.E) != len(suspects)*n {
+		t.Fatalf("shape %dx%d with %d M and %d E entries", d.Rows, d.Cols, len(d.M), len(d.E))
 	}
 	for si := range suspects {
-		e, s := d.E[si], d.S[si]
+		e := d.E[si*n : (si+1)*n]
 		sumE, sumM := 0.0, 0.0
-		for k := range e.Data {
-			sumE += e.Data[k]
-			sumM += d.M.Data[k]
-			if s.Data[k] < 0 || s.Data[k] > 1 {
-				t.Fatalf("suspect %d: S out of range: %v", si, s.Data[k])
+		for k := range e {
+			sumE += e[k]
+			sumM += d.M[k]
+			if s := d.signature(si, k); s < 0 || s > 1 {
+				t.Fatalf("suspect %d: S out of range: %v", si, s)
 			}
-			if e.Data[k] < 0 || e.Data[k] > 1 {
-				t.Fatalf("suspect %d: E out of range: %v", si, e.Data[k])
+			if e[k] < 0 || e[k] > 1 {
+				t.Fatalf("suspect %d: E out of range: %v", si, e[k])
 			}
 		}
 		// E >= M holds in aggregate (extra delay can only add failures
@@ -96,6 +98,29 @@ func TestBuildDictionaryInvariants(t *testing.T) {
 		// realigns past the capture edge — exactly why S_crt clamps.
 		if sumE < sumM-1e-9 {
 			t.Errorf("suspect %d: aggregate E (%v) below M (%v)", si, sumE, sumM)
+		}
+	}
+}
+
+// TestSignatureClamps checks the one derivation of S_crt from E and
+// M: a positive difference is E − M exactly, and a negative or zero
+// one is 0. The second suspect's block checks the per-suspect stride.
+func TestSignatureClamps(t *testing.T) {
+	d := &Dictionary{
+		Rows: 1, Cols: 3,
+		M: []float64{0.1, 0.4, 0.25},
+		E: []float64{
+			0, 0, 0,
+			0.3, 0.1, 0.25, // above, below and equal to M
+		},
+	}
+	want := []float64{d.E[3] - d.M[0], 0, 0} // float64 E − M, not the exact constant 0.2
+	for k, w := range want {
+		if got := d.signature(1, k); math.Float64bits(got) != math.Float64bits(w) {
+			t.Errorf("signature(1, %d) = %v, want %v", k, got, w)
+		}
+		if got := d.signature(0, k); got != 0 {
+			t.Errorf("signature(0, %d) = %v below M, want 0", k, got)
 		}
 	}
 }
@@ -117,10 +142,8 @@ func TestBuildDictionaryDeterministicAcrossWorkers(t *testing.T) {
 	if maxAbsDiff(a.M, b.M) != 0 {
 		t.Errorf("M depends on worker count")
 	}
-	for si := range suspects {
-		if maxAbsDiff(a.E[si], b.E[si]) != 0 {
-			t.Errorf("E[%d] depends on worker count", si)
-		}
+	if maxAbsDiff(a.E, b.E) != 0 {
+		t.Errorf("E depends on worker count")
 	}
 }
 
@@ -142,12 +165,12 @@ func TestBuildDictionaryIncrementalMatchesFull(t *testing.T) {
 		cfg.Clk *= f
 		b := buildDictionaryReference(tb.m, tb.pats, suspects, cfg)
 		signals := 0
-		for si, s := range b.S {
-			for k, v := range s.Data {
-				if v > 0 {
+		for si := range suspects {
+			for k, m := range b.M {
+				if b.signature(si, k) > 0 {
 					signals++
 				}
-				if b.E[si].Data[k] < b.M.Data[k] {
+				if b.E[si*len(b.M)+k] < m {
 					below++
 				}
 			}
@@ -164,10 +187,8 @@ func TestBuildDictionaryIncrementalMatchesFull(t *testing.T) {
 			if d := maxAbsDiff(a.M, b.M); d != 0 {
 				t.Errorf("clk factor %v workers %d: M: build vs reference differ by %v", f, workers, d)
 			}
-			for si := range suspects {
-				if d := maxAbsDiff(a.E[si], b.E[si]); d != 0 {
-					t.Errorf("clk factor %v workers %d: suspect %d: build vs reference differ by %v", f, workers, si, d)
-				}
+			if d := maxAbsDiff(a.E, b.E); d != 0 {
+				t.Errorf("clk factor %v workers %d: E: build vs reference differ by %v", f, workers, d)
 			}
 		}
 	}

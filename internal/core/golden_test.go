@@ -71,20 +71,26 @@ func goldenDictSetup(t *testing.T) (*timing.Model, []logicsim.PatternPair, []cir
 	return m, pats, suspects, cfg
 }
 
-// hashDict folds every float64 bit of M, E and S into one SHA-256.
+// hashDict folds every float64 bit of M, then per suspect of E and
+// the derived S, into one SHA-256.
 func hashDict(d *Dictionary) string {
 	h := sha256.New()
-	put := func(mat *Matrix) {
-		var buf [8]byte
-		for _, v := range mat.Data {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
+	var buf [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
 	}
-	put(d.M)
-	for i := range d.E {
-		put(d.E[i])
-		put(d.S[i])
+	n := len(d.M)
+	for _, v := range d.M {
+		put(v)
+	}
+	for si := range d.Suspects {
+		for _, v := range d.E[si*n : (si+1)*n] {
+			put(v)
+		}
+		for k := 0; k < n; k++ {
+			put(d.signature(si, k))
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -207,9 +213,9 @@ func TestDictionaryGoldenSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	nonzero := 0
-	for _, s := range d.S {
-		for _, v := range s.Data {
-			if v != 0 {
+	for si := range d.Suspects {
+		for k := range d.M {
+			if d.signature(si, k) != 0 {
 				nonzero++
 			}
 		}

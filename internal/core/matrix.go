@@ -2,10 +2,12 @@
 // defect diagnosis over a statistical timing model. It provides
 //
 //   - the probabilistic fault dictionary: the critical-probability
-//     matrix M_crt of the defect-free model, the per-candidate matrices
-//     E_crt under each single-defect hypothesis, and the signature
-//     matrices S_crt = E_crt − M_crt (Definitions D.7, E.1), estimated
-//     by shared-sample Monte-Carlo dynamic timing simulation;
+//     matrix M_crt of the defect-free model and the per-candidate
+//     matrices E_crt under each single-defect hypothesis (Definition
+//     D.7), estimated by shared-sample Monte-Carlo dynamic timing
+//     simulation and stored once each; the signature matrices
+//     S_crt = E_crt − M_crt (Definition E.1) are derived where they are
+//     read;
 //   - behavior matrices B observed on failing circuit instances;
 //   - the cause-effect suspect pruning of Algorithm E.1 step 1;
 //   - the diagnosis error functions: Alg_sim Methods I/II/III and the
@@ -20,65 +22,6 @@ import (
 	"math/bits"
 	"strings"
 )
-
-// Matrix is a dense |O| × |TP| probability matrix (outputs × patterns),
-// the shape of M_crt, E_crt and S_crt.
-type Matrix struct {
-	Rows, Cols int // Rows = |O| outputs, Cols = |TP| patterns
-	Data       []float64
-}
-
-// NewMatrix returns a zero matrix with the given shape.
-func NewMatrix(rows, cols int) *Matrix {
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Sub returns m − o clamped at zero element-wise: the signature
-// operation S_crt = max(E_crt − M_crt, 0). Common random numbers do not
-// make E ≥ M: a defect can also turn a failing capture into a pass, so
-// the clamp is what keeps every signature entry nonnegative.
-func (m *Matrix) Sub(o *Matrix) *Matrix {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic("core: matrix shape mismatch")
-	}
-	out := NewMatrix(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		d := v - o.Data[i]
-		if d < 0 {
-			d = 0
-		}
-		out.Data[i] = d
-	}
-	return out
-}
-
-// Scale multiplies every element by f in place and returns m.
-func (m *Matrix) Scale(f float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= f
-	}
-	return m
-}
-
-func (m *Matrix) String() string {
-	var sb strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "%.3f", m.At(i, j))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
 
 // Behavior is the 0-1 failing-behavior matrix B (Equation 3): entry
 // (i, j) is true when output i fails pattern j at the cut-off period.

@@ -56,11 +56,10 @@ func (d *Dictionary) DiagnoseIterative(b *Behavior, method Method, maxDefects in
 		ranked := d.Diagnose(cur, method)
 		best := ranked[0]
 		si := d.SuspectIndex(best.Arc)
-		s := d.S[si]
 		explained := 0
 		for i := 0; i < cur.Rows; i++ {
 			for j := 0; j < cur.Cols; j++ {
-				if cur.At(i, j) && s.At(i, j) > threshold {
+				if cur.At(i, j) && d.signature(si, i*d.Cols+j) > threshold {
 					cur.Set(i, j, false)
 					explained++
 				}
@@ -78,8 +77,8 @@ func (d *Dictionary) DiagnoseIterative(b *Behavior, method Method, maxDefects in
 	return rounds
 }
 
-// SuspectIndex returns the index of arc a in d.Suspects (the row of its
-// signature in d.S), or -1 when a is not a suspect.
+// SuspectIndex returns the index of arc a in d.Suspects (the block of
+// its E_crt in d.E), or -1 when a is not a suspect.
 func (d *Dictionary) SuspectIndex(a circuit.ArcID) int {
 	for i, s := range d.Suspects {
 		if s == a {

@@ -96,11 +96,10 @@ func TestSampleMultiDistinct(t *testing.T) {
 func TestDiagnoseIterativePeels(t *testing.T) {
 	// Hand-built: two suspects with disjoint signatures, behavior is
 	// their union — the iterative loop should name both.
-	s1 := NewMatrix(2, 2)
-	s1.Set(0, 0, 0.9) // suspect 0 explains (0,0)
-	s2 := NewMatrix(2, 2)
-	s2.Set(1, 1, 0.9) // suspect 1 explains (1,1)
-	d := handDict([]*Matrix{s1, s2})
+	d := handDict(2, 2,
+		[]float64{0.9, 0, 0, 0}, // suspect 0 explains (0,0)
+		[]float64{0, 0, 0, 0.9}, // suspect 1 explains (1,1)
+	)
 	b := NewBehavior(2, 2)
 	b.Set(0, 0, true)
 	b.Set(1, 1, true)
@@ -128,8 +127,7 @@ func TestDiagnoseIterativePeels(t *testing.T) {
 func TestDiagnoseIterativeStopsOnUnexplainable(t *testing.T) {
 	// No suspect's signature covers the failing entry: one round,
 	// nothing explained, loop stops.
-	s := NewMatrix(1, 1) // all-zero signature
-	d := handDict([]*Matrix{s})
+	d := handDict(1, 1, []float64{0}) // all-zero signature
 	b := NewBehavior(1, 1)
 	b.Set(0, 0, true)
 	rounds := d.DiagnoseIterative(b, AlgRev, 5, 0.25)
@@ -139,8 +137,7 @@ func TestDiagnoseIterativeStopsOnUnexplainable(t *testing.T) {
 }
 
 func TestDiagnoseIterativeCleanBehavior(t *testing.T) {
-	s := NewMatrix(1, 1)
-	d := handDict([]*Matrix{s})
+	d := handDict(1, 1, []float64{0})
 	if rounds := d.DiagnoseIterative(NewBehavior(1, 1), AlgRev, 5, 0.25); rounds != nil {
 		t.Errorf("clean behavior produced rounds: %v", rounds)
 	}

@@ -80,11 +80,13 @@ func transitionConeArcs(c *circuit.Circuit, tr logicsim.Transition, outIdx int) 
 func buildDictionaryReference(m *timing.Model, patterns []logicsim.PatternPair, suspects []circuit.ArcID, cfg DictConfig) *Dictionary {
 	c := m.C
 	nOut, nPat := len(c.Outputs), len(patterns)
+	n := nOut * nPat
 	eng := tsim.NewEngine(c)
-	mFail := NewMatrix(nOut, nPat)
-	eFail := make([]*Matrix, len(suspects))
-	for i := range eFail {
-		eFail[i] = NewMatrix(nOut, nPat)
+	d := &Dictionary{
+		C: c, Patterns: patterns, Suspects: suspects, Clk: cfg.Clk,
+		Rows: nOut, Cols: nPat,
+		M: make([]float64, n),
+		E: make([]float64, len(suspects)*n),
 	}
 	sizes := make([]float64, len(suspects))
 	for s := 0; s < cfg.Samples; s++ {
@@ -94,35 +96,32 @@ func buildDictionaryReference(m *timing.Model, patterns []logicsim.PatternPair, 
 			sizes[i] = cfg.SizeDist.Sample(szRng)
 		}
 		for j, pat := range patterns {
-			countFailures(mFail, j, c, eng.Run(delays, pat, tsim.AtClock(cfg.Clk)))
+			countFailures(d.M, nPat, j, c, eng.Run(delays, pat, tsim.AtClock(cfg.Clk)))
 			for i, arc := range suspects {
 				opts := tsim.AtClock(cfg.Clk)
 				opts.DefectArc = arc
 				opts.DefectExtra = sizes[i]
-				countFailures(eFail[i], j, c, eng.Run(delays, pat, opts))
+				countFailures(d.E[i*n:(i+1)*n], nPat, j, c, eng.Run(delays, pat, opts))
 			}
 		}
 	}
 	inv := 1.0 / float64(cfg.Samples)
-	d := &Dictionary{
-		C: c, Patterns: patterns, Suspects: suspects, Clk: cfg.Clk,
-		M: mFail.Scale(inv),
-		E: make([]*Matrix, len(suspects)),
-		S: make([]*Matrix, len(suspects)),
+	for k := range d.M {
+		d.M[k] *= inv
 	}
-	for i, e := range eFail {
-		d.E[i] = e.Scale(inv)
-		d.S[i] = d.E[i].Sub(d.M)
+	for k := range d.E {
+		d.E[k] *= inv
 	}
 	return d
 }
 
-// countFailures adds one to column j of fails for every output whose
-// captured value differs from its settled final value in res.
-func countFailures(fails *Matrix, j int, c *circuit.Circuit, res *tsim.Result) {
+// countFailures adds one to column j of the outputs × nPat matrix
+// fails for every output whose captured value differs from its settled
+// final value in res.
+func countFailures(fails []float64, nPat, j int, c *circuit.Circuit, res *tsim.Result) {
 	for oi, o := range c.Outputs {
 		if res.Capture[oi] != res.Final[o] {
-			fails.Set(oi, j, fails.At(oi, j)+1)
+			fails[oi*nPat+j]++
 		}
 	}
 }

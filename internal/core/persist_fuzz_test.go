@@ -13,25 +13,19 @@ import (
 // consume the matrices, patterns, suspects and clk. With repeat, the
 // second suspect repeats the first one's signature.
 func seedDictionaryBytes(repeat bool) []byte {
-	s0 := NewMatrix(2, 2)
-	s0.Set(0, 0, 0.5)
-	s0.Set(1, 1, 0.25)
-	s1 := NewMatrix(2, 2)
-	s1.Set(0, 1, 1.0)
+	s0 := []float64{0.5, 0, 0, 0.25}
+	s1 := []float64{0, 1.0, 0, 0}
 	if repeat {
 		s1 = s0
 	}
-	s2 := NewMatrix(2, 2) // all-zero signature: no stored entries
-	d := &Dictionary{
-		Patterns: []logicsim.PatternPair{
-			{V1: logicsim.Vector{true, false, true}, V2: logicsim.Vector{false, true, true}},
-			{V1: logicsim.Vector{false, false, true}, V2: logicsim.Vector{true, false, false}},
-		},
-		Suspects: []circuit.ArcID{2, 7, 9},
-		Clk:      1.25,
-		M:        NewMatrix(2, 2),
-		S:        []*Matrix{s0, s1, s2},
+	s2 := []float64{0, 0, 0, 0} // all-zero signature: no stored entries
+	d := handDict(2, 2, s0, s1, s2)
+	d.Patterns = []logicsim.PatternPair{
+		{V1: logicsim.Vector{true, false, true}, V2: logicsim.Vector{false, true, true}},
+		{V1: logicsim.Vector{false, false, true}, V2: logicsim.Vector{true, false, false}},
 	}
+	d.Suspects = []circuit.ArcID{2, 7, 9}
+	d.Clk = 1.25
 	var buf bytes.Buffer
 	if err := Compress(d).Save(&buf, 3); err != nil {
 		panic(err)

@@ -9,19 +9,21 @@ import (
 )
 
 // randomDict builds a dictionary of nSus suspects over nOut×nPat
-// random signature matrices, plus a random behavior matrix.
+// random signature matrices (E random over M = 0, so S = E), plus a
+// random behavior matrix.
 func randomDict(seed uint64, nSus, nOut, nPat int) (*Dictionary, *Behavior) {
 	r := rng.New(seed)
-	sigs := make([]*Matrix, nSus)
-	for i := range sigs {
-		m := NewMatrix(nOut, nPat)
-		for k := range m.Data {
-			m.Data[k] = r.Float64()
-		}
-		sigs[i] = m
+	d := &Dictionary{
+		Rows:     nOut,
+		Cols:     nPat,
+		M:        make([]float64, nOut*nPat),
+		E:        make([]float64, nSus*nOut*nPat),
+		Suspects: make([]circuit.ArcID, nSus),
 	}
-	d := &Dictionary{S: sigs, Suspects: make([]circuit.ArcID, nSus)}
-	for i := range sigs {
+	for k := range d.E {
+		d.E[k] = r.Float64()
+	}
+	for i := range d.Suspects {
 		d.Suspects[i] = circuit.ArcID(i * 3) // arbitrary distinct IDs
 	}
 	b := NewBehavior(nOut, nPat)
@@ -114,15 +116,15 @@ func TestPerfectSignatureWinsProperty(t *testing.T) {
 		nOut, nPat := 1+r.IntN(4), 1+r.IntN(5)
 		d, b := randomDict(seed, 3, nOut, nPat)
 		// Replace suspect 0's signature with the perfect one.
-		perfect := NewMatrix(nOut, nPat)
+		perfect := d.E[:nOut*nPat]
+		clear(perfect)
 		for i := 0; i < nOut; i++ {
 			for j := 0; j < nPat; j++ {
 				if b.At(i, j) {
-					perfect.Set(i, j, 1)
+					perfect[i*nPat+j] = 1
 				}
 			}
 		}
-		d.S[0] = perfect
 		for _, m := range Methods {
 			ranked := d.Diagnose(b, m)
 			if ranked[0].Arc != d.Suspects[0] {
@@ -146,15 +148,15 @@ func TestPerfectSignatureZeroError(t *testing.T) {
 		r := rng.New(seed)
 		nOut, nPat := 1+r.IntN(4), 1+r.IntN(5)
 		d, b := randomDict(seed, 1, nOut, nPat)
-		perfect := NewMatrix(nOut, nPat)
+		perfect := d.E[:nOut*nPat]
+		clear(perfect)
 		for i := 0; i < nOut; i++ {
 			for j := 0; j < nPat; j++ {
 				if b.At(i, j) {
-					perfect.Set(i, j, 1)
+					perfect[i*nPat+j] = 1
 				}
 			}
 		}
-		d.S[0] = perfect
 		phi := d.PatternConsistency(0, b)
 		return AlgRev.Score(phi) == 0 && MethodIII.Score(phi) == 1
 	}

@@ -65,18 +65,10 @@ func tieDict() (*Dictionary, *Behavior) {
 		{1, 0, 1, 0, 0, 1},           // a perfect match of b below
 		{0.3, 0.3, 0.3, 0.3, 0.3, 0.3},
 	}
-	d := &Dictionary{}
-	for g := 0; g < 3; g++ {
-		for _, sig := range sigs {
-			m := NewMatrix(rows, cols)
-			copy(m.Data, sig)
-			d.S = append(d.S, m)
-		}
+	d := handDict(rows, cols, slices.Concat(sigs, sigs, sigs)...)
+	for i := range d.Suspects {
+		d.Suspects[i] = circuit.ArcID(100 - 7*i)
 	}
-	for i := range d.S {
-		d.Suspects = append(d.Suspects, circuit.ArcID(100-7*i))
-	}
-	d.M = NewMatrix(rows, cols)
 	b := NewBehavior(rows, cols)
 	for k, v := range sigs[2] {
 		if v == 1 {
@@ -123,7 +115,6 @@ func TestRankMatchesScalarOracle(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 40; seed++ {
 		d, b := randomDict(seed, 1+int(seed%9), 1+int(seed%4), 1+int(seed%6))
-		d.M = NewMatrix(b.Rows, b.Cols)
 		cd := Compress(d)
 		for _, m := range allMethods {
 			sameRanking(t, m.String()+" dense", d.Diagnose(b, m), diagnoseDenseScalar(d, b, m))
@@ -169,12 +160,12 @@ func TestDiagnoseMethodsMatchesDiagnose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, cols := d.S[0].Rows, d.S[0].Cols
+	rows, cols := d.Rows, d.Cols
 	bs := []*Behavior{NewBehavior(rows, cols)}
-	for _, s := range d.S {
+	for si := range d.Suspects {
 		b := NewBehavior(rows, cols)
-		for k, v := range s.Data {
-			b.Set(k/cols, k%cols, v > 0.5)
+		for k := 0; k < rows*cols; k++ {
+			b.Set(k/cols, k%cols, d.signature(si, k) > 0.5)
 		}
 		bs = append(bs, b)
 	}
@@ -224,14 +215,16 @@ func checkClasses(t *testing.T, cd *CompressedDictionary) {
 // An absent entry is exactly 0, which multiplies φ by exactly 1 or 0,
 // so the dense φ equals the sparse kernel's bit for bit.
 func decompress(cd *CompressedDictionary) *Dictionary {
-	d := &Dictionary{Suspects: cd.Suspects, M: NewMatrix(cd.rows, cd.cols)}
-	for _, es := range cd.entries {
-		s := NewMatrix(cd.rows, cd.cols)
+	sigs := make([][]float64, len(cd.entries))
+	for si, es := range cd.entries {
+		sigs[si] = make([]float64, cd.rows*cd.cols)
 		for _, e := range es {
-			s.Set(int(e.idx)%cd.rows, int(e.idx)/cd.rows, float64(e.q)/255)
+			i, j := int(e.idx)%cd.rows, int(e.idx)/cd.rows
+			sigs[si][i*cd.cols+j] = float64(e.q) / 255
 		}
-		d.S = append(d.S, s)
 	}
+	d := handDict(cd.rows, cd.cols, sigs...)
+	d.Suspects = cd.Suspects
 	return d
 }
 
@@ -256,14 +249,16 @@ func TestRankSignatureClasses(t *testing.T) {
 		"D":     {{0, 0, 1}, {1, 1, 1}, {0, 2, 1}, {1, 2, 1}},         // matches b below exactly
 	}
 	order := []string{"A", "empty", "B", "A", "C", "empty", "D", "A", "B"}
-	d := &Dictionary{M: NewMatrix(rows, cols)}
+	mats := make([][]float64, len(order))
 	for k, name := range order {
-		s := NewMatrix(rows, cols)
+		mats[k] = make([]float64, rows*cols)
 		for _, c := range sigs[name] {
-			s.Set(c.i, c.j, c.p)
+			mats[k][c.i*cols+c.j] = c.p
 		}
-		d.S = append(d.S, s)
-		d.Suspects = append(d.Suspects, circuit.ArcID(100-7*k))
+	}
+	d := handDict(rows, cols, mats...)
+	for k := range d.Suspects {
+		d.Suspects[k] = circuit.ArcID(100 - 7*k)
 	}
 	// b fails output 0 under patterns 0 and 2 and output 1 under
 	// patterns 1 and 2: patterns 0 and 1 each have one failing output,

@@ -244,13 +244,14 @@ func CompareEngines(ctx context.Context, cfg Config, maxSuspects int) (*EngineCo
 	}
 	ec.MCBuildSeconds, ec.AnalyticBuildSeconds = tMC, tAN
 
-	ec.CritProbMAE, ec.CritProbMax = matErr(dictAN.M.Data, dictMC.M.Data)
+	ec.CritProbMAE, ec.CritProbMax = matErr(dictAN.M, dictMC.M)
 	var sigSum, sigMax float64
 	var sigN int
-	for i := range dictMC.S {
-		mae, mx := matErr(dictAN.S[i].Data, dictMC.S[i].Data)
-		sigSum += mae * float64(len(dictMC.S[i].Data))
-		sigN += len(dictMC.S[i].Data)
+	sigAN, sigMC, n := signatures(dictAN), signatures(dictMC), len(dictMC.M)
+	for i := range dictMC.Suspects {
+		mae, mx := matErr(sigAN[i*n:(i+1)*n], sigMC[i*n:(i+1)*n])
+		sigSum += mae * float64(n)
+		sigN += n
 		if mx > sigMax {
 			sigMax = mx
 		}
@@ -294,6 +295,20 @@ func CompareEngines(ctx context.Context, cfg Config, maxSuspects int) (*EngineCo
 		}
 	}
 	return ec, nil
+}
+
+// signatures derives every suspect's S_crt = max(E_crt − M_crt, 0)
+// from d, in the layout of d.E.
+func signatures(d *core.Dictionary) []float64 {
+	s := make([]float64, len(d.E))
+	for k, e := range d.E {
+		v := e - d.M[k%len(d.M)]
+		if v < 0 {
+			v = 0
+		}
+		s[k] = v
+	}
+	return s
 }
 
 // matErr returns the mean and max absolute entrywise difference of two

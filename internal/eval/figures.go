@@ -173,22 +173,23 @@ type Figure2Result struct {
 // Figure2 computes the example deterministically (no simulation).
 func Figure2() *Figure2Result {
 	// Probabilities of failing from the figure: fault #1 then fault #2,
-	// rows = PO1, PO2; columns = Vec1, Vec2.
-	f1 := core.NewMatrix(2, 2)
-	f1.Set(0, 0, 0.8)
-	f1.Set(0, 1, 0.5)
-	f1.Set(1, 0, 0.4)
-	f1.Set(1, 1, 0.6)
-	f2 := core.NewMatrix(2, 2)
-	f2.Set(0, 0, 0.6)
-	f2.Set(0, 1, 0.2)
-	f2.Set(1, 0, 0.3)
-	f2.Set(1, 1, 0.5)
+	// rows = PO1, PO2; columns = Vec1, Vec2. They are the dictionary's
+	// E with M = 0, so the signatures S = E − 0 are the figure's
+	// matrices exactly.
 	b := core.NewBehavior(2, 2)
 	b.Set(0, 0, true) // PO1 fails Vec1
 	b.Set(1, 1, true) // PO2 fails Vec2
 
-	d := &core.Dictionary{S: []*core.Matrix{f1, f2}, Suspects: []circuit.ArcID{0, 1}}
+	d := &core.Dictionary{
+		Suspects: []circuit.ArcID{0, 1},
+		Rows:     2,
+		Cols:     2,
+		M:        make([]float64, 4),
+		E: []float64{
+			0.8, 0.5, 0.4, 0.6, // fault #1
+			0.6, 0.2, 0.3, 0.5, // fault #2
+		},
+	}
 	res := &Figure2Result{
 		Scores: make(map[core.Method][2]float64),
 		Winner: make(map[core.Method]int),

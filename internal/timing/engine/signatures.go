@@ -11,20 +11,12 @@ import (
 	"repro/internal/tsim"
 )
 
-// SignatureProbs holds analytic critical-probability signatures for a
-// dictionary build: the defect-free matrix M and one matrix per
-// suspect E, flattened row-major with the pattern axis innermost
-// (matching the core accumulator layout).
-type SignatureProbs struct {
-	NOut, NPat, NSus int
-	M                []float64 // M[oi*NPat + j]
-	E                []float64 // E[(i*NOut+oi)*NPat + j]
-}
-
 // Signatures computes the analytic counterpart of the Monte-Carlo
 // dictionary build: per (output, pattern) the probability that the
-// output captures a wrong value at clk, defect-free (M) and under each
-// suspect defect (E).
+// output captures a wrong value at clk, defect-free (mCrt) and under
+// each suspect defect (eCrt). Both are flattened row-major with the
+// pattern axis innermost, the core dictionary's layout:
+// mCrt[oi*nPat + j] and eCrt[(i*nOut+oi)*nPat + j].
 //
 // Where the MC build simulates every (sample, pattern, suspect)
 // triple, the analytic build simulates only the NOMINAL die — one
@@ -59,14 +51,11 @@ type SignatureProbs struct {
 // Patterns are processed in parallel (workers as in par.Workers); each
 // pattern writes a disjoint column of every matrix, so the result is
 // deterministic and independent of scheduling.
-func (e *Analytic) Signatures(ctx context.Context, patterns []logicsim.PatternPair, suspects []circuit.ArcID, clk float64, size dist.Dist, workers int) (*SignatureProbs, error) {
+func (e *Analytic) Signatures(ctx context.Context, patterns []logicsim.PatternPair, suspects []circuit.ArcID, clk float64, size dist.Dist, workers int) (mCrt, eCrt []float64, err error) {
 	c := e.m.C
-	nOut, nPat, nSus := len(c.Outputs), len(patterns), len(suspects)
-	sp := &SignatureProbs{
-		NOut: nOut, NPat: nPat, NSus: nSus,
-		M: make([]float64, nOut*nPat),
-		E: make([]float64, nSus*nOut*nPat),
-	}
+	nOut, nPat := len(c.Outputs), len(patterns)
+	mCrt = make([]float64, nOut*nPat)
+	eCrt = make([]float64, len(suspects)*nOut*nPat)
 	defMu := size.Mean()
 	defVar := size.Variance()
 
@@ -81,11 +70,11 @@ func (e *Analytic) Signatures(ctx context.Context, patterns []logicsim.PatternPa
 		}
 		base := eng.Run(e.m.Nominal, patterns[j], tsim.Quiescent())
 		for oi, o := range c.Outputs {
-			sp.M[oi*nPat+j] = e.captureFailProb(base.Waveform(o), clk, nil, 0)
+			mCrt[oi*nPat+j] = e.captureFailProb(base.Waveform(o), clk, nil, 0)
 		}
 		for i, arc := range suspects {
 			for oi := 0; oi < nOut; oi++ {
-				sp.E[(i*nOut+oi)*nPat+j] = sp.M[oi*nPat+j]
+				eCrt[(i*nOut+oi)*nPat+j] = mCrt[oi*nPat+j]
 			}
 			if !base.Transitioned(c.Arcs[arc].From) {
 				// The defect arc never sees a transition under this
@@ -95,13 +84,13 @@ func (e *Analytic) Signatures(ctx context.Context, patterns []logicsim.PatternPa
 			for _, oi := range eng.RunDefectDiff(e.m.Nominal, base, arc, defMu, math.Inf(1)) {
 				o := c.Outputs[oi]
 				w, _ := eng.DefectWaveform(base, o)
-				sp.E[(i*nOut+oi)*nPat+j] = e.captureFailProb(w, clk, base.Waveform(o), defVar)
+				eCrt[(i*nOut+oi)*nPat+j] = e.captureFailProb(w, clk, base.Waveform(o), defVar)
 			}
 		}
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return sp, nil
+	return mCrt, eCrt, nil
 }
 
 // captureFailProb turns one recorded output waveform into the

@@ -98,8 +98,6 @@ type (
 	Dictionary = core.Dictionary
 	// DictConfig configures dictionary construction.
 	DictConfig = core.DictConfig
-	// Matrix is an outputs × patterns probability matrix.
-	Matrix = core.Matrix
 	// Behavior is the observed 0-1 failing-behavior matrix B.
 	Behavior = core.Behavior
 	// Method selects a diagnosis error function.
