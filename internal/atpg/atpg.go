@@ -136,9 +136,9 @@ type Generator struct {
 	c *circuit.Circuit
 
 	// Flat circuit tables (DESIGN.md §18), the only view of the
-	// netlist the implication kernel reads: CSR fan-in and fan-out
-	// (gate i's fan-in is fin[finStart[i]:finStart[i+1]]) and the cell
-	// table.
+	// netlist the implication kernel reads: the circuit's own CSR
+	// fan-in and fan-out (gate i's fan-in is
+	// fin[finStart[i]:finStart[i+1]]) and the cell table.
 	finStart, foStart []int32
 	fin, fo           []circuit.GateID
 	cells             []cell
@@ -187,20 +187,15 @@ func NewGenerator(c *circuit.Circuit) *Generator {
 	n := len(c.Gates)
 	g := &Generator{
 		c:         c,
-		finStart:  make([]int32, n+1),
-		foStart:   make([]int32, n+1),
 		cells:     make([]cell, n),
 		stamp:     1,
 		coneStack: make([]circuit.GateID, 0, n),
 		trail:     make([]trailEntry, 0, 2*n),
 	}
+	g.finStart, g.fin = c.FaninTable()
+	g.foStart, g.fo = c.FanoutTable()
 	for i := range c.Gates {
-		gate := &c.Gates[i]
-		g.fin = append(g.fin, gate.Fanin...)
-		g.fo = append(g.fo, gate.Fanout...)
-		g.finStart[i+1] = int32(len(g.fin))
-		g.foStart[i+1] = int32(len(g.fo))
-		g.cells[i] = cellOf(gate.Type)
+		g.cells[i] = cellOf(c.Gates[i].Type)
 	}
 	g.work = make([]circuit.GateID, 0, len(g.fo))
 	for f := 0; f < 2; f++ {

@@ -80,6 +80,33 @@ func (c *Circuit) Check() error {
 			return fmt.Errorf("output list contains non-Output gate %q", c.Gates[out].Name)
 		}
 	}
+	// Each gate's Fanout lists, in arc order, the reader of every arc
+	// leaving it; pos now counts each gate's out-arcs.
+	clear(pos)
+	for i := range c.Arcs {
+		a := &c.Arcs[i]
+		fo := c.Gates[a.From].Fanout
+		if k := pos[a.From]; k >= len(fo) || fo[k] != a.To {
+			return fmt.Errorf("gate %q: fan-out does not list arc %d's reader %q in arc order", c.Gates[a.From].Name, i, c.Gates[a.To].Name)
+		}
+		pos[a.From]++
+	}
+	for i := range c.Gates {
+		if g := &c.Gates[i]; len(g.Fanout) != pos[i] {
+			return fmt.Errorf("gate %q: %d fan-outs for %d out-arcs", g.Name, len(g.Fanout), pos[i])
+		}
+	}
+	// Arcs are numbered in (gate, pin) order, so that slot k of the
+	// flat fan-in table (FaninTable) is arc k.
+	next := ArcID(0)
+	for i := range c.Gates {
+		for k, a := range c.Gates[i].InArcs {
+			if a != next {
+				return fmt.Errorf("gate %q pin %d: arc %d, want %d in (gate, pin) order", c.Gates[i].Name, k, a, next)
+			}
+			next++
+		}
+	}
 	return nil
 }
 

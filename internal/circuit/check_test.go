@@ -115,3 +115,43 @@ func TestCheckRejectsDoublyAttachedArc(t *testing.T) {
 		t.Fatal("Check accepted a doubly-attached arc")
 	}
 }
+
+func TestCheckRejectsFanoutOutOfArcOrder(t *testing.T) {
+	c := buildC17(t)
+	// n11 feeds n16 (an earlier arc) and n19: list them the other way.
+	n11, _ := c.GateByName("n11")
+	n11.Fanout = []GateID{n11.Fanout[1], n11.Fanout[0]}
+	err := c.Check()
+	if err == nil {
+		t.Fatal("Check accepted a fan-out list out of arc order")
+	}
+	if !strings.Contains(err.Error(), "fan-out") {
+		t.Errorf("fan-out order reported as %q", err)
+	}
+
+	c = buildC17(t)
+	n11, _ = c.GateByName("n11")
+	n11.Fanout = n11.Fanout[:1]
+	if err := c.Check(); err == nil || !strings.Contains(err.Error(), "fan-out") {
+		t.Errorf("short fan-out list reported as %v", err)
+	}
+}
+
+func TestCheckRejectsArcsOutOfPinOrder(t *testing.T) {
+	c := buildC17(t)
+	// Swap the numbers of n10's two in-arcs: every arc stays attached
+	// to one pin and consistent with it, and the fan-out lists keep
+	// their order, but arc 0 now belongs to pin 1.
+	n10, _ := c.GateByName("n10")
+	a0, a1 := n10.InArcs[0], n10.InArcs[1]
+	c.Arcs[a0], c.Arcs[a1] = c.Arcs[a1], c.Arcs[a0]
+	c.Arcs[a0].ID, c.Arcs[a1].ID = a0, a1
+	n10.InArcs = []ArcID{a1, a0}
+	err := c.Check()
+	if err == nil {
+		t.Fatal("Check accepted arcs out of (gate, pin) order")
+	}
+	if !strings.Contains(err.Error(), "(gate, pin) order") {
+		t.Errorf("arc order reported as %q", err)
+	}
+}

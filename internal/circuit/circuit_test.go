@@ -78,6 +78,36 @@ func TestGateByName(t *testing.T) {
 	if _, ok := c.GateByName("o22$out"); !ok {
 		t.Errorf("output port gate missing")
 	}
+
+	// Where names repeat, the last gate of that name is returned: a
+	// twice-declared output has two "a$out" ports, and OUTPUT(x)'s
+	// port shadows a declared signal literally named "x$out".
+	b := NewBuilder("dup")
+	for _, in := range []string{"a", "x"} {
+		if err := b.AddInput(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.AddGate("x$out", Not, "x"); err != nil {
+		t.Fatal(err)
+	}
+	b.MarkOutput("a")
+	b.MarkOutput("x$out")
+	b.MarkOutput("a")
+	b.MarkOutput("x")
+	d, err := b.Build(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, ok := d.GateByName("a$out"); !ok || g.ID != d.Outputs[2] {
+		t.Errorf("GateByName(a$out) = %+v, %v; want the second port, gate %d", g, ok, d.Outputs[2])
+	}
+	if g, ok := d.GateByName("x$out"); !ok || g.ID != d.Outputs[3] || g.Type != Output {
+		t.Errorf("GateByName(x$out) = %+v, %v; want OUTPUT(x)'s port, gate %d", g, ok, d.Outputs[3])
+	}
+	if g, ok := d.GateByName("x$out$out"); !ok || g.ID != d.Outputs[1] {
+		t.Errorf("GateByName(x$out$out) = %+v, %v; want gate %d", g, ok, d.Outputs[1])
+	}
 }
 
 func TestBuilderErrors(t *testing.T) {

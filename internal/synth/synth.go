@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
+	"strconv"
 
 	"repro/internal/circuit"
 	"repro/internal/rng"
@@ -77,9 +78,8 @@ func ProfileByName(name string) (Profile, bool) {
 	return Profile{}, false
 }
 
-// gate is the pre-build representation.
+// genGate is the pre-build representation of a logic gate.
 type genGate struct {
-	name  string
 	typ   circuit.CellType
 	fanin []int // signal indices
 	level int
@@ -88,11 +88,11 @@ type genGate struct {
 type generator struct {
 	r       *rand.Rand
 	p       Profile
-	names   []string  // signal index -> name
 	levels  []int     // signal index -> level
 	probs   []float64 // signal index -> estimated P(value = 1) under random inputs
 	buckets [][]int   // level -> signal indices
 	gates   []genGate
+	ps      []float64 // emitGates' fan-in probabilities, reused per gate
 }
 
 // Generate builds a circuit matching profile p, deterministically from
@@ -115,11 +115,8 @@ func Generate(p Profile, seed uint64) (*circuit.Circuit, error) {
 	}
 
 	// Level-0 signals: PIs then DFF outputs.
-	for i := 0; i < p.PI; i++ {
-		g.addSignal(fmt.Sprintf("I%d", i), 0, 0.5)
-	}
-	for i := 0; i < p.DFF; i++ {
-		g.addSignal(fmt.Sprintf("Q%d", i), 0, 0.5)
+	for range p.PI + p.DFF {
+		g.addSignal(0, 0.5)
 	}
 
 	g.emitGates(depth)
@@ -147,9 +144,8 @@ func hashName(s string) uint64 {
 	return h
 }
 
-func (g *generator) addSignal(name string, level int, p1 float64) {
-	g.buckets[level] = append(g.buckets[level], len(g.names))
-	g.names = append(g.names, name)
+func (g *generator) addSignal(level int, p1 float64) {
+	g.buckets[level] = append(g.buckets[level], len(g.levels))
 	g.levels = append(g.levels, level)
 	g.probs = append(g.probs, p1)
 }
@@ -289,10 +285,11 @@ func (g *generator) emitGates(depth int) {
 				break // tiny pools: accept fewer inputs
 			}
 		}
-		ps := make([]float64, len(fanin))
-		for k, f := range fanin {
-			ps[k] = g.probs[f]
+		ps := g.ps[:0]
+		for _, f := range fanin {
+			ps = append(ps, g.probs[f])
 		}
+		g.ps = ps
 		switch {
 		case len(fanin) == 1 && typ.MinFanin() > 1:
 			typ = circuit.Not // degrade gracefully in tiny circuits
@@ -302,9 +299,8 @@ func (g *generator) emitGates(depth int) {
 			// keep as drawn; XOR is balanced by construction
 		}
 
-		name := fmt.Sprintf("N%d", i)
-		g.addSignal(name, level, typeP1(typ, ps))
-		g.gates = append(g.gates, genGate{name: name, typ: typ, fanin: fanin, level: level})
+		g.addSignal(level, typeP1(typ, ps))
+		g.gates = append(g.gates, genGate{typ: typ, fanin: fanin, level: level})
 	}
 }
 
@@ -335,7 +331,7 @@ func contains(xs []int, x int) bool {
 func (g *generator) chooseSinks() (pos, ffData []int) {
 	fanout := g.fanoutCounts()
 	var dangling []int
-	for id := g.p.PI + g.p.DFF; id < len(g.names); id++ {
+	for id := g.p.PI + g.p.DFF; id < len(g.levels); id++ {
 		if fanout[id] == 0 {
 			dangling = append(dangling, id)
 		}
@@ -359,7 +355,7 @@ func (g *generator) chooseSinks() (pos, ffData []int) {
 		used[id] = true
 	}
 	// Top up with random distinct gate signals.
-	nGateSignals := len(g.names) - g.p.PI - g.p.DFF
+	nGateSignals := len(g.levels) - g.p.PI - g.p.DFF
 	for len(picks) < need && len(used) < nGateSignals {
 		id := g.p.PI + g.p.DFF + g.r.IntN(nGateSignals)
 		if !used[id] {
@@ -380,7 +376,7 @@ func (g *generator) chooseSinks() (pos, ffData []int) {
 }
 
 func (g *generator) fanoutCounts() []int {
-	fanout := make([]int, len(g.names))
+	fanout := make([]int, len(g.levels))
 	for _, gg := range g.gates {
 		for _, f := range gg.fanin {
 			fanout[f]++
@@ -412,7 +408,7 @@ func (g *generator) repairDangling(pos, ffData []int) {
 			varLevels = append(varLevels, gg.level)
 		}
 	}
-	for id := g.p.PI + g.p.DFF; id < len(g.names); id++ {
+	for id := g.p.PI + g.p.DFF; id < len(g.levels); id++ {
 		if fanout[id] > 0 || sink[id] {
 			continue
 		}
@@ -431,32 +427,61 @@ func (g *generator) repairDangling(pos, ffData []int) {
 	}
 }
 
+// signalNames names every signal, in signal order: the primary inputs
+// I0, I1, …, the flip-flop outputs Q0, Q1, … and the logic gates N0,
+// N1, …. The names are slices of one string.
+func (g *generator) signalNames() []string {
+	n := len(g.levels)
+	var buf []byte
+	ends := make([]int, n)
+	for s := range n {
+		switch {
+		case s < g.p.PI:
+			buf = strconv.AppendInt(append(buf, 'I'), int64(s), 10)
+		case s < g.p.PI+g.p.DFF:
+			buf = strconv.AppendInt(append(buf, 'Q'), int64(s-g.p.PI), 10)
+		default:
+			buf = strconv.AppendInt(append(buf, 'N'), int64(s-g.p.PI-g.p.DFF), 10)
+		}
+		ends[s] = len(buf)
+	}
+	all := string(buf)
+	names := make([]string, n)
+	start := 0
+	for s, end := range ends {
+		names[s] = all[start:end]
+		start = end
+	}
+	return names
+}
+
 // build feeds the generated structure through circuit.Builder, adding
 // DFFs and output markers, and returns the scan-converted circuit.
 func (g *generator) build(pos, ffData []int) (*circuit.Circuit, error) {
+	names := g.signalNames()
 	b := circuit.NewBuilder(g.p.Name)
 	for i := 0; i < g.p.PI; i++ {
-		if err := b.AddInput(g.names[i]); err != nil {
+		if err := b.AddInput(names[i]); err != nil {
 			return nil, err
 		}
 	}
 	for i, data := range ffData {
-		qName := g.names[g.p.PI+i]
-		if err := b.AddGate(qName, circuit.DFF, g.names[data]); err != nil {
+		if err := b.AddGate(names[g.p.PI+i], circuit.DFF, names[data]); err != nil {
 			return nil, err
 		}
 	}
-	for _, gg := range g.gates {
-		fin := make([]string, len(gg.fanin))
-		for k, f := range gg.fanin {
-			fin[k] = g.names[f]
+	var fin []string // reused: AddGate copies the names
+	for i, gg := range g.gates {
+		fin = fin[:0]
+		for _, f := range gg.fanin {
+			fin = append(fin, names[f])
 		}
-		if err := b.AddGate(gg.name, gg.typ, fin...); err != nil {
+		if err := b.AddGate(names[g.p.PI+g.p.DFF+i], gg.typ, fin...); err != nil {
 			return nil, err
 		}
 	}
 	for _, id := range pos {
-		b.MarkOutput(g.names[id])
+		b.MarkOutput(names[id])
 	}
 	c, err := b.Build(true)
 	if err != nil {

@@ -268,7 +268,7 @@ func (e *Engine) pushFanout(base *waves, g circuit.GateID, delays []float64, opt
 	win := opts.Window
 	if win == nil || base == nil {
 		for _, h := range e.fout[e.foutOff[g]:e.foutOff[g+1]] {
-			e.queue.push(circuit.GateID(h))
+			e.queue.push(h)
 		}
 		return
 	}
@@ -302,7 +302,7 @@ func (e *Engine) rebuild(out, base *waves, init []bool, g circuit.GateID, delays
 	arr := e.arr[:0]
 	var cnt int16
 	for k := e.finOff[g]; k < e.finOff[g+1]; k++ {
-		fi := circuit.GateID(e.fin[k])
+		fi := e.fin[k]
 		if init[fi] == cv {
 			cnt++
 		}
@@ -312,7 +312,7 @@ func (e *Engine) rebuild(out, base *waves, init []bool, g circuit.GateID, delays
 		}
 		// Merge the pin's arrivals up to the limit into arr from the
 		// back; a tie keeps the earlier pin's arrival first.
-		d := arcDelay(delays, opts, circuit.ArcID(e.finArc[k]))
+		d := arcDelay(delays, opts, circuit.ArcID(k))
 		j := len(w) - 1
 		for j >= 0 && w[j].T+d > limit {
 			j--

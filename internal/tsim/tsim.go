@@ -170,11 +170,12 @@ type Engine struct {
 	c     *circuit.Circuit
 	gmode []uint8
 	// Gate g's input pins k = finOff[g] … finOff[g+1]−1 are driven by
-	// fin[k] through arc finArc[k]; its fan-out gates are
-	// fout[foutOff[g]:foutOff[g+1]]. Flat copies of the netlist's
-	// Fanin, InArcs and Fanout for the kernel's inner loops.
-	finOff, fin, finArc []int32
-	foutOff, fout       []int32
+	// fin[k] through arc k; its fan-out gates are
+	// fout[foutOff[g]:foutOff[g+1]]. The circuit's own flat tables
+	// (circuit.FaninTable, FanoutTable), read by the kernel's inner
+	// loops.
+	finOff, foutOff []int32
+	fin, fout       []circuit.GateID
 	// run holds the waveforms of the last Run; diff those the last
 	// RunDefectDiff rebuilt. The two are disjoint, so the kernel may
 	// run against a baseline recorded by the same engine.
@@ -206,11 +207,6 @@ func NewEngine(c *circuit.Circuit) *Engine {
 	e := &Engine{
 		c:          c,
 		gmode:      make([]uint8, n),
-		finOff:     make([]int32, n+1),
-		fin:        make([]int32, 0, len(c.Arcs)),
-		finArc:     make([]int32, 0, len(c.Arcs)),
-		foutOff:    make([]int32, n+1),
-		fout:       make([]int32, 0, len(c.Arcs)),
 		run:        newWaves(n),
 		diff:       newWaves(n),
 		queue:      newWorklist(c),
@@ -224,18 +220,10 @@ func NewEngine(c *circuit.Circuit) *Engine {
 	for i, o := range c.Outputs {
 		e.outIdx[o] = int32(i)
 	}
+	e.finOff, e.fin = c.FaninTable()
+	e.foutOff, e.fout = c.FanoutTable()
 	for g := range c.Gates {
-		gate := &c.Gates[g]
-		e.gmode[g] = gateMode(gate.Type)
-		for k, fi := range gate.Fanin {
-			e.fin = append(e.fin, int32(fi))
-			e.finArc = append(e.finArc, int32(gate.InArcs[k]))
-		}
-		e.finOff[g+1] = int32(len(e.fin))
-		for _, h := range gate.Fanout {
-			e.fout = append(e.fout, int32(h))
-		}
-		e.foutOff[g+1] = int32(len(e.fout))
+		e.gmode[g] = gateMode(c.Gates[g].Type)
 	}
 	return e
 }
