@@ -20,8 +20,9 @@
 //     detach inside one branch of a conditional is caught at the call
 //     site where the laundered context escapes;
 //   - a call of a module-internal function or method Foo when a
-//     sibling FooCtx accepting a context.Context exists (par.For vs
-//     par.ForCtx, eval.RunOnCircuit vs eval.RunOnCircuitCtx): the
+//     sibling FooCtx or FooWorkerCtx accepting a context.Context exists
+//     (eval.RunOnCircuit vs eval.RunOnCircuitCtx, par.For vs
+//     par.ForWorkerCtx): the
 //     context-free variant runs the work detached from cancellation.
 //
 // Constructing a fresh root context is legitimate in functions outside
@@ -227,7 +228,8 @@ func eachDef(pass *analysis.Pass, def ast.Node, f func(obj types.Object, val ast
 }
 
 // checkCtxSibling reports a call of module-internal Foo when FooCtx
-// exists, accepts a context, and Foo itself does not.
+// (or, failing that, FooWorkerCtx) exists, accepts a context, and Foo
+// itself does not.
 func checkCtxSibling(pass *analysis.Pass, call *ast.CallExpr) {
 	callee := pass.Callee(call)
 	if callee == nil || callee.Pkg() == nil {
@@ -248,6 +250,10 @@ func checkCtxSibling(pass *analysis.Pass, call *ast.CallExpr) {
 		return
 	}
 	sibling := lookupSibling(callee, name+"Ctx")
+	if sibling == nil {
+		// par.For's context-taking form also passes fn a worker index.
+		sibling = lookupSibling(callee, name+"WorkerCtx")
+	}
 	if sibling == nil {
 		return
 	}

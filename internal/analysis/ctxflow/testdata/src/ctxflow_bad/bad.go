@@ -105,3 +105,13 @@ func relaunder(ctx context.Context) error {
 	ctx = context.TODO()
 	return work(ctx) // want `context "ctx" may be context.TODO\(\) here \(reassigned at line 105\)`
 }
+
+func fanOut(n int, fn func(i int)) {}
+
+func fanOutWorkerCtx(ctx context.Context, n int, fn func(w, i int)) error { return ctx.Err() }
+
+// workerSibling calls the context-free variant of a callee whose
+// context-taking sibling also passes a worker index (par.For's shape).
+func workerSibling(ctx context.Context, n int) {
+	fanOut(n, func(int) {}) // want `use fanOutWorkerCtx so cancellation propagates`
+}

@@ -1,19 +1,15 @@
 // Package pairok implements the resource-pairing analyzer: every
 // acquire of a paired resource must be matched by its release on every
-// control-flow path out of the function. Three resource families
+// control-flow path out of the function. Two resource families
 // underpin the repository's hot paths (DESIGN.md, "Performance
 // architecture") and serving tier:
 //
 //   - sync.Pool Get/Put — a Get whose Put is skipped on an early
 //     return silently degrades the pool back to per-call allocation,
-//     exactly the regression the PR-5 scratch pooling exists to
-//     prevent;
+//     exactly the regression the pooling exists to prevent;
 //   - sync.Mutex / sync.RWMutex Lock/Unlock and RLock/RUnlock — a
 //     branch that returns while holding a shard lock deadlocks the
-//     cache;
-//   - the timing kernels' Scratch acquire/release (acquireScratch /
-//     releaseScratch and exported spellings) — same failure mode as
-//     the pool, since that is what backs it.
+//     cache.
 //
 // The analysis runs over the function's CFG (internal/analysis/flow):
 // an acquire is flagged when any path — early return, panic edge, a
@@ -26,10 +22,8 @@
 // Ownership transfer is recognized: an acquire whose result is
 // returned, stored into a field, slice slot, map, or channel, or
 // consumed by an enclosing expression hands the resource onward and is
-// not tracked — this is how Model.acquireScratch itself (which returns
-// m.pool.Get()), the per-worker `scratches[w] = sc` caching in the
-// blocked kernels, and handoff APIs like parseBehavior (caller must
-// Put) stay clean. Functions that intentionally return holding a lock
+// not tracked — this is how handoff APIs like parseBehavior (caller
+// must Put) stay clean. Functions that intentionally return holding a lock
 // document themselves with //lint:ignore pairok <reason>.
 package pairok
 
@@ -44,8 +38,8 @@ import (
 // Analyzer is the pairok pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "pairok",
-	Doc: "sync.Pool Get/Put, mutex Lock/Unlock, and Scratch acquire/release " +
-		"must pair on every control-flow path (early returns and panics included)",
+	Doc: "sync.Pool Get/Put and mutex Lock/Unlock must pair on every " +
+		"control-flow path (early returns and panics included)",
 	Run: run,
 }
 
@@ -54,7 +48,7 @@ type pairClass struct {
 	acquire, release string
 	// what names the resource in diagnostics.
 	what string
-	// recvCheck restricts the receiver type; nil accepts any.
+	// recvCheck restricts the receiver type.
 	recvCheck func(t types.Type) bool
 }
 
@@ -62,8 +56,6 @@ var classes = []pairClass{
 	{acquire: "Get", release: "Put", what: "sync.Pool Get", recvCheck: isSyncType("Pool")},
 	{acquire: "Lock", release: "Unlock", what: "Lock", recvCheck: isSyncLocker},
 	{acquire: "RLock", release: "RUnlock", what: "RLock", recvCheck: isSyncType("RWMutex")},
-	{acquire: "acquireScratch", release: "releaseScratch", what: "Scratch acquire"},
-	{acquire: "AcquireScratch", release: "ReleaseScratch", what: "Scratch acquire"},
 }
 
 // isSyncType matches sync.<name> or a pointer to it.
@@ -211,9 +203,6 @@ func calleeMatches(pass *analysis.Pass, sel *ast.SelectorExpr, c *pairClass) boo
 	if _, ok := pass.ObjectOf(sel.Sel).(*types.Func); !ok {
 		return false
 	}
-	if c.recvCheck == nil {
-		return true
-	}
 	t := pass.TypeOf(sel.X)
 	if t == nil {
 		return false
@@ -276,7 +265,7 @@ func boundToHandoff(pass *analysis.Pass, stmt ast.Node, call *ast.CallExpr, hand
 }
 
 // isDirectChild reports whether call sits under e through type
-// assertions or conversions only (`m.pool.Get().(*Scratch)`).
+// assertions or conversions only (`pool.Get().(*[]byte)`).
 func isDirectChild(e ast.Expr, call *ast.CallExpr) bool {
 	for {
 		switch x := e.(type) {

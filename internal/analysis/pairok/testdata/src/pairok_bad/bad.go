@@ -59,20 +59,3 @@ func (t *table) read(k string) int {
 	t.mu.Unlock()
 	return v
 }
-
-type model struct{ pool sync.Pool }
-
-func (m *model) acquireScratch() *[]float64 { return m.pool.Get().(*[]float64) }
-
-func (m *model) releaseScratch(sc *[]float64) { m.pool.Put(sc) }
-
-// kernel releases its scratch only when the fast path completes.
-func kernel(m *model, fail bool) float64 {
-	sc := m.acquireScratch() // want `Scratch acquire on m is not matched by releaseScratch on every path`
-	if fail {
-		return 0
-	}
-	v := (*sc)[0]
-	m.releaseScratch(sc)
-	return v
-}

@@ -61,9 +61,8 @@ func checkout() *[]byte {
 	return buf
 }
 
-// cached stores the acquired value into a caller-owned slot — the
-// per-worker scratch caching shape of the blocked timing kernels,
-// whose enclosing function releases every slot in a defer.
+// cached stores the acquired value into a caller-owned slot, whose
+// owner releases every slot.
 func cached(slots []*[]byte, w int) *[]byte {
 	buf := slots[w]
 	if buf == nil {

@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/logicsim"
+	"repro/internal/rng"
+	"repro/internal/timing"
 	"repro/internal/timing/engine"
 )
 
@@ -36,11 +40,12 @@ func countBuildAllocs(t *testing.T, samples, nSus int, analytic bool) float64 {
 // TestBuildDictionaryAllocBudget asserts the scratch-reuse contract of
 // the build loop: steady-state allocations are independent of the
 // Monte-Carlo sample count. Every per-sample buffer (instance delays,
-// engine worklists, waveform arenas, failure accumulators) lives in
-// per-worker scratch allocated once up front, so quadrupling Samples
-// must not grow allocations beyond run-to-run noise. A violation here
-// is exactly the regression class the hotalloc analyzer and the
-// tracked allocs/op in BENCH_core.json exist to catch.
+// engine worklists, waveform arenas) lives in per-worker scratch and
+// the failure counts in one shared block, all allocated once up front,
+// so quadrupling Samples must not grow allocations beyond run-to-run
+// noise. A violation here is exactly the regression class the hotalloc
+// analyzer and the tracked allocs/op in BENCH_core.json exist to
+// catch.
 //
 // The suspect arm asserts the same of the suspect axis, under both
 // engines: the dictionary stores M and E once each as flat blocks, so
@@ -92,4 +97,56 @@ func TestCompressedDiagnoseAllocBudget(t *testing.T) {
 			t.Errorf("%d suspects in %d classes: %v allocations per Diagnose, budget %d", len(cd.Suspects), len(cd.reps), got, budget)
 		}
 	}
+}
+
+// buildBytes reports the bytes one BuildDictionary call allocates
+// (the runtime.MemStats.TotalAlloc delta) at the given worker count.
+func buildBytes(t *testing.T, m *timing.Model, pats []logicsim.PatternPair, suspects []circuit.ArcID, cfg DictConfig, workers int) uint64 {
+	t.Helper()
+	cfg.Workers = workers
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := BuildDictionary(context.Background(), m, pats, suspects, cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBuildDictionaryBytesIndependentOfWorkers asserts that a
+// Monte-Carlo worker holds only its scratch: every worker adds into
+// one shared count block, so four workers may allocate more than one
+// only by three workers' scratch (engine, window, delay and size
+// buffers), never by further copies of the suspects × outputs ×
+// patterns counts. The fixture is case-shaped: every logic arc is a
+// suspect and the patterns are two dozen, so one int32 count block
+// (314 KB) outweighs the three extra workers' scratch (~40 KB), as it
+// does on a Table I case; half a count block is the slack.
+func TestBuildDictionaryBytesIndependentOfWorkers(t *testing.T) {
+	m, pats, _, cfg := goldenDictSetup(t)
+	cfg.Samples = 32
+	r := rng.New(5)
+	for len(pats) < 24 {
+		v1 := make(logicsim.Vector, len(m.C.Inputs))
+		v2 := make(logicsim.Vector, len(m.C.Inputs))
+		for k := range v1 {
+			v1[k] = r.Uint64()&1 == 1
+			v2[k] = r.Uint64()&1 == 1
+		}
+		pats = append(pats, logicsim.PatternPair{V1: v1, V2: v2})
+	}
+	var suspects []circuit.ArcID
+	for a := range m.C.Arcs {
+		if m.C.Gates[m.C.Arcs[a].To].Type != circuit.Output {
+			suspects = append(suspects, circuit.ArcID(a))
+		}
+	}
+	counts := uint64(len(suspects) * len(m.C.Outputs) * len(pats) * 4)
+	b1 := buildBytes(t, m, pats, suspects, cfg, 1)
+	b4 := buildBytes(t, m, pats, suspects, cfg, 4)
+	if b4 > b1+counts/2 {
+		t.Fatalf("4 workers allocate %d B, 1 worker %d B: %d B more, over half a %d B count block", b4, b1, b4-b1, counts)
+	}
+	t.Logf("%d suspects: %d B at 1 worker, %d B at 4 workers; count block %d B", len(suspects), b1, b4, counts)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/circuit"
@@ -147,19 +148,17 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 		patFinal[j] = logicsim.Eval(c, pat.V2)
 	}
 
-	// accum is one worker's integer counts: m the defect-free failures
-	// per (output, pattern), e each suspect's flips against them per
-	// (suspect, output, pattern).
-	type accum struct {
-		m []int32 // nOut*nPat
-		e []int32 // nSus*nOut*nPat
-	}
+	// mCount holds the defect-free failures per (output, pattern) and
+	// flips each suspect's flips against them per (suspect, output,
+	// pattern), summed over every sample by all workers at once: integer
+	// adds commute, so the totals do not depend on scheduling.
+	mCount := make([]atomic.Int32, nOut*nPat)
+	flips := make([]atomic.Int32, nSus*nOut*nPat)
 	// dictWorker is one worker's reusable scratch: the simulation
 	// engine, the instance delay buffer, defect sizes, reseedable RNG
 	// streams and the stage ledger — allocated once per worker, so the
 	// per-sample loop is allocation-free in steady state.
 	type dictWorker struct {
-		acc    accum
 		eng    *tsim.Engine
 		opts   tsim.Options // capture at cfg.Clk under the sample's windows
 		delays []float64
@@ -173,10 +172,6 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 		wk := ws[w]
 		if wk == nil {
 			wk = &dictWorker{
-				acc: accum{
-					m: make([]int32, nOut*nPat),
-					e: make([]int32, nSus*nOut*nPat),
-				},
 				eng:    tsim.NewEngine(c),
 				opts:   tsim.Options{Horizon: cfg.Clk, DefectArc: tsim.NoDefect, Window: tsim.NewWindow(c)},
 				delays: make([]float64, len(c.Arcs)),
@@ -185,7 +180,6 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 			}
 			ws[w] = wk
 		}
-		acc := &wk.acc
 		t0 := time.Now()
 		m.SampleDelaysInto(wk.delays, wk.stream.ResetDerived(cfg.Seed, uint64(s)))
 		// One defect size per (sample, suspect): a die has a single
@@ -201,7 +195,7 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 			base := wk.eng.RunSettled(wk.delays, pat, wk.opts, patInit[j], patFinal[j])
 			for oi, o := range c.Outputs {
 				if base.Capture[oi] != base.Final[o] {
-					acc.m[oi*nPat+j]++
+					mCount[oi*nPat+j].Add(1)
 				}
 			}
 			t2 := time.Now()
@@ -220,9 +214,9 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 					switch capture := wk.eng.DefectCapture(base, oi); {
 					case capture == base.Capture[oi]:
 					case capture != base.Final[c.Outputs[oi]]:
-						acc.e[row+oi*nPat]++ // a passing capture now fails
+						flips[row+oi*nPat].Add(1) // a passing capture now fails
 					default:
-						acc.e[row+oi*nPat]-- // a failing capture now passes
+						flips[row+oi*nPat].Add(-1) // a failing capture now passes
 					}
 				}
 			}
@@ -240,23 +234,6 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 	}
 	tAcc := time.Now()
 
-	// Fold every worker's counts into the first one's: integer sums
-	// are exact, so the fold order cannot change a bit.
-	var sum *accum
-	for _, wk := range ws {
-		switch {
-		case wk == nil: // worker never claimed a sample
-		case sum == nil:
-			sum = &wk.acc
-		default:
-			for k, v := range wk.acc.m {
-				sum.m[k] += v
-			}
-			for k, v := range wk.acc.e {
-				sum.e[k] += v
-			}
-		}
-	}
 	n := nOut * nPat
 	d := &Dictionary{
 		C:        c,
@@ -269,13 +246,13 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 		E:        make([]float64, nSus*n),
 	}
 	inv := 1.0 / float64(cfg.Samples)
-	for k, v := range sum.m {
-		d.M[k] = float64(v) * inv
+	for k := range mCount {
+		d.M[k] = float64(mCount[k].Load()) * inv
 	}
 	for i := range suspects {
-		e, delta := d.E[i*n:(i+1)*n], sum.e[i*n:]
-		for k, v := range sum.m {
-			e[k] = float64(v+delta[k]) * inv
+		e, delta := d.E[i*n:(i+1)*n], flips[i*n:]
+		for k := range mCount {
+			e[k] = float64(mCount[k].Load()+delta[k].Load()) * inv
 		}
 	}
 	dictStageAccumulate.Add(time.Since(tAcc).Seconds())

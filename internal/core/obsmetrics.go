@@ -89,7 +89,7 @@ func DictLedger() []LedgerEntry {
 // defect-size sampling, baseline the defect-free run per pattern, and
 // defect the per-suspect re-simulations together with their
 // failing-output counts. The build times the accumulate stage, the
-// fold of the workers' counts into M, E and S, itself.
+// conversion of the shared integer counts into M and E, itself.
 type dictStages struct {
 	sample, baseline, defect time.Duration
 	simulated, skipped       int64

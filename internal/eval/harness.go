@@ -18,6 +18,7 @@ import (
 	"repro/internal/logicsim"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/rng"
 	"repro/internal/synth"
 	"repro/internal/timing"
 	"repro/internal/tsim"
@@ -322,15 +323,27 @@ func capSuspects(strict, relaxed []circuit.ArcID, max int, r interface{ IntN(int
 // dynamic-timing analogue of picking clk from Δ(Induced(Path_TP)).
 func PatternResponseQuantile(m *timing.Model, pats []logicsim.PatternPair, q float64, samples int, seed uint64, workers int) float64 {
 	xs := make([]float64, samples)
-	par.For(samples, workers, func(s int) {
-		inst := m.SampleInstanceSeeded(seed, uint64(s))
-		eng := tsim.NewEngine(m.C)
+	// One engine, delay buffer and reseedable stream per worker: sample
+	// s is drawn from the stream SampleInstanceSeeded(seed, s) uses.
+	type worker struct {
+		eng    *tsim.Engine
+		delays []float64
+		stream *rng.Stream
+	}
+	ws := make([]*worker, par.Workers(workers, samples))
+	_, _ = par.ForWorkerCtx(context.Background(), samples, workers, func(w, s int) {
+		wk := ws[w]
+		if wk == nil {
+			wk = &worker{eng: tsim.NewEngine(m.C), delays: make([]float64, len(m.Nominal)), stream: rng.NewStream()}
+			ws[w] = wk
+		}
+		m.SampleDelaysInto(wk.delays, wk.stream.ResetDerived(seed, uint64(s)))
 		worst := 0.0
 		for _, p := range pats {
-			res := eng.Run(inst.Delays, p, tsim.Quiescent())
+			res := wk.eng.Run(wk.delays, p, tsim.Quiescent())
 			for _, o := range m.C.Outputs {
-				if w := res.Waveform(o); len(w) > 0 {
-					worst = max(worst, w[len(w)-1].T)
+				if wf := res.Waveform(o); len(wf) > 0 {
+					worst = max(worst, wf[len(wf)-1].T)
 				}
 			}
 		}

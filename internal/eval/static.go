@@ -49,13 +49,11 @@ func GlobalPatternSet(c *circuit.Circuit, m *timing.Model, maxPatterns int, seed
 	for _, tc := range tests {
 		seen[tc.Pair.String()] = true
 	}
-	// Site sweep: a deterministic golden-ratio stride visits arcs in a
-	// well-spread order without repeats.
 	nArcs := len(c.Arcs)
-	stride := int(float64(nArcs)*0.618) | 1
-	site := 0
-	for visit := 0; visit < nArcs && len(tests) < maxPatterns; visit++ {
-		site = (site + stride) % nArcs
+	for _, site := range sweepOrder(nArcs, int(float64(nArcs)*0.618)|1) {
+		if len(tests) >= maxPatterns {
+			break
+		}
 		if c.Gates[c.Arcs[site].To].Type == circuit.Output {
 			continue
 		}
@@ -72,6 +70,29 @@ func GlobalPatternSet(c *circuit.Circuit, m *timing.Model, maxPatterns int, seed
 		}
 	}
 	return tests
+}
+
+// sweepOrder is the order in which GlobalPatternSet visits the n arc
+// sites: a deterministic walk of the given stride from site 0, which
+// spreads the visits across the arc space. A stride that is not
+// coprime with n closes its cycle after n/gcd(n, stride) sites; each
+// time the walk would come back to a visited site it steps to the next
+// site instead, which opens the next residue class mod gcd. The order
+// is a permutation of 0..n-1.
+func sweepOrder(n, stride int) []int {
+	order := make([]int, 0, n)
+	seen := make([]bool, n)
+	site := 0
+	for len(order) < n {
+		next := (site + stride) % n
+		if seen[next] {
+			next = (site + 1) % n
+		}
+		seen[next] = true
+		order = append(order, next)
+		site = next
+	}
+	return order
 }
 
 // prepareStatic runs everything of BuildStatic up to (but excluding)

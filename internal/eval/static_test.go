@@ -9,29 +9,33 @@ import (
 	"repro/internal/timing"
 )
 
+// TestGlobalPatternSet checks that the set fills its budget with
+// valid, distinct tests. On small@2003 (285 arcs, stride 177, gcd 3) a
+// plain stride walk keeps revisiting the 95 sites of its first cycle
+// and yields 158 of 200 tests; sweeping every residue class fills the
+// budget.
 func TestGlobalPatternSet(t *testing.T) {
 	c, err := synth.GenerateNamed("small", 2003)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
-	tests := GlobalPatternSet(c, m, 10, 7)
-	if len(tests) == 0 {
-		t.Fatal("no global patterns")
-	}
-	if len(tests) > 10 {
-		t.Fatalf("cap exceeded: %d", len(tests))
-	}
-	seen := map[string]bool{}
-	for i, tc := range tests {
-		if err := atpg.CheckPathTest(c, tc.Path, tc.Pair, tc.Robust); err != nil {
-			t.Errorf("test %d invalid: %v", i, err)
+	for _, budget := range []int{10, 200} {
+		tests := GlobalPatternSet(c, m, budget, 7)
+		if len(tests) != budget {
+			t.Fatalf("budget %d: %d tests", budget, len(tests))
 		}
-		k := tc.Pair.String()
-		if seen[k] {
-			t.Errorf("duplicate pattern %d", i)
+		seen := map[string]bool{}
+		for i, tc := range tests {
+			if err := atpg.CheckPathTest(c, tc.Path, tc.Pair, tc.Robust); err != nil {
+				t.Errorf("budget %d: test %d invalid: %v", budget, i, err)
+			}
+			k := tc.Pair.String()
+			if seen[k] {
+				t.Errorf("budget %d: duplicate pattern %d", budget, i)
+			}
+			seen[k] = true
 		}
-		seen[k] = true
 	}
 }
 
@@ -74,5 +78,40 @@ func TestBuildStaticAndRunPrecomputed(t *testing.T) {
 			t.Errorf("success rate not monotone at K=%d: %v", k, s)
 		}
 		prev = s
+	}
+}
+
+// TestSweepOrder pins GlobalPatternSet's site order on two strides
+// that share a factor with the arc count (small@2003: 285 arcs, gcd 3;
+// s1196@2003: 1,265 arcs, gcd 11): the order visits every arc once,
+// and up to the walk's first repeat it is the plain stride walk.
+func TestSweepOrder(t *testing.T) {
+	for _, tc := range []struct{ n, stride int }{{285, 177}, {1265, 781}} {
+		order := sweepOrder(tc.n, tc.stride)
+		if len(order) != tc.n {
+			t.Fatalf("n=%d: %d sites, want %d", tc.n, len(order), tc.n)
+		}
+		seen := make([]bool, tc.n)
+		for _, s := range order {
+			if s < 0 || s >= tc.n || seen[s] {
+				t.Fatalf("n=%d: site %d out of range or repeated", tc.n, s)
+			}
+			seen[s] = true
+		}
+		// The plain walk, cut before its first repeat.
+		var walk []int
+		visited := make(map[int]bool)
+		for site := tc.stride % tc.n; !visited[site]; site = (site + tc.stride) % tc.n {
+			visited[site] = true
+			walk = append(walk, site)
+		}
+		if len(walk) == tc.n {
+			t.Fatalf("n=%d stride=%d: coprime, the case does not exercise the class step", tc.n, tc.stride)
+		}
+		for i, s := range walk {
+			if order[i] != s {
+				t.Fatalf("n=%d: site %d of the order is %d, the stride walk's is %d", tc.n, i, order[i], s)
+			}
+		}
 	}
 }

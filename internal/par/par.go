@@ -33,7 +33,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("par: panic on item %d: %v", e.Index, e.Value)
 }
 
-// Workers returns the effective worker count For/ForCtx use for n
+// Workers returns the effective worker count For/ForWorkerCtx use for n
 // items: workers when positive, else GOMAXPROCS(0) — the scheduler's
 // actual parallelism budget, not the machine's NumCPU, so a process
 // confined with GOMAXPROCS=k never oversubscribes — clamped to n.
@@ -59,37 +59,33 @@ func Workers(workers, n int) int {
 // (or their own recovery) before For unwinds, so no worker is left
 // touching caller-owned slots after For returns.
 func For(n, workers int, fn func(i int)) {
-	_, _ = ForCtx(context.Background(), n, workers, fn)
+	_, _ = ForWorkerCtx(context.Background(), n, workers, func(_, i int) { fn(i) })
 }
 
-// ForCtx is For with cooperative cancellation: workers check ctx
-// between items and stop claiming new ones once ctx is done. Items
-// already started run to completion — fn is never interrupted mid-item
-// — so every slot written by fn is fully written. It returns the
-// number of items that completed and ctx.Err() (nil when all n items
-// ran). The completed count is exact but which items completed under a
-// mid-run cancellation depends on scheduling; callers that need a
-// usable partial result must track per-item completion themselves.
-//
-// Panic semantics match For: the first recovered worker panic
-// re-panics on the caller as a *PanicError after the join.
-func ForCtx(ctx context.Context, n, workers int, fn func(i int)) (int, error) {
-	return ForWorkerCtx(ctx, n, workers, func(_, i int) { fn(i) })
-}
-
-// ForWorkerCtx is ForCtx for callers that keep per-worker scratch: fn
-// receives the worker index w in addition to the item index i, with
-// 0 <= w < Workers(workers, n). Each worker invokes fn sequentially,
-// so state keyed by w (reusable buffers, RNG streams, simulation
-// engines) needs no further synchronization; items are still claimed
-// dynamically, so which items a worker sees is scheduling-dependent —
-// results must not depend on the (w, i) pairing.
+// ForWorkerCtx is For with cooperative cancellation, for callers that
+// keep per-worker scratch: fn receives the worker index w in addition
+// to the item index i, with 0 <= w < Workers(workers, n). Each worker
+// invokes fn sequentially, so state keyed by w (reusable buffers, RNG
+// streams, simulation engines) needs no further synchronization; items
+// are still claimed dynamically, so which items a worker sees is
+// scheduling-dependent — results must not depend on the (w, i)
+// pairing.
 //
 // Worker 0 is the calling goroutine. It claims its first item only
 // after spawning workers 1..k−1, so k items that each wait until the
 // others have started all run to completion.
 //
-// Cancellation, completion counting, and panic semantics match ForCtx.
+// Workers check ctx between items and stop claiming new ones once ctx
+// is done. Items already started run to completion — fn is never
+// interrupted mid-item — so every slot written by fn is fully written.
+// It returns the number of items that completed and ctx.Err() (nil
+// when all n items ran). The completed count is exact but which items
+// completed under a mid-run cancellation depends on scheduling; callers
+// that need a usable partial result must track per-item completion
+// themselves.
+//
+// Panic semantics match For: the first recovered worker panic
+// re-panics on the caller as a *PanicError after the join.
 func ForWorkerCtx(ctx context.Context, n, workers int, fn func(w, i int)) (int, error) {
 	if n <= 0 {
 		return 0, ctx.Err()

@@ -2,6 +2,7 @@ package par
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -127,48 +128,11 @@ func TestForPanicDrainsRemainingItems(t *testing.T) {
 	}
 }
 
-func TestForCtxCompletesAll(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 64} {
-		n := 500
-		hits := make([]atomic.Int32, n)
-		done, err := ForCtx(context.Background(), n, workers, func(i int) { hits[i].Add(1) })
-		if err != nil {
-			t.Fatalf("workers=%d: err = %v", workers, err)
-		}
-		if done != n {
-			t.Fatalf("workers=%d: done = %d, want %d", workers, done, n)
-		}
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d index %d hit %d times", workers, i, got)
-			}
-		}
-	}
-}
-
-func TestForCtxCancelledBeforeStart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, workers := range []int{1, 4} {
-		var count atomic.Int32
-		done, err := ForCtx(ctx, 100, workers, func(int) { count.Add(1) })
-		if err == nil {
-			t.Fatalf("workers=%d: err = nil, want context.Canceled", workers)
-		}
-		if done != int(count.Load()) {
-			t.Errorf("workers=%d: done = %d but fn ran %d times", workers, done, count.Load())
-		}
-		if count.Load() != 0 {
-			t.Errorf("workers=%d: fn ran %d times on a dead context", workers, count.Load())
-		}
-	}
-}
-
-func TestForCtxCancelMidRunReturnsPartialCount(t *testing.T) {
+func TestForWorkerCtxCancelMidRunReturnsPartialCount(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var count atomic.Int32
-	done, err := ForCtx(ctx, 1000, 4, func(i int) {
+	done, err := ForWorkerCtx(ctx, 1000, 4, func(_, i int) {
 		if count.Add(1) == 8 {
 			cancel()
 		}
@@ -184,10 +148,10 @@ func TestForCtxCancelMidRunReturnsPartialCount(t *testing.T) {
 	}
 }
 
-func TestForCtxSingleWorkerStopsBetweenItems(t *testing.T) {
+func TestForWorkerCtxSingleWorkerStopsBetweenItems(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
-	done, err := ForCtx(ctx, 100, 1, func(i int) {
+	done, err := ForWorkerCtx(ctx, 100, 1, func(_, i int) {
 		ran++
 		if i == 9 {
 			cancel()
@@ -242,6 +206,48 @@ func TestForWorkersZeroBoundedConcurrency(t *testing.T) {
 	}
 }
 
+// TestForCtxCompletesAll drives ForWorkerCtx with a callback that ignores
+// the worker id, the form callers use when they keep no per-worker
+// scratch.
+func TestForCtxCompletesAll(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 64} {
+		n := 500
+		hits := make([]atomic.Int32, n)
+		done, err := ForWorkerCtx(context.Background(), n, workers, func(_, i int) { hits[i].Add(1) })
+		if err != nil {
+			t.Fatalf("workers=%d: err = %v", workers, err)
+		}
+		if done != n {
+			t.Fatalf("workers=%d: done = %d, want %d", workers, done, n)
+		}
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("workers=%d index %d hit %d times", workers, i, got)
+			}
+		}
+	}
+}
+
+// TestForCtxCancelledBeforeStart checks that a dead context runs no item
+// and that the returned error is the context's own.
+func TestForCtxCancelledBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		var count atomic.Int32
+		done, err := ForWorkerCtx(ctx, 100, workers, func(_, _ int) { count.Add(1) })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if done != int(count.Load()) {
+			t.Errorf("workers=%d: done = %d but fn ran %d times", workers, done, count.Load())
+		}
+		if count.Load() != 0 {
+			t.Errorf("workers=%d: fn ran %d times on a dead context", workers, count.Load())
+		}
+	}
+}
+
 func TestForWorkerCtxCoversAllIndicesWithValidWorkerIDs(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		n := 500
@@ -292,12 +298,17 @@ func TestForWorkerCtxScratchNeedsNoLocking(t *testing.T) {
 func TestForWorkerCtxCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	called := atomic.Int32{}
-	done, err := ForWorkerCtx(ctx, 100, 4, func(_, _ int) { called.Add(1) })
-	if err == nil {
-		t.Fatal("expected context error")
-	}
-	if done != 0 && int(called.Load()) != done {
-		t.Fatalf("done=%d calls=%d", done, called.Load())
+	for _, workers := range []int{1, 4} {
+		var count atomic.Int32
+		done, err := ForWorkerCtx(ctx, 100, workers, func(_, _ int) { count.Add(1) })
+		if err == nil {
+			t.Fatalf("workers=%d: err = nil, want context.Canceled", workers)
+		}
+		if done != int(count.Load()) {
+			t.Errorf("workers=%d: done = %d but fn ran %d times", workers, done, count.Load())
+		}
+		if count.Load() != 0 {
+			t.Errorf("workers=%d: fn ran %d times on a dead context", workers, count.Load())
+		}
 	}
 }

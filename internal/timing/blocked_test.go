@@ -14,8 +14,9 @@ import (
 
 // Blocked-vs-scalar equivalence suite: the blocked kernels must
 // reproduce the retained scalar path (SampleInstanceSeeded +
-// ArrivalTimes) bit for bit, for every block width, on a real
-// ISCAS'89 netlist and on randomized synthetic circuits.
+// ArrivalTimes) bit for bit, for every sample count (so full and short
+// last blocks) and worker count, on a real ISCAS'89 netlist and on
+// randomized synthetic circuits.
 
 // s27Bench is the ISCAS'89 s27 netlist, inline because the synthetic
 // profile table has no entry this small.
@@ -135,29 +136,29 @@ func sameSamples(xs []float64, d dist.Distribution) bool {
 }
 
 // checkBlockedSTA compares blocked STA with the scalar reference for
-// one (model, block, workers) configuration.
-func checkBlockedSTA(t *testing.T, m *Model, nSamples int, seed uint64, block, workers int) {
+// one (model, nSamples, workers) configuration.
+func checkBlockedSTA(t *testing.T, m *Model, nSamples int, seed uint64, workers int) {
 	t.Helper()
 	refOut, refDelays := scalarSTA(m, nSamples, seed)
-	res, err := m.staBlocked(context.Background(), nSamples, seed, workers, block)
+	res, err := NewMC(m).STA(context.Background(), nSamples, seed, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameSamples(refDelays, res.CircuitDelay) {
-		t.Fatalf("block=%d workers=%d: circuit delay samples diverge from the scalar reference", block, workers)
+		t.Fatalf("samples=%d workers=%d: circuit delay samples diverge from the scalar reference", nSamples, workers)
 	}
 	for o := range refOut {
 		if !sameSamples(refOut[o], res.Arrivals[o]) {
-			t.Fatalf("block=%d workers=%d output %d: arrival samples diverge from the scalar reference", block, workers, o)
+			t.Fatalf("samples=%d workers=%d output %d: arrival samples diverge from the scalar reference", nSamples, workers, o)
 		}
 	}
 }
 
-// TestBlockedSTAMatchesScalar sweeps block widths, including widths
-// that do not divide the sample count and one larger than it, on s27
-// and on randomized synthetic circuits.
+// TestBlockedSTAMatchesScalar sweeps sample counts around the block
+// width — one lane, a short single block, a full block, a full block
+// plus one lane, and many blocks with a short last one — under one and
+// four workers, on s27 and on randomized synthetic circuits.
 func TestBlockedSTAMatchesScalar(t *testing.T) {
-	const nSamples = 53
 	models := map[string]*Model{
 		"s27":    s27Model(t),
 		"mini-1": synthModel(t, "mini", 1),
@@ -166,9 +167,9 @@ func TestBlockedSTAMatchesScalar(t *testing.T) {
 	}
 	for name, m := range models {
 		t.Run(name, func(t *testing.T) {
-			for _, block := range []int{1, 3, 8, 64, nSamples + 1} {
+			for _, nSamples := range []int{1, 7, block, block + 1, 53} {
 				for _, workers := range []int{1, 4} {
-					checkBlockedSTA(t, m, nSamples, 17, block, workers)
+					checkBlockedSTA(t, m, nSamples, 17, workers)
 				}
 			}
 		})
@@ -261,34 +262,30 @@ func TestBlockedSTACancellation(t *testing.T) {
 	}
 }
 
-// FuzzBlockedSTA fuzzes the block width (and sample count) against the
-// scalar reference: any block >= 1 must be bit-exact.
+// FuzzBlockedSTA fuzzes the sample count and the worker count against
+// the scalar reference: every split of the samples into blocks and
+// workers must be bit-exact.
 func FuzzBlockedSTA(f *testing.F) {
 	m := synthModel(f, "mini", 3)
-	f.Add(uint8(1), uint8(10))
-	f.Add(uint8(3), uint8(10))
-	f.Add(uint8(8), uint8(10))
-	f.Add(uint8(64), uint8(17))
-	f.Add(uint8(11), uint8(10)) // block > nSamples
-	f.Fuzz(func(t *testing.T, blockRaw, nRaw uint8) {
-		block := int(blockRaw)
-		if block < 1 {
-			block = 1
-		}
-		nSamples := int(nRaw)%32 + 1
-		checkBlockedSTA(t, m, nSamples, 29, block, 2)
+	f.Add(uint8(0), uint8(1))
+	f.Add(uint8(7), uint8(2))
+	f.Add(uint8(8), uint8(3))
+	f.Add(uint8(16), uint8(4))
+	f.Add(uint8(40), uint8(7)) // more workers than blocks
+	f.Fuzz(func(t *testing.T, nRaw, wRaw uint8) {
+		nSamples := int(nRaw)%64 + 1
+		workers := int(wRaw)%8 + 1
+		checkBlockedSTA(t, m, nSamples, 29, workers)
 	})
 }
 
-// TestSTAAllocBudget asserts the steady-state allocation count of the
-// blocked STA is independent of the sample count: quadrupling the
-// samples must not grow allocations beyond a small pool-miss slack.
+// TestSTAAllocBudget asserts the allocation count of the blocked STA
+// is independent of the sample count: each worker allocates one
+// Scratch per call and reuses it across its blocks, so quadrupling the
+// samples may add only a small slack of allocations.
 func TestSTAAllocBudget(t *testing.T) {
 	m := synthModel(t, "small", 4)
 	mc, ctx := NewMC(m), context.Background()
-	if _, err := mc.STA(ctx, 64, 7, 1); err != nil { // warm the scratch pool
-		t.Fatal(err)
-	}
 	alloc := func(n int) float64 {
 		return testing.AllocsPerRun(3, func() {
 			if _, err := mc.STA(ctx, n, 7, 1); err != nil {
@@ -297,8 +294,8 @@ func TestSTAAllocBudget(t *testing.T) {
 		})
 	}
 	a256, a1024 := alloc(256), alloc(1024)
-	// Budget: result assembly is O(outputs) allocations; growth with
-	// sample count must stay within pool-miss noise.
+	// Budget: result assembly and the worker's Scratch are O(outputs)
+	// allocations; growth with sample count must stay within the slack.
 	if a1024 > a256+32 {
 		t.Fatalf("allocs grow with samples: %v @256 vs %v @1024", a256, a1024)
 	}

@@ -3,10 +3,10 @@ package timing
 import (
 	"context"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/par"
 )
 
 // Statistical criticality (the quantity behind the paper's companion
@@ -24,9 +24,9 @@ type Criticality struct {
 // Criticality estimates per-arc critical-path probabilities: on each
 // of nSamples sampled instances it computes arrival times, walks the
 // critical path backward from the latest output, and counts each
-// traversed arc. Per-arc counts accumulate in int64 per worker and are
-// summed exactly before the single division by nSamples, so the
-// estimate is bit-identical under any worker count or block width.
+// traversed arc. Every worker adds into one shared atomic count per
+// arc (integer adds commute) before the single division by
+// nSamples, so the estimate is bit-identical under any worker count.
 //
 // nSamples <= 0 returns the zero-value Criticality (every probability
 // zero): no samples means no evidence, and an estimate over an empty
@@ -44,26 +44,17 @@ func (e *MC) Criticality(ctx context.Context, nSamples int, seed uint64, workers
 		critSeconds.Add(time.Since(start).Seconds())
 	}()
 	critSamples.Add(float64(nSamples))
-	counts := make([][]int64, par.Workers(workers, nSamples))
-	if err := m.forBlocks(ctx, nSamples, seed, workers, DefaultBlock, func(w int, sc *Scratch, _, nb int) {
-		if counts[w] == nil {
-			counts[w] = make([]int64, len(m.C.Arcs))
-		}
+	counts := make([]atomic.Int64, len(m.C.Arcs))
+	if err := m.forBlocks(ctx, nSamples, seed, workers, func(sc *Scratch, _, nb int) {
 		arrivalEvals.Add(float64(nb))
 		m.propagateBlock(sc, nb)
-		m.backtraceBlock(sc, nb, counts[w])
+		m.backtraceBlock(sc, nb, counts)
 	}); err != nil {
 		return nil, err
 	}
-	total := make([]int64, len(m.C.Arcs))
-	for _, cnt := range counts {
-		for i, v := range cnt {
-			total[i] += v
-		}
-	}
 	cr := &Criticality{Prob: make([]float64, len(m.C.Arcs))}
-	for i, v := range total {
-		cr.Prob[i] = float64(v) / float64(nSamples)
+	for i := range counts {
+		cr.Prob[i] = float64(counts[i].Load()) / float64(nSamples)
 	}
 	return cr, nil
 }

@@ -1,7 +1,9 @@
 package timing
 
+import "sync/atomic"
+
 // Blocked Monte-Carlo kernels: each traversal samples and propagates a
-// block of up to sc.block circuit instances at once in the Scratch's
+// block of up to `block` circuit instances at once in the Scratch's
 // struct-of-arrays layout. Blocking amortizes the topological walk
 // (gate/arc metadata is read once per block instead of once per
 // sample) and turns the inner loops into short contiguous streams.
@@ -11,7 +13,8 @@ package timing
 // through Model.sampleArc with the per-sample rng.NewDerived draw
 // order, propagation performs the same additions and strictly-greater
 // comparisons per pin, and the backtrace replays the same tie-breaks —
-// so blocked and scalar results are bit-identical for any block width.
+// so blocked and scalar results are bit-identical, whichever lanes and
+// blocks the samples fall into.
 
 // sampleBlock draws instances s0..s0+nb-1 of the deterministic
 // sequence rooted at seed into sc: lane b's delays are generated into
@@ -20,7 +23,7 @@ package timing
 //
 //ddd:hot
 func (m *Model) sampleBlock(sc *Scratch, seed uint64, s0, nb int) {
-	nArcs, B := sc.nArcs, sc.block
+	nArcs := sc.nArcs
 	for b := 0; b < nb; b++ {
 		r := sc.stream.ResetDerived(seed, uint64(s0+b))
 		row := sc.rows[b*nArcs : (b+1)*nArcs]
@@ -31,7 +34,7 @@ func (m *Model) sampleBlock(sc *Scratch, seed uint64, s0, nb int) {
 	}
 	// Transpose rows -> SoA: sequential writes, nb strided read streams.
 	for i := 0; i < nArcs; i++ {
-		dst := sc.delays[i*B : i*B+nb]
+		dst := sc.delays[i*block : i*block+nb]
 		for b := range dst {
 			dst[b] = sc.rows[b*nArcs+i]
 		}
@@ -45,11 +48,10 @@ func (m *Model) sampleBlock(sc *Scratch, seed uint64, s0, nb int) {
 //
 //ddd:hot
 func (m *Model) propagateBlock(sc *Scratch, nb int) {
-	B := sc.block
 	arr, delays := sc.arr, sc.delays
 	for _, gid := range m.C.Order {
 		g := &m.C.Gates[gid]
-		out := arr[int(gid)*B : int(gid)*B+nb]
+		out := arr[int(gid)*block : int(gid)*block+nb]
 		if len(g.Fanin) == 0 {
 			for b := range out {
 				out[b] = 0
@@ -57,8 +59,8 @@ func (m *Model) propagateBlock(sc *Scratch, nb int) {
 			continue
 		}
 		for k, fi := range g.Fanin {
-			src := arr[int(fi)*B : int(fi)*B+nb]
-			d := delays[int(g.InArcs[k])*B : int(g.InArcs[k])*B+nb]
+			src := arr[int(fi)*block : int(fi)*block+nb]
+			d := delays[int(g.InArcs[k])*block : int(g.InArcs[k])*block+nb]
 			if k == 0 {
 				for b := range out {
 					out[b] = src[b] + d[b]
@@ -78,10 +80,9 @@ func (m *Model) propagateBlock(sc *Scratch, nb int) {
 // circuit delay, with the scalar path's deterministic tie-break
 // (first output wins on equality).
 func (m *Model) worstOutput(sc *Scratch, b int) int {
-	B := sc.block
 	worst := int(m.C.Outputs[0])
 	for _, o := range m.C.Outputs[1:] {
-		if sc.arr[int(o)*B+b] > sc.arr[worst*B+b] {
+		if sc.arr[int(o)*block+b] > sc.arr[worst*block+b] {
 			worst = int(o)
 		}
 	}
@@ -89,27 +90,27 @@ func (m *Model) worstOutput(sc *Scratch, b int) int {
 }
 
 // backtraceBlock walks the critical path of each lane backward from
-// its latest output, incrementing cnt per traversed arc — the blocked
-// form of the MC.Criticality inner loop, with identical pin
-// selection (strictly-greater, first pin wins ties).
+// its latest output, adding one to cnt per traversed arc — the blocked
+// form of the MC.Criticality inner loop, with identical pin selection
+// (strictly-greater, first pin wins ties). cnt is shared by every
+// worker of the call.
 //
 //ddd:hot
-func (m *Model) backtraceBlock(sc *Scratch, nb int, cnt []int64) {
-	B := sc.block
+func (m *Model) backtraceBlock(sc *Scratch, nb int, cnt []atomic.Int64) {
 	arr, delays := sc.arr, sc.delays
 	for b := 0; b < nb; b++ {
 		g := m.worstOutput(sc, b)
 		for len(m.C.Gates[g].Fanin) > 0 {
 			gate := &m.C.Gates[g]
 			bestPin := 0
-			bestT := arr[int(gate.Fanin[0])*B+b] + delays[int(gate.InArcs[0])*B+b]
+			bestT := arr[int(gate.Fanin[0])*block+b] + delays[int(gate.InArcs[0])*block+b]
 			for k := 1; k < len(gate.Fanin); k++ {
-				if t := arr[int(gate.Fanin[k])*B+b] + delays[int(gate.InArcs[k])*B+b]; t > bestT {
+				if t := arr[int(gate.Fanin[k])*block+b] + delays[int(gate.InArcs[k])*block+b]; t > bestT {
 					bestT = t
 					bestPin = k
 				}
 			}
-			cnt[gate.InArcs[bestPin]]++
+			cnt[gate.InArcs[bestPin]].Add(1)
 			g = int(gate.Fanin[bestPin])
 		}
 	}

@@ -20,7 +20,6 @@ package timing
 import (
 	"fmt"
 	"math/rand/v2"
-	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/rng"
@@ -82,16 +81,11 @@ type Model struct {
 	C       *circuit.Circuit
 	P       Params
 	Nominal []float64 // per-arc nominal delay (the mean of f(e))
-
-	// pool recycles default-block kernel Scratch across Monte-Carlo
-	// calls; nil (models not built via NewModel) just allocates.
-	pool *sync.Pool
 }
 
 // NewModel characterizes every arc of c under p.
 func NewModel(c *circuit.Circuit, p Params) *Model {
 	m := &Model{C: c, P: p, Nominal: make([]float64, len(c.Arcs))}
-	m.pool = newScratchPool(m)
 	for i := range c.Arcs {
 		a := &c.Arcs[i]
 		to := &c.Gates[a.To]

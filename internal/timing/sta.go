@@ -36,8 +36,8 @@ func (m *Model) ArrivalTimes(in *Instance) []float64 {
 // MC is the Monte-Carlo timing engine, the bit-exact oracle every
 // result in the repo is defined against. Each method samples circuit
 // instances deterministically from seed (instance s is drawn from
-// rng.NewDerived(seed, s)), propagates them in blocks on reusable
-// per-worker scratch (see kernel.go) and fans the blocks out across
+// rng.NewDerived(seed, s)), propagates them in blocks on per-worker
+// scratch (see kernel.go) and fans the blocks out across
 // workers goroutines (0 = GOMAXPROCS, see par.Workers). Results are
 // bit-identical under any worker count. Every method checks ctx
 // between sample blocks; a cancelled run returns a zero result and
@@ -57,14 +57,7 @@ func (e *MC) Name() string { return "mc" }
 // every primary output and the circuit delay Δ(C) = max_i Ar(o_i)
 // (Section D-1 of the paper) from nSamples sampled instances.
 func (e *MC) STA(ctx context.Context, nSamples int, seed uint64, workers int) (*STADist, error) {
-	return e.m.staBlocked(ctx, nSamples, seed, workers, DefaultBlock)
-}
-
-// staBlocked is the blocked implementation behind MC.STA, with an
-// explicit block width so equivalence tests and the fuzz target can
-// vary it. Results are bit-identical for every block >= 1 (see the
-// kernel contract in kernel.go).
-func (m *Model) staBlocked(ctx context.Context, nSamples int, seed uint64, workers, block int) (*STADist, error) {
+	m := e.m
 	start := time.Now()
 	defer func() {
 		staSeconds.Add(time.Since(start).Seconds())
@@ -78,14 +71,13 @@ func (m *Model) staBlocked(ctx context.Context, nSamples int, seed uint64, worke
 		perOut[i] = make([]float64, nSamples)
 	}
 	delays := make([]float64, nSamples)
-	if err := m.forBlocks(ctx, nSamples, seed, workers, block, func(_ int, sc *Scratch, s0, nb int) {
+	if err := m.forBlocks(ctx, nSamples, seed, workers, func(sc *Scratch, s0, nb int) {
 		arrivalEvals.Add(float64(nb))
 		m.propagateBlock(sc, nb)
-		B := sc.block
 		for b := 0; b < nb; b++ {
 			worst := 0.0
 			for i, o := range m.C.Outputs {
-				t := sc.arr[int(o)*B+b]
+				t := sc.arr[int(o)*block+b]
 				perOut[i][s0+b] = t
 				if t > worst {
 					worst = t
@@ -118,14 +110,13 @@ func (e *MC) TimingLengths(ctx context.Context, paths [][]circuit.ArcID, nSample
 		tlSamples.Add(float64(nSamples))
 	}
 	xs := make([]float64, len(paths)*nSamples)
-	if err := m.forBlocks(ctx, nSamples, seed, workers, DefaultBlock, func(_ int, sc *Scratch, s0, nb int) {
-		B := sc.block
+	if err := m.forBlocks(ctx, nSamples, seed, workers, func(sc *Scratch, s0, nb int) {
 		for i, arcs := range paths {
 			x := xs[i*nSamples+s0 : i*nSamples+s0+nb]
 			for b := range x {
 				t := 0.0
 				for _, a := range arcs {
-					t += sc.delays[int(a)*B+b]
+					t += sc.delays[int(a)*block+b]
 				}
 				x[b] = t
 			}

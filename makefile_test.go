@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -16,8 +17,11 @@ var (
 
 // TestMakeFuzzRunsEveryFuzzer fails when a fuzz test of the root module
 // is missing from the Makefile's fuzz target, so that `make fuzz`
-// exercises every fuzzer. Nested modules (cmd/ddd-e2e) and testdata
-// trees are not part of the root module and are skipped.
+// exercises every fuzzer, and when a fuzz recipe names a fuzzer that
+// no _test.go file of its package defines: `go test -fuzz` with a
+// pattern that matches nothing passes without fuzzing anything.
+// Nested modules (cmd/ddd-e2e) and testdata trees are not part of the
+// root module and are skipped.
 func TestMakeFuzzRunsEveryFuzzer(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -38,7 +42,7 @@ func TestMakeFuzzRunsEveryFuzzer(t *testing.T) {
 		t.Fatal("Makefile has no fuzz target recipes")
 	}
 
-	found := 0
+	defined := make(map[string]bool)
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -61,7 +65,7 @@ func TestMakeFuzzRunsEveryFuzzer(t *testing.T) {
 		}
 		pkg := "./" + filepath.ToSlash(filepath.Dir(path))
 		for _, m := range fuzzFunc.FindAllSubmatch(src, -1) {
-			found++
+			defined[pkg+" "+string(m[1])] = true
 			if !inMake[pkg+" "+string(m[1])] {
 				t.Errorf("%s: %s is not run by the Makefile's fuzz target; add `$(GO) test %s -fuzz=%s -fuzztime 30s`", path, m[1], pkg, m[1])
 			}
@@ -71,7 +75,18 @@ func TestMakeFuzzRunsEveryFuzzer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if found == 0 {
+	if len(defined) == 0 {
 		t.Fatal("found no fuzz tests in the module")
+	}
+	recipes := make([]string, 0, len(inMake))
+	for recipe := range inMake {
+		recipes = append(recipes, recipe)
+	}
+	sort.Strings(recipes)
+	for _, recipe := range recipes {
+		if !defined[recipe] {
+			pkg, name, _ := strings.Cut(recipe, " ")
+			t.Errorf("the Makefile's fuzz target runs %s in %s, which no _test.go file there defines", name, pkg)
+		}
 	}
 }
