@@ -199,6 +199,7 @@ fuzz:
 	$(GO) test ./internal/benchfmt -fuzz=FuzzParse -fuzztime 30s
 	$(GO) test ./internal/core -fuzz=FuzzLoadDictionary -fuzztime 30s
 	$(GO) test ./internal/core -fuzz=FuzzSuspectWords -fuzztime 30s
+	$(GO) test ./internal/core -fuzz=FuzzSparseDictionary -fuzztime 30s
 	$(GO) test ./internal/eval -fuzz=FuzzCheckpointJournal -fuzztime 30s
 	$(GO) test ./internal/timing -fuzz=FuzzBlockedSTA -fuzztime 30s
 	$(GO) test ./internal/atpg -fuzz=FuzzImplication -fuzztime 30s

@@ -130,11 +130,11 @@ func diagnose(args []string) error {
 	profile := fs.String("profile", "small", "circuit profile the dictionary was built for")
 	caseSeed := fs.Uint64("case", 1, "case seed (die instance + random defect)")
 	k := fs.Int("k", 10, "candidates to print")
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
 	if len(args) < 1 {
 		return fmt.Errorf("diagnose: dictionary file required")
+	}
+	if err := fs.Parse(args[1:]); err != nil {
+		return err
 	}
 	cd, nIn, err := loadDict(args[0])
 	if err != nil {

@@ -94,7 +94,7 @@ func TestCompressedDiagnoseAllocBudget(t *testing.T) {
 	}{{small, b}, {big, bb}} {
 		cd := Compress(c.d)
 		if got := testing.AllocsPerRun(50, func() { cd.Diagnose(c.b, AlgRev) }); got > budget {
-			t.Errorf("%d suspects in %d classes: %v allocations per Diagnose, budget %d", len(cd.Suspects), len(cd.reps), got, budget)
+			t.Errorf("%d suspects in %d classes: %v allocations per Diagnose, budget %d", len(cd.Suspects), cd.Classes(), got, budget)
 		}
 	}
 }
@@ -115,15 +115,52 @@ func buildBytes(t *testing.T, m *timing.Model, pats []logicsim.PatternPair, susp
 }
 
 // TestBuildDictionaryBytesIndependentOfWorkers asserts that a
-// Monte-Carlo worker holds only its scratch: every worker adds into
-// one shared count block, so four workers may allocate more than one
-// only by three workers' scratch (engine, window, delay and size
-// buffers), never by further copies of the suspects × outputs ×
-// patterns counts. The fixture is case-shaped: every logic arc is a
-// suspect and the patterns are two dozen, so one int32 count block
-// (314 KB) outweighs the three extra workers' scratch (~40 KB), as it
-// does on a Table I case; half a count block is the slack.
+// Monte-Carlo worker holds only its scratch and its flip events: every
+// worker adds into one shared M count block and lists only the
+// captures its samples flip, so four workers may allocate more than
+// one only by three workers' scratch (engine, window, delay and size
+// buffers) and event-list growth, never by a per-worker suspects ×
+// outputs × patterns block. The fixture is case-shaped: every logic
+// arc is a suspect and the patterns are two dozen, so one int32 block
+// of that shape (314 KB) outweighs the three extra workers' scratch
+// (~40 KB), as it does on a Table I case; half such a block is the
+// slack.
 func TestBuildDictionaryBytesIndependentOfWorkers(t *testing.T) {
+	m, pats, suspects, cfg := caseShapedSetup(t)
+	counts := uint64(len(suspects) * len(m.C.Outputs) * len(pats) * 4)
+	b1 := buildBytes(t, m, pats, suspects, cfg, 1)
+	b4 := buildBytes(t, m, pats, suspects, cfg, 4)
+	if b4 > b1+counts/2 {
+		t.Fatalf("4 workers allocate %d B, 1 worker %d B: %d B more, over half a %d B count block", b4, b1, b4-b1, counts)
+	}
+	t.Logf("%d suspects: %d B at 1 worker, %d B at 4 workers; count block %d B", len(suspects), b1, b4, counts)
+}
+
+// TestBuildDictionaryBytesBelowDenseE asserts that neither engine's
+// build holds a dense suspects × outputs × patterns block: on the
+// case-shaped fixture, where E differs from M in few cells, one build
+// allocates less than one dense float64 E block, scratch, sparse E and
+// signature classes included.
+func TestBuildDictionaryBytesBelowDenseE(t *testing.T) {
+	m, pats, suspects, cfg := caseShapedSetup(t)
+	dense := uint64(len(suspects) * len(m.C.Outputs) * len(pats) * 8)
+	for _, analytic := range []bool{false, true} {
+		c := cfg
+		if analytic {
+			c.Engine = engine.NewAnalytic(m)
+		}
+		if got := buildBytes(t, m, pats, suspects, c, 1); got >= dense {
+			t.Errorf("analytic=%v: one build allocates %d B, not below one %d B dense E block", analytic, got, dense)
+		} else {
+			t.Logf("analytic=%v: one build allocates %d B; dense E block %d B", analytic, got, dense)
+		}
+	}
+}
+
+// caseShapedSetup is the golden configuration shaped like a Table I
+// case: every logic arc is a suspect and the patterns are two dozen.
+func caseShapedSetup(t *testing.T) (*timing.Model, []logicsim.PatternPair, []circuit.ArcID, DictConfig) {
+	t.Helper()
 	m, pats, _, cfg := goldenDictSetup(t)
 	cfg.Samples = 32
 	r := rng.New(5)
@@ -142,11 +179,5 @@ func TestBuildDictionaryBytesIndependentOfWorkers(t *testing.T) {
 			suspects = append(suspects, circuit.ArcID(a))
 		}
 	}
-	counts := uint64(len(suspects) * len(m.C.Outputs) * len(pats) * 4)
-	b1 := buildBytes(t, m, pats, suspects, cfg, 1)
-	b4 := buildBytes(t, m, pats, suspects, cfg, 4)
-	if b4 > b1+counts/2 {
-		t.Fatalf("4 workers allocate %d B, 1 worker %d B: %d B more, over half a %d B count block", b4, b1, b4-b1, counts)
-	}
-	t.Logf("%d suspects: %d B at 1 worker, %d B at 4 workers; count block %d B", len(suspects), b1, b4, counts)
+	return m, pats, suspects, cfg
 }

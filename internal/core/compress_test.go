@@ -21,6 +21,12 @@ func TestQuantize(t *testing.T) {
 			t.Errorf("quantize(%v) = %d, want %d", c.p, got, c.q)
 		}
 	}
+	// A compressed dictionary stores s = q/255 and saves quantize(s).
+	for q := 0; q < 256; q++ {
+		if got := quantize(float64(q) / 255); int(got) != q {
+			t.Errorf("quantize(%d/255) = %d", q, got)
+		}
+	}
 }
 
 func TestCompressRoundTripConsistency(t *testing.T) {
@@ -30,12 +36,13 @@ func TestCompressRoundTripConsistency(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		nSus, nOut, nPat := 1+r.IntN(5), 1+r.IntN(5), 1+r.IntN(5)
-		d, b := randomDict(seed, nSus, nOut, nPat)
-		for k := range d.E {
+		e, b := randomE(seed, nSus, nOut, nPat)
+		for k := range e {
 			if r.IntN(4) != 0 { // 75 % sparsity
-				d.E[k] = 0
+				e[k] = 0
 			}
 		}
+		d := randomDictOf(e, nSus, nOut, nPat)
 		d.Clk = 12.5
 		cd := Compress(d)
 		if cd.Clk != 12.5 || len(cd.Suspects) != nSus {
@@ -122,9 +129,7 @@ func TestCompressedShapeMismatchPanics(t *testing.T) {
 // sparsePhi computes φ for suspect si against b from the compressed
 // form, through the kernel the compressed Diagnose runs.
 func sparsePhi(cd *CompressedDictionary, si int, b *Behavior) []float64 {
-	phi := make([]float64, cd.cols)
-	failing := make([]int, cd.cols)
-	countFailing(b, failing)
-	cd.patternConsistencyInto(phi, failing, si, b)
+	phi := make([]float64, b.Cols)
+	cd.sig.consistencyInto(phi, countFailing(b), int(cd.sig.classOf[si]), b)
 	return phi
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/circuit"
@@ -127,31 +129,136 @@ func Position(ranked []Ranked, arc circuit.ArcID) int {
 // probability that output i's behavior under pattern j is consistent
 // with the observation, with outputs treated as independent.
 func (d *Dictionary) PatternConsistency(si int, b *Behavior) []float64 {
-	phi := make([]float64, d.Cols)
-	d.patternConsistencyInto(phi, si, b)
+	phi := make([]float64, b.Cols)
+	d.sig.consistencyInto(phi, countFailing(b), int(d.sig.classOf[si]), b)
 	return phi
 }
 
-// patternConsistencyInto is PatternConsistency writing into
-// caller-owned phi, the kernel behind Diagnose: ranking every suspect
-// reuses one phi buffer instead of allocating per suspect.
-//
-//ddd:hot
-func (d *Dictionary) patternConsistencyInto(phi []float64, si int, b *Behavior) {
-	if b.Rows != d.Rows || b.Cols != d.Cols {
-		panic("core: behavior shape does not match dictionary")
+// sigEntry is one nonzero signature probability s of output i under
+// pattern j. Entries are ordered pattern-major (by j, then i), so
+// per-pattern products stream through memory.
+type sigEntry struct {
+	i, j int32
+	s    float64
+}
+
+// sigClasses holds the signatures both dictionary forms score: each
+// suspect's nonzero entries in pattern-major order, stored once per
+// class of suspects with identical entries. Most suspects have no entry
+// at all; they share one class, which a diagnosis scores once.
+type sigClasses struct {
+	rows, cols int
+	classOf    []int32    // suspect si's class
+	off        []int32    // class c's entries are entries[off[c]:off[c+1]]
+	entries    []sigEntry // every class's entries, back to back
+}
+
+func (sc *sigClasses) classes() int { return len(sc.off) - 1 }
+
+func (sc *sigClasses) class(c int) []sigEntry { return sc.entries[sc.off[c]:sc.off[c+1]] }
+
+// classBuilder collects distinct entry lists into a sigClasses block,
+// finding a list by its FNV-1a hash and comparing it in full (lists
+// whose hashes collide may get two equal classes). It copies no key and
+// sizes every table up front, so its allocations do not grow with the
+// classes.
+type classBuilder struct {
+	sc     sigClasses
+	byHash map[uint64]int32 // list hash → the newest class with it
+}
+
+func newClassBuilder(rows, cols, nSus, entries int) *classBuilder {
+	return &classBuilder{
+		sc: sigClasses{
+			rows:    rows,
+			cols:    cols,
+			classOf: make([]int32, nSus),
+			off:     append(make([]int32, 0, nSus+1), 0),
+			entries: make([]sigEntry, 0, entries),
+		},
+		byHash: make(map[uint64]int32, nSus),
 	}
-	for j := 0; j < d.Cols; j++ {
-		p := 1.0
-		for i := 0; i < d.Rows; i++ {
-			sij := d.signature(si, i*d.Cols+j)
-			if b.At(i, j) {
-				p *= sij
-			} else {
-				p *= 1 - sij
+}
+
+// add returns the class of entry list es, appending a new class when
+// the class its hash finds stores other entries.
+func (cb *classBuilder) add(es []sigEntry) int32 {
+	h := uint64(14695981039346656037)
+	for _, e := range es {
+		h = (h ^ uint64(e.i)<<32 ^ uint64(e.j)) * 1099511628211
+		h = (h ^ math.Float64bits(e.s)) * 1099511628211
+	}
+	if c, ok := cb.byHash[h]; ok && slices.Equal(cb.sc.class(int(c)), es) {
+		return c
+	}
+	c := int32(cb.sc.classes())
+	cb.sc.entries = append(cb.sc.entries, es...)
+	cb.sc.off = append(cb.sc.off, int32(len(cb.sc.entries)))
+	cb.byHash[h] = c
+	return c
+}
+
+// countFailing returns the number of failing outputs of each pattern
+// (column) of b. The counts depend only on b, so a diagnosis computes
+// them once and shares them across all classes. It runs on the
+// bit-packed word view: one popcount-style scan over Rows*⌈Cols/64⌉
+// words instead of Rows*Cols cell probes, touching only set bits.
+func countFailing(b *Behavior) []int {
+	failing := make([]int, b.Cols)
+	words := b.WordsPerRow()
+	for i := 0; i < b.Rows; i++ {
+		for w := 0; w < words; w++ {
+			v := b.Word(i, w)
+			for v != 0 {
+				failing[w*64+bits.TrailingZeros64(v)]++
+				v &= v - 1
 			}
 		}
-		phi[j] = p
+	}
+	return failing
+}
+
+// consistencyInto is the one consistency kernel of both dictionary
+// forms: it writes class c's φ_j = Π_{failing i} s_ij · Π_{passing i}
+// (1−s_ij) against b into phi, given b's per-pattern failing counts.
+// An absent entry is s = 0: φ_j = 0 if a failing output has none, and
+// a passing one would multiply by exactly 1, so multiplying the stored
+// factors in ascending output order gives the dense product bit for bit.
+//
+//ddd:hot
+func (sc *sigClasses) consistencyInto(phi []float64, failing []int, c int, b *Behavior) {
+	if b.Rows != sc.rows || b.Cols != sc.cols {
+		panic("core: behavior shape does not match dictionary")
+	}
+	// Start from the all-absent φ: 0 where a pattern fails, else 1.
+	for j, n := range failing {
+		phi[j] = 0
+		if n == 0 {
+			phi[j] = 1
+		}
+	}
+	es := sc.class(c)
+	for start, end := 0, 0; start < len(es); start = end {
+		j := int(es[start].j)
+		end = start + 1
+		for end < len(es) && int(es[end].j) == j {
+			end++
+		}
+		if end-start < failing[j] { // some failing output has s = 0
+			continue
+		}
+		p, covered := 1.0, 0
+		for _, e := range es[start:end] {
+			if b.At(int(e.i), j) {
+				p *= e.s
+				covered++
+			} else {
+				p *= 1 - e.s
+			}
+		}
+		if covered == failing[j] {
+			phi[j] = p
+		}
 	}
 }
 
@@ -229,7 +336,7 @@ func (d *Dictionary) DiagnoseMethods(b *Behavior, methods []Method) [][]Ranked {
 	for k, m := range methods {
 		by[k] = scorer{m.Score, m.lowerIsBetter()}
 	}
-	return rank(d.Suspects, nil, len(d.Suspects), b.Cols, func(phi []float64, si int) { d.patternConsistencyInto(phi, si, b) }, by)
+	return rank(d.Suspects, &d.sig, b, by)
 }
 
 // DiagnoseErrorFunc ranks suspects with a custom diagnosis error
@@ -239,23 +346,22 @@ func (d *Dictionary) DiagnoseMethods(b *Behavior, methods []Method) [][]Ranked {
 // need to search for a good error function first"). One φ buffer
 // serves every suspect, so fn must not retain the slice.
 func (d *Dictionary) DiagnoseErrorFunc(b *Behavior, fn func(phi []float64) float64) []Ranked {
-	return rank(d.Suspects, nil, len(d.Suspects), b.Cols, func(phi []float64, si int) { d.patternConsistencyInto(phi, si, b) }, []scorer{{fn, true}})[0]
+	return rank(d.Suspects, &d.sig, b, []scorer{{fn, true}})[0]
 }
 
-// rank is the one ranking loop behind both dictionary forms. The
-// suspects fall into classes of identical signatures: classOf[si] is
-// suspect si's class, or nil when each suspect is its own class (the
-// dense form). consistency writes class c's φ into a buffer shared by
-// every class, each scorer reduces it to the class's score without
-// retaining it, every suspect takes its class's score in each ranking,
-// and each ranking is sorted best first with ties on ascending arc ID.
-// Every ranking counts as one diagnosis.
-func rank(suspects []circuit.ArcID, classOf []int32, classes, cols int, consistency func(phi []float64, c int), by []scorer) [][]Ranked {
+// rank is the one ranking loop behind both dictionary forms. It writes
+// each signature class's φ into a buffer shared by every class, each
+// scorer reduces it to the class's score without retaining it, every
+// suspect takes its class's score in each ranking, and each ranking is
+// sorted best first with ties on ascending arc ID. Every ranking counts
+// as one diagnosis.
+func rank(suspects []circuit.ArcID, sc *sigClasses, b *Behavior, by []scorer) [][]Ranked {
 	diagnoses.Add(float64(len(by)))
-	scores := make([]float64, classes*len(by))
-	phi := make([]float64, cols)
-	for c := 0; c < classes; c++ {
-		consistency(phi, c)
+	failing := countFailing(b)
+	scores := make([]float64, sc.classes()*len(by))
+	phi := make([]float64, b.Cols)
+	for c := range sc.classes() {
+		sc.consistencyInto(phi, failing, c, b)
 		for k, s := range by {
 			scores[c*len(by)+k] = s.score(phi)
 		}
@@ -264,11 +370,7 @@ func rank(suspects []circuit.ArcID, classOf []int32, classes, cols int, consiste
 	for k := range outs {
 		outs[k] = make([]Ranked, len(suspects))
 		for si, arc := range suspects {
-			c := si
-			if classOf != nil {
-				c = int(classOf[si])
-			}
-			outs[k][si] = Ranked{Arc: arc, Score: scores[c*len(by)+k]}
+			outs[k][si] = Ranked{Arc: arc, Score: scores[int(sc.classOf[si])*len(by)+k]}
 		}
 	}
 	for k, s := range by {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/timing/engine"
 )
 
 // handDict builds a dictionary with explicit signature matrices for
@@ -13,15 +14,66 @@ import (
 // so the derived S = E − 0 is the signature exactly. Suspect i is
 // arc i.
 func handDict(rows, cols int, sigs ...[]float64) *Dictionary {
-	d := &Dictionary{Rows: rows, Cols: cols, M: make([]float64, rows*cols)}
+	var e []float64
+	suspects := make([]circuit.ArcID, len(sigs))
 	for i, s := range sigs {
 		if len(s) != rows*cols {
 			panic("handDict: signature shape")
 		}
-		d.E = append(d.E, s...)
-		d.Suspects = append(d.Suspects, circuit.ArcID(i))
+		e = append(e, s...)
+		suspects[i] = circuit.ArcID(i)
 	}
-	return d
+	return denseDict(suspects, rows, cols, make([]float64, rows*cols), e)
+}
+
+// denseDict builds the dictionary of M and the dense E block
+// e[(si*rows + i)*cols + j], whose every cell it passes to
+// NewDictionary.
+func denseDict(suspects []circuit.ArcID, rows, cols int, m, e []float64) *Dictionary {
+	cells := make([]engine.ECell, len(e))
+	for k, v := range e {
+		cells[k] = engine.ECell{K: k, E: v}
+	}
+	return NewDictionary(suspects, rows, cols, m, cells)
+}
+
+// eRow writes suspect si's E_crt into row (Rows × Cols, row-major):
+// M at every cell the suspect stores no entry for.
+func eRow(d *Dictionary, si int, row []float64) {
+	n := len(d.M)
+	copy(row, d.M)
+	for _, c := range d.E {
+		if c.K/n == si {
+			row[c.K%n] = c.E
+		}
+	}
+}
+
+// denseE expands d's E into the dense block E[(si*Rows + i)*Cols + j].
+func denseE(d *Dictionary) []float64 {
+	n := len(d.M)
+	e := make([]float64, len(d.Suspects)*n)
+	for si := range d.Suspects {
+		eRow(d, si, e[si*n:(si+1)*n])
+	}
+	return e
+}
+
+// signature returns suspect si's S_crt = max(E_crt − M_crt, 0) at cell
+// k = i*Cols + j: the float operations the dictionary derives its
+// signature classes with.
+func (d *Dictionary) signature(si, k int) float64 {
+	e := d.M[k]
+	for _, c := range d.E {
+		if c.K == si*len(d.M)+k {
+			e = c.E
+		}
+	}
+	s := e - d.M[k]
+	if s < 0 {
+		s = 0
+	}
+	return s
 }
 
 // TestExampleE1 reproduces Example E.1 of the paper: B_j = [0,1,1],

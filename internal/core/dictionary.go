@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -44,10 +47,11 @@ type DictConfig struct {
 
 // Dictionary is the probabilistic fault dictionary: the defect-free
 // critical probabilities M_crt and, for every suspect arc, its E_crt,
-// each an outputs × patterns matrix stored once, row-major with the
-// pattern innermost. The signature S_crt against which observed
-// behavior is matched is derived from them where it is read
-// (signature).
+// each an outputs × patterns matrix, row-major with the pattern
+// innermost. A defect leaves almost every cell of E at M's value, so M
+// is dense and E lists only the cells where it differs from M. The
+// signatures S_crt = max(E_crt − M_crt, 0) (Definition E.1) are
+// derived once, at construction, into signature classes.
 type Dictionary struct {
 	C          *circuit.Circuit
 	Patterns   []logicsim.PatternPair
@@ -55,21 +59,38 @@ type Dictionary struct {
 	Clk        float64
 	Rows, Cols int // |O| outputs × |TP| patterns
 
-	M []float64 // M_crt: M[i*Cols + j] for output i, pattern j
-	E []float64 // E_crt per suspect: E[(si*Rows + i)*Cols + j]
+	M   []float64      // M_crt: M[i*Cols + j] for output i, pattern j
+	E   []engine.ECell // E_crt where it differs from M, ascending K = si*Rows*Cols + k
+	sig sigClasses
 }
 
-// signature returns suspect si's signature entry at cell
-// k = i*Cols + j: S_crt = max(E_crt − M_crt, 0) (Definition E.1).
-// Common random numbers do not make E ≥ M: a defect can also turn a
-// failing capture into a pass, so the clamp is what keeps every
-// signature entry nonnegative.
-func (d *Dictionary) signature(si, k int) float64 {
-	s := d.E[si*len(d.M)+k] - d.M[k]
-	if s < 0 {
-		s = 0
+// NewDictionary returns the dictionary of the rows × cols matrix m and
+// the E cells e (in ascending K; it reuses e's array). It keeps the
+// cells whose E differs from M's bits and classes the suspects by their
+// nonzero signature entries S = max(E − M, 0), which only a kept cell
+// can carry; E below M (a defect turned a failing capture into a pass)
+// clamps to 0.
+func NewDictionary(suspects []circuit.ArcID, rows, cols int, m []float64, e []engine.ECell) *Dictionary {
+	d := &Dictionary{Suspects: suspects, Rows: rows, Cols: cols, M: m, E: e[:0]}
+	cb := newClassBuilder(rows, cols, len(suspects), len(e))
+	es := make([]sigEntry, 0, len(m))
+	for si, a := 0, 0; si < len(suspects); si++ {
+		es = es[:0]
+		for ; a < len(e) && e[a].K < (si+1)*len(m); a++ {
+			c, k := e[a], e[a].K-si*len(m)
+			if math.Float64bits(c.E) == math.Float64bits(m[k]) {
+				continue
+			}
+			d.E = append(d.E, c)
+			if s := c.E - m[k]; s > 0 {
+				es = append(es, sigEntry{i: int32(k / cols), j: int32(k % cols), s: s})
+			}
+		}
+		slices.SortFunc(es, func(a, b sigEntry) int { return cmp.Or(cmp.Compare(a.j, b.j), cmp.Compare(a.i, b.i)) })
+		cb.sc.classOf[si] = cb.add(es)
 	}
-	return s
+	d.sig = cb.sc
+	return d
 }
 
 // BuildDictionary estimates M_crt and every suspect's E_crt by
@@ -148,22 +169,23 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 		patFinal[j] = logicsim.Eval(c, pat.V2)
 	}
 
-	// mCount holds the defect-free failures per (output, pattern) and
-	// flips each suspect's flips against them per (suspect, output,
-	// pattern), summed over every sample by all workers at once: integer
-	// adds commute, so the totals do not depend on scheduling.
+	// mCount holds the defect-free failures per (output, pattern),
+	// summed over every sample by all workers at once: integer adds
+	// commute, so the totals do not depend on scheduling.
 	mCount := make([]atomic.Int32, nOut*nPat)
-	flips := make([]atomic.Int32, nSus*nOut*nPat)
 	// dictWorker is one worker's reusable scratch: the simulation
 	// engine, the instance delay buffer, defect sizes, reseedable RNG
 	// streams and the stage ledger — allocated once per worker, so the
-	// per-sample loop is allocation-free in steady state.
+	// per-sample loop is allocation-free in steady state — and its flip
+	// events K<<1 | up: cell K's capture (engine.ECell's K) turned from
+	// passing to failing (up = 1) or back (up = 0) in one sample.
 	type dictWorker struct {
 		eng    *tsim.Engine
 		opts   tsim.Options // capture at cfg.Clk under the sample's windows
 		delays []float64
 		sizes  []float64
 		stream *rng.Stream
+		flips  []uint64
 		st     dictStages
 	}
 	ws := make([]*dictWorker, workers)
@@ -214,9 +236,9 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 					switch capture := wk.eng.DefectCapture(base, oi); {
 					case capture == base.Capture[oi]:
 					case capture != base.Final[c.Outputs[oi]]:
-						flips[row+oi*nPat].Add(1) // a passing capture now fails
+						wk.flips = append(wk.flips, uint64(row+oi*nPat)<<1|1) // a passing capture now fails
 					default:
-						flips[row+oi*nPat].Add(-1) // a failing capture now passes
+						wk.flips = append(wk.flips, uint64(row+oi*nPat)<<1) // a failing capture now passes
 					}
 				}
 			}
@@ -224,9 +246,11 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 			wk.st.defect += t1.Sub(t2)
 		}
 	})
+	var flips []uint64
 	for _, wk := range ws {
 		if wk != nil {
 			wk.st.record()
+			flips = append(flips, wk.flips...)
 		}
 	}
 	if err != nil {
@@ -234,27 +258,24 @@ func BuildDictionary(ctx context.Context, m *timing.Model, patterns []logicsim.P
 	}
 	tAcc := time.Now()
 
-	n := nOut * nPat
-	d := &Dictionary{
-		C:        c,
-		Patterns: patterns,
-		Suspects: suspects,
-		Clk:      cfg.Clk,
-		Rows:     nOut,
-		Cols:     nPat,
-		M:        make([]float64, n),
-		E:        make([]float64, nSus*n),
-	}
+	// One sort merges the workers' events; each cell's sum is exact.
+	slices.Sort(flips)
 	inv := 1.0 / float64(cfg.Samples)
+	mCrt := make([]float64, nOut*nPat)
 	for k := range mCount {
-		d.M[k] = float64(mCount[k].Load()) * inv
+		mCrt[k] = float64(mCount[k].Load()) * inv
 	}
-	for i := range suspects {
-		e, delta := d.E[i*n:(i+1)*n], flips[i*n:]
-		for k := range mCount {
-			e[k] = float64(mCount[k].Load()+delta[k].Load()) * inv
+	var cells []engine.ECell
+	for a := 0; a < len(flips); {
+		key, delta := flips[a]>>1, int32(0)
+		for ; a < len(flips) && flips[a]>>1 == key; a++ {
+			delta += int32(flips[a]&1)*2 - 1
 		}
+		k := int(key) % len(mCrt) // a net-zero cell equals M, which NewDictionary drops
+		cells = append(cells, engine.ECell{K: int(key), E: float64(mCount[k].Load()+delta) * inv})
 	}
+	d := NewDictionary(suspects, nOut, nPat, mCrt, cells)
+	d.C, d.Patterns, d.Clk = c, patterns, cfg.Clk
 	dictStageAccumulate.Add(time.Since(tAcc).Seconds())
 	return d, nil
 }

@@ -18,12 +18,11 @@ import (
 // sample axis at all. Entries are exact probabilities under the
 // analytic model, so cfg.Samples and cfg.Seed are ignored.
 //
-// The dictionary adopts the signature blocks as its M and E. Signature
-// entries S = E − M are clamped at zero where they are read, as in the
-// Monte-Carlo build: downstream match scores assume S ≥ 0, and the
-// analytic E and M are computed independently per entry, so rounding
-// can land a defect that cannot reach an output a hair below its
-// baseline.
+// The dictionary adopts M and the changed E cells. Signature entries
+// S = E − M are clamped at zero as in the Monte-Carlo build: downstream
+// match scores assume S ≥ 0, and the analytic E and M are computed
+// independently per entry, so rounding can land a defect that cannot
+// reach an output a hair below its baseline.
 func buildDictionaryAnalytic(ctx context.Context, eng *engine.Analytic, m *timing.Model, patterns []logicsim.PatternPair, suspects []circuit.ArcID, cfg DictConfig) (*Dictionary, error) {
 	start := time.Now()
 	defer func() {
@@ -38,14 +37,7 @@ func buildDictionaryAnalytic(ctx context.Context, eng *engine.Analytic, m *timin
 	if err != nil {
 		return nil, err
 	}
-	return &Dictionary{
-		C:        m.C,
-		Patterns: patterns,
-		Suspects: suspects,
-		Clk:      cfg.Clk,
-		Rows:     len(m.C.Outputs),
-		Cols:     len(patterns),
-		M:        mCrt,
-		E:        eCrt,
-	}, nil
+	d := NewDictionary(suspects, len(m.C.Outputs), len(patterns), mCrt, eCrt)
+	d.C, d.Patterns, d.Clk = m.C, patterns, cfg.Clk
+	return d, nil
 }

@@ -77,11 +77,12 @@ func TestBuildDictionaryInvariants(t *testing.T) {
 	}
 	nOut, nPat := len(tb.c.Outputs), len(tb.pats)
 	n := nOut * nPat
-	if d.Rows != nOut || d.Cols != nPat || len(d.M) != n || len(d.E) != len(suspects)*n {
-		t.Fatalf("shape %dx%d with %d M and %d E entries", d.Rows, d.Cols, len(d.M), len(d.E))
+	if d.Rows != nOut || d.Cols != nPat || len(d.M) != n {
+		t.Fatalf("shape %dx%d with %d M entries", d.Rows, d.Cols, len(d.M))
 	}
+	e := make([]float64, n)
 	for si := range suspects {
-		e := d.E[si*n : (si+1)*n]
+		eRow(d, si, e)
 		sumE, sumM := 0.0, 0.0
 		for k := range e {
 			sumE += e[k]
@@ -106,15 +107,12 @@ func TestBuildDictionaryInvariants(t *testing.T) {
 // M: a positive difference is E − M exactly, and a negative or zero
 // one is 0. The second suspect's block checks the per-suspect stride.
 func TestSignatureClamps(t *testing.T) {
-	d := &Dictionary{
-		Rows: 1, Cols: 3,
-		M: []float64{0.1, 0.4, 0.25},
-		E: []float64{
-			0, 0, 0,
-			0.3, 0.1, 0.25, // above, below and equal to M
-		},
+	e := []float64{
+		0, 0, 0,
+		0.3, 0.1, 0.25, // above, below and equal to M
 	}
-	want := []float64{d.E[3] - d.M[0], 0, 0} // float64 E − M, not the exact constant 0.2
+	d := denseDict([]circuit.ArcID{0, 1}, 1, 3, []float64{0.1, 0.4, 0.25}, e)
+	want := []float64{e[3] - d.M[0], 0, 0} // float64 E − M, not the exact constant 0.2
 	for k, w := range want {
 		if got := d.signature(1, k); math.Float64bits(got) != math.Float64bits(w) {
 			t.Errorf("signature(1, %d) = %v, want %v", k, got, w)
@@ -142,7 +140,7 @@ func TestBuildDictionaryDeterministicAcrossWorkers(t *testing.T) {
 	if maxAbsDiff(a.M, b.M) != 0 {
 		t.Errorf("M depends on worker count")
 	}
-	if maxAbsDiff(a.E, b.E) != 0 {
+	if maxAbsDiff(denseE(a), denseE(b)) != 0 {
 		t.Errorf("E depends on worker count")
 	}
 }
@@ -164,13 +162,14 @@ func TestBuildDictionaryIncrementalMatchesFull(t *testing.T) {
 		cfg := tb.dictConfig(40)
 		cfg.Clk *= f
 		b := buildDictionaryReference(tb.m, tb.pats, suspects, cfg)
+		bE := denseE(b)
 		signals := 0
 		for si := range suspects {
 			for k, m := range b.M {
 				if b.signature(si, k) > 0 {
 					signals++
 				}
-				if b.E[si*len(b.M)+k] < m {
+				if bE[si*len(b.M)+k] < m {
 					below++
 				}
 			}
@@ -187,7 +186,7 @@ func TestBuildDictionaryIncrementalMatchesFull(t *testing.T) {
 			if d := maxAbsDiff(a.M, b.M); d != 0 {
 				t.Errorf("clk factor %v workers %d: M: build vs reference differ by %v", f, workers, d)
 			}
-			if d := maxAbsDiff(a.E, b.E); d != 0 {
+			if d := maxAbsDiff(denseE(a), bE); d != 0 {
 				t.Errorf("clk factor %v workers %d: E: build vs reference differ by %v", f, workers, d)
 			}
 		}

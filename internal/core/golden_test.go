@@ -71,8 +71,8 @@ func goldenDictSetup(t *testing.T) (*timing.Model, []logicsim.PatternPair, []cir
 	return m, pats, suspects, cfg
 }
 
-// hashDict folds every float64 bit of M, then per suspect of E and
-// the derived S, into one SHA-256.
+// hashDict folds every float64 bit of M, then per suspect of E (dense,
+// expanded from its stored cells) and the derived S, into one SHA-256.
 func hashDict(d *Dictionary) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -84,12 +84,18 @@ func hashDict(d *Dictionary) string {
 	for _, v := range d.M {
 		put(v)
 	}
+	e := make([]float64, n)
 	for si := range d.Suspects {
-		for _, v := range d.E[si*n : (si+1)*n] {
+		eRow(d, si, e)
+		for _, v := range e {
 			put(v)
 		}
-		for k := 0; k < n; k++ {
-			put(d.signature(si, k))
+		for k, v := range e {
+			s := v - d.M[k]
+			if s < 0 {
+				s = 0
+			}
+			put(s)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

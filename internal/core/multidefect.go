@@ -57,12 +57,11 @@ func (d *Dictionary) DiagnoseIterative(b *Behavior, method Method, maxDefects in
 		best := ranked[0]
 		si := d.SuspectIndex(best.Arc)
 		explained := 0
-		for i := 0; i < cur.Rows; i++ {
-			for j := 0; j < cur.Cols; j++ {
-				if cur.At(i, j) && d.signature(si, i*d.Cols+j) > threshold {
-					cur.Set(i, j, false)
-					explained++
-				}
+		// An entry over the threshold is one of the stored nonzero ones.
+		for _, e := range d.sig.class(int(d.sig.classOf[si])) {
+			if cur.At(int(e.i), int(e.j)) && e.s > threshold {
+				cur.Set(int(e.i), int(e.j), false)
+				explained++
 			}
 		}
 		rounds = append(rounds, IterativeResult{
@@ -77,8 +76,8 @@ func (d *Dictionary) DiagnoseIterative(b *Behavior, method Method, maxDefects in
 	return rounds
 }
 
-// SuspectIndex returns the index of arc a in d.Suspects (the block of
-// its E_crt in d.E), or -1 when a is not a suspect.
+// SuspectIndex returns the index of arc a in d.Suspects (the si of
+// its E_crt cells and signature class), or -1 when a is not a suspect.
 func (d *Dictionary) SuspectIndex(a circuit.ArcID) int {
 	for i, s := range d.Suspects {
 		if s == a {

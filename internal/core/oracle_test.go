@@ -82,12 +82,7 @@ func buildDictionaryReference(m *timing.Model, patterns []logicsim.PatternPair, 
 	nOut, nPat := len(c.Outputs), len(patterns)
 	n := nOut * nPat
 	eng := tsim.NewEngine(c)
-	d := &Dictionary{
-		C: c, Patterns: patterns, Suspects: suspects, Clk: cfg.Clk,
-		Rows: nOut, Cols: nPat,
-		M: make([]float64, n),
-		E: make([]float64, len(suspects)*n),
-	}
+	mCrt, e := make([]float64, n), make([]float64, len(suspects)*n)
 	sizes := make([]float64, len(suspects))
 	for s := 0; s < cfg.Samples; s++ {
 		delays := m.SampleInstanceSeeded(cfg.Seed, uint64(s)).Delays
@@ -96,22 +91,24 @@ func buildDictionaryReference(m *timing.Model, patterns []logicsim.PatternPair, 
 			sizes[i] = cfg.SizeDist.Sample(szRng)
 		}
 		for j, pat := range patterns {
-			countFailures(d.M, nPat, j, c, eng.Run(delays, pat, tsim.AtClock(cfg.Clk)))
+			countFailures(mCrt, nPat, j, c, eng.Run(delays, pat, tsim.AtClock(cfg.Clk)))
 			for i, arc := range suspects {
 				opts := tsim.AtClock(cfg.Clk)
 				opts.DefectArc = arc
 				opts.DefectExtra = sizes[i]
-				countFailures(d.E[i*n:(i+1)*n], nPat, j, c, eng.Run(delays, pat, opts))
+				countFailures(e[i*n:(i+1)*n], nPat, j, c, eng.Run(delays, pat, opts))
 			}
 		}
 	}
 	inv := 1.0 / float64(cfg.Samples)
-	for k := range d.M {
-		d.M[k] *= inv
+	for k := range mCrt {
+		mCrt[k] *= inv
 	}
-	for k := range d.E {
-		d.E[k] *= inv
+	for k := range e {
+		e[k] *= inv
 	}
+	d := denseDict(suspects, nOut, nPat, mCrt, e)
+	d.C, d.Patterns, d.Clk = c, patterns, cfg.Clk
 	return d
 }
 

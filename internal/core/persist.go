@@ -30,8 +30,8 @@ const (
 	// long-running services (cmd/ddd-serve), so the decoder must treat
 	// its input as untrusted: every count is bounded before it sizes an
 	// allocation, and the sparse entries must arrive in the canonical
-	// strictly-increasing order Save emits — patternConsistencyInto's
-	// column-major walk silently miscomputes on any other order.
+	// strictly-increasing order Save emits — the consistency kernel's
+	// pattern-major walk silently miscomputes on any other order.
 	maxDim   = 1 << 20 // rows, cols, inputs, suspects
 	maxCells = 1 << 28 // rows × cols
 )
@@ -48,8 +48,8 @@ func (cd *CompressedDictionary) Save(w io.Writer, nInputs int) error {
 	writeU32 := func(v uint32) { _ = binary.Write(bw, le, v) }
 	writeU32(persistVersion)
 	_ = binary.Write(bw, le, math.Float64bits(cd.Clk))
-	writeU32(uint32(cd.rows))
-	writeU32(uint32(cd.cols))
+	writeU32(uint32(cd.sig.rows))
+	writeU32(uint32(cd.sig.cols))
 	writeU32(uint32(nInputs))
 	writeU32(uint32(len(cd.Patterns)))
 	for _, p := range cd.Patterns {
@@ -63,11 +63,12 @@ func (cd *CompressedDictionary) Save(w io.Writer, nInputs int) error {
 	for _, a := range cd.Suspects {
 		writeU32(uint32(a))
 	}
-	for _, es := range cd.entries {
+	for _, c := range cd.sig.classOf {
+		es := cd.sig.class(int(c))
 		writeU32(uint32(len(es)))
 		for _, e := range es {
-			writeU32(uint32(e.idx))
-			if err := bw.WriteByte(e.q); err != nil {
+			writeU32(uint32(int(e.j)*cd.sig.rows + int(e.i)))
+			if err := bw.WriteByte(quantize(e.s)); err != nil {
 				return err
 			}
 		}
@@ -137,7 +138,6 @@ func LoadCompressed(r io.Reader) (*CompressedDictionary, int, error) {
 	if uint64(rows)*uint64(cols) > maxCells {
 		return nil, 0, fmt.Errorf("core: dictionary shape %d x %d out of range", rows, cols)
 	}
-	cd.rows, cd.cols = int(rows), int(cols)
 	nPat, err := readU32()
 	if err != nil {
 		return nil, 0, err
@@ -170,9 +170,10 @@ func LoadCompressed(r io.Reader) (*CompressedDictionary, int, error) {
 		}
 		cd.Suspects = append(cd.Suspects, circuit.ArcID(a))
 	}
-	cd.entries = make([][]sparseEntry, nSus)
-	maxIdx := uint32(cd.rows * cd.cols)
-	for s := range cd.entries {
+	cb := newClassBuilder(int(rows), int(cols), int(nSus), 0)
+	maxIdx := rows * cols
+	var es []sigEntry
+	for s := range cb.sc.classOf {
 		count, err := readU32()
 		if err != nil {
 			return nil, 0, err
@@ -180,9 +181,7 @@ func LoadCompressed(r io.Reader) (*CompressedDictionary, int, error) {
 		if count > maxIdx {
 			return nil, 0, fmt.Errorf("core: suspect %d entry count %d out of range", s, count)
 		}
-		// Size the allocation from the claimed count only up to a
-		// modest cap; a lying header then costs appends, not memory.
-		es := make([]sparseEntry, 0, min(int(count), 1<<15))
+		es = es[:0]
 		prev := int64(-1)
 		for i := 0; i < int(count); i++ {
 			if _, err := io.ReadFull(br, buf[:5]); err != nil {
@@ -199,14 +198,14 @@ func LoadCompressed(r io.Reader) (*CompressedDictionary, int, error) {
 			if q == 0 {
 				return nil, 0, fmt.Errorf("core: suspect %d stores a zero entry at %d", s, idx)
 			}
-			es = append(es, sparseEntry{idx: int32(idx), q: q})
+			es = append(es, sigEntry{i: int32(idx % rows), j: int32(idx / rows), s: float64(q) / 255})
 		}
-		cd.entries[s] = es
+		cb.sc.classOf[s] = cb.add(es)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, 0, fmt.Errorf("core: trailing data after dictionary")
 	}
-	cd.classify()
+	cd.sig = cb.sc
 	return cd, int(nIn), nil
 }
 

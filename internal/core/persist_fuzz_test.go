@@ -62,7 +62,7 @@ func FuzzLoadDictionary(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data) {
 			t.Fatalf("accepted dictionary is not canonical: %d bytes in, %d bytes out", len(data), buf.Len())
 		}
-		checkClasses(t, cd)
+		checkClasses(t, &cd.sig, len(cd.Suspects))
 		rows, cols := cd.Shape()
 		if len(cd.Suspects) == 0 || rows*cols == 0 || rows*cols > 1<<16 {
 			return

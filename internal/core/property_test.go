@@ -12,19 +12,17 @@ import (
 // random signature matrices (E random over M = 0, so S = E), plus a
 // random behavior matrix.
 func randomDict(seed uint64, nSus, nOut, nPat int) (*Dictionary, *Behavior) {
+	e, b := randomE(seed, nSus, nOut, nPat)
+	return randomDictOf(e, nSus, nOut, nPat), b
+}
+
+// randomE returns randomDict's dense E block and behavior, for tests
+// that edit E before building the dictionary with randomDictOf.
+func randomE(seed uint64, nSus, nOut, nPat int) ([]float64, *Behavior) {
 	r := rng.New(seed)
-	d := &Dictionary{
-		Rows:     nOut,
-		Cols:     nPat,
-		M:        make([]float64, nOut*nPat),
-		E:        make([]float64, nSus*nOut*nPat),
-		Suspects: make([]circuit.ArcID, nSus),
-	}
-	for k := range d.E {
-		d.E[k] = r.Float64()
-	}
-	for i := range d.Suspects {
-		d.Suspects[i] = circuit.ArcID(i * 3) // arbitrary distinct IDs
+	e := make([]float64, nSus*nOut*nPat)
+	for k := range e {
+		e[k] = r.Float64()
 	}
 	b := NewBehavior(nOut, nPat)
 	for i := 0; i < nOut; i++ {
@@ -32,7 +30,16 @@ func randomDict(seed uint64, nSus, nOut, nPat int) (*Dictionary, *Behavior) {
 			b.Set(i, j, r.IntN(2) == 1)
 		}
 	}
-	return d, b
+	return e, b
+}
+
+// randomDictOf builds randomDict's dictionary over the dense E block e.
+func randomDictOf(e []float64, nSus, nOut, nPat int) *Dictionary {
+	suspects := make([]circuit.ArcID, nSus)
+	for i := range suspects {
+		suspects[i] = circuit.ArcID(i * 3) // arbitrary distinct IDs
+	}
+	return denseDict(suspects, nOut, nPat, make([]float64, nOut*nPat), e)
 }
 
 // Property: per-pattern consistencies are probabilities, and method
@@ -114,9 +121,9 @@ func TestPerfectSignatureWinsProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		nOut, nPat := 1+r.IntN(4), 1+r.IntN(5)
-		d, b := randomDict(seed, 3, nOut, nPat)
+		e, b := randomE(seed, 3, nOut, nPat)
 		// Replace suspect 0's signature with the perfect one.
-		perfect := d.E[:nOut*nPat]
+		perfect := e[:nOut*nPat]
 		clear(perfect)
 		for i := 0; i < nOut; i++ {
 			for j := 0; j < nPat; j++ {
@@ -125,6 +132,7 @@ func TestPerfectSignatureWinsProperty(t *testing.T) {
 				}
 			}
 		}
+		d := randomDictOf(e, 3, nOut, nPat)
 		for _, m := range Methods {
 			ranked := d.Diagnose(b, m)
 			if ranked[0].Arc != d.Suspects[0] {
@@ -147,8 +155,8 @@ func TestPerfectSignatureZeroError(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		nOut, nPat := 1+r.IntN(4), 1+r.IntN(5)
-		d, b := randomDict(seed, 1, nOut, nPat)
-		perfect := d.E[:nOut*nPat]
+		e, b := randomE(seed, 1, nOut, nPat)
+		perfect := e[:nOut*nPat]
 		clear(perfect)
 		for i := 0; i < nOut; i++ {
 			for j := 0; j < nPat; j++ {
@@ -157,7 +165,7 @@ func TestPerfectSignatureZeroError(t *testing.T) {
 				}
 			}
 		}
-		phi := d.PatternConsistency(0, b)
+		phi := randomDictOf(e, 1, nOut, nPat).PatternConsistency(0, b)
 		return AlgRev.Score(phi) == 0 && MethodIII.Score(phi) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -31,12 +32,38 @@ func sortRankedScalar(out []Ranked, lowerIsBetter bool) {
 	})
 }
 
+// densePhi is the dense consistency loop the sparse kernel replaced:
+// φ_j multiplies the factor of every output in ascending order, with
+// S = max(E − M, 0) read from the suspect's expanded E row.
+func densePhi(d *Dictionary, si int, b *Behavior) []float64 {
+	e := make([]float64, len(d.M))
+	eRow(d, si, e)
+	phi := make([]float64, d.Cols)
+	for j := range phi {
+		p := 1.0
+		for i := 0; i < d.Rows; i++ {
+			k := i*d.Cols + j
+			sij := e[k] - d.M[k]
+			if sij < 0 {
+				sij = 0
+			}
+			if b.At(i, j) {
+				p *= sij
+			} else {
+				p *= 1 - sij
+			}
+		}
+		phi[j] = p
+	}
+	return phi
+}
+
 // diagnoseDenseScalar is the reference loop for Dictionary.Diagnose: a
-// fresh φ per suspect, scored, then sorted.
+// fresh dense φ per suspect, scored, then sorted.
 func diagnoseDenseScalar(d *Dictionary, b *Behavior, m Method) []Ranked {
 	out := make([]Ranked, len(d.Suspects))
 	for si, arc := range d.Suspects {
-		out[si] = Ranked{Arc: arc, Score: m.Score(d.PatternConsistency(si, b))}
+		out[si] = Ranked{Arc: arc, Score: m.Score(densePhi(d, si, b))}
 	}
 	sortRankedScalar(out, m.lowerIsBetter())
 	return out
@@ -189,41 +216,53 @@ func TestDiagnoseMethodsMatchesDiagnose(t *testing.T) {
 	}
 }
 
-// checkClasses checks cd's signature classes: every suspect stores
-// exactly its class representative's entries, and no two classes store
-// equal entries.
-func checkClasses(t *testing.T, cd *CompressedDictionary) {
+// checkClasses checks signature classes: every suspect has a class,
+// every class stores nonzero entries in strictly ascending cell order,
+// and no two classes store equal entries.
+func checkClasses(t *testing.T, sc *sigClasses, suspects int) {
 	t.Helper()
-	if len(cd.classOf) != len(cd.Suspects) {
-		t.Fatalf("%d class indices for %d suspects", len(cd.classOf), len(cd.Suspects))
+	if len(sc.classOf) != suspects {
+		t.Fatalf("%d class indices for %d suspects", len(sc.classOf), suspects)
 	}
-	for si, c := range cd.classOf {
-		if !slices.Equal(cd.entries[si], cd.entries[cd.reps[c]]) {
-			t.Fatalf("suspect %d stores other entries than its class %d", si, c)
+	for si, c := range sc.classOf {
+		if c < 0 || int(c) >= sc.classes() {
+			t.Fatalf("suspect %d in class %d of %d", si, c, sc.classes())
 		}
 	}
-	for c := range cd.reps {
-		for c2 := c + 1; c2 < len(cd.reps); c2++ {
-			if slices.Equal(cd.entries[cd.reps[c]], cd.entries[cd.reps[c2]]) {
+	for c := 0; c < sc.classes(); c++ {
+		es := sc.class(c)
+		for k, e := range es {
+			if !(e.s > 0) || (k > 0 && cmp.Or(cmp.Compare(e.j, es[k-1].j), cmp.Compare(e.i, es[k-1].i)) <= 0) {
+				t.Fatalf("class %d entry %d = %+v: zero or out of order", c, k, e)
+			}
+		}
+		for c2 := c + 1; c2 < sc.classes(); c2++ {
+			if slices.Equal(es, sc.class(c2)) {
 				t.Fatalf("classes %d and %d store equal entries", c, c2)
 			}
 		}
 	}
 }
 
+// expand expands signature classes into one dense signature matrix per
+// suspect.
+func expand(sc *sigClasses) [][]float64 {
+	sigs := make([][]float64, len(sc.classOf))
+	for si, c := range sc.classOf {
+		sigs[si] = make([]float64, sc.rows*sc.cols)
+		for _, e := range sc.class(int(c)) {
+			sigs[si][int(e.i)*sc.cols+int(e.j)] = e.s
+		}
+	}
+	return sigs
+}
+
 // decompress expands cd's quantized entries into a dense dictionary.
 // An absent entry is exactly 0, which multiplies φ by exactly 1 or 0,
 // so the dense φ equals the sparse kernel's bit for bit.
 func decompress(cd *CompressedDictionary) *Dictionary {
-	sigs := make([][]float64, len(cd.entries))
-	for si, es := range cd.entries {
-		sigs[si] = make([]float64, cd.rows*cd.cols)
-		for _, e := range es {
-			i, j := int(e.idx)%cd.rows, int(e.idx)/cd.rows
-			sigs[si][i*cd.cols+j] = float64(e.q) / 255
-		}
-	}
-	d := handDict(cd.rows, cd.cols, sigs...)
+	rows, cols := cd.Shape()
+	d := handDict(rows, cols, expand(&cd.sig)...)
 	d.Suspects = cd.Suspects
 	return d
 }
@@ -268,14 +307,16 @@ func TestRankSignatureClasses(t *testing.T) {
 		b.Set(c.i, c.j, true)
 	}
 	cd := Compress(d)
-	checkClasses(t, cd)
-	if len(cd.reps) != len(sigs) {
-		t.Fatalf("%d signature classes, want %d", len(cd.reps), len(sigs))
+	checkClasses(t, &d.sig, len(d.Suspects))
+	checkClasses(t, &cd.sig, len(cd.Suspects))
+	if d.sig.classes() != len(sigs) || cd.Classes() != len(sigs) {
+		t.Fatalf("%d and %d signature classes, want %d", d.sig.classes(), cd.Classes(), len(sigs))
 	}
 	dense := decompress(cd)
 	for _, m := range allMethods {
 		got := cd.Diagnose(b, m)
 		sameRanking(t, m.String(), got, diagnoseCompressedScalar(cd, b, m))
 		sameRanking(t, m.String()+" decompressed", got, diagnoseDenseScalar(dense, b, m))
+		sameRanking(t, m.String()+" in memory", d.Diagnose(b, m), diagnoseDenseScalar(d, b, m))
 	}
 }

@@ -298,15 +298,19 @@ func CompareEngines(ctx context.Context, cfg Config, maxSuspects int) (*EngineCo
 }
 
 // signatures derives every suspect's S_crt = max(E_crt − M_crt, 0)
-// from d, in the layout of d.E.
+// from d, densely: suspect si's matrix is s[si*n : (si+1)*n] for the
+// n = Rows*Cols cells of M.
 func signatures(d *core.Dictionary) []float64 {
-	s := make([]float64, len(d.E))
-	for k, e := range d.E {
-		v := e - d.M[k%len(d.M)]
-		if v < 0 {
-			v = 0
-		}
-		s[k] = v
+	n := len(d.M)
+	s := make([]float64, len(d.Suspects)*n)
+	for si := range d.Suspects {
+		copy(s[si*n:], d.M)
+	}
+	for _, c := range d.E {
+		s[c.K] = c.E
+	}
+	for k, e := range s {
+		s[k] = max(e-d.M[k%n], 0)
 	}
 	return s
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/logicsim"
 	"repro/internal/rng"
 	"repro/internal/timing"
+	"repro/internal/timing/engine"
 	"repro/internal/tsim"
 )
 
@@ -173,23 +174,17 @@ type Figure2Result struct {
 // Figure2 computes the example deterministically (no simulation).
 func Figure2() *Figure2Result {
 	// Probabilities of failing from the figure: fault #1 then fault #2,
-	// rows = PO1, PO2; columns = Vec1, Vec2. They are the dictionary's
-	// E with M = 0, so the signatures S = E − 0 are the figure's
-	// matrices exactly.
+	// rows = PO1, PO2; columns = Vec1, Vec2, so cell K = 4·fault +
+	// 2·PO + Vec. They are the dictionary's E with M = 0, so the
+	// signatures S = E − 0 are the figure's matrices exactly.
 	b := core.NewBehavior(2, 2)
 	b.Set(0, 0, true) // PO1 fails Vec1
 	b.Set(1, 1, true) // PO2 fails Vec2
 
-	d := &core.Dictionary{
-		Suspects: []circuit.ArcID{0, 1},
-		Rows:     2,
-		Cols:     2,
-		M:        make([]float64, 4),
-		E: []float64{
-			0.8, 0.5, 0.4, 0.6, // fault #1
-			0.6, 0.2, 0.3, 0.5, // fault #2
-		},
-	}
+	d := core.NewDictionary([]circuit.ArcID{0, 1}, 2, 2, make([]float64, 4), []engine.ECell{
+		{K: 0, E: 0.8}, {K: 1, E: 0.5}, {K: 2, E: 0.4}, {K: 3, E: 0.6}, // fault #1
+		{K: 4, E: 0.6}, {K: 5, E: 0.2}, {K: 6, E: 0.3}, {K: 7, E: 0.5}, // fault #2
+	})
 	res := &Figure2Result{
 		Scores: make(map[core.Method][2]float64),
 		Winner: make(map[core.Method]int),

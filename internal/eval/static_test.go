@@ -1,6 +1,9 @@
 package eval
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/atpg"
@@ -112,6 +115,40 @@ func TestSweepOrder(t *testing.T) {
 			if order[i] != s {
 				t.Fatalf("n=%d: site %d of the order is %d, the stride walk's is %d", tc.n, i, order[i], s)
 			}
+		}
+	}
+}
+
+// TestStaticDictionaryGolden pins the stored bytes of the four serving
+// dictionaries, built as ddd-e2e -regen-dicts builds them (analytic
+// engine, 16 patterns, 96 samples, 400 suspects at most) and saved in
+// the binary dictionary format, to their SHA-256s.
+func TestStaticDictionaryGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds four static dictionaries")
+	}
+	want := map[string]string{
+		"s1196": "13999fe934b9ce81389af87025114d0535670a39a82127c82b992d4de6a928f4",
+		"s1238": "ad3b44b8c9f3b9520b4b8e95761550215fa8ffa3c3c75e534913bac5867aaaae",
+		"s1423": "26b054eb1532621a0de7eb03e3048668499810f3335ed6402a621f41cd0ddf3c",
+		"s1488": "003920eb49acd97e33370a55090e5e59a9ae372ef0165bb9604016d9023788e2",
+	}
+	for _, id := range []string{"s1196", "s1238", "s1423", "s1488"} {
+		cfg := DefaultConfig(id)
+		cfg.MaxPatterns = 16
+		cfg.DictSamples = 96
+		cfg.Engine = "analytic"
+		sd, err := BuildStatic(cfg, 400)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		var buf bytes.Buffer
+		if err := core.Compress(sd.Dict).Save(&buf, len(sd.C.Inputs)); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want[id] {
+			t.Errorf("%s: stored dictionary SHA-256 %s, want %s", id, got, want[id])
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/dist"
@@ -11,12 +13,20 @@ import (
 	"repro/internal/tsim"
 )
 
+// ECell is suspect i's E_crt for output oi and pattern j at its index
+// K = (i*nOut + oi)*nPat + j in a dense suspects × outputs × patterns block.
+type ECell struct {
+	K int
+	E float64
+}
+
 // Signatures computes the analytic counterpart of the Monte-Carlo
 // dictionary build: per (output, pattern) the probability that the
 // output captures a wrong value at clk, defect-free (mCrt) and under
-// each suspect defect (eCrt). Both are flattened row-major with the
-// pattern axis innermost, the core dictionary's layout:
-// mCrt[oi*nPat + j] and eCrt[(i*nOut+oi)*nPat + j].
+// each suspect defect (eCrt). mCrt is flattened row-major with the
+// pattern axis innermost, mCrt[oi*nPat + j]; eCrt lists, in ascending
+// K, only the cells whose output waveform a defect changed, and every
+// other cell of E equals M's.
 //
 // Where the MC build simulates every (sample, pattern, suspect)
 // triple, the analytic build simulates only the NOMINAL die — one
@@ -49,19 +59,20 @@ import (
 // the MC build applies.
 //
 // Patterns are processed in parallel (workers as in par.Workers); each
-// pattern writes a disjoint column of every matrix, so the result is
-// deterministic and independent of scheduling.
-func (e *Analytic) Signatures(ctx context.Context, patterns []logicsim.PatternPair, suspects []circuit.ArcID, clk float64, size dist.Dist, workers int) (mCrt, eCrt []float64, err error) {
+// pattern writes a disjoint column of mCrt and its own cells of eCrt,
+// which one sort by K orders, so the result is deterministic and
+// independent of scheduling.
+func (e *Analytic) Signatures(ctx context.Context, patterns []logicsim.PatternPair, suspects []circuit.ArcID, clk float64, size dist.Dist, workers int) (mCrt []float64, eCrt []ECell, err error) {
 	c := e.m.C
 	nOut, nPat := len(c.Outputs), len(patterns)
 	mCrt = make([]float64, nOut*nPat)
-	eCrt = make([]float64, len(suspects)*nOut*nPat)
 	defMu := size.Mean()
 	defVar := size.Variance()
 
-	// One engine per worker: the baseline Result aliases its run
-	// scratch, which RunDefectDiff reads but never writes.
+	// One engine and cell list per worker: the baseline Result aliases
+	// its run scratch, which RunDefectDiff reads but never writes.
 	engs := make([]*tsim.Engine, par.Workers(workers, nPat))
+	cells := make([][]ECell, len(engs))
 	if _, err := par.ForWorkerCtx(ctx, nPat, workers, func(w, j int) {
 		eng := engs[w]
 		if eng == nil {
@@ -73,9 +84,6 @@ func (e *Analytic) Signatures(ctx context.Context, patterns []logicsim.PatternPa
 			mCrt[oi*nPat+j] = e.captureFailProb(base.Waveform(o), clk, nil, 0)
 		}
 		for i, arc := range suspects {
-			for oi := 0; oi < nOut; oi++ {
-				eCrt[(i*nOut+oi)*nPat+j] = mCrt[oi*nPat+j]
-			}
 			if !base.Transitioned(c.Arcs[arc].From) {
 				// The defect arc never sees a transition under this
 				// pattern: E equals the baseline (the MC build's skip).
@@ -83,13 +91,15 @@ func (e *Analytic) Signatures(ctx context.Context, patterns []logicsim.PatternPa
 			}
 			for _, oi := range eng.RunDefectDiff(e.m.Nominal, base, arc, defMu, math.Inf(1)) {
 				o := c.Outputs[oi]
-				w, _ := eng.DefectWaveform(base, o)
-				eCrt[(i*nOut+oi)*nPat+j] = e.captureFailProb(w, clk, base.Waveform(o), defVar)
+				wave, _ := eng.DefectWaveform(base, o)
+				cells[w] = append(cells[w], ECell{K: (i*nOut+oi)*nPat + j, E: e.captureFailProb(wave, clk, base.Waveform(o), defVar)})
 			}
 		}
 	}); err != nil {
 		return nil, nil, err
 	}
+	eCrt = slices.Concat(cells...)
+	slices.SortFunc(eCrt, func(a, b ECell) int { return cmp.Compare(a.K, b.K) })
 	return mCrt, eCrt, nil
 }
 
