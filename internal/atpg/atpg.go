@@ -53,49 +53,22 @@ func b2t(b bool) byte {
 	return f0
 }
 
-// Cell classes of the implication kernel's cell table.
-const (
-	cellInput byte = iota // primary input: never evaluated
-	cellCtrl              // AND/NAND/OR/NOR: has a controlling value
-	cellXor               // XOR/XNOR: parity of the inputs
-	cellBuf               // BUF/NOT/OUTPUT/DFF: the single input, inverted for NOT
-	cellConst             // CONST0/CONST1
-)
-
-// cell is one gate's row of the cell table: its CellType's logic,
-// decoded once so that evaluation runs no type switch.
+// cell is one gate's row of the implication kernel's cell table: its
+// cell type's row of the circuit's table, decoded once into ternary
+// values so that evaluation runs no type switch.
 type cell struct {
-	class   byte
-	cv      byte // controlling input value (cellCtrl)
-	ctrlOut byte // output when some input is controlling (cellCtrl)
-	ncOut   byte // output when every input is non-controlling (cellCtrl)
+	class   circuit.CellClass
+	cv      byte // controlling input value (controlled class)
+	ctrlOut byte // output when some input is controlling (controlled class)
+	ncOut   byte // output when every input is non-controlling (controlled class)
 	inv     byte // 1 when the cell inverts: NAND, NOR, XNOR, NOT
-	konst   byte // output value (cellConst)
 }
 
 // cellOf returns the cell table row of cell type t.
 func cellOf(t circuit.CellType) cell {
-	cl := cell{inv: b2t(t.Inverting())}
-	if ctrl, ok := t.Controlling(); ok {
-		cl.class = cellCtrl
-		cl.cv = b2t(ctrl)
-		cl.ctrlOut = b2t(ctrl != t.Inverting())
-		cl.ncOut = cl.ctrlOut ^ 1
-		return cl
-	}
-	switch t {
-	case circuit.Input:
-		cl.class = cellInput
-	case circuit.Xor, circuit.Xnor:
-		cl.class = cellXor
-	case circuit.Buf, circuit.Not, circuit.Output, circuit.DFF:
-		cl.class = cellBuf
-	case circuit.Const0, circuit.Const1:
-		cl.class = cellConst
-		cl.konst = b2t(t == circuit.Const1)
-	default:
-		panic(fmt.Sprintf("atpg: no cell table row for %v", t))
-	}
+	cl := cell{class: t.Class(), cv: b2t(t.Counted()), inv: b2t(t.Inverting())}
+	cl.ctrlOut = cl.cv ^ cl.inv
+	cl.ncOut = cl.ctrlOut ^ 1
 	return cl
 }
 
@@ -264,7 +237,7 @@ func (g *Generator) simulate() {
 	for f := 0; f < 2; f++ {
 		vals := g.vals[f]
 		for _, gid := range g.c.Order {
-			if g.cells[gid].class != cellInput {
+			if g.cells[gid].class != circuit.ClassInput {
 				vals[gid] = g.eval(gid, vals)
 			}
 		}
@@ -279,7 +252,7 @@ func (g *Generator) eval(gid circuit.GateID, vals []byte) byte {
 	cl := &g.cells[gid]
 	fanin := g.fin[g.finStart[gid]:g.finStart[gid+1]]
 	switch cl.class {
-	case cellCtrl:
+	case circuit.ClassControlled:
 		anyX := false
 		for _, fi := range fanin {
 			v := vals[fi]
@@ -294,7 +267,7 @@ func (g *Generator) eval(gid circuit.GateID, vals []byte) byte {
 			return fX
 		}
 		return cl.ncOut
-	case cellXor, cellBuf:
+	case circuit.ClassParity, circuit.ClassBuffer:
 		out := cl.inv
 		for _, fi := range fanin {
 			v := vals[fi]
@@ -304,8 +277,6 @@ func (g *Generator) eval(gid circuit.GateID, vals []byte) byte {
 			out ^= v
 		}
 		return out
-	case cellConst:
-		return cl.konst
 	}
 	panic("atpg: eval on an input")
 }
@@ -390,22 +361,21 @@ func (g *Generator) pathObjectives(p path.Path, rising, robust bool) ([]objectiv
 	for _, aid := range p.Arcs {
 		a := &c.Arcs[aid]
 		gate := &c.Gates[a.To]
-		ctrl, hasCtrl := gate.Type.Controlling()
-		switch {
-		case hasCtrl:
-			cv := b2t(ctrl)
+		cl := &g.cells[a.To]
+		switch cl.class {
+		case circuit.ClassControlled:
 			// Side inputs: non-controlling in V2; steadily so in both
 			// frames for (hazard-free) robust tests.
 			for k, fi := range gate.Fanin {
 				if k == a.Pin {
 					continue
 				}
-				objs = append(objs, objective{g: fi, frame: 1, val: cv ^ 1})
+				objs = append(objs, objective{g: fi, frame: 1, val: cl.cv ^ 1})
 				if robust {
-					objs = append(objs, objective{g: fi, frame: 0, val: cv ^ 1})
+					objs = append(objs, objective{g: fi, frame: 0, val: cl.cv ^ 1})
 				}
 			}
-		case gate.Type == circuit.Xor || gate.Type == circuit.Xnor:
+		case circuit.ClassParity:
 			// Hold side inputs stable at 0 in both frames.
 			for k, fi := range gate.Fanin {
 				if k == a.Pin {
@@ -414,10 +384,11 @@ func (g *Generator) pathObjectives(p path.Path, rising, robust bool) ([]objectiv
 				objs = append(objs, objective{g: fi, frame: 0, val: f0})
 				objs = append(objs, objective{g: fi, frame: 1, val: f0})
 			}
-		case gate.Type == circuit.Not, gate.Type == circuit.Buf, gate.Type == circuit.Output:
+		case circuit.ClassBuffer:
+			if gate.Type.Sequential() {
+				return nil, fmt.Errorf("atpg: unsupported on-path cell %v", gate.Type)
+			}
 			// no side inputs
-		default:
-			return nil, fmt.Errorf("atpg: unsupported on-path cell %v", gate.Type)
 		}
 	}
 	g.objs = objs
@@ -504,7 +475,7 @@ func (g *Generator) prepareSides(p path.Path, robust bool) error {
 	g.restrict(objs)
 	rest := g.rest[:0]
 	for _, o := range objs {
-		if g.cells[o.g].class != cellInput {
+		if g.cells[o.g].class != circuit.ClassInput {
 			rest = append(rest, o)
 			g.forbid[o.frame][o.g] |= 1 << (o.val ^ 1)
 		}
@@ -512,7 +483,7 @@ func (g *Generator) prepareSides(p path.Path, robust bool) error {
 	g.rest = rest
 	g.launchGate = objs[0].g
 	for _, o := range objs[2:] {
-		if g.cells[o.g].class != cellInput {
+		if g.cells[o.g].class != circuit.ClassInput {
 			continue
 		}
 		if prev := g.vals[o.frame][o.g]; prev != fX && prev != o.val {
@@ -599,23 +570,17 @@ func (g *Generator) backtrace(gid circuit.GateID, frame int, val byte) (circuit.
 	vals := g.vals[frame]
 	for {
 		cl := &g.cells[gid]
-		if cl.class == cellInput {
+		if cl.class == circuit.ClassInput {
 			return gid, val, true
 		}
-		// The value to pursue on the chosen fanin.
-		need := val ^ cl.inv
-		var target byte
-		switch cl.class {
-		case cellCtrl:
-			if need == cl.cv {
-				target = cl.cv // one controlling input suffices
-			} else {
-				target = cl.cv ^ 1 // all inputs must be non-controlling
-			}
-		case cellXor:
-			target = f0 // arbitrary; parity resolved by other pins
-		default: // NOT/BUF/Output
-			target = need
+		// The value to pursue on the chosen fanin: the output value
+		// before inversion (one controlling input suffices for the
+		// controlling value, and every input must be non-controlling
+		// for the other), or behind a parity cell an arbitrary 0,
+		// whose parity the other pins resolve.
+		target := val ^ cl.inv
+		if cl.class == circuit.ClassParity {
+			target = f0
 		}
 		// Choose an X-valued fanin: the first one, or a random one
 		// during restarts.

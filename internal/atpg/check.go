@@ -49,9 +49,9 @@ func CheckPathTest(c *circuit.Circuit, p path.Path, pair logicsim.PatternPair, r
 		if robust && tr.Init[from] != cur1 {
 			return fmt.Errorf("atpg: on-path initial value mismatch entering %s (robust)", gate.Name)
 		}
-		ctrl, hasCtrl := gate.Type.Controlling()
-		switch {
-		case hasCtrl:
+		switch gate.Type.Class() {
+		case circuit.ClassControlled:
+			ctrl, _ := gate.Type.Controlling()
 			for k, fi := range gate.Fanin {
 				if k == a.Pin {
 					continue
@@ -63,11 +63,7 @@ func CheckPathTest(c *circuit.Circuit, p path.Path, pair logicsim.PatternPair, r
 					return fmt.Errorf("atpg: side input %s of %s not steady (robust)", c.Gates[fi].Name, gate.Name)
 				}
 			}
-			if gate.Type.Inverting() {
-				cur1, cur2 = !cur1, !cur2
-			}
-		case gate.Type == circuit.Xor || gate.Type == circuit.Xnor:
-			inv := gate.Type == circuit.Xnor
+		case circuit.ClassParity:
 			for k, fi := range gate.Fanin {
 				if k == a.Pin {
 					continue
@@ -76,18 +72,16 @@ func CheckPathTest(c *circuit.Circuit, p path.Path, pair logicsim.PatternPair, r
 					return fmt.Errorf("atpg: XOR side input %s of %s unstable", c.Gates[fi].Name, gate.Name)
 				}
 				if tr.Final[fi] {
-					inv = !inv
+					cur1, cur2 = !cur1, !cur2
 				}
 			}
-			if inv {
-				cur1, cur2 = !cur1, !cur2
+		case circuit.ClassBuffer:
+			if gate.Type.Sequential() {
+				return fmt.Errorf("atpg: unsupported on-path cell %v", gate.Type)
 			}
-		case gate.Type == circuit.Not:
+		}
+		if gate.Type.Inverting() {
 			cur1, cur2 = !cur1, !cur2
-		case gate.Type == circuit.Buf || gate.Type == circuit.Output:
-			// transparent
-		default:
-			return fmt.Errorf("atpg: unsupported on-path cell %v", gate.Type)
 		}
 		if tr.Final[a.To] != cur2 {
 			return fmt.Errorf("atpg: final value not propagated through %s", gate.Name)

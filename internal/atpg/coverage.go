@@ -41,7 +41,7 @@ func (r *CoverageResult) Fraction() float64 {
 // a machine word (logicsim.PackPatternPairsInto), both vectors are
 // evaluated with the allocation-free EvalWordsInto kernel, and
 // sensitization masks are accumulated per arc with
-// SensitizedArcsWordsInto — one simulation sweep covers 64 patterns.
+// SensitizedArcsWordsMaskedInto — one simulation sweep covers 64 patterns.
 // The scalar walk survives in the tests as arcCoverageScalar, the
 // bit-exact oracle the equivalence tests pin this kernel against.
 func ArcCoverage(c *circuit.Circuit, pats []logicsim.PatternPair) *CoverageResult {
@@ -66,7 +66,7 @@ func ArcCoverage(c *circuit.Circuit, pats []logicsim.PatternPair) *CoverageResul
 			arcMasks[i] = 0
 		}
 		for oi := range c.Outputs {
-			logicsim.SensitizedArcsWordsInto(arcMasks, active, c, initVals, finalVals, oi)
+			logicsim.SensitizedArcsWordsMaskedInto(arcMasks, active, c, initVals, finalVals, oi, ^uint64(0))
 		}
 		// Unpack lanes in pattern order so PerPattern reproduces the
 		// scalar cumulative curve exactly. Unused tail lanes pack

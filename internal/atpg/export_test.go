@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"repro/internal/circuit"
 	"repro/internal/path"
 )
 
@@ -72,7 +73,7 @@ func (g *Generator) ForbidMarks(p path.Path, rising, robust bool) (int, error) {
 		want[f] = make([]byte, len(g.forbid[f]))
 	}
 	for _, o := range objs {
-		if g.cells[o.g].class != cellInput {
+		if g.cells[o.g].class != circuit.ClassInput {
 			want[o.frame][o.g] |= 1 << (o.val ^ 1)
 		}
 	}

@@ -56,18 +56,43 @@ func evalT(t circuit.CellType, fanin []circuit.GateID, vals []byte) byte {
 			out ^= 1
 		}
 		return out
-	case circuit.Const0:
-		return f0
-	case circuit.Const1:
-		return f1
 	default:
 		panic(fmt.Sprintf("atpg: evalT on %v", t))
 	}
 }
 
+// truth is the test's own definition of each cell's function on the
+// definite values in.
+func truth(t circuit.CellType, in []byte) byte {
+	ones := bytes.Count(in, []byte{f1})
+	var out bool
+	switch t {
+	case circuit.Buf, circuit.Output, circuit.DFF:
+		out = in[0] == f1
+	case circuit.Not:
+		out = in[0] == f0
+	case circuit.And:
+		out = ones == len(in)
+	case circuit.Nand:
+		out = ones < len(in)
+	case circuit.Or:
+		out = ones > 0
+	case circuit.Nor:
+		out = ones == 0
+	case circuit.Xor:
+		out = ones%2 == 1
+	case circuit.Xnor:
+		out = ones%2 == 0
+	default:
+		panic(fmt.Sprintf("atpg: no truth function for %v", t))
+	}
+	return b2t(out)
+}
+
 // TestEvalT pins the oracle on hand-checked cases, then compares the
-// table-driven eval with it for every cell type and every 3-valued
-// input vector up to fan-in 4.
+// table-driven eval with it for every cell type, every legal fan-in up
+// to 4 and every 3-valued input vector, and on definite vectors with
+// the truth function.
 func TestEvalT(t *testing.T) {
 	// Pin k reads vals[k]: the fanin list is the identity.
 	identity := func(n int) []circuit.GateID {
@@ -102,16 +127,13 @@ func TestEvalT(t *testing.T) {
 		}
 	}
 
-	checked := 0
-	for typ := circuit.Buf; typ <= circuit.Const1; typ++ {
-		lo, hi := 1, 4
-		switch typ {
-		case circuit.Buf, circuit.Not, circuit.Output, circuit.DFF:
-			hi = 1
-		case circuit.Const0, circuit.Const1:
-			lo, hi = 0, 0
+	checked, definite := 0, 0
+	for typ := circuit.Input + 1; typ <= circuit.Output; typ++ {
+		hi := typ.MaxFanin()
+		if hi < 0 {
+			hi = 4
 		}
-		for n := lo; n <= hi; n++ {
+		for n := typ.MinFanin(); n <= hi; n++ {
 			// Gate n is the cell under test; gates 0..n-1 drive its
 			// pins.
 			fanin := identity(n)
@@ -127,15 +149,23 @@ func TestEvalT(t *testing.T) {
 				for k, rem := 0, code; k < n; k, rem = k+1, rem/3 {
 					vals[k] = byte(rem % 3)
 				}
-				if got, want := g.eval(circuit.GateID(n), vals), evalT(typ, fanin, vals); got != want {
+				got := g.eval(circuit.GateID(n), vals)
+				if want := evalT(typ, fanin, vals); got != want {
 					t.Errorf("eval(%v, %v) = %d, evalT gives %d", typ, vals[:n], got, want)
 				}
 				checked++
+				if bytes.IndexByte(vals[:n], fX) >= 0 {
+					continue
+				}
+				if want := truth(typ, vals[:n]); got != want {
+					t.Errorf("eval(%v, %v) = %d, truth gives %d", typ, vals[:n], got, want)
+				}
+				definite++
 			}
 		}
 	}
-	if checked != 6*(3+9+27+81)+4*3+2 { // multi-input, single-input, constant cells
-		t.Errorf("checked %d input vectors", checked)
+	if checked != 6*(9+27+81)+4*3 || definite != 6*(4+8+16)+4*2 { // multi-input, single-input cells
+		t.Errorf("checked %d input vectors, %d definite", checked, definite)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"repro/internal/circuit"
 	"repro/internal/logicsim"
 	"repro/internal/path"
 )
@@ -29,7 +30,7 @@ func (g *Generator) refPrepare(p path.Path, rising, robust bool) ([]objective, e
 	g.restrict(objs)
 	rest := g.rest[:0]
 	for _, o := range objs {
-		if g.cells[o.g].class != cellInput {
+		if g.cells[o.g].class != circuit.ClassInput {
 			rest = append(rest, o)
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/synth"
 )
 
 const c17Bench = `
@@ -105,36 +106,57 @@ func TestCommentsAndCase(t *testing.T) {
 	}
 }
 
+// TestRoundTrip re-parses the written form of c17 and of every synth
+// profile: the same gates with the same types and fan-in order, and the
+// same outputs in the same order.
 func TestRoundTrip(t *testing.T) {
-	orig, err := ParseString(c17Bench, "c17", false)
+	c17, err := ParseString(c17Bench, "c17", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := writeBench(t, orig)
-	back, err := ParseString(text, "c17", false)
-	if err != nil {
-		t.Fatalf("re-parse failed: %v\n%s", err, text)
+	circuits := []*circuit.Circuit{c17}
+	for _, p := range synth.Profiles {
+		c, err := synth.Generate(p, 2003)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
 	}
-	so, sb := orig.Stats(), back.Stats()
-	if so != sb {
-		t.Errorf("round-trip stats changed: %v -> %v", so, sb)
-	}
-	// Same gate names with same types and fanins.
-	for i := range orig.Gates {
-		g := &orig.Gates[i]
-		if g.Type == circuit.Output {
-			continue
+	for _, orig := range circuits {
+		text := writeBench(t, orig)
+		back, err := ParseString(text, orig.Name, false)
+		if err != nil {
+			t.Fatalf("%s: re-parse failed: %v", orig.Name, err)
 		}
-		h, ok := back.GateByName(g.Name)
-		if !ok {
-			t.Fatalf("gate %q lost in round trip", g.Name)
+		so, sb := orig.Stats(), back.Stats()
+		if so != sb {
+			t.Errorf("%s: round-trip stats changed: %v -> %v", orig.Name, so, sb)
 		}
-		if h.Type != g.Type || len(h.Fanin) != len(g.Fanin) {
-			t.Errorf("gate %q changed: %v/%d -> %v/%d", g.Name, g.Type, len(g.Fanin), h.Type, len(h.Fanin))
+		if len(back.Outputs) != len(orig.Outputs) {
+			t.Fatalf("%s: %d outputs -> %d", orig.Name, len(orig.Outputs), len(back.Outputs))
 		}
-		for k := range g.Fanin {
-			if back.Gates[h.Fanin[k]].Name != orig.Gates[g.Fanin[k]].Name {
-				t.Errorf("gate %q pin %d fanin changed", g.Name, k)
+		for i, o := range orig.Outputs {
+			if back.Gates[back.Outputs[i]].Name != orig.Gates[o].Name {
+				t.Errorf("%s: output %d changed: %s -> %s", orig.Name, i, orig.Gates[o].Name, back.Gates[back.Outputs[i]].Name)
+			}
+		}
+		// Same gate names with same types and fanins.
+		for i := range orig.Gates {
+			g := &orig.Gates[i]
+			if g.Type == circuit.Output {
+				continue
+			}
+			h, ok := back.GateByName(g.Name)
+			if !ok {
+				t.Fatalf("%s: gate %q lost in round trip", orig.Name, g.Name)
+			}
+			if h.Type != g.Type || len(h.Fanin) != len(g.Fanin) {
+				t.Errorf("%s: gate %q changed: %v/%d -> %v/%d", orig.Name, g.Name, g.Type, len(g.Fanin), h.Type, len(h.Fanin))
+			}
+			for k := range g.Fanin {
+				if back.Gates[h.Fanin[k]].Name != orig.Gates[g.Fanin[k]].Name {
+					t.Errorf("%s: gate %q pin %d fanin changed", orig.Name, g.Name, k)
+				}
 			}
 		}
 	}

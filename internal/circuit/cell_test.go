@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -17,8 +18,64 @@ func TestParseCellType(t *testing.T) {
 			t.Errorf("ParseCellType(%q) = %v, %v", name, got, ok)
 		}
 	}
-	if _, ok := ParseCellType("MUX42"); ok {
-		t.Errorf("unknown cell parsed")
+	// Unknown names, the ports (.bench declares them with statements)
+	// and the deleted constant cells are rejected.
+	for _, name := range []string{"MUX42", "INPUT", "OUTPUT", "CONST0", "CONST1"} {
+		if typ, ok := ParseCellType(name); ok {
+			t.Errorf("ParseCellType(%q) = %v", name, typ)
+		}
+	}
+}
+
+// truth is the test's own definition of every cell's function.
+func truth(t *testing.T, typ CellType, in []bool) bool {
+	t.Helper()
+	ones := 0
+	for _, v := range in {
+		if v {
+			ones++
+		}
+	}
+	switch typ {
+	case Buf, DFF, Output:
+		return in[0]
+	case Not:
+		return !in[0]
+	case And:
+		return ones == len(in)
+	case Nand:
+		return ones < len(in)
+	case Or:
+		return ones > 0
+	case Nor:
+		return ones == 0
+	case Xor:
+		return ones%2 == 1
+	case Xnor:
+		return ones%2 == 0
+	}
+	t.Fatalf("no truth function for %v", typ)
+	return false
+}
+
+// forAssignments calls fn for every evaluated cell type, every legal
+// fan-in up to 4 and every input assignment, assignment a giving pin k
+// the value of bit k of a.
+func forAssignments(fn func(typ CellType, n, a int, in []bool)) {
+	for typ := Input + 1; typ < numCell; typ++ {
+		hi := typ.MaxFanin()
+		if hi < 0 {
+			hi = 4
+		}
+		for n := typ.MinFanin(); n <= hi; n++ {
+			in := make([]bool, n)
+			for a := 0; a < 1<<n; a++ {
+				for k := range in {
+					in[k] = a>>k&1 == 1
+				}
+				fn(typ, n, a, in)
+			}
+		}
 	}
 }
 
@@ -48,8 +105,19 @@ func TestEvalTruthTables(t *testing.T) {
 	if !Buf.Eval([]bool{true}) || Buf.Eval([]bool{false}) {
 		t.Errorf("BUF wrong")
 	}
-	if Const0.Eval(nil) || !Const1.Eval(nil) {
-		t.Errorf("const wrong")
+	if Input.Eval(nil) {
+		t.Errorf("INPUT evaluates to true")
+	}
+	// Every cell, fan-in and assignment against the truth function.
+	checked := 0
+	forAssignments(func(typ CellType, _, _ int, in []bool) {
+		if got, want := typ.Eval(in), truth(t, typ, in); got != want {
+			t.Errorf("%v%v = %v, truth gives %v", typ, in, got, want)
+		}
+		checked++
+	})
+	if checked != 6*(4+8+16)+4*2 { // multi-input, single-input cells
+		t.Errorf("checked %d assignments", checked)
 	}
 }
 
@@ -67,11 +135,46 @@ func TestEvalVariadic(t *testing.T) {
 	if Xnor.Eval(in) {
 		t.Errorf("4-in XNOR parity wrong")
 	}
+	// Each variadic cell answers alike at every fan-in: one pin at the
+	// controlling value fixes a controlled cell's output, and a parity
+	// cell's output flips with pin 0.
+	forAssignments(func(typ CellType, n, _ int, in []bool) {
+		if n < 3 {
+			return
+		}
+		if ctrl, ok := typ.Controlling(); ok {
+			forced := typ.Eval([]bool{ctrl, ctrl})
+			if slices.Contains(in, ctrl) && typ.Eval(in) != forced {
+				t.Errorf("%v%v: a controlling input does not force %v", typ, in, forced)
+			}
+		}
+		if typ.Class() == ClassParity {
+			if flipped := typ.Eval(in) != typ.Eval(in[1:]); flipped != in[0] {
+				t.Errorf("%v%v: pin 0 does not decide the parity", typ, in)
+			}
+		}
+	})
 }
 
-// TestEvalWordsMatchesEval checks bit-parallel evaluation against the
-// scalar truth function over random words for every multi-input cell.
+// TestEvalWordsMatchesEval checks each lane of bit-parallel evaluation
+// against the truth function for every cell, fan-in and assignment,
+// then against the scalar Eval over random words.
 func TestEvalWordsMatchesEval(t *testing.T) {
+	// Lane a of pin k's word holds bit k of assignment a.
+	forAssignments(func(typ CellType, n, a int, in []bool) {
+		words := make([]uint64, n)
+		for k := range words {
+			for lane := 0; lane < 1<<n; lane++ {
+				words[k] |= uint64(lane>>k&1) << lane
+			}
+		}
+		if got, want := typ.EvalWords(words)>>a&1 == 1, truth(t, typ, in); got != want {
+			t.Errorf("%v%v lane %d = %v, truth gives %v", typ, in, a, got, want)
+		}
+	})
+	if Input.EvalWords(nil) != 0 {
+		t.Errorf("INPUT words nonzero")
+	}
 	types := []CellType{And, Nand, Or, Nor, Xor, Xnor}
 	f := func(a, b, c uint64, ti uint8) bool {
 		typ := types[int(ti)%len(types)]
@@ -95,9 +198,6 @@ func TestEvalWordsMatchesEval(t *testing.T) {
 	}
 	if Buf.EvalWords([]uint64{w}) != w {
 		t.Errorf("BUF words wrong")
-	}
-	if Const0.EvalWords(nil) != 0 || Const1.EvalWords(nil) != ^uint64(0) {
-		t.Errorf("const words wrong")
 	}
 }
 

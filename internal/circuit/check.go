@@ -38,7 +38,7 @@ func (c *Circuit) Check() error {
 				return fmt.Errorf("gate %q pin %d: inconsistent arc %+v", g.Name, k, arc)
 			}
 		}
-		if g.Type == DFF {
+		if g.Type.Sequential() {
 			return fmt.Errorf("gate %q: DFF survives in a built circuit; scan conversion required", g.Name)
 		}
 	}

@@ -146,12 +146,11 @@ func TestUndeclaredOutput(t *testing.T) {
 }
 
 func TestBuilderRejectsEmptyInterface(t *testing.T) {
-	// No inputs.
+	// No inputs: rejected before any reference is resolved.
 	b := NewBuilder("noin")
-	_ = b.AddGate("c1", Const1)
-	b.MarkOutput("c1")
-	if _, err := b.Build(false); err == nil {
-		t.Errorf("inputless circuit accepted")
+	b.MarkOutput("o")
+	if _, err := b.Build(false); err == nil || !strings.Contains(err.Error(), "no inputs") {
+		t.Errorf("inputless circuit accepted: %v", err)
 	}
 	// No outputs.
 	b2 := NewBuilder("noout")

@@ -81,11 +81,11 @@ func TestBuildDictionaryAllocBudget(t *testing.T) {
 // TestCompressedDiagnoseAllocBudget pins the allocations of one
 // compressed Diagnose, the per-request call of ddd-serve: the failing
 // counts, φ, the class scores, the ranking and its one-element outer
-// slice, and sort.Slice's three (the boxed slice, its swapper and the
-// swapper's temporary). None of them is per suspect or per class, so a
-// dictionary with more suspects and classes allocates no more.
+// slice; the ranking's sort allocates nothing. None of them is per
+// suspect or per class, so a dictionary with more suspects and classes
+// allocates no more.
 func TestCompressedDiagnoseAllocBudget(t *testing.T) {
-	const budget = 8
+	const budget = 5
 	small, b := tieDict()
 	big, bb := randomDict(7, 40, 3, 5)
 	for _, c := range []struct {

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/circuit"
 )
@@ -374,15 +374,19 @@ func rank(suspects []circuit.ArcID, sc *sigClasses, b *Behavior, by []scorer) []
 		}
 	}
 	for k, s := range by {
-		out := outs[k]
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Score < out[j].Score {
-				return s.lowerIsBetter
+		// lower orders a lower score: first (-1) when lower is better.
+		lower := 1
+		if s.lowerIsBetter {
+			lower = -1
+		}
+		slices.SortFunc(outs[k], func(a, b Ranked) int {
+			if a.Score < b.Score {
+				return lower
 			}
-			if out[i].Score > out[j].Score {
-				return !s.lowerIsBetter
+			if a.Score > b.Score {
+				return -lower
 			}
-			return out[i].Arc < out[j].Arc
+			return cmp.Compare(a.Arc, b.Arc)
 		})
 	}
 	return outs

@@ -215,7 +215,7 @@ func TestSensitizedArcsWordsMatchesScalar(t *testing.T) {
 				for i := range dst {
 					dst[i] = 0
 				}
-				SensitizedArcsWordsInto(dst, active, c, init, final, oi)
+				SensitizedArcsWordsMaskedInto(dst, active, c, init, final, oi, ^uint64(0))
 				for b := 0; b < lanes; b++ {
 					tr := SimulatePair(c, PatternPair{v1s[b], v2s[b]})
 					want := SensitizedArcs(c, tr, oi)

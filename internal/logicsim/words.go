@@ -16,28 +16,22 @@ import (
 // along transitioning, sensitized arcs, its driver transitions, and
 // every other pin of g holds a non-controlling final value.
 
-// SensitizedArcsWordsInto accumulates, for primary output outIdx, the
-// per-arc sensitization masks of a 64-lane block into dst
-// (dst[arcID] |= mask; len(dst) must be len(c.Arcs)). init and final
-// are the word-parallel settled values of the two vectors of every
-// pattern pair (EvalWordsInto over the packed V1s and V2s). active is
-// caller scratch of len(c.Gates); its contents are overwritten.
+// SensitizedArcsWordsMaskedInto accumulates, for primary output
+// outIdx, the per-arc sensitization masks of a 64-lane block into dst
+// (dst[arcID] |= lanes; len(dst) must be len(c.Arcs)), restricted to
+// the pattern lanes selected by mask: only those lanes' bits can
+// appear in dst. init and final are the word-parallel settled values
+// of the two vectors of every pattern pair (EvalWordsInto over the
+// packed V1s and V2s). active is caller scratch of len(c.Gates); its
+// contents are overwritten. The suspect-pruning kernel uses the
+// restriction to trace sensitized arcs exclusively for lanes where the
+// output under scrutiny actually failed (the scalar path's b.At(i, j)
+// guard); arc coverage passes every lane.
 //
 // Ragged blocks are safe without explicit masking here: an unused lane
 // packs all-zero inputs into both vectors, so no gate transitions on
 // it and no arc picks up its bit. Callers combining blocks should
 // still respect PackPatternPairsInto's tail contract.
-//
-//ddd:hot
-func SensitizedArcsWordsInto(dst, active []uint64, c *circuit.Circuit, init, final []uint64, outIdx int) {
-	SensitizedArcsWordsMaskedInto(dst, active, c, init, final, outIdx, ^uint64(0))
-}
-
-// SensitizedArcsWordsMaskedInto is SensitizedArcsWordsInto restricted
-// to the pattern lanes selected by mask: only those lanes' bits can
-// appear in dst. The suspect-pruning kernel uses the restriction to
-// trace sensitized arcs exclusively for lanes where the output under
-// scrutiny actually failed (the scalar path's b.At(i, j) guard).
 //
 //ddd:hot
 func SensitizedArcsWordsMaskedInto(dst, active []uint64, c *circuit.Circuit, init, final []uint64, outIdx int, mask uint64) {

@@ -185,7 +185,7 @@ func TestSensitizedArcsWordsMaskedRestrictsLanes(t *testing.T) {
 			full[i] = 0
 			masked[i] = 0
 		}
-		SensitizedArcsWordsInto(full, active, c, initVals, finalVals, oi)
+		SensitizedArcsWordsMaskedInto(full, active, c, initVals, finalVals, oi, ^uint64(0))
 		SensitizedArcsWordsMaskedInto(masked, active, c, initVals, finalVals, oi, mask)
 		for aid := range full {
 			if masked[aid] != full[aid]&mask {

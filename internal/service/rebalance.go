@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/par"
 	"repro/internal/retry"
 )
 
@@ -393,41 +394,38 @@ func (r *rebalancer) reconcile() (incomplete bool) {
 	}
 
 	// Transfer with bounded concurrency.
-	sem := make(chan struct{}, r.workers)
-	var wg sync.WaitGroup
 	var failures atomic.Int64
-	for _, m := range moves {
-		m := m
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			var n int
-			var sha string
-			err := retry.Do(r.ctx, transferBackoff, m.id, 1+r.retries, func() error {
-				var terr error
-				n, sha, terr = TransferSnapshot(r.ctx, r.rt.cfg.Client, m.from, m.to, m.id)
-				return terr
-			})
-			r.mu.Lock()
-			r.pending--
-			if err == nil {
-				delete(r.overlay, m.id)
-			}
-			r.mu.Unlock()
-			if err != nil {
-				failures.Add(1)
-				r.failed.Add(1)
-				r.journal(transferRecord{Gen: gen, Status: "failed", Dict: m.id, From: m.from, To: m.to, Error: err.Error()})
-				return
-			}
-			r.completed.Add(1)
-			r.journal(transferRecord{Gen: gen, Status: "done", Dict: m.id, From: m.from, To: m.to, Sha: sha, Bytes: n})
-			// The new owner has the bytes but a cold cache; invalidate
-			// nothing here — its next request loads the file.
-		}()
-	}
-	wg.Wait()
+	par.For(len(moves), r.workers, func(i int) {
+		m := moves[i]
+		var n int
+		var sha string
+		err := retry.Do(r.ctx, transferBackoff, m.id, 1+r.retries, func() error {
+			var terr error
+			n, sha, terr = TransferSnapshot(r.ctx, r.rt.cfg.Client, m.from, m.to, m.id)
+			return terr
+		})
+		r.settle(m.id, err == nil)
+		if err != nil {
+			failures.Add(1)
+			r.failed.Add(1)
+			r.journal(transferRecord{Gen: gen, Status: "failed", Dict: m.id, From: m.from, To: m.to, Error: err.Error()})
+			return
+		}
+		r.completed.Add(1)
+		r.journal(transferRecord{Gen: gen, Status: "done", Dict: m.id, From: m.from, To: m.to, Sha: sha, Bytes: n})
+		// The new owner has the bytes but a cold cache; invalidate
+		// nothing here — its next request loads the file.
+	})
 	return incomplete || failures.Load() > 0
+}
+
+// settle counts one finished transfer of dictionary id; a successful
+// one stops routing id to its warm source.
+func (r *rebalancer) settle(id string, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.pending--
+	if ok {
+		delete(r.overlay, id)
+	}
 }

@@ -297,8 +297,8 @@ func (e *Engine) rebuild(out, base *waves, init []bool, g circuit.GateID, delays
 	if opts.Window != nil {
 		limit = min(limit, opts.Window.hi[g])
 	}
-	md := e.gmode[g]
-	cv := md&gmCV != 0
+	ctr := e.ctr[g]
+	cv := ctr.cv
 	arr := e.arr[:0]
 	var cnt int16
 	for k := e.finOff[g]; k < e.finOff[g+1]; k++ {
@@ -343,10 +343,11 @@ func (e *Engine) rebuild(out, base *waves, init []bool, g circuit.GateID, delays
 				cnt--
 			}
 		}
-		nv := (cnt == 0) != (md&gmInv != 0)
-		if md&gmParity != 0 {
-			nv = (cnt&1 == 1) != (md&gmInv != 0)
+		nv := (cnt != 0) == cv
+		if ctr.parity {
+			nv = cnt&1 == 1
 		}
+		nv = nv != ctr.inv
 		if nv != val {
 			out.steps = append(out.steps, Step{T: t, V: nv})
 			val = nv

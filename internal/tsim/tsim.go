@@ -126,49 +126,31 @@ func (r *Result) FailingOutputs(c *circuit.Circuit) []int {
 	return fails
 }
 
-// Gate-mode bits for the counting evaluator: instead of re-evaluating
-// a gate's function over its pin values at every instant, the kernel
-// maintains the number of pins currently holding the class's counted
-// value, and derives the output from that counter in O(1). The
-// encoding covers the whole cell library:
+// counter is one gate's row of the counting evaluator: instead of
+// re-evaluating a gate's function over its pin values at every
+// instant, the kernel maintains the number of pins currently holding
+// the counted value, and derives the output from that counter in O(1).
+// Each field is read from the gate's row in the circuit's cell table
+// (circuit.CellType.Counted, Class and Inverting), so the evaluator
+// covers the whole cell library:
 //
-//	AND/NAND/BUF/NOT/DFF/OUTPUT  count zeros; output = (count==0) ^ inv
-//	OR/NOR                       count ones;  output = (count==0) ^ inv
-//	XOR/XNOR                     count ones;  output = (count&1)   ^ inv
+//	controlled, buffer  output = (count != 0) == counted, then inverted
+//	parity              output = (count&1 == 1), then inverted
 //
 // This is the standard input-count technique of gate-level
 // simulation; it computes the identical boolean function.
-const (
-	gmCV     = 1 << 0 // counted (controlling) value is 1; otherwise 0
-	gmParity = 1 << 1 // output is the count's parity (XOR class)
-	gmInv    = 1 << 2 // invert the class output
-)
-
-// gateMode returns the counting-evaluator mode bits for a cell type.
-// Input/Const cells are never rebuilt, so their mode is unused.
-func gateMode(t circuit.CellType) uint8 {
-	switch t {
-	case circuit.Not, circuit.Nand:
-		return gmInv
-	case circuit.Or:
-		return gmCV | gmInv
-	case circuit.Nor:
-		return gmCV
-	case circuit.Xor:
-		return gmCV | gmParity
-	case circuit.Xnor:
-		return gmCV | gmParity | gmInv
-	default: // Buf, DFF, Output, And — and unused Input/Const modes
-		return 0
-	}
+type counter struct {
+	cv     bool // the counted input value
+	parity bool // the output is the count's parity
+	inv    bool // invert the class output
 }
 
 // Engine holds per-goroutine scratch state for repeated simulations of
 // one circuit. Engines are not safe for concurrent use; create one per
 // worker.
 type Engine struct {
-	c     *circuit.Circuit
-	gmode []uint8
+	c   *circuit.Circuit
+	ctr []counter
 	// Gate g's input pins k = finOff[g] … finOff[g+1]−1 are driven by
 	// fin[k] through arc k; its fan-out gates are
 	// fout[foutOff[g]:foutOff[g+1]]. The circuit's own flat tables
@@ -206,7 +188,7 @@ func NewEngine(c *circuit.Circuit) *Engine {
 	n := len(c.Gates)
 	e := &Engine{
 		c:          c,
-		gmode:      make([]uint8, n),
+		ctr:        make([]counter, n),
 		run:        newWaves(n),
 		diff:       newWaves(n),
 		queue:      newWorklist(c),
@@ -223,7 +205,8 @@ func NewEngine(c *circuit.Circuit) *Engine {
 	e.finOff, e.fin = c.FaninTable()
 	e.foutOff, e.fout = c.FanoutTable()
 	for g := range c.Gates {
-		e.gmode[g] = gateMode(c.Gates[g].Type)
+		t := c.Gates[g].Type
+		e.ctr[g] = counter{cv: t.Counted(), parity: t.Class() == circuit.ClassParity, inv: t.Inverting()}
 	}
 	return e
 }

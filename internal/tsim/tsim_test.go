@@ -2,6 +2,7 @@ package tsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/benchfmt"
@@ -201,6 +202,71 @@ func TestCheckPair(t *testing.T) {
 	}
 	if err := CheckPair(c, logicsim.PatternPair{}); err == nil {
 		t.Errorf("empty pair accepted")
+	}
+}
+
+// TestCountingEvaluatorMatchesEval runs a one-gate circuit of every
+// cell type and legal fan-in up to 4 through every pattern pair. Pin k
+// sees its input's transition at time k+1, so the gate's waveform must
+// step to Eval of each intermediate input vector wherever that value
+// changes.
+func TestCountingEvaluatorMatchesEval(t *testing.T) {
+	names := []string{"a", "b", "c", "d"}
+	for typ := circuit.Input + 1; typ <= circuit.Output; typ++ {
+		hi := typ.MaxFanin()
+		if hi < 0 {
+			hi = 4
+		}
+		for n := typ.MinFanin(); n <= hi; n++ {
+			b := circuit.NewBuilder("one")
+			for _, name := range names[:n] {
+				if err := b.AddInput(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := b.AddGate("g", typ, names[:n]...); err != nil {
+				t.Fatal(err)
+			}
+			b.MarkOutput("g")
+			c, err := b.Build(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _ := c.GateByName("g")
+			delays := make([]float64, len(c.Arcs))
+			for i := range delays {
+				delays[i] = 1
+			}
+			for k, a := range g.InArcs {
+				delays[a] = float64(k + 1)
+			}
+			eng := NewEngine(c)
+			for v1 := 0; v1 < 1<<n; v1++ {
+				for v2 := 0; v2 < 1<<n; v2++ {
+					pair := logicsim.PatternPair{V1: make(logicsim.Vector, n), V2: make(logicsim.Vector, n)}
+					for k := range n {
+						pair.V1[k], pair.V2[k] = v1>>k&1 == 1, v2>>k&1 == 1
+					}
+					var want []Step
+					in := append(logicsim.Vector(nil), pair.V1...)
+					val := typ.Eval(in)
+					for k := range n {
+						in[k] = pair.V2[k]
+						if v := typ.Eval(in); v != val {
+							want = append(want, Step{T: float64(k + 1), V: v})
+							val = v
+						}
+					}
+					res := eng.Run(delays, pair, Quiescent())
+					if got := res.Waveform(g.ID); !slices.Equal(got, want) {
+						t.Errorf("%v %v -> %v: waveform %v, want %v", typ, pair.V1, pair.V2, got, want)
+					}
+					if res.Capture[0] != val {
+						t.Errorf("%v %v -> %v: captured %v, want %v", typ, pair.V1, pair.V2, res.Capture[0], val)
+					}
+				}
+			}
+		}
 	}
 }
 
