@@ -168,7 +168,7 @@ func BenchmarkAblationSamples(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rank = core.Position(dict.Diagnose(bh, core.AlgRev), truth)
+				rank = core.Position(dict.Diagnose(bh, core.AlgRev, 0), truth)
 			}
 			b.ReportMetric(float64(rank), "truth_rank")
 		})
@@ -390,7 +390,7 @@ func BenchmarkDiagnoseOnly(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dict.Diagnose(bh, core.Methods[i%len(core.Methods)])
+		dict.Diagnose(bh, core.Methods[i%len(core.Methods)], 0)
 	}
 }
 

@@ -287,7 +287,7 @@ func compressExp(circuitName string, n int) error {
 		float64(cd.DenseBytes())/float64(cd.Bytes()+1))
 	agree := 0
 	for _, method := range core.Methods {
-		if cs.Ranked[method][0].Arc == cd.Diagnose(cs.B, method)[0].Arc {
+		if cs.Ranked[method][0].Arc == cd.Diagnose(cs.B, method, 1)[0].Arc {
 			agree++
 		}
 	}

@@ -9,13 +9,14 @@
 //
 //	ddd-dict build -profile small -o small.dict [-patterns 16] [-samples 96] [-workers N]
 //	ddd-dict info small.dict
-//	ddd-dict diagnose small.dict -profile small [-case 1] [-k 10]
+//	ddd-dict diagnose small.dict -profile small [-case 1] [-k 10 (<= 0: all)]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -129,7 +130,7 @@ func diagnose(args []string) error {
 	fs := flag.NewFlagSet("diagnose", flag.ExitOnError)
 	profile := fs.String("profile", "small", "circuit profile the dictionary was built for")
 	caseSeed := fs.Uint64("case", 1, "case seed (die instance + random defect)")
-	k := fs.Int("k", 10, "candidates to print")
+	k := fs.Int("k", 10, "candidates to print (<= 0 prints every suspect)")
 	if len(args) < 1 {
 		return fmt.Errorf("diagnose: dictionary file required")
 	}
@@ -159,13 +160,9 @@ func diagnose(args []string) error {
 	if !b.AnyFailure() {
 		return fmt.Errorf("the defect escaped the stored pattern set at clk %.3f", cd.Clk)
 	}
-	ranked := cd.Diagnose(b, core.AlgRev)
-	n := *k
-	if n > len(ranked) {
-		n = len(ranked)
-	}
-	fmt.Printf("Alg_rev top %d of %d stored suspects:\n", n, len(ranked))
-	for i, rk := range ranked[:n] {
+	ranked := cd.Diagnose(b, core.AlgRev, *k)
+	fmt.Printf("Alg_rev top %d of %d stored suspects:\n", len(ranked), len(cd.Suspects))
+	for i, rk := range ranked {
 		mark := ""
 		if rk.Arc == df.Arc {
 			mark = "  <== injected defect"
@@ -174,12 +171,12 @@ func diagnose(args []string) error {
 		fmt.Printf("  %2d. arc %-5d %s->%s err=%.4f%s\n",
 			i+1, rk.Arc, c.Gates[a.From].Name, c.Gates[a.To].Name, rk.Score, mark)
 	}
-	for i, rk := range ranked {
-		if rk.Arc == df.Arc {
-			fmt.Printf("true defect ranked %d of %d\n", i+1, len(ranked))
-			return nil
-		}
+	if pos := core.Position(ranked, df.Arc); pos > 0 {
+		fmt.Printf("true defect ranked %d of %d\n", pos, len(cd.Suspects))
+	} else if slices.Contains(cd.Suspects, df.Arc) {
+		fmt.Printf("true defect ranked below the top %d\n", len(ranked))
+	} else {
+		fmt.Println("true defect not in the stored fault universe")
 	}
-	fmt.Println("true defect not in the stored fault universe")
 	return nil
 }

@@ -68,7 +68,7 @@ func main() {
 			escaped++
 			continue
 		}
-		ranked := loaded.Diagnose(b, core.AlgRev)
+		ranked := loaded.Diagnose(b, core.AlgRev, 0)
 		pos := 0
 		for i, rk := range ranked {
 			if rk.Arc == truth.Arc {

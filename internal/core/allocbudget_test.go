@@ -80,12 +80,12 @@ func TestBuildDictionaryAllocBudget(t *testing.T) {
 
 // TestCompressedDiagnoseAllocBudget pins the allocations of one
 // compressed Diagnose, the per-request call of ddd-serve: the failing
-// counts, φ, the class scores, the ranking and its one-element outer
-// slice; the ranking's sort allocates nothing. None of them is per
-// suspect or per class, so a dictionary with more suspects and classes
-// allocates no more.
+// counts, one block of φ and the class scores, one block of the class
+// sizes, order, tie groups and slots, and the ranking; the class sort
+// allocates nothing. None of them is per suspect or per class, so a
+// dictionary with more suspects and classes allocates no more.
 func TestCompressedDiagnoseAllocBudget(t *testing.T) {
-	const budget = 5
+	const budget = 4
 	small, b := tieDict()
 	big, bb := randomDict(7, 40, 3, 5)
 	for _, c := range []struct {
@@ -93,10 +93,49 @@ func TestCompressedDiagnoseAllocBudget(t *testing.T) {
 		b *Behavior
 	}{{small, b}, {big, bb}} {
 		cd := Compress(c.d)
-		if got := testing.AllocsPerRun(50, func() { cd.Diagnose(c.b, AlgRev) }); got > budget {
+		if got := testing.AllocsPerRun(50, func() { cd.Diagnose(c.b, AlgRev, 0) }); got > budget {
 			t.Errorf("%d suspects in %d classes: %v allocations per Diagnose, budget %d", len(cd.Suspects), cd.Classes(), got, budget)
 		}
 	}
+}
+
+// TestCompressedDiagnoseBytesIndependentOfSuspects pins what a
+// diagnosis answer of K = 5 costs: its blocks are per class and its
+// ranking holds five candidates, so sixteen times the suspects in the
+// same classes allocate no more bytes per Diagnose. One 16 B ranking
+// entry per suspect would add 11,520 B here; the slack is one byte per
+// added suspect.
+func TestCompressedDiagnoseBytesIndependentOfSuspects(t *testing.T) {
+	const classes, rows, cols = 12, 3, 5
+	e, b := randomE(11, classes, rows, cols)
+	perCall := func(n int) float64 {
+		suspects := make([]circuit.ArcID, n)
+		sigs := make([][]float64, n)
+		for si := range suspects {
+			suspects[si] = circuit.ArcID(3 * si)
+			c := si % classes
+			sigs[si] = e[c*rows*cols : (c+1)*rows*cols]
+		}
+		cd := Compress(labeledDict(suspects, rows, cols, sigs...))
+		if cd.Classes() != classes {
+			t.Fatalf("%d suspects in %d classes, want %d", n, cd.Classes(), classes)
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for range runs {
+			cd.Diagnose(b, AlgRev, 5)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	const few, many = 48, 768
+	lo, hi := perCall(few), perCall(many)
+	if hi > lo+many-few {
+		t.Fatalf("one Diagnose at k = 5 allocates %.0f B over %d suspects, %.0f B over %d", lo, few, hi, many)
+	}
+	t.Logf("one Diagnose at k = 5: %.0f B over %d suspects, %.0f B over %d", lo, few, hi, many)
 }
 
 // buildBytes reports the bytes one BuildDictionary call allocates

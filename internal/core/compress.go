@@ -18,6 +18,8 @@ import (
 // dictionary pins the stimuli it was characterized for. Each entry is
 // s = q/255 for its quantized q.
 type CompressedDictionary struct {
+	// Suspects must not change after construction: the ranking walks
+	// them in an arc order derived once.
 	Suspects []circuit.ArcID
 	Patterns []logicsim.PatternPair
 	Clk      float64
@@ -42,7 +44,7 @@ func quantize(p float64) uint8 {
 // quantizes to 0 is dropped, and classes whose quantized entries
 // coincide merge.
 func Compress(d *Dictionary) *CompressedDictionary {
-	cb := newClassBuilder(d.Rows, d.Cols, len(d.Suspects), len(d.sig.entries))
+	cb := newClassBuilder(d.Rows, d.Cols, d.Suspects, len(d.sig.entries))
 	es := make([]sigEntry, 0, len(d.M))
 	for si, c := range d.sig.classOf {
 		es = es[:0]
@@ -87,9 +89,9 @@ func (cd *CompressedDictionary) DenseBytes() int {
 	return len(cd.Suspects) * cd.sig.rows * cd.sig.cols * 8
 }
 
-// Diagnose ranks all suspects against b using the given method, like
-// Dictionary.Diagnose but on the compressed form, scoring each
-// signature class once.
-func (cd *CompressedDictionary) Diagnose(b *Behavior, method Method) []Ranked {
-	return rank(cd.Suspects, &cd.sig, b, []scorer{{method.Score, method.lowerIsBetter()}})[0]
+// Diagnose returns the k best suspects against b using the given
+// method (all when k <= 0), like Dictionary.Diagnose but on the
+// compressed form, scoring each signature class once.
+func (cd *CompressedDictionary) Diagnose(b *Behavior, method Method, k int) []Ranked {
+	return rank(cd.Suspects, &cd.sig, b, []scorer{{method.Score, method.lowerIsBetter()}}, k)
 }

@@ -86,8 +86,8 @@ func TestCompressedDiagnoseMatchesDense(t *testing.T) {
 	}
 	cd := Compress(d)
 	for _, m := range Methods {
-		denseTop := d.Diagnose(b, m)[0].Arc
-		sparse := cd.Diagnose(b, m)
+		denseTop := d.Diagnose(b, m, 0)[0].Arc
+		sparse := cd.Diagnose(b, m, 0)
 		found := false
 		for _, rk := range sparse[:3] {
 			if rk.Arc == denseTop {

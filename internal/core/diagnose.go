@@ -149,6 +149,7 @@ type sigEntry struct {
 type sigClasses struct {
 	rows, cols int
 	classOf    []int32    // suspect si's class
+	byArc      []int32    // suspect indices in ascending arc order, ties by index
 	off        []int32    // class c's entries are entries[off[c]:off[c+1]]
 	entries    []sigEntry // every class's entries, back to back
 }
@@ -167,17 +168,38 @@ type classBuilder struct {
 	byHash map[uint64]int32 // list hash → the newest class with it
 }
 
-func newClassBuilder(rows, cols, nSus, entries int) *classBuilder {
-	return &classBuilder{
+// newClassBuilder starts the classes of suspects and derives their arc
+// order, once per dictionary: the suspects must not change after
+// construction.
+func newClassBuilder(rows, cols int, suspects []circuit.ArcID, entries int) classBuilder {
+	nSus := len(suspects)
+	return classBuilder{
 		sc: sigClasses{
 			rows:    rows,
 			cols:    cols,
 			classOf: make([]int32, nSus),
+			byArc:   arcOrder(suspects),
 			off:     append(make([]int32, 0, nSus+1), 0),
 			entries: make([]sigEntry, 0, entries),
 		},
 		byHash: make(map[uint64]int32, nSus),
 	}
+}
+
+// arcOrder returns the suspect indices in ascending arc order, ties by
+// index. Suspect lists usually arrive in arc order already, which needs
+// no sort.
+func arcOrder(suspects []circuit.ArcID) []int32 {
+	order := make([]int32, len(suspects))
+	for si := range order {
+		order[si] = int32(si)
+	}
+	if !slices.IsSorted(suspects) {
+		slices.SortFunc(order, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(suspects[a], suspects[b]), cmp.Compare(a, b))
+		})
+	}
+	return order
 }
 
 // add returns the class of entry list es, appending a new class when
@@ -321,73 +343,116 @@ func (m Method) Score(phi []float64) float64 {
 }
 
 // Diagnose ranks every suspect against the observed behavior using the
-// given method and returns all candidates, best first (Algorithm E.1
-// step 8 / Algorithm F.1 revised step 8). Ties break on ascending arc
-// ID for determinism. Callers take the first K entries as the
-// diagnosis answer.
-func (d *Dictionary) Diagnose(b *Behavior, method Method) []Ranked {
-	return d.DiagnoseMethods(b, []Method{method})[0]
+// given method and returns the k best candidates, best first
+// (Algorithm E.1 step 8 / Algorithm F.1 revised step 8): the diagnosis
+// answer of size K. k <= 0 returns every candidate. Ties break on
+// ascending arc ID for determinism, so the first k entries are those of
+// the full ranking.
+func (d *Dictionary) Diagnose(b *Behavior, method Method, k int) []Ranked {
+	return rank(d.Suspects, &d.sig, b, []scorer{{method.Score, method.lowerIsBetter()}}, k)
 }
 
-// DiagnoseMethods returns Diagnose(b, methods[k]) for every k, computing
-// each suspect's per-pattern consistencies once for all the methods.
+// DiagnoseMethods returns the full Diagnose(b, methods[r], 0) for every
+// r, computing each suspect's per-pattern consistencies once for all
+// the methods.
 func (d *Dictionary) DiagnoseMethods(b *Behavior, methods []Method) [][]Ranked {
 	by := make([]scorer, len(methods))
-	for k, m := range methods {
-		by[k] = scorer{m.Score, m.lowerIsBetter()}
+	for r, m := range methods {
+		by[r] = scorer{m.Score, m.lowerIsBetter()}
 	}
-	return rank(d.Suspects, &d.sig, b, by)
+	all, n := rank(d.Suspects, &d.sig, b, by, 0), len(d.Suspects)
+	outs := make([][]Ranked, len(methods))
+	for r := range outs {
+		outs[r] = all[r*n : (r+1)*n : (r+1)*n]
+	}
+	return outs
 }
 
-// DiagnoseErrorFunc ranks suspects with a custom diagnosis error
+// DiagnoseErrorFunc ranks every suspect with a custom diagnosis error
 // function: fn maps the per-pattern consistency vector φ to an error
 // value that is minimized. This is the extension point the paper's
 // conclusion calls for ("to develop a good diagnosis algorithm ... we
 // need to search for a good error function first"). One φ buffer
 // serves every suspect, so fn must not retain the slice.
 func (d *Dictionary) DiagnoseErrorFunc(b *Behavior, fn func(phi []float64) float64) []Ranked {
-	return rank(d.Suspects, &d.sig, b, []scorer{{fn, true}})[0]
+	return rank(d.Suspects, &d.sig, b, []scorer{{fn, true}}, 0)
 }
 
 // rank is the one ranking loop behind both dictionary forms. It writes
-// each signature class's φ into a buffer shared by every class, each
-// scorer reduces it to the class's score without retaining it, every
-// suspect takes its class's score in each ranking, and each ranking is
-// sorted best first with ties on ascending arc ID. Every ranking counts
-// as one diagnosis.
-func rank(suspects []circuit.ArcID, sc *sigClasses, b *Behavior, by []scorer) [][]Ranked {
+// each signature class's φ into a buffer shared by every class, and
+// each scorer reduces it to the class's score without retaining it.
+// Every suspect takes its class's score, so a ranking orders the
+// classes, not the suspects: it sorts the classes by score, best first
+// in the scorer's direction, and numbers the runs of equal scores (the
+// tie groups), which take the ranking's slots in that order, each as
+// many as its suspects. A group's suspects are ranked on ascending arc
+// ID, so rank walks the suspects once in that order, drops each into
+// its group's next slot and stops once the first k slots are filled.
+// It returns the rankings back to back, each its first k entries (all
+// when k <= 0), and counts each as one diagnosis.
+func rank(suspects []circuit.ArcID, sc *sigClasses, b *Behavior, by []scorer, k int) []Ranked {
 	diagnoses.Add(float64(len(by)))
+	nc := sc.classes()
+	if k <= 0 || k > len(suspects) {
+		k = len(suspects)
+	}
 	failing := countFailing(b)
-	scores := make([]float64, sc.classes()*len(by))
-	phi := make([]float64, b.Cols)
-	for c := range sc.classes() {
+	fs := make([]float64, b.Cols+nc*len(by))
+	phi, scores := fs[:b.Cols], fs[b.Cols:]
+	for c := range nc {
 		sc.consistencyInto(phi, failing, c, b)
-		for k, s := range by {
-			scores[c*len(by)+k] = s.score(phi)
+		for r, s := range by {
+			scores[r*nc+c] = s.score(phi)
 		}
 	}
-	outs := make([][]Ranked, len(by))
-	for k := range outs {
-		outs[k] = make([]Ranked, len(suspects))
-		for si, arc := range suspects {
-			outs[k][si] = Ranked{Arc: arc, Score: scores[int(sc.classOf[si])*len(by)+k]}
-		}
+	// Each class's size, then, reused by every ranking, the classes in
+	// score order, each class's tie group and each group's next slot.
+	is := make([]int32, 4*nc)
+	size, order, group, next := is[:nc], is[nc:2*nc], is[2*nc:3*nc], is[3*nc:]
+	for _, c := range sc.classOf {
+		size[c]++
 	}
-	for k, s := range by {
+	out := make([]Ranked, len(by)*k)
+	for r, s := range by {
+		score := scores[r*nc : (r+1)*nc]
 		// lower orders a lower score: first (-1) when lower is better.
 		lower := 1
 		if s.lowerIsBetter {
 			lower = -1
 		}
-		slices.SortFunc(outs[k], func(a, b Ranked) int {
-			if a.Score < b.Score {
+		for c := range order {
+			order[c] = int32(c)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			if score[a] < score[b] {
 				return lower
 			}
-			if a.Score > b.Score {
+			if score[a] > score[b] {
 				return -lower
 			}
-			return cmp.Compare(a.Arc, b.Arc)
+			return 0
 		})
+		g, start := int32(-1), int32(0)
+		for p, c := range order {
+			if p == 0 || score[order[p-1]] < score[c] || score[order[p-1]] > score[c] {
+				g++
+				next[g] = start
+			}
+			group[c] = g
+			start += size[c]
+		}
+		ranking, filled := out[r*k:(r+1)*k], 0
+		for _, si := range sc.byArc {
+			if filled == k {
+				break
+			}
+			c := sc.classOf[si]
+			if slot := next[group[c]]; int(slot) < k {
+				ranking[slot] = Ranked{Arc: suspects[si], Score: score[c]}
+				filled++
+			}
+			next[group[c]]++
+		}
 	}
-	return outs
+	return out
 }

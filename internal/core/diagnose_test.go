@@ -14,16 +14,33 @@ import (
 // so the derived S = E − 0 is the signature exactly. Suspect i is
 // arc i.
 func handDict(rows, cols int, sigs ...[]float64) *Dictionary {
-	var e []float64
 	suspects := make([]circuit.ArcID, len(sigs))
-	for i, s := range sigs {
+	for i := range suspects {
+		suspects[i] = circuit.ArcID(i)
+	}
+	return labeledDict(suspects, rows, cols, sigs...)
+}
+
+// labeledDict is handDict with suspect i at arc suspects[i].
+func labeledDict(suspects []circuit.ArcID, rows, cols int, sigs ...[]float64) *Dictionary {
+	var e []float64
+	for _, s := range sigs {
 		if len(s) != rows*cols {
 			panic("handDict: signature shape")
 		}
 		e = append(e, s...)
-		suspects[i] = circuit.ArcID(i)
 	}
 	return denseDict(suspects, rows, cols, make([]float64, rows*cols), e)
+}
+
+// descendingArcs returns n arc IDs in descending order, so a ranking
+// that kept input order inside a tie would break on descending IDs.
+func descendingArcs(n int) []circuit.ArcID {
+	arcs := make([]circuit.ArcID, n)
+	for i := range arcs {
+		arcs[i] = circuit.ArcID(100 - 7*i)
+	}
+	return arcs
 }
 
 // denseDict builds the dictionary of M and the dense E block
@@ -144,10 +161,10 @@ func TestErrorFunctionsDisagree(t *testing.T) {
 	b.Set(0, 0, true)
 	b.Set(0, 1, true)
 	d := handDict(1, 2, spiky, flat) // arcs 0 (spiky), 1 (flat)
-	if top := d.Diagnose(b, MethodI)[0].Arc; top != 0 {
+	if top := d.Diagnose(b, MethodI, 0)[0].Arc; top != 0 {
 		t.Errorf("Method I top = arc %d, want spiky (0)", top)
 	}
-	if top := d.Diagnose(b, AlgRev)[0].Arc; top != 1 {
+	if top := d.Diagnose(b, AlgRev, 0)[0].Arc; top != 1 {
 		t.Errorf("AlgRev top = arc %d, want flat (1)", top)
 	}
 }
@@ -162,7 +179,7 @@ func TestDiagnoseRankingDirection(t *testing.T) {
 	b.Set(0, 1, true)
 	d := handDict(1, 2, awful, perfect) // arcs 0, 1
 	for _, m := range Methods {
-		ranked := d.Diagnose(b, m)
+		ranked := d.Diagnose(b, m, 0)
 		if len(ranked) != 2 {
 			t.Fatalf("%v: ranked %d", m, len(ranked))
 		}
@@ -175,7 +192,7 @@ func TestDiagnoseRankingDirection(t *testing.T) {
 func TestDiagnoseTieBreakDeterministic(t *testing.T) {
 	b := NewBehavior(1, 1)
 	d := handDict(1, 1, []float64{0.5}, []float64{0.5})
-	ranked := d.Diagnose(b, MethodII)
+	ranked := d.Diagnose(b, MethodII, 0)
 	if ranked[0].Arc != 0 || ranked[1].Arc != 1 {
 		t.Errorf("tie not broken by arc ID: %v", ranked)
 	}

@@ -55,7 +55,7 @@ type DictConfig struct {
 type Dictionary struct {
 	C          *circuit.Circuit
 	Patterns   []logicsim.PatternPair
-	Suspects   []circuit.ArcID
+	Suspects   []circuit.ArcID // fixed at construction: the ranking walks them in an arc order derived once
 	Clk        float64
 	Rows, Cols int // |O| outputs × |TP| patterns
 
@@ -72,7 +72,7 @@ type Dictionary struct {
 // clamps to 0.
 func NewDictionary(suspects []circuit.ArcID, rows, cols int, m []float64, e []engine.ECell) *Dictionary {
 	d := &Dictionary{Suspects: suspects, Rows: rows, Cols: cols, M: m, E: e[:0]}
-	cb := newClassBuilder(rows, cols, len(suspects), len(e))
+	cb := newClassBuilder(rows, cols, suspects, len(e))
 	es := make([]sigEntry, 0, len(m))
 	for si, a := 0, 0; si < len(suspects); si++ {
 		es = es[:0]

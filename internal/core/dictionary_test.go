@@ -304,7 +304,7 @@ func TestEndToEndDiagnosisRanksTruthWell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked := d.Diagnose(b, AlgRev)
+	ranked := d.Diagnose(b, AlgRev, 0)
 	if len(ranked) != len(suspects) {
 		t.Fatalf("ranking size mismatch")
 	}

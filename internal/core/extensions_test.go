@@ -142,7 +142,7 @@ func TestAutoKRangeProperty(t *testing.T) {
 		n := 2 + r.IntN(20)
 		m := Methods[int(mi)%len(Methods)]
 		d, b := randomDict(seed, n, 1+r.IntN(3), 1+r.IntN(4))
-		ranked := d.Diagnose(b, m)
+		ranked := d.Diagnose(b, m, 0)
 		maxK := 1 + r.IntN(n)
 		k, gap := AutoK(ranked, m, maxK)
 		limit := maxK

@@ -53,7 +53,7 @@ func (d *Dictionary) DiagnoseIterative(b *Behavior, method Method, maxDefects in
 	cur := b.Clone()
 	var rounds []IterativeResult
 	for round := 0; round < maxDefects && cur.AnyFailure(); round++ {
-		ranked := d.Diagnose(cur, method)
+		ranked := d.Diagnose(cur, method, 1)
 		best := ranked[0]
 		si := d.SuspectIndex(best.Arc)
 		explained := 0

@@ -170,7 +170,7 @@ func LoadCompressed(r io.Reader) (*CompressedDictionary, int, error) {
 		}
 		cd.Suspects = append(cd.Suspects, circuit.ArcID(a))
 	}
-	cb := newClassBuilder(int(rows), int(cols), int(nSus), 0)
+	cb := newClassBuilder(int(rows), int(cols), cd.Suspects, 0)
 	maxIdx := rows * cols
 	var es []sigEntry
 	for s := range cb.sc.classOf {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/circuit"
@@ -19,12 +20,11 @@ func seedDictionaryBytes(repeat bool) []byte {
 		s1 = s0
 	}
 	s2 := []float64{0, 0, 0, 0} // all-zero signature: no stored entries
-	d := handDict(2, 2, s0, s1, s2)
+	d := labeledDict([]circuit.ArcID{2, 7, 9}, 2, 2, s0, s1, s2)
 	d.Patterns = []logicsim.PatternPair{
 		{V1: logicsim.Vector{true, false, true}, V2: logicsim.Vector{false, true, true}},
 		{V1: logicsim.Vector{false, false, true}, V2: logicsim.Vector{true, false, false}},
 	}
-	d.Suspects = []circuit.ArcID{2, 7, 9}
 	d.Clk = 1.25
 	var buf bytes.Buffer
 	if err := Compress(d).Save(&buf, 3); err != nil {
@@ -39,7 +39,8 @@ func seedDictionaryBytes(repeat bool) []byte {
 // allocation — on truncated or corrupt input, and every input it does
 // accept must be canonical (re-encoding reproduces the bytes exactly),
 // split into signature classes of exactly equal entry lists, and ranked
-// under every method as the per-suspect reference loop ranks it.
+// under every method as the per-suspect reference loop ranks it, in
+// full and cut at one k.
 func FuzzLoadDictionary(f *testing.F) {
 	valid := seedDictionaryBytes(false)
 	f.Add(valid)
@@ -73,8 +74,11 @@ func FuzzLoadDictionary(f *testing.F) {
 				b.Set(i, j, (i*cols+j)%3 == 0)
 			}
 		}
+		k := len(data)%(len(cd.Suspects)+3) - 1
 		for _, m := range allMethods {
-			sameRanking(t, m.String(), cd.Diagnose(b, m), diagnoseCompressedScalar(cd, b, m))
+			want := diagnoseCompressedScalar(cd, b, m)
+			sameRanking(t, m.String(), cd.Diagnose(b, m, 0), want)
+			sameRanking(t, fmt.Sprintf("%v k=%d", m, k), cd.Diagnose(b, m, k), prefix(want, k))
 		}
 	})
 }

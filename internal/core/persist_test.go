@@ -58,8 +58,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Skip("defect escaped")
 	}
 	for _, m := range Methods {
-		orig := cd.Diagnose(b, m)
-		loaded := back.Diagnose(b, m)
+		orig := cd.Diagnose(b, m, 0)
+		loaded := back.Diagnose(b, m, 0)
 		for i := range orig {
 			if orig[i] != loaded[i] {
 				t.Fatalf("%v: ranking diverged at %d", m, i)

@@ -80,7 +80,7 @@ func TestDiagnosePermutationProperty(t *testing.T) {
 		nSus, nOut, nPat := 1+r.IntN(8), 1+r.IntN(4), 1+r.IntN(5)
 		d, b := randomDict(seed, nSus, nOut, nPat)
 		m := Methods[int(mi)%len(Methods)]
-		ranked := d.Diagnose(b, m)
+		ranked := d.Diagnose(b, m, 0)
 		if len(ranked) != nSus {
 			return false
 		}
@@ -134,7 +134,7 @@ func TestPerfectSignatureWinsProperty(t *testing.T) {
 		}
 		d := randomDictOf(e, 3, nOut, nPat)
 		for _, m := range Methods {
-			ranked := d.Diagnose(b, m)
+			ranked := d.Diagnose(b, m, 0)
 			if ranked[0].Arc != d.Suspects[0] {
 				// Ties are possible if a random competitor is also
 				// perfect (probability ~0 with continuous uniforms).

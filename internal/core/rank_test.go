@@ -92,10 +92,8 @@ func tieDict() (*Dictionary, *Behavior) {
 		{1, 0, 1, 0, 0, 1},           // a perfect match of b below
 		{0.3, 0.3, 0.3, 0.3, 0.3, 0.3},
 	}
-	d := handDict(rows, cols, slices.Concat(sigs, sigs, sigs)...)
-	for i := range d.Suspects {
-		d.Suspects[i] = circuit.ArcID(100 - 7*i)
-	}
+	all := slices.Concat(sigs, sigs, sigs)
+	d := labeledDict(descendingArcs(len(all)), rows, cols, all...)
 	b := NewBehavior(rows, cols)
 	for k, v := range sigs[2] {
 		if v == 1 {
@@ -124,9 +122,9 @@ func TestRankMatchesScalarOracle(t *testing.T) {
 	d, b := tieDict()
 	cd := Compress(d)
 	for _, m := range allMethods {
-		dense := d.Diagnose(b, m)
+		dense := d.Diagnose(b, m, 0)
 		sameRanking(t, m.String()+" dense", dense, diagnoseDenseScalar(d, b, m))
-		sameRanking(t, m.String()+" compressed", cd.Diagnose(b, m), diagnoseCompressedScalar(cd, b, m))
+		sameRanking(t, m.String()+" compressed", cd.Diagnose(b, m, 0), diagnoseCompressedScalar(cd, b, m))
 		ties := 0
 		for i := 1; i < len(dense); i++ {
 			if dense[i].Score == dense[i-1].Score {
@@ -144,8 +142,73 @@ func TestRankMatchesScalarOracle(t *testing.T) {
 		d, b := randomDict(seed, 1+int(seed%9), 1+int(seed%4), 1+int(seed%6))
 		cd := Compress(d)
 		for _, m := range allMethods {
-			sameRanking(t, m.String()+" dense", d.Diagnose(b, m), diagnoseDenseScalar(d, b, m))
-			sameRanking(t, m.String()+" compressed", cd.Diagnose(b, m), diagnoseCompressedScalar(cd, b, m))
+			sameRanking(t, m.String()+" dense", d.Diagnose(b, m, 0), diagnoseDenseScalar(d, b, m))
+			sameRanking(t, m.String()+" compressed", cd.Diagnose(b, m, 0), diagnoseCompressedScalar(cd, b, m))
+		}
+	}
+}
+
+// prefix returns the first k entries of a full ranking, all of them
+// when k <= 0 or k exceeds its length.
+func prefix(full []Ranked, k int) []Ranked {
+	if k <= 0 || k > len(full) {
+		return full
+	}
+	return full[:k]
+}
+
+// repeatedArcsDict builds a dictionary whose arcs repeat, as a fuzzer's
+// do: one arc listed with equal and with different signatures, out of
+// arc order.
+func repeatedArcsDict() (*Dictionary, *Behavior) {
+	d, b := tieDict()
+	sigs := expand(&d.sig)
+	arcs := []circuit.ArcID{40, 12, 40, 12, 7, 40, 7, 12, 40}
+	pick := []int{0, 2, 0, 1, 2, 3, 3, 0, 2}
+	chosen := make([][]float64, len(pick))
+	for i, p := range pick {
+		chosen[i] = sigs[p]
+	}
+	return labeledDict(arcs, d.Rows, d.Cols, chosen...), b
+}
+
+// TestDiagnosePrefix checks that Diagnose(b, m, k) returns the full
+// ranking's first k entries bit for bit, under all seven methods and
+// both forms, for every k from −1 to n+1: the non-positive k that mean
+// "all", 1, n−1, n, n+1 and every k that cuts a tie group. The full
+// rankings are checked against the reference loops first.
+func TestDiagnosePrefix(t *testing.T) {
+	type fixture struct {
+		name string
+		d    *Dictionary
+		b    *Behavior
+		ties bool // some k must cut a tie group
+	}
+	d, b := tieDict()
+	rd, rb := repeatedArcsDict()
+	fixtures := []fixture{{"ties", d, b, true}, {"repeated arcs", rd, rb, true}}
+	for seed := uint64(1); seed <= 12; seed++ {
+		d, b := randomDict(seed, 1+int(seed%9), 1+int(seed%4), 1+int(seed%6))
+		fixtures = append(fixtures, fixture{fmt.Sprintf("random %d", seed), d, b, false})
+	}
+	for _, f := range fixtures {
+		cd := Compress(f.d)
+		n, cuts := len(f.d.Suspects), 0
+		for _, m := range allMethods {
+			full, cfull := f.d.Diagnose(f.b, m, 0), cd.Diagnose(f.b, m, 0)
+			sameRanking(t, f.name+" "+m.String(), full, diagnoseDenseScalar(f.d, f.b, m))
+			sameRanking(t, f.name+" "+m.String()+" compressed", cfull, diagnoseCompressedScalar(cd, f.b, m))
+			for k := -1; k <= n+1; k++ {
+				what := fmt.Sprintf("%s %v k=%d", f.name, m, k)
+				sameRanking(t, what, f.d.Diagnose(f.b, m, k), prefix(full, k))
+				sameRanking(t, what+" compressed", cd.Diagnose(f.b, m, k), prefix(cfull, k))
+				if k > 0 && k < n && full[k-1].Score == full[k].Score {
+					cuts++
+				}
+			}
+		}
+		if f.ties && cuts == 0 {
+			t.Errorf("%s: no k cuts a tie group", f.name)
 		}
 	}
 }
@@ -172,7 +235,7 @@ func TestParseMethod(t *testing.T) {
 
 func TestDiagnoseErrorFuncMatchesMethod(t *testing.T) {
 	d, b := tieDict()
-	sameRanking(t, "DiagnoseErrorFunc(LogLik.Score)", d.DiagnoseErrorFunc(b, LogLik.Score), d.Diagnose(b, LogLik))
+	sameRanking(t, "DiagnoseErrorFunc(LogLik.Score)", d.DiagnoseErrorFunc(b, LogLik.Score), d.Diagnose(b, LogLik, 0))
 }
 
 // TestDiagnoseMethodsMatchesDiagnose ranks behaviors against the signal
@@ -211,7 +274,7 @@ func TestDiagnoseMethodsMatchesDiagnose(t *testing.T) {
 			t.Fatalf("behavior %d: DiagnoseMethods counted %v diagnoses, want %d", bi, got, len(allMethods))
 		}
 		for k, meth := range allMethods {
-			sameRanking(t, fmt.Sprintf("behavior %d %v", bi, meth), all[k], d.Diagnose(b, meth))
+			sameRanking(t, fmt.Sprintf("behavior %d %v", bi, meth), all[k], d.Diagnose(b, meth, 0))
 		}
 	}
 }
@@ -262,9 +325,7 @@ func expand(sc *sigClasses) [][]float64 {
 // so the dense φ equals the sparse kernel's bit for bit.
 func decompress(cd *CompressedDictionary) *Dictionary {
 	rows, cols := cd.Shape()
-	d := handDict(rows, cols, expand(&cd.sig)...)
-	d.Suspects = cd.Suspects
-	return d
+	return labeledDict(cd.Suspects, rows, cols, expand(&cd.sig)...)
 }
 
 // TestRankSignatureClasses ranks a compressed dictionary whose
@@ -295,10 +356,7 @@ func TestRankSignatureClasses(t *testing.T) {
 			mats[k][c.i*cols+c.j] = c.p
 		}
 	}
-	d := handDict(rows, cols, mats...)
-	for k := range d.Suspects {
-		d.Suspects[k] = circuit.ArcID(100 - 7*k)
-	}
+	d := labeledDict(descendingArcs(len(mats)), rows, cols, mats...)
 	// b fails output 0 under patterns 0 and 2 and output 1 under
 	// patterns 1 and 2: patterns 0 and 1 each have one failing output,
 	// and A stores exactly one entry there.
@@ -314,9 +372,9 @@ func TestRankSignatureClasses(t *testing.T) {
 	}
 	dense := decompress(cd)
 	for _, m := range allMethods {
-		got := cd.Diagnose(b, m)
+		got := cd.Diagnose(b, m, 0)
 		sameRanking(t, m.String(), got, diagnoseCompressedScalar(cd, b, m))
 		sameRanking(t, m.String()+" decompressed", got, diagnoseDenseScalar(dense, b, m))
-		sameRanking(t, m.String()+" in memory", d.Diagnose(b, m), diagnoseDenseScalar(d, b, m))
+		sameRanking(t, m.String()+" in memory", d.Diagnose(b, m, 0), diagnoseDenseScalar(d, b, m))
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -60,6 +61,7 @@ func FuzzSparseDictionary(f *testing.F) {
 		for k := 0; k < n; k++ {
 			b.Set(k/cols, k%cols, next()&1 == 1)
 		}
+		k := next()%(nSus+3) - 1
 		suspects := make([]circuit.ArcID, nSus)
 		for si := range suspects {
 			suspects[si] = circuit.ArcID(100 - 7*si)
@@ -84,9 +86,12 @@ func FuzzSparseDictionary(f *testing.F) {
 		cd := Compress(d)
 		checkClasses(t, &cd.sig, nSus)
 		dense := decompress(cd)
-		for k, meth := range allMethods {
-			sameRanking(t, meth.String(), all[k], diagnoseDenseScalar(d, b, meth))
-			sameRanking(t, meth.String()+" compressed", cd.Diagnose(b, meth), diagnoseDenseScalar(dense, b, meth))
+		for r, meth := range allMethods {
+			want, cwant := diagnoseDenseScalar(d, b, meth), diagnoseDenseScalar(dense, b, meth)
+			sameRanking(t, meth.String(), all[r], want)
+			sameRanking(t, meth.String()+" compressed", cd.Diagnose(b, meth, 0), cwant)
+			sameRanking(t, fmt.Sprintf("%v k=%d", meth, k), d.Diagnose(b, meth, k), prefix(want, k))
+			sameRanking(t, fmt.Sprintf("%v compressed k=%d", meth, k), cd.Diagnose(b, meth, k), prefix(cwant, k))
 		}
 	})
 }

@@ -272,8 +272,8 @@ func CompareEngines(ctx context.Context, cfg Config, maxSuspects int) (*EngineCo
 		if !b.AnyFailure() {
 			continue
 		}
-		rankMC := dictMC.Diagnose(b, core.AlgRev)
-		rankAN := dictAN.Diagnose(b, core.AlgRev)
+		rankMC := dictMC.Diagnose(b, core.AlgRev, 0)
+		rankAN := dictAN.Diagnose(b, core.AlgRev, 1)
 		if len(rankMC) == 0 || len(rankAN) == 0 {
 			continue
 		}

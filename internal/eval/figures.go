@@ -195,7 +195,7 @@ func Figure2() *Figure2Result {
 	for _, m := range core.Methods {
 		s := [2]float64{m.Score(res.Phi[0]), m.Score(res.Phi[1])}
 		res.Scores[m] = s
-		ranked := d.Diagnose(b, m)
+		ranked := d.Diagnose(b, m, 1)
 		res.Winner[m] = int(ranked[0].Arc)
 	}
 	return res

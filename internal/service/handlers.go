@@ -162,7 +162,17 @@ func diagnoseOne(ent *Entry, req *DiagnoseRequest) (*DiagnoseResponse, int, stri
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
-	ranked := ent.Dict.Diagnose(b, method)
+	// Rank only the candidates the answer can hold: K, or under auto_k
+	// the max_k + 1 scores AutoK compares (min first, so a huge max_k
+	// cannot overflow).
+	k, maxK := req.K, req.MaxK
+	if req.AutoK {
+		if maxK <= 0 {
+			maxK = 10
+		}
+		k = min(maxK, len(ent.Dict.Suspects)-1) + 1
+	}
+	ranked := ent.Dict.Diagnose(b, method, k)
 	// Diagnose copies everything it needs out of b; recycle it before
 	// building the response.
 	behaviorPool.Put(b)
@@ -174,12 +184,7 @@ func diagnoseOne(ent *Entry, req *DiagnoseRequest) (*DiagnoseResponse, int, stri
 		Patterns: len(ent.Dict.Patterns),
 		Clk:      ent.Dict.Clk,
 	}
-	k := req.K
 	if req.AutoK {
-		maxK := req.MaxK
-		if maxK <= 0 {
-			maxK = 10
-		}
 		k, resp.Gap = core.AutoK(ranked, method, maxK)
 		resp.AutoK = true
 	}

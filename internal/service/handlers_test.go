@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func newTestServer(tb testing.TB, mutate func(*Config)) *Server {
@@ -42,6 +45,95 @@ func postDiagnose(tb testing.TB, url string, body []byte) (int, []byte) {
 		tb.Fatal(err)
 	}
 	return resp.StatusCode, data
+}
+
+// fullRankingResponse is the answer diagnoseOne gave when it ranked
+// every suspect: it truncates the full ranking to K, or runs AutoK over
+// the full ranking under auto_k.
+func fullRankingResponse(t *testing.T, ent *Entry, req *DiagnoseRequest) *DiagnoseResponse {
+	t.Helper()
+	method, _ := core.ParseMethod(req.Method)
+	rows, cols := ent.Dict.Shape()
+	b, err := parseBehavior(req.Behavior, rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked := ent.Dict.Diagnose(b, method, 0)
+	resp := &DiagnoseResponse{
+		Dict:     ent.ID,
+		Method:   method.String(),
+		Suspects: len(ent.Dict.Suspects),
+		Patterns: len(ent.Dict.Patterns),
+		Clk:      ent.Dict.Clk,
+	}
+	k := req.K
+	if req.AutoK {
+		maxK := req.MaxK
+		if maxK <= 0 {
+			maxK = 10
+		}
+		k, resp.Gap = core.AutoK(ranked, method, maxK)
+		resp.AutoK = true
+	}
+	if k <= 0 || k > len(ranked) {
+		k = len(ranked)
+	}
+	resp.K = k
+	for i, r := range ranked[:k] {
+		resp.Ranking = append(resp.Ranking, RankedEntry{Rank: i + 1, Arc: int(r.Arc), Score: r.Score})
+	}
+	return resp
+}
+
+// TestDiagnoseOneMatchesFullRanking checks that diagnoseOne, which
+// ranks only the candidates its answer holds, answers every K and
+// auto_k request as the truncation of the full ranking does, byte for
+// byte, under every method: k of −1, 0, 1, n and n+1, and auto_k with
+// max_k of 0 (the default 10), 1 and MaxInt64, which must not overflow.
+// The behaviors are the fixture's failing die and the all-pass one,
+// whose scores tie in large groups.
+func TestDiagnoseOneMatchesFullRanking(t *testing.T) {
+	fx := getFixture(t)["alpha"]
+	cd, nIn, err := core.LoadCompressed(bytes.NewReader(fx.blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent := &Entry{ID: "alpha", Dict: cd, NInputs: nIn}
+	n := len(cd.Suspects)
+	rows, cols := cd.Shape()
+	pass := make([]string, rows)
+	for i := range pass {
+		pass[i] = strings.Repeat("0", cols)
+	}
+	var reqs []DiagnoseRequest
+	for _, k := range []int{-1, 0, 1, n, n + 1} {
+		reqs = append(reqs, DiagnoseRequest{K: k})
+	}
+	for _, maxK := range []int{0, 1, math.MaxInt64} {
+		reqs = append(reqs, DiagnoseRequest{AutoK: true, MaxK: maxK})
+	}
+	for _, behavior := range [][]string{fx.behavior, pass} {
+		for _, m := range []string{"I", "II", "III", "rev", "L1", "chebyshev", "loglik"} {
+			for _, req := range reqs {
+				req.Dict, req.Method, req.Behavior = "alpha", m, behavior
+				got, status, msg := diagnoseOne(ent, &req)
+				if status != 0 {
+					t.Fatalf("%+v: status %d: %s", req, status, msg)
+				}
+				gotJSON, err := json.Marshal(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantJSON, err := json.Marshal(fullRankingResponse(t, ent, &req))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gotJSON, wantJSON) {
+					t.Errorf("method %s k=%d auto_k=%v max_k=%d:\n got %s\nwant %s", m, req.K, req.AutoK, req.MaxK, gotJSON, wantJSON)
+				}
+			}
+		}
+	}
 }
 
 func TestDiagnoseEndpoint(t *testing.T) {

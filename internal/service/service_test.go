@@ -63,7 +63,7 @@ func buildDictFixture(seed uint64) (*dictFixture, error) {
 	if b == nil {
 		return nil, fmt.Errorf("seed %d: no suspect produces a failing behavior", seed)
 	}
-	ranked := cd.Diagnose(b, core.AlgRev)
+	ranked := cd.Diagnose(b, core.AlgRev, 1)
 	return &dictFixture{
 		blob:     buf.Bytes(),
 		behavior: behaviorStrings(b),
